@@ -31,6 +31,8 @@
 //! * [`transport`] — the [`Transport`] trait over loopback TCP, an
 //!   in-process channel pair, and a deterministic fault-injection
 //!   wrapper ([`FaultyTransport`]) shaped by the [`Link`] model;
+//! * [`poll`] — `poll(2)` readiness waits and the self-pipe
+//!   [`Waker`] that lets a thread sleep on a socket *and* a wakeup;
 //! * [`supervise`] — per-connection supervision: reconnect with
 //!   exponential backoff + jitter + retry budget, idempotent resend
 //!   windows, link health counters;
@@ -44,6 +46,7 @@ pub mod events;
 pub mod frontdoor;
 pub mod net;
 pub mod phases;
+pub mod poll;
 pub mod pool;
 pub mod supervise;
 pub mod transport;
@@ -54,6 +57,7 @@ pub use events::{EventQueue, Heartbeat, HeartbeatStatus, Watchdog};
 pub use frontdoor::{Admitted, AdmissionPolicy, FrontDoor, TokenBucket};
 pub use net::Link;
 pub use phases::{run_phases, Phase};
+pub use poll::Waker;
 pub use pool::{ClusterSpec, ServerPool};
 pub use supervise::{BackoffPolicy, LinkStats, Reassembly, SupervisedLink};
 pub use transport::{ChannelTransport, FaultPlan, FaultyTransport, TcpTransport, Transport};

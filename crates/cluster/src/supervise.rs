@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::poll::Waker;
 use crate::transport::Transport;
 use crate::wire::{decode_ack, Frame, FrameKind};
 
@@ -302,41 +303,54 @@ impl SupervisedLink {
         }
     }
 
-    /// Receives one frame. `DataAck`s are consumed internally (they
-    /// advance the resend window); `Reject`s are counted and
-    /// surfaced. A link error triggers one reconnect attempt and
-    /// reads as quiet (`Ok(None)`) for that round.
-    pub fn recv(&mut self) -> io::Result<Option<Frame>> {
-        let result = match self.ensure_connected() {
-            Ok(conn) => conn.recv(),
-            Err(e) => return Err(e),
-        };
-        match result {
-            Ok(Some(frame)) if frame.kind == FrameKind::DataAck => {
-                let seq = decode_ack(&frame.payload)?;
-                if seq > self.acked {
-                    self.acked = seq;
-                    self.last_progress = Instant::now();
-                    while self.unacked.front().is_some_and(|(s, _)| *s <= seq) {
-                        self.unacked.pop_front();
+    /// Takes the next frame that is already here, never waiting
+    /// ([`Transport::try_recv`]). `DataAck`s are consumed internally —
+    /// they advance the resend window and the receive moves on to the
+    /// frame behind them, so `Ok(None)` always means "nothing more
+    /// has arrived". `Reject`s are counted and surfaced. A link error
+    /// triggers one reconnect attempt and reads as nothing-arrived
+    /// for that round.
+    pub fn try_recv(&mut self) -> io::Result<Option<Frame>> {
+        loop {
+            match self.ensure_connected()?.try_recv() {
+                Ok(Some(frame)) if frame.kind == FrameKind::DataAck => {
+                    let seq = decode_ack(&frame.payload)?;
+                    if seq > self.acked {
+                        self.acked = seq;
+                        self.last_progress = Instant::now();
+                        while self.unacked.front().is_some_and(|(s, _)| *s <= seq) {
+                            self.unacked.pop_front();
+                        }
                     }
                 }
-                Ok(None)
-            }
-            Ok(Some(frame)) if frame.kind == FrameKind::Reject => {
-                self.stats.rejections.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(frame))
-            }
-            Ok(other) => Ok(other),
-            Err(_) => {
-                self.sever();
-                // Quietly reconnect; the replay repairs lost frames.
-                match self.ensure_connected() {
-                    Ok(_) => Ok(None),
-                    Err(e) => Err(e),
+                Ok(Some(frame)) => {
+                    if frame.kind == FrameKind::Reject {
+                        self.stats.rejections.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return Ok(Some(frame));
                 }
+                Ok(None) => return Ok(None),
+                Err(_) => return self.reconnect_quietly(),
             }
         }
+    }
+
+    /// Sleeps until [`SupervisedLink::try_recv`] may have a frame,
+    /// `waker` is rung, or `timeout` passes ([`Transport::wait`]): the
+    /// park of a thread that serves this link *and* other sources.
+    /// Flush first — queued frames are not sent by waiting.
+    pub fn wait(&mut self, waker: &Waker, timeout: Duration) -> io::Result<()> {
+        match self.ensure_connected()?.wait(waker, timeout) {
+            Ok(()) => Ok(()),
+            Err(_) => self.reconnect_quietly().map(|_| ()),
+        }
+    }
+
+    /// Drops a connection that just errored and re-dials; the replay
+    /// repairs whatever the dead connection lost.
+    fn reconnect_quietly(&mut self) -> io::Result<Option<Frame>> {
+        self.sever();
+        self.ensure_connected().map(|_| None)
     }
 
     /// Proactively replays the unacked window if the peer has not
@@ -572,9 +586,7 @@ mod tests {
         // Peer acks through 3.
         b.send(&Frame::new(FrameKind::DataAck, crate::wire::encode_ack(3)))
             .unwrap();
-        while link.unacked_len() > 1 {
-            assert!(link.recv().unwrap().is_none());
-        }
+        assert!(link.try_recv().unwrap().is_none());
         assert_eq!(link.unacked_len(), 1);
         // Now stall: no more acks → maybe_resend replays frame 4.
         std::thread::sleep(Duration::from_millis(2));
@@ -591,9 +603,29 @@ mod tests {
         link.send(data_frame(0)).unwrap();
         b.send(&Frame::reject(crate::wire::RejectReason::RateLimited))
             .unwrap();
-        let got = link.recv().unwrap().unwrap();
+        let got = link.try_recv().unwrap().unwrap();
         assert_eq!(got.kind, FrameKind::Reject);
         assert_eq!(stats.rejections.load(Ordering::Relaxed), 1);
+    }
+
+    /// An ack is link bookkeeping, not "the socket went quiet": the
+    /// frames queued behind it come out of the same drain.
+    #[test]
+    fn ack_does_not_end_a_drain() {
+        let (a, mut b) = ChannelTransport::pair(16);
+        let (dial, _) = scripted_dial(vec![Some(a)]);
+        let mut link = SupervisedLink::new(dial, BackoffPolicy::default(), LinkStats::shared(), 2);
+        link.send(data_frame(0)).unwrap();
+        b.send(&Frame::new(FrameKind::DataAck, crate::wire::encode_ack(1)))
+            .unwrap();
+        b.send(&Frame::new(FrameKind::CtrlReply, b"{}".to_vec()))
+            .unwrap();
+        let mut drained = Vec::new();
+        while let Some(frame) = link.try_recv().unwrap() {
+            drained.push(frame.kind);
+        }
+        assert_eq!(drained, vec![FrameKind::CtrlReply]);
+        assert_eq!(link.unacked_len(), 0, "the ack was applied on the way");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Three implementations share one contract so the deployment runtime
 //! is transport-agnostic:
 //!
-//! * [`TcpTransport`] — loopback TCP, the real multi-process path;
+//! * [`TcpTransport`] — loopback TCP, the real multi-process path
+//!   (non-blocking socket, `poll(2)` waits, user-space frame buffer);
 //! * [`ChannelTransport`] — in-process mpsc pair, proving the trait is
 //!   honest (the equivalence matrix runs the same bridge code over
 //!   both) and giving tests a socket-free harness;
@@ -12,39 +13,68 @@
 //!   [`Link`] latency/bandwidth model, driving the network-chaos
 //!   suite.
 
-use std::collections::VecDeque;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
-use std::time::Duration;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use crate::net::Link;
-use crate::wire::{read_frame, write_frame, Frame, FrameKind};
+use crate::poll::{wait_socket, Waker, READABLE, WRITABLE};
+use crate::wire::{frame_header, parse_frame, write_frame, Frame, FrameKind, MAX_FRAME};
 
-/// How long a receiver keeps reading once a frame has *started*
-/// arriving (mid-frame stall budget; see [`read_frame`]).
-const MAX_FRAME_WAIT: Duration = Duration::from_secs(10);
+/// How long a link may make **no progress** before it is declared
+/// dead: a frame that started arriving and then stalled, or a write
+/// the peer never drains.
+const STALL_BUDGET: Duration = Duration::from_secs(10);
+
+/// Write-coalescing grain: frames collect in user space until this
+/// many bytes are pending (or [`Transport::flush`] is called).
+const WRITE_BUF: usize = 64 << 10;
+
+/// Least room offered to a socket read.
+const READ_CHUNK: usize = 64 << 10;
+
+/// Receive storage kept once the buffer runs empty.
+const RBUF_KEEP: usize = 4 << 20;
 
 /// A framed, bidirectional, fallible message link.
 ///
-/// `recv` blocks up to the configured read timeout and returns
-/// `Ok(None)` when nothing arrived — so callers can interleave polling
-/// several sources on one thread. Any `Err` means the link is broken
-/// and must be re-dialed (see `supervise::SupervisedLink`).
+/// Receiving comes in three strengths so a loop can wait for the
+/// *first* frame of a burst, take the rest without waiting, and sleep
+/// again only after it has acted and flushed:
+///
+/// * [`Transport::recv`] waits up to the configured read timeout;
+/// * [`Transport::try_recv`] never waits;
+/// * [`Transport::wait`] sleeps until a frame may be there **or** a
+///   [`Waker`] is rung, for threads with more than one source.
+///
+/// `Ok(None)` means nothing arrived. Any `Err` means the link is
+/// broken and must be re-dialed (see `supervise::SupervisedLink`).
 pub trait Transport: Send {
-    /// Queues one frame for transmission (possibly buffered; see
-    /// [`Transport::flush`]).
+    /// Queues one frame for transmission. Frames may sit in a user
+    /// space buffer until [`Transport::flush`]; a caller must flush
+    /// before it goes to sleep waiting for an answer.
     fn send(&mut self, frame: &Frame) -> io::Result<()>;
 
-    /// Flushes any buffered writes to the peer.
+    /// Pushes every queued frame to the peer. While the peer's side
+    /// is full this keeps *receiving* (into memory), so two ends that
+    /// write at each other cannot deadlock.
     fn flush(&mut self) -> io::Result<()>;
 
-    /// Receives one frame, waiting at most the read timeout;
-    /// `Ok(None)` = nothing arrived.
+    /// Receives one frame, waiting at most the read timeout for it.
     fn recv(&mut self) -> io::Result<Option<Frame>>;
 
-    /// Sets the read timeout governing how long [`Transport::recv`]
-    /// waits for a frame to begin.
+    /// Receives one frame if one is already here (buffered, or
+    /// readable without blocking). Never waits.
+    fn try_recv(&mut self) -> io::Result<Option<Frame>>;
+
+    /// Sleeps until [`Transport::try_recv`] may have a frame, `waker`
+    /// is rung, or `timeout` passes — whichever comes first. Returns
+    /// at once if a frame is already buffered.
+    fn wait(&mut self, waker: &Waker, timeout: Duration) -> io::Result<()>;
+
+    /// Sets how long [`Transport::recv`] waits for a frame.
     fn set_read_timeout(&mut self, timeout: Duration) -> io::Result<()>;
 
     /// Human-readable peer description for error messages.
@@ -52,9 +82,24 @@ pub trait Transport: Send {
 }
 
 /// [`Transport`] over a TCP stream (loopback in this deployment).
+///
+/// The socket is non-blocking; every wait is a `poll(2)`. Received
+/// bytes land in a user-space buffer that frames are parsed out of, so
+/// a burst costs one `read` rather than three per frame, a partial
+/// frame simply stays buffered across quiet receives, and "is a frame
+/// already here" needs no syscall.
 pub struct TcpTransport {
-    reader: TcpStream,
-    writer: BufWriter<TcpStream>,
+    stream: TcpStream,
+    /// Receive storage (every byte initialised); `rbuf[rpos..rend]`
+    /// is received and not yet parsed, `rbuf[rend..]` is room.
+    rbuf: Vec<u8>,
+    rpos: usize,
+    rend: usize,
+    /// When the front of `rbuf` became an incomplete frame.
+    partial_since: Option<Instant>,
+    /// Queued, not yet written.
+    wbuf: Vec<u8>,
+    read_timeout: Duration,
     peer: String,
 }
 
@@ -73,51 +118,198 @@ impl TcpTransport {
     /// Wraps an accepted or connected stream.
     pub fn from_stream(stream: TcpStream, read_timeout: Duration) -> io::Result<TcpTransport> {
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(read_timeout))?;
+        stream.set_nonblocking(true)?;
         let peer = stream
             .peer_addr()
             .map(|a| a.to_string())
             .unwrap_or_else(|_| "<unknown>".into());
-        let writer = BufWriter::with_capacity(64 << 10, stream.try_clone()?);
         Ok(TcpTransport {
-            reader: stream,
-            writer,
+            stream,
+            rbuf: Vec::new(),
+            rpos: 0,
+            rend: 0,
+            partial_since: None,
+            wbuf: Vec::new(),
+            read_timeout,
             peer,
         })
     }
 
-    /// A second handle onto the same socket (shared fd), so a node can
-    /// run its read loop and its write path on different threads. Each
-    /// half carries its own buffer; writers on *different* handles
-    /// must not interleave frames.
-    pub fn try_clone(&self) -> io::Result<TcpTransport> {
-        let stream = self.reader.try_clone()?;
-        let timeout = self.reader.read_timeout()?.unwrap_or(MAX_FRAME_WAIT);
-        stream.set_read_timeout(Some(timeout))?;
-        let writer = BufWriter::with_capacity(64 << 10, stream.try_clone()?);
-        Ok(TcpTransport {
-            reader: stream,
-            writer,
-            peer: self.peer.clone(),
-        })
+    /// One non-blocking read into the spare room of `rbuf`, first
+    /// making room for at least a chunk (or the rest of the frame at
+    /// the front, if that is known to be larger). Returns the bytes
+    /// read; `0` means the socket had nothing.
+    fn fill(&mut self) -> io::Result<usize> {
+        let pending = self.rend - self.rpos;
+        let want = match self.rbuf[self.rpos..self.rend].first_chunk::<4>() {
+            Some(len) => (4 + u32::from_le_bytes(*len) as usize).saturating_sub(pending),
+            None => 0,
+        }
+        .clamp(READ_CHUNK, MAX_FRAME + 6);
+        if self.rbuf.len() - self.rend < want {
+            self.rbuf.copy_within(self.rpos..self.rend, 0);
+            self.rpos = 0;
+            self.rend = pending;
+            if self.rbuf.len() < pending + want {
+                self.rbuf.resize(pending + want, 0);
+            }
+        }
+        let read = loop {
+            match self.stream.read(&mut self.rbuf[self.rend..]) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                other => break other,
+            }
+        };
+        match read {
+            Ok(0) => Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "peer closed connection",
+            )),
+            Ok(n) => {
+                self.rend += n;
+                Ok(n)
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(0),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Parses the frame at the front of the received bytes, if it is
+    /// complete.
+    fn take_buffered(&mut self) -> io::Result<Option<Frame>> {
+        match parse_frame(&self.rbuf[self.rpos..self.rend])? {
+            Some((frame, used)) => {
+                self.rpos += used;
+                self.partial_since = None;
+                if self.rpos == self.rend {
+                    self.rpos = 0;
+                    self.rend = 0;
+                    // Room grown for one huge burst is not kept.
+                    self.rbuf.truncate(RBUF_KEEP);
+                    self.rbuf.shrink_to(RBUF_KEEP);
+                }
+                Ok(Some(frame))
+            }
+            None if self.rpos == self.rend => Ok(None),
+            None => {
+                // The stream cannot be resynchronized past a frame
+                // that never completes.
+                let since = *self.partial_since.get_or_insert_with(Instant::now);
+                if since.elapsed() >= STALL_BUDGET {
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        "peer stalled mid-frame",
+                    ));
+                }
+                Ok(None)
+            }
+        }
+    }
+
+    /// Writes all of `data`, sleeping in `poll(2)` while the socket is
+    /// full — and receiving into `rbuf` meanwhile, so a peer that is
+    /// itself blocked writing to us gets unblocked instead of the two
+    /// ends deadlocking. What is absorbed is bounded by what the peer
+    /// has to say before it reads again (at most an epoch's frames).
+    fn write_all_absorbing(&mut self, mut data: &[u8]) -> io::Result<()> {
+        // When the socket last refused bytes with none accepted since.
+        let mut full_since: Option<Instant> = None;
+        while !data.is_empty() {
+            match self.stream.write(data) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    data = &data[n..];
+                    full_since = None;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    let since = *full_since.get_or_insert_with(Instant::now);
+                    let left = STALL_BUDGET.saturating_sub(since.elapsed());
+                    if left.is_zero() {
+                        return Err(io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            "peer stopped draining the connection",
+                        ));
+                    }
+                    if wait_socket(&self.stream, READABLE | WRITABLE, left)? & READABLE != 0 {
+                        self.fill()?;
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 }
 
 impl Transport for TcpTransport {
     fn send(&mut self, frame: &Frame) -> io::Result<()> {
-        write_frame(&mut self.writer, frame)
+        if frame.payload.len() < WRITE_BUF {
+            write_frame(&mut self.wbuf, frame)?;
+            if self.wbuf.len() >= WRITE_BUF {
+                self.flush()?;
+            }
+            return Ok(());
+        }
+        // A large payload goes out straight from the caller's buffer
+        // instead of being copied behind the queued bytes first.
+        self.wbuf.extend_from_slice(&frame_header(frame)?);
+        self.flush()?;
+        self.write_all_absorbing(&frame.payload)
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.writer.flush()
+        if self.wbuf.is_empty() {
+            return Ok(());
+        }
+        let mut queued = std::mem::take(&mut self.wbuf);
+        let written = self.write_all_absorbing(&queued);
+        queued.clear();
+        self.wbuf = queued;
+        written
     }
 
     fn recv(&mut self) -> io::Result<Option<Frame>> {
-        read_frame(&mut self.reader, MAX_FRAME_WAIT)
+        let deadline = Instant::now() + self.read_timeout;
+        loop {
+            if let Some(frame) = self.try_recv()? {
+                return Ok(Some(frame));
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Ok(None);
+            }
+            wait_socket(&self.stream, READABLE, left)?;
+        }
+    }
+
+    fn try_recv(&mut self) -> io::Result<Option<Frame>> {
+        loop {
+            if let Some(frame) = self.take_buffered()? {
+                return Ok(Some(frame));
+            }
+            if self.fill()? == 0 {
+                return Ok(None);
+            }
+        }
+    }
+
+    fn wait(&mut self, waker: &Waker, timeout: Duration) -> io::Result<()> {
+        // Input absorbed during a flush is invisible to poll(2): a
+        // whole frame already held ends the wait before it starts.
+        let held = &self.rbuf[self.rpos..self.rend];
+        let frame_held = held
+            .first_chunk::<4>()
+            .is_some_and(|len| held.len() - 4 >= u32::from_le_bytes(*len) as usize);
+        if frame_held {
+            return Ok(());
+        }
+        waker.wait(Some(&self.stream), timeout)
     }
 
     fn set_read_timeout(&mut self, timeout: Duration) -> io::Result<()> {
-        self.reader.set_read_timeout(Some(timeout.max(Duration::from_millis(1))))
+        self.read_timeout = timeout;
+        Ok(())
     }
 
     fn peer(&self) -> String {
@@ -132,6 +324,15 @@ pub struct ChannelTransport {
     tx: SyncSender<Frame>,
     rx: Receiver<Frame>,
     read_timeout: Duration,
+    /// A frame [`Transport::wait`] pulled off the channel (an mpsc
+    /// receiver cannot be peeked); the next receive returns it.
+    parsed: Option<Frame>,
+    /// The waker this end is asleep on in [`Transport::wait`], if it
+    /// is — the peer's sends ring it, standing in for socket
+    /// readiness.
+    sleeper: Arc<Mutex<Option<Waker>>>,
+    /// The peer's `sleeper`.
+    peer_sleeper: Arc<Mutex<Option<Waker>>>,
 }
 
 impl ChannelTransport {
@@ -140,12 +341,23 @@ impl ChannelTransport {
     pub fn pair(depth: usize) -> (ChannelTransport, ChannelTransport) {
         let (a_tx, b_rx) = mpsc::sync_channel(depth);
         let (b_tx, a_rx) = mpsc::sync_channel(depth);
-        let mk = |tx, rx| ChannelTransport {
+        let (a_sleeper, b_sleeper) = (Arc::default(), Arc::default());
+        let mk = |tx, rx, sleeper: &Arc<_>, peer_sleeper: &Arc<_>| ChannelTransport {
             tx,
             rx,
             read_timeout: Duration::from_millis(10),
+            parsed: None,
+            sleeper: Arc::clone(sleeper),
+            peer_sleeper: Arc::clone(peer_sleeper),
         };
-        (mk(a_tx, a_rx), mk(b_tx, b_rx))
+        (
+            mk(a_tx, a_rx, &a_sleeper, &b_sleeper),
+            mk(b_tx, b_rx, &b_sleeper, &a_sleeper),
+        )
+    }
+
+    fn peer_gone() -> io::Error {
+        io::Error::new(io::ErrorKind::UnexpectedEof, "channel peer gone")
     }
 }
 
@@ -153,7 +365,11 @@ impl Transport for ChannelTransport {
     fn send(&mut self, frame: &Frame) -> io::Result<()> {
         self.tx
             .send(frame.clone())
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "channel peer gone"))
+            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "channel peer gone"))?;
+        if let Some(waker) = &*self.peer_sleeper.lock().expect("sleeper slot") {
+            waker.ring();
+        }
+        Ok(())
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -161,14 +377,42 @@ impl Transport for ChannelTransport {
     }
 
     fn recv(&mut self) -> io::Result<Option<Frame>> {
+        if let Some(frame) = self.parsed.take() {
+            return Ok(Some(frame));
+        }
         match self.rx.recv_timeout(self.read_timeout) {
             Ok(frame) => Ok(Some(frame)),
             Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "channel peer gone",
-            )),
+            Err(RecvTimeoutError::Disconnected) => Err(ChannelTransport::peer_gone()),
         }
+    }
+
+    fn try_recv(&mut self) -> io::Result<Option<Frame>> {
+        if let Some(frame) = self.parsed.take() {
+            return Ok(Some(frame));
+        }
+        match self.rx.try_recv() {
+            Ok(frame) => Ok(Some(frame)),
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(ChannelTransport::peer_gone()),
+        }
+    }
+
+    fn wait(&mut self, waker: &Waker, timeout: Duration) -> io::Result<()> {
+        // Announce the sleeper first, then look: a frame sent before
+        // the announcement is found here, one sent after it rings.
+        *self.sleeper.lock().expect("sleeper slot") = Some(waker.clone());
+        let slept = match self.try_recv() {
+            Ok(None) => waker.wait(None, timeout),
+            Ok(frame) => {
+                self.parsed = frame;
+                Ok(())
+            }
+            Err(e) => Err(e),
+        };
+        // Awake again: sends need not ring anybody.
+        *self.sleeper.lock().expect("sleeper slot") = None;
+        slept
     }
 
     fn set_read_timeout(&mut self, timeout: Duration) -> io::Result<()> {
@@ -347,6 +591,20 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         self.inner.recv()
     }
 
+    fn try_recv(&mut self) -> io::Result<Option<Frame>> {
+        if self.severed {
+            return Err(self.cut_error());
+        }
+        self.inner.try_recv()
+    }
+
+    fn wait(&mut self, waker: &Waker, timeout: Duration) -> io::Result<()> {
+        if self.severed {
+            return Err(self.cut_error());
+        }
+        self.inner.wait(waker, timeout)
+    }
+
     fn set_read_timeout(&mut self, timeout: Duration) -> io::Result<()> {
         self.inner.set_read_timeout(timeout)
     }
@@ -354,16 +612,6 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     fn peer(&self) -> String {
         format!("{} (faulty)", self.inner.peer())
     }
-}
-
-/// Drains every immediately-available frame from `t` into `out`
-/// (stops at the first quiet read). Convenience for bridge loops and
-/// tests.
-pub fn drain_ready(t: &mut dyn Transport, out: &mut VecDeque<Frame>) -> io::Result<()> {
-    while let Some(frame) = t.recv()? {
-        out.push_back(frame);
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -418,6 +666,144 @@ mod tests {
         let echoed = c.recv().unwrap().unwrap();
         assert_eq!(echoed, data_frame(9));
         join.join().unwrap();
+    }
+
+    fn tcp_pair(read_timeout: Duration) -> (TcpTransport, TcpTransport) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let near = TcpTransport::connect(addr, Duration::from_secs(5), read_timeout).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let far = TcpTransport::from_stream(stream, read_timeout).unwrap();
+        (near, far)
+    }
+
+    /// Generous fixed bounds, not tuned timings: waits are asked for
+    /// 10 s and anything event-driven must be back within `PROMPT`.
+    const LONG: Duration = Duration::from_secs(10);
+    const PROMPT: Duration = Duration::from_millis(100);
+
+    #[test]
+    fn try_recv_never_waits_and_a_burst_needs_one_wait() {
+        let (mut a, mut b) = tcp_pair(LONG);
+        let t0 = Instant::now();
+        assert!(b.try_recv().unwrap().is_none());
+        assert!(t0.elapsed() < PROMPT, "an empty link answers at once");
+        for i in 0..32 {
+            a.send(&data_frame(i)).unwrap();
+        }
+        a.flush().unwrap();
+        // One (event-ended) wait for the first frame of the burst…
+        let t0 = Instant::now();
+        assert_eq!(b.recv().unwrap().unwrap(), data_frame(0));
+        assert!(t0.elapsed() < Duration::from_secs(1));
+        // …and the other 31 are already here: held in user space, where
+        // poll(2) cannot see them, they still end a wait at once.
+        let t0 = Instant::now();
+        b.wait(&Waker::new().unwrap(), LONG).unwrap();
+        for i in 1..32 {
+            assert_eq!(b.try_recv().unwrap().unwrap(), data_frame(i));
+        }
+        assert!(b.try_recv().unwrap().is_none());
+        assert!(t0.elapsed() < PROMPT);
+    }
+
+    #[test]
+    fn wait_ends_on_a_ring_or_on_a_frame_whichever_comes() {
+        let (a, b) = ChannelTransport::pair(4);
+        let (ta, tb) = tcp_pair(LONG);
+        let pairs: [(Box<dyn Transport>, Box<dyn Transport>); 2] =
+            [(Box::new(a), Box::new(b)), (Box::new(ta), Box::new(tb))];
+        for (mut near, mut far) in pairs {
+            let waker = Waker::new().unwrap();
+            // A ring from another thread ends the sleep.
+            let (sleeping_tx, sleeping_rx) = mpsc::channel();
+            let ringer = {
+                let waker = waker.clone();
+                std::thread::spawn(move || {
+                    sleeping_rx.recv().unwrap();
+                    waker.ring();
+                })
+            };
+            let t0 = Instant::now();
+            sleeping_tx.send(()).unwrap();
+            far.wait(&waker, LONG).unwrap();
+            ringer.join().unwrap();
+            assert!(t0.elapsed() < Duration::from_secs(1), "{}", far.peer());
+            assert!(far.try_recv().unwrap().is_none());
+            // So does a frame — and it is there to take afterwards.
+            let sender = std::thread::spawn(move || {
+                near.send(&data_frame(7)).unwrap();
+                near.flush().unwrap();
+                near
+            });
+            let t0 = Instant::now();
+            let got = loop {
+                far.wait(&waker, LONG).unwrap();
+                if let Some(frame) = far.try_recv().unwrap() {
+                    break frame;
+                }
+            };
+            assert_eq!(got, data_frame(7));
+            assert!(t0.elapsed() < Duration::from_secs(1), "{}", far.peer());
+            drop(sender.join().unwrap());
+        }
+    }
+
+    /// A channel end is rung only while it sleeps: once its wait is
+    /// over, the peer's sends leave the waker alone.
+    #[test]
+    fn channel_sends_ring_only_a_sleeping_peer() {
+        let (mut a, mut b) = ChannelTransport::pair(4);
+        let waker = Waker::new().unwrap();
+        a.send(&data_frame(1)).unwrap();
+        b.wait(&waker, LONG).unwrap(); // the frame is there: no sleep
+        assert!(b.sleeper.lock().unwrap().is_none());
+        a.send(&data_frame(2)).unwrap(); // must not ring
+        let t0 = Instant::now();
+        waker.wait(None, Duration::from_millis(20)).unwrap();
+        assert!(
+            t0.elapsed() >= Duration::from_millis(20),
+            "nobody rang the waker"
+        );
+        assert_eq!(b.try_recv().unwrap().unwrap(), data_frame(1));
+        assert_eq!(b.try_recv().unwrap().unwrap(), data_frame(2));
+    }
+
+    /// Both ends write far more than the socket buffers hold before
+    /// either reads: a flush that only wrote would deadlock; one that
+    /// keeps receiving while it is blocked finishes.
+    #[test]
+    fn two_ends_writing_at_each_other_do_not_deadlock() {
+        const FRAMES: u64 = 64;
+        let big = |seq: u64| {
+            Frame::new(
+                FrameKind::Data,
+                DataMsg {
+                    seq,
+                    stream: 0,
+                    partition: 0,
+                    timestamp: 0,
+                    key: None,
+                    value: vec![seq as u8; 256 << 10].into(),
+                }
+                .encode(),
+            )
+        };
+        let (a, b) = tcp_pair(LONG);
+        let ends = [a, b].map(|mut t| {
+            std::thread::spawn(move || {
+                for seq in 0..FRAMES {
+                    t.send(&big(seq)).unwrap();
+                }
+                t.flush().unwrap();
+                for seq in 0..FRAMES {
+                    assert_eq!(t.recv().unwrap().unwrap(), big(seq));
+                }
+            })
+        });
+        for end in ends {
+            end.join().unwrap();
+        }
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! anyway; control-plane payloads are JSON text produced and parsed by
 //! the existing serde shims (see `privapprox-core`'s remote module).
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 pub use privapprox_types::wire::{MAX_FRAME, WIRE_VERSION};
 
@@ -121,10 +120,9 @@ impl Frame {
     }
 }
 
-/// Serializes `frame` onto `w` (one `write_all` for the header, one
-/// for the payload; callers wrap `w` in a `BufWriter` and flush at
-/// batch boundaries).
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
+/// The 6-byte header preceding `frame`'s payload on the wire; fails
+/// (`InvalidInput`) if the payload exceeds [`MAX_FRAME`].
+pub fn frame_header(frame: &Frame) -> io::Result<[u8; 6]> {
     if frame.payload.len() > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -136,100 +134,58 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     header[..4].copy_from_slice(&len.to_le_bytes());
     header[4] = WIRE_VERSION;
     header[5] = frame.kind as u8;
-    w.write_all(&header)?;
+    Ok(header)
+}
+
+/// Serializes `frame` onto `w` (one `write_all` for the header, one
+/// for the payload).
+pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
+    w.write_all(&frame_header(frame)?)?;
     w.write_all(&frame.payload)
 }
 
-/// Reads exactly `buf.len()` bytes, retrying through read-timeout
-/// interruptions (`WouldBlock`/`TimedOut`) until `deadline`.
-///
-/// Used for everything after a frame's first byte: once a frame has
-/// started arriving, the rest is in flight and a mid-frame timeout
-/// would desynchronize the stream, so we keep reading until the frame
-/// completes or the hard deadline says the peer is gone.
-fn read_exact_deadline(r: &mut impl Read, buf: &mut [u8], deadline: Instant) -> io::Result<()> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "read deadline elapsed mid-frame",
-                    ));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// Reads one frame from `r`, returning `Ok(None)` if no frame *began*
-/// arriving before the reader's own read timeout fired.
-///
-/// `r` is expected to carry a read timeout (socket `SO_RCVTIMEO` or a
-/// channel poll); a timeout on the *first* header byte is a quiet
-/// `None`, while a timeout mid-frame (bounded by `max_frame_wait`) is
-/// a hard error because the stream can no longer be resynchronized.
-pub fn read_frame(r: &mut impl Read, max_frame_wait: Duration) -> io::Result<Option<Frame>> {
-    // First byte: a timeout here just means "nothing to read".
-    let mut first = [0u8; 1];
-    loop {
-        match r.read(&mut first) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed connection",
-                ))
-            }
-            Ok(_) => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Ok(None)
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    let deadline = Instant::now() + max_frame_wait;
-    let mut rest = [0u8; 5];
-    read_exact_deadline(r, &mut rest, deadline)?;
-    let len = u32::from_le_bytes([first[0], rest[0], rest[1], rest[2]]) as usize;
+/// Parses the frame at the front of `buf` — bytes received so far,
+/// possibly ending mid-frame. `Ok(None)` means the frame is not
+/// complete yet (read more and call again; nothing is consumed);
+/// `Ok(Some((frame, n)))` hands back the frame and the `n` bytes it
+/// occupied. The header is validated as soon as its bytes are there,
+/// so a corrupt length word, a foreign version or an unknown kind is
+/// an `InvalidData` error before any payload is waited for (or
+/// allocated).
+pub fn parse_frame(buf: &[u8]) -> io::Result<Option<(Frame, usize)>> {
+    let Some(len_bytes) = buf.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*len_bytes) as usize;
     if len < 2 || len - 2 > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("corrupt frame length {len}"),
         ));
     }
-    let version = rest[3];
+    let Some(&[version, kind]) = buf[4..].first_chunk::<2>() else {
+        return Ok(None);
+    };
     if version != WIRE_VERSION {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("wire version mismatch: got {version}, want {WIRE_VERSION}"),
         ));
     }
-    let kind = FrameKind::from_u8(rest[4]).ok_or_else(|| {
+    let kind = FrameKind::from_u8(kind).ok_or_else(|| {
         io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("unknown frame kind {}", rest[4]),
+            format!("unknown frame kind {kind}"),
         )
     })?;
-    let mut payload = vec![0u8; len - 2];
-    read_exact_deadline(r, &mut payload, deadline)?;
-    Ok(Some(Frame { kind, payload }))
+    let end = 4 + len;
+    Ok(buf.get(6..end).map(|payload| {
+        let frame = Frame {
+            kind,
+            payload: payload.to_vec(),
+        };
+        (frame, end)
+    }))
 }
 
 /// A data-plane frame body: one broker record plus routing metadata.
@@ -486,13 +442,17 @@ mod tests {
         for f in &frames {
             write_frame(&mut buf, f).unwrap();
         }
-        let mut cursor = std::io::Cursor::new(buf);
+        let mut at = 0;
         for f in &frames {
-            let got = read_frame(&mut cursor, Duration::from_secs(1))
-                .unwrap()
-                .unwrap();
+            // Every proper prefix of a frame is "not complete yet".
+            let (got, used) = parse_frame(&buf[at..]).unwrap().unwrap();
+            for cut in 0..used {
+                assert!(parse_frame(&buf[at..at + cut]).unwrap().is_none());
+            }
             assert_eq!(&got, f);
+            at += used;
         }
+        assert_eq!(at, buf.len());
     }
 
     #[test]
@@ -500,7 +460,7 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, &Frame::bare(FrameKind::Shutdown)).unwrap();
         buf[4] ^= 0xFF; // corrupt the version byte
-        let err = read_frame(&mut std::io::Cursor::new(buf), Duration::from_secs(1)).unwrap_err();
+        let err = parse_frame(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -509,7 +469,8 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, &Frame::bare(FrameKind::Shutdown)).unwrap();
         buf[..4].copy_from_slice(&(u32::MAX).to_le_bytes());
-        let err = read_frame(&mut std::io::Cursor::new(buf), Duration::from_secs(1)).unwrap_err();
+        // Rejected from the length word alone, before any payload.
+        let err = parse_frame(&buf[..4]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 

@@ -19,6 +19,7 @@ use privapprox_stats::tdist::t_critical;
 use privapprox_stream::broker::{Broker, Consumer, TopicWriter};
 use privapprox_stream::join::{JoinOutcome, MidJoiner};
 use privapprox_stream::window::WindowedFold;
+use privapprox_stream::EventCount;
 use privapprox_types::ids::AnalystId;
 use privapprox_types::{BitVec, ExecutionParams, MessageId, QueryId, Timestamp, Window};
 use rand::Rng;
@@ -232,22 +233,12 @@ impl Aggregator {
 
     /// [`Aggregator::pump`] that parks instead of returning when the
     /// proxy streams are momentarily empty: blocks up to `timeout`
-    /// for the first record, then drains everything available.
-    /// Returns the number of fully decoded answers (`0` = timed out
-    /// with nothing pending). Aggregator *threads* loop on this
-    /// instead of sleep-spinning between empty polls.
+    /// for the first record (or a control wake), then drains
+    /// everything available. Returns the number of fully decoded
+    /// answers (`0` = nothing arrived). The loop of a plain aggregator
+    /// *thread*; one that also serves a command queue reads a token
+    /// from [`Aggregator::wake`] first and parks on it itself.
     pub fn pump_blocking(&mut self, timeout: std::time::Duration) -> u64 {
-        self.pump_blocking_with(timeout, |_, _, _, _| {})
-    }
-
-    /// [`Aggregator::pump_blocking`] with a tee over every decoded
-    /// answer — the building block of the overlapped shard loop,
-    /// which counts decodes **per epoch timestamp** to know when an
-    /// epoch's expected in-flight messages have all arrived.
-    pub fn pump_blocking_with<F>(&mut self, timeout: std::time::Duration, mut tee: F) -> u64
-    where
-        F: FnMut(QueryId, Timestamp, MessageId, &BitVec),
-    {
         if self
             .consumer
             .poll_blocking_into(2048, timeout, &mut self.batch)
@@ -255,9 +246,14 @@ impl Aggregator {
         {
             return 0;
         }
-        let mut decoded = self.process_batch(&mut tee);
-        decoded += self.pump_with(tee);
-        decoded
+        self.process_batch(&mut |_, _, _, _| {}) + self.pump()
+    }
+
+    /// The event count the aggregator's consumer is woken through: a
+    /// record on any proxy stream, or a control wake
+    /// ([`Broker::notify_topic`](privapprox_stream::broker::Broker::notify_topic)).
+    pub fn wake(&self) -> &Arc<EventCount> {
+        self.consumer.wake()
     }
 
     /// [`Aggregator::pump`] with a tee: every decoded answer is also

@@ -168,13 +168,14 @@ use privapprox_store::wal::DEFAULT_SEGMENT_BYTES;
 use privapprox_cluster::wire::{decode_data_batch, decode_progress, DataMsg};
 use privapprox_cluster::{
     DeploymentShape, FaultPlan, Frame, FrameKind, Heartbeat, HeartbeatStatus, LinkStats,
-    SupervisedLink, Watchdog,
+    SupervisedLink, Waker, Watchdog,
 };
 use privapprox_rr::estimate::BucketEstimator;
 use privapprox_rr::privacy::epsilon_zk;
 use privapprox_sql::{ColumnType, Schema, Value};
 use privapprox_crypto::xor::SlotPool;
 use privapprox_stream::broker::{BatchEntry, Broker, BrokerStats, Consumer, Record, TopicWriter};
+use privapprox_stream::EventCount;
 use privapprox_types::ids::AnalystId;
 use privapprox_types::{
     AnswerSpec, BitVec, Budget, BudgetLedger, ClientId, ExecutionParams, MessageId, PrivacyBudget,
@@ -216,20 +217,24 @@ const WORKER_IDLE_BEAT: Duration = Duration::from_millis(250);
 /// flushing the run as one batch append — the lock-amortization
 /// grain of the batched send path. Long enough to amortize the
 /// partition lock and capacity check to noise, short enough that a
-/// run publishes well inside an epoch (downstream blocking polls
-/// re-check every ≤10 ms regardless) and the payload slot pools stay
+/// run publishes well inside an epoch and the payload slot pools stay
 /// small. Clamped to the topic capacity on bounded topics, since a
 /// batch wider than the capacity can never publish.
 const WORKER_FLUSH_RUN: usize = 64;
 
-/// Park granularity of a free-running shard thread between control
-/// checks (condvar park inside `pump_blocking_with`; close commands
-/// additionally wake the park through the broker so command latency
-/// is a wakeup, not a timeout).
-const SHARD_PARK: Duration = Duration::from_millis(10);
+/// Watchdog tick of an in-process shard thread's park (a remote shard
+/// bridge ticks at [`remote::LINK_READ_POLL`]). What normally ends the
+/// park is the event the shard waits for — a
+/// relayed share landing on an outbound topic, or a broker control
+/// wake: `wake_shards` after the main thread queued a command, a
+/// sibling's kick after it closed an epoch. The tick only keeps the
+/// heartbeat fresh and fires an overdue epoch deadline.
+const SHARD_PARK: Duration = Duration::from_millis(50);
 
-/// Park granularity of a free-running proxy thread (shutdown latency
-/// bound; data wakes the park immediately).
+/// Watchdog tick of a free-running proxy thread's park. What normally
+/// ends the park is a share landing on the inbound topic (or the
+/// control wake that follows the stop flag at shutdown); the tick
+/// only keeps the heartbeat fresh.
 const PROXY_PARK: Duration = Duration::from_millis(50);
 
 /// CPU time consumed by the calling thread so far (Linux:
@@ -1026,6 +1031,7 @@ impl ShardedSystemBuilder {
                         ledger: Arc::clone(&ledger),
                         crashes: Arc::clone(&crashes),
                         heartbeat: watchdog.register(&format!("shard-{s}")),
+                        broker: broker.clone(),
                     }));
                 }
                 (proxy_threads, shard_threads)
@@ -1124,7 +1130,7 @@ enum LoadCmd {
 enum ReplayCmd {
     Load(LoadCmd),
     Answer {
-        query: Query,
+        query: Arc<Query>,
         params: ExecutionParams,
         ts: Timestamp,
     },
@@ -1133,7 +1139,7 @@ enum ReplayCmd {
 enum WorkerCmd {
     Load(LoadCmd),
     Answer {
-        query: Query,
+        query: Arc<Query>,
         params: ExecutionParams,
         ts: Timestamp,
         /// `false` on a respawn's muted history replay: answer (to
@@ -1217,9 +1223,7 @@ impl WorkerHandle {
                         .collect();
                     let mut scratch = ClientScratch::new();
                     // Cached per-topic writers: no topic-name hash per
-                    // share, one consumer wakeup per epoch slice (the
-                    // blocking polls downstream re-check every ≤10ms, so
-                    // forwarding overlaps the answer loop regardless).
+                    // share, and one consumer wakeup per flushed run.
                     let writers: Vec<TopicWriter> = (0..n_proxies)
                         .map(|pi| broker.writer(&inbound_topic(ProxyId(pi as u16))))
                         .collect();
@@ -1251,13 +1255,11 @@ impl WorkerHandle {
                     // (those share sets expire at the join, exactly
                     // like the pre-batching failure path) and the
                     // run's messages stay uncounted.
-                    // Flushes stay quiet (no condvar signal): the
-                    // downstream blocking polls re-check on their park
-                    // timeouts, and the single epoch-end notify is the
-                    // only forced wakeup — mid-epoch signals measured
-                    // strictly slower on oversubscribed machines (each
-                    // one preempts the answer loop into a proxy drain
-                    // and back, thrashing both stages' caches).
+                    // Every flushed run wakes its topic's consumer, so
+                    // an epoch streams through the stages while it is
+                    // still being answered. A relay that is awake
+                    // costs the notify two atomic operations; only
+                    // one that caught up and parked is rung.
                     let flush_partition = |writers: &[TopicWriter],
                                            batches: &mut [Vec<Vec<BatchEntry>>],
                                            partition: usize|
@@ -1267,6 +1269,7 @@ impl WorkerHandle {
                             writer
                                 .try_append_batch(partition, &mut batches[pi][partition])
                                 .map_err(CoreError::from)?;
+                            writer.notify();
                         }
                         Ok(n)
                     };
@@ -1453,9 +1456,6 @@ impl WorkerHandle {
                                         b.clear();
                                     }
                                 }
-                                for writer in &writers {
-                                    writer.notify();
-                                }
                                 let busy = thread_busy_time().saturating_sub(t0);
                                 // Counts always travel with the reply,
                                 // error or not: shares sent *before* a
@@ -1514,7 +1514,7 @@ struct ProxyHandle {
 impl ProxyHandle {
     /// Spawns a relay thread that forwards continuously until told to
     /// stop: a proxy holds no epoch state, so it needs no epoch
-    /// commands — it parks on the broker's condvar and forwards
+    /// commands — it parks on its consumer's event count and forwards
     /// whatever lands, whichever epoch it belongs to.
     ///
     /// `base` seeds the `(forwarded, busy_ns, backpressure)` counters
@@ -1541,14 +1541,27 @@ impl ProxyHandle {
             .name(format!("pa-proxy-{index}"))
             .spawn(move || {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    while !stop2.load(Ordering::Relaxed) {
+                    let wake = Arc::clone(proxy.wake());
+                    loop {
+                        // Before looking at the stop flag or the topic:
+                        // whatever lands after this turns the park
+                        // below into a no-op.
+                        let token = wake.token();
+                        if stop2.load(Ordering::Relaxed) {
+                            break;
+                        }
                         heartbeat.beat();
                         let t0 = thread_busy_time();
-                        let pumped = proxy.try_pump_blocking(PROXY_PARK);
+                        let pumped = proxy.try_pump();
                         let dt = thread_busy_time().saturating_sub(t0);
                         busy2.fetch_add(dt.as_nanos() as u64, Ordering::Relaxed);
                         match pumped {
-                            Ok(0) => {}
+                            // Nothing to relay: sleep until a share
+                            // lands on the inbound topic (or the stop
+                            // flag's wake).
+                            Ok(0) => {
+                                wake.park(token, PROXY_PARK);
+                            }
                             Ok(n) => {
                                 forwarded2.fetch_add(n, Ordering::Relaxed);
                             }
@@ -1603,7 +1616,7 @@ struct CloseCmd {
 
 enum ShardCmd {
     Register {
-        query: Box<Query>,
+        query: Arc<Query>,
         params: ExecutionParams,
         population: u64,
         /// Keep this query's decoded answers for batch queries
@@ -1716,11 +1729,18 @@ impl ShardHandle {
                 // satisfied strictly FIFO (watermarks must advance in
                 // order); `Instant` tracks the epoch deadline.
                 let mut closes: VecDeque<(CloseCmd, Instant)> = VecDeque::new();
+                let wake = Arc::clone(agg.wake());
                 'run: loop {
                     heartbeat.beat();
+                    // Before looking at any source: whatever lands
+                    // after this turns the park below into a no-op.
+                    let token = wake.token();
+                    let mut idle = true;
                     // 1. Absorb all pending control messages.
                     loop {
-                        match cmd_rx.try_recv() {
+                        let cmd = cmd_rx.try_recv();
+                        idle &= cmd.is_err();
+                        match cmd {
                             Ok(ShardCmd::Register {
                                 query,
                                 params,
@@ -1807,8 +1827,9 @@ impl ShardHandle {
                             continue 'run;
                         }
                     }
-                    // 3. Pump, tagging every decode with its epoch.
-                    agg.pump_blocking_with(SHARD_PARK, |qid, ts, mid, answer| {
+                    // 3. Pump what is there, tagging every decode with
+                    //    its epoch.
+                    let decoded = agg.pump_with(|qid, ts, mid, answer| {
                         match counts.iter_mut().find(|(t, _)| *t == ts) {
                             Some((_, n)) => *n += 1,
                             None => counts.push((ts, 1)),
@@ -1839,6 +1860,14 @@ impl ShardHandle {
                                 published.push((*t, *n));
                             }
                         }
+                    }
+                    // 5. Nothing to do: sleep until a relayed share
+                    //    lands on an outbound topic or a control wake
+                    //    (`wake_shards` after a command, a sibling's
+                    //    close kick) — the tick only serves the
+                    //    heartbeat and an overdue epoch deadline.
+                    if idle && decoded == 0 {
+                        wake.park(token, SHARD_PARK);
                     }
                 }
                 }));
@@ -1951,6 +1980,46 @@ fn deliver_share(writer: &TopicWriter, m: DataMsg, stalls: &AtomicU64) {
     }
 }
 
+/// The park of a parent bridge thread: one sleep on its child's
+/// socket **and** its broker consumer's event count at once.
+///
+/// The consumer's event count is rung by every producer of the topics
+/// the bridge consumes and by control wakes
+/// ([`Broker::notify_topic`]: `wake_shards`, a sibling's close kick,
+/// the stop flag at drop). A bridge asleep in `poll(2)` cannot hear a
+/// condvar, so it installs a *bell* on that event count which rings
+/// the self-pipe its `poll(2)` also watches — only while the bridge
+/// is announced as parked, so a busy bridge costs its notifiers no
+/// syscall.
+struct BridgePark<'a> {
+    wake: &'a EventCount,
+    waker: Waker,
+}
+
+impl<'a> BridgePark<'a> {
+    fn new(consumer: &'a Consumer) -> BridgePark<'a> {
+        let waker = Waker::new().expect("open the bridge's self-pipe");
+        let wake = consumer.wake();
+        let bell = waker.clone();
+        wake.set_bell(move || bell.ring());
+        BridgePark { wake, waker }
+    }
+
+    /// Read **before** checking the bridge's sources.
+    fn token(&self) -> u64 {
+        self.wake.token()
+    }
+
+    /// Sleeps until the socket has input, the event count moves past
+    /// `token`, or the [`remote::LINK_READ_POLL`] watchdog tick — and
+    /// not at all if the count already moved. The caller has flushed.
+    fn park(&self, token: u64, link: &mut SupervisedLink) -> std::io::Result<()> {
+        self.wake
+            .park_in(token, || link.wait(&self.waker, remote::LINK_READ_POLL))
+            .unwrap_or(Ok(()))
+    }
+}
+
 /// Everything a remote proxy bridge needs at spawn (the respawn path
 /// rebuilds the full set, like [`ShardSpawn`]).
 struct RemoteProxySpawn {
@@ -2005,17 +2074,20 @@ impl ProxyHandle {
                     let mut batch: Vec<(u32, u32, Record)> = Vec::new();
                     let mut msgs: Vec<DataMsg> = Vec::new();
                     let mut inbound: Vec<DataMsg> = Vec::new();
+                    let park = BridgePark::new(&consumer);
                     loop {
+                        // Before looking at any source: whatever lands
+                        // after this turns the park below into a no-op.
+                        let token = park.token();
                         // Read the flag before the final round so one
                         // last poll + drain runs after it is raised.
                         let stopping = stop2.load(Ordering::Relaxed);
                         heartbeat.beat();
+                        let mut idle = true;
                         let t0 = thread_busy_time();
                         // 1. Ship produced shares to the child.
-                        loop {
-                            if consumer.poll_into(remote::BATCH_RECORDS, &mut batch) == 0 {
-                                break;
-                            }
+                        while consumer.poll_into(remote::BATCH_RECORDS, &mut batch) > 0 {
+                            idle = false;
                             msgs.clear();
                             for (stream, partition, rec) in batch.drain(..) {
                                 msgs.push(remote::record_to_msg(stream, partition, &rec));
@@ -2024,11 +2096,10 @@ impl ProxyHandle {
                                 panic!("proxy {index} link: {e}");
                             }
                         }
-                        // 2. Land relayed shares coming back. The
-                        //    socket read poll doubles as the idle
-                        //    park.
+                        // 2. Land the relayed shares that are already
+                        //    here; never wait for more.
                         loop {
-                            match link.recv() {
+                            match link.try_recv() {
                                 Ok(Some(f)) if f.kind == FrameKind::Data => {
                                     inbound.clear();
                                     if let Err(e) = decode_data_batch(&f.payload, &mut inbound) {
@@ -2045,8 +2116,9 @@ impl ProxyHandle {
                                 Ok(None) => break,
                                 Err(e) => panic!("proxy {index} link: {e}"),
                             }
+                            idle = false;
                         }
-                        if let Err(e) = link.maybe_resend() {
+                        if let Err(e) = link.maybe_resend().and_then(|()| link.flush()) {
                             panic!("proxy {index} link: {e}");
                         }
                         let dt = thread_busy_time().saturating_sub(t0);
@@ -2057,6 +2129,14 @@ impl ProxyHandle {
                             let _ = link.send(Frame::bare(FrameKind::Shutdown));
                             let _ = link.flush();
                             break;
+                        }
+                        if idle {
+                            // Ended by a share landing on the inbound
+                            // topic, a frame from the child, or the
+                            // stop flag's wake — not by the tick.
+                            if let Err(e) = park.park(token, &mut link) {
+                                panic!("proxy {index} link: {e}");
+                            }
                         }
                     }
                 }));
@@ -2095,6 +2175,7 @@ struct RemoteShardSpawn {
     ledger: Arc<EpochLedger>,
     crashes: CrashLog,
     heartbeat: Heartbeat,
+    broker: Broker,
 }
 
 impl ShardHandle {
@@ -2116,6 +2197,7 @@ impl ShardHandle {
             ledger,
             crashes,
             heartbeat,
+            broker,
         } = spec;
         let (cmd_tx, cmd_rx) = channel::<ShardCmd>();
         let (reply_tx, reply_rx) = channel::<ShardReply>();
@@ -2139,11 +2221,18 @@ impl ShardHandle {
                             panic!("shard {index} link: {e}");
                         }
                     };
+                    let park = BridgePark::new(&consumer);
                     'run: loop {
                         heartbeat.beat();
+                        // Before looking at any source: whatever lands
+                        // after this turns the park below into a no-op.
+                        let token = park.token();
+                        let mut idle = true;
                         // 1. Absorb control commands.
                         loop {
-                            match cmd_rx.try_recv() {
+                            let cmd = cmd_rx.try_recv();
+                            idle &= cmd.is_err();
+                            match cmd {
                                 Ok(ShardCmd::Register {
                                     query,
                                     params,
@@ -2196,14 +2285,16 @@ impl ShardHandle {
                                         remote::encode_finish(c.epoch.0, c.watermark.0),
                                     );
                                     awaiting = Some(c.epoch.0);
+                                    // Kick sibling bridges out of their
+                                    // parks: the ledger that satisfied
+                                    // this close satisfies theirs.
+                                    broker.notify_topic(&outbound_topic(ProxyId(0)));
                                 }
                             }
                         }
                         // 3. Forward relayed shares to the child.
-                        loop {
-                            if consumer.poll_into(remote::BATCH_RECORDS, &mut batch) == 0 {
-                                break;
-                            }
+                        while consumer.poll_into(remote::BATCH_RECORDS, &mut batch) > 0 {
+                            idle = false;
                             msgs.clear();
                             for (stream, partition, rec) in batch.drain(..) {
                                 msgs.push(remote::record_to_msg(stream, partition, &rec));
@@ -2212,10 +2303,10 @@ impl ShardHandle {
                                 panic!("shard {index} link: {e}");
                             }
                         }
-                        // 4. Drain the child's frames (the socket read
-                        //    poll doubles as the idle park).
+                        // 4. Take the child's frames that are already
+                        //    here; never wait for more.
                         loop {
-                            match link.recv() {
+                            match link.try_recv() {
                                 Ok(Some(f)) => match f.kind {
                                     FrameKind::Progress => match decode_progress(&f.payload) {
                                         Ok((epoch, delta)) => ledger.add(Timestamp(epoch), delta),
@@ -2264,9 +2355,22 @@ impl ShardHandle {
                                 Ok(None) => break,
                                 Err(e) => panic!("shard {index} link: {e}"),
                             }
+                            idle = false;
                         }
-                        if let Err(e) = link.maybe_resend() {
+                        if let Err(e) = link.maybe_resend().and_then(|()| link.flush()) {
                             panic!("shard {index} link: {e}");
+                        }
+                        if idle {
+                            // Ended by a relayed share landing on an
+                            // outbound topic, a frame from the child
+                            // (progress, a reply), a command's
+                            // `wake_shards`, or a sibling's close
+                            // kick — not by the tick, which is left to
+                            // the heartbeat, `maybe_resend` and the
+                            // epoch deadline.
+                            if let Err(e) = park.park(token, &mut link) {
+                                panic!("shard {index} link: {e}");
+                            }
                         }
                     }
                     // Best-effort goodbye so the child exits cleanly
@@ -2385,7 +2489,10 @@ pub struct ShardedSystem {
     workers: Vec<WorkerHandle>,
     proxies: Vec<ProxyHandle>,
     shards: Vec<ShardHandle>,
-    queries: HashMap<QueryId, (Query, ExecutionParams)>,
+    /// Registered queries. Shared, not cloned: an epoch's worker
+    /// commands and its replay-log entry all point at the one
+    /// registered definition (10⁴ bucket rules on a wide query).
+    queries: HashMap<QueryId, (Arc<Query>, ExecutionParams)>,
     initializer: Initializer,
     /// The shared event clock, advanced exactly like `System`'s.
     now_ms: u64,
@@ -2684,11 +2791,22 @@ impl ShardedSystem {
     /// pre-registered (respawns register every known query), so the
     /// deployment never runs with a query known to some shards only.
     pub fn register(&mut self, query: Query, params: ExecutionParams) -> Result<(), CoreError> {
+        self.register_shared(Arc::new(query), params)
+    }
+
+    /// [`ShardedSystem::register`] for a definition that is already
+    /// shared (a retune or a retention switch re-registers the query
+    /// it holds).
+    fn register_shared(
+        &mut self,
+        query: Arc<Query>,
+        params: ExecutionParams,
+    ) -> Result<(), CoreError> {
         let _ = self.flush_epochs();
         self.repair();
         // Record before sending: a respawn triggered below registers
         // from this map, covering the in-flight registration.
-        self.queries.insert(query.id, (query.clone(), params));
+        self.queries.insert(query.id, (Arc::clone(&query), params));
         // Journal before the shard sends: a crash mid-registration
         // recovers the query (re-registration appends a fresh record;
         // the latest wins at replay).
@@ -2707,7 +2825,7 @@ impl ShardedSystem {
                 continue;
             }
             let _ = shard.cmd.send(ShardCmd::Register {
-                query: Box::new(query.clone()),
+                query: Arc::clone(&query),
                 params,
                 population: self.config.clients,
                 retain: self.retain_set.contains(&query.id),
@@ -2744,7 +2862,14 @@ impl ShardedSystem {
     /// [`ShardedSystem::drain_results`] buffer, and its client error —
     /// if any — is returned here).
     pub fn submit_epoch(&mut self, query: &Query) -> Result<(), CoreError> {
-        let (_, params) = *self.queries.get(&query.id).ok_or(CoreError::UnknownQuery)?;
+        // The epoch runs the definition registered under this id — the
+        // one the shards aggregate with — shared, not deep-cloned per
+        // command.
+        let (query, params) = self
+            .queries
+            .get(&query.id)
+            .map(|(q, p)| (Arc::clone(q), *p))
+            .ok_or(CoreError::UnknownQuery)?;
         let depth = self.config.pipeline_depth.max(1);
         let mut result = Ok(());
         while self.in_flight.len() >= depth {
@@ -2763,8 +2888,7 @@ impl ShardedSystem {
         // epoch whose shares escaped.
         let journal_mark = self.durable.as_ref().map_or(0, |d| d.wal.next_index());
         if self.durable.is_some() {
-            let rec =
-                persist::rec_submitted(ts, watermark, std::slice::from_ref(&(query.clone(), params)));
+            let rec = persist::rec_submitted(ts, watermark, &[(Arc::clone(&query), params)]);
             self.journal(persist::K_SUBMITTED, rec)?;
             self.journal_sync()?;
         }
@@ -2774,7 +2898,7 @@ impl ShardedSystem {
                 continue;
             }
             let cmd = WorkerCmd::Answer {
-                query: query.clone(),
+                query: Arc::clone(&query),
                 params,
                 ts,
                 live: true,
@@ -2795,7 +2919,7 @@ impl ShardedSystem {
             }
             if self.respawn_worker(wi).is_ok() {
                 let resend = WorkerCmd::Answer {
-                    query: query.clone(),
+                    query: Arc::clone(&query),
                     params,
                     ts,
                     live: true,
@@ -2805,11 +2929,7 @@ impl ShardedSystem {
                 }
             }
         }
-        self.history.push(ReplayCmd::Answer {
-            query: query.clone(),
-            params,
-            ts,
-        });
+        self.history.push(ReplayCmd::Answer { query, params, ts });
         self.in_flight.push_back(InFlightEpoch {
             epoch: ts,
             watermark,
@@ -2995,8 +3115,8 @@ impl ShardedSystem {
             }
         }
         for (qid, next) in retunes {
-            let query = self.queries[&qid].0.clone();
-            let r = self.register(query, next);
+            let query = Arc::clone(&self.queries[&qid].0);
+            let r = self.register_shared(query, next);
             if result.is_ok() {
                 result = r;
             }
@@ -3018,7 +3138,7 @@ impl ShardedSystem {
         // worker command, so an exhausted query contributes nothing
         // to the epoch it was retired in.
         let schedule = std::mem::take(&mut self.admitted);
-        let mut batch: Vec<(Query, ExecutionParams)> = Vec::with_capacity(schedule.len());
+        let mut batch: Vec<(Arc<Query>, ExecutionParams)> = Vec::with_capacity(schedule.len());
         // Journal material gathered during the pass: each successful
         // debit's *absolute* post-charge state (idempotent at replay)
         // and each retirement. The charge records themselves are
@@ -3109,7 +3229,7 @@ impl ShardedSystem {
             while sent < batch.len() {
                 let (query, params) = &batch[sent];
                 let cmd = WorkerCmd::Answer {
-                    query: query.clone(),
+                    query: Arc::clone(query),
                     params: *params,
                     ts,
                     live: true,
@@ -3135,7 +3255,7 @@ impl ShardedSystem {
         }
         for (query, params) in &batch {
             self.history.push(ReplayCmd::Answer {
-                query: query.clone(),
+                query: Arc::clone(query),
                 params: *params,
                 ts,
             });
@@ -3187,7 +3307,7 @@ impl ShardedSystem {
         // Re-register with the retain flag; `register` flushes
         // in-flight epochs first, so retention starts at an epoch
         // boundary.
-        self.register(q, params)
+        self.register_shared(q, params)
     }
 
     /// Answers a historical/batch query over the retained stream:
@@ -3281,9 +3401,12 @@ impl ShardedSystem {
         }
     }
 
-    /// Wakes shard threads parked in their blocking polls so a
-    /// control message is observed at wakeup latency (shards park on
-    /// their first subscribed topic's condvar).
+    /// Wakes every shard — in-process shard threads parked on their
+    /// consumer's event count, and remote shard bridges parked in
+    /// `poll(2)`, whose event count rings their self-pipe — so a
+    /// queued control message is observed at wakeup latency. Every
+    /// shard subscribes to the first proxy's outbound topic, so one
+    /// control wake on it reaches them all.
     fn wake_shards(&self) {
         self.broker.notify_topic(&outbound_topic(ProxyId(0)));
     }
@@ -3848,7 +3971,7 @@ impl ShardedSystem {
                     continue;
                 }
                 let _ = w.cmd.send(WorkerCmd::Answer {
-                    query: query.clone(),
+                    query: Arc::clone(&query),
                     params,
                     ts,
                     live: false,
@@ -3886,12 +4009,12 @@ impl ShardedSystem {
     /// this epoch first went out, so the re-run produces the same
     /// shares the crash may or may not have let escape.
     fn resubmit_open_epoch(&mut self, ep: OpenEpoch) -> Result<(), CoreError> {
-        let mut batch: Vec<(Query, ExecutionParams)> = Vec::with_capacity(ep.entries.len());
+        let mut batch: Vec<(Arc<Query>, ExecutionParams)> = Vec::with_capacity(ep.entries.len());
         for (qid, params) in &ep.entries {
             let Some((query, _)) = self.queries.get(qid) else {
                 continue;
             };
-            batch.push((query.clone(), *params));
+            batch.push((Arc::clone(query), *params));
         }
         if batch.is_empty() {
             return Ok(());
@@ -3915,7 +4038,7 @@ impl ShardedSystem {
             while sent < batch.len() {
                 let (query, params) = &batch[sent];
                 let cmd = WorkerCmd::Answer {
-                    query: query.clone(),
+                    query: Arc::clone(query),
                     params: *params,
                     ts,
                     live: true,
@@ -3937,7 +4060,7 @@ impl ShardedSystem {
         }
         for (query, params) in &batch {
             self.history.push(ReplayCmd::Answer {
-                query: query.clone(),
+                query: Arc::clone(query),
                 params: *params,
                 ts,
             });
@@ -4038,7 +4161,7 @@ impl ShardedSystem {
             .values()
             .map(|(q, p)| {
                 (
-                    q,
+                    &**q,
                     *p,
                     self.retain_set.contains(&q.id),
                     self.ledgers.get(&q.id),
@@ -4234,7 +4357,7 @@ impl ShardedSystem {
                     WorkerCmd::Load(load.clone())
                 }
                 ReplayCmd::Answer { query, params, ts } => WorkerCmd::Answer {
-                    query: query.clone(),
+                    query: Arc::clone(query),
                     params: *params,
                     ts: *ts,
                     live: false,
@@ -4358,12 +4481,13 @@ impl ShardedSystem {
                     ledger: Arc::clone(&self.ledger),
                     crashes: Arc::clone(&self.crashes),
                     heartbeat: self.watchdog.register(&format!("shard-{s}")),
+                    broker: self.broker.clone(),
                 })
             }
         };
         for (query, params) in self.queries.values() {
             let _ = handle.cmd.send(ShardCmd::Register {
-                query: Box::new(query.clone()),
+                query: Arc::clone(query),
                 params: *params,
                 population: self.config.clients,
                 // The dead shard's retained store died with it;
@@ -4530,7 +4654,7 @@ impl Drop for ShardedSystem {
         for p in &self.proxies {
             p.stop.store(true, Ordering::Relaxed);
         }
-        // Pop parked threads out of their condvar waits.
+        // Pop parked threads out of their parks.
         for p in &self.proxies {
             self.broker.notify_topic(&p.in_topic);
         }

@@ -49,6 +49,7 @@ use privapprox_types::{
     BitVec, BudgetLedger, ExecutionParams, Query, QueryId, Timestamp, Window,
 };
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 // ----- journal record kinds (WAL kind bytes; 0 is reserved) --------
 
@@ -170,7 +171,7 @@ pub(crate) fn rec_charge(
 pub(crate) fn rec_submitted(
     ts: Timestamp,
     watermark: Timestamp,
-    entries: &[(Query, ExecutionParams)],
+    entries: &[(Arc<Query>, ExecutionParams)],
 ) -> Vec<u8> {
     let mut w = Writer::new();
     w.u64(ts.0).u64(watermark.0).u64(entries.len() as u64);
@@ -950,7 +951,7 @@ mod tests {
         push(
             &mut records,
             K_SUBMITTED,
-            rec_submitted(Timestamp(500), Timestamp(1_000), &[(q.clone(), params)]),
+            rec_submitted(Timestamp(500), Timestamp(1_000), &[(Arc::new(q.clone()), params)]),
         );
         // Epoch 2: a torn tail left the charge without its submitted.
         push(
@@ -980,7 +981,7 @@ mod tests {
             WalRecord {
                 index: 1,
                 kind: K_SUBMITTED,
-                payload: rec_submitted(Timestamp(500), Timestamp(1_000), &[(q.clone(), params)]),
+                payload: rec_submitted(Timestamp(500), Timestamp(1_000), &[(Arc::new(q.clone()), params)]),
             },
             WalRecord {
                 index: 2,

@@ -10,7 +10,9 @@
 //! sees carry no client identity at all.
 
 use privapprox_stream::broker::{Broker, BrokerError, Consumer, Record, TopicWriter};
+use privapprox_stream::EventCount;
 use privapprox_types::ProxyId;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Naming convention for the client→proxy topic.
@@ -89,27 +91,26 @@ impl Proxy {
 
     /// Blocks up to `timeout` for inbound shares, then forwards
     /// everything available (the blocked wait plus a non-blocking
-    /// drain). Returns the number forwarded — `0` means the wait
-    /// timed out with nothing pending. This is the building block for
-    /// proxy *threads*: a `pump_blocking` loop parks on the broker's
-    /// condvar instead of sleep-spinning.
+    /// drain). Returns the number forwarded — `0` means nothing
+    /// arrived. The loop of a plain proxy *thread*; one that also
+    /// watches a stop flag reads a token from [`Proxy::wake`] first
+    /// and parks on it itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a backpressure deadline, like [`Proxy::pump`].
     pub fn pump_blocking(&mut self, timeout: Duration) -> u64 {
-        self.try_pump_blocking(timeout)
-            .unwrap_or_else(|e| panic!("{e}"))
+        if self.batch.is_empty() {
+            self.consumer
+                .poll_blocking_into(1024, timeout, &mut self.batch);
+        }
+        self.pump()
     }
 
-    /// [`Proxy::pump_blocking`] reporting a backpressure deadline as
-    /// a typed error; see [`Proxy::try_pump`] for the retry
-    /// semantics of the pending batch.
-    pub fn try_pump_blocking(&mut self, timeout: Duration) -> Result<u64, BrokerError> {
-        if self.batch.is_empty()
-            && self.consumer.poll_blocking_into(1024, timeout, &mut self.batch) == 0
-        {
-            return Ok(0);
-        }
-        let n = self.try_forward()?;
-        self.forwarded += n;
-        Ok(n + self.try_pump()?)
+    /// The event count the proxy's consumer is woken through: a share
+    /// on the inbound topic, or a control wake.
+    pub fn wake(&self) -> &Arc<EventCount> {
+        self.consumer.wake()
     }
 
     /// Forwards the pending poll batch partition-for-partition: key

@@ -14,6 +14,10 @@
 //!   exactly like the in-process `ProxyHandle` / `ShardHandle`
 //!   worker threads, so respawn, epoch accounting and health roll-up
 //!   are shared between both transports;
+//! * a child's private topics are *trimmed* — unbounded, since the
+//!   one thread that fills them also drains them, but dropping what
+//!   that thread has consumed — so a child's memory follows its
+//!   backlog, not its lifetime;
 //! * the control plane (query registration, epoch close, health
 //!   probes) is JSON over the workspace serde shims; floats travel as
 //!   `f64::to_bits` so results stay **byte-identical** to the
@@ -22,6 +26,31 @@
 //!   cumulative acks, receive-side reassembly ([`Reassembly`]) and
 //!   epoch [`Progress`](FrameKind::Progress) deltas feeding the
 //!   parent's epoch-deadline ledger.
+//!
+//! # Wake protocol
+//!
+//! No hop delivers by timer (the full table is the "Wake protocol"
+//! section of `docs/wire-format.md`):
+//!
+//! * a **node child** has one source, its socket. Its `serve` loop
+//!   waits for the first frame of a burst ([`Transport::recv`], a
+//!   `poll(2)` that returns the moment bytes arrive), takes only what
+//!   is already there ([`Transport::try_recv`]), acts — feed, relay or
+//!   decode, ack — and **flushes before it waits again**, so an epoch
+//!   is relayed as it arrives and no reply it has encoded (the
+//!   `Closed` reply included) sleeps in a buffer;
+//! * a **parent bridge** has three: its child's socket, the broker
+//!   topics it consumes, and (shards) the main thread's command
+//!   queue. It reads a wake token, checks all three, flushes, and
+//!   parks in one `poll(2)` over the socket *and* a self-pipe that its
+//!   consumer's event count rings — on a record landing on a consumed
+//!   topic, `wake_shards` after a queued command, a sibling's close
+//!   kick, the stop flag's wake — only while the bridge is parked;
+//! * a blocked **write** keeps receiving, so parent and child can both
+//!   be mid-burst with more to say than the socket buffers hold.
+//!
+//! `LINK_READ_POLL` is what is left of the timers: a watchdog tick
+//! for heartbeats, the stop flag and `maybe_resend`.
 //!
 //! Failure model: a dead child shows up as a dead link; when the
 //! link's retry budget is exhausted the bridge thread panics with the
@@ -59,9 +88,17 @@ use crate::proxy::{inbound_topic, outbound_topic, Proxy};
 
 /// How long a dial waits for the TCP connect to a child node.
 pub(crate) const CONNECT_TIMEOUT: Duration = Duration::from_millis(1_000);
-/// Read poll used on both ends: doubles as the idle park, so it stays
-/// close to the in-process shard park (10 ms).
-pub(crate) const LINK_READ_POLL: Duration = Duration::from_millis(5);
+/// Watchdog tick of every socket wait, on both ends — **not** a
+/// delivery mechanism. What normally ends the wait is the awaited
+/// event itself: bytes on the socket, or (parent side) the bridge's
+/// wake handle being rung because a record landed on a topic it
+/// consumes or the main thread queued a command. The tick only bounds
+/// how stale a heartbeat, a raised stop flag or an overdue
+/// `maybe_resend` can get. It is a `poll(2)` timeout; the
+/// `SO_RCVTIMEO` it replaces was rounded up to whole jiffies — a
+/// nominal 5 ms measured 12 ms on an HZ=250 guest — which is one more
+/// reason nothing on the epoch path may depend on it.
+pub(crate) const LINK_READ_POLL: Duration = Duration::from_millis(50);
 /// Hello/HelloAck round-trip budget.
 pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_millis(2_000);
 /// Records packed into one data frame (one sequence number, one ack).
@@ -645,13 +682,12 @@ fn bump(counts: &mut Vec<(u64, u64)>, epoch: u64, delta: u64) {
     }
 }
 
-/// Sends `Progress` deltas for every epoch whose decode tally moved
+/// Queues `Progress` deltas for every epoch whose decode tally moved
 /// since the last publication.
 fn publish_progress(
     t: &mut dyn Transport,
     counts: &[(u64, u64)],
     published: &mut Vec<(u64, u64)>,
-    wrote: &mut bool,
 ) -> io::Result<()> {
     for &(epoch, n) in counts {
         let prev = published
@@ -663,42 +699,76 @@ fn publish_progress(
                 let delta = n - *p;
                 *p = n;
                 t.send(&Frame::new(FrameKind::Progress, encode_progress(epoch, delta)))?;
-                *wrote = true;
             }
             Some(_) => {}
             None => {
                 published.push((epoch, n));
                 t.send(&Frame::new(FrameKind::Progress, encode_progress(epoch, n)))?;
-                *wrote = true;
             }
         }
     }
     Ok(())
 }
 
-/// Admission checks for one inbound data frame. Returns `true` when
-/// the frame should be processed, `false` when it was rejected (the
-/// peer's resend window redelivers it later).
-fn admit_data(
-    t: &mut dyn Transport,
-    bucket: &mut TokenBucket,
-    max_in_flight: usize,
-    seq: u64,
-    floor: u64,
-    records: usize,
-    wrote: &mut bool,
-) -> io::Result<bool> {
-    if seq > floor + max_in_flight as u64 {
-        t.send(&Frame::reject(RejectReason::Overloaded))?;
-        *wrote = true;
-        return Ok(false);
+/// The receiving half of a node's data link: admission control in
+/// front of the resend protocol's reassembly.
+struct Inbox {
+    reasm: Reassembly<Vec<DataMsg>>,
+    /// Highest cumulative ack sent on the current connection.
+    acked: u64,
+    /// Record batches released in order, waiting to be fed to the
+    /// node's local topics.
+    deliverable: Vec<Vec<DataMsg>>,
+}
+
+impl Inbox {
+    fn new() -> Inbox {
+        Inbox {
+            reasm: Reassembly::new(),
+            acked: 0,
+            deliverable: Vec::new(),
+        }
     }
-    if !bucket.try_take(Instant::now(), records as f64) {
-        t.send(&Frame::reject(RejectReason::RateLimited))?;
-        *wrote = true;
-        return Ok(false);
+
+    /// Takes one inbound data frame: decoded, admitted (or bounced
+    /// with a `Reject` — the peer's resend window redelivers it
+    /// later) and put back in sequence.
+    fn accept(
+        &mut self,
+        payload: &[u8],
+        t: &mut dyn Transport,
+        bucket: &mut TokenBucket,
+        max_in_flight: usize,
+    ) -> io::Result<()> {
+        let mut msgs = Vec::new();
+        decode_data_batch(payload, &mut msgs)?;
+        let seq = msgs[0].seq;
+        let refused = if seq > self.reasm.ack_floor() + max_in_flight as u64 {
+            Some(RejectReason::Overloaded)
+        } else if !bucket.try_take(Instant::now(), msgs.len() as f64) {
+            Some(RejectReason::RateLimited)
+        } else {
+            None
+        };
+        match refused {
+            Some(reason) => t.send(&Frame::reject(reason)),
+            None => {
+                self.reasm.accept(seq, msgs, &mut self.deliverable);
+                Ok(())
+            }
+        }
     }
-    Ok(true)
+
+    /// Queues the cumulative ack for everything delivered in order,
+    /// if it moved.
+    fn ack(&mut self, t: &mut dyn Transport) -> io::Result<()> {
+        let floor = self.reasm.ack_floor();
+        if floor > self.acked {
+            t.send(&Frame::new(FrameKind::DataAck, encode_ack(floor)))?;
+            self.acked = floor;
+        }
+        Ok(())
+    }
 }
 
 /// Child runtime for one proxy: a private broker with the proxy's
@@ -709,10 +779,8 @@ struct ProxyNode {
     proxy: Proxy,
     in_writer: TopicWriter,
     egress: Consumer,
-    reasm: Reassembly<Vec<DataMsg>>,
-    acked: u64,
+    inbox: Inbox,
     next_seq: u64,
-    deliverable: Vec<Vec<DataMsg>>,
     batch: Vec<(u32, u32, Record)>,
     out_msgs: Vec<DataMsg>,
 }
@@ -721,21 +789,23 @@ impl ProxyNode {
     fn new(opts: &NodeOpts) -> ProxyNode {
         let id = ProxyId(opts.index as u16);
         let broker = Broker::new(opts.partitions);
-        let inbound = inbound_topic(id);
-        broker.create_topic(&inbound, opts.partitions);
+        // This one thread both fills and drains the node's topics, so
+        // they must never apply backpressure — and must not keep what
+        // it has consumed, or the child grows by an epoch's shares
+        // per epoch.
+        let (inbound, out_name) = (inbound_topic(id), outbound_topic(id));
+        broker.create_topic_trimmed(&inbound, opts.partitions);
+        broker.create_topic_trimmed(&out_name, opts.partitions);
         let proxy = Proxy::new(id, &broker);
         let in_writer = broker.writer(&inbound);
-        let out_name = outbound_topic(id);
         let egress = broker.consumer("node-egress", &[&out_name]);
         ProxyNode {
             _broker: broker,
             proxy,
             in_writer,
             egress,
-            reasm: Reassembly::new(),
-            acked: 0,
+            inbox: Inbox::new(),
             next_seq: 0,
-            deliverable: Vec::new(),
             batch: Vec::new(),
             out_msgs: Vec::new(),
         }
@@ -755,52 +825,35 @@ impl ProxyNode {
     ) -> io::Result<bool> {
         // Fresh connection: re-announce the cumulative ack floor so
         // the parent can trim frames acked before the reconnect.
-        self.acked = 0;
+        self.inbox.acked = 0;
         loop {
-            let mut wrote = false;
             let mut shutdown = false;
-            // 1. Drain the socket (the read poll is the idle park).
-            loop {
-                match t.recv()? {
-                    Some(f) => match f.kind {
-                        FrameKind::Data => {
-                            let mut msgs = Vec::new();
-                            decode_data_batch(&f.payload, &mut msgs)?;
-                            let seq = msgs[0].seq;
-                            if admit_data(
-                                t,
-                                bucket,
-                                max_in_flight,
-                                seq,
-                                self.reasm.ack_floor(),
-                                msgs.len(),
-                                &mut wrote,
-                            )? {
-                                self.reasm.accept(seq, msgs, &mut self.deliverable);
-                            }
-                        }
-                        FrameKind::Shutdown => {
-                            shutdown = true;
-                            break;
-                        }
-                        _ => {}
-                    },
-                    None => break,
+            // 1. Wait for the first frame of a burst (a quiet tick
+            //    just goes round), then take only what is already
+            //    here: the rest of the epoch is relayed as it arrives,
+            //    not after the link has gone quiet.
+            let mut next = t.recv()?;
+            while let Some(f) = next {
+                match f.kind {
+                    FrameKind::Data => self.inbox.accept(&f.payload, t, bucket, max_in_flight)?,
+                    FrameKind::Shutdown => {
+                        shutdown = true;
+                        break;
+                    }
+                    _ => {}
                 }
+                next = t.try_recv()?;
             }
             // 2. Feed reassembled shares into the local inbound topic.
-            if !self.deliverable.is_empty() {
-                for batch in self.deliverable.drain(..) {
-                    for m in batch {
-                        self.in_writer.append_quiet(
-                            m.partition as usize,
-                            m.key,
-                            m.value,
-                            Timestamp(m.timestamp),
-                        );
-                    }
+            for batch in self.inbox.deliverable.drain(..) {
+                for m in batch {
+                    self.in_writer.append_quiet(
+                        m.partition as usize,
+                        m.key,
+                        m.value,
+                        Timestamp(m.timestamp),
+                    );
                 }
-                self.in_writer.notify();
             }
             // 3. Relay (partition-preserving, same code as in-process).
             self.proxy.pump();
@@ -820,18 +873,12 @@ impl ProxyNode {
                     FrameKind::Data,
                     encode_data_batch(&self.out_msgs),
                 ))?;
-                wrote = true;
             }
-            // 5. Cumulative ack for everything delivered in order.
-            let floor = self.reasm.ack_floor();
-            if floor > self.acked {
-                t.send(&Frame::new(FrameKind::DataAck, encode_ack(floor)))?;
-                self.acked = floor;
-                wrote = true;
-            }
-            if wrote {
-                t.flush()?;
-            }
+            // 5. Cumulative ack for everything delivered in order —
+            //    and every reply encoded above leaves before the next
+            //    wait.
+            self.inbox.ack(t)?;
+            t.flush()?;
             if shutdown {
                 return Ok(true);
             }
@@ -846,13 +893,11 @@ struct ShardNode {
     _broker: Broker,
     agg: Aggregator,
     writers: Vec<TopicWriter>,
-    reasm: Reassembly<Vec<DataMsg>>,
-    acked: u64,
+    inbox: Inbox,
     counts: Vec<(u64, u64)>,
     published: Vec<(u64, u64)>,
     busy: Duration,
     fuse: Option<u64>,
-    deliverable: Vec<Vec<DataMsg>>,
     raw: Vec<RawWindow>,
 }
 
@@ -862,8 +907,10 @@ impl ShardNode {
         let names: Vec<String> = (0..opts.proxies)
             .map(|p| outbound_topic(ProxyId(p as u16)))
             .collect();
+        // Filled and drained by this one thread: trimmed, never
+        // bounded (see `ProxyNode::new`).
         for n in &names {
-            broker.create_topic(n, opts.partitions);
+            broker.create_topic_trimmed(n, opts.partitions);
         }
         broker.create_topic_drop_oldest(DEAD_LETTER_TOPIC, opts.partitions, NODE_DEAD_LETTER_CAP);
         let mut agg = Aggregator::new(&broker, opts.proxies, opts.confidence);
@@ -873,13 +920,11 @@ impl ShardNode {
             _broker: broker,
             agg,
             writers,
-            reasm: Reassembly::new(),
-            acked: 0,
+            inbox: Inbox::new(),
             counts: Vec::new(),
             published: Vec::new(),
             busy: Duration::ZERO,
             fuse: opts.fuse,
-            deliverable: Vec::new(),
             raw: Vec::new(),
         }
     }
@@ -890,15 +935,23 @@ impl ShardNode {
         })
     }
 
-    /// Drains the aggregator, tallying decodes per epoch tag and
+    /// Feeds reassembled shares into the local topics and drains the
+    /// aggregator over them, tallying decodes per epoch tag and
     /// burning the injected-fault fuse (a fuse of 0 panics, which
     /// kills the child process — the remote analogue of the
     /// in-process shard fault injection).
-    fn pump(&mut self) -> u64 {
+    fn pump(&mut self) {
+        for batch in self.inbox.deliverable.drain(..) {
+            for m in batch {
+                if let Some(w) = self.writers.get(m.stream as usize) {
+                    w.append_quiet(m.partition as usize, m.key, m.value, Timestamp(m.timestamp));
+                }
+            }
+        }
         let t0 = Instant::now();
         let counts = &mut self.counts;
         let fuse = &mut self.fuse;
-        let n = self.agg.pump_with(|_q, ts, _mid, _answer| {
+        self.agg.pump_with(|_q, ts, _mid, _answer| {
             bump(counts, ts.0, 1);
             if let Some(left) = fuse {
                 assert!(*left > 0, "injected shard fault (fuse)");
@@ -906,10 +959,9 @@ impl ShardNode {
             }
         });
         self.busy += t0.elapsed();
-        n
     }
 
-    fn on_ctrl(&mut self, payload: &[u8], t: &mut dyn Transport, wrote: &mut bool) -> io::Result<()> {
+    fn on_ctrl(&mut self, payload: &[u8], t: &mut dyn Transport) -> io::Result<()> {
         let reply = match decode_ctrl(payload)? {
             NodeCtrl::Register {
                 query,
@@ -920,12 +972,12 @@ impl ShardNode {
                 encode_registered()
             }
             NodeCtrl::Finish { epoch, watermark } => {
-                // Drain whatever already sits in the local topics,
+                // Drain every share received ahead of this request,
                 // publish the resulting progress (so the parent's
                 // ledger never runs behind the close), then cut the
                 // windows.
-                while self.pump() > 0 {}
-                publish_progress(t, &self.counts, &mut self.published, wrote)?;
+                self.pump();
+                publish_progress(t, &self.counts, &mut self.published)?;
                 let t0 = Instant::now();
                 self.raw.clear();
                 self.agg
@@ -948,8 +1000,8 @@ impl ShardNode {
                 reply
             }
             NodeCtrl::Probe => {
-                while self.pump() > 0 {}
-                publish_progress(t, &self.counts, &mut self.published, wrote)?;
+                self.pump();
+                publish_progress(t, &self.counts, &mut self.published)?;
                 encode_health(
                     (
                         self.agg.undecodable(),
@@ -963,9 +1015,7 @@ impl ShardNode {
                 )
             }
         };
-        t.send(&Frame::new(FrameKind::CtrlReply, reply))?;
-        *wrote = true;
-        Ok(())
+        t.send(&Frame::new(FrameKind::CtrlReply, reply))
     }
 
     fn serve(
@@ -974,67 +1024,30 @@ impl ShardNode {
         bucket: &mut TokenBucket,
         max_in_flight: usize,
     ) -> io::Result<bool> {
-        self.acked = 0;
+        self.inbox.acked = 0;
         loop {
-            let mut wrote = false;
             let mut shutdown = false;
-            loop {
-                match t.recv()? {
-                    Some(f) => match f.kind {
-                        FrameKind::Data => {
-                            let mut msgs = Vec::new();
-                            decode_data_batch(&f.payload, &mut msgs)?;
-                            let seq = msgs[0].seq;
-                            if admit_data(
-                                t,
-                                bucket,
-                                max_in_flight,
-                                seq,
-                                self.reasm.ack_floor(),
-                                msgs.len(),
-                                &mut wrote,
-                            )? {
-                                self.reasm.accept(seq, msgs, &mut self.deliverable);
-                            }
-                        }
-                        FrameKind::Ctrl => self.on_ctrl(&f.payload, t, &mut wrote)?,
-                        FrameKind::Shutdown => {
-                            shutdown = true;
-                            break;
-                        }
-                        _ => {}
-                    },
-                    None => break,
-                }
-            }
-            if !self.deliverable.is_empty() {
-                for batch in self.deliverable.drain(..) {
-                    for m in batch {
-                        if let Some(w) = self.writers.get(m.stream as usize) {
-                            w.append_quiet(
-                                m.partition as usize,
-                                m.key,
-                                m.value,
-                                Timestamp(m.timestamp),
-                            );
-                        }
+            // Same shape as the proxy node: wait for the first frame,
+            // take what is already here, act, flush, wait again.
+            let mut next = t.recv()?;
+            while let Some(f) = next {
+                match f.kind {
+                    FrameKind::Data => self.inbox.accept(&f.payload, t, bucket, max_in_flight)?,
+                    FrameKind::Ctrl => self.on_ctrl(&f.payload, t)?,
+                    FrameKind::Shutdown => {
+                        shutdown = true;
+                        break;
                     }
+                    _ => {}
                 }
-                for w in &self.writers {
-                    w.notify();
-                }
+                next = t.try_recv()?;
             }
             self.pump();
-            publish_progress(t, &self.counts, &mut self.published, &mut wrote)?;
-            let floor = self.reasm.ack_floor();
-            if floor > self.acked {
-                t.send(&Frame::new(FrameKind::DataAck, encode_ack(floor)))?;
-                self.acked = floor;
-                wrote = true;
-            }
-            if wrote {
-                t.flush()?;
-            }
+            publish_progress(t, &self.counts, &mut self.published)?;
+            self.inbox.ack(t)?;
+            // The `Closed` reply, progress and acks encoded above all
+            // leave before the next wait.
+            t.flush()?;
             if shutdown {
                 return Ok(true);
             }

@@ -5,7 +5,9 @@
 //! partition-affine senders pick one explicitly via
 //! [`Producer::send_to`]); consumers poll sequentially from
 //! per-(group, topic, partition) offsets with optional blocking. All
-//! state lives behind `parking_lot` locks and a condvar so many
+//! state lives behind `parking_lot` locks, and every park is on an
+//! [`EventCount`] (a wakeup between a waiter's check and its sleep is
+//! never lost, so no park needs a timed re-check), so many
 //! client/proxy/aggregator threads can share one broker, exactly like
 //! the paper's proxies share a Kafka cluster.
 //!
@@ -66,7 +68,8 @@
 //! a shard still draining epoch `k`: the producer side parks instead
 //! of growing the log without bound.
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use crate::wake::EventCount;
+use parking_lot::{Mutex, RwLock};
 use privapprox_types::Timestamp;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -165,12 +168,13 @@ struct Topic {
     /// The topic's name, for error reporting.
     name: String,
     partitions: Vec<Mutex<Partition>>,
-    /// Signalled whenever any partition receives data.
-    data_ready: Condvar,
-    /// Signalled whenever a bounded topic's consumer frees backlog.
-    space_ready: Condvar,
-    /// Paired mutex for both condvars (condvar protocol only).
-    signal: Mutex<()>,
+    /// The event counts of every consumer subscribed to this topic,
+    /// notified whenever a partition receives data (and by control
+    /// wakes, see [`Broker::notify_topic`]).
+    waiters: RwLock<Vec<Arc<EventCount>>>,
+    /// Notified whenever a bounded topic's consumer frees backlog;
+    /// producers parked on a full partition wait here.
+    space: EventCount,
     round_robin: AtomicU64,
     /// Maximum per-partition backlog (appended − slowest group's
     /// committed offset) before producers block; `0` = unbounded.
@@ -197,13 +201,20 @@ impl Topic {
             partitions: (0..partitions)
                 .map(|_| Mutex::new(Partition::default()))
                 .collect(),
-            data_ready: Condvar::new(),
-            space_ready: Condvar::new(),
-            signal: Mutex::new(()),
+            waiters: RwLock::new(Vec::new()),
+            space: EventCount::new(),
             round_robin: AtomicU64::new(0),
             capacity,
             drop_oldest,
             dropped: AtomicU64::new(0),
+        }
+    }
+
+    /// Wakes every subscribed consumer that is parked (or about to
+    /// park) on its event count.
+    fn wake_consumers(&self) {
+        for waiter in self.waiters.read().iter() {
+            waiter.notify();
         }
     }
 }
@@ -313,6 +324,21 @@ impl Broker {
             .or_insert_with(|| Arc::new(Topic::new(name, partitions, capacity)));
     }
 
+    /// Creates a topic that **trims without bounding**: producers
+    /// never park (the backlog is unlimited, as with
+    /// [`Broker::create_topic`]), but records below every registered
+    /// group's committed offset drop off the log exactly as on a
+    /// bounded topic, so memory follows the backlog instead of the
+    /// lifetime record count. This is the policy for a topic whose
+    /// producer and consumer are the *same thread* (a node child's
+    /// private topics): backpressure there could only deadlock, while
+    /// an untrimmed log grows — and page-faults — without bound. A
+    /// group joining after trimming reads from the earliest retained
+    /// record. A no-op if the topic already exists.
+    pub fn create_topic_trimmed(&self, name: &str, partitions: usize) {
+        self.create_topic_with_capacity(name, partitions, usize::MAX)
+    }
+
     /// Creates a bounded topic with **drop-oldest** overflow: each
     /// partition retains at most `capacity` records, and appending to
     /// a full partition evicts the oldest retained record instead of
@@ -381,15 +407,15 @@ impl Broker {
         )
     }
 
-    /// Wakes every consumer parked on `topic`'s data-ready condvar
-    /// without producing a record — used by control planes (e.g. the
-    /// sharded deployment sending a close command to a shard thread
-    /// that is parked in a blocking poll) to bound command latency to
-    /// a wakeup instead of a poll timeout.
+    /// Wakes every consumer subscribed to `topic` without producing a
+    /// record: a parked [`Consumer::poll_blocking_into`] returns (with
+    /// `0` if there is still no data) and a park through
+    /// [`Consumer::wake`] ends. Used by control planes — the sharded
+    /// deployment queueing a close command for a shard that is parked
+    /// in a blocking poll — so a command is seen at wakeup latency,
+    /// not at the park's timeout.
     pub fn notify_topic(&self, topic: &str) {
-        let t = self.topic(topic);
-        let _guard = t.signal.lock();
-        t.data_ready.notify_all();
+        self.topic(topic).wake_consumers();
     }
 
     /// Number of partitions of a topic (auto-creating it if absent).
@@ -468,11 +494,18 @@ impl Broker {
             state.generation += 1;
             member
         };
+        // One event count covers every subscribed topic: producers and
+        // control wakes notify it through each topic's waiter list.
+        let wake = Arc::new(EventCount::new());
+        for t in topics {
+            self.topic(t).waiters.write().push(Arc::clone(&wake));
+        }
         Consumer {
             broker: self.clone(),
             group: group.to_string(),
             topics: topics.iter().map(|s| s.to_string()).collect(),
             member,
+            wake,
             cursor: AtomicU64::new(0),
             slots: Mutex::new(SlotCache {
                 generation: u64::MAX,
@@ -665,8 +698,8 @@ const DEFAULT_BACKPRESSURE_DEADLINE: Duration = Duration::from_secs(60);
 /// instead of parking the producer forever. A consumer group dying
 /// mid-park is detected without waiting for the deadline — the
 /// departing member withdraws its group's committed floors and
-/// signals `space_ready`, and every wait iteration re-evaluates the
-/// backlog against the remaining floors.
+/// notifies the topic's `space` count, and every wait iteration
+/// re-evaluates the backlog against the remaining floors.
 fn append(
     broker: &Broker,
     t: &Topic,
@@ -681,6 +714,9 @@ fn append(
     let started = std::time::Instant::now();
     let deadline = started + park.unwrap_or_else(|| broker.backpressure_deadline());
     let (offset, size) = loop {
+        // Read before the capacity check: space freed at any point
+        // after this ends the park below at once.
+        let space = t.space.token();
         let mut p = t.partitions[partition].lock();
         let next = p.base + p.records.len() as u64;
         if t.capacity > 0 && !t.drop_oldest {
@@ -689,16 +725,13 @@ fn append(
             let floor = p.committed.values().copied().min().unwrap_or(next);
             if next - floor.min(next) >= t.capacity as u64 {
                 drop(p);
-                if std::time::Instant::now() >= deadline {
+                if !park_for_space(t, space, deadline) {
                     return Err(BrokerError::Backpressure {
                         topic: t.name.clone(),
                         partition,
                         waited: started.elapsed(),
                     });
                 }
-                let mut guard = t.signal.lock();
-                t.space_ready
-                    .wait_for(&mut guard, Duration::from_millis(10));
                 waited = true;
                 continue;
             }
@@ -724,10 +757,28 @@ fn append(
     if notify || waited {
         // Wake blocked consumers (always after a backpressure wait:
         // the record the consumer is parked for may be this one).
-        let _guard = t.signal.lock();
-        t.data_ready.notify_all();
+        t.wake_consumers();
     }
     Ok(offset)
+}
+
+/// Parks a producer that found its partition full until a consumer
+/// frees backlog — any [`EventCount::notify`] on the topic's `space`
+/// count newer than `token`, which the caller read before its
+/// capacity check — or until `deadline`. `false` means the deadline
+/// passed.
+fn park_for_space(t: &Topic, token: u64, deadline: std::time::Instant) -> bool {
+    let left = deadline.saturating_duration_since(std::time::Instant::now());
+    if left.is_zero() {
+        return false;
+    }
+    // Quiet appends may have filled the partition behind a consumer
+    // that is parked: the full partition is its wakeup, not a tick.
+    t.wake_consumers();
+    // Woken or timed out, the caller re-evaluates the backlog (and a
+    // timeout fails the deadline check on its next pass).
+    t.space.park(token, left);
+    true
 }
 
 /// Drop-oldest overflow: after an append, evicts from the log front
@@ -794,6 +845,7 @@ fn append_batch(
     let started = std::time::Instant::now();
     let deadline = started + park.unwrap_or_else(|| broker.backpressure_deadline());
     let (first, size) = loop {
+        let space = t.space.token();
         let mut p = t.partitions[partition].lock();
         let next = p.base + p.records.len() as u64;
         if t.capacity > 0 && !t.drop_oldest {
@@ -801,16 +853,13 @@ fn append_batch(
                 let backlog = next - floor.min(next);
                 if backlog + n > t.capacity as u64 {
                     drop(p);
-                    if n > t.capacity as u64 || std::time::Instant::now() >= deadline {
+                    if n > t.capacity as u64 || !park_for_space(t, space, deadline) {
                         return Err(BrokerError::Backpressure {
                             topic: t.name.clone(),
                             partition,
                             waited: started.elapsed(),
                         });
                     }
-                    let mut guard = t.signal.lock();
-                    t.space_ready
-                        .wait_for(&mut guard, Duration::from_millis(10));
                     waited = true;
                     continue;
                 }
@@ -837,8 +886,7 @@ fn append_batch(
         .fetch_add(n, Ordering::Relaxed);
     broker.inner.stats.bytes_in.fetch_add(size, Ordering::Relaxed);
     if notify || waited {
-        let _guard = t.signal.lock();
-        t.data_ready.notify_all();
+        t.wake_consumers();
     }
     Ok(first)
 }
@@ -847,7 +895,7 @@ fn append_batch(
 /// hot paths: no per-record topic-name hash lookup, shared-buffer key
 /// and value pass-through, and batched consumer wakeups
 /// ([`TopicWriter::append_quiet`] + one [`TopicWriter::notify`] per
-/// batch instead of a condvar broadcast per record).
+/// batch instead of a wakeup per record).
 #[derive(Clone)]
 pub struct TopicWriter {
     broker: Broker,
@@ -864,8 +912,8 @@ impl TopicWriter {
     /// [`BrokerError::Backpressure`] from the `try_` appends —
     /// crucial when every consumer of a group is gone *without*
     /// withdrawing its committed floors (a leaked or wedged consumer
-    /// handle): the floor never advances, `space_ready` is never
-    /// signalled again, and only this deadline stands between the
+    /// handle): the floor never advances, freed space is never
+    /// announced again, and only this deadline stands between the
     /// producer and an unbounded park.
     pub fn with_park_timeout(mut self, timeout: Duration) -> TopicWriter {
         self.park = Some(timeout);
@@ -1004,8 +1052,7 @@ impl TopicWriter {
     /// Wakes consumers parked on this topic — the batch-end pair of
     /// [`TopicWriter::append_quiet`].
     pub fn notify(&self) {
-        let _guard = self.topic.signal.lock();
-        self.topic.data_ready.notify_all();
+        self.topic.wake_consumers();
     }
 
     /// Number of partitions of the bound topic.
@@ -1030,6 +1077,9 @@ pub struct Consumer {
     topics: Vec<String>,
     /// This consumer's globally unique member id.
     member: u64,
+    /// What this consumer parks on; registered with every subscribed
+    /// topic, so one park covers them all.
+    wake: Arc<EventCount>,
     /// Rotating start slot for partition-fair polling: the next poll
     /// begins one past where the previous capped poll stopped.
     cursor: AtomicU64,
@@ -1211,8 +1261,7 @@ impl Consumer {
                 {
                     continue;
                 }
-                let _guard = topic.signal.lock();
-                topic.space_ready.notify_all();
+                topic.space.notify();
                 if n < notified.len() {
                     notified[n] = Some(topic);
                     n += 1;
@@ -1228,7 +1277,13 @@ impl Consumer {
     pub fn poll_partitioned(&self, max: usize) -> Vec<(String, usize, Record)> {
         let mut buf = Vec::new();
         self.poll_into(max, &mut buf);
-        buf.into_iter()
+        self.named(buf)
+    }
+
+    /// Replaces subscription indices by topic names.
+    fn named(&self, polled: Vec<(u32, u32, Record)>) -> Vec<(String, usize, Record)> {
+        polled
+            .into_iter()
             .map(|(ti, pi, r)| (self.topics[ti as usize].clone(), pi as usize, r))
             .collect()
     }
@@ -1243,59 +1298,59 @@ impl Consumer {
             .collect()
     }
 
-    /// Blocking poll into a caller-owned buffer: waits up to `timeout`
-    /// for at least one record, then appends everything available (up
-    /// to `max`) like [`Consumer::poll_into`]. Returns the number
-    /// appended (`0` = timed out empty).
+    /// The event count this consumer parks on, notified by every
+    /// append-with-wakeup on a subscribed topic, by
+    /// [`Broker::notify_topic`] and by rebalances. A thread that must
+    /// wait for broker records *and* something else (a socket, a
+    /// command queue) reads a token from it before checking its
+    /// sources and parks on it when all are empty.
+    pub fn wake(&self) -> &Arc<EventCount> {
+        &self.wake
+    }
+
+    /// Blocking poll into a caller-owned buffer: appends everything
+    /// available (up to `max`) like [`Consumer::poll_into`]; if that
+    /// is nothing, parks until this consumer is **notified** or
+    /// `timeout` passes and polls once more. Returns the number
+    /// appended.
+    ///
+    /// `0` therefore means "timed out" *or* "woken without data" — a
+    /// control wake ([`Broker::notify_topic`]) or a rebalance — and
+    /// callers loop. The park cannot miss a wakeup: the event-count
+    /// token is read before the first poll, so a record (on any
+    /// subscribed topic) or a control wake landing after that check
+    /// ends the park immediately.
     pub fn poll_blocking_into(
         &self,
         max: usize,
         timeout: Duration,
         out: &mut Vec<(u32, u32, Record)>,
     ) -> usize {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let n = self.poll_into(max, out);
-            if n > 0 {
-                return n;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return 0;
-            }
-            // Wait on the first topic's condvar (all producers notify
-            // their own topic; a short timeout re-checks the rest).
-            let topic = self.broker.topic(&self.topics[0]);
-            let mut guard = topic.signal.lock();
-            let wait = (deadline - now).min(Duration::from_millis(10));
-            topic.data_ready.wait_for(&mut guard, wait);
+        let token = self.wake.token();
+        let n = self.poll_into(max, out);
+        if n > 0 || !self.wake.park(token, timeout) {
+            return n;
         }
+        self.poll_into(max, out)
     }
 
-    /// Blocking poll: waits up to `timeout` for at least one record,
-    /// reporting source partitions.
+    /// Blocking poll: waits up to `timeout` for at least one record
+    /// (riding out wakes that bring no data), reporting source
+    /// partitions.
     pub fn poll_blocking_partitioned(
         &self,
         max: usize,
         timeout: Duration,
     ) -> Vec<(String, usize, Record)> {
         let deadline = std::time::Instant::now() + timeout;
+        let mut buf = Vec::new();
         loop {
-            let batch = self.poll_partitioned(max);
-            if !batch.is_empty() {
-                return batch;
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            if self.poll_blocking_into(max, left, &mut buf) > 0 || left.is_zero() {
+                break;
             }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Vec::new();
-            }
-            // Wait on the first topic's condvar (all producers notify
-            // their own topic; a short timeout re-checks the rest).
-            let topic = self.broker.topic(&self.topics[0]);
-            let mut guard = topic.signal.lock();
-            let wait = (deadline - now).min(Duration::from_millis(10));
-            topic.data_ready.wait_for(&mut guard, wait);
         }
+        self.named(buf)
     }
 
     /// Blocking poll: waits up to `timeout` for at least one record.
@@ -1340,6 +1395,10 @@ impl Drop for Consumer {
         };
         for topic_name in &self.topics {
             let topic = self.broker.topic(topic_name);
+            topic
+                .waiters
+                .write()
+                .retain(|w| !Arc::ptr_eq(w, &self.wake));
             if group_emptied && topic.capacity > 0 {
                 let mut freed = false;
                 for p in &topic.partitions {
@@ -1348,12 +1407,10 @@ impl Drop for Consumer {
                 if freed {
                     // Producers parked against the departed group's
                     // floor can re-evaluate their backlog now.
-                    let _guard = topic.signal.lock();
-                    topic.space_ready.notify_all();
+                    topic.space.notify();
                 }
             }
-            let _guard = topic.signal.lock();
-            topic.data_ready.notify_all();
+            topic.wake_consumers();
         }
     }
 }
@@ -1419,7 +1476,7 @@ mod tests {
         broker.create_topic_with_capacity("pipe", 1, 2);
         // A consumer registers a floor then leaks without running its
         // Drop (a wedged thread still holding the handle): the floor
-        // never advances and nobody will ever signal space_ready.
+        // never advances and nobody will ever announce freed space.
         let consumer = broker.consumer("g", &["pipe"]);
         std::mem::forget(consumer);
         let w = broker
@@ -1581,6 +1638,99 @@ mod tests {
         handle.join().unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(&*got[0].1.value, b"wake");
+    }
+
+    /// The park covers every subscribed topic, not just the first: a
+    /// record on the *last* topic ends a 10 s park promptly, and so
+    /// does a record-less control wake (which reads as `0`).
+    #[test]
+    fn blocking_poll_wakes_on_any_subscribed_topic_and_on_control_wakes() {
+        let broker = Broker::new(1);
+        let consumer = broker.consumer("g", &["first", "second", "third"]);
+        let mut out = Vec::new();
+        for wake_with_data in [true, false] {
+            let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+            let broker2 = broker.clone();
+            let waker = thread::spawn(move || {
+                if wake_with_data {
+                    broker2.producer().send("third", None, b"x".to_vec(), ts(1));
+                    return;
+                }
+                // A control wake that lands before the poll has read
+                // its token is (rightly) not waited for, so keep
+                // ringing until the poll is back.
+                while done_rx.try_recv() == Err(std::sync::mpsc::TryRecvError::Empty) {
+                    broker2.notify_topic("second");
+                    thread::yield_now();
+                }
+            });
+            let start = std::time::Instant::now();
+            let n = consumer.poll_blocking_into(10, Duration::from_secs(10), &mut out);
+            drop(done_tx);
+            waker.join().unwrap();
+            assert!(
+                start.elapsed() < Duration::from_secs(1),
+                "woken by the event"
+            );
+            assert_eq!(n, usize::from(wake_with_data));
+        }
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].0, 2, "the record came from the third topic");
+    }
+
+    /// Quiet appends ring nobody, so a consumer that parked before
+    /// them sleeps on — until the partition fills: the producer wakes
+    /// it before parking for space. Both parks are asked for 10 s and
+    /// the whole exchange must take well under 1 s.
+    #[test]
+    fn a_full_partition_wakes_the_parked_consumer() {
+        const CAPACITY: usize = 4;
+        const TOTAL: usize = 4 * CAPACITY;
+        let broker = Broker::new(1);
+        broker.set_backpressure_deadline(Duration::from_secs(10));
+        broker.create_topic_with_capacity("pipe", 1, CAPACITY);
+        let consumer = broker.consumer("g", &["pipe"]);
+        let (idle_tx, idle_rx) = std::sync::mpsc::channel();
+        let reader = thread::spawn(move || {
+            let mut out = Vec::new();
+            idle_tx.send(()).unwrap();
+            while out.len() < TOTAL {
+                consumer.poll_blocking_into(TOTAL, Duration::from_secs(10), &mut out);
+            }
+        });
+        // Let the reader find the topic empty and park.
+        idle_rx.recv().unwrap();
+        thread::sleep(Duration::from_millis(50));
+        let start = std::time::Instant::now();
+        let w = broker.writer("pipe");
+        for i in 0..TOTAL as u64 {
+            w.append_quiet(0, None, vec![0u8; 8], ts(i));
+        }
+        w.notify();
+        reader.join().unwrap();
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "woken by the full partition, not a timeout: {:?}",
+            start.elapsed()
+        );
+    }
+
+    #[test]
+    fn trimmed_topic_never_parks_its_producer_and_drops_consumed_records() {
+        let broker = Broker::new(1);
+        broker.create_topic_trimmed("loop", 1);
+        let consumer = broker.consumer("g", &["loop"]);
+        let w = broker.writer("loop");
+        // One thread produces far ahead of its own consumption…
+        for i in 0..10_000u64 {
+            w.append_quiet(0, None, vec![0u8; 8], ts(i));
+        }
+        assert_eq!(broker.topic_len("loop"), 10_000);
+        // …and what it consumes leaves the log.
+        let mut out = Vec::new();
+        while consumer.poll_into(1024, &mut out) > 0 {}
+        assert_eq!(out.len(), 10_000);
+        assert_eq!(broker.topic_len("loop"), 0);
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! * [`broker`] — an in-process, thread-safe topic/partition/offset
 //!   log with producers, consumer groups, blocking polls, and byte
 //!   accounting (the Figure 9a traffic numbers come from here);
+//! * [`wake`] — the event count every broker park sleeps on (no
+//!   lost wakeups, so no timed re-checks);
 //! * [`join`] — the MID-keyed share joiner with timeout eviction and
 //!   duplicate-defence;
 //! * [`window`] — event-time sliding-window folding with watermarks
@@ -20,8 +22,10 @@
 pub mod broker;
 pub mod dataflow;
 pub mod join;
+pub mod wake;
 pub mod window;
 
 pub use broker::{BatchEntry, Broker, BrokerError, BrokerStats, Consumer, Producer, Record, TopicWriter};
 pub use join::{JoinOutcome, MidJoiner};
+pub use wake::EventCount;
 pub use window::WindowedFold;
