@@ -17,11 +17,7 @@
 //! * [`net`] — link latency/bandwidth delays;
 //! * [`phases`] — barrier-synchronized phase execution (SplitX's
 //!   noise/intersect/shuffle pipeline);
-//! * [`events`] — a general event queue for ad-hoc models and tests;
-//! * [`deploy`] — the bridge from simulated [`ClusterSpec`] tiers to
-//!   the *real* threaded runtime's thread/shard counts
-//!   ([`DeploymentShape`], consumed by
-//!   `privapprox_core::deploy::ShardedSystem`).
+//! * [`events`] — a general event queue for ad-hoc models and tests.
 //!
 //! Since PR 8 the crate also carries the **real** multi-process
 //! transport the simulator used to stand in for:
@@ -41,7 +37,6 @@
 //!   `Overloaded` rejections) and per-client token-bucket rate
 //!   limits.
 
-pub mod deploy;
 pub mod events;
 pub mod frontdoor;
 pub mod net;
@@ -52,7 +47,6 @@ pub mod supervise;
 pub mod transport;
 pub mod wire;
 
-pub use deploy::DeploymentShape;
 pub use events::{EventQueue, Heartbeat, HeartbeatStatus, Watchdog};
 pub use frontdoor::{Admitted, AdmissionPolicy, FrontDoor, TokenBucket};
 pub use net::Link;

@@ -10,10 +10,9 @@
 //! `len` counts everything after the prefix (version byte + kind byte
 //! + payload). `version` must equal [`WIRE_VERSION`]; a mismatch is a
 //! hard decode error, never a negotiation. Data-plane payloads
-//! ([`DataMsg`]) are hand-rolled binary — the serde shims have no
-//! typed deserializer and the share hot path should not pay for JSON
-//! anyway; control-plane payloads are JSON text produced and parsed by
-//! the existing serde shims (see `privapprox-core`'s remote module).
+//! ([`DataMsg`]) are hand-rolled binary; control-plane payloads are
+//! opaque here — `privapprox-core`'s control module encodes them with
+//! the store crate's payload primitives.
 
 use std::io::{self, Write};
 use std::sync::Arc;
@@ -37,9 +36,9 @@ pub enum FrameKind {
     /// Decode-progress report from an aggregator node:
     /// `[u64 epoch][u64 delta]` answers newly decoded for `epoch`.
     Progress = 5,
-    /// Control request (JSON payload, type-tagged object).
+    /// Control request (tag byte + binary body, opaque to this crate).
     Ctrl = 6,
-    /// Control reply (JSON payload, type-tagged object).
+    /// Control reply (tag byte + binary body, opaque to this crate).
     CtrlReply = 7,
     /// Admission-control rejection: `[u8 reason]` (see
     /// [`RejectReason`]). The rejected frame is dropped by the

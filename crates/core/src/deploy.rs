@@ -27,6 +27,12 @@
 //! join **shard-locally**, with no cross-shard traffic before the
 //! window merge.
 //!
+//! This file holds the worker threads and the supervisor (scheduler,
+//! merge, recovery, health). The proxy and shard roles, their two
+//! hostings — a thread of this process or a `privapprox-node` child —
+//! and the epoch close policy are in the `stage` module; the command
+//! vocabulary both hostings speak is in `control`.
+//!
 //! # The overlapped pipeline
 //!
 //! The pre-pipelined runtime ran a global three-phase barrier per
@@ -114,8 +120,8 @@
 //!
 //! Every deployment thread runs under a supervisor: panics are caught
 //! ([`std::panic::catch_unwind`]), recorded in a crash log, surfaced
-//! as typed [`DeployError`]s from the epoch API (never hangs), and —
-//! by default — the dead thread is **respawned**:
+//! as typed [`DeployError`]s from the epoch API (never hangs), and the
+//! dead thread is **respawned**:
 //!
 //! * a **worker** respawns with the same index, hence the same client
 //!   ids and RNG seeds, and replays the command history — loads for
@@ -152,9 +158,13 @@
 //! [`Aggregator::set_dead_letter`]) and counted, and every thread
 //! carries a [`Heartbeat`] surfaced through
 //! [`ShardedSystem::thread_health`].
+//!
+//! [`Aggregator::set_dead_letter`]: crate::Aggregator::set_dead_letter
+//! [`Heartbeat`]: privapprox_cluster::Heartbeat
 
-use crate::aggregator::{finalize_window_into, Aggregator, QueryResult, RawWindow};
+use crate::aggregator::{finalize_window_into, QueryResult};
 use crate::client::{Client, ClientScratch};
+use crate::control::{CloseCmd, ShardCmd, ShardReply};
 use crate::error::{CoreError, DeployError};
 use crate::feedback::FeedbackController;
 use crate::historical::Warehouse;
@@ -162,20 +172,19 @@ use crate::initializer::Initializer;
 use crate::persist::{
     self, persist_err, CloseRecord, DurableState, OpenEpoch, RecoveredState, SnapshotContents,
 };
-use crate::proxy::{inbound_topic, outbound_topic, Proxy};
-use crate::remote::{self, NodeChild};
-use privapprox_store::wal::DEFAULT_SEGMENT_BYTES;
-use privapprox_cluster::wire::{decode_data_batch, decode_progress, DataMsg};
-use privapprox_cluster::{
-    DeploymentShape, FaultPlan, Frame, FrameKind, Heartbeat, HeartbeatStatus, LinkStats,
-    SupervisedLink, Waker, Watchdog,
+use crate::proxy::{inbound_topic, outbound_topic};
+use crate::remote;
+use crate::stage::{
+    spawn_supervised, take_crash, CrashLog, Host, ProxyHandle, Role, ShardHandle,
 };
+pub use crate::stage::FaultInjector;
+use privapprox_store::wal::DEFAULT_SEGMENT_BYTES;
+use privapprox_cluster::{FaultPlan, HeartbeatStatus, LinkStats, Watchdog};
 use privapprox_rr::estimate::BucketEstimator;
 use privapprox_rr::privacy::epsilon_zk;
 use privapprox_sql::{ColumnType, Schema, Value};
 use privapprox_crypto::xor::SlotPool;
-use privapprox_stream::broker::{BatchEntry, Broker, BrokerStats, Consumer, Record, TopicWriter};
-use privapprox_stream::EventCount;
+use privapprox_stream::broker::{BatchEntry, Broker, BrokerStats, TopicWriter};
 use privapprox_types::ids::AnalystId;
 use privapprox_types::{
     AnswerSpec, BitVec, Budget, BudgetLedger, ClientId, ExecutionParams, MessageId, PrivacyBudget,
@@ -184,11 +193,10 @@ use privapprox_types::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -221,21 +229,6 @@ const WORKER_IDLE_BEAT: Duration = Duration::from_millis(250);
 /// small. Clamped to the topic capacity on bounded topics, since a
 /// batch wider than the capacity can never publish.
 const WORKER_FLUSH_RUN: usize = 64;
-
-/// Watchdog tick of an in-process shard thread's park (a remote shard
-/// bridge ticks at [`remote::LINK_READ_POLL`]). What normally ends the
-/// park is the event the shard waits for — a
-/// relayed share landing on an outbound topic, or a broker control
-/// wake: `wake_shards` after the main thread queued a command, a
-/// sibling's kick after it closed an epoch. The tick only keeps the
-/// heartbeat fresh and fires an overdue epoch deadline.
-const SHARD_PARK: Duration = Duration::from_millis(50);
-
-/// Watchdog tick of a free-running proxy thread's park. What normally
-/// ends the park is a share landing on the inbound topic (or the
-/// control wake that follows the stop flag at shutdown); the tick
-/// only keeps the heartbeat fresh.
-const PROXY_PARK: Duration = Duration::from_millis(50);
 
 /// CPU time consumed by the calling thread so far (Linux:
 /// `CLOCK_THREAD_CPUTIME_ID`; elsewhere falls back to wall time,
@@ -282,98 +275,6 @@ fn wall_clock_fallback() -> Duration {
     EPOCH.get_or_init(Instant::now).elapsed()
 }
 
-// ---------------------------------------------------------------------------
-// Supervision primitives.
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// One caught thread panic, recorded by the supervisor wrapper
-/// *before* the thread's reply channel disconnects — so the main
-/// thread's recv-error path always finds the message waiting.
-struct Crash {
-    role: &'static str,
-    index: usize,
-    message: String,
-}
-
-type CrashLog = Arc<Mutex<Vec<Crash>>>;
-
-/// Removes and returns the crash message recorded for `(role,
-/// index)`, if any.
-fn take_crash(crashes: &CrashLog, role: &'static str, index: usize) -> Option<String> {
-    let mut log = crashes.lock().expect("crash log lock");
-    let pos = log
-        .iter()
-        .position(|c| c.role == role && c.index == index)?;
-    Some(log.remove(pos).message)
-}
-
-/// Global per-epoch decode counts, shared by every shard thread.
-///
-/// Closes are satisfied against the **global** count (the close
-/// command carries the epoch's *total* expectation), which keeps
-/// epoch accounting correct across shard respawns: a consumer-group
-/// rebalance reshuffles the partition → shard assignment, so any
-/// per-shard split of the expectation would go permanently stale the
-/// first time a shard dies.
-///
-/// Shards batch their bumps (one ledger update per poll batch, not
-/// per record), and the entry list is a bounded scan list — at most
-/// pipeline-depth + 1 epochs are live, and the main thread retires
-/// entries once an epoch fully closes — so the warm ledger costs an
-/// uncontended mutex plus a ≤ depth-entry scan per batch and
-/// allocates nothing.
-struct EpochLedger {
-    counts: Mutex<Vec<(Timestamp, u64)>>,
-}
-
-impl EpochLedger {
-    fn new() -> EpochLedger {
-        EpochLedger {
-            counts: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Adds `delta` decodes under `epoch`'s tag.
-    fn add(&self, epoch: Timestamp, delta: u64) {
-        let mut counts = self.counts.lock().expect("ledger lock");
-        match counts.iter_mut().find(|(t, _)| *t == epoch) {
-            Some((_, n)) => *n += delta,
-            None => counts.push((epoch, delta)),
-        }
-    }
-
-    /// Total decodes recorded under `epoch`'s tag.
-    fn count(&self, epoch: Timestamp) -> u64 {
-        self.counts
-            .lock()
-            .expect("ledger lock")
-            .iter()
-            .find(|(t, _)| *t == epoch)
-            .map(|(_, n)| *n)
-            .unwrap_or(0)
-    }
-
-    /// Retires every entry tagged `epoch` or earlier (epoch tags are
-    /// strictly increasing, so this also sweeps stale zombie entries
-    /// from threads that died mid-publish).
-    fn retire(&self, epoch: Timestamp) {
-        self.counts
-            .lock()
-            .expect("ledger lock")
-            .retain(|(t, _)| *t > epoch);
-    }
-}
-
 /// Static configuration of a threaded sharded deployment.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedConfig {
@@ -399,9 +300,6 @@ pub struct ShardedConfig {
     /// *per admitted query*); see
     /// [`ShardedSystemBuilder::concurrent_queries`].
     pub concurrent_queries: usize,
-    /// Artificial per-close delay injected into one shard thread
-    /// (test/stress hook); see [`ShardedSystemBuilder::straggler`].
-    pub straggler: Option<(usize, Duration)>,
     /// Master seed for all client RNGs (same semantics as
     /// [`SystemConfig::seed`](crate::SystemConfig)).
     pub seed: u64,
@@ -413,19 +311,6 @@ pub struct ShardedConfig {
     /// before closing partially; see
     /// [`ShardedSystemBuilder::epoch_deadline`].
     pub epoch_deadline: Duration,
-    /// Whether dead threads are automatically respawned; see
-    /// [`ShardedSystemBuilder::auto_respawn`].
-    pub auto_respawn: bool,
-    /// Fault injection: worker `w` panics after sending its `n`-th
-    /// answer; see [`ShardedSystemBuilder::worker_panic_after`].
-    pub worker_panic_after: Option<(usize, u64)>,
-    /// Fault injection: shard `s` panics after its `n`-th decode; see
-    /// [`ShardedSystemBuilder::shard_panic_after`].
-    pub shard_panic_after: Option<(usize, u64)>,
-    /// Fault injection: workers drop (never send) every share bound
-    /// for shard `s`'s partitions while still accounting the answers;
-    /// see [`ShardedSystemBuilder::drop_shard_traffic`].
-    pub drop_shard_traffic: Option<usize>,
     /// Ack-stall threshold before a supervised link proactively
     /// resends its unacked window; see
     /// [`ShardedSystemBuilder::link_resend_after`]. `None` keeps the
@@ -444,15 +329,10 @@ impl Default for ShardedConfig {
             pipeline_depth: 2,
             partition_capacity: 0,
             concurrent_queries: 1,
-            straggler: None,
             seed: 0,
             confidence: 0.95,
             analyst_key: 0x5EED_0000_CAFE,
             epoch_deadline: DEFAULT_EPOCH_DEADLINE,
-            auto_respawn: true,
-            worker_panic_after: None,
-            shard_panic_after: None,
-            drop_shard_traffic: None,
             link_resend_after: None,
         }
     }
@@ -508,9 +388,8 @@ pub struct ShardedSystemBuilder {
     snapshot_every: u64,
     /// Journal segment rotation threshold (`0` = store default).
     journal_segment_bytes: u64,
-    /// Crash-injection hook: `abort()` right after the n-th submitted
-    /// epoch's journal records are fsynced, before any worker send.
-    crash_after_journal: Option<u64>,
+    /// Test hooks (none by default).
+    faults: FaultInjector,
 }
 
 impl ShardedSystemBuilder {
@@ -552,17 +431,14 @@ impl ShardedSystemBuilder {
         self
     }
 
-    /// Crash-injection hook for the kill-9 recovery harness: the
-    /// process calls [`std::process::abort`] immediately after the
-    /// `epoch`-th (0-based, counted across the deployment's lifetime)
-    /// submitted epoch's journal records hit disk — after the fsync
-    /// barrier, **before** any worker send. This is the exact point
-    /// the durability contract pivots on: the charge is spent on disk
-    /// but no answer escaped.
-    pub fn crash_after_journal(mut self, epoch: u64) -> Self {
-        self.crash_after_journal = Some(epoch);
+    /// Arms the deployment's test hooks (stragglers, injected panics,
+    /// dropped traffic, a crash between journal fsync and first send);
+    /// see [`FaultInjector`]. Production code never calls this.
+    pub fn fault_injector(mut self, faults: FaultInjector) -> Self {
+        self.faults = faults;
         self
     }
+
     /// Hosts proxies and shards as `privapprox-node` child processes
     /// (spawned from `node`) connected over loopback TCP instead of
     /// in-process threads. Everything else — epoch pipeline,
@@ -646,16 +522,6 @@ impl ShardedSystemBuilder {
         self
     }
 
-    /// Injects an artificial delay before every epoch close on shard
-    /// `shard` — the straggler-shard stress hook: workers run epochs
-    /// ahead (up to the pipeline depth) while the straggler lags, and
-    /// results must still be byte-identical to the single-threaded
-    /// harness.
-    pub fn straggler(mut self, shard: usize, delay: Duration) -> Self {
-        self.config.straggler = Some((shard, delay));
-        self
-    }
-
     /// Sets the **epoch deadline**: how long a shard waits for an
     /// epoch's expected answers before closing with the decodes it
     /// has (a *partial close*). The estimate of a partial close stays
@@ -679,50 +545,6 @@ impl ShardedSystemBuilder {
     /// resend traffic.
     pub fn link_resend_after(mut self, after: Duration) -> Self {
         self.config.link_resend_after = Some(after);
-        self
-    }
-
-    /// Enables or disables automatic respawn of dead threads
-    /// (default: enabled). With respawn disabled, a dead thread is
-    /// reported as a [`DeployError`] and permanently retired — its
-    /// clients/partitions degrade every subsequent epoch.
-    pub fn auto_respawn(mut self, enabled: bool) -> Self {
-        self.config.auto_respawn = enabled;
-        self
-    }
-
-    /// Fault injection: worker `worker` panics immediately after
-    /// sending its `answers`-th answer (counted across epochs). The
-    /// hook does not survive a respawn — the fault fires once.
-    pub fn worker_panic_after(mut self, worker: usize, answers: u64) -> Self {
-        self.config.worker_panic_after = Some((worker, answers));
-        self
-    }
-
-    /// Fault injection: shard `shard` panics on its `decodes`-th
-    /// decoded answer. The hook does not survive a respawn.
-    pub fn shard_panic_after(mut self, shard: usize, decodes: u64) -> Self {
-        self.config.shard_panic_after = Some((shard, decodes));
-        self
-    }
-
-    /// Fault injection: every worker *accounts* answers bound for
-    /// shard `shard`'s partitions but never sends their shares — the
-    /// deterministic straggler-loss hook behind the partial-close
-    /// tests (the epoch's expectation includes the dropped answers,
-    /// so the close can only fire on its deadline).
-    pub fn drop_shard_traffic(mut self, shard: usize) -> Self {
-        self.config.drop_shard_traffic = Some(shard);
-        self
-    }
-
-    /// Adopts thread/shard counts from a cluster-tier mapping — the
-    /// bridge from the simulator's `ClusterSpec`s to the real
-    /// runtime.
-    pub fn shape(mut self, shape: DeploymentShape) -> Self {
-        self.config.proxies = shape.proxies;
-        self.config.shards = shape.shards;
-        self.config.workers = shape.workers;
         self
     }
 
@@ -756,7 +578,6 @@ impl ShardedSystemBuilder {
     /// panicking.
     pub fn try_build(self) -> Result<ShardedSystem, DeployError> {
         let c = self.config;
-        let durable_dir = self.durable_dir;
         let snapshot_every = if self.snapshot_every == 0 {
             8
         } else {
@@ -766,14 +587,6 @@ impl ShardedSystemBuilder {
             DEFAULT_SEGMENT_BYTES
         } else {
             self.journal_segment_bytes
-        };
-        let crash_after_journal = self.crash_after_journal;
-        let transport = match self.node_binary {
-            Some(node) => TransportMode::Process {
-                node,
-                faults: self.link_faults,
-            },
-            None => TransportMode::InProcess,
         };
         let invalid = |m: String| Err(DeployError::InvalidConfig(m));
         if c.clients == 0 {
@@ -788,25 +601,8 @@ impl ShardedSystemBuilder {
         if c.workers < 1 {
             return invalid("need at least one client worker".into());
         }
-        if let Some((s, _)) = c.straggler {
-            if s >= c.shards {
-                return invalid(format!("straggler shard {s} out of range"));
-            }
-        }
-        if let Some((w, _)) = c.worker_panic_after {
-            if w >= c.workers {
-                return invalid(format!("fault-injected worker {w} out of range"));
-            }
-        }
-        if let Some((s, _)) = c.shard_panic_after {
-            if s >= c.shards {
-                return invalid(format!("fault-injected shard {s} out of range"));
-            }
-        }
-        if let Some(s) = c.drop_shard_traffic {
-            if s >= c.shards {
-                return invalid(format!("traffic-dropped shard {s} out of range"));
-            }
+        if let Err(m) = self.faults.validate(&c, self.node_binary.is_none()) {
+            return invalid(m);
         }
         if c.epoch_deadline.is_zero() {
             return invalid("epoch deadline must be positive".into());
@@ -847,206 +643,29 @@ impl ShardedSystemBuilder {
         // and counted ([`DeployHealth::dead_letter_dropped`]).
         broker.create_topic_drop_oldest(DEAD_LETTER_TOPIC, partitions, DEAD_LETTER_CAP);
 
-        // Order matters: create every proxy and shard consumer *now*,
-        // on this thread, so group membership — and therefore the
-        // partition → shard mapping — is complete and deterministic
-        // before the first record is produced. (A shard joining the
-        // "aggregator" group after a sibling already polled would
-        // strand shares across joiners.) The process transport keeps
-        // the exact same group names and join order, just with bridge
-        // consumers in place of the in-process relay/aggregator ones —
-        // that is what pins its partition→shard mapping (and so its
-        // results) byte-identical to in-process.
-        enum StagePlan {
-            InProc {
-                proxies: Vec<Proxy>,
-                aggs: Vec<Aggregator>,
-            },
-            Remote {
-                proxy_consumers: Vec<Consumer>,
-                shard_consumers: Vec<Consumer>,
-            },
-        }
-        let plan = match &transport {
-            TransportMode::InProcess => StagePlan::InProc {
-                proxies: (0..c.proxies)
-                    .map(|i| Proxy::new(ProxyId(i), &broker))
-                    .collect(),
-                aggs: (0..c.shards)
-                    .map(|_| {
-                        let mut agg = Aggregator::new(&broker, c.proxies as usize, c.confidence);
-                        agg.set_dead_letter(broker.writer(DEAD_LETTER_TOPIC));
-                        agg
-                    })
-                    .collect(),
-            },
-            TransportMode::Process { .. } => {
-                let out_names: Vec<String> = (0..c.proxies)
-                    .map(|i| outbound_topic(ProxyId(i)))
-                    .collect();
-                let out_refs: Vec<&str> = out_names.iter().map(String::as_str).collect();
-                StagePlan::Remote {
-                    proxy_consumers: (0..c.proxies)
-                        .map(|i| {
-                            broker.consumer(&format!("proxy-{i}"), &[&inbound_topic(ProxyId(i))])
-                        })
-                        .collect(),
-                    shard_consumers: (0..c.shards)
-                        .map(|_| broker.consumer("aggregator", &out_refs))
-                        .collect(),
-                }
-            }
-        };
-
-        let crashes: CrashLog = Arc::new(Mutex::new(Vec::new()));
-        let ledger = Arc::new(EpochLedger::new());
-        let mut watchdog = Watchdog::new();
-
-        let workers = (0..c.workers)
-            .map(|w| {
-                WorkerHandle::spawn(
-                    w,
-                    &c,
-                    partitions,
-                    &broker,
-                    Arc::clone(&crashes),
-                    watchdog.register(&format!("worker-{w}")),
-                )
-            })
-            .collect();
-        let mut link_stats: Vec<Arc<LinkStats>> = Vec::new();
-        let mut children: Vec<(String, u32)> = Vec::new();
-        let (proxy_threads, shard_threads): (Vec<ProxyHandle>, Vec<ShardHandle>) = match plan {
-            StagePlan::InProc { proxies, aggs } => {
-                let proxy_threads = proxies
-                    .into_iter()
-                    .map(|p| {
-                        let hb = watchdog.register(&format!("proxy-{}", p.id().0));
-                        ProxyHandle::spawn(p, Arc::clone(&crashes), hb, (0, 0, 0))
-                    })
-                    .collect();
-                let shard_threads = aggs
-                    .into_iter()
-                    .enumerate()
-                    .map(|(s, agg)| {
-                        let straggle = match c.straggler {
-                            Some((idx, delay)) if idx == s => Some(delay),
-                            _ => None,
-                        };
-                        let fuse = match c.shard_panic_after {
-                            Some((idx, n)) if idx == s => Some(n),
-                            _ => None,
-                        };
-                        ShardHandle::spawn(ShardSpawn {
-                            index: s,
-                            agg,
-                            straggle,
-                            deadline: c.epoch_deadline,
-                            fuse,
-                            ledger: Arc::clone(&ledger),
-                            crashes: Arc::clone(&crashes),
-                            heartbeat: watchdog.register(&format!("shard-{s}")),
-                            broker: broker.clone(),
-                        })
-                    })
-                    .collect();
-                (proxy_threads, shard_threads)
-            }
-            StagePlan::Remote {
-                proxy_consumers,
-                shard_consumers,
-            } => {
-                let (node, faults) = match &transport {
-                    TransportMode::Process { node, faults } => (node.clone(), *faults),
-                    TransportMode::InProcess => unreachable!("remote plan implies process mode"),
-                };
-                let mut proxy_threads = Vec::with_capacity(c.proxies as usize);
-                for (i, consumer) in proxy_consumers.into_iter().enumerate() {
-                    let child = spawn_node_or_invalid(
-                        &node,
-                        "proxy",
-                        i,
-                        &proxy_node_args(i, partitions),
-                    )?;
-                    children.push((format!("proxy-{i}"), child.pid()));
-                    let stats = LinkStats::shared();
-                    link_stats.push(Arc::clone(&stats));
-                    let mut link = remote::node_link(
-                        child.addr(),
-                        i as u32,
-                        faults,
-                        Arc::clone(&stats),
-                        link_seed(c.seed, "proxy", i),
-                    );
-                    if let Some(after) = c.link_resend_after {
-                        link.set_resend_after(after);
-                    }
-                    proxy_threads.push(ProxyHandle::spawn_remote(RemoteProxySpawn {
-                        index: i,
-                        consumer,
-                        link,
-                        child,
-                        crashes: Arc::clone(&crashes),
-                        heartbeat: watchdog.register(&format!("proxy-{i}")),
-                        broker: broker.clone(),
-                        base: (0, 0, 0),
-                    }));
-                }
-                let mut shard_threads = Vec::with_capacity(c.shards);
-                for (s, consumer) in shard_consumers.into_iter().enumerate() {
-                    let straggle = match c.straggler {
-                        Some((idx, delay)) if idx == s => Some(delay),
-                        _ => None,
-                    };
-                    let fuse = match c.shard_panic_after {
-                        Some((idx, n)) if idx == s => Some(n),
-                        _ => None,
-                    };
-                    let child = spawn_node_or_invalid(
-                        &node,
-                        "shard",
-                        s,
-                        &shard_node_args(s, partitions, c.proxies as usize, c.confidence, fuse),
-                    )?;
-                    children.push((format!("shard-{s}"), child.pid()));
-                    let stats = LinkStats::shared();
-                    link_stats.push(Arc::clone(&stats));
-                    let mut link = remote::node_link(
-                        child.addr(),
-                        s as u32,
-                        faults,
-                        Arc::clone(&stats),
-                        link_seed(c.seed, "shard", s),
-                    );
-                    if let Some(after) = c.link_resend_after {
-                        link.set_resend_after(after);
-                    }
-                    shard_threads.push(ShardHandle::spawn_remote(RemoteShardSpawn {
-                        index: s,
-                        consumer,
-                        link,
-                        child,
-                        straggle,
-                        deadline: c.epoch_deadline,
-                        ledger: Arc::clone(&ledger),
-                        crashes: Arc::clone(&crashes),
-                        heartbeat: watchdog.register(&format!("shard-{s}")),
-                        broker: broker.clone(),
-                    }));
-                }
-                (proxy_threads, shard_threads)
-            }
-        };
-
-        let mut system = ShardedSystem {
+        let host = Host {
             config: c,
-            transport,
-            link_stats,
+            transport: match self.node_binary {
+                Some(node) => TransportMode::Process {
+                    node,
+                    faults: self.link_faults,
+                },
+                None => TransportMode::InProcess,
+            },
             partitions,
             broker,
-            workers,
-            proxies: proxy_threads,
-            shards: shard_threads,
+            crashes: CrashLog::default(),
+            ledger: Arc::default(),
+            watchdog: Watchdog::new(),
+            link_stats: Vec::new(),
+            children: Vec::new(),
+            faults: self.faults,
+        };
+        let mut system = ShardedSystem {
+            host,
+            workers: Vec::new(),
+            proxies: Vec::new(),
+            shards: Vec::new(),
             queries: HashMap::new(),
             initializer: Initializer::new(),
             now_ms: 0,
@@ -1056,16 +675,12 @@ impl ShardedSystemBuilder {
             spare_shells: Vec::new(),
             pending_recycle: vec![Vec::new(); c.shards],
             busy: BusyProfile::new(c.workers, c.proxies as usize, c.shards),
-            crashes,
-            ledger,
-            watchdog,
             history: Vec::new(),
             faults: Vec::new(),
             partial_closes: 0,
             lost_answers: 0,
             respawns: 0,
             worker_backpressure: 0,
-            children,
             admitted: Vec::new(),
             ledgers: HashMap::new(),
             retired: Vec::new(),
@@ -1081,9 +696,31 @@ impl ShardedSystemBuilder {
             recovered_warehouses: HashMap::new(),
             epochs_closed_total: 0,
             epochs_submitted_total: 0,
-            crash_after_journal,
         };
-        if let Some(dir) = durable_dir {
+        // Order matters: every proxy and shard joins its consumer
+        // group *now*, on this thread, in slot order, so group
+        // membership — and therefore the partition → shard mapping —
+        // is complete and deterministic before the first record is
+        // produced. (A shard joining the "aggregator" group after a
+        // sibling already consumed would strand shares across
+        // joiners.) Both transports join the same groups in the same
+        // order, which is what pins the process transport's mapping
+        // (and so its results) byte-identical to in-process. A failed
+        // spawn drops `system`, which stops what was started.
+        let spawn_failed = |e: std::io::Error| DeployError::InvalidConfig(e.to_string());
+        for w in 0..c.workers {
+            let worker = WorkerHandle::spawn(w, &mut system.host);
+            system.workers.push(worker);
+        }
+        for i in 0..c.proxies as usize {
+            let proxy = system.host.spawn_proxy(i, Arc::default());
+            system.proxies.push(proxy.map_err(spawn_failed)?);
+        }
+        for s in 0..c.shards {
+            let shard = system.host.spawn_shard(s);
+            system.shards.push(shard.map_err(spawn_failed)?);
+        }
+        if let Some(dir) = self.durable_dir {
             let (durable, recovered) =
                 DurableState::open(&dir, journal_segment_bytes, snapshot_every).map_err(|e| {
                     DeployError::Persist {
@@ -1186,1213 +823,288 @@ impl WorkerHandle {
     /// [`System`](crate::System)'s, so per-client streams match the
     /// single-threaded harness seed for seed — including across a
     /// respawn, which reuses the same index.
-    fn spawn(
-        w: usize,
-        c: &ShardedConfig,
-        partitions: usize,
-        broker: &Broker,
-        crashes: CrashLog,
-        heartbeat: Heartbeat,
-    ) -> WorkerHandle {
+    fn spawn(w: usize, host: &mut Host) -> WorkerHandle {
         let (cmd_tx, cmd_rx) = channel::<WorkerCmd>();
         let (reply_tx, reply_rx) = channel::<WorkerReply>();
-        let broker = broker.clone();
-        let (workers, clients, seed, key, n_proxies) = (
+        let broker = host.broker.clone();
+        let c = host.config;
+        let (workers, clients, seed, key, n_proxies, partitions) = (
             c.workers,
             c.clients,
             c.seed,
             c.analyst_key,
             c.proxies as usize,
+            host.partitions,
         );
-        let mut fuse = match c.worker_panic_after {
-            Some((idx, n)) if idx == w => Some(n),
-            _ => None,
-        };
-        let drop_hook = c.drop_shard_traffic.map(|s| (s, c.shards));
-        let thread = std::thread::Builder::new()
-            .name(format!("pa-worker-{w}"))
-            .spawn(move || {
-                // The reply sender stays owned OUTSIDE the caught
-                // closure: a panic is recorded in the crash log
-                // before the channel disconnects, so the main
-                // thread's recv-error path always finds the message.
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let mut owned: Vec<(usize, Client)> = (0..clients)
-                        .filter(|i| (*i as usize) % workers == w)
-                        .map(|i| (i as usize, Client::new(ClientId(i), seed, key)))
-                        .collect();
-                    let mut scratch = ClientScratch::new();
-                    // Cached per-topic writers: no topic-name hash per
-                    // share, and one consumer wakeup per flushed run.
-                    let writers: Vec<TopicWriter> = (0..n_proxies)
-                        .map(|pi| broker.writer(&inbound_topic(ProxyId(pi as u16))))
-                        .collect();
-                    let mut per_partition = vec![0u64; partitions];
-                    // Batched send state, reused across epochs so the
-                    // steady state allocates nothing: one pending run
-                    // per (proxy topic, partition) — all of a
-                    // message's shares enter their runs together, and
-                    // a run flushes as ONE all-or-nothing batch
-                    // append (one partition lock, one capacity check)
-                    // once it reaches the flush grain. Entries hold
-                    // refcount clones of the split scratch's payload
-                    // slots and a pooled 24-byte query-tagged key
-                    // built once per message — no per-share
-                    // allocation or copy.
-                    let mut batches: Vec<Vec<Vec<BatchEntry>>> = (0..n_proxies)
-                        .map(|_| vec![Vec::new(); partitions])
-                        .collect();
-                    let mut key_pool = SlotPool::new();
-                    let flush_run = match writers.first().map(|w| w.capacity()) {
-                        Some(cap) if cap > 0 => WORKER_FLUSH_RUN.min(cap),
-                        _ => WORKER_FLUSH_RUN,
+        // Injected fault hooks fire once: a respawn finds the fuse
+        // already taken.
+        let mut fuse = host.faults.worker_fuse(w);
+        let drop_hook = host.faults.drop_hook(c.shards);
+        let heartbeat = host.watchdog.register(&format!("worker-{w}"));
+        let thread =
+            spawn_supervised(Role::Worker, w, Arc::clone(&host.crashes), move || {
+                let mut owned: Vec<(usize, Client)> = (0..clients)
+                    .filter(|i| (*i as usize) % workers == w)
+                    .map(|i| (i as usize, Client::new(ClientId(i), seed, key)))
+                    .collect();
+                let mut scratch = ClientScratch::new();
+                // Cached per-topic writers: no topic-name hash per
+                // share, and one consumer wakeup per flushed run.
+                let writers: Vec<TopicWriter> = (0..n_proxies)
+                    .map(|pi| broker.writer(&inbound_topic(ProxyId(pi as u16))))
+                    .collect();
+                let mut per_partition = vec![0u64; partitions];
+                // Batched send state, reused across epochs so the
+                // steady state allocates nothing: one pending run
+                // per (proxy topic, partition) — all of a
+                // message's shares enter their runs together, and
+                // a run flushes as ONE all-or-nothing batch
+                // append (one partition lock, one capacity check)
+                // once it reaches the flush grain. Entries hold
+                // refcount clones of the split scratch's payload
+                // slots and a pooled 24-byte query-tagged key
+                // built once per message — no per-share
+                // allocation or copy.
+                let mut batches: Vec<Vec<Vec<BatchEntry>>> = (0..n_proxies)
+                    .map(|_| vec![Vec::new(); partitions])
+                    .collect();
+                let mut key_pool = SlotPool::new();
+                let flush_run = match writers.first().map(|w| w.capacity()) {
+                    Some(cap) if cap > 0 => WORKER_FLUSH_RUN.min(cap),
+                    _ => WORKER_FLUSH_RUN,
+                };
+                // Flushes one partition's pending runs across all
+                // proxy topics; returns the number of messages
+                // published. Each topic's run is all-or-nothing;
+                // if topic `j` hits its backpressure deadline,
+                // topics `< j` have already published this run
+                // (those share sets expire at the join, exactly
+                // like the pre-batching failure path) and the
+                // run's messages stay uncounted.
+                // Every flushed run wakes its topic's consumer, so
+                // an epoch streams through the stages while it is
+                // still being answered. A relay that is awake
+                // costs the notify two atomic operations; only
+                // one that caught up and parked is rung.
+                let flush_partition = |writers: &[TopicWriter],
+                                       batches: &mut [Vec<Vec<BatchEntry>>],
+                                       partition: usize|
+                 -> Result<u64, CoreError> {
+                    let n = batches[0][partition].len() as u64;
+                    for (pi, writer) in writers.iter().enumerate() {
+                        writer
+                            .try_append_batch(partition, &mut batches[pi][partition])
+                            .map_err(CoreError::from)?;
+                        writer.notify();
+                    }
+                    Ok(n)
+                };
+                loop {
+                    heartbeat.beat();
+                    let cmd = match cmd_rx.recv_timeout(WORKER_IDLE_BEAT) {
+                        Ok(cmd) => cmd,
+                        Err(RecvTimeoutError::Timeout) => continue,
+                        Err(RecvTimeoutError::Disconnected) => break,
                     };
-                    // Flushes one partition's pending runs across all
-                    // proxy topics; returns the number of messages
-                    // published. Each topic's run is all-or-nothing;
-                    // if topic `j` hits its backpressure deadline,
-                    // topics `< j` have already published this run
-                    // (those share sets expire at the join, exactly
-                    // like the pre-batching failure path) and the
-                    // run's messages stay uncounted.
-                    // Every flushed run wakes its topic's consumer, so
-                    // an epoch streams through the stages while it is
-                    // still being answered. A relay that is awake
-                    // costs the notify two atomic operations; only
-                    // one that caught up and parked is rung.
-                    let flush_partition = |writers: &[TopicWriter],
-                                           batches: &mut [Vec<Vec<BatchEntry>>],
-                                           partition: usize|
-                     -> Result<u64, CoreError> {
-                        let n = batches[0][partition].len() as u64;
-                        for (pi, writer) in writers.iter().enumerate() {
-                            writer
-                                .try_append_batch(partition, &mut batches[pi][partition])
-                                .map_err(CoreError::from)?;
-                            writer.notify();
+                    match cmd {
+                        WorkerCmd::Load(LoadCmd::Numeric { table, column, f }) => {
+                            for (i, client) in &mut owned {
+                                let db = client.db_mut();
+                                db.create_table(
+                                    &table,
+                                    Schema::new(vec![
+                                        ("ts", ColumnType::Int),
+                                        (column.as_str(), ColumnType::Float),
+                                    ]),
+                                );
+                                db.insert(&table, vec![Value::Int(0), Value::Float(f(*i))])
+                                    .expect("schema arity");
+                            }
+                            let _ = reply_tx.send(WorkerReply::Loaded);
                         }
-                        Ok(n)
-                    };
-                    loop {
-                        heartbeat.beat();
-                        let cmd = match cmd_rx.recv_timeout(WORKER_IDLE_BEAT) {
-                            Ok(cmd) => cmd,
-                            Err(RecvTimeoutError::Timeout) => continue,
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        };
-                        match cmd {
-                            WorkerCmd::Load(LoadCmd::Numeric { table, column, f }) => {
-                                for (i, client) in &mut owned {
-                                    let db = client.db_mut();
-                                    db.create_table(
-                                        &table,
-                                        Schema::new(vec![
-                                            ("ts", ColumnType::Int),
-                                            (column.as_str(), ColumnType::Float),
-                                        ]),
-                                    );
-                                    db.insert(&table, vec![Value::Int(0), Value::Float(f(*i))])
-                                        .expect("schema arity");
+                        WorkerCmd::Load(LoadCmd::Rows { table, schema, f }) => {
+                            for (i, client) in &mut owned {
+                                let db = client.db_mut();
+                                db.create_table(&table, schema.clone());
+                                for row in f(*i) {
+                                    db.insert(&table, row).expect("schema arity");
                                 }
-                                let _ = reply_tx.send(WorkerReply::Loaded);
                             }
-                            WorkerCmd::Load(LoadCmd::Rows { table, schema, f }) => {
-                                for (i, client) in &mut owned {
-                                    let db = client.db_mut();
-                                    db.create_table(&table, schema.clone());
-                                    for row in f(*i) {
-                                        db.insert(&table, row).expect("schema arity");
-                                    }
-                                }
-                                let _ = reply_tx.send(WorkerReply::Loaded);
-                            }
-                            WorkerCmd::Answer {
-                                query,
-                                params,
-                                ts,
-                                live,
-                            } => {
-                                if !live {
-                                    // Muted history replay (respawn
-                                    // catch-up): every client runs
-                                    // the full answer pipeline so its
-                                    // RNG advances exactly as the
-                                    // predecessor's did, stopping at
-                                    // the first error like the live
-                                    // path — but nothing is sent and
-                                    // nothing is replied.
-                                    if query.verify(key) {
-                                        for (_, client) in &mut owned {
-                                            if client
-                                                .answer_query_into_preverified(
-                                                    &query,
-                                                    &params,
-                                                    n_proxies,
-                                                    &mut scratch,
-                                                )
-                                                .is_err()
-                                            {
-                                                break;
-                                            }
+                            let _ = reply_tx.send(WorkerReply::Loaded);
+                        }
+                        WorkerCmd::Answer {
+                            query,
+                            params,
+                            ts,
+                            live,
+                        } => {
+                            if !live {
+                                // Muted history replay (respawn
+                                // catch-up): every client runs
+                                // the full answer pipeline so its
+                                // RNG advances exactly as the
+                                // predecessor's did, stopping at
+                                // the first error like the live
+                                // path — but nothing is sent and
+                                // nothing is replied.
+                                if query.verify(key) {
+                                    for (_, client) in &mut owned {
+                                        if client
+                                            .answer_query_into_preverified(
+                                                &query,
+                                                &params,
+                                                n_proxies,
+                                                &mut scratch,
+                                            )
+                                            .is_err()
+                                        {
+                                            break;
                                         }
                                     }
-                                    let _ = ts;
-                                    continue;
                                 }
-                                let t0 = thread_busy_time();
-                                let qtag = query.id.to_u64().to_be_bytes();
-                                per_partition.iter_mut().for_each(|n| *n = 0);
-                                // One signature check for the whole
-                                // population: the query is a single
-                                // immutable value, so the per-client
-                                // verdicts cannot differ, and verify
-                                // consumes no RNG — answers stay
-                                // byte-identical to per-client
-                                // verification. A forgery surfaces
-                                // exactly like the first client
-                                // failing (zero sent, error reply).
-                                let mut failure = if query.verify(key) {
-                                    None
-                                } else {
-                                    Some(CoreError::BadSignature)
-                                };
-                                'clients: for (i, client) in &mut owned {
-                                    if failure.is_some() {
-                                        break;
-                                    }
-                                    match client.answer_query_into_preverified(
-                                        &query,
-                                        &params,
-                                        n_proxies,
-                                        &mut scratch,
-                                    ) {
-                                        Ok(None) => {}
-                                        Ok(Some(shares)) => {
-                                            let partition = *i % partitions;
-                                            let dropped = drop_hook
-                                                .is_some_and(|(s, m)| partition % m == s);
-                                            if dropped {
-                                                // Accounted but never sent —
-                                                // the drop-traffic fault.
-                                                per_partition[partition] += 1;
-                                            } else {
-                                                // One pooled 24-byte key per
-                                                // message — query tag (u64
-                                                // BE) ‖ MID — refcounted
-                                                // across its n shares;
-                                                // payloads ride by refcount
-                                                // from the split scratch's
-                                                // slots.
-                                                let mut key = key_pool.acquire(24);
-                                                let slot = Arc::get_mut(&mut key)
-                                                    .expect("acquired key slot is unique");
-                                                slot[..8].copy_from_slice(&qtag);
-                                                slot[8..].copy_from_slice(
-                                                    &shares[0].mid.to_bytes(),
-                                                );
-                                                for (pi, share) in shares.iter().enumerate()
-                                                {
-                                                    batches[pi][partition].push((
-                                                        Some(Arc::clone(&key)),
-                                                        Arc::clone(&share.payload),
-                                                        ts,
-                                                    ));
-                                                }
-                                                key_pool.release(key);
-                                                if batches[0][partition].len() >= flush_run {
-                                                    match flush_partition(
-                                                        &writers,
-                                                        &mut batches,
-                                                        partition,
-                                                    ) {
-                                                        Ok(n) => per_partition[partition] += n,
-                                                        Err(e) => {
-                                                            // The run's messages stay
-                                                            // unaccounted; any topic
-                                                            // already flushed leaves
-                                                            // expired joins.
-                                                            failure = Some(e);
-                                                            break 'clients;
-                                                        }
+                                let _ = ts;
+                                continue;
+                            }
+                            let t0 = thread_busy_time();
+                            let qtag = query.id.to_u64().to_be_bytes();
+                            per_partition.iter_mut().for_each(|n| *n = 0);
+                            // One signature check for the whole
+                            // population: the query is a single
+                            // immutable value, so the per-client
+                            // verdicts cannot differ, and verify
+                            // consumes no RNG — answers stay
+                            // byte-identical to per-client
+                            // verification. A forgery surfaces
+                            // exactly like the first client
+                            // failing (zero sent, error reply).
+                            let mut failure = if query.verify(key) {
+                                None
+                            } else {
+                                Some(CoreError::BadSignature)
+                            };
+                            'clients: for (i, client) in &mut owned {
+                                if failure.is_some() {
+                                    break;
+                                }
+                                match client.answer_query_into_preverified(
+                                    &query,
+                                    &params,
+                                    n_proxies,
+                                    &mut scratch,
+                                ) {
+                                    Ok(None) => {}
+                                    Ok(Some(shares)) => {
+                                        let partition = *i % partitions;
+                                        let dropped = drop_hook
+                                            .is_some_and(|(s, m)| partition % m == s);
+                                        if dropped {
+                                            // Accounted but never sent —
+                                            // the drop-traffic fault.
+                                            per_partition[partition] += 1;
+                                        } else {
+                                            // One pooled 24-byte key per
+                                            // message — query tag (u64
+                                            // BE) ‖ MID — refcounted
+                                            // across its n shares;
+                                            // payloads ride by refcount
+                                            // from the split scratch's
+                                            // slots.
+                                            let mut key = key_pool.acquire(24);
+                                            let slot = Arc::get_mut(&mut key)
+                                                .expect("acquired key slot is unique");
+                                            slot[..8].copy_from_slice(&qtag);
+                                            slot[8..].copy_from_slice(
+                                                &shares[0].mid.to_bytes(),
+                                            );
+                                            for (pi, share) in shares.iter().enumerate()
+                                            {
+                                                batches[pi][partition].push((
+                                                    Some(Arc::clone(&key)),
+                                                    Arc::clone(&share.payload),
+                                                    ts,
+                                                ));
+                                            }
+                                            key_pool.release(key);
+                                            if batches[0][partition].len() >= flush_run {
+                                                match flush_partition(
+                                                    &writers,
+                                                    &mut batches,
+                                                    partition,
+                                                ) {
+                                                    Ok(n) => per_partition[partition] += n,
+                                                    Err(e) => {
+                                                        // The run's messages stay
+                                                        // unaccounted; any topic
+                                                        // already flushed leaves
+                                                        // expired joins.
+                                                        failure = Some(e);
+                                                        break 'clients;
                                                     }
                                                 }
                                             }
-                                            if let Some(n) = fuse.as_mut() {
-                                                if *n <= 1 {
-                                                    panic!("injected worker fault");
-                                                }
-                                                *n -= 1;
-                                            }
                                         }
+                                        if let Some(n) = fuse.as_mut() {
+                                            if *n <= 1 {
+                                                panic!("injected worker fault");
+                                            }
+                                            *n -= 1;
+                                        }
+                                    }
+                                    Err(e) => {
+                                        failure = Some(e);
+                                        break;
+                                    }
+                                }
+                            }
+                            if failure.is_none() {
+                                // Drain the partial runs; a failure here
+                                // surfaces like a mid-epoch one.
+                                for partition in 0..partitions {
+                                    if batches[0][partition].is_empty() {
+                                        continue;
+                                    }
+                                    match flush_partition(&writers, &mut batches, partition)
+                                    {
+                                        Ok(n) => per_partition[partition] += n,
                                         Err(e) => {
                                             failure = Some(e);
                                             break;
                                         }
                                     }
                                 }
-                                if failure.is_none() {
-                                    // Drain the partial runs; a failure here
-                                    // surfaces like a mid-epoch one.
-                                    for partition in 0..partitions {
-                                        if batches[0][partition].is_empty() {
-                                            continue;
-                                        }
-                                        match flush_partition(&writers, &mut batches, partition)
-                                        {
-                                            Ok(n) => per_partition[partition] += n,
-                                            Err(e) => {
-                                                failure = Some(e);
-                                                break;
-                                            }
-                                        }
-                                    }
-                                }
-                                // On failure, abandon whatever runs remain:
-                                // clearing drops the payload/key refcounts so
-                                // the scratch slots recycle, and the next
-                                // epoch starts from clean batches.
-                                for topic_batches in &mut batches {
-                                    for b in topic_batches {
-                                        b.clear();
-                                    }
-                                }
-                                let busy = thread_busy_time().saturating_sub(t0);
-                                // Counts always travel with the reply,
-                                // error or not: shares sent *before* a
-                                // failing client are already in the
-                                // broker, and the epoch-tagged close is
-                                // what lets a later epoch run from
-                                // consistent counts.
-                                let _ = reply_tx.send(WorkerReply::Answered {
-                                    per_partition: per_partition.clone(),
-                                    error: failure,
-                                    busy,
-                                });
                             }
-                            WorkerCmd::Die => panic!("injected worker fault"),
-                            WorkerCmd::Shutdown => break,
+                            // On failure, abandon whatever runs remain:
+                            // clearing drops the payload/key refcounts so
+                            // the scratch slots recycle, and the next
+                            // epoch starts from clean batches.
+                            for topic_batches in &mut batches {
+                                for b in topic_batches {
+                                    b.clear();
+                                }
+                            }
+                            let busy = thread_busy_time().saturating_sub(t0);
+                            // Counts always travel with the reply,
+                            // error or not: shares sent *before* a
+                            // failing client are already in the
+                            // broker, and the epoch-tagged close is
+                            // what lets a later epoch run from
+                            // consistent counts.
+                            let _ = reply_tx.send(WorkerReply::Answered {
+                                per_partition: per_partition.clone(),
+                                error: failure,
+                                busy,
+                            });
                         }
+                        WorkerCmd::Die => panic!("injected worker fault"),
+                        WorkerCmd::Shutdown => break,
                     }
-                }));
-                if let Err(payload) = outcome {
-                    crashes.lock().expect("crash log lock").push(Crash {
-                        role: "worker",
-                        index: w,
-                        message: panic_message(&*payload),
-                    });
                 }
-                // reply_tx (and cmd_rx) drop here — after the crash
-                // record is visible.
-                drop(reply_tx);
-            })
-            .expect("spawn worker thread");
+            });
         WorkerHandle {
             cmd: cmd_tx,
             reply: reply_rx,
             thread: Some(thread),
             reply_debt: 0,
-            dead: false,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Proxy threads: free-running partition-preserving relays.
-
-struct ProxyHandle {
-    stop: Arc<AtomicBool>,
-    forwarded: Arc<AtomicU64>,
-    busy_ns: Arc<AtomicU64>,
-    /// Backpressure deadlines the relay rode out (the batch is
-    /// retained and retried, so these are stalls, not losses).
-    backpressure: Arc<AtomicU64>,
-    in_topic: String,
-    thread: Option<JoinHandle<()>>,
-    dead: bool,
-}
-
-impl ProxyHandle {
-    /// Spawns a relay thread that forwards continuously until told to
-    /// stop: a proxy holds no epoch state, so it needs no epoch
-    /// commands — it parks on its consumer's event count and forwards
-    /// whatever lands, whichever epoch it belongs to.
-    ///
-    /// `base` seeds the `(forwarded, busy_ns, backpressure)` counters
-    /// so a respawned relay reports monotone cumulative values.
-    fn spawn(
-        mut proxy: Proxy,
-        crashes: CrashLog,
-        heartbeat: Heartbeat,
-        base: (u64, u64, u64),
-    ) -> ProxyHandle {
-        let index = proxy.id().0 as usize;
-        let stop = Arc::new(AtomicBool::new(false));
-        let forwarded = Arc::new(AtomicU64::new(base.0));
-        let busy_ns = Arc::new(AtomicU64::new(base.1));
-        let backpressure = Arc::new(AtomicU64::new(base.2));
-        let in_topic = inbound_topic(proxy.id());
-        let (stop2, forwarded2, busy2, bp2) = (
-            Arc::clone(&stop),
-            Arc::clone(&forwarded),
-            Arc::clone(&busy_ns),
-            Arc::clone(&backpressure),
-        );
-        let thread = std::thread::Builder::new()
-            .name(format!("pa-proxy-{index}"))
-            .spawn(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let wake = Arc::clone(proxy.wake());
-                    loop {
-                        // Before looking at the stop flag or the topic:
-                        // whatever lands after this turns the park
-                        // below into a no-op.
-                        let token = wake.token();
-                        if stop2.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        heartbeat.beat();
-                        let t0 = thread_busy_time();
-                        let pumped = proxy.try_pump();
-                        let dt = thread_busy_time().saturating_sub(t0);
-                        busy2.fetch_add(dt.as_nanos() as u64, Ordering::Relaxed);
-                        match pumped {
-                            // Nothing to relay: sleep until a share
-                            // lands on the inbound topic (or the stop
-                            // flag's wake).
-                            Ok(0) => {
-                                wake.park(token, PROXY_PARK);
-                            }
-                            Ok(n) => {
-                                forwarded2.fetch_add(n, Ordering::Relaxed);
-                            }
-                            // A backpressure deadline is a stall
-                            // downstream, not a relay fault: the
-                            // unforwarded tail stays buffered and the
-                            // next pump retries it.
-                            Err(_) => {
-                                bp2.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    // Final drain so shutdown leaves no stranded shares.
-                    if let Ok(n) = proxy.try_pump() {
-                        forwarded2.fetch_add(n, Ordering::Relaxed);
-                    }
-                }));
-                if let Err(payload) = outcome {
-                    crashes.lock().expect("crash log lock").push(Crash {
-                        role: "proxy",
-                        index,
-                        message: panic_message(&*payload),
-                    });
-                }
-            })
-            .expect("spawn proxy thread");
-        ProxyHandle {
-            stop,
-            forwarded,
-            busy_ns,
-            backpressure,
-            in_topic,
-            thread: Some(thread),
-            dead: false,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shard threads: free-running join ⟂ decode ⟂ window with per-epoch
-// in-flight accounting.
-
-/// An epoch close request: "once `expect` answers tagged `epoch` have
-/// been decoded, advance the watermark and emit the closed windows".
-struct CloseCmd {
-    epoch: Timestamp,
-    expect: u64,
-    watermark: Timestamp,
-    /// Estimators coming home from a previous epoch's merge.
-    recycle: Vec<BucketEstimator>,
-}
-
-enum ShardCmd {
-    Register {
-        query: Arc<Query>,
-        params: ExecutionParams,
-        population: u64,
-        /// Keep this query's decoded answers for batch queries
-        /// (historical retention, §3.3.1).
-        retain: bool,
-    },
-    Close(CloseCmd),
-    /// Historical fetch: return the retained answers of `query`
-    /// within `range`.
-    Fetch { query: QueryId, range: Window },
-    /// Health-counter snapshot (no watermark movement).
-    Probe,
-    /// Chaos hook: panic on receipt.
-    Die,
-    Shutdown,
-}
-
-enum ShardReply {
-    Registered,
-    /// Retained `(timestamp, MID, randomized answer)` triples for a
-    /// [`ShardCmd::Fetch`].
-    Stored {
-        answers: Vec<(u64, u128, BitVec)>,
-    },
-    Closed {
-        /// Answers **this shard** decoded under the closed epoch's
-        /// tag. The main thread sums the replies: a total below the
-        /// close's global `expect` is a partial close.
-        decoded: u64,
-        windows: Vec<RawWindow>,
-        /// Cumulative CPU time of the shard thread (monotone within
-        /// one incarnation; the handle adds the respawn base).
-        busy: Duration,
-    },
-    Health {
-        /// `(undecodable, unroutable, duplicates, expired_joins)`.
-        quad: (u64, u64, u64, u64),
-        /// Records quarantined to the dead-letter topic.
-        dead_lettered: u64,
-        /// Decoded answers dropped behind the watermark.
-        late_answers: u64,
-        /// Cumulative CPU time.
-        busy: Duration,
-    },
-}
-
-struct ShardHandle {
-    cmd: Sender<ShardCmd>,
-    reply: Receiver<ShardReply>,
-    thread: Option<JoinHandle<()>>,
-    /// CPU time accumulated by dead predecessor incarnations, added
-    /// to this incarnation's readings so the busy profile stays
-    /// monotone across respawns.
-    busy_base: Duration,
-    dead: bool,
-}
-
-/// Everything a shard thread needs at spawn — grouped because the
-/// respawn path rebuilds the full set.
-struct ShardSpawn {
-    index: usize,
-    agg: Aggregator,
-    straggle: Option<Duration>,
-    deadline: Duration,
-    /// Fault injection: panic on the `n`-th decode.
-    fuse: Option<u64>,
-    ledger: Arc<EpochLedger>,
-    crashes: CrashLog,
-    heartbeat: Heartbeat,
-    broker: Broker,
-}
-
-impl ShardHandle {
-    fn spawn(spec: ShardSpawn) -> ShardHandle {
-        let ShardSpawn {
-            index,
-            mut agg,
-            straggle,
-            deadline,
-            mut fuse,
-            ledger,
-            crashes,
-            heartbeat,
-            broker,
-        } = spec;
-        let (cmd_tx, cmd_rx) = channel::<ShardCmd>();
-        let (reply_tx, reply_rx) = channel::<ShardReply>();
-        let thread = std::thread::Builder::new()
-            .name(format!("pa-shard-{index}"))
-            .spawn(move || {
-                // The reply sender stays owned outside the caught
-                // closure — crash record before channel disconnect.
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                // Per-epoch in-flight accounting: decoded answers per
-                // epoch tag. A bounded scan list, not a map — at most
-                // pipeline-depth + 1 epochs are ever live, entries
-                // retire when their epoch closes, and the warm list
-                // never allocates per message. `published` mirrors
-                // what this shard has already reported to the global
-                // ledger (bumps are batched per poll, not per
-                // record).
-                let mut counts: Vec<(Timestamp, u64)> = Vec::new();
-                let mut published: Vec<(Timestamp, u64)> = Vec::new();
-                // Retained histories for queries registered with
-                // `retain`: the §3.3.1 at-rest store (randomized
-                // answers only), fetched by the main thread to serve
-                // batch queries.
-                let mut retained: HashMap<QueryId, Vec<(u64, u128, BitVec)>> = HashMap::new();
-                // Close requests queue in epoch order and are
-                // satisfied strictly FIFO (watermarks must advance in
-                // order); `Instant` tracks the epoch deadline.
-                let mut closes: VecDeque<(CloseCmd, Instant)> = VecDeque::new();
-                let wake = Arc::clone(agg.wake());
-                'run: loop {
-                    heartbeat.beat();
-                    // Before looking at any source: whatever lands
-                    // after this turns the park below into a no-op.
-                    let token = wake.token();
-                    let mut idle = true;
-                    // 1. Absorb all pending control messages.
-                    loop {
-                        let cmd = cmd_rx.try_recv();
-                        idle &= cmd.is_err();
-                        match cmd {
-                            Ok(ShardCmd::Register {
-                                query,
-                                params,
-                                population,
-                                retain,
-                            }) => {
-                                if retain {
-                                    // Keep whatever is already stored:
-                                    // re-registration (a feedback
-                                    // retune) must not wipe history.
-                                    retained.entry(query.id).or_default();
-                                }
-                                agg.register_query(&query, params, population);
-                                let _ = reply_tx.send(ShardReply::Registered);
-                            }
-                            Ok(ShardCmd::Fetch { query, range }) => {
-                                let answers = retained
-                                    .get(&query)
-                                    .map(|stored| {
-                                        stored
-                                            .iter()
-                                            .filter(|(ts, _, _)| range.contains(Timestamp(*ts)))
-                                            .cloned()
-                                            .collect()
-                                    })
-                                    .unwrap_or_default();
-                                let _ = reply_tx.send(ShardReply::Stored { answers });
-                            }
-                            Ok(ShardCmd::Close(c)) => closes.push_back((c, Instant::now())),
-                            Ok(ShardCmd::Probe) => {
-                                let _ = reply_tx.send(ShardReply::Health {
-                                    quad: (
-                                        agg.undecodable(),
-                                        agg.unroutable(),
-                                        agg.duplicates(),
-                                        agg.expired_joins(),
-                                    ),
-                                    dead_lettered: agg.dead_lettered(),
-                                    late_answers: agg.late_events(),
-                                    busy: thread_busy_time(),
-                                });
-                            }
-                            Ok(ShardCmd::Die) => panic!("injected shard fault"),
-                            Ok(ShardCmd::Shutdown) | Err(TryRecvError::Disconnected) => {
-                                break 'run;
-                            }
-                            Err(TryRecvError::Empty) => break,
-                        }
-                    }
-                    // 2. Satisfy the oldest close once the epoch's
-                    //    GLOBAL accounting settles (or its deadline
-                    //    fires → partial close).
-                    if let Some((front, since)) = closes.front() {
-                        let have = counts
-                            .iter()
-                            .find(|(t, _)| *t == front.epoch)
-                            .map(|(_, n)| *n)
-                            .unwrap_or(0);
-                        let global = ledger.count(front.epoch);
-                        if global >= front.expect || since.elapsed() >= deadline {
-                            let (c, _) = closes.pop_front().expect("front exists");
-                            if let Some(delay) = straggle {
-                                std::thread::sleep(delay);
-                            }
-                            for est in c.recycle {
-                                agg.release_estimator(est);
-                            }
-                            let mut windows = Vec::new();
-                            agg.advance_watermark_raw_into(c.watermark, &mut windows);
-                            // The epoch's accounting entries retire
-                            // with the close.
-                            counts.retain(|(t, _)| *t > c.epoch);
-                            published.retain(|(t, _)| *t > c.epoch);
-                            let _ = reply_tx.send(ShardReply::Closed {
-                                decoded: have,
-                                windows,
-                                busy: thread_busy_time(),
-                            });
-                            // Kick sibling shards out of their parks:
-                            // their own close checks re-read the
-                            // ledger at wakeup latency instead of
-                            // park-timeout latency.
-                            broker.notify_topic(&outbound_topic(ProxyId(0)));
-                            continue 'run;
-                        }
-                    }
-                    // 3. Pump what is there, tagging every decode with
-                    //    its epoch.
-                    let decoded = agg.pump_with(|qid, ts, mid, answer| {
-                        match counts.iter_mut().find(|(t, _)| *t == ts) {
-                            Some((_, n)) => *n += 1,
-                            None => counts.push((ts, 1)),
-                        }
-                        if let Some(stored) = retained.get_mut(&qid) {
-                            stored.push((ts.0, mid.0, answer.clone()));
-                        }
-                        if let Some(n) = fuse.as_mut() {
-                            if *n <= 1 {
-                                panic!("injected shard fault");
-                            }
-                            *n -= 1;
-                        }
-                    });
-                    // 4. Publish this poll's decode deltas to the
-                    //    global ledger (one bounded-scan lock per
-                    //    poll batch).
-                    for (t, n) in &counts {
-                        match published.iter_mut().find(|(pt, _)| pt == t) {
-                            Some((_, pn)) => {
-                                if *n > *pn {
-                                    ledger.add(*t, *n - *pn);
-                                    *pn = *n;
-                                }
-                            }
-                            None => {
-                                ledger.add(*t, *n);
-                                published.push((*t, *n));
-                            }
-                        }
-                    }
-                    // 5. Nothing to do: sleep until a relayed share
-                    //    lands on an outbound topic or a control wake
-                    //    (`wake_shards` after a command, a sibling's
-                    //    close kick) — the tick only serves the
-                    //    heartbeat and an overdue epoch deadline.
-                    if idle && decoded == 0 {
-                        wake.park(token, SHARD_PARK);
-                    }
-                }
-                }));
-                if let Err(payload) = outcome {
-                    crashes.lock().expect("crash log lock").push(Crash {
-                        role: "shard",
-                        index,
-                        message: panic_message(&*payload),
-                    });
-                }
-                drop(reply_tx);
-            })
-            .expect("spawn shard thread");
-        ShardHandle {
-            cmd: cmd_tx,
-            reply: reply_rx,
-            thread: Some(thread),
-            busy_base: Duration::ZERO,
-            dead: false,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Process-transport bridges: each remote proxy/shard slot is a spawned
-// `privapprox-node` child plus a bridge thread that speaks the wire
-// protocol on one side and the in-process handle protocol (the same
-// `ProxyHandle` atomics / `ShardCmd` channels) on the other — so the
-// main thread's epoch, supervision and respawn machinery is shared
-// verbatim between the two transports.
-
-/// Deterministic per-link jitter seed: deployment seed × role × slot,
-/// so backoff schedules are stable run to run and distinct link to
-/// link.
-fn link_seed(seed: u64, role: &str, index: usize) -> u64 {
-    let role_tag = role
-        .bytes()
-        .fold(0u64, |h, b| h.wrapping_mul(131).wrapping_add(b as u64));
-    seed ^ role_tag.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (index as u64).wrapping_mul(0xD1B5_4A32_D192_ED03)
-}
-
-fn proxy_node_args(index: usize, partitions: usize) -> Vec<String> {
-    vec![
-        "proxy".into(),
-        "--index".into(),
-        index.to_string(),
-        "--partitions".into(),
-        partitions.to_string(),
-    ]
-}
-
-fn shard_node_args(
-    index: usize,
-    partitions: usize,
-    proxies: usize,
-    confidence: f64,
-    fuse: Option<u64>,
-) -> Vec<String> {
-    let mut args = vec![
-        "shard".into(),
-        "--index".into(),
-        index.to_string(),
-        "--partitions".into(),
-        partitions.to_string(),
-        "--proxies".into(),
-        proxies.to_string(),
-        "--confidence-bits".into(),
-        confidence.to_bits().to_string(),
-    ];
-    if let Some(n) = fuse {
-        args.push("--fuse".into());
-        args.push(n.to_string());
-    }
-    args
-}
-
-/// Spawns a node child, mapping a spawn/banner failure to the typed
-/// build error (a missing or broken node binary is a configuration
-/// fault, not a runtime one).
-fn spawn_node_or_invalid(
-    node: &Path,
-    role: &str,
-    index: usize,
-    args: &[String],
-) -> Result<NodeChild, DeployError> {
-    remote::spawn_node(node, args)
-        .map_err(|e| DeployError::InvalidConfig(format!("spawn {role} node {index}: {e}")))
-}
-
-/// Appends one share relayed back by a child to the local broker,
-/// riding out backpressure deadlines exactly like the in-process
-/// relay: the record is retried, the stall is counted, nothing is
-/// dropped.
-fn deliver_share(writer: &TopicWriter, m: DataMsg, stalls: &AtomicU64) {
-    let key = m.key;
-    let value = m.value;
-    loop {
-        match writer.try_append_quiet(
-            m.partition as usize,
-            key.clone(),
-            Arc::clone(&value),
-            Timestamp(m.timestamp),
-        ) {
-            Ok(_) => return,
-            Err(_) => {
-                stalls.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-/// The park of a parent bridge thread: one sleep on its child's
-/// socket **and** its broker consumer's event count at once.
-///
-/// The consumer's event count is rung by every producer of the topics
-/// the bridge consumes and by control wakes
-/// ([`Broker::notify_topic`]: `wake_shards`, a sibling's close kick,
-/// the stop flag at drop). A bridge asleep in `poll(2)` cannot hear a
-/// condvar, so it installs a *bell* on that event count which rings
-/// the self-pipe its `poll(2)` also watches — only while the bridge
-/// is announced as parked, so a busy bridge costs its notifiers no
-/// syscall.
-struct BridgePark<'a> {
-    wake: &'a EventCount,
-    waker: Waker,
-}
-
-impl<'a> BridgePark<'a> {
-    fn new(consumer: &'a Consumer) -> BridgePark<'a> {
-        let waker = Waker::new().expect("open the bridge's self-pipe");
-        let wake = consumer.wake();
-        let bell = waker.clone();
-        wake.set_bell(move || bell.ring());
-        BridgePark { wake, waker }
-    }
-
-    /// Read **before** checking the bridge's sources.
-    fn token(&self) -> u64 {
-        self.wake.token()
-    }
-
-    /// Sleeps until the socket has input, the event count moves past
-    /// `token`, or the [`remote::LINK_READ_POLL`] watchdog tick — and
-    /// not at all if the count already moved. The caller has flushed.
-    fn park(&self, token: u64, link: &mut SupervisedLink) -> std::io::Result<()> {
-        self.wake
-            .park_in(token, || link.wait(&self.waker, remote::LINK_READ_POLL))
-            .unwrap_or(Ok(()))
-    }
-}
-
-/// Everything a remote proxy bridge needs at spawn (the respawn path
-/// rebuilds the full set, like [`ShardSpawn`]).
-struct RemoteProxySpawn {
-    index: usize,
-    /// Bridge consumer on the proxy's inbound topic — same group name
-    /// as the in-process relay, joined on the main thread.
-    consumer: Consumer,
-    link: SupervisedLink,
-    child: NodeChild,
-    crashes: CrashLog,
-    heartbeat: Heartbeat,
-    broker: Broker,
-    base: (u64, u64, u64),
-}
-
-impl ProxyHandle {
-    /// Spawns the bridge thread for one remote proxy: polls the
-    /// inbound topic into batched data frames toward the child, and
-    /// lands the child's relayed shares on the local outbound topic.
-    /// Same thread name and crash role as the in-process relay, so
-    /// supervision and respawn treat both transports identically. The
-    /// bridge owns the child: a panic (including a link whose retry
-    /// budget ran out) drops the guard and kills the process.
-    fn spawn_remote(spec: RemoteProxySpawn) -> ProxyHandle {
-        let RemoteProxySpawn {
-            index,
-            consumer,
-            mut link,
-            child,
-            crashes,
-            heartbeat,
-            broker,
-            base,
-        } = spec;
-        let stop = Arc::new(AtomicBool::new(false));
-        let forwarded = Arc::new(AtomicU64::new(base.0));
-        let busy_ns = Arc::new(AtomicU64::new(base.1));
-        let backpressure = Arc::new(AtomicU64::new(base.2));
-        let in_topic = inbound_topic(ProxyId(index as u16));
-        let (stop2, forwarded2, busy2, bp2) = (
-            Arc::clone(&stop),
-            Arc::clone(&forwarded),
-            Arc::clone(&busy_ns),
-            Arc::clone(&backpressure),
-        );
-        let thread = std::thread::Builder::new()
-            .name(format!("pa-proxy-{index}"))
-            .spawn(move || {
-                let _child = child;
-                let out_writer = broker.writer(&outbound_topic(ProxyId(index as u16)));
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let mut batch: Vec<(u32, u32, Record)> = Vec::new();
-                    let mut msgs: Vec<DataMsg> = Vec::new();
-                    let mut inbound: Vec<DataMsg> = Vec::new();
-                    let park = BridgePark::new(&consumer);
-                    loop {
-                        // Before looking at any source: whatever lands
-                        // after this turns the park below into a no-op.
-                        let token = park.token();
-                        // Read the flag before the final round so one
-                        // last poll + drain runs after it is raised.
-                        let stopping = stop2.load(Ordering::Relaxed);
-                        heartbeat.beat();
-                        let mut idle = true;
-                        let t0 = thread_busy_time();
-                        // 1. Ship produced shares to the child.
-                        while consumer.poll_into(remote::BATCH_RECORDS, &mut batch) > 0 {
-                            idle = false;
-                            msgs.clear();
-                            for (stream, partition, rec) in batch.drain(..) {
-                                msgs.push(remote::record_to_msg(stream, partition, &rec));
-                            }
-                            if let Err(e) = remote::send_batched(&mut link, &msgs) {
-                                panic!("proxy {index} link: {e}");
-                            }
-                        }
-                        // 2. Land the relayed shares that are already
-                        //    here; never wait for more.
-                        loop {
-                            match link.try_recv() {
-                                Ok(Some(f)) if f.kind == FrameKind::Data => {
-                                    inbound.clear();
-                                    if let Err(e) = decode_data_batch(&f.payload, &mut inbound) {
-                                        panic!("proxy {index} link: {e}");
-                                    }
-                                    let n = inbound.len() as u64;
-                                    for m in inbound.drain(..) {
-                                        deliver_share(&out_writer, m, &bp2);
-                                    }
-                                    out_writer.notify();
-                                    forwarded2.fetch_add(n, Ordering::Relaxed);
-                                }
-                                Ok(Some(_)) => {}
-                                Ok(None) => break,
-                                Err(e) => panic!("proxy {index} link: {e}"),
-                            }
-                            idle = false;
-                        }
-                        if let Err(e) = link.maybe_resend().and_then(|()| link.flush()) {
-                            panic!("proxy {index} link: {e}");
-                        }
-                        let dt = thread_busy_time().saturating_sub(t0);
-                        busy2.fetch_add(dt.as_nanos() as u64, Ordering::Relaxed);
-                        if stopping {
-                            // Best-effort goodbye; the child guard
-                            // kills the process regardless.
-                            let _ = link.send(Frame::bare(FrameKind::Shutdown));
-                            let _ = link.flush();
-                            break;
-                        }
-                        if idle {
-                            // Ended by a share landing on the inbound
-                            // topic, a frame from the child, or the
-                            // stop flag's wake — not by the tick.
-                            if let Err(e) = park.park(token, &mut link) {
-                                panic!("proxy {index} link: {e}");
-                            }
-                        }
-                    }
-                }));
-                if let Err(payload) = outcome {
-                    crashes.lock().expect("crash log lock").push(Crash {
-                        role: "proxy",
-                        index,
-                        message: panic_message(&*payload),
-                    });
-                }
-            })
-            .expect("spawn proxy bridge thread");
-        ProxyHandle {
-            stop,
-            forwarded,
-            busy_ns,
-            backpressure,
-            in_topic,
-            thread: Some(thread),
-            dead: false,
-        }
-    }
-}
-
-/// Everything a remote shard bridge needs at spawn.
-struct RemoteShardSpawn {
-    index: usize,
-    /// Bridge consumer over every proxy's outbound topic — same
-    /// `"aggregator"` group as the in-process shards, joined on the
-    /// main thread in shard order.
-    consumer: Consumer,
-    link: SupervisedLink,
-    child: NodeChild,
-    straggle: Option<Duration>,
-    deadline: Duration,
-    ledger: Arc<EpochLedger>,
-    crashes: CrashLog,
-    heartbeat: Heartbeat,
-    broker: Broker,
-}
-
-impl ShardHandle {
-    /// Spawns the bridge (translator) thread for one remote shard: it
-    /// speaks `ShardCmd`/`ShardReply` with the main thread and the
-    /// control-frame protocol with the child. The close condition —
-    /// global ledger count reaches the epoch's expectation, or the
-    /// epoch deadline fires — is evaluated *here*, against the shared
-    /// ledger fed by every child's `Progress` frames, so partial-close
-    /// degradation under faults is identical to in-process.
-    fn spawn_remote(spec: RemoteShardSpawn) -> ShardHandle {
-        let RemoteShardSpawn {
-            index,
-            consumer,
-            mut link,
-            child,
-            straggle,
-            deadline,
-            ledger,
-            crashes,
-            heartbeat,
-            broker,
-        } = spec;
-        let (cmd_tx, cmd_rx) = channel::<ShardCmd>();
-        let (reply_tx, reply_rx) = channel::<ShardReply>();
-        let thread = std::thread::Builder::new()
-            .name(format!("pa-shard-{index}"))
-            .spawn(move || {
-                let _child = child;
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let mut batch: Vec<(u32, u32, Record)> = Vec::new();
-                    let mut msgs: Vec<DataMsg> = Vec::new();
-                    let mut closes: VecDeque<(CloseCmd, Instant)> = VecDeque::new();
-                    // The epoch whose `Finish` is outstanding: further
-                    // closes are held until the child's reply so
-                    // watermarks advance strictly in order.
-                    let mut awaiting: Option<u64> = None;
-                    let send_ctrl = |link: &mut SupervisedLink, payload: Vec<u8>| {
-                        let sent = link
-                            .send(Frame::new(FrameKind::Ctrl, payload))
-                            .and_then(|_| link.flush());
-                        if let Err(e) = sent {
-                            panic!("shard {index} link: {e}");
-                        }
-                    };
-                    let park = BridgePark::new(&consumer);
-                    'run: loop {
-                        heartbeat.beat();
-                        // Before looking at any source: whatever lands
-                        // after this turns the park below into a no-op.
-                        let token = park.token();
-                        let mut idle = true;
-                        // 1. Absorb control commands.
-                        loop {
-                            let cmd = cmd_rx.try_recv();
-                            idle &= cmd.is_err();
-                            match cmd {
-                                Ok(ShardCmd::Register {
-                                    query,
-                                    params,
-                                    population,
-                                    // Retention is rejected for process
-                                    // transport before any command is
-                                    // sent, so the flag is never set
-                                    // here.
-                                    retain: _,
-                                }) => send_ctrl(
-                                    &mut link,
-                                    remote::encode_register(&query, params, population),
-                                ),
-                                Ok(ShardCmd::Fetch { .. }) => {
-                                    // Unreachable by construction (see
-                                    // `retain` above); reply empty so a
-                                    // misdirected fetch cannot wedge the
-                                    // caller.
-                                    let _ = reply_tx.send(ShardReply::Stored {
-                                        answers: Vec::new(),
-                                    });
-                                }
-                                Ok(ShardCmd::Close(c)) => closes.push_back((c, Instant::now())),
-                                Ok(ShardCmd::Probe) => {
-                                    send_ctrl(&mut link, remote::encode_probe())
-                                }
-                                Ok(ShardCmd::Die) => panic!("injected shard fault"),
-                                Ok(ShardCmd::Shutdown) | Err(TryRecvError::Disconnected) => {
-                                    break 'run;
-                                }
-                                Err(TryRecvError::Empty) => break,
-                            }
-                        }
-                        // 2. Issue the oldest close once its global
-                        //    accounting settles or its deadline fires.
-                        if awaiting.is_none() {
-                            if let Some((front, since)) = closes.front() {
-                                let global = ledger.count(front.epoch);
-                                if global >= front.expect || since.elapsed() >= deadline {
-                                    let (c, _) = closes.pop_front().expect("front exists");
-                                    if let Some(delay) = straggle {
-                                        std::thread::sleep(delay);
-                                    }
-                                    // Recycled estimators have no home
-                                    // here — the child owns its own
-                                    // pool — so they are dropped.
-                                    drop(c.recycle);
-                                    send_ctrl(
-                                        &mut link,
-                                        remote::encode_finish(c.epoch.0, c.watermark.0),
-                                    );
-                                    awaiting = Some(c.epoch.0);
-                                    // Kick sibling bridges out of their
-                                    // parks: the ledger that satisfied
-                                    // this close satisfies theirs.
-                                    broker.notify_topic(&outbound_topic(ProxyId(0)));
-                                }
-                            }
-                        }
-                        // 3. Forward relayed shares to the child.
-                        while consumer.poll_into(remote::BATCH_RECORDS, &mut batch) > 0 {
-                            idle = false;
-                            msgs.clear();
-                            for (stream, partition, rec) in batch.drain(..) {
-                                msgs.push(remote::record_to_msg(stream, partition, &rec));
-                            }
-                            if let Err(e) = remote::send_batched(&mut link, &msgs) {
-                                panic!("shard {index} link: {e}");
-                            }
-                        }
-                        // 4. Take the child's frames that are already
-                        //    here; never wait for more.
-                        loop {
-                            match link.try_recv() {
-                                Ok(Some(f)) => match f.kind {
-                                    FrameKind::Progress => match decode_progress(&f.payload) {
-                                        Ok((epoch, delta)) => ledger.add(Timestamp(epoch), delta),
-                                        Err(e) => panic!("shard {index} link: {e}"),
-                                    },
-                                    FrameKind::CtrlReply => {
-                                        match remote::decode_reply(&f.payload) {
-                                            Ok(remote::NodeReply::Registered) => {
-                                                let _ = reply_tx.send(ShardReply::Registered);
-                                            }
-                                            Ok(remote::NodeReply::Closed {
-                                                epoch,
-                                                decoded,
-                                                busy,
-                                                windows,
-                                            }) => {
-                                                assert_eq!(
-                                                    awaiting.take(),
-                                                    Some(epoch),
-                                                    "shard {index}: close reply out of order"
-                                                );
-                                                let _ = reply_tx.send(ShardReply::Closed {
-                                                    decoded,
-                                                    windows,
-                                                    busy,
-                                                });
-                                            }
-                                            Ok(remote::NodeReply::Health {
-                                                quad,
-                                                dead_lettered,
-                                                late_answers,
-                                                busy,
-                                            }) => {
-                                                let _ = reply_tx.send(ShardReply::Health {
-                                                    quad,
-                                                    dead_lettered,
-                                                    late_answers,
-                                                    busy,
-                                                });
-                                            }
-                                            Err(e) => panic!("shard {index} link: {e}"),
-                                        }
-                                    }
-                                    _ => {}
-                                },
-                                Ok(None) => break,
-                                Err(e) => panic!("shard {index} link: {e}"),
-                            }
-                            idle = false;
-                        }
-                        if let Err(e) = link.maybe_resend().and_then(|()| link.flush()) {
-                            panic!("shard {index} link: {e}");
-                        }
-                        if idle {
-                            // Ended by a relayed share landing on an
-                            // outbound topic, a frame from the child
-                            // (progress, a reply), a command's
-                            // `wake_shards`, or a sibling's close
-                            // kick — not by the tick, which is left to
-                            // the heartbeat, `maybe_resend` and the
-                            // epoch deadline.
-                            if let Err(e) = park.park(token, &mut link) {
-                                panic!("shard {index} link: {e}");
-                            }
-                        }
-                    }
-                    // Best-effort goodbye so the child exits cleanly
-                    // before the guard kills it.
-                    let _ = link.send(Frame::bare(FrameKind::Shutdown));
-                    let _ = link.flush();
-                }));
-                if let Err(payload) = outcome {
-                    crashes.lock().expect("crash log lock").push(Crash {
-                        role: "shard",
-                        index,
-                        message: panic_message(&*payload),
-                    });
-                }
-                drop(reply_tx);
-            })
-            .expect("spawn shard bridge thread");
-        ShardHandle {
-            cmd: cmd_tx,
-            reply: reply_rx,
-            thread: Some(thread),
-            busy_base: Duration::ZERO,
             dead: false,
         }
     }
@@ -2476,16 +1188,9 @@ struct InFlightEpoch {
 /// results; [`ShardedSystem::submit_epoch`]/[`ShardedSystem::flush_epochs`]
 /// expose the pipelined form.
 pub struct ShardedSystem {
-    config: ShardedConfig,
-    /// How proxies and shards are hosted: in-process threads or
-    /// spawned `privapprox-node` children behind supervised sockets.
-    transport: TransportMode,
-    /// Per-link supervision counters (one entry per proxy/shard link
-    /// ever dialed, including respawn replacements). Empty in
-    /// in-process mode.
-    link_stats: Vec<Arc<LinkStats>>,
-    partitions: usize,
-    broker: Broker,
+    /// Shape, transport, broker and the supervision state every stage
+    /// reports into — what starting (or restarting) a stage needs.
+    host: Host,
     workers: Vec<WorkerHandle>,
     proxies: Vec<ProxyHandle>,
     shards: Vec<ShardHandle>,
@@ -2510,13 +1215,6 @@ pub struct ShardedSystem {
     /// shard slots hold the latest cumulative reading; proxy times
     /// live in the handles' atomics).
     busy: BusyProfile,
-    /// Panic records from supervised threads, drained as faults are
-    /// reported.
-    crashes: CrashLog,
-    /// Global per-epoch decode accounting shared with every shard.
-    ledger: Arc<EpochLedger>,
-    /// Liveness registry: every thread beats a heartbeat here.
-    watchdog: Watchdog,
     /// Every load and answer command ever issued, for worker-respawn
     /// replay (loads re-applied, answers muted; see [`ReplayCmd`]).
     history: Vec<ReplayCmd>,
@@ -2534,10 +1232,6 @@ pub struct ShardedSystem {
     /// proxies' stalls live in their handles' atomics; workers report
     /// theirs through epoch replies, tallied here).
     worker_backpressure: u64,
-    /// Every `privapprox-node` child ever spawned (label, OS pid),
-    /// including respawn replacements. Empty in in-process mode; used
-    /// by [`ShardedSystem::child_cpu`].
-    children: Vec<(String, u32)>,
     /// Multi-tenant schedule: queries admitted to
     /// [`ShardedSystem::submit_epoch_all`], in admission order.
     admitted: Vec<QueryId>,
@@ -2582,8 +1276,6 @@ pub struct ShardedSystem {
     epochs_closed_total: u64,
     /// Lifetime submitted epochs (drives the crash-injection hook).
     epochs_submitted_total: u64,
-    /// Test hook: abort after this submitted epoch's journal fsync.
-    crash_after_journal: Option<u64>,
 }
 
 /// The typed terminal result of a query retired mid-stream by budget
@@ -2668,7 +1360,7 @@ impl ShardedSystem {
 
     /// The configuration.
     pub fn config(&self) -> &ShardedConfig {
-        &self.config
+        &self.host.config
     }
 
     /// Replaces the initializer (e.g. to set a privacy ceiling).
@@ -2678,14 +1370,14 @@ impl ShardedSystem {
 
     /// The partition a client is pinned to: `c mod partitions`.
     pub fn partition_of(&self, client: u64) -> usize {
-        (client % self.partitions as u64) as usize
+        (client % self.host.partitions as u64) as usize
     }
 
     /// The shard owning a partition under the group assignment
     /// (`p mod shards` — shards joined the group in order, so rank
     /// equals shard index).
     pub fn shard_of_partition(&self, partition: usize) -> usize {
-        partition % self.config.shards
+        partition % self.host.config.shards
     }
 
     /// Number of epochs currently in flight (submitted, not yet
@@ -2750,7 +1442,7 @@ impl ShardedSystem {
                 Ok(WorkerReply::Loaded) => {}
                 Ok(WorkerReply::Answered { .. }) => unreachable!("load expects Loaded"),
                 Err(err) => {
-                    let fault = self.worker_down(wi, err);
+                    let fault = self.stage_down(Role::Worker, wi, err);
                     if result.is_ok() {
                         result = Err(fault.into());
                     }
@@ -2827,7 +1519,7 @@ impl ShardedSystem {
             let _ = shard.cmd.send(ShardCmd::Register {
                 query: Arc::clone(&query),
                 params,
-                population: self.config.clients,
+                population: self.host.config.clients,
                 retain: self.retain_set.contains(&query.id),
             });
         }
@@ -2841,7 +1533,7 @@ impl ShardedSystem {
                 Ok(ShardReply::Registered) => {}
                 Ok(_) => unreachable!("register expects Registered"),
                 Err(err) => {
-                    let fault = self.shard_down(s, err);
+                    let fault = self.stage_down(Role::Shard, s, err);
                     if result.is_ok() {
                         result = Err(fault.into());
                     }
@@ -2870,72 +1562,114 @@ impl ShardedSystem {
             .get(&query.id)
             .map(|(q, p)| (Arc::clone(q), *p))
             .ok_or(CoreError::UnknownQuery)?;
-        let depth = self.config.pipeline_depth.max(1);
+        self.dispatch_epoch(vec![(query, params)], None, &[])
+    }
+
+    /// The one epoch dispatcher, under [`ShardedSystem::submit_epoch`]
+    /// (one entry, no charges), [`ShardedSystem::submit_epoch_all`]
+    /// (after its budget pass) and the recovery re-run of an open
+    /// epoch (its original `stamps`, no charges — the debits are
+    /// already in the restored ledgers).
+    ///
+    /// A fresh epoch first waits for room in the pipeline and takes
+    /// the next step of the shared event clock (`admit` validated the
+    /// equal window sizes). Then, in this order: every ledger debit
+    /// plus the epoch's `Submitted` record are journaled under ONE
+    /// fsync — the durable barrier, strictly before the first worker
+    /// send, so a crash can never lose an epoch whose shares escaped:
+    /// after the sync it re-runs the epoch without re-charging, before
+    /// it leaves (at worst) orphan charges that reconstruction drops,
+    /// and the recovered spend can only under-report, never over-spend
+    /// ε; the crash hook; the batch goes to every live worker; the
+    /// epoch enters the replay history and the in-flight queue.
+    fn dispatch_epoch(
+        &mut self,
+        batch: Vec<(Arc<Query>, ExecutionParams)>,
+        stamps: Option<(Timestamp, Timestamp)>,
+        charged: &[(QueryId, f64, f64, u64)],
+    ) -> Result<(), CoreError> {
         let mut result = Ok(());
-        while self.in_flight.len() >= depth {
-            let r = self.complete_oldest(false);
-            if result.is_ok() {
-                result = r;
+        let (ts, watermark) = match stamps {
+            Some(recovered) => recovered,
+            None => {
+                while self.in_flight.len() >= self.host.config.pipeline_depth.max(1) {
+                    let r = self.complete_oldest(false);
+                    if result.is_ok() {
+                        result = r;
+                    }
+                }
+                let window_size = batch[0].0.window.size;
+                let epoch_start = self.now_ms.div_ceil(window_size) * window_size;
+                (
+                    Timestamp(epoch_start + window_size / 2),
+                    Timestamp(epoch_start + window_size),
+                )
             }
-        }
-        let window_size = query.window.size;
-        let epoch_start = self.now_ms.div_ceil(window_size) * window_size;
-        let ts = Timestamp(epoch_start + window_size / 2);
-        let watermark = Timestamp(epoch_start + window_size);
-        self.now_ms = watermark.0;
-        // Durable barrier: the epoch's `Submitted` record is fsynced
-        // before the first worker send, so a crash can never lose an
-        // epoch whose shares escaped.
+        };
+        self.now_ms = self.now_ms.max(watermark.0);
         let journal_mark = self.durable.as_ref().map_or(0, |d| d.wal.next_index());
         if self.durable.is_some() {
-            let rec = persist::rec_submitted(ts, watermark, &[(Arc::clone(&query), params)]);
+            for (qid, eps, spent_after, epochs_after) in charged {
+                let rec = persist::rec_charge(*qid, ts, *eps, *spent_after, *epochs_after);
+                self.journal(persist::K_CHARGE, rec)?;
+            }
+            let rec = persist::rec_submitted(ts, watermark, &batch);
             self.journal(persist::K_SUBMITTED, rec)?;
             self.journal_sync()?;
         }
-        self.crash_hook();
+        // The crash hook: `abort()` exactly *after* the chosen epoch's
+        // journal fsync and *before* any of its worker sends — the
+        // widest gap the recovery contract must close.
+        if self.host.faults.crashes_after(self.epochs_submitted_total) {
+            std::process::abort();
+        }
+        self.epochs_submitted_total += 1;
         for wi in 0..self.workers.len() {
             if self.workers[wi].dead {
                 continue;
             }
-            let cmd = WorkerCmd::Answer {
-                query: Arc::clone(&query),
-                params,
-                ts,
-                live: true,
-            };
-            if self.workers[wi].cmd.send(cmd).is_ok() {
-                continue;
-            }
-            // The command channel disconnected: the worker died since
-            // its last reply. Report, respawn, and re-send this
-            // epoch's command to the replacement (which replayed the
-            // history, so its clients answer identically). This
-            // epoch enters the history only below, after the send
-            // loop — the replacement must receive it live, not as a
-            // muted replay.
-            let fault = self.worker_down(wi, RecvTimeoutError::Disconnected);
-            if result.is_ok() {
-                result = Err(fault.into());
-            }
-            if self.respawn_worker(wi).is_ok() {
-                let resend = WorkerCmd::Answer {
-                    query: Arc::clone(&query),
-                    params,
+            let mut sent = 0;
+            while sent < batch.len() {
+                let (query, params) = &batch[sent];
+                let cmd = WorkerCmd::Answer {
+                    query: Arc::clone(query),
+                    params: *params,
                     ts,
                     live: true,
                 };
-                if self.workers[wi].cmd.send(resend).is_ok() {
-                    result = Ok(());
+                if self.workers[wi].cmd.send(cmd).is_ok() {
+                    sent += 1;
+                    continue;
                 }
+                // The command channel disconnected: the worker died
+                // since its last reply. Report, respawn (the
+                // replacement replays prior history muted, so its
+                // clients answer identically), then send this epoch's
+                // batch live from the top — the dead channel swallowed
+                // the commands already sent. The epoch enters the
+                // history only below, after the send loop: the
+                // replacement must receive it live, not as a muted
+                // replay.
+                let fault = self.stage_down(Role::Worker, wi, RecvTimeoutError::Disconnected);
+                if result.is_ok() {
+                    result = Err(fault.into());
+                }
+                if self.respawn_worker(wi).is_err() {
+                    break;
+                }
+                sent = 0;
+                result = Ok(());
             }
         }
-        self.history.push(ReplayCmd::Answer { query, params, ts });
         self.in_flight.push_back(InFlightEpoch {
             epoch: ts,
             watermark,
-            cmds: 1,
+            cmds: batch.len(),
             journal_mark,
         });
+        for (query, params) in batch {
+            self.history.push(ReplayCmd::Answer { query, params, ts });
+        }
         result
     }
 
@@ -3142,7 +1876,8 @@ impl ShardedSystem {
         // Journal material gathered during the pass: each successful
         // debit's *absolute* post-charge state (idempotent at replay)
         // and each retirement. The charge records themselves are
-        // appended below, once the epoch timestamp is known.
+        // appended by the dispatcher, once the epoch timestamp is
+        // known.
         let mut charged: Vec<(QueryId, f64, f64, u64)> = Vec::new();
         let mut retire_recs: Vec<Vec<u8>> = Vec::new();
         let durable_on = self.durable.is_some();
@@ -3189,84 +1924,7 @@ impl ShardedSystem {
             self.journal_sync()?;
             return Ok(());
         }
-        let depth = self.config.pipeline_depth.max(1);
-        let mut result = Ok(());
-        while self.in_flight.len() >= depth {
-            let r = self.complete_oldest(false);
-            if result.is_ok() {
-                result = r;
-            }
-        }
-        // One shared clock step for the whole schedule (`admit`
-        // validated the equal window sizes).
-        let window_size = batch[0].0.window.size;
-        let epoch_start = self.now_ms.div_ceil(window_size) * window_size;
-        let ts = Timestamp(epoch_start + window_size / 2);
-        let watermark = Timestamp(epoch_start + window_size);
-        self.now_ms = watermark.0;
-        // Durable barrier: every ledger debit plus the epoch's
-        // `Submitted` record land under ONE fsync, strictly before the
-        // first worker send. A crash after the sync re-runs the epoch
-        // without re-charging; a crash before it leaves (at worst)
-        // orphan charges that reconstruction drops — the recovered
-        // spend can only under-report, never over-spend ε.
-        let journal_mark = self.durable.as_ref().map_or(0, |d| d.wal.next_index());
-        if durable_on {
-            for (qid, eps, spent_after, epochs_after) in &charged {
-                let rec = persist::rec_charge(*qid, ts, *eps, *spent_after, *epochs_after);
-                self.journal(persist::K_CHARGE, rec)?;
-            }
-            let rec = persist::rec_submitted(ts, watermark, &batch);
-            self.journal(persist::K_SUBMITTED, rec)?;
-            self.journal_sync()?;
-        }
-        self.crash_hook();
-        for wi in 0..self.workers.len() {
-            if self.workers[wi].dead {
-                continue;
-            }
-            let mut sent = 0;
-            while sent < batch.len() {
-                let (query, params) = &batch[sent];
-                let cmd = WorkerCmd::Answer {
-                    query: Arc::clone(query),
-                    params: *params,
-                    ts,
-                    live: true,
-                };
-                if self.workers[wi].cmd.send(cmd).is_ok() {
-                    sent += 1;
-                    continue;
-                }
-                // Dead since its last reply: report, respawn (the
-                // replacement replays prior history muted), then
-                // replay this epoch's batch live from the top — the
-                // dead channel swallowed the commands already sent.
-                let fault = self.worker_down(wi, RecvTimeoutError::Disconnected);
-                if result.is_ok() {
-                    result = Err(fault.into());
-                }
-                if self.respawn_worker(wi).is_err() {
-                    break;
-                }
-                sent = 0;
-                result = Ok(());
-            }
-        }
-        for (query, params) in &batch {
-            self.history.push(ReplayCmd::Answer {
-                query: Arc::clone(query),
-                params: *params,
-                ts,
-            });
-        }
-        self.in_flight.push_back(InFlightEpoch {
-            epoch: ts,
-            watermark,
-            cmds: batch.len(),
-            journal_mark,
-        });
-        result
+        self.dispatch_epoch(batch, None, &charged)
     }
 
     /// Runs one multi-tenant epoch to completion: submit + flush.
@@ -3290,7 +1948,7 @@ impl ShardedSystem {
     /// transport only — a remote shard child holds no fetchable
     /// store.
     pub fn retain_history(&mut self, query: QueryId) -> Result<(), CoreError> {
-        if !matches!(self.transport, TransportMode::InProcess) {
+        if !matches!(self.host.transport, TransportMode::InProcess) {
             return Err(CoreError::Deploy(DeployError::InvalidConfig(
                 "historical retention requires in-process shards".into(),
             )));
@@ -3342,7 +2000,7 @@ impl ShardedSystem {
             let _ = shard.cmd.send(ShardCmd::Fetch { query, range });
         }
         self.wake_shards();
-        let mut warehouse = Warehouse::new(query, q.answer.len(), params, self.config.clients);
+        let mut warehouse = Warehouse::new(query, q.answer.len(), params, self.host.config.clients);
         let wait = self.control_wait();
         for s in 0..self.shards.len() {
             if self.shards[s].dead {
@@ -3359,7 +2017,7 @@ impl ShardedSystem {
                     // The dead shard's retained history died with it:
                     // the batch answer degrades to the surviving
                     // stores, and the fault is reported.
-                    let fault = self.shard_down(s, err);
+                    let fault = self.stage_down(Role::Shard, s, err);
                     first_error = first_error.or(Some(fault.into()));
                     let _ = self.respawn_shard(s);
                 }
@@ -3380,7 +2038,7 @@ impl ShardedSystem {
         // range always draw the same reservoir, so concurrent and
         // isolated runs agree byte for byte.
         let mut rng = StdRng::seed_from_u64(
-            self.config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            self.host.config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 ^ query.to_u64().rotate_left(17)
                 ^ range.start.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
                 ^ range.end.0,
@@ -3393,7 +2051,7 @@ impl ShardedSystem {
             .take()
             .unwrap_or_else(|| BucketEstimator::new(q.answer.len(), params.p.min(1.0), params.q));
         let result =
-            warehouse.batch_query_with(&mut est, range, batch_budget, self.config.confidence, &mut rng);
+            warehouse.batch_query_with(&mut est, range, batch_budget, self.host.config.confidence, &mut rng);
         self.batch_scratch = Some(est);
         match first_error {
             Some(e) => Err(e),
@@ -3408,7 +2066,7 @@ impl ShardedSystem {
     /// shard subscribes to the first proxy's outbound topic, so one
     /// control wake on it reaches them all.
     fn wake_shards(&self) {
-        self.broker.notify_topic(&outbound_topic(ProxyId(0)));
+        self.host.broker.notify_topic(&outbound_topic(ProxyId(0)));
     }
 
     /// Completes the oldest in-flight epoch. `lenient` (drop path)
@@ -3431,7 +2089,7 @@ impl ShardedSystem {
         // epoch's. A respawned worker skips the replies its dead
         // predecessor still owed (`reply_debt`).
         let wait = self.control_wait();
-        let mut per_partition = vec![0u64; self.partitions];
+        let mut per_partition = vec![0u64; self.host.partitions];
         let mut first_error: Option<CoreError> = None;
         for wi in 0..self.workers.len() {
             // A multi-tenant epoch issued one Answer per scheduled
@@ -3450,7 +2108,7 @@ impl ShardedSystem {
                         if lenient {
                             self.workers[wi].dead = true;
                         } else {
-                            let fault = self.worker_down(wi, err);
+                            let fault = self.stage_down(Role::Worker, wi, err);
                             first_error = first_error.or(Some(fault.into()));
                             let _ = self.respawn_worker(wi);
                         }
@@ -3515,7 +2173,7 @@ impl ShardedSystem {
         // construction (the deadline fires the close even when the
         // accounting cannot settle); the slack on top only covers
         // scheduling, so a miss means the thread is gone.
-        let shard_wait = self.config.epoch_deadline + wait;
+        let shard_wait = self.host.config.epoch_deadline + wait;
         let mut merged: Vec<(QueryId, Window, BucketEstimator, usize)> = Vec::new();
         let mut total_decoded = 0u64;
         for s in 0..self.shards.len() {
@@ -3529,6 +2187,7 @@ impl ShardedSystem {
                         decoded,
                         windows,
                         busy,
+                        ..
                     }) => {
                         self.busy.shards[s] = self.shards[s].busy_base + busy;
                         total_decoded += decoded;
@@ -3552,7 +2211,7 @@ impl ShardedSystem {
                             self.shards[s].dead = true;
                             break;
                         }
-                        let fault = self.shard_down(s, err);
+                        let fault = self.stage_down(Role::Shard, s, err);
                         first_error = first_error.or(Some(fault.into()));
                         if retried || self.respawn_shard(s).is_err() {
                             break;
@@ -3582,7 +2241,7 @@ impl ShardedSystem {
             self.partial_closes += 1;
             self.lost_answers += expect - total_decoded;
         }
-        self.ledger.retire(ep.epoch);
+        self.host.ledger.retire(ep.epoch);
         merged.sort_unstable_by_key(|(q, w, _, _)| (w.start, q.to_u64()));
         let pending_base = self.pending.len();
         for (qid, window, mut est, src) in merged {
@@ -3601,8 +2260,8 @@ impl ShardedSystem {
                 window,
                 &mut est,
                 *qparams,
-                self.config.clients,
-                self.config.confidence,
+                self.host.config.clients,
+                self.host.config.confidence,
             );
             // Feedback signal: the most recent window's worst relative
             // CI bound (windows are sorted by start, so the newest
@@ -3617,7 +2276,7 @@ impl ShardedSystem {
         // never journals — an epoch abandoned at drop stays open in
         // the journal and is re-run on recovery (at-least-once).
         if !lenient && self.durable.is_some() {
-            let offsets = self.broker.committed_offsets("aggregator");
+            let offsets = self.host.broker.committed_offsets("aggregator");
             let mut marks: Vec<(QueryId, usize, u64)> = self
                 .high_water
                 .iter()
@@ -3671,14 +2330,14 @@ impl ShardedSystem {
 
     /// Broker traffic counters.
     pub fn broker_stats(&self) -> BrokerStats {
-        self.broker.stats()
+        self.host.broker.stats()
     }
 
     /// The deployment's broker, for tests and external taps that
     /// attach extra consumers (e.g. mirroring a topic, or wedging a
     /// partition's committed floor to exercise backpressure).
     pub fn broker(&self) -> &Broker {
-        &self.broker
+        &self.host.broker
     }
 
     /// Aggregated shard health counters: `(undecodable, unroutable,
@@ -3728,7 +2387,7 @@ impl ShardedSystem {
                     // A shard that died since its last close: its
                     // counters are lost with it (the respawn restarts
                     // them at zero).
-                    let _ = self.shard_down(s, err);
+                    let _ = self.stage_down(Role::Shard, s, err);
                     let _ = self.respawn_shard(s);
                 }
             }
@@ -3741,6 +2400,10 @@ impl ShardedSystem {
     /// in-flight epochs and repairs dead threads first.
     pub fn deploy_health(&mut self) -> DeployHealth {
         let t = self.probe_shards();
+        let stats = &self.host.link_stats;
+        let links = |counter: fn(&LinkStats) -> &AtomicU64| -> u64 {
+            stats.iter().map(|l| counter(l).load(Ordering::Relaxed)).sum()
+        };
         let mut health = DeployHealth {
             undecodable: t.0,
             unroutable: t.1,
@@ -3755,24 +2418,12 @@ impl ShardedSystem {
                 + self
                     .proxies
                     .iter()
-                    .map(|p| p.backpressure.load(Ordering::Relaxed))
+                    .map(|p| p.counters.backpressure.load(Ordering::Relaxed))
                     .sum::<u64>(),
-            reconnects: self
-                .link_stats
-                .iter()
-                .map(|l| l.reconnects.load(Ordering::Relaxed))
-                .sum(),
-            rejections: self
-                .link_stats
-                .iter()
-                .map(|l| l.rejections.load(Ordering::Relaxed))
-                .sum(),
-            retries: self
-                .link_stats
-                .iter()
-                .map(|l| l.resends.load(Ordering::Relaxed))
-                .sum(),
-            dead_letter_dropped: self.broker.topic_dropped(DEAD_LETTER_TOPIC),
+            reconnects: links(|l| &l.reconnects),
+            rejections: links(|l| &l.rejections),
+            retries: links(|l| &l.resends),
+            dead_letter_dropped: self.host.broker.topic_dropped(DEAD_LETTER_TOPIC),
             recoveries: self.durable.as_ref().map_or(0, |d| d.recoveries),
             journal_bytes: self.durable.as_ref().map_or(0, |d| d.journal_bytes()),
             snapshot_count: self.durable.as_ref().map_or(0, |d| d.snapshot_count()),
@@ -3799,18 +2450,17 @@ impl ShardedSystem {
     /// Liveness snapshot of every supervised thread from the
     /// heartbeat registry: `(thread name, status)`, stale when the
     /// thread has not beaten within `stale_after`. Workers beat at
-    /// least every [`WORKER_IDLE_BEAT`](ShardedSystemBuilder) while
-    /// idle; proxies and shards beat once per park interval — pass a
+    /// least every 250 ms while idle; proxies and shards beat once per park interval — pass a
     /// `stale_after` comfortably above ~250 ms.
     pub fn thread_health(&self, stale_after: Duration) -> Vec<(String, HeartbeatStatus)> {
-        self.watchdog.statuses(stale_after)
+        self.host.watchdog.statuses(stale_after)
     }
 
     /// Records quarantined on the dead-letter topic and not yet
     /// consumed by an operator (poisoned input is preserved verbatim
     /// for offline inspection, never silently dropped).
     pub fn dead_letter_backlog(&self) -> u64 {
-        self.broker.topic_len(DEAD_LETTER_TOPIC)
+        self.host.broker.topic_len(DEAD_LETTER_TOPIC)
     }
 
     /// Chaos hook: makes worker `w` panic on its next command poll.
@@ -3854,19 +2504,6 @@ impl ShardedSystem {
         match self.durable.as_mut() {
             Some(d) => d.sync().map_err(persist_err),
             None => Ok(()),
-        }
-    }
-
-    /// Counts a submitted epoch and fires the
-    /// [`crash_after_journal`](ShardedSystemBuilder::crash_after_journal)
-    /// hook: `abort()` exactly *after* the chosen epoch's journal
-    /// fsync and *before* any of its worker sends — the widest gap
-    /// the recovery contract must close.
-    fn crash_hook(&mut self) {
-        let n = self.epochs_submitted_total;
-        self.epochs_submitted_total += 1;
-        if self.crash_after_journal == Some(n) {
-            std::process::abort();
         }
     }
 
@@ -4019,59 +2656,7 @@ impl ShardedSystem {
         if batch.is_empty() {
             return Ok(());
         }
-        let ts = ep.ts;
-        let watermark = ep.watermark;
-        self.now_ms = self.now_ms.max(watermark.0);
-        let journal_mark = self.durable.as_ref().map_or(0, |d| d.wal.next_index());
-        if self.durable.is_some() {
-            let rec = persist::rec_submitted(ts, watermark, &batch);
-            self.journal(persist::K_SUBMITTED, rec)?;
-            self.journal_sync()?;
-        }
-        self.crash_hook();
-        let mut result = Ok(());
-        for wi in 0..self.workers.len() {
-            if self.workers[wi].dead {
-                continue;
-            }
-            let mut sent = 0;
-            while sent < batch.len() {
-                let (query, params) = &batch[sent];
-                let cmd = WorkerCmd::Answer {
-                    query: Arc::clone(query),
-                    params: *params,
-                    ts,
-                    live: true,
-                };
-                if self.workers[wi].cmd.send(cmd).is_ok() {
-                    sent += 1;
-                    continue;
-                }
-                let fault = self.worker_down(wi, RecvTimeoutError::Disconnected);
-                if result.is_ok() {
-                    result = Err(fault.into());
-                }
-                if self.respawn_worker(wi).is_err() {
-                    break;
-                }
-                sent = 0;
-                result = Ok(());
-            }
-        }
-        for (query, params) in &batch {
-            self.history.push(ReplayCmd::Answer {
-                query: Arc::clone(query),
-                params: *params,
-                ts,
-            });
-        }
-        self.in_flight.push_back(InFlightEpoch {
-            epoch: ts,
-            watermark,
-            cmds: batch.len(),
-            journal_mark,
-        });
-        result
+        self.dispatch_epoch(batch, Some((ep.ts, ep.watermark)), &[])
     }
 
     /// Captures every retained query's warehouse for the snapshot:
@@ -4088,7 +2673,7 @@ impl ShardedSystem {
                     merged.insert((*ts, *mid), answer.clone());
                 }
             }
-            if matches!(self.transport, TransportMode::InProcess) {
+            if matches!(self.host.transport, TransportMode::InProcess) {
                 for shard in &self.shards {
                     if shard.dead {
                         continue;
@@ -4115,7 +2700,7 @@ impl ShardedSystem {
                         }
                         Ok(_) => unreachable!("fetch expects Stored"),
                         Err(err) => {
-                            let _ = self.shard_down(s, err);
+                            let _ = self.stage_down(Role::Shard, s, err);
                             let _ = self.respawn_shard(s);
                         }
                     }
@@ -4141,7 +2726,7 @@ impl ShardedSystem {
             return Ok(());
         }
         let warehouses = self.capture_warehouses();
-        let offsets = self.broker.committed_offsets("aggregator");
+        let offsets = self.host.broker.committed_offsets("aggregator");
         let mut marks: Vec<(QueryId, usize, u64)> = self
             .high_water
             .iter()
@@ -4222,59 +2807,44 @@ impl ShardedSystem {
     /// configurations (partial-close tests) don't misread a healthy
     /// but slow thread as dead.
     fn control_wait(&self) -> Duration {
-        self.config.epoch_deadline.max(DEFAULT_EPOCH_DEADLINE)
+        self.host.config.epoch_deadline.max(DEFAULT_EPOCH_DEADLINE)
     }
 
-    /// Declares worker `wi` dead after a failed wait and returns the
-    /// typed fault. Distinguishes a *wedge* (deadline elapsed, thread
-    /// still running — retired but never respawned, because a live
-    /// predecessor could double-send shares) from real death (thread
-    /// gone; the crash log holds the panic message).
-    fn worker_down(&mut self, wi: usize, err: RecvTimeoutError) -> DeployError {
-        let wedged = err == RecvTimeoutError::Timeout
-            && self.workers[wi]
-                .thread
-                .as_ref()
-                .is_some_and(|t| !t.is_finished());
+    /// Declares a worker or shard dead after a failed wait and returns
+    /// the typed fault (relays have no reply channel to wait on; see
+    /// [`ShardedSystem::check_proxies`]). Distinguishes a *wedge* (deadline elapsed,
+    /// thread still running — retired but never respawned, because a
+    /// live predecessor could double-send shares) from real death
+    /// (thread gone; the crash log holds the panic message).
+    fn stage_down(&mut self, role: Role, i: usize, err: RecvTimeoutError) -> DeployError {
+        let (thread, dead) = match role {
+            Role::Worker => {
+                let w = &mut self.workers[i];
+                (&mut w.thread, &mut w.dead)
+            }
+            _ => {
+                let s = &mut self.shards[i];
+                (&mut s.thread, &mut s.dead)
+            }
+        };
+        let wedged =
+            err == RecvTimeoutError::Timeout && thread.as_ref().is_some_and(|t| !t.is_finished());
         let message = if wedged {
             // The handle keeps the JoinHandle: its presence is what
             // marks the slot non-respawnable.
             "wedged: no reply within the control deadline".to_string()
         } else {
-            if let Some(t) = self.workers[wi].thread.take() {
+            if let Some(t) = thread.take() {
                 let _ = t.join();
             }
-            take_crash(&self.crashes, "worker", wi)
+            take_crash(&self.host.crashes, role, i)
                 .unwrap_or_else(|| "thread exited without a panic record".to_string())
         };
-        self.workers[wi].dead = true;
-        let fault = DeployError::WorkerPanic {
-            worker: wi,
-            message,
+        *dead = true;
+        let fault = match role {
+            Role::Worker => DeployError::WorkerPanic { worker: i, message },
+            _ => DeployError::ShardPanic { shard: i, message },
         };
-        self.faults.push(fault.clone());
-        fault
-    }
-
-    /// Declares shard `s` dead after a failed wait; see
-    /// [`ShardedSystem::worker_down`] for the wedge distinction.
-    fn shard_down(&mut self, s: usize, err: RecvTimeoutError) -> DeployError {
-        let wedged = err == RecvTimeoutError::Timeout
-            && self.shards[s]
-                .thread
-                .as_ref()
-                .is_some_and(|t| !t.is_finished());
-        let message = if wedged {
-            "wedged: no reply within the control deadline".to_string()
-        } else {
-            if let Some(t) = self.shards[s].thread.take() {
-                let _ = t.join();
-            }
-            take_crash(&self.crashes, "shard", s)
-                .unwrap_or_else(|| "thread exited without a panic record".to_string())
-        };
-        self.shards[s].dead = true;
-        let fault = DeployError::ShardPanic { shard: s, message };
         self.faults.push(fault.clone());
         fault
     }
@@ -4284,21 +2854,15 @@ impl ShardedSystem {
     /// respawns them.
     fn check_proxies(&mut self) {
         for i in 0..self.proxies.len() {
-            if self.proxies[i].dead {
+            let proxy = &mut self.proxies[i];
+            if proxy.dead || !proxy.thread.as_ref().is_some_and(|t| t.is_finished()) {
                 continue;
             }
-            let finished = self.proxies[i]
-                .thread
-                .as_ref()
-                .is_some_and(|t| t.is_finished());
-            if !finished {
-                continue;
-            }
-            if let Some(t) = self.proxies[i].thread.take() {
+            if let Some(t) = proxy.thread.take() {
                 let _ = t.join();
             }
-            self.proxies[i].dead = true;
-            let message = take_crash(&self.crashes, "proxy", i)
+            proxy.dead = true;
+            let message = take_crash(&self.host.crashes, Role::Proxy, i)
                 .unwrap_or_else(|| "thread exited unexpectedly".to_string());
             self.faults.push(DeployError::ProxyPanic { proxy: i, message });
             let _ = self.respawn_proxy(i);
@@ -4310,16 +2874,26 @@ impl ShardedSystem {
     fn repair(&mut self) {
         self.check_proxies();
         for wi in 0..self.workers.len() {
-            if self.workers[wi].dead && self.workers[wi].thread.is_none() && self.config.auto_respawn
-            {
+            if self.workers[wi].dead && self.workers[wi].thread.is_none() {
                 let _ = self.respawn_worker(wi);
             }
         }
         for s in 0..self.shards.len() {
-            if self.shards[s].dead && self.shards[s].thread.is_none() && self.config.auto_respawn {
+            if self.shards[s].dead && self.shards[s].thread.is_none() {
                 let _ = self.respawn_shard(s);
             }
         }
+    }
+
+    /// Records (and returns) the fault of a slot that could not be
+    /// put back into service.
+    fn respawn_failed(&mut self, role: Role, index: usize) -> DeployError {
+        let fault = DeployError::RespawnFailed {
+            role: role.name(),
+            index,
+        };
+        self.faults.push(fault.clone());
+        fault
     }
 
     /// Respawns worker `wi` under the same index — same client ids
@@ -4328,27 +2902,13 @@ impl ShardedSystem {
     /// (advancing each client's RNG to exactly where the dead
     /// worker's was, so the replacement's future MIDs and coin flips
     /// are byte-identical to what the dead worker would have
-    /// produced). Injected fault hooks do not survive the respawn.
+    /// produced). A wedged predecessor (thread still running) is never
+    /// replaced.
     fn respawn_worker(&mut self, wi: usize) -> Result<(), DeployError> {
-        if !self.config.auto_respawn || self.workers[wi].thread.is_some() {
-            let fault = DeployError::RespawnFailed {
-                role: "worker",
-                index: wi,
-            };
-            self.faults.push(fault.clone());
-            return Err(fault);
+        if self.workers[wi].thread.is_some() {
+            return Err(self.respawn_failed(Role::Worker, wi));
         }
-        let mut cfg = self.config;
-        cfg.worker_panic_after = None;
-        let heartbeat = self.watchdog.register(&format!("worker-{wi}"));
-        let handle = WorkerHandle::spawn(
-            wi,
-            &cfg,
-            self.partitions,
-            &self.broker,
-            Arc::clone(&self.crashes),
-            heartbeat,
-        );
+        let handle = WorkerHandle::spawn(wi, &mut self.host);
         let mut loads = 0usize;
         for cmd in &self.history {
             let msg = match cmd {
@@ -4370,16 +2930,8 @@ impl ShardedSystem {
         // command sent next runs after the whole replay.
         let wait = self.control_wait();
         for _ in 0..loads {
-            match handle.reply.recv_timeout(wait) {
-                Ok(WorkerReply::Loaded) => {}
-                _ => {
-                    let fault = DeployError::RespawnFailed {
-                        role: "worker",
-                        index: wi,
-                    };
-                    self.faults.push(fault.clone());
-                    return Err(fault);
-                }
+            if !matches!(handle.reply.recv_timeout(wait), Ok(WorkerReply::Loaded)) {
+                return Err(self.respawn_failed(Role::Worker, wi));
             }
         }
         self.workers[wi] = handle;
@@ -4391,105 +2943,21 @@ impl ShardedSystem {
         Ok(())
     }
 
-    /// Respawns shard `s`: a fresh [`Aggregator`] rejoins the
-    /// `"aggregator"` consumer group (committed offsets persist, so
-    /// the replacement resumes exactly where the group left off) and
-    /// is registered with every live query before the slot goes back
-    /// into service. Decodes held in the dead shard's open windows
-    /// are lost — the affected epochs close partially.
+    /// Respawns shard `s` — however it is hosted, see
+    /// [`Host::spawn_shard`] — and registers every live query on the
+    /// replacement before the slot goes back into service.
     fn respawn_shard(&mut self, s: usize) -> Result<(), DeployError> {
-        let failed = |faults: &mut Vec<DeployError>| {
-            let fault = DeployError::RespawnFailed {
-                role: "shard",
-                index: s,
-            };
-            faults.push(fault.clone());
-            Err(fault)
-        };
-        if !self.config.auto_respawn || self.shards[s].thread.is_some() {
-            return failed(&mut self.faults);
+        if self.shards[s].thread.is_some() {
+            return Err(self.respawn_failed(Role::Shard, s));
         }
-        let straggle = match self.config.straggler {
-            Some((idx, delay)) if idx == s => Some(delay),
-            _ => None,
-        };
-        let busy_base = self.busy.shards[s];
-        let remote_cfg = match &self.transport {
-            TransportMode::Process { node, faults } => Some((node.clone(), *faults)),
-            TransportMode::InProcess => None,
-        };
-        let handle = match remote_cfg {
-            None => {
-                let mut agg =
-                    Aggregator::new(&self.broker, self.config.proxies as usize, self.config.confidence);
-                agg.set_dead_letter(self.broker.writer(DEAD_LETTER_TOPIC));
-                ShardHandle::spawn(ShardSpawn {
-                    index: s,
-                    agg,
-                    straggle,
-                    deadline: self.config.epoch_deadline,
-                    // Injected fault hooks fire once; never re-armed.
-                    fuse: None,
-                    ledger: Arc::clone(&self.ledger),
-                    crashes: Arc::clone(&self.crashes),
-                    heartbeat: self.watchdog.register(&format!("shard-{s}")),
-                    broker: self.broker.clone(),
-                })
-            }
-            Some((node, faults)) => {
-                // A fresh child plus a fresh bridge. The dead bridge's
-                // consumer left the `"aggregator"` group when its
-                // thread unwound; the replacement rejoins here and
-                // resumes from the group's committed offsets.
-                let out_names: Vec<String> = (0..self.config.proxies)
-                    .map(|i| outbound_topic(ProxyId(i)))
-                    .collect();
-                let out_refs: Vec<&str> = out_names.iter().map(String::as_str).collect();
-                let consumer = self.broker.consumer("aggregator", &out_refs);
-                let args = shard_node_args(
-                    s,
-                    self.partitions,
-                    self.config.proxies as usize,
-                    self.config.confidence,
-                    // Injected fault hooks fire once; never re-armed.
-                    None,
-                );
-                let child = match spawn_node_or_invalid(&node, "shard", s, &args) {
-                    Ok(c) => c,
-                    Err(_) => return failed(&mut self.faults),
-                };
-                self.children.push((format!("shard-{s}"), child.pid()));
-                let stats = LinkStats::shared();
-                self.link_stats.push(Arc::clone(&stats));
-                let mut link = remote::node_link(
-                    child.addr(),
-                    s as u32,
-                    faults,
-                    stats,
-                    link_seed(self.config.seed, "shard-respawn", s),
-                );
-                if let Some(after) = self.config.link_resend_after {
-                    link.set_resend_after(after);
-                }
-                ShardHandle::spawn_remote(RemoteShardSpawn {
-                    index: s,
-                    consumer,
-                    link,
-                    child,
-                    straggle,
-                    deadline: self.config.epoch_deadline,
-                    ledger: Arc::clone(&self.ledger),
-                    crashes: Arc::clone(&self.crashes),
-                    heartbeat: self.watchdog.register(&format!("shard-{s}")),
-                    broker: self.broker.clone(),
-                })
-            }
+        let Ok(mut handle) = self.host.spawn_shard(s) else {
+            return Err(self.respawn_failed(Role::Shard, s));
         };
         for (query, params) in self.queries.values() {
             let _ = handle.cmd.send(ShardCmd::Register {
                 query: Arc::clone(query),
                 params: *params,
-                population: self.config.clients,
+                population: self.host.config.clients,
                 // The dead shard's retained store died with it;
                 // re-enabling retention lets later epochs accumulate
                 // again (the batch answer degrades, reported as the
@@ -4500,94 +2968,37 @@ impl ShardedSystem {
         self.wake_shards();
         let wait = self.control_wait();
         for _ in 0..self.queries.len() {
-            match handle.reply.recv_timeout(wait) {
-                Ok(ShardReply::Registered) => {}
-                _ => return failed(&mut self.faults),
+            if !matches!(handle.reply.recv_timeout(wait), Ok(ShardReply::Registered)) {
+                return Err(self.respawn_failed(Role::Shard, s));
             }
         }
+        handle.busy_base = self.busy.shards[s];
         self.shards[s] = handle;
-        self.shards[s].busy_base = busy_base;
         self.respawns += 1;
         Ok(())
     }
 
-    /// Respawns relay `i` onto its (single-member) consumer group; it
-    /// resumes from the committed offset, and shares produced while
-    /// it was dead are still on the topic — a dead relay delays
-    /// forwarding, it never loses records.
+    /// Respawns relay `i` (see [`Host::spawn_proxy`]); its counters
+    /// carry over, so they stay cumulative.
     fn respawn_proxy(&mut self, i: usize) -> Result<(), DeployError> {
-        if !self.config.auto_respawn {
-            let fault = DeployError::RespawnFailed {
-                role: "proxy",
-                index: i,
-            };
-            self.faults.push(fault.clone());
-            return Err(fault);
+        let counters = Arc::clone(&self.proxies[i].counters);
+        match self.host.spawn_proxy(i, counters) {
+            Ok(handle) => {
+                self.proxies[i] = handle;
+                self.respawns += 1;
+                Ok(())
+            }
+            Err(_) => Err(self.respawn_failed(Role::Proxy, i)),
         }
-        let base = (
-            self.proxies[i].forwarded.load(Ordering::Relaxed),
-            self.proxies[i].busy_ns.load(Ordering::Relaxed),
-            self.proxies[i].backpressure.load(Ordering::Relaxed),
-        );
-        let remote_cfg = match &self.transport {
-            TransportMode::Process { node, faults } => Some((node.clone(), *faults)),
-            TransportMode::InProcess => None,
-        };
-        self.proxies[i] = match remote_cfg {
-            None => {
-                let proxy = Proxy::new(ProxyId(i as u16), &self.broker);
-                let heartbeat = self.watchdog.register(&format!("proxy-{i}"));
-                ProxyHandle::spawn(proxy, Arc::clone(&self.crashes), heartbeat, base)
-            }
-            Some((node, faults)) => {
-                // Fresh child + bridge; the single-member group rejoin
-                // resumes the inbound topic at its committed offset.
-                // Shares that reached the dead child but were not yet
-                // relayed back died with its private broker — the
-                // epoch ledger accounts them as a partial close.
-                let consumer = self
-                    .broker
-                    .consumer(&format!("proxy-{i}"), &[&inbound_topic(ProxyId(i as u16))]);
-                let child =
-                    match spawn_node_or_invalid(&node, "proxy", i, &proxy_node_args(i, self.partitions))
-                    {
-                        Ok(c) => c,
-                        Err(_) => {
-                            let fault = DeployError::RespawnFailed {
-                                role: "proxy",
-                                index: i,
-                            };
-                            self.faults.push(fault.clone());
-                            return Err(fault);
-                        }
-                    };
-                self.children.push((format!("proxy-{i}"), child.pid()));
-                let stats = LinkStats::shared();
-                self.link_stats.push(Arc::clone(&stats));
-                let mut link = remote::node_link(
-                    child.addr(),
-                    i as u32,
-                    faults,
-                    stats,
-                    link_seed(self.config.seed, "proxy-respawn", i),
-                );
-                if let Some(after) = self.config.link_resend_after {
-                    link.set_resend_after(after);
-                }
-                ProxyHandle::spawn_remote(RemoteProxySpawn {
-                    index: i,
-                    consumer,
-                    link,
-                    child,
-                    crashes: Arc::clone(&self.crashes),
-                    heartbeat: self.watchdog.register(&format!("proxy-{i}")),
-                    broker: self.broker.clone(),
-                    base,
-                })
-            }
-        };
-        self.respawns += 1;
-        Ok(())
+    }
+
+    /// `(label, OS pid)` of every `privapprox-node` child ever
+    /// spawned (`proxy-<i>` / `shard-<s>`, including respawn
+    /// replacements, oldest first). Empty in in-process mode. The
+    /// kill-9 recovery harness uses this to SIGKILL specific children
+    /// mid-epoch.
+    pub fn children(&self) -> &[(String, u32)] {
+        &self.host.children
     }
 
     /// Cumulative on-CPU time of every live `privapprox-node` child
@@ -4597,17 +3008,8 @@ impl ShardedSystem {
     /// The bench harness folds these into the machine-rate bottleneck
     /// so a child process counts as a pipeline stage exactly like a
     /// parent thread does under the dedicated-core convention.
-    /// `(label, OS pid)` of every `privapprox-node` child ever
-    /// spawned (`proxy-<i>` / `shard-<s>`, including respawn
-    /// replacements, oldest first). Empty in in-process mode. The
-    /// kill-9 recovery harness uses this to SIGKILL specific children
-    /// mid-epoch.
-    pub fn children(&self) -> &[(String, u32)] {
-        &self.children
-    }
-
     pub fn child_cpu(&self) -> Vec<(String, Duration)> {
-        self.children
+        self.host.children
             .iter()
             .filter_map(|(label, pid)| {
                 remote::process_cpu(*pid).map(|cpu| (label.clone(), cpu))
@@ -4621,7 +3023,7 @@ impl ShardedSystem {
     pub fn busy_profile(&self) -> BusyProfile {
         let mut profile = self.busy.clone();
         for (i, p) in self.proxies.iter().enumerate() {
-            profile.proxies[i] = Duration::from_nanos(p.busy_ns.load(Ordering::Relaxed));
+            profile.proxies[i] = Duration::from_nanos(p.counters.busy_ns.load(Ordering::Relaxed));
         }
         profile
     }
@@ -4630,7 +3032,7 @@ impl ShardedSystem {
     pub fn forwarded_shares(&self) -> u64 {
         self.proxies
             .iter()
-            .map(|p| p.forwarded.load(Ordering::Relaxed))
+            .map(|p| p.counters.forwarded.load(Ordering::Relaxed))
             .sum()
     }
 }
@@ -4652,11 +3054,11 @@ impl Drop for ShardedSystem {
             let _ = s.cmd.send(ShardCmd::Shutdown);
         }
         for p in &self.proxies {
-            p.stop.store(true, Ordering::Relaxed);
+            p.counters.stop.store(true, Ordering::Relaxed);
         }
         // Pop parked threads out of their parks.
         for p in &self.proxies {
-            self.broker.notify_topic(&p.in_topic);
+            self.host.broker.notify_topic(&p.in_topic);
         }
         self.wake_shards();
         // A wedged thread (dead flag up, thread never finished) is
@@ -4743,10 +3145,10 @@ impl<'a> ShardedAnalystSession<'a> {
         let query = QueryBuilder::new(id, self.sql)
             .answer(spec)
             .window(w, d)
-            .sign_and_build(sys.config.analyst_key);
+            .sign_and_build(sys.host.config.analyst_key);
         let params = match self.explicit_params {
             Some(p) => p,
-            None => sys.initializer.derive(&self.budget, sys.config.clients)?,
+            None => sys.initializer.derive(&self.budget, sys.host.config.clients)?,
         };
         sys.register(query.clone(), params)?;
         Ok(query)
@@ -4898,15 +3300,6 @@ mod tests {
         assert_eq!(shards_seen.len(), 3);
     }
 
-    #[test]
-    fn sharded_shape_adopts_cluster_tiers() {
-        let shape = DeploymentShape::single_node(2, 4);
-        let system = ShardedSystem::builder().clients(10).shape(shape).build();
-        assert_eq!(system.config().proxies, 2);
-        assert_eq!(system.config().shards, 4);
-        assert_eq!(system.config().workers, 4);
-    }
-
     /// A failed epoch (one client errors mid-population) must not
     /// poison the pipeline: the epoch still closes with its exact
     /// partial count, so the next epoch runs from consistent
@@ -5037,19 +3430,15 @@ mod tests {
                 .clients(10)
                 .epoch_deadline(Duration::ZERO)
         ));
+        let inject = |f: FaultInjector| ShardedSystem::builder().clients(10).fault_injector(f);
+        let none = FaultInjector::default();
+        assert!(invalid(inject(none.worker_panic_after(9, 1))));
+        assert!(invalid(inject(none.shard_panic_after(9, 1))));
+        assert!(invalid(inject(none.drop_shard_traffic(9))));
+        assert!(invalid(inject(none.straggler(9, Duration::from_millis(1)))));
+        // A child has no fuse: the hook is in-process only.
         assert!(invalid(
-            ShardedSystem::builder().clients(10).worker_panic_after(9, 1)
-        ));
-        assert!(invalid(
-            ShardedSystem::builder().clients(10).shard_panic_after(9, 1)
-        ));
-        assert!(invalid(
-            ShardedSystem::builder().clients(10).drop_shard_traffic(9)
-        ));
-        assert!(invalid(
-            ShardedSystem::builder()
-                .clients(10)
-                .straggler(9, Duration::from_millis(1))
+            inject(none.shard_panic_after(0, 1)).process_transport("privapprox-node")
         ));
     }
 
@@ -5090,7 +3479,7 @@ mod tests {
             .unwrap();
         // A key of the wrong width, injected straight onto a shard
         // inbound topic.
-        system.broker.producer().send(
+        system.broker().producer().send(
             "proxy-0-out",
             Some(vec![9; 5]),
             vec![1, 2, 3],
@@ -5103,6 +3492,41 @@ mod tests {
         assert_eq!(system.dead_letter_backlog(), 1);
         assert_eq!(health.partial_closes, 0);
         assert_eq!(health.respawns, 0);
+    }
+
+    /// A restart surfaces the shard group's committed offsets as the
+    /// crashed incarnation's last close checkpointed them.
+    #[test]
+    fn recovered_offsets_report_the_last_closes_floors() {
+        let dir = std::env::temp_dir().join(format!("privapprox-offsets-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let start = || {
+            let mut system = ShardedSystem::builder()
+                .clients(20)
+                .seed(5)
+                .durable(&dir)
+                .build();
+            system.load_numeric_column("vehicle", "speed", |_| 15.0).unwrap();
+            system
+        };
+        let mut system = start();
+        let query = system
+            .analyst()
+            .query("SELECT speed FROM vehicle")
+            .buckets(speed_spec())
+            .params(ExecutionParams::checked(1.0, 1.0, 0.5))
+            .submit()
+            .unwrap();
+        system.run_epoch(&query).unwrap();
+        let committed = system.host.broker.committed_offsets("aggregator");
+        assert_eq!(committed.iter().map(|(_, _, next)| next).sum::<u64>(), 40);
+        system.crash();
+        let mut system = start();
+        assert!(system.needs_recovery());
+        system.resume().unwrap();
+        assert_eq!(system.recovered_offsets(), committed);
+        drop(system);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

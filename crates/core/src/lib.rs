@@ -57,6 +57,7 @@
 
 pub mod aggregator;
 pub mod client;
+mod control;
 pub mod deploy;
 pub mod error;
 pub mod feedback;
@@ -66,11 +67,14 @@ pub mod persist;
 pub mod proxy;
 pub mod remote;
 pub mod splitx;
+mod stage;
 pub mod system;
 
 pub use aggregator::{Aggregator, BucketResult, QueryResult};
 pub use client::{Client, ClientAnswer, ClientScratch};
-pub use deploy::{DeployHealth, Retirement, ShardedConfig, ShardedSystem, ShardedSystemBuilder};
+pub use deploy::{
+    DeployHealth, FaultInjector, Retirement, ShardedConfig, ShardedSystem, ShardedSystemBuilder,
+};
 pub use error::{CoreError, DeployError};
 pub use feedback::FeedbackController;
 pub use historical::Warehouse;

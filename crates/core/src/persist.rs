@@ -38,7 +38,7 @@
 
 use crate::aggregator::{BucketResult, QueryResult};
 use crate::error::{CoreError, DeployError};
-use crate::remote;
+use crate::control::{get_query, put_query};
 use privapprox_rr::privacy::PrivacyReport;
 use privapprox_stats::estimate::ConfidenceInterval;
 use privapprox_store::codec::{Reader, Writer};
@@ -100,24 +100,6 @@ fn bad(what: &'static str, detail: String) -> StoreError {
 }
 
 // ----- record payload encoders -------------------------------------
-
-fn put_query(w: &mut Writer, query: &Query, params: ExecutionParams) {
-    let json = remote::render(&remote::query_to_value(query));
-    w.bytes(&json);
-    w.f64(params.s).f64(params.p).f64(params.q);
-}
-
-fn get_query(r: &mut Reader<'_>, what: &'static str) -> Result<(Query, ExecutionParams), StoreError> {
-    let json = r.bytes()?.to_vec();
-    let value = remote::parse(&json).map_err(|e| bad(what, format!("query json: {e}")))?;
-    let query =
-        remote::query_from_value(&value).map_err(|e| bad(what, format!("query decode: {e}")))?;
-    let (s, p, q) = (r.f64()?, r.f64()?, r.f64()?);
-    if !(s.is_finite() && p.is_finite() && q.is_finite()) {
-        return Err(bad(what, format!("non-finite params ({s}, {p}, {q})")));
-    }
-    Ok((query, ExecutionParams::checked(s, p, q)))
-}
 
 pub(crate) fn rec_registered(
     query: &Query,
@@ -481,7 +463,7 @@ fn apply_snapshot(state: &mut RecoveredState, sections: &[(u8, Vec<u8>)]) -> Res
                 let mut r = Reader::new(payload, "snapshot queries");
                 let n = r.count(32)?;
                 for _ in 0..n {
-                    let (q, params) = get_query(&mut r, "snapshot queries")?;
+                    let (q, params) = get_query(&mut r)?;
                     let qid = q.id;
                     let retain = r.u8()? != 0;
                     let ledger = if r.u8()? != 0 {
@@ -599,7 +581,7 @@ fn apply_records(state: &mut RecoveredState, records: &[WalRecord]) -> Result<()
         match rec.kind {
             K_REGISTERED => {
                 let mut r = Reader::new(&rec.payload, "registered");
-                let (q, params) = get_query(&mut r, "registered")?;
+                let (q, params) = get_query(&mut r)?;
                 let retain = r.u8()? != 0;
                 let next_serial = r.u64()?;
                 r.done()?;

@@ -19,7 +19,8 @@
 //!   that thread has consumed — so a child's memory follows its
 //!   backlog, not its lifetime;
 //! * the control plane (query registration, epoch close, health
-//!   probes) is JSON over the workspace serde shims; floats travel as
+//!   probes) is the in-process shard's own command vocabulary
+//!   (`ShardCmd`/`ShardReply`) in binary; floats travel as
 //!   `f64::to_bits` so results stay **byte-identical** to the
 //!   in-process path;
 //! * the data plane is batched binary [`DataMsg`] records with
@@ -72,19 +73,15 @@ use privapprox_cluster::wire::{encode_ack, encode_progress, Channel};
 use privapprox_cluster::{
     decode_data_batch, encode_data_batch, AdmissionPolicy, BackoffPolicy, DataMsg, FaultPlan,
     FaultyTransport, Frame, FrameKind, FrontDoor, Hello, LinkStats, Reassembly, RejectReason,
-    SupervisedLink, TcpTransport, TokenBucket, Transport,
+    SupervisedLink, TcpTransport, TokenBucket, Transport, Waker,
 };
-use privapprox_rr::estimate::BucketEstimator;
 use privapprox_stream::broker::{Broker, Consumer, Record, TopicWriter};
-use privapprox_types::{
-    AnswerSpec, BucketRule, ExecutionParams, ProxyId, Query, QueryId, Timestamp, Window,
-    WindowSpec,
-};
-use serde::Value;
+use privapprox_types::{ProxyId, Timestamp};
 
-use crate::aggregator::{Aggregator, RawWindow};
-use crate::deploy::DEAD_LETTER_TOPIC;
+use crate::control::{ShardCmd, ShardReply};
+use crate::deploy::{ShardedConfig, DEAD_LETTER_TOPIC};
 use crate::proxy::{inbound_topic, outbound_topic, Proxy};
+use crate::stage::{LocalShard, Role};
 
 /// How long a dial waits for the TCP connect to a child node.
 pub(crate) const CONNECT_TIMEOUT: Duration = Duration::from_millis(1_000);
@@ -107,315 +104,6 @@ pub(crate) const BATCH_RECORDS: usize = 512;
 const NODE_DEAD_LETTER_CAP: usize = 4_096;
 
 // ---------------------------------------------------------------------------
-// Control-plane codec (JSON over the serde shims).
-//
-// Floats are carried as `f64::to_bits` (`Value::UInt`), so estimates
-// reconstruct bit-for-bit on the other side — the equivalence matrix
-// pins the cross-process path byte-identical to in-process, and a JSON
-// float round-trip (or a NaN) must not be able to break that.
-// ---------------------------------------------------------------------------
-
-fn corrupt(what: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("bad ctrl payload: {what}"))
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn vu(x: u64) -> Value {
-    Value::UInt(x)
-}
-
-fn vf(x: f64) -> Value {
-    Value::UInt(x.to_bits())
-}
-
-fn vs(s: &str) -> Value {
-    Value::Str(s.to_string())
-}
-
-fn need<'a>(v: &'a Value, key: &'static str) -> io::Result<&'a Value> {
-    v.get(key).ok_or_else(|| corrupt(key))
-}
-
-fn need_u64(v: &Value, key: &'static str) -> io::Result<u64> {
-    need(v, key)?.as_u64().ok_or_else(|| corrupt(key))
-}
-
-fn need_f64(v: &Value, key: &'static str) -> io::Result<f64> {
-    Ok(f64::from_bits(need_u64(v, key)?))
-}
-
-fn need_str<'a>(v: &'a Value, key: &'static str) -> io::Result<&'a str> {
-    need(v, key)?.as_str().ok_or_else(|| corrupt(key))
-}
-
-fn need_array<'a>(v: &'a Value, key: &'static str) -> io::Result<&'a [Value]> {
-    need(v, key)?.as_array().ok_or_else(|| corrupt(key))
-}
-
-pub(crate) fn parse(payload: &[u8]) -> io::Result<Value> {
-    let s = std::str::from_utf8(payload).map_err(|_| corrupt("utf8"))?;
-    serde_json::from_str(s).map_err(|e| corrupt(&format!("json: {e:?}")))
-}
-
-pub(crate) fn render(v: &Value) -> Vec<u8> {
-    serde_json::to_string(v).expect("ctrl json render").into_bytes()
-}
-
-pub(crate) fn query_to_value(q: &Query) -> Value {
-    let rules: Vec<Value> = q
-        .answer
-        .buckets()
-        .iter()
-        .map(|r| match r {
-            BucketRule::Range { lo, hi } => {
-                obj(vec![("t", vs("range")), ("lo", vf(*lo)), ("hi", vf(*hi))])
-            }
-            BucketRule::Value(x) => obj(vec![("t", vs("value")), ("x", vf(*x))]),
-            BucketRule::Text(s) => obj(vec![("t", vs("text")), ("x", vs(s))]),
-            BucketRule::Like(s) => obj(vec![("t", vs("like")), ("x", vs(s))]),
-        })
-        .collect();
-    obj(vec![
-        ("id", vu(q.id.to_u64())),
-        ("sql", vs(&q.sql)),
-        ("freq", vu(q.frequency)),
-        ("wsize", vu(q.window.size)),
-        ("wslide", vu(q.window.slide)),
-        ("sig", vu(q.signature)),
-        ("answer", Value::Array(rules)),
-    ])
-}
-
-pub(crate) fn query_from_value(v: &Value) -> io::Result<Query> {
-    let mut rules = Vec::new();
-    for r in need_array(v, "answer")? {
-        rules.push(match need_str(r, "t")? {
-            "range" => BucketRule::Range {
-                lo: need_f64(r, "lo")?,
-                hi: need_f64(r, "hi")?,
-            },
-            "value" => BucketRule::Value(need_f64(r, "x")?),
-            "text" => BucketRule::Text(need_str(r, "x")?.to_string()),
-            "like" => BucketRule::Like(need_str(r, "x")?.to_string()),
-            _ => return Err(corrupt("rule tag")),
-        });
-    }
-    if rules.is_empty() {
-        return Err(corrupt("empty answer spec"));
-    }
-    Ok(Query {
-        id: QueryId::from_u64(need_u64(v, "id")?),
-        sql: need_str(v, "sql")?.to_string(),
-        answer: AnswerSpec::new(rules),
-        frequency: need_u64(v, "freq")?,
-        window: WindowSpec {
-            size: need_u64(v, "wsize")?,
-            slide: need_u64(v, "wslide")?,
-        },
-        signature: need_u64(v, "sig")?,
-    })
-}
-
-/// A control request the parent sends to a node.
-pub(crate) enum NodeCtrl {
-    /// Register a query on the node's aggregator.
-    Register {
-        /// The query definition.
-        query: Box<Query>,
-        /// Sampling / randomization parameters.
-        params: ExecutionParams,
-        /// Population size for scale-up.
-        population: u64,
-    },
-    /// Close an epoch: drain, advance the watermark, report windows.
-    Finish {
-        /// Epoch tag (epoch-start milliseconds).
-        epoch: u64,
-        /// Watermark to advance to (exclusive window close bound).
-        watermark: u64,
-    },
-    /// Health probe.
-    Probe,
-}
-
-/// A control reply a node sends back to the parent.
-pub(crate) enum NodeReply {
-    /// Query registration acknowledged.
-    Registered,
-    /// Epoch closed; raw windows reconstructed losslessly.
-    Closed {
-        /// Which epoch this close answers (sanity check).
-        epoch: u64,
-        /// Answers this node decoded under the closed epoch's tag.
-        decoded: u64,
-        /// Cumulative busy time of the node's aggregator loop.
-        busy: Duration,
-        /// Closed windows with exact estimator state.
-        windows: Vec<RawWindow>,
-    },
-    /// Health counters.
-    Health {
-        /// `(undecodable, unroutable, duplicates, expired_joins)`.
-        quad: (u64, u64, u64, u64),
-        /// Records quarantined to the node's dead-letter topic.
-        dead_lettered: u64,
-        /// Decoded answers dropped behind the watermark.
-        late_answers: u64,
-        /// Cumulative busy time.
-        busy: Duration,
-    },
-}
-
-pub(crate) fn encode_register(query: &Query, params: ExecutionParams, population: u64) -> Vec<u8> {
-    render(&obj(vec![
-        ("t", vs("register")),
-        ("query", query_to_value(query)),
-        ("s", vf(params.s)),
-        ("p", vf(params.p)),
-        ("q", vf(params.q)),
-        ("population", vu(population)),
-    ]))
-}
-
-pub(crate) fn encode_finish(epoch: u64, watermark: u64) -> Vec<u8> {
-    render(&obj(vec![
-        ("t", vs("finish")),
-        ("epoch", vu(epoch)),
-        ("watermark", vu(watermark)),
-    ]))
-}
-
-pub(crate) fn encode_probe() -> Vec<u8> {
-    render(&obj(vec![("t", vs("probe"))]))
-}
-
-pub(crate) fn decode_ctrl(payload: &[u8]) -> io::Result<NodeCtrl> {
-    let v = parse(payload)?;
-    Ok(match need_str(&v, "t")? {
-        "register" => NodeCtrl::Register {
-            query: Box::new(query_from_value(need(&v, "query")?)?),
-            params: ExecutionParams {
-                s: need_f64(&v, "s")?,
-                p: need_f64(&v, "p")?,
-                q: need_f64(&v, "q")?,
-            },
-            population: need_u64(&v, "population")?,
-        },
-        "finish" => NodeCtrl::Finish {
-            epoch: need_u64(&v, "epoch")?,
-            watermark: need_u64(&v, "watermark")?,
-        },
-        "probe" => NodeCtrl::Probe,
-        _ => return Err(corrupt("ctrl tag")),
-    })
-}
-
-pub(crate) fn encode_registered() -> Vec<u8> {
-    render(&obj(vec![("t", vs("registered"))]))
-}
-
-/// Serializes a `Closed` reply. Takes the windows by mutable slice
-/// because [`BucketEstimator::raw_parts`] folds sketch planes in
-/// place before exposing the exact `u64` counts.
-pub(crate) fn encode_closed(
-    epoch: u64,
-    decoded: u64,
-    busy: Duration,
-    windows: &mut [RawWindow],
-) -> Vec<u8> {
-    let wins: Vec<Value> = windows
-        .iter_mut()
-        .map(|w| {
-            let (p, q, total, counts) = w.estimator.raw_parts();
-            obj(vec![
-                ("query", vu(w.query.to_u64())),
-                ("start", vu(w.window.start.0)),
-                ("end", vu(w.window.end.0)),
-                ("p", vf(p)),
-                ("q", vf(q)),
-                ("total", vu(total)),
-                ("counts", Value::Array(counts.iter().map(|c| vu(*c)).collect())),
-            ])
-        })
-        .collect();
-    render(&obj(vec![
-        ("t", vs("closed")),
-        ("epoch", vu(epoch)),
-        ("decoded", vu(decoded)),
-        ("busy_ns", vu(busy.as_nanos() as u64)),
-        ("windows", Value::Array(wins)),
-    ]))
-}
-
-pub(crate) fn encode_health(
-    quad: (u64, u64, u64, u64),
-    dead_lettered: u64,
-    late_answers: u64,
-    busy: Duration,
-) -> Vec<u8> {
-    render(&obj(vec![
-        ("t", vs("health")),
-        ("undecodable", vu(quad.0)),
-        ("unroutable", vu(quad.1)),
-        ("duplicates", vu(quad.2)),
-        ("expired_joins", vu(quad.3)),
-        ("dead_lettered", vu(dead_lettered)),
-        ("late_answers", vu(late_answers)),
-        ("busy_ns", vu(busy.as_nanos() as u64)),
-    ]))
-}
-
-pub(crate) fn decode_reply(payload: &[u8]) -> io::Result<NodeReply> {
-    let v = parse(payload)?;
-    Ok(match need_str(&v, "t")? {
-        "registered" => NodeReply::Registered,
-        "closed" => {
-            let mut windows = Vec::new();
-            for w in need_array(&v, "windows")? {
-                let counts: Vec<u64> = need_array(w, "counts")?
-                    .iter()
-                    .map(|c| c.as_u64().ok_or_else(|| corrupt("counts")))
-                    .collect::<io::Result<_>>()?;
-                windows.push(RawWindow {
-                    query: QueryId::from_u64(need_u64(w, "query")?),
-                    window: Window {
-                        start: Timestamp(need_u64(w, "start")?),
-                        end: Timestamp(need_u64(w, "end")?),
-                    },
-                    estimator: BucketEstimator::from_raw_parts(
-                        need_f64(w, "p")?,
-                        need_f64(w, "q")?,
-                        need_u64(w, "total")?,
-                        &counts,
-                    ),
-                });
-            }
-            NodeReply::Closed {
-                epoch: need_u64(&v, "epoch")?,
-                decoded: need_u64(&v, "decoded")?,
-                busy: Duration::from_nanos(need_u64(&v, "busy_ns")?),
-                windows,
-            }
-        }
-        "health" => NodeReply::Health {
-            quad: (
-                need_u64(&v, "undecodable")?,
-                need_u64(&v, "unroutable")?,
-                need_u64(&v, "duplicates")?,
-                need_u64(&v, "expired_joins")?,
-            ),
-            dead_lettered: need_u64(&v, "dead_lettered")?,
-            late_answers: need_u64(&v, "late_answers")?,
-            busy: Duration::from_nanos(need_u64(&v, "busy_ns")?),
-        },
-        _ => return Err(corrupt("reply tag")),
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Parent side: spawning children and dialing supervised links.
 // ---------------------------------------------------------------------------
 
@@ -425,21 +113,10 @@ pub(crate) fn decode_reply(payload: &[u8]) -> io::Result<NodeReply> {
 /// clean shutdown) can therefore never strand an orphan listener. The
 /// child additionally watches its stdin (held open by this handle)
 /// and exits on EOF, which covers the parent being killed outright.
-pub(crate) struct NodeChild {
+struct NodeChild {
     child: Child,
-    addr: SocketAddr,
-}
-
-impl NodeChild {
     /// The loopback address the child's front door is listening on.
-    pub(crate) fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The child's OS process id.
-    pub(crate) fn pid(&self) -> u32 {
-        self.child.id()
-    }
+    addr: SocketAddr,
 }
 
 /// Cumulative on-CPU time of process `pid`, read from
@@ -463,7 +140,7 @@ impl Drop for NodeChild {
 /// Spawns a `privapprox-node` child and waits for its `PORT <n>`
 /// banner (printed after the front door is bound, so a successful
 /// return means the child is dialable).
-pub(crate) fn spawn_node(node: &Path, args: &[String]) -> io::Result<NodeChild> {
+fn spawn_node(node: &Path, args: &[String]) -> io::Result<NodeChild> {
     let mut child = Command::new(node)
         .args(args)
         .stdin(Stdio::piped())
@@ -499,7 +176,7 @@ pub(crate) fn spawn_node(node: &Path, args: &[String]) -> io::Result<NodeChild> 
 /// Builds the supervised, optionally fault-injected link to a child
 /// node. Each (re)dial performs the front-door handshake; admission
 /// rejection surfaces as `ConnectionRefused` and burns a retry.
-pub(crate) fn node_link(
+fn node_link(
     addr: SocketAddr,
     index: u32,
     faults: FaultPlan,
@@ -529,7 +206,7 @@ pub(crate) fn node_link(
 /// Converts a polled broker record into its wire form. Key and value
 /// buffers are shared with the record (refcount bumps, no copies) —
 /// the only byte copy on the send path is the frame encode itself.
-pub(crate) fn record_to_msg(stream: u32, partition: u32, rec: &Record) -> DataMsg {
+fn record_to_msg(stream: u32, partition: u32, rec: &Record) -> DataMsg {
     DataMsg {
         seq: 0,
         stream: stream as u8,
@@ -540,18 +217,183 @@ pub(crate) fn record_to_msg(stream: u32, partition: u32, rec: &Record) -> DataMs
     }
 }
 
-/// Sends `msgs` over `link` as batched data frames ([`BATCH_RECORDS`]
-/// records per frame). Returns the number of frames sent.
-pub(crate) fn send_batched(link: &mut SupervisedLink, msgs: &[DataMsg]) -> io::Result<u64> {
-    let mut frames = 0;
-    for chunk in msgs.chunks(BATCH_RECORDS) {
-        link.send(Frame::new(FrameKind::Data, encode_data_batch(chunk)))?;
-        frames += 1;
+/// Deterministic per-link jitter seed: deployment seed × role × slot,
+/// so backoff schedules are stable run to run and distinct link to
+/// link.
+fn link_seed(seed: u64, role: &str, index: usize) -> u64 {
+    let role_tag = role
+        .bytes()
+        .fold(0u64, |h, b| h.wrapping_mul(131).wrapping_add(b as u64));
+    seed ^ role_tag.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ (index as u64).wrapping_mul(0xD1B5_4A32_D192_ED03)
+}
+
+/// Takes a bridge thread down with its slot's name attached: the
+/// panic lands in the crash log and the respawn machinery.
+fn link_down(label: &str, e: impl std::fmt::Display) -> ! {
+    panic!("{label} link: {e}")
+}
+
+/// Unwraps a link operation in a bridge thread; an error here means
+/// the link's retry budget ran out.
+fn link_ok<T>(label: &str, outcome: io::Result<T>) -> T {
+    outcome.unwrap_or_else(|e| link_down(label, e))
+}
+
+/// The parent's end of one `privapprox-node` child: the child process,
+/// the supervised link to it, the broker consumer whose records it is
+/// fed, and one park over all of them.
+///
+/// The consumer's event count is rung by every producer of the topics
+/// the bridge consumes and by control wakes
+/// ([`Broker::notify_topic`]: `wake_shards`, a sibling's close kick,
+/// the stop flag at drop). A bridge asleep in `poll(2)` cannot hear a
+/// condvar, so it installs a *bell* on that event count which rings
+/// the self-pipe its `poll(2)` also watches — only while the bridge
+/// is announced as parked, so a busy bridge costs its notifiers no
+/// syscall.
+pub(crate) struct Bridge {
+    /// `"<role> <index>"`, for the panic message of a dead link.
+    label: String,
+    consumer: Consumer,
+    link: SupervisedLink,
+    waker: Waker,
+    batch: Vec<(u32, u32, Record)>,
+    msgs: Vec<DataMsg>,
+    /// Declared last, so dropped last: the bridge owns the child, and
+    /// a bridge thread that unwinds (or shuts down) kills the process.
+    child: NodeChild,
+}
+
+impl Bridge {
+    /// Spawns the child for slot `(role, index)` and dials its
+    /// supervised link — the one place a child is born, at build and
+    /// at respawn alike. `consumer` must already have joined its group
+    /// on the calling thread.
+    pub(crate) fn open(
+        node: &Path,
+        faults: FaultPlan,
+        role: Role,
+        index: usize,
+        consumer: Consumer,
+        config: &ShardedConfig,
+        partitions: usize,
+    ) -> io::Result<Bridge> {
+        let role = role.name();
+        let args = [
+            role.to_string(),
+            "--index".into(),
+            index.to_string(),
+            "--partitions".into(),
+            partitions.to_string(),
+            "--proxies".into(),
+            config.proxies.to_string(),
+            "--confidence-bits".into(),
+            config.confidence.to_bits().to_string(),
+        ];
+        let child = spawn_node(node, &args)
+            .map_err(|e| io::Error::new(e.kind(), format!("spawn {role} node {index}: {e}")))?;
+        let mut link = node_link(
+            child.addr,
+            index as u32,
+            faults,
+            LinkStats::shared(),
+            link_seed(config.seed, role, index),
+        );
+        if let Some(after) = config.link_resend_after {
+            link.set_resend_after(after);
+        }
+        let waker = Waker::new()?;
+        let bell = waker.clone();
+        consumer.wake().set_bell(move || bell.ring());
+        Ok(Bridge {
+            label: format!("{role} {index}"),
+            consumer,
+            link,
+            waker,
+            batch: Vec::new(),
+            msgs: Vec::new(),
+            child,
+        })
     }
-    if frames > 0 {
-        link.flush()?;
+
+    /// Takes the bridge thread down over a damaged frame, like a link
+    /// whose retry budget ran out.
+    pub(crate) fn fail(&self, e: impl std::fmt::Display) -> ! {
+        link_down(&self.label, e)
     }
-    Ok(frames)
+
+    /// The child's OS process id.
+    pub(crate) fn pid(&self) -> u32 {
+        self.child.child.id()
+    }
+
+    /// The link's supervision counters.
+    pub(crate) fn stats(&self) -> Arc<LinkStats> {
+        Arc::clone(self.link.stats())
+    }
+
+    /// The park token; read **before** checking the bridge's sources.
+    pub(crate) fn token(&self) -> u64 {
+        self.consumer.wake().token()
+    }
+
+    /// Ships every record waiting on the consumed topics to the child,
+    /// one data frame per poll batch. Returns whether any moved.
+    pub(crate) fn ship(&mut self) -> bool {
+        let mut moved = false;
+        while self.consumer.poll_into(BATCH_RECORDS, &mut self.batch) > 0 {
+            moved = true;
+            self.msgs.clear();
+            for (stream, partition, rec) in self.batch.drain(..) {
+                self.msgs.push(record_to_msg(stream, partition, &rec));
+            }
+            let frame = Frame::new(FrameKind::Data, encode_data_batch(&self.msgs));
+            let sent = self.link.send(frame).and_then(|()| self.link.flush());
+            link_ok(&self.label, sent);
+        }
+        moved
+    }
+
+    /// The next frame from the child that is already here; never
+    /// waits for one.
+    pub(crate) fn try_recv(&mut self) -> Option<Frame> {
+        link_ok(&self.label, self.link.try_recv())
+    }
+
+    /// Sends one control request and flushes it out.
+    pub(crate) fn send_ctrl(&mut self, payload: Vec<u8>) {
+        let sent = self
+            .link
+            .send(Frame::new(FrameKind::Ctrl, payload))
+            .and_then(|()| self.link.flush());
+        link_ok(&self.label, sent);
+    }
+
+    /// Ends a round: replays a stalled resend window and flushes, so
+    /// nothing the round encoded sleeps in a buffer.
+    pub(crate) fn settle(&mut self) {
+        let settled = self.link.maybe_resend().and_then(|()| self.link.flush());
+        link_ok(&self.label, settled);
+    }
+
+    /// Sleeps until the socket has input, the event count moves past
+    /// `token`, or the [`LINK_READ_POLL`] watchdog tick — and not at
+    /// all if the count already moved. The caller has settled.
+    pub(crate) fn park(&mut self, token: u64) {
+        let slept = self
+            .consumer
+            .wake()
+            .park_in(token, || self.link.wait(&self.waker, LINK_READ_POLL));
+        link_ok(&self.label, slept.unwrap_or(Ok(())));
+    }
+
+    /// Best-effort goodbye so the child exits cleanly before the guard
+    /// kills it.
+    pub(crate) fn goodbye(&mut self) {
+        let _ = self.link.send(Frame::bare(FrameKind::Shutdown));
+        let _ = self.link.flush();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -570,7 +412,6 @@ struct NodeOpts {
     partitions: usize,
     proxies: usize,
     confidence: f64,
-    fuse: Option<u64>,
 }
 
 impl NodeOpts {
@@ -587,7 +428,6 @@ impl NodeOpts {
             partitions: 1,
             proxies: 2,
             confidence: 0.95,
-            fuse: None,
         };
         let mut it = args[1..].iter();
         while let Some(flag) = it.next() {
@@ -600,7 +440,6 @@ impl NodeOpts {
                     opts.confidence =
                         f64::from_bits(val.parse().map_err(|_| bad("--confidence-bits"))?)
                 }
-                "--fuse" => opts.fuse = Some(val.parse().map_err(|_| bad("--fuse"))?),
                 _ => return Err(bad("unknown flag")),
             }
         }
@@ -671,43 +510,6 @@ where
             Ok(false) | Err(_) => continue,
         }
     }
-}
-
-/// Bumps the per-epoch decode tally (mirrors the in-process shard
-/// loop's tee accounting).
-fn bump(counts: &mut Vec<(u64, u64)>, epoch: u64, delta: u64) {
-    match counts.iter_mut().find(|(e, _)| *e == epoch) {
-        Some((_, n)) => *n += delta,
-        None => counts.push((epoch, delta)),
-    }
-}
-
-/// Queues `Progress` deltas for every epoch whose decode tally moved
-/// since the last publication.
-fn publish_progress(
-    t: &mut dyn Transport,
-    counts: &[(u64, u64)],
-    published: &mut Vec<(u64, u64)>,
-) -> io::Result<()> {
-    for &(epoch, n) in counts {
-        let prev = published
-            .iter_mut()
-            .find(|(e, _)| *e == epoch)
-            .map(|entry| &mut entry.1);
-        match prev {
-            Some(p) if *p < n => {
-                let delta = n - *p;
-                *p = n;
-                t.send(&Frame::new(FrameKind::Progress, encode_progress(epoch, delta)))?;
-            }
-            Some(_) => {}
-            None => {
-                published.push((epoch, n));
-                t.send(&Frame::new(FrameKind::Progress, encode_progress(epoch, n)))?;
-            }
-        }
-    }
-    Ok(())
 }
 
 /// The receiving half of a node's data link: admission control in
@@ -887,18 +689,14 @@ impl ProxyNode {
 }
 
 /// Child runtime for one aggregator shard: a private broker carrying
-/// every proxy's outbound topic, a sole-member [`Aggregator`] over
-/// them, and the epoch close protocol spoken over the control frames.
+/// every proxy's outbound topic, the same [`LocalShard`] an
+/// in-process shard thread runs as their sole consumer, and the
+/// control plane spoken over `Ctrl` / `CtrlReply` frames.
 struct ShardNode {
     _broker: Broker,
-    agg: Aggregator,
+    shard: LocalShard,
     writers: Vec<TopicWriter>,
     inbox: Inbox,
-    counts: Vec<(u64, u64)>,
-    published: Vec<(u64, u64)>,
-    busy: Duration,
-    fuse: Option<u64>,
-    raw: Vec<RawWindow>,
 }
 
 impl ShardNode {
@@ -913,19 +711,13 @@ impl ShardNode {
             broker.create_topic_trimmed(n, opts.partitions);
         }
         broker.create_topic_drop_oldest(DEAD_LETTER_TOPIC, opts.partitions, NODE_DEAD_LETTER_CAP);
-        let mut agg = Aggregator::new(&broker, opts.proxies, opts.confidence);
-        agg.set_dead_letter(broker.writer(DEAD_LETTER_TOPIC));
+        let shard = LocalShard::new(&broker, opts.proxies, opts.confidence, None);
         let writers = names.iter().map(|n| broker.writer(n)).collect();
         ShardNode {
             _broker: broker,
-            agg,
+            shard,
             writers,
             inbox: Inbox::new(),
-            counts: Vec::new(),
-            published: Vec::new(),
-            busy: Duration::ZERO,
-            fuse: opts.fuse,
-            raw: Vec::new(),
         }
     }
 
@@ -935,12 +727,10 @@ impl ShardNode {
         })
     }
 
-    /// Feeds reassembled shares into the local topics and drains the
-    /// aggregator over them, tallying decodes per epoch tag and
-    /// burning the injected-fault fuse (a fuse of 0 panics, which
-    /// kills the child process — the remote analogue of the
-    /// in-process shard fault injection).
-    fn pump(&mut self) {
+    /// Feeds reassembled shares into the local topics, decodes what is
+    /// there and queues a `Progress` frame for every epoch whose tally
+    /// moved.
+    fn pump(&mut self, t: &mut dyn Transport) -> io::Result<()> {
         for batch in self.inbox.deliverable.drain(..) {
             for m in batch {
                 if let Some(w) = self.writers.get(m.stream as usize) {
@@ -948,74 +738,36 @@ impl ShardNode {
                 }
             }
         }
-        let t0 = Instant::now();
-        let counts = &mut self.counts;
-        let fuse = &mut self.fuse;
-        self.agg.pump_with(|_q, ts, _mid, _answer| {
-            bump(counts, ts.0, 1);
-            if let Some(left) = fuse {
-                assert!(*left > 0, "injected shard fault (fuse)");
-                *left -= 1;
+        self.shard.pump();
+        let mut sent = Ok(());
+        self.shard.publish(|epoch, delta| {
+            if sent.is_ok() {
+                sent = t.send(&Frame::new(
+                    FrameKind::Progress,
+                    encode_progress(epoch.0, delta),
+                ));
             }
         });
-        self.busy += t0.elapsed();
+        sent
     }
 
     fn on_ctrl(&mut self, payload: &[u8], t: &mut dyn Transport) -> io::Result<()> {
-        let reply = match decode_ctrl(payload)? {
-            NodeCtrl::Register {
-                query,
-                params,
-                population,
-            } => {
-                self.agg.register_query(&query, params, population);
-                encode_registered()
+        let cmd = ShardCmd::decode(payload)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        // A command acts on every share received ahead of it, and its
+        // progress leaves first, so the parent's ledger never runs
+        // behind a close.
+        self.pump(t)?;
+        let mut reply = self.shard.handle(cmd);
+        let sent = t.send(&Frame::new(FrameKind::CtrlReply, reply.encode()));
+        // The windows went out as bytes: their estimators go home to
+        // the open-window pool.
+        if let ShardReply::Closed { windows, .. } = reply {
+            for w in windows {
+                self.shard.release(w.estimator);
             }
-            NodeCtrl::Finish { epoch, watermark } => {
-                // Drain every share received ahead of this request,
-                // publish the resulting progress (so the parent's
-                // ledger never runs behind the close), then cut the
-                // windows.
-                self.pump();
-                publish_progress(t, &self.counts, &mut self.published)?;
-                let t0 = Instant::now();
-                self.raw.clear();
-                self.agg
-                    .advance_watermark_raw_into(Timestamp(watermark), &mut self.raw);
-                let decoded = self
-                    .counts
-                    .iter()
-                    .find(|(e, _)| *e == epoch)
-                    .map(|(_, n)| *n)
-                    .unwrap_or(0);
-                self.busy += t0.elapsed();
-                let reply = encode_closed(epoch, decoded, self.busy, &mut self.raw);
-                // Estimators go home to the open-window pool; the
-                // retired epoch tallies are dropped.
-                for w in self.raw.drain(..) {
-                    self.agg.release_estimator(w.estimator);
-                }
-                self.counts.retain(|(e, _)| *e > epoch);
-                self.published.retain(|(e, _)| *e > epoch);
-                reply
-            }
-            NodeCtrl::Probe => {
-                self.pump();
-                publish_progress(t, &self.counts, &mut self.published)?;
-                encode_health(
-                    (
-                        self.agg.undecodable(),
-                        self.agg.unroutable(),
-                        self.agg.duplicates(),
-                        self.agg.expired_joins(),
-                    ),
-                    self.agg.dead_lettered(),
-                    self.agg.late_events(),
-                    self.busy,
-                )
-            }
-        };
-        t.send(&Frame::new(FrameKind::CtrlReply, reply))
+        }
+        sent
     }
 
     fn serve(
@@ -1042,8 +794,7 @@ impl ShardNode {
                 }
                 next = t.try_recv()?;
             }
-            self.pump();
-            publish_progress(t, &self.counts, &mut self.published)?;
+            self.pump(t)?;
             self.inbox.ack(t)?;
             // The `Closed` reply, progress and acks encoded above all
             // leave before the next wait.
@@ -1058,131 +809,85 @@ impl ShardNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use privapprox_types::{AnalystId, QueryBuilder};
+    use crate::control::tests::{
+        sample_close, sample_closed, sample_health, sample_query, sample_register,
+    };
 
-    fn sample_query() -> Query {
-        QueryBuilder::new(QueryId::new(AnalystId(3), 7), "SELECT speed FROM cars")
-            .answer(AnswerSpec::new(vec![
-                BucketRule::Value(0.0),
-                BucketRule::Range { lo: 0.0, hi: 100.0 },
-                BucketRule::Range {
-                    lo: 100.0,
-                    hi: f64::INFINITY,
-                },
-                BucketRule::Text("n/a".into()),
-                BucketRule::Like("err-%".into()),
-            ]))
-            .frequency(500)
-            .window(2_000, 500)
-            .sign_and_build(0xDEAD_BEEF)
-    }
+    // What the node reads off and writes onto its socket — the `Ctrl`
+    // and `CtrlReply` payloads — reconstructs bit for bit.
 
     #[test]
     fn register_roundtrip_is_exact() {
-        let q = sample_query();
-        let params = ExecutionParams {
-            s: 0.6,
-            p: 0.85,
-            q: 0.3,
+        let sent = sample_register();
+        let (ShardCmd::Register { query, params, population, .. }, q) =
+            (ShardCmd::decode(&sent.encode()).unwrap(), sample_query())
+        else {
+            panic!("wrong variant");
         };
-        let enc = encode_register(&q, params, 12_345);
-        match decode_ctrl(&enc).unwrap() {
-            NodeCtrl::Register {
-                query,
-                params: p2,
-                population,
-            } => {
-                assert_eq!(*query, q);
-                assert_eq!(p2.s.to_bits(), params.s.to_bits());
-                assert_eq!(p2.p.to_bits(), params.p.to_bits());
-                assert_eq!(p2.q.to_bits(), params.q.to_bits());
-                assert_eq!(population, 12_345);
-            }
-            _ => panic!("wrong variant"),
-        }
+        // All four bucket rules, an infinite bound included.
+        assert_eq!(*query, q);
+        assert_eq!(
+            [params.s, params.p, params.q].map(f64::to_bits),
+            [0.6f64, 0.85, 0.3].map(f64::to_bits)
+        );
+        assert_eq!(population, 12_345);
     }
 
     #[test]
     fn finish_and_probe_roundtrip() {
-        match decode_ctrl(&encode_finish(4_000, 2_000)).unwrap() {
-            NodeCtrl::Finish { epoch, watermark } => {
-                assert_eq!((epoch, watermark), (4_000, 2_000));
-            }
-            _ => panic!("wrong variant"),
-        }
+        let ShardCmd::Close(c) = ShardCmd::decode(&sample_close().encode()).unwrap() else {
+            panic!("wrong variant");
+        };
+        assert_eq!((c.epoch.0, c.watermark.0), (4_000, 6_000));
         assert!(matches!(
-            decode_ctrl(&encode_probe()).unwrap(),
-            NodeCtrl::Probe
+            ShardCmd::decode(&ShardCmd::Probe.encode()).unwrap(),
+            ShardCmd::Probe
+        ));
+        assert!(matches!(
+            ShardReply::decode(&ShardReply::Registered.encode()).unwrap(),
+            ShardReply::Registered
         ));
     }
 
     #[test]
     fn closed_reply_reconstructs_estimators_bit_for_bit() {
-        use privapprox_types::BitVec;
-        let mut est = BucketEstimator::new(5, 0.9, 0.55);
-        let mut answer = BitVec::zeros(5);
-        for i in 0..200u64 {
-            answer.reset(5);
-            answer.set((i % 5) as usize, true);
-            answer.set(((i * 3) % 5) as usize, true);
-            est.push(&answer);
-        }
-        let mut reference = est.clone();
-        let mut windows = vec![RawWindow {
-            query: QueryId::new(AnalystId(1), 2),
-            window: Window {
-                start: Timestamp(1_000),
-                end: Timestamp(3_000),
-            },
-            estimator: est,
-        }];
-        let enc = encode_closed(7_000, 200, Duration::from_nanos(1_234), &mut windows);
-        match decode_reply(&enc).unwrap() {
-            NodeReply::Closed {
-                epoch,
-                decoded,
-                busy,
-                windows: got,
-            } => {
-                assert_eq!(epoch, 7_000);
-                assert_eq!(decoded, 200);
-                assert_eq!(busy, Duration::from_nanos(1_234));
-                assert_eq!(got.len(), 1);
-                let mut back = got.into_iter().next().unwrap();
-                assert_eq!(back.query, QueryId::new(AnalystId(1), 2));
-                assert_eq!(back.window.start, Timestamp(1_000));
-                for (a, b) in back
-                    .estimator
-                    .estimates()
-                    .iter()
-                    .zip(reference.estimates().iter())
-                {
-                    assert_eq!(a.to_bits(), b.to_bits(), "estimate drifted over the wire");
-                }
-            }
-            _ => panic!("wrong variant"),
+        // The widest reply the benchmark's workloads produce: 10⁴
+        // buckets per window.
+        let mut sent = sample_closed(3, 10_000);
+        let ShardReply::Closed { epoch, decoded, windows, busy } =
+            ShardReply::decode(&sent.encode()).unwrap()
+        else {
+            panic!("wrong variant");
+        };
+        assert_eq!((epoch.0, decoded, busy), (7_000, 200, Duration::from_nanos(1_234)));
+        let ShardReply::Closed { windows: reference, .. } = &mut sent else {
+            unreachable!();
+        };
+        assert_eq!(windows.len(), reference.len());
+        for (mut got, want) in windows.into_iter().zip(reference) {
+            assert_eq!((got.query, got.window), (want.query, want.window));
+            let (got, want) = (got.estimator.raw_parts(), want.estimator.raw_parts());
+            assert_eq!((got.0.to_bits(), got.1.to_bits()), (want.0.to_bits(), want.1.to_bits()));
+            assert_eq!((got.2, got.3), (want.2, want.3), "counts drifted over the wire");
         }
     }
 
     #[test]
     fn health_roundtrip_and_corrupt_payloads() {
-        let enc = encode_health((1, 2, 3, 4), 5, 6, Duration::from_nanos(7));
-        match decode_reply(&enc).unwrap() {
-            NodeReply::Health {
-                quad,
-                dead_lettered,
-                late_answers,
-                busy,
-            } => {
-                assert_eq!(quad, (1, 2, 3, 4));
-                assert_eq!((dead_lettered, late_answers), (5, 6));
-                assert_eq!(busy, Duration::from_nanos(7));
-            }
-            _ => panic!("wrong variant"),
-        }
-        assert!(decode_reply(b"not json").is_err());
-        assert!(decode_reply(b"{\"t\":\"nope\"}").is_err());
-        assert!(decode_ctrl(b"{\"t\":\"finish\"}").is_err());
+        let ShardReply::Health { quad, dead_lettered, late_answers, busy } =
+            ShardReply::decode(&sample_health().encode()).unwrap()
+        else {
+            panic!("wrong variant");
+        };
+        assert_eq!(quad, (1, 2, 3, 4));
+        assert_eq!((dead_lettered, late_answers), (5, 6));
+        assert_eq!(busy, Duration::from_nanos(7));
+        // Empty, unknown tag, trailing bytes (the byte-level sweep is
+        // in `control::tests`).
+        assert!(ShardReply::decode(b"").is_err());
+        assert!(ShardReply::decode(&[9]).is_err());
+        assert!(ShardCmd::decode(&[9]).is_err());
+        assert!(ShardCmd::decode(&[3, 0]).is_err());
     }
 
     #[test]
@@ -1197,8 +902,6 @@ mod tests {
             "3",
             "--confidence-bits",
             &0.99f64.to_bits().to_string(),
-            "--fuse",
-            "10",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -1209,7 +912,8 @@ mod tests {
         assert_eq!(opts.partitions, 8);
         assert_eq!(opts.proxies, 3);
         assert_eq!(opts.confidence.to_bits(), 0.99f64.to_bits());
-        assert_eq!(opts.fuse, Some(10));
         assert!(NodeOpts::parse(&["referee".to_string()]).is_err());
+        // The child has no fault hooks.
+        assert!(NodeOpts::parse(&["shard".into(), "--fuse".into(), "1".into()]).is_err());
     }
 }

@@ -30,7 +30,7 @@
 //! stress job.
 
 use privapprox_core::aggregator::QueryResult;
-use privapprox_core::{ShardedSystem, ShardedSystemBuilder};
+use privapprox_core::{FaultInjector, ShardedSystem, ShardedSystemBuilder};
 use privapprox_rr::privacy::epsilon_zk;
 use privapprox_types::{
     AnswerSpec, ExecutionParams, PrivacyBudget, Query, QueryId, Timestamp, Window,
@@ -374,7 +374,7 @@ fn child_abort_workload() {
     let mut sys = builder(&r)
         .durable(&dir)
         .snapshot_every(2)
-        .crash_after_journal(crash_at)
+        .fault_injector(FaultInjector::default().crash_after_journal(crash_at))
         .build();
     load(&mut sys);
     if std::env::var("PRIVAPPROX_CRASH_RESUME").is_ok() {

@@ -27,7 +27,7 @@
 //! threaded -- --include-ignored`, 10×).
 
 use privapprox_core::aggregator::QueryResult;
-use privapprox_core::{ShardedSystem, System};
+use privapprox_core::{FaultInjector, ShardedSystem, System};
 use privapprox_types::{AnswerSpec, ExecutionParams};
 use std::time::Duration;
 
@@ -160,7 +160,8 @@ fn run_case(case: &Case) {
         .partition_capacity(case.capacity)
         .seed(case.seed);
     if case.straggle_ms > 0 {
-        builder = builder.straggler(0, Duration::from_millis(case.straggle_ms));
+        let delay = Duration::from_millis(case.straggle_ms);
+        builder = builder.fault_injector(FaultInjector::default().straggler(0, delay));
     }
     let mut sharded = builder.build();
 

@@ -8,9 +8,10 @@
 //! a panic.
 //!
 //! Floats are stored as raw IEEE-754 bit patterns so a value survives
-//! the round trip bit-for-bit (the same convention the remote control
-//! plane uses), which matters because recovery must reproduce ledger
-//! spends and estimator state *exactly*.
+//! the round trip bit-for-bit, which matters because recovery must
+//! reproduce ledger spends and estimator state *exactly* — and why the
+//! runtime's control plane (`privapprox-core`'s control module)
+//! encodes its socket messages with these same primitives.
 
 use crate::error::StoreError;
 

@@ -17,8 +17,10 @@
 use crate::crc::{crc32, Crc32};
 use crate::error::CorruptKind;
 
-/// On-disk format version stamped into every frame.
-pub const STORE_VERSION: u8 = 1;
+/// On-disk format version stamped into every frame (2: query
+/// definitions inside journal records and snapshot sections went
+/// from embedded JSON to binary; see `docs/checkpoint-format.md`).
+pub const STORE_VERSION: u8 = 2;
 
 /// Upper bound on a single frame's `len` field. Anything larger is
 /// treated as corruption: the biggest legitimate frame (a warehouse

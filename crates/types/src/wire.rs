@@ -8,12 +8,13 @@
 
 /// Current frame-format version.
 ///
-/// Bumped whenever the frame header, a payload layout, or the control
-/// JSON schema changes incompatibly. A peer receiving a frame with a
+/// Bumped whenever the frame header or a payload layout — data or
+/// control — changes incompatibly (2: control payloads went from JSON
+/// to binary). A peer receiving a frame with a
 /// different version must drop the connection with a decode error —
 /// there is no cross-version negotiation (both ends of a deployment
 /// come from one build).
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Maximum accepted frame payload length in bytes (16 MiB).
 ///

@@ -212,7 +212,7 @@ fn forged_query_harvests_nothing() {
 // sampling instead of biasing the estimate.
 
 use privapprox::core::deploy::ShardedSystem;
-use privapprox::core::{CoreError, DeployError};
+use privapprox::core::{CoreError, DeployError, FaultInjector};
 use rand::Rng;
 use std::time::{Duration, Instant};
 
@@ -244,7 +244,7 @@ fn worker_panic_mid_epoch_surfaces_and_respawns() {
         .workers(2)
         .seed(7)
         .epoch_deadline(Duration::from_millis(400))
-        .worker_panic_after(0, 5)
+        .fault_injector(FaultInjector::default().worker_panic_after(0, 5))
         .build();
     system.load_numeric_column("t", "v", |_| 2.5).unwrap();
     let query = submit_query(&mut system);
@@ -287,7 +287,7 @@ fn shard_panic_mid_epoch_surfaces_within_deadline() {
         .workers(2)
         .seed(11)
         .epoch_deadline(Duration::from_millis(400))
-        .shard_panic_after(0, 5)
+        .fault_injector(FaultInjector::default().shard_panic_after(0, 5))
         .build();
     system.load_numeric_column("t", "v", |_| 2.5).unwrap();
     let query = submit_query(&mut system);
@@ -431,7 +431,7 @@ fn partial_close_estimate_scales_like_sampling() {
         .workers(2)
         .seed(21)
         .epoch_deadline(Duration::from_millis(300))
-        .drop_shard_traffic(0)
+        .fault_injector(FaultInjector::default().drop_shard_traffic(0))
         .build();
     lossy.load_numeric_column("t", "v", value).unwrap();
     let query = submit_query(&mut lossy);
