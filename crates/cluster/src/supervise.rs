@@ -252,40 +252,51 @@ impl SupervisedLink {
         // Connect (with any replay) *before* enrolling this frame in
         // the window, so a connect-time replay cannot double-send it.
         self.ensure_connected()?;
-        if frame.kind == FrameKind::Data {
-            if frame.payload.len() >= 8 {
-                frame.payload[..8].copy_from_slice(&self.next_seq.to_le_bytes());
-            }
-            if self.unacked.len() >= MAX_UNACKED {
-                // Shed the oldest: the epoch ledger accounts the loss.
-                self.unacked.pop_front();
-            }
-            if self.unacked.is_empty() {
-                // The stall clock measures "no ack progress while
-                // frames were outstanding": restart it when the
-                // window reopens, or an idle gap since the last ack
-                // would count against the first frame of a new burst
-                // and trigger a spurious replay.
-                self.last_progress = Instant::now();
-            }
-            self.unacked.push_back((self.next_seq, frame.clone()));
-            self.next_seq += 1;
+        if frame.kind != FrameKind::Data {
+            return self.send_control(&frame);
         }
-        match self.conn.as_mut().expect("just connected").send(&frame) {
+        if frame.payload.len() >= 8 {
+            frame.payload[..8].copy_from_slice(&self.next_seq.to_le_bytes());
+        }
+        if self.unacked.len() >= MAX_UNACKED {
+            // Shed the oldest: the epoch ledger accounts the loss.
+            self.unacked.pop_front();
+        }
+        if self.unacked.is_empty() {
+            // The stall clock measures "no ack progress while
+            // frames were outstanding": restart it when the
+            // window reopens, or an idle gap since the last ack
+            // would count against the first frame of a new burst
+            // and trigger a spurious replay.
+            self.last_progress = Instant::now();
+        }
+        // The window owns the frame and the wire write borrows it back:
+        // a data frame is never copied to be remembered.
+        self.unacked.push_back((self.next_seq, frame));
+        self.next_seq += 1;
+        let (_, frame) = self.unacked.back().expect("just pushed");
+        match self.conn.as_mut().expect("just connected").send(frame) {
+            Ok(()) => Ok(()),
+            Err(_) => {
+                self.sever();
+                // The replay on reconnect carries it.
+                self.ensure_connected().map(|_| ())
+            }
+        }
+    }
+
+    /// Sends a frame that is not replayed: one retry on a fresh
+    /// connection, then the first error propagates.
+    fn send_control(&mut self, frame: &Frame) -> io::Result<()> {
+        match self.conn.as_mut().expect("just connected").send(frame) {
             Ok(()) => Ok(()),
             Err(e) => {
                 self.sever();
-                if frame.kind == FrameKind::Data {
-                    // The replay on reconnect carries it.
-                    self.ensure_connected().map(|_| ())
-                } else {
-                    // Control frames retry exactly once.
-                    match self.ensure_connected().and_then(|c| c.send(&frame)) {
-                        Ok(()) => Ok(()),
-                        Err(_) => {
-                            self.sever();
-                            Err(e)
-                        }
+                match self.ensure_connected().and_then(|c| c.send(frame)) {
+                    Ok(()) => Ok(()),
+                    Err(_) => {
+                        self.sever();
+                        Err(e)
                     }
                 }
             }

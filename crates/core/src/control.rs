@@ -171,6 +171,66 @@ pub(crate) fn get_query(r: &mut Reader<'_>) -> Result<(Query, ExecutionParams), 
     Ok((query, params))
 }
 
+/// The fewest bytes [`put_window`] writes: six fixed words and a counts
+/// block (width byte, length word) of one two-byte count. Bounds a
+/// declared window count by the payload that remains.
+pub(crate) const MIN_WINDOW_BYTES: usize = 48 + 9 + 2;
+
+/// Appends one window's accumulated counts — a `Closed` reply's window
+/// on the socket and the tail of a journal close record's
+/// ([`persist`](crate::persist)): the window's identity, the channel
+/// `(p, q)`, the answers counted and the per-bucket yes-counts as one
+/// width-adaptive block ([`Writer::counts`]).
+pub(crate) fn put_window<I>(
+    w: &mut Writer,
+    query: QueryId,
+    window: Window,
+    (p, q): (f64, f64),
+    total: u64,
+    counts: I,
+) where
+    I: IntoIterator<Item = u64>,
+    I::IntoIter: Clone + ExactSizeIterator,
+{
+    w.u64(query.to_u64())
+        .u64(window.start.0)
+        .u64(window.end.0)
+        .f64(p)
+        .f64(q)
+        .u64(total)
+        .counts(counts);
+}
+
+/// Reads what [`put_window`] wrote into an estimator, refusing what
+/// [`BucketEstimator::from_raw_parts`] and
+/// [`finalize_window_into`](crate::aggregator::finalize_window_into)
+/// would assert on: `p` or `q` outside its domain, no buckets, a
+/// yes-count above the answers counted. `scratch` holds the decoded
+/// counts between windows.
+pub(crate) fn get_window(
+    r: &mut Reader<'_>,
+    scratch: &mut Vec<u64>,
+) -> Result<RawWindow, StoreError> {
+    let query = QueryId::from_u64(r.u64()?);
+    let window = Window {
+        start: Timestamp(r.u64()?),
+        end: Timestamp(r.u64()?),
+    };
+    let (p, q, total) = (r.f64()?, r.f64()?, r.u64()?);
+    if !(p > 0.0 && p <= 1.0 && q > 0.0 && q < 1.0) {
+        return Err(r.invalid(format!("window with p={p}, q={q}")));
+    }
+    r.counts(scratch)?;
+    if let Some(over) = scratch.iter().find(|c| **c > total) {
+        return Err(r.invalid(format!("yes-count {over} of {total} answers")));
+    }
+    Ok(RawWindow {
+        query,
+        window,
+        estimator: BucketEstimator::from_raw_parts(p, q, total, scratch),
+    })
+}
+
 impl ShardCmd {
     /// The `Ctrl` frame payload of a command that crosses the socket.
     ///
@@ -259,16 +319,14 @@ impl ShardReply {
                     .u64(windows.len() as u64);
                 for win in windows {
                     let (p, q, total, counts) = win.estimator.raw_parts();
-                    w.u64(win.query.to_u64())
-                        .u64(win.window.start.0)
-                        .u64(win.window.end.0)
-                        .f64(p)
-                        .f64(q)
-                        .u64(total)
-                        .u64(counts.len() as u64);
-                    for c in counts {
-                        w.u64(*c);
-                    }
+                    put_window(
+                        &mut w,
+                        win.query,
+                        win.window,
+                        (p, q),
+                        total,
+                        counts.iter().copied(),
+                    );
                 }
             }
             ShardReply::Health {
@@ -300,33 +358,11 @@ impl ShardReply {
                 let epoch = Timestamp(r.u64()?);
                 let decoded = r.u64()?;
                 let busy = Duration::from_nanos(r.u64()?);
-                // A window is seven fixed words plus its counts.
-                let n = r.count(56)?;
+                let n = r.count(MIN_WINDOW_BYTES)?;
                 let mut windows = Vec::with_capacity(n);
                 let mut counts = Vec::new();
                 for _ in 0..n {
-                    let query = QueryId::from_u64(r.u64()?);
-                    let window = Window {
-                        start: Timestamp(r.u64()?),
-                        end: Timestamp(r.u64()?),
-                    };
-                    let (p, q, total) = (r.f64()?, r.f64()?, r.u64()?);
-                    let buckets = r.count(8)?;
-                    // `from_raw_parts` asserts this domain.
-                    if buckets == 0 || !(p > 0.0 && p <= 1.0) || !(q > 0.0 && q < 1.0) {
-                        return Err(r.invalid(format!(
-                            "window of {buckets} buckets with p={p}, q={q}"
-                        )));
-                    }
-                    counts.clear();
-                    for _ in 0..buckets {
-                        counts.push(r.u64()?);
-                    }
-                    windows.push(RawWindow {
-                        query,
-                        window,
-                        estimator: BucketEstimator::from_raw_parts(p, q, total, &counts),
-                    });
+                    windows.push(get_window(&mut r, &mut counts)?);
                 }
                 ShardReply::Closed {
                     epoch,
@@ -533,7 +569,9 @@ pub(crate) mod tests {
         register[rules_at..rules_at + 8].copy_from_slice(&huge);
         assert!(ShardCmd::decode(&register).is_err());
         let closed = sample_closed(1, 5).encode();
-        for count_at in [25, 33 + 48] {
+        // The window count, and the first window's block length (behind
+        // six fixed words and the width byte).
+        for count_at in [25, 33 + 48 + 1] {
             let mut closed = closed.clone();
             closed[count_at..count_at + 8].copy_from_slice(&huge);
             assert!(ShardReply::decode(&closed).is_err(), "count at {count_at}");

@@ -2244,15 +2244,19 @@ impl ShardedSystem {
         self.host.ledger.retire(ep.epoch);
         merged.sort_unstable_by_key(|(q, w, _, _)| (w.start, q.to_u64()));
         let pending_base = self.pending.len();
+        // What each window below was finalized under, for the close
+        // record: recovery recomputes the results from these.
+        let mut closed_params: Vec<ExecutionParams> = Vec::new();
         for (qid, window, mut est, src) in merged {
+            let (_, qparams) = self.queries.get(&qid).expect("registered query");
             if self.durable.is_some() {
                 // Per-(query, shard) window high-water mark: the
                 // largest window end this shard has contributed,
                 // checkpointed in the close record below.
                 let hw = self.high_water.entry((qid, src)).or_insert(0);
                 *hw = (*hw).max(window.end.0);
+                closed_params.push(*qparams);
             }
-            let (_, qparams) = self.queries.get(&qid).expect("registered query");
             let mut shell = self.spare_shells.pop().unwrap_or_else(QueryResult::shell);
             finalize_window_into(
                 &mut shell,
@@ -2270,9 +2274,9 @@ impl ShardedSystem {
             self.pending.push(shell);
             self.pending_recycle[src].push(est);
         }
-        // Checkpoint the close: finalized results, the shard group's
-        // committed offsets and the window high-water marks, fsynced
-        // before the results can be drained. The lenient (drop) path
+        // Checkpoint the close: what the windows counted, the shard
+        // group's committed offsets and the window high-water marks,
+        // fsynced before the results can be drained. The lenient (drop) path
         // never journals — an epoch abandoned at drop stays open in
         // the journal and is re-run on recovery (at-least-once).
         if !lenient && self.durable.is_some() {
@@ -2289,6 +2293,8 @@ impl ShardedSystem {
                 partial: total_decoded < expect,
                 lost: expect.saturating_sub(total_decoded),
                 results: &self.pending[pending_base..],
+                params: &closed_params,
+                confidence: self.host.config.confidence,
                 offsets: &offsets,
                 marks: &marks,
             });
@@ -2733,12 +2739,20 @@ impl ShardedSystem {
             .map(|(&(q, s), &hw)| (q, s, hw))
             .collect();
         marks.sort_unstable_by_key(|&(q, s, _)| (q.to_u64(), s));
+        // Closed epochs only: an in-flight epoch is rebuilt from its
+        // `Submitted` record above the floor and re-run live (or moved
+        // into the history by its close record), so listing it here
+        // too would replay it twice.
         let history: Vec<(QueryId, ExecutionParams, Timestamp)> = self
             .history
             .iter()
             .filter_map(|cmd| match cmd {
-                ReplayCmd::Answer { query, params, ts } => Some((query.id, *params, *ts)),
-                ReplayCmd::Load(_) => None,
+                ReplayCmd::Answer { query, params, ts }
+                    if !self.in_flight.iter().any(|e| e.epoch == *ts) =>
+                {
+                    Some((query.id, *params, *ts))
+                }
+                _ => None,
             })
             .collect();
         let mut queries: Vec<(&Query, ExecutionParams, bool, Option<&BudgetLedger>)> = self

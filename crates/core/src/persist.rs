@@ -36,9 +36,9 @@
 //! recovered worker's client RNG streams advance to exactly where the
 //! crashed deployment's were.
 
-use crate::aggregator::{BucketResult, QueryResult};
+use crate::aggregator::{finalize_window_into, BucketResult, QueryResult};
+use crate::control::{get_query, get_window, put_query, put_window, MIN_WINDOW_BYTES};
 use crate::error::{CoreError, DeployError};
-use crate::control::{get_query, put_query};
 use privapprox_rr::privacy::PrivacyReport;
 use privapprox_stats::estimate::ConfidenceInterval;
 use privapprox_store::codec::{Reader, Writer};
@@ -73,8 +73,10 @@ pub(crate) const K_CHARGE: u8 = 6;
 /// (query, params) entries answered. The fsync barrier between this
 /// record and the first worker send is the recovery contract.
 pub(crate) const K_SUBMITTED: u8 = 7;
-/// An epoch fully closed: its finalized results, the shard group's
-/// committed offsets, and per-(query, shard) window high-water marks.
+/// An epoch fully closed: what its windows *counted* plus the inputs
+/// they were finalized under (results are recomputed at recovery, see
+/// [`rec_closed`]), the shard group's committed offsets, and
+/// per-(query, shard) window high-water marks.
 pub(crate) const K_CLOSED: u8 = 8;
 
 // ----- snapshot section kinds (0 is reserved for the header) -------
@@ -169,20 +171,39 @@ pub(crate) struct CloseRecord<'a> {
     pub watermark: Timestamp,
     pub partial: bool,
     pub lost: u64,
+    /// The epoch's finalized windows.
     pub results: &'a [QueryResult],
+    /// The parameters each of `results` was finalized under, in step.
+    pub params: &'a [ExecutionParams],
+    /// The confidence level every window was finalized at.
+    pub confidence: f64,
     pub offsets: &'a [(String, usize, u64)],
     pub marks: &'a [(QueryId, usize, u64)],
 }
 
+/// Encodes a close. A result is a pure function of its window's
+/// yes-counts, the answers counted and `(s, p, q, population,
+/// confidence)` — [`finalize_window_into`] — so the record holds those
+/// and not the eight computed words a bucket: per window the three
+/// finalize inputs a [`put_window`] body lacks, then that body.
 pub(crate) fn rec_closed(c: &CloseRecord<'_>) -> Vec<u8> {
+    assert_eq!(c.results.len(), c.params.len(), "one parameter set per result");
     let mut w = Writer::new();
     w.u64(c.epoch.0)
         .u64(c.watermark.0)
         .u8(c.partial as u8)
         .u64(c.lost);
     w.u64(c.results.len() as u64);
-    for r in c.results {
-        put_result(&mut w, r);
+    for (r, params) in c.results.iter().zip(c.params) {
+        w.f64(params.s).u64(r.population).f64(c.confidence);
+        put_window(
+            &mut w,
+            r.query,
+            r.window,
+            (params.p, params.q),
+            r.sample_size,
+            r.buckets.iter().map(|b| b.raw_yes),
+        );
     }
     w.u64(c.offsets.len() as u64);
     for (topic, partition, next) in c.offsets {
@@ -195,7 +216,42 @@ pub(crate) fn rec_closed(c: &CloseRecord<'_>) -> Vec<u8> {
     w.finish()
 }
 
+/// Reads one window of a close record and finalizes it with the
+/// function the live merge ran, so the recovered result is the live
+/// one bit for bit. Everything `finalize_window_into` asserts is
+/// checked first.
+fn get_closed_window(
+    r: &mut Reader<'_>,
+    scratch: &mut Vec<u64>,
+) -> Result<QueryResult, StoreError> {
+    let (s, population, confidence) = (r.f64()?, r.u64()?, r.f64()?);
+    if !(confidence > 0.0 && confidence < 1.0) {
+        return Err(r.invalid(format!("confidence {confidence} outside (0,1)")));
+    }
+    let mut raw = get_window(r, scratch)?;
+    let (p, q, _, _) = raw.estimator.raw_parts();
+    let params = ExecutionParams::new(s, p, q)
+        .map_err(|e| r.invalid(format!("execution parameters: {e:?}")))?;
+    let mut result = QueryResult::shell();
+    finalize_window_into(
+        &mut result,
+        raw.query,
+        raw.window,
+        &mut raw.estimator,
+        params,
+        population,
+        confidence,
+    );
+    Ok(result)
+}
+
 // ----- QueryResult codec (bit-exact: floats as raw bits) -----------
+//
+// The wide form, for the snapshot's `S_PENDING` section only. A pending
+// `QueryResult` does not remember the `s` and `confidence` it was
+// finalized under, so it cannot be written as counts and recomputed
+// like a close record; the section is written once per
+// `snapshot_every` closes, off the per-epoch path.
 
 fn put_result(w: &mut Writer, r: &QueryResult) {
     w.u64(r.query.to_u64())
@@ -677,12 +733,22 @@ fn apply_records(state: &mut RecoveredState, records: &[WalRecord]) -> Result<()
             K_CLOSED => {
                 let mut r = Reader::new(&rec.payload, "closed");
                 let ts = Timestamp(r.u64()?);
+                // A snapshot's floor is capped at the oldest in-flight
+                // `Submitted`, so at pipeline depth > 1 the suffix
+                // replayed over it holds close records of epochs the
+                // snapshot already counted. Only the close of an epoch
+                // still open in the reconstructed state is news.
+                let Some(pos) = state.open_epochs.iter().position(|e| e.ts == ts) else {
+                    continue;
+                };
                 let _watermark = Timestamp(r.u64()?);
                 let partial = r.u8()? != 0;
                 let lost = r.u64()?;
-                let nr = r.count(64)?;
+                // Three finalize inputs precede each window.
+                let nr = r.count(24 + MIN_WINDOW_BYTES)?;
+                let mut counts = Vec::new();
                 for _ in 0..nr {
-                    state.pending.push(get_result(&mut r)?);
+                    state.pending.push(get_closed_window(&mut r, &mut counts)?);
                 }
                 let no = r.count(20)?;
                 let mut offsets = Vec::with_capacity(no);
@@ -710,11 +776,9 @@ fn apply_records(state: &mut RecoveredState, records: &[WalRecord]) -> Result<()
                 state.lost_answers += lost;
                 // Move the closed epoch's commands into the muted
                 // replay history, preserving submission order.
-                if let Some(pos) = state.open_epochs.iter().position(|e| e.ts == ts) {
-                    let ep = state.open_epochs.remove(pos);
-                    for (qid, params) in ep.entries {
-                        state.history.push((qid, params, ep.ts));
-                    }
+                let ep = state.open_epochs.remove(pos);
+                for (qid, params) in ep.entries {
+                    state.history.push((qid, params, ep.ts));
                 }
             }
             other => {
@@ -846,6 +910,9 @@ impl DurableState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregator::RawWindow;
+    use crate::control::ShardReply;
+    use privapprox_rr::estimate::BucketEstimator;
     use privapprox_types::ids::AnalystId;
     use privapprox_types::{AnswerSpec, BucketRule, QueryBuilder};
 
@@ -949,36 +1016,90 @@ mod tests {
         assert_eq!(state.open_epochs.len(), 1, "epoch 1 submitted, never closed");
     }
 
-    #[test]
-    fn closed_epochs_move_to_history_and_results_restore() {
-        let q = mk_query(1);
-        let params = ExecutionParams::checked(1.0, 0.9, 0.5);
-        let result = mk_result(q.id, 0);
-        let records = vec![
-            WalRecord {
-                index: 0,
-                kind: K_REGISTERED,
-                payload: rec_registered(&q, params, false, 2),
-            },
-            WalRecord {
-                index: 1,
-                kind: K_SUBMITTED,
-                payload: rec_submitted(Timestamp(500), Timestamp(1_000), &[(Arc::new(q.clone()), params)]),
-            },
-            WalRecord {
-                index: 2,
-                kind: K_CLOSED,
-                payload: rec_closed(&CloseRecord {
+    /// What the live merge would have pushed for a window with these
+    /// counts: the same two calls, on the same inputs.
+    fn finalized(
+        qid: QueryId,
+        counts: &[u64],
+        total: u64,
+        params: ExecutionParams,
+        population: u64,
+        confidence: f64,
+    ) -> QueryResult {
+        let mut est = BucketEstimator::from_raw_parts(params.p, params.q, total, counts);
+        let window = Window {
+            start: Timestamp(0),
+            end: Timestamp(1_000),
+        };
+        let mut out = QueryResult::shell();
+        finalize_window_into(&mut out, qid, window, &mut est, params, population, confidence);
+        out
+    }
+
+    /// Every float of a result as its bit pattern (`==` on the struct
+    /// would let `-0.0 == 0.0` and `NaN != NaN` through).
+    fn float_bits(r: &QueryResult) -> Vec<u64> {
+        let mut bits = vec![r.privacy.eps_rr, r.privacy.eps_dp, r.privacy.eps_zk];
+        for b in &r.buckets {
+            bits.extend([
+                b.estimate_sample,
+                b.estimate,
+                b.ci.estimate,
+                b.ci.bound,
+                b.ci.confidence,
+                b.sampling_error,
+                b.rr_error,
+            ]);
+        }
+        bits.into_iter().map(f64::to_bits).collect()
+    }
+
+    /// The journal of one epoch of `q` that closed with `result`:
+    /// registered, submitted at 500, closed.
+    fn one_epoch_journal(
+        q: &Query,
+        params: ExecutionParams,
+        result: &QueryResult,
+        confidence: f64,
+    ) -> Vec<WalRecord> {
+        let payloads = [
+            (K_REGISTERED, rec_registered(q, params, false, 2)),
+            (
+                K_SUBMITTED,
+                rec_submitted(Timestamp(500), Timestamp(1_000), &[(Arc::new(q.clone()), params)]),
+            ),
+            (
+                K_CLOSED,
+                rec_closed(&CloseRecord {
                     epoch: Timestamp(500),
                     watermark: Timestamp(1_000),
                     partial: false,
                     lost: 0,
-                    results: std::slice::from_ref(&result),
+                    results: std::slice::from_ref(result),
+                    params: &[params],
+                    confidence,
                     offsets: &[("proxy-0-out".to_string(), 0, 11)],
                     marks: &[(q.id, 0, 1_000)],
                 }),
-            },
+            ),
         ];
+        payloads
+            .into_iter()
+            .enumerate()
+            .map(|(index, (kind, payload))| WalRecord {
+                index: index as u64,
+                kind,
+                payload,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn closed_epochs_move_to_history_and_results_restore() {
+        let q = mk_query(1);
+        let params = ExecutionParams::checked(1.0, 0.9, 0.5);
+        let result = finalized(q.id, &[5, 2], 7, params, 100, 0.95);
+        let records = one_epoch_journal(&q, params, &result, 0.95);
         let mut state = RecoveredState::default();
         apply_records(&mut state, &records).unwrap();
         assert!(state.open_epochs.is_empty());
@@ -988,6 +1109,178 @@ mod tests {
         assert_eq!(state.marks, vec![(q.id, 0, 1_000)]);
         assert_eq!(state.epochs_closed, 1);
         assert_eq!(state.now_ms, 1_000);
+    }
+
+    /// A close record of an epoch that is not open in the state being
+    /// rebuilt — the snapshot underneath already counted it — changes
+    /// nothing.
+    #[test]
+    fn close_of_an_epoch_the_snapshot_counted_is_not_counted_again() {
+        let q = mk_query(1);
+        let params = ExecutionParams::checked(1.0, 0.9, 0.5);
+        let result = finalized(q.id, &[5, 2], 7, params, 100, 0.95);
+        let mut records = one_epoch_journal(&q, params, &result, 0.95);
+        let mut state = RecoveredState::default();
+        apply_records(&mut state, &records).unwrap();
+        // Replay the close alone over the state that has it.
+        let close = records.pop().unwrap();
+        apply_records(&mut state, &[close]).unwrap();
+        assert_eq!(state.epochs_closed, 1);
+        assert_eq!(state.pending, vec![result]);
+        assert_eq!(state.history.len(), 1);
+    }
+
+    proptest::proptest! {
+        /// A close record recovers to exactly what the live path
+        /// computed, at every count width and both width boundaries,
+        /// and the same counts cross a socket in a `Closed` reply.
+        #[test]
+        fn close_record_recovers_the_live_result_bit_for_bit(
+            noise in proptest::collection::vec(proptest::any::<u64>(), 1..40),
+            slack in 0u64..1_000,
+            population in 0u64..(1 << 34),
+            s in 0.01f64..1.0,
+            p in 0.01f64..1.2,
+            q in 0.01f64..0.99,
+            confidence in 0.5f64..0.999,
+        ) {
+            let query = mk_query(1);
+            let params = ExecutionParams::checked(s, p.min(1.0), q);
+            let (u16m, u32m) = (u16::MAX as u64, u32::MAX as u64);
+            for largest in [u16m, u16m + 1, u32m, u32m + 1] {
+                let mut counts: Vec<u64> = noise.iter().map(|c| c % (largest + 1)).collect();
+                counts[0] = largest;
+                let total = largest + slack;
+                let live = finalized(query.id, &counts, total, params, population, confidence);
+                let records = one_epoch_journal(&query, params, &live, confidence);
+                let mut state = RecoveredState::default();
+                apply_records(&mut state, &records).unwrap();
+                proptest::prop_assert_eq!(state.pending.len(), 1);
+                proptest::prop_assert_eq!(&state.pending[0], &live);
+                proptest::prop_assert_eq!(float_bits(&state.pending[0]), float_bits(&live));
+
+                let mut reply = ShardReply::Closed {
+                    epoch: Timestamp(500),
+                    decoded: total,
+                    windows: vec![RawWindow {
+                        query: query.id,
+                        window: live.window,
+                        estimator: BucketEstimator::from_raw_parts(
+                            params.p, params.q, total, &counts,
+                        ),
+                    }],
+                    busy: std::time::Duration::ZERO,
+                };
+                let Ok(ShardReply::Closed { mut windows, .. }) =
+                    ShardReply::decode(&reply.encode())
+                else {
+                    return Err(proptest::TestCaseError::fail("Closed reply did not round-trip"));
+                };
+                let (rp, rq, rtotal, rcounts) = windows[0].estimator.raw_parts();
+                proptest::prop_assert_eq!(
+                    (rp.to_bits(), rq.to_bits(), rtotal),
+                    (params.p.to_bits(), params.q.to_bits(), total)
+                );
+                proptest::prop_assert_eq!(rcounts, &counts[..]);
+            }
+        }
+    }
+
+    /// Byte offsets into the close record `one_epoch_journal` writes
+    /// for one window: the epoch header is 33 bytes, then `s`,
+    /// `population`, `confidence`, the window's six words, the block.
+    const AT_CONFIDENCE: usize = 33 + 16;
+    const AT_P: usize = 33 + 24 + 24;
+    const AT_Q: usize = AT_P + 8;
+    const AT_TOTAL: usize = AT_Q + 8;
+    const AT_WIDTH: usize = AT_TOTAL + 8;
+    const AT_BLOCK_LEN: usize = AT_WIDTH + 1;
+
+    /// Damaged close records are refused with a typed error — never a
+    /// panic in `from_raw_parts` or `finalize_window_into`, never an
+    /// allocation sized by a declared length.
+    #[test]
+    fn hostile_close_records_are_refused() {
+        let q = mk_query(1);
+        let params = ExecutionParams::checked(0.8, 0.9, 0.5);
+        let result = finalized(q.id, &[5, 2], 7, params, 100, 0.95);
+        let mut records = one_epoch_journal(&q, params, &result, 0.95);
+        let good = records.pop().unwrap().payload;
+        let replay = |payload: &[u8]| {
+            let mut journal = records.clone();
+            journal.push(WalRecord {
+                index: 2,
+                kind: K_CLOSED,
+                payload: payload.to_vec(),
+            });
+            apply_records(&mut RecoveredState::default(), &journal)
+        };
+        replay(&good).unwrap();
+        let patched = |at: usize, bytes: &[u8]| {
+            let mut bad = good.clone();
+            bad[at..at + bytes.len()].copy_from_slice(bytes);
+            bad
+        };
+        let f = |x: f64| x.to_bits().to_le_bytes();
+        let hostile = [
+            ("p = 0", patched(AT_P, &f(0.0))),
+            ("p > 1", patched(AT_P, &f(1.5))),
+            ("p = NaN", patched(AT_P, &f(f64::NAN))),
+            ("q = 0", patched(AT_Q, &f(0.0))),
+            ("q = 1", patched(AT_Q, &f(1.0))),
+            ("s = 0", patched(33, &f(0.0))),
+            ("confidence = 0", patched(AT_CONFIDENCE, &f(0.0))),
+            ("confidence = 1", patched(AT_CONFIDENCE, &f(1.0))),
+            ("confidence = NaN", patched(AT_CONFIDENCE, &f(f64::NAN))),
+            ("a yes-count above the total", patched(AT_TOTAL, &4u64.to_le_bytes())),
+            ("unknown width", patched(AT_WIDTH, &[3])),
+            ("byte length not buckets × width", patched(AT_BLOCK_LEN, &3u64.to_le_bytes())),
+            ("zero buckets", patched(AT_BLOCK_LEN, &0u64.to_le_bytes())),
+            ("block longer than the payload", patched(AT_BLOCK_LEN, &(1u64 << 40).to_le_bytes())),
+            ("more windows than bytes", patched(25, &(1u64 << 40).to_le_bytes())),
+        ];
+        for (what, payload) in &hostile {
+            assert!(
+                matches!(replay(payload), Err(StoreError::BadRecord { .. })),
+                "{what} was accepted"
+            );
+        }
+        for cut in 0..good.len() {
+            assert!(
+                matches!(replay(&good[..cut]), Err(StoreError::BadRecord { .. })),
+                "prefix of {cut} bytes was accepted"
+            );
+        }
+        // Any single damaged byte: refused or decoded, never a panic.
+        let mut damaged = good.clone();
+        for i in 0..good.len() {
+            for flip in [0x01, 0x80, 0xFF] {
+                damaged[i] = good[i] ^ flip;
+                let _ = replay(&damaged);
+            }
+            damaged[i] = good[i];
+        }
+    }
+
+    /// The size the durable path pays per epoch: one 10⁴-bucket window
+    /// over 1000 clients is two bytes a bucket plus fixed fields.
+    #[test]
+    fn wide_close_record_fits_24_kib() {
+        let q = mk_query(1);
+        let params = ExecutionParams::checked(1.0, 0.9, 0.5);
+        let counts: Vec<u64> = (0..10_000u64).map(|i| i % 1_001).collect();
+        let result = finalized(q.id, &counts, 1_000, params, 1_000, 0.95);
+        let mut records = one_epoch_journal(&q, params, &result, 0.95);
+        let close = records.pop().unwrap().payload;
+        assert!(close.len() <= 24 * 1024, "close record is {} bytes", close.len());
+        records.push(WalRecord {
+            index: 2,
+            kind: K_CLOSED,
+            payload: close,
+        });
+        let mut state = RecoveredState::default();
+        apply_records(&mut state, &records).unwrap();
+        assert_eq!(state.pending, vec![result]);
     }
 
     #[test]

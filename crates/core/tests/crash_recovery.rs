@@ -30,7 +30,7 @@
 //! stress job.
 
 use privapprox_core::aggregator::QueryResult;
-use privapprox_core::{FaultInjector, ShardedSystem, ShardedSystemBuilder};
+use privapprox_core::{FaultInjector, ShardedSystem, ShardedSystemBuilder, System};
 use privapprox_rr::privacy::epsilon_zk;
 use privapprox_types::{
     AnswerSpec, ExecutionParams, PrivacyBudget, Query, QueryId, Timestamp, Window,
@@ -285,6 +285,117 @@ fn crash_recovery_full_sweep() {
             }
         }
     }
+}
+
+// ----- results recomputed from a close record ----------------------
+
+/// A close record holds what the shards counted, not the result:
+/// crash after a 10⁴-bucket close's fsync and before the drain (no
+/// snapshot in between, so the journal is the only copy), and the
+/// result `resume()` recomputes is the single-threaded oracle's,
+/// bit for bit.
+#[test]
+fn wide_result_recomputed_from_its_close_record_matches_the_oracle() {
+    let r = Rig { seed: 37, shards: 2, buckets: 10_000, epochs: 1 };
+    let mut oracle = System::builder()
+        .clients(POPULATION)
+        .proxies(2)
+        .seed(r.seed)
+        .build();
+    oracle.load_numeric_column("vehicle", "speed", |i| (i % 110) as f64);
+    let q = oracle
+        .analyst()
+        .query("SELECT speed FROM vehicle")
+        .buckets(AnswerSpec::ranges_with_overflow(0.0, 110.0, r.buckets - 1))
+        .window(WINDOW_MS, WINDOW_MS)
+        .params(rig_params())
+        .submit()
+        .unwrap();
+    let want = oracle.run_epoch(&q).unwrap();
+
+    let dir = store_dir("wide-close-record");
+    {
+        let mut sys = builder(&r).durable(&dir).snapshot_every(100).build();
+        load(&mut sys);
+        assert_eq!(register(&mut sys, r.buckets).id, q.id);
+        // Registering 10⁴ bucket rules is the bulk of the journal;
+        // the epoch itself must add little.
+        let registered = sys.deploy_health().journal_bytes;
+        sys.run_epoch_all().unwrap();
+        let epoch = sys.deploy_health().journal_bytes - registered;
+        assert!(epoch < 32 * 1024, "one 10⁴-bucket epoch journaled {epoch} bytes");
+        sys.crash();
+    }
+    let mut sys = builder(&r).durable(&dir).snapshot_every(100).build();
+    load(&mut sys);
+    sys.resume().unwrap();
+    let got = sys.drain_results();
+    assert_eq!(got.len(), 1, "the undrained window comes back once");
+    assert_results_identical(&got[0], &want, "recomputed from the close record");
+    assert_eq!(got[0], want);
+    drop(sys);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ----- overlapped epochs: the suffix under a snapshot ---------------
+
+/// At pipeline depth 3 a snapshot's floor stops at the oldest in-flight
+/// `Submitted`, so the journal suffix replayed over it holds the close
+/// records of epochs the snapshot already counted. They must not count
+/// twice: after a crash the health counters equal an uninterrupted
+/// run's and every window is drained exactly once. Shard 0's traffic
+/// is dropped so every close is partial and loses a known number of
+/// answers — the counters have something to double.
+#[test]
+fn overlapped_epochs_recover_without_double_counting_closes() {
+    let r = Rig { seed: 31, shards: 2, buckets: 11, epochs: 7 };
+    let lossy = |r: &Rig| {
+        builder(r)
+            .pipeline_depth(3)
+            .epoch_deadline(Duration::from_millis(400))
+            .fault_injector(FaultInjector::default().drop_shard_traffic(0))
+    };
+    let (want, want_health) = {
+        let mut sys = lossy(&r).build();
+        load(&mut sys);
+        register(&mut sys, r.buckets);
+        for _ in 0..r.epochs {
+            sys.submit_epoch_all().unwrap();
+        }
+        sys.flush_epochs().unwrap();
+        (sys.drain_results(), sys.deploy_health())
+    };
+    assert_eq!(want_health.partial_closes, r.epochs as u64);
+    assert!(want_health.lost_answers > 0);
+
+    let dir = store_dir("depth3");
+    let crash_after = 5;
+    {
+        // Five submissions at depth 3 close epochs 1 and 2; the second
+        // close snapshots with epochs 3 and 4 in flight.
+        let mut sys = lossy(&r).durable(&dir).snapshot_every(2).build();
+        load(&mut sys);
+        register(&mut sys, r.buckets);
+        for _ in 0..crash_after {
+            sys.submit_epoch_all().unwrap();
+        }
+        sys.crash();
+    }
+    let mut sys = lossy(&r).durable(&dir).snapshot_every(2).build();
+    load(&mut sys);
+    sys.resume().unwrap();
+    for _ in crash_after..r.epochs {
+        sys.submit_epoch_all().unwrap();
+    }
+    sys.flush_epochs().unwrap();
+    let mut got = sys.drain_results();
+    let health = sys.deploy_health();
+    assert_eq!(health.partial_closes, want_health.partial_closes);
+    assert_eq!(health.lost_answers, want_health.lost_answers);
+    got.sort_by_key(|x| (x.window.start.0, x.query.to_u64()));
+    assert_sequences_identical(&got, &want, "depth-3 recovery, nothing drained before the crash");
+    drop(sys);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ----- ledger monotonicity across every crash point ----------------

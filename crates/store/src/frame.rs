@@ -17,10 +17,11 @@
 use crate::crc::{crc32, Crc32};
 use crate::error::CorruptKind;
 
-/// On-disk format version stamped into every frame (2: query
-/// definitions inside journal records and snapshot sections went
-/// from embedded JSON to binary; see `docs/checkpoint-format.md`).
-pub const STORE_VERSION: u8 = 2;
+/// On-disk format version stamped into every frame (3: a journal
+/// close record holds each window's counts and finalize inputs, not
+/// its computed result; see the version history in
+/// `docs/checkpoint-format.md`).
+pub const STORE_VERSION: u8 = 3;
 
 /// Upper bound on a single frame's `len` field. Anything larger is
 /// treated as corruption: the biggest legitimate frame (a warehouse

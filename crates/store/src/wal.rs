@@ -325,7 +325,11 @@ impl Wal {
     /// Buffers one record; returns its global index. Not durable until
     /// the next [`Wal::sync`]. Rotates to a fresh segment first when
     /// the current one is at capacity, so one record never spans
-    /// segments.
+    /// segments. A rotation is a `sync`, a `create` and a directory
+    /// fsync on the caller's thread; in the runtime's steady state the
+    /// bulk of the journal is close records of ≈ 20 KB at 10⁴ buckets,
+    /// so the [`DEFAULT_SEGMENT_BYTES`] segment rotates about once in
+    /// 50 closes.
     pub fn append(&mut self, kind: u8, payload: &[u8]) -> Result<u64, StoreError> {
         assert!(kind != KIND_SEGMENT_HEADER, "record kind 0 is reserved");
         if self.seg_len + self.buf.len() as u64 >= self.segment_bytes {
@@ -536,6 +540,30 @@ mod tests {
         let (mut wal, _) = Wal::open(td.path(), 256).unwrap();
         wal.prune_below(40).unwrap();
         assert!(wal.segment_count() <= 2);
+    }
+
+    /// A directory the previous format version wrote — every frame
+    /// intact, checksum and all — is refused at its first frame.
+    #[test]
+    fn previous_version_directory_is_refused_at_its_first_frame() {
+        use crate::frame::STORE_VERSION;
+        let td = TestDir::new("wal-oldversion");
+        let mut body = vec![STORE_VERSION - 1, KIND_SEGMENT_HEADER];
+        body.extend_from_slice(&header_payload(0, 0));
+        let crc = crate::crc::crc32(&body);
+        let mut bytes = (body.len() as u32 + 4).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&body);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        fs::write(segment_path(td.path(), 0), &bytes).unwrap();
+        match Wal::open(td.path(), DEFAULT_SEGMENT_BYTES) {
+            Err(StoreError::Corrupt {
+                offset: 0,
+                kind: CorruptKind::BadVersion(v),
+                ..
+            }) => assert_eq!(v, STORE_VERSION - 1),
+            Err(other) => panic!("expected BadVersion, got {other:?}"),
+            Ok(_) => panic!("a foreign-version journal was accepted"),
+        }
     }
 
     #[test]

@@ -10,16 +10,17 @@
 ///
 /// Bumped whenever the frame header or a payload layout — data or
 /// control — changes incompatibly (2: control payloads went from JSON
-/// to binary). A peer receiving a frame with a
+/// to binary; 3: a `Closed` reply's per-bucket counts became one
+/// width-adaptive block). A peer receiving a frame with a
 /// different version must drop the connection with a decode error —
 /// there is no cross-version negotiation (both ends of a deployment
 /// come from one build).
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 
 /// Maximum accepted frame payload length in bytes (16 MiB).
 ///
 /// A length prefix beyond this is treated as stream corruption rather
 /// than an allocation request: the largest legitimate frame is a
 /// `Closed` control reply carrying per-bucket counts for a 10⁴-bucket
-/// window set, well under a mebibyte.
+/// window set (two to eight bytes a bucket), well under a mebibyte.
 pub const MAX_FRAME: usize = 16 << 20;
