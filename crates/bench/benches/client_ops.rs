@@ -5,7 +5,9 @@ use privapprox_core::client::Client;
 use privapprox_rr::randomize::Randomizer;
 use privapprox_sql::{execute, parse_select, ColumnType, Database, Schema, Value};
 use privapprox_types::ids::AnalystId;
-use privapprox_types::{AnswerSpec, BitVec, ClientId, ExecutionParams, QueryBuilder, QueryId};
+use privapprox_types::{
+    AnswerSpec, BitVec, ClientId, ExecutionParams, QueryBuilder, QueryId, Timestamp,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -63,8 +65,14 @@ fn bench_client(c: &mut Criterion) {
         .answer(AnswerSpec::ranges_with_overflow(0.0, 10.0, 10))
         .sign_and_build(KEY);
     let params = ExecutionParams::checked(1.0, 0.9, 0.6);
+    let mut epoch = 0;
     group.bench_function("full_answer_pipeline", |b| {
-        b.iter(|| client.answer_query(&query, &params, 2).unwrap())
+        b.iter(|| {
+            epoch += 1;
+            client
+                .answer_query(&query, &params, Timestamp(epoch), 2)
+                .unwrap()
+        })
     });
 
     group.finish();

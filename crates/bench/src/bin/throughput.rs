@@ -164,8 +164,8 @@ struct ShardedRow {
 /// the same row in the committed `BENCH_5.json` (the last
 /// pre-supervision trajectory point). The fault-tolerant runtime adds
 /// only O(epochs) control work — ledger bumps, heartbeats, fuse
-/// checks, command-history pushes — so its per-message cost must stay
-/// within measurement noise of BENCH_5.
+/// checks — so its per-message cost must stay within measurement
+/// noise of BENCH_5.
 #[derive(Debug, Clone, Serialize)]
 struct SupervisionGate {
     /// Where the baseline rate came from.
@@ -332,7 +332,8 @@ struct MultiQueryGate {
 /// is journaled and the system is crashed kill-9 style (unsynced tail
 /// discarded); `recovery_ms_to_first_window` is the wall time from
 /// starting the replacement system to draining its first closed
-/// window (rebuild + muted replay + open-epoch re-submission + close).
+/// window (rebuild + open-epoch re-submission + close — closed epochs
+/// are not revisited, so it does not grow with the run before it).
 #[derive(Debug, Clone, Serialize)]
 struct DurabilityGate {
     /// Where the gated baseline rate came from.
@@ -526,17 +527,17 @@ fn run_full_answer(proxies: usize, buckets: usize, messages: u64) -> ThroughputR
 
     let mut scratch = ClientScratch::new();
     let warmup = (messages / 10).clamp(10, 1_000);
-    for _ in 0..warmup {
+    for epoch in 0..warmup {
         client
-            .answer_query_into(&query, &params, proxies, &mut scratch)
+            .answer_query_into(&query, &params, Timestamp(epoch), proxies, &mut scratch)
             .unwrap()
             .expect("s = 1 always participates");
     }
 
     let start = Instant::now();
-    for _ in 0..messages {
+    for epoch in warmup..warmup + messages {
         let shares = client
-            .answer_query_into(&query, &params, proxies, &mut scratch)
+            .answer_query_into(&query, &params, Timestamp(epoch), proxies, &mut scratch)
             .unwrap()
             .expect("s = 1 always participates");
         std::hint::black_box(shares);
@@ -632,16 +633,18 @@ fn run_sharded_full_answer(
                     let params = ExecutionParams::checked(1.0, 0.9, 0.6);
                     let mut scratch = ClientScratch::new();
                     let warmup = (per_thread / 10).clamp(10, 1_000);
-                    for _ in 0..warmup {
+                    for epoch in 0..warmup {
+                        let epoch = Timestamp(epoch);
                         client
-                            .answer_query_into(&query, &params, proxies, &mut scratch)
+                            .answer_query_into(&query, &params, epoch, proxies, &mut scratch)
                             .unwrap()
                             .expect("s = 1 always participates");
                     }
                     let t0 = thread_busy_time();
-                    for _ in 0..per_thread {
+                    for epoch in warmup..warmup + per_thread {
+                        let epoch = Timestamp(epoch);
                         let shares = client
-                            .answer_query_into(&query, &params, proxies, &mut scratch)
+                            .answer_query_into(&query, &params, epoch, proxies, &mut scratch)
                             .unwrap()
                             .expect("s = 1 always participates");
                         std::hint::black_box(shares);

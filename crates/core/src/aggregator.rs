@@ -731,7 +731,8 @@ mod tests {
             // (bucket 7).
             let value = if i % 2 == 0 { 2.5 } else { 7.5 };
             let mut client = make_client(i, value);
-            if let Some(answer) = client.answer_query(&query, &params, 2).unwrap() {
+            let answer = client.answer_query(&query, &params, Timestamp(500), 2);
+            if let Some(answer) = answer.unwrap() {
                 for (pi, share) in answer.shares.iter().enumerate() {
                     producer.send(
                         &inbound_topic(ProxyId(pi as u16)),
@@ -829,7 +830,8 @@ mod tests {
 
         for (i, ts) in [(0u64, 100u64), (1, 300), (2, 1_500)] {
             let mut client = make_client(i, 2.5);
-            let answer = client.answer_query(&query, &params, 2).unwrap().unwrap();
+            let answer = client.answer_query(&query, &params, Timestamp(ts), 2);
+            let answer = answer.unwrap().unwrap();
             for (pi, share) in answer.shares.iter().enumerate() {
                 producer.send(
                     &inbound_topic(ProxyId(pi as u16)),
@@ -869,13 +871,15 @@ mod tests {
             let n_answers = cycle + 1; // distinct per cycle
             for i in 0..n_answers {
                 let mut client = make_client(100 * cycle + i, 2.5);
-                let answer = client.answer_query(&query, &params, 2).unwrap().unwrap();
+                let epoch = Timestamp(cycle * 1_000 + 500);
+                let answer = client.answer_query(&query, &params, epoch, 2);
+                let answer = answer.unwrap().unwrap();
                 for (pi, share) in answer.shares.iter().enumerate() {
                     producer.send(
                         &inbound_topic(ProxyId(pi as u16)),
                         Some(wire_key(query.id, share.mid).to_vec()),
                         &share.payload[..],
-                        Timestamp(cycle * 1_000 + 500),
+                        epoch,
                     );
                 }
             }

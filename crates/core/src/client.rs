@@ -23,6 +23,7 @@ use privapprox_sampling::srs::ParticipationCoin;
 use privapprox_sql::{Database, EvalScratch, PlanCache, ValueRef};
 use privapprox_types::{
     BitVec, BucketIndexer, ClientId, ExecutionParams, FastState, MessageId, Query, QueryId,
+    Timestamp,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,7 +51,7 @@ pub struct ClientScratch {
     randomized: BitVec,
     /// The randomize stage's bulk-RNG state: an 8-lane `WideRng` plus
     /// its pre-filled word buffer, both materialized on first use
-    /// (the generator forks off the client RNG) and reused every
+    /// (the generator forks off the answer's RNG) and reused every
     /// epoch after.
     randomize: RandomizeScratch,
     /// The encoded wire message `⟨QID, randomized answer⟩`.
@@ -89,22 +90,18 @@ struct CachedIndexer {
 pub struct Client {
     id: ClientId,
     db: Database,
-    /// Seed material for per-query RNG streams (see `rngs`).
+    /// Seed material for every answer's RNG, which is a pure function
+    /// of `(rng_seed, epoch)` (see [`Client::epoch_rng`]): the client
+    /// carries no RNG state from one call to the next, so a respawned
+    /// or recovered client answers an epoch exactly as the original
+    /// would have. Deliberately NOT mixed with the `QueryId`: a query
+    /// answered inside a multi-tenant schedule draws exactly what it
+    /// would draw running alone in a fresh system, which is what makes
+    /// K concurrent queries byte-identical to K isolation runs (the
+    /// `multi_query` equivalence suite) — at the cost of concurrent
+    /// queries drawing equal MIDs and coins, which is why the share
+    /// join is keyed by (query, MID), not MID alone.
     rng_seed: u64,
-    /// One independent RNG stream per subscribed query, lazily
-    /// created on first answer. Every stream is seeded from the SAME
-    /// `rng_seed` — deliberately NOT mixed with the `QueryId` — so a
-    /// query answered inside a multi-tenant schedule consumes exactly
-    /// the draws it would consume running alone in a fresh system.
-    /// That same-seed design is what makes K concurrent queries
-    /// byte-identical to K sequential isolation runs (the
-    /// `multi_query` equivalence suite), at the cost of concurrent
-    /// queries drawing identical MID sequences — which is why the
-    /// share join is keyed by (query, MID), not MID alone.
-    ///
-    /// Linear scan: a client subscribes to a handful of queries, so a
-    /// `Vec` beats a hash map here.
-    rngs: Vec<(QueryId, StdRng)>,
     /// Analyst public keys this client trusts (keyed verification of
     /// query signatures, §3.1).
     analyst_key: u64,
@@ -125,7 +122,6 @@ impl Client {
             id,
             db: Database::new(),
             rng_seed: seed ^ id.0.rotate_left(32),
-            rngs: Vec::new(),
             analyst_key,
             plans: PlanCache::new(),
             sql_scratch: EvalScratch::new(),
@@ -133,18 +129,20 @@ impl Client {
         }
     }
 
-    /// Index into `rngs` of the RNG stream for `query`, creating it
-    /// on first use. Returns an index rather than a borrow so callers
-    /// can interleave RNG draws with other `&mut self` stages.
-    fn rng_for(&mut self, query: QueryId) -> usize {
-        match self.rngs.iter().position(|(q, _)| *q == query) {
-            Some(i) => i,
-            None => {
-                self.rngs
-                    .push((query, StdRng::seed_from_u64(self.rng_seed)));
-                self.rngs.len() - 1
-            }
-        }
+    /// The RNG of this client's answer to `epoch`. The seed is hashed
+    /// (one SplitMix64 finalizer) before the epoch is added, never
+    /// XORed raw: `rng_seed` carries the client id in its high 32 bits
+    /// and a millisecond clock passes 2³² after 49.7 days, so a raw
+    /// mix would hand client `c` at `t + 2³²` the stream of client
+    /// `c ^ 1` at `t`. The multiplier is odd (epochs map one-to-one)
+    /// and is not `seed_from_u64`'s own SplitMix64 increment, whose
+    /// multiples would make neighbouring epochs' state words overlap.
+    fn epoch_rng(&self, epoch: Timestamp) -> StdRng {
+        let mut z = self.rng_seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        StdRng::seed_from_u64(z.wrapping_add(epoch.0.wrapping_mul(0xD1B5_4A32_D192_ED03)))
     }
 
     /// The client id.
@@ -241,16 +239,21 @@ impl Client {
     /// Returns `Ok(None)` when the participation coin (bias `s`) says
     /// to sit this epoch out — the low-latency half of the paper's
     /// marriage. Otherwise returns the XOR shares to transmit, one per
-    /// proxy.
+    /// proxy. Coins, randomized bits, MID and share pads are a pure
+    /// function of the client's seed and `epoch` (§3.2: fresh per
+    /// epoch, nothing carried over): answering the same epoch again
+    /// yields the same shares, which the aggregator's duplicate
+    /// defence counts once.
     pub fn answer_query(
         &mut self,
         query: &Query,
         params: &ExecutionParams,
+        epoch: Timestamp,
         n_proxies: usize,
     ) -> Result<Option<ClientAnswer>, CoreError> {
         let mut scratch = ClientScratch::new();
         Ok(self
-            .answer_query_into(query, params, n_proxies, &mut scratch)?
+            .answer_query_into(query, params, epoch, n_proxies, &mut scratch)?
             .map(|shares| ClientAnswer {
                 shares: shares.to_vec(),
             }))
@@ -263,6 +266,7 @@ impl Client {
         &mut self,
         query: &Query,
         params: &ExecutionParams,
+        epoch: Timestamp,
         n_proxies: usize,
         scratch: &'a mut ClientScratch,
     ) -> Result<Option<&'a [Share]>, CoreError> {
@@ -272,7 +276,7 @@ impl Client {
             scratch.split.invalidate();
             return Err(CoreError::BadSignature);
         }
-        self.answer_query_into_preverified(query, params, n_proxies, scratch)
+        self.answer_query_into_preverified(query, params, epoch, n_proxies, scratch)
     }
 
     /// [`Client::answer_query_into`] minus the signature check: for
@@ -287,6 +291,7 @@ impl Client {
         &mut self,
         query: &Query,
         params: &ExecutionParams,
+        epoch: Timestamp,
         n_proxies: usize,
         scratch: &'a mut ClientScratch,
     ) -> Result<Option<&'a [Share]>, CoreError> {
@@ -294,10 +299,10 @@ impl Client {
         // expose the previous epoch's shares (a stale read could
         // resubmit the old message).
         scratch.split.invalidate();
-        let rng = self.rng_for(query.id);
+        let mut rng = self.epoch_rng(epoch);
         // Step I: sampling at the client (§3.2.1).
         let coin = ParticipationCoin::new(params.s);
-        if !coin.flip(&mut self.rngs[rng].1) {
+        if !coin.flip(&mut rng) {
             return Ok(None);
         }
         // Step II: truthful answer + randomized response (§3.2.2).
@@ -306,28 +311,28 @@ impl Client {
             &scratch.truth // degenerate no-randomization mode (Fig 4b)
         } else {
             // The *forked* path re-seeds the scratch's bulk generator
-            // from this client's private RNG on every call, so the
-            // randomized bits are a pure function of the client's own
-            // stream — independent of which (possibly shared, possibly
-            // per-shard) scratch serves the call. That per-client
-            // determinism is what makes the sharded deployment
-            // byte-identical to the single-threaded harness.
+            // from this answer's RNG on every call, so the randomized
+            // bits are a pure function of (client seed, epoch) —
+            // independent of which (possibly shared, possibly
+            // per-shard) scratch serves the call. That determinism is
+            // what makes the sharded deployment byte-identical to the
+            // single-threaded harness.
             Randomizer::new(params.p, params.q).randomize_vec_forked(
                 &scratch.truth,
                 &mut scratch.randomized,
                 &mut scratch.randomize,
-                &mut self.rngs[rng].1,
+                &mut rng,
             );
             &scratch.randomized
         };
         // Step III: encode and split (§3.2.3).
         encode_answer_into(query.id, randomized, &mut scratch.message);
         let splitter = XorSplitter::new(n_proxies);
-        let mid = MessageId(self.rngs[rng].1.gen());
+        let mid = MessageId(rng.gen());
         Ok(Some(splitter.split_into(
             &scratch.message,
             mid,
-            &mut self.rngs[rng].1,
+            &mut rng,
             &mut scratch.split,
         )))
     }
@@ -355,7 +360,11 @@ mod tests {
     }
 
     fn client_with_speed(speed: f64) -> Client {
-        let mut c = Client::new(ClientId(1), 42, KEY);
+        client_at(1, 42, speed)
+    }
+
+    fn client_at(id: u64, seed: u64, speed: f64) -> Client {
+        let mut c = Client::new(ClientId(id), seed, KEY);
         c.db_mut().create_table(
             "vehicle",
             Schema::new(vec![
@@ -417,7 +426,7 @@ mod tests {
         let q = speed_query();
         let params = ExecutionParams::checked(1.0, 1.0, 0.5);
         let answer = c
-            .answer_query(&q, &params, 2)
+            .answer_query(&q, &params, Timestamp(30_000), 2)
             .unwrap()
             .expect("s = 1 always participates");
         assert_eq!(answer.shares.len(), 2);
@@ -434,13 +443,122 @@ mod tests {
         let params = ExecutionParams::checked(0.3, 1.0, 0.5);
         let n = 2_000;
         let mut participated = 0;
-        for _ in 0..n {
-            if c.answer_query(&q, &params, 2).unwrap().is_some() {
+        for epoch in 0..n {
+            if c
+                .answer_query(&q, &params, Timestamp(epoch), 2)
+                .unwrap()
+                .is_some()
+            {
                 participated += 1;
             }
         }
         let rate = participated as f64 / n as f64;
         assert!((rate - 0.3).abs() < 0.04, "participation rate {rate}");
+    }
+
+    /// One answer as comparable bytes: the MID and every share payload.
+    fn answer_bytes(
+        c: &mut Client,
+        q: &Query,
+        params: &ExecutionParams,
+        epoch: u64,
+    ) -> Option<(u128, Vec<Vec<u8>>)> {
+        c.answer_query(q, params, Timestamp(epoch), 3)
+            .unwrap()
+            .map(|a| {
+                let payloads = a.shares.iter().map(|s| s.payload.to_vec()).collect();
+                (a.shares[0].mid.0, payloads)
+            })
+    }
+
+    proptest::proptest! {
+        /// An answer is a pure function of (seed, id, epoch, params):
+        /// no order of earlier calls, repetition or client age moves a
+        /// bit of it.
+        #[test]
+        fn an_answer_depends_only_on_seed_id_epoch_and_params(
+            seed in proptest::any::<u64>(),
+            id in 0u64..(1 << 40),
+            epochs in proptest::collection::vec(proptest::any::<u64>(), 1..6),
+            s in 0.05f64..1.0,
+            p in 0.05f64..1.2,
+            q in 0.05f64..0.95,
+        ) {
+            let query = speed_query();
+            let params = ExecutionParams::checked(s, p.min(1.0), q);
+            let mut veteran = client_at(id, seed, 15.0);
+            let forward: Vec<_> = epochs
+                .iter()
+                .map(|&e| answer_bytes(&mut veteran, &query, &params, e))
+                .collect();
+            for (i, &e) in epochs.iter().enumerate().rev() {
+                let again = answer_bytes(&mut veteran, &query, &params, e);
+                proptest::prop_assert_eq!(&again, &forward[i]);
+                let fresh = answer_bytes(&mut client_at(id, seed, 15.0), &query, &params, e);
+                proptest::prop_assert_eq!(&fresh, &forward[i]);
+            }
+        }
+    }
+
+    /// 256 consecutive clients × 256 epochs, three ways: consecutive
+    /// timestamps, consecutive window centres, and two half-blocks
+    /// 2³² ms apart (the same clock 49.7 days later — where a seed
+    /// that XORs the raw timestamp into the raw client seed hands
+    /// client `c` the earlier answers of client `c ^ 1`). Every cell
+    /// must be its own stream.
+    #[test]
+    fn neighbouring_clients_and_epochs_draw_independent_streams() {
+        let query = QueryBuilder::new(QueryId::new(AnalystId(1), 2), "SELECT speed FROM vehicle")
+            .answer(AnswerSpec::ranges_with_overflow(0.0, 630.0, 63))
+            .window(60_000, 60_000)
+            .sign_and_build(KEY);
+        let params = ExecutionParams::checked(0.5, 0.5, 0.5);
+        let mut clients: Vec<Client> = (0..256).map(|id| client_at(id, 7, 15.0)).collect();
+        let grids: [fn(u64) -> u64; 3] = [
+            |k| k,
+            |k| 30_000 + k * 60_000,
+            |k| 1_000_000 + (k % 128) + ((k / 128) << 32),
+        ];
+        let mut scratch = ClientScratch::new();
+        for (g, epoch_of) in grids.iter().enumerate() {
+            let mut mids = std::collections::HashSet::new();
+            // First 64 randomized bits per cell; `None` sat out.
+            let mut cells = vec![[None; 256]; 256];
+            for (client, row) in clients.iter_mut().zip(&mut cells) {
+                for (k, cell) in row.iter_mut().enumerate() {
+                    let epoch = Timestamp(epoch_of(k as u64));
+                    let Some(shares) = client
+                        .answer_query_into(&query, &params, epoch, 2, &mut scratch)
+                        .unwrap()
+                    else {
+                        continue;
+                    };
+                    assert!(mids.insert(shares[0].mid), "grid {g}: MID drawn twice");
+                    let (_, answer) = decode_answer(&combine(shares).unwrap()).unwrap();
+                    *cell = Some(answer.limbs()[0]);
+                }
+            }
+            // Participation is Binomial(256, ½) along every row and
+            // column: σ = 8, bound at 5σ.
+            for i in 0..256 {
+                let row = cells[i].iter().flatten().count();
+                let column = cells.iter().filter(|r| r[i].is_some()).count();
+                for n in [row, column] {
+                    assert!((88..=168).contains(&n), "grid {g}, line {i}: {n} of 256");
+                }
+            }
+            for c in 0..256 {
+                for k in 0..256 {
+                    let Some(word) = cells[c][k] else { continue };
+                    if c + 1 < 256 {
+                        assert_ne!(cells[c + 1][k], Some(word), "grid {g}: clients {c}, {}", c + 1);
+                    }
+                    if k + 1 < 256 {
+                        assert_ne!(cells[c][k + 1], Some(word), "grid {g}: epochs {k}, {}", k + 1);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -451,7 +569,7 @@ mod tests {
         // Populate the scratch with one real answer.
         let always = ExecutionParams::checked(1.0, 1.0, 0.5);
         assert!(c
-            .answer_query_into(&q, &always, 2, &mut scratch)
+            .answer_query_into(&q, &always, Timestamp(0), 2, &mut scratch)
             .unwrap()
             .is_some());
         assert_eq!(scratch.shares().len(), 2);
@@ -460,7 +578,7 @@ mod tests {
         // would resubmit the previous message.
         let never = ExecutionParams::checked(1e-12, 1.0, 0.5);
         assert!(c
-            .answer_query_into(&q, &never, 2, &mut scratch)
+            .answer_query_into(&q, &never, Timestamp(1), 2, &mut scratch)
             .unwrap()
             .is_none());
         assert!(scratch.shares().is_empty());
@@ -520,7 +638,7 @@ mod tests {
         q.sql = "SELECT speed FROM vehicle".into(); // tampered post-signing
         let params = ExecutionParams::checked(1.0, 0.9, 0.5);
         assert_eq!(
-            c.answer_query(&q, &params, 2).unwrap_err(),
+            c.answer_query(&q, &params, Timestamp(0), 2).unwrap_err(),
             CoreError::BadSignature
         );
     }
@@ -541,8 +659,11 @@ mod tests {
         let q = speed_query();
         let params = ExecutionParams::checked(1.0, 0.5, 0.5);
         let mut distinct = std::collections::HashSet::new();
-        for _ in 0..20 {
-            let ans = c.answer_query(&q, &params, 2).unwrap().unwrap();
+        for epoch in 0..20 {
+            let ans = c
+                .answer_query(&q, &params, Timestamp(epoch), 2)
+                .unwrap()
+                .unwrap();
             let msg = combine(&ans.shares).unwrap();
             let (_, decoded) = decode_answer(&msg).expect("valid wire format");
             assert_eq!(decoded.len(), 12);

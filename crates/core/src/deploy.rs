@@ -85,10 +85,11 @@
 //! count *and any pipeline depth*. Four properties compose into that
 //! guarantee:
 //!
-//! 1. every client's answer is a pure function of its own RNG stream
-//!    ([`Randomizer::randomize_vec_forked`](privapprox_rr::randomize::Randomizer::randomize_vec_forked)
-//!    re-forks the bulk generator per call), so processing order,
-//!    scratch sharing and epoch overlap are irrelevant;
+//! 1. every client's answer is a pure function of its seed and the
+//!    epoch's timestamp (the answer's RNG is derived from the two, and
+//!    [`Randomizer::randomize_vec_forked`](privapprox_rr::randomize::Randomizer::randomize_vec_forked)
+//!    re-forks the bulk generator from it per call), so processing
+//!    order, scratch sharing and epoch overlap are irrelevant;
 //! 2. window accumulation is commutative counting, so the partition
 //!    of answers across shards — and the interleaving of epochs
 //!    within a shard — is irrelevant;
@@ -124,10 +125,11 @@
 //! dead thread is **respawned**:
 //!
 //! * a **worker** respawns with the same index, hence the same client
-//!   ids and RNG seeds, and replays the command history — loads for
-//!   real, past answers muted — so its clients' tables are rebuilt
-//!   and their RNG streams resume byte-identically where the dead
-//!   worker's stopped;
+//!   ids and RNG seeds, and is sent the loads again so its clients'
+//!   tables are rebuilt. That is all of a client's state: an answer's
+//!   randomness is derived from the seed and the epoch's timestamp, so
+//!   the replacement answers every later epoch exactly as the dead
+//!   worker would have, at a cost independent of the epochs behind it;
 //! * a **shard** respawns by rejoining the `"aggregator"` consumer
 //!   group — committed offsets persist across membership changes, so
 //!   the replacement resumes exactly where the dead shard stopped
@@ -397,8 +399,8 @@ impl ShardedSystemBuilder {
     /// charges are journaled (and fsynced) strictly before the
     /// debit-gated sends of every epoch, committed offsets and window
     /// high-water marks are checkpointed at each epoch close, and the
-    /// full supervisor state (ledgers, schedule, muted-replay history,
-    /// retained warehouses, undrained results) is snapshotted every
+    /// full supervisor state (ledgers, schedule, retained warehouses,
+    /// undrained results) is snapshotted every
     /// [`snapshot_every`](ShardedSystemBuilder::snapshot_every) closes
     /// with the journal pruned beneath the snapshot floor.
     ///
@@ -675,7 +677,7 @@ impl ShardedSystemBuilder {
             spare_shells: Vec::new(),
             pending_recycle: vec![Vec::new(); c.shards],
             busy: BusyProfile::new(c.workers, c.proxies as usize, c.shards),
-            history: Vec::new(),
+            loads: Vec::new(),
             faults: Vec::new(),
             partial_closes: 0,
             lost_answers: 0,
@@ -755,33 +757,13 @@ enum LoadCmd {
     },
 }
 
-/// A replayable worker command, logged by the main thread: the
-/// respawn path re-runs the full history on the replacement thread —
-/// loads for real, answers **muted** (the clients run the complete
-/// answer pipeline, but nothing is sent). The muted replay advances
-/// every owned client's RNG stream to exactly where the dead
-/// worker's was; without it a respawned client would re-issue its
-/// past MIDs, and the aggregator's duplicate defence would silently
-/// swallow its next epoch's answers.
-#[derive(Clone)]
-enum ReplayCmd {
-    Load(LoadCmd),
-    Answer {
-        query: Arc<Query>,
-        params: ExecutionParams,
-        ts: Timestamp,
-    },
-}
-
 enum WorkerCmd {
     Load(LoadCmd),
     Answer {
         query: Arc<Query>,
         params: ExecutionParams,
+        /// The epoch tag: stamps every share and keys the answers' RNG.
         ts: Timestamp,
-        /// `false` on a respawn's muted history replay: answer (to
-        /// advance the client RNGs), but send and reply nothing.
-        live: bool,
     },
     /// Chaos hook: panic on receipt.
     Die,
@@ -932,39 +914,7 @@ impl WorkerHandle {
                             }
                             let _ = reply_tx.send(WorkerReply::Loaded);
                         }
-                        WorkerCmd::Answer {
-                            query,
-                            params,
-                            ts,
-                            live,
-                        } => {
-                            if !live {
-                                // Muted history replay (respawn
-                                // catch-up): every client runs
-                                // the full answer pipeline so its
-                                // RNG advances exactly as the
-                                // predecessor's did, stopping at
-                                // the first error like the live
-                                // path — but nothing is sent and
-                                // nothing is replied.
-                                if query.verify(key) {
-                                    for (_, client) in &mut owned {
-                                        if client
-                                            .answer_query_into_preverified(
-                                                &query,
-                                                &params,
-                                                n_proxies,
-                                                &mut scratch,
-                                            )
-                                            .is_err()
-                                        {
-                                            break;
-                                        }
-                                    }
-                                }
-                                let _ = ts;
-                                continue;
-                            }
+                        WorkerCmd::Answer { query, params, ts } => {
                             let t0 = thread_busy_time();
                             let qtag = query.id.to_u64().to_be_bytes();
                             per_partition.iter_mut().for_each(|n| *n = 0);
@@ -989,6 +939,7 @@ impl WorkerHandle {
                                 match client.answer_query_into_preverified(
                                     &query,
                                     &params,
+                                    ts,
                                     n_proxies,
                                     &mut scratch,
                                 ) {
@@ -1194,9 +1145,9 @@ pub struct ShardedSystem {
     workers: Vec<WorkerHandle>,
     proxies: Vec<ProxyHandle>,
     shards: Vec<ShardHandle>,
-    /// Registered queries. Shared, not cloned: an epoch's worker
-    /// commands and its replay-log entry all point at the one
-    /// registered definition (10⁴ bucket rules on a wide query).
+    /// Registered queries. Shared, not cloned: every worker command
+    /// of an epoch points at the one registered definition (10⁴
+    /// bucket rules on a wide query).
     queries: HashMap<QueryId, (Arc<Query>, ExecutionParams)>,
     initializer: Initializer,
     /// The shared event clock, advanced exactly like `System`'s.
@@ -1215,9 +1166,9 @@ pub struct ShardedSystem {
     /// shard slots hold the latest cumulative reading; proxy times
     /// live in the handles' atomics).
     busy: BusyProfile,
-    /// Every load and answer command ever issued, for worker-respawn
-    /// replay (loads re-applied, answers muted; see [`ReplayCmd`]).
-    history: Vec<ReplayCmd>,
+    /// Every load ever issued, in order: what a respawned worker is
+    /// sent to rebuild its clients' tables.
+    loads: Vec<LoadCmd>,
     /// Deployment faults observed so far (panics, wedges, respawn
     /// failures), oldest first.
     faults: Vec<DeployError>,
@@ -1390,8 +1341,8 @@ impl ShardedSystem {
     /// column, exactly like
     /// [`System::load_numeric_column`](crate::System::load_numeric_column).
     /// Completes any in-flight epochs first: loads must not reorder
-    /// around pending answer commands. The load is appended to the
-    /// replay log, so respawned workers rebuild it.
+    /// around pending answer commands. The load is logged, so
+    /// respawned workers rebuild it.
     pub fn load_numeric_column<F>(&mut self, table: &str, column: &str, f: F) -> Result<(), CoreError>
     where
         F: Fn(usize) -> f64 + Send + Sync + 'static,
@@ -1405,7 +1356,7 @@ impl ShardedSystem {
 
     /// Populates every client with arbitrary rows, exactly like
     /// [`System::load_rows`](crate::System::load_rows). Completes any
-    /// in-flight epochs first; appended to the replay log.
+    /// in-flight epochs first; logged for respawned workers.
     pub fn load_rows<F>(&mut self, table: &str, schema: Schema, f: F) -> Result<(), CoreError>
     where
         F: Fn(usize) -> Vec<Vec<Value>> + Send + Sync + 'static,
@@ -1426,7 +1377,7 @@ impl ShardedSystem {
         self.repair();
         // Log before sending: a respawn triggered below must replay
         // this load too.
-        self.history.push(ReplayCmd::Load(load.clone()));
+        self.loads.push(load.clone());
         for w in &self.workers {
             if w.dead {
                 continue;
@@ -1562,7 +1513,7 @@ impl ShardedSystem {
             .get(&query.id)
             .map(|(q, p)| (Arc::clone(q), *p))
             .ok_or(CoreError::UnknownQuery)?;
-        self.dispatch_epoch(vec![(query, params)], None, &[])
+        self.dispatch_epoch(&[(query, params)], None, &[])
     }
 
     /// The one epoch dispatcher, under [`ShardedSystem::submit_epoch`]
@@ -1581,10 +1532,10 @@ impl ShardedSystem {
     /// it leaves (at worst) orphan charges that reconstruction drops,
     /// and the recovered spend can only under-report, never over-spend
     /// ε; the crash hook; the batch goes to every live worker; the
-    /// epoch enters the replay history and the in-flight queue.
+    /// epoch enters the in-flight queue.
     fn dispatch_epoch(
         &mut self,
-        batch: Vec<(Arc<Query>, ExecutionParams)>,
+        batch: &[(Arc<Query>, ExecutionParams)],
         stamps: Option<(Timestamp, Timestamp)>,
         charged: &[(QueryId, f64, f64, u64)],
     ) -> Result<(), CoreError> {
@@ -1613,7 +1564,7 @@ impl ShardedSystem {
                 let rec = persist::rec_charge(*qid, ts, *eps, *spent_after, *epochs_after);
                 self.journal(persist::K_CHARGE, rec)?;
             }
-            let rec = persist::rec_submitted(ts, watermark, &batch);
+            let rec = persist::rec_submitted(ts, watermark, batch);
             self.journal(persist::K_SUBMITTED, rec)?;
             self.journal_sync()?;
         }
@@ -1635,7 +1586,6 @@ impl ShardedSystem {
                     query: Arc::clone(query),
                     params: *params,
                     ts,
-                    live: true,
                 };
                 if self.workers[wi].cmd.send(cmd).is_ok() {
                     sent += 1;
@@ -1643,13 +1593,9 @@ impl ShardedSystem {
                 }
                 // The command channel disconnected: the worker died
                 // since its last reply. Report, respawn (the
-                // replacement replays prior history muted, so its
-                // clients answer identically), then send this epoch's
-                // batch live from the top — the dead channel swallowed
-                // the commands already sent. The epoch enters the
-                // history only below, after the send loop: the
-                // replacement must receive it live, not as a muted
-                // replay.
+                // replacement gets the loads), then send this epoch's
+                // batch from the top — the dead channel swallowed the
+                // commands already sent.
                 let fault = self.stage_down(Role::Worker, wi, RecvTimeoutError::Disconnected);
                 if result.is_ok() {
                     result = Err(fault.into());
@@ -1667,9 +1613,6 @@ impl ShardedSystem {
             cmds: batch.len(),
             journal_mark,
         });
-        for (query, params) in batch {
-            self.history.push(ReplayCmd::Answer { query, params, ts });
-        }
         result
     }
 
@@ -1924,7 +1867,7 @@ impl ShardedSystem {
             self.journal_sync()?;
             return Ok(());
         }
-        self.dispatch_epoch(batch, None, &charged)
+        self.dispatch_epoch(&batch, None, &charged)
     }
 
     /// Runs one multi-tenant epoch to completion: submit + flush.
@@ -2472,7 +2415,7 @@ impl ShardedSystem {
     /// Chaos hook: makes worker `w` panic on its next command poll.
     /// Waits for the thread to finish unwinding before returning, so
     /// the fault lands at a deterministic point: a command sent after
-    /// this call fails fast (dead channel → respawn + live replay)
+    /// this call fails fast (dead channel → respawn + resend)
     /// instead of racing the unwind and being accepted-then-lost —
     /// the equivalence suites inject between epochs and need both
     /// runs of a pair on the same side of that race.
@@ -2534,20 +2477,18 @@ impl ShardedSystem {
 
     /// Adopts the state recovered from the durable store: queries are
     /// re-registered on every shard, budget ledgers restored to their
-    /// journaled spend, the schedule and retirement set rebuilt, the
-    /// muted command history replayed into every worker (advancing
-    /// client RNG streams to exactly where the crashed deployment's
-    /// were — the same mechanism as a worker respawn), pending results
-    /// and retained warehouses restored, and every submitted-but-
-    /// unclosed epoch re-run live **without re-charging** (its debits
-    /// are already in the restored ledgers). Returns the recovered
-    /// queries, oldest first.
+    /// journaled spend, the schedule and retirement set rebuilt,
+    /// pending results and retained warehouses restored, and every
+    /// submitted-but-unclosed epoch re-run **without re-charging**
+    /// (its debits are already in the restored ledgers). Closed epochs
+    /// are not revisited: nothing a client does later depends on them.
+    /// Returns the recovered queries, oldest first.
     ///
     /// Call order matters: loads hold closures the store cannot
     /// serialize, so the caller re-issues
     /// [`load_numeric_column`](ShardedSystem::load_numeric_column) /
     /// [`load_rows`](ShardedSystem::load_rows) *before* `resume` —
-    /// the replayed answers need the tables in place. With nothing to
+    /// the re-run epochs need the tables in place. With nothing to
     /// recover this is a no-op returning an empty list.
     pub fn resume(&mut self) -> Result<Vec<Query>, CoreError> {
         let Some(rec) = self.recovered.take() else {
@@ -2556,7 +2497,7 @@ impl ShardedSystem {
         let rec = *rec;
         // Everything restored below *came from* the journal:
         // re-journaling it would duplicate records, so appends are
-        // muted until the live re-submissions at the end.
+        // muted until the re-submissions at the end.
         if let Some(d) = self.durable.as_mut() {
             d.muted = true;
         }
@@ -2601,27 +2542,6 @@ impl ShardedSystem {
                 self.admitted.push(qid);
             }
         }
-        // Muted replay of the closed-epoch history: every live worker
-        // advances its clients' RNG streams without sending a share
-        // (muted answers reply nothing, so there is nothing to wait
-        // for — FIFO channels order any live command after these).
-        for (qid, params, ts) in rec.history {
-            let Some((query, _)) = self.queries.get(&qid).cloned() else {
-                continue;
-            };
-            for w in &self.workers {
-                if w.dead {
-                    continue;
-                }
-                let _ = w.cmd.send(WorkerCmd::Answer {
-                    query: Arc::clone(&query),
-                    params,
-                    ts,
-                    live: false,
-                });
-            }
-            self.history.push(ReplayCmd::Answer { query, params, ts });
-        }
         if let Some(d) = self.durable.as_mut() {
             d.muted = false;
             d.recoveries += 1;
@@ -2646,11 +2566,10 @@ impl ShardedSystem {
     /// Re-runs one submitted-but-unclosed epoch recovered from the
     /// journal: a fresh `Submitted` record is journaled and fsynced
     /// (NO charge records — the epoch's debits are already in the
-    /// restored ledgers), then the batch is sent live under its
-    /// original epoch timestamp. The replayed history left every
-    /// client's RNG stream exactly where the crashed run's was when
-    /// this epoch first went out, so the re-run produces the same
-    /// shares the crash may or may not have let escape.
+    /// restored ledgers), then the batch is sent under its original
+    /// epoch timestamp — which is what the answers' randomness is
+    /// derived from, so the re-run produces the same shares the crash
+    /// may or may not have let escape.
     fn resubmit_open_epoch(&mut self, ep: OpenEpoch) -> Result<(), CoreError> {
         let mut batch: Vec<(Arc<Query>, ExecutionParams)> = Vec::with_capacity(ep.entries.len());
         for (qid, params) in &ep.entries {
@@ -2662,7 +2581,7 @@ impl ShardedSystem {
         if batch.is_empty() {
             return Ok(());
         }
-        self.dispatch_epoch(batch, Some((ep.ts, ep.watermark)), &[])
+        self.dispatch_epoch(&batch, Some((ep.ts, ep.watermark)), &[])
     }
 
     /// Captures every retained query's warehouse for the snapshot:
@@ -2739,22 +2658,6 @@ impl ShardedSystem {
             .map(|(&(q, s), &hw)| (q, s, hw))
             .collect();
         marks.sort_unstable_by_key(|&(q, s, _)| (q.to_u64(), s));
-        // Closed epochs only: an in-flight epoch is rebuilt from its
-        // `Submitted` record above the floor and re-run live (or moved
-        // into the history by its close record), so listing it here
-        // too would replay it twice.
-        let history: Vec<(QueryId, ExecutionParams, Timestamp)> = self
-            .history
-            .iter()
-            .filter_map(|cmd| match cmd {
-                ReplayCmd::Answer { query, params, ts }
-                    if !self.in_flight.iter().any(|e| e.epoch == *ts) =>
-                {
-                    Some((query.id, *params, *ts))
-                }
-                _ => None,
-            })
-            .collect();
         let mut queries: Vec<(&Query, ExecutionParams, bool, Option<&BudgetLedger>)> = self
             .queries
             .values()
@@ -2779,7 +2682,6 @@ impl ShardedSystem {
             queries,
             admitted: &self.admitted,
             terminal: &self.terminal,
-            history: &history,
             pending: &self.pending,
             offsets: &offsets,
             marks: &marks,
@@ -2911,39 +2813,21 @@ impl ShardedSystem {
     }
 
     /// Respawns worker `wi` under the same index — same client ids
-    /// and RNG seeds — and replays the command history: loads for
-    /// real (rebuilding the clients' tables), past answers muted
-    /// (advancing each client's RNG to exactly where the dead
-    /// worker's was, so the replacement's future MIDs and coin flips
-    /// are byte-identical to what the dead worker would have
-    /// produced). A wedged predecessor (thread still running) is never
-    /// replaced.
+    /// and RNG seeds — and re-sends every load, rebuilding the
+    /// clients' tables. Nothing else carries over from one epoch to
+    /// the next, so the replacement's future MIDs and coin flips are
+    /// byte-identical to what the dead worker would have produced. A
+    /// wedged predecessor (thread still running) is never replaced.
     fn respawn_worker(&mut self, wi: usize) -> Result<(), DeployError> {
         if self.workers[wi].thread.is_some() {
             return Err(self.respawn_failed(Role::Worker, wi));
         }
         let handle = WorkerHandle::spawn(wi, &mut self.host);
-        let mut loads = 0usize;
-        for cmd in &self.history {
-            let msg = match cmd {
-                ReplayCmd::Load(load) => {
-                    loads += 1;
-                    WorkerCmd::Load(load.clone())
-                }
-                ReplayCmd::Answer { query, params, ts } => WorkerCmd::Answer {
-                    query: Arc::clone(query),
-                    params: *params,
-                    ts: *ts,
-                    live: false,
-                },
-            };
-            let _ = handle.cmd.send(msg);
+        for load in &self.loads {
+            let _ = handle.cmd.send(WorkerCmd::Load(load.clone()));
         }
-        // Only the loads ack (muted answers reply nothing); commands
-        // are FIFO per channel, so once the last load acks, any live
-        // command sent next runs after the whole replay.
         let wait = self.control_wait();
-        for _ in 0..loads {
+        for _ in 0..self.loads.len() {
             if !matches!(handle.reply.recv_timeout(wait), Ok(WorkerReply::Loaded)) {
                 return Err(self.respawn_failed(Role::Worker, wi));
             }
@@ -3539,6 +3423,89 @@ mod tests {
         assert!(system.needs_recovery());
         system.resume().unwrap();
         assert_eq!(system.recovered_offsets(), committed);
+        drop(system);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// What a worker respawn re-sends is the loads and nothing else:
+    /// epochs leave no trace in the supervisor's replay state, so a
+    /// respawn costs the same after any number of them.
+    #[test]
+    fn sharded_respawn_state_is_the_loads_issued_at_any_epoch_count() {
+        let mut system = ShardedSystem::builder().clients(20).workers(2).seed(3).build();
+        system.load_numeric_column("vehicle", "speed", |_| 15.0).unwrap();
+        system.load_numeric_column("vehicle", "speed", |_| 25.0).unwrap();
+        let query = system
+            .analyst()
+            .query("SELECT speed FROM vehicle")
+            .buckets(speed_spec())
+            .params(ExecutionParams::checked(1.0, 1.0, 0.5))
+            .submit()
+            .unwrap();
+        assert_eq!(system.loads.len(), 2);
+        for _ in 0..50 {
+            system.submit_epoch(&query).unwrap();
+            assert_eq!(system.loads.len(), 2);
+        }
+        system.inject_worker_panic(1);
+        let result = system.run_epoch(&query).unwrap();
+        assert_eq!((result.sample_size, result.buckets[2].estimate), (20, 20.0));
+        assert_eq!((system.deploy_health().respawns, system.loads.len()), (1, 2));
+    }
+
+    /// A snapshot section the frame cap cannot hold — here a retained
+    /// warehouse grown past 64 MiB — fails the snapshot with a typed
+    /// error before anything touches the directory, and the epochs
+    /// keep closing (journaled, results intact) around it.
+    #[test]
+    fn sharded_oversized_snapshot_section_is_a_typed_error_not_a_panic() {
+        let dir = std::env::temp_dir().join(format!("privapprox-framecap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut system = ShardedSystem::builder()
+            .clients(20)
+            .seed(5)
+            .durable(&dir)
+            .snapshot_every(2)
+            .build();
+        system.load_numeric_column("vehicle", "speed", |_| 15.0).unwrap();
+        let query = system
+            .analyst()
+            .query("SELECT speed FROM vehicle")
+            .buckets(speed_spec())
+            .params(ExecutionParams::checked(1.0, 1.0, 0.5))
+            .submit()
+            .unwrap();
+        system.retain_history(query.id).unwrap();
+        system.run_epoch(&query).unwrap();
+        let files = |dir: &PathBuf| {
+            let mut names: Vec<_> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        let before = files(&dir);
+        let cap = privapprox_store::MAX_FRAME as usize;
+        system
+            .recovered_warehouses
+            .insert(query.id, vec![(0, 0, BitVec::zeros(cap * 8))]);
+        // Closes 2 and 3 both owe a snapshot; each attempt is refused.
+        for _ in 0..2 {
+            match system.run_epoch(&query) {
+                Err(CoreError::Deploy(DeployError::Persist { detail })) => {
+                    assert!(detail.contains("too large"), "{detail}")
+                }
+                other => panic!("expected a Persist error, got {other:?}"),
+            }
+            let closed = system.drain_results();
+            assert_eq!(closed.len(), 1);
+            assert_eq!((closed[0].sample_size, closed[0].buckets[1].estimate), (20, 20.0));
+            assert_eq!(files(&dir), before, "a refused snapshot must leave no file");
+        }
+        system.recovered_warehouses.clear();
+        system.run_epoch(&query).unwrap();
+        assert_eq!(system.deploy_health().snapshot_count, 1);
         drop(system);
         let _ = std::fs::remove_dir_all(&dir);
     }

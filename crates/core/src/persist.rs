@@ -5,9 +5,9 @@
 //! # What is journaled, and when
 //!
 //! The deployment's *control-plane decisions* are journaled; the
-//! data plane (client shares in broker partitions) is not — shares
-//! are reproducible byte-for-byte from the seed plus the command
-//! history, which is exactly what the journal captures.
+//! data plane (client shares in broker partitions) is not — an
+//! epoch's shares are reproducible byte-for-byte from the seed and the
+//! epoch's timestamp, which its `Submitted` record carries.
 //!
 //! The one ordering that carries the privacy guarantee: **budget
 //! charges are journaled and fsynced strictly before the first
@@ -30,11 +30,10 @@
 //! epoch closes, the full supervisor state is written as an atomic
 //! temp-file-rename snapshot and the journal is pruned below the
 //! snapshot's record floor, bounding disk usage to O(snapshot
-//! interval). The snapshot embeds the muted-replay command history
-//! (answers only — loads hold closures and must be re-issued by the
-//! caller before [`resume`](crate::ShardedSystem::resume)), so a
-//! recovered worker's client RNG streams advance to exactly where the
-//! crashed deployment's were.
+//! interval). A closed epoch leaves nothing behind but its results
+//! and counters, so a snapshot's size does not grow with the epochs
+//! closed. Loads hold closures and are not stored: the caller
+//! re-issues them before [`resume`](crate::ShardedSystem::resume).
 
 use crate::aggregator::{finalize_window_into, BucketResult, QueryResult};
 use crate::control::{get_query, get_window, put_query, put_window, MIN_WINDOW_BYTES};
@@ -84,7 +83,7 @@ pub(crate) const K_CLOSED: u8 = 8;
 const S_META: u8 = 1;
 const S_QUERIES: u8 = 2;
 const S_SCHED: u8 = 3;
-const S_HISTORY: u8 = 4;
+// 4 is retired (the answer-command history of store versions ≤ 3).
 const S_PENDING: u8 = 5;
 const S_OFFSETS: u8 = 6;
 const S_MARKS: u8 = 7;
@@ -346,9 +345,6 @@ pub(crate) struct RecoveredState {
     pub partial_closes: u64,
     pub lost_answers: u64,
     pub epochs_closed: u64,
-    /// Closed-epoch answer commands for the muted replay, in
-    /// submission order: `(query, params, epoch timestamp)`.
-    pub history: Vec<(QueryId, ExecutionParams, Timestamp)>,
     /// Submitted-but-unclosed epochs, oldest first.
     pub open_epochs: Vec<OpenEpoch>,
     /// Results closed but possibly not yet drained (at-least-once:
@@ -410,7 +406,6 @@ pub(crate) struct SnapshotContents<'a> {
     pub queries: Vec<(&'a Query, ExecutionParams, bool, Option<&'a BudgetLedger>)>,
     pub admitted: &'a [QueryId],
     pub terminal: &'a [QueryId],
-    pub history: &'a [(QueryId, ExecutionParams, Timestamp)],
     pub pending: &'a [QueryResult],
     pub offsets: &'a [(String, usize, u64)],
     pub marks: &'a [(QueryId, usize, u64)],
@@ -451,17 +446,6 @@ fn build_sections(c: &SnapshotContents<'_>) -> Vec<(u8, Vec<u8>)> {
         sched.u64(qid.to_u64());
     }
 
-    let mut history = Writer::new();
-    history.u64(c.history.len() as u64);
-    for (qid, params, ts) in c.history {
-        history
-            .u64(qid.to_u64())
-            .f64(params.s)
-            .f64(params.p)
-            .f64(params.q)
-            .u64(ts.0);
-    }
-
     let mut pending = Writer::new();
     pending.u64(c.pending.len() as u64);
     for r in c.pending {
@@ -494,7 +478,6 @@ fn build_sections(c: &SnapshotContents<'_>) -> Vec<(u8, Vec<u8>)> {
         (S_META, meta.finish()),
         (S_QUERIES, queries.finish()),
         (S_SCHED, sched.finish()),
-        (S_HISTORY, history.finish()),
         (S_PENDING, pending.finish()),
         (S_OFFSETS, offsets.finish()),
         (S_MARKS, marks.finish()),
@@ -547,19 +530,6 @@ fn apply_snapshot(state: &mut RecoveredState, sections: &[(u8, Vec<u8>)]) -> Res
                 let nt = r.count(8)?;
                 for _ in 0..nt {
                     state.terminal.push(QueryId::from_u64(r.u64()?));
-                }
-                r.done()?;
-            }
-            S_HISTORY => {
-                let mut r = Reader::new(payload, "snapshot history");
-                let n = r.count(40)?;
-                for _ in 0..n {
-                    let qid = QueryId::from_u64(r.u64()?);
-                    let (s, p, q) = (r.f64()?, r.f64()?, r.f64()?);
-                    let ts = Timestamp(r.u64()?);
-                    state
-                        .history
-                        .push((qid, ExecutionParams::checked(s, p, q), ts));
                 }
                 r.done()?;
             }
@@ -774,12 +744,7 @@ fn apply_records(state: &mut RecoveredState, records: &[WalRecord]) -> Result<()
                     state.partial_closes += 1;
                 }
                 state.lost_answers += lost;
-                // Move the closed epoch's commands into the muted
-                // replay history, preserving submission order.
-                let ep = state.open_epochs.remove(pos);
-                for (qid, params) in ep.entries {
-                    state.history.push((qid, params, ep.ts));
-                }
+                state.open_epochs.remove(pos);
             }
             other => {
                 return Err(bad("journal", format!("unknown record kind {other}")));
@@ -1095,7 +1060,7 @@ mod tests {
     }
 
     #[test]
-    fn closed_epochs_move_to_history_and_results_restore() {
+    fn a_close_removes_the_open_epoch_and_restores_its_results() {
         let q = mk_query(1);
         let params = ExecutionParams::checked(1.0, 0.9, 0.5);
         let result = finalized(q.id, &[5, 2], 7, params, 100, 0.95);
@@ -1103,7 +1068,6 @@ mod tests {
         let mut state = RecoveredState::default();
         apply_records(&mut state, &records).unwrap();
         assert!(state.open_epochs.is_empty());
-        assert_eq!(state.history, vec![(q.id, params, Timestamp(500))]);
         assert_eq!(state.pending, vec![result]);
         assert_eq!(state.offsets, vec![("proxy-0-out".to_string(), 0, 11)]);
         assert_eq!(state.marks, vec![(q.id, 0, 1_000)]);
@@ -1127,7 +1091,6 @@ mod tests {
         apply_records(&mut state, &[close]).unwrap();
         assert_eq!(state.epochs_closed, 1);
         assert_eq!(state.pending, vec![result]);
-        assert_eq!(state.history.len(), 1);
     }
 
     proptest::proptest! {
@@ -1289,7 +1252,6 @@ mod tests {
         let params = ExecutionParams::checked(1.0, 0.9, 0.5);
         let ledger = BudgetLedger::restore(2.0, 0.75, 3);
         let result = mk_result(q.id, 2_000);
-        let history = vec![(q.id, params, Timestamp(500))];
         let pending = vec![result.clone()];
         let offsets = vec![("proxy-1-out".to_string(), 2, 33u64)];
         let marks = vec![(q.id, 1, 3_000u64)];
@@ -1307,7 +1269,6 @@ mod tests {
             queries: vec![(&q, params, true, Some(&ledger))],
             admitted: &[q.id],
             terminal: &[],
-            history: &history,
             pending: &pending,
             offsets: &offsets,
             marks: &marks,
@@ -1327,7 +1288,6 @@ mod tests {
         let l = state.queries[0].ledger.as_ref().unwrap();
         assert_eq!((l.allocated(), l.spent(), l.epochs()), (2.0, 0.75, 3));
         assert_eq!(state.admitted, vec![q.id]);
-        assert_eq!(state.history, history);
         assert_eq!(state.pending, pending);
         assert_eq!(state.offsets, offsets);
         assert_eq!(state.marks, marks);

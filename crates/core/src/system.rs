@@ -151,11 +151,11 @@ pub struct System {
     /// shared immutable buffer, so one scratch serves the whole
     /// population). Sharing is safe for determinism because the
     /// randomize stage re-forks the scratch's bulk generator from
-    /// each client's private RNG per call
+    /// each answer's own RNG per call
     /// (`Randomizer::randomize_vec_forked`), so every client's answer
-    /// is a pure function of its own RNG stream — which is also why
-    /// `ShardedSystem`, with one scratch per worker thread, produces
-    /// byte-identical results.
+    /// is a pure function of its seed and the epoch — which is also
+    /// why `ShardedSystem`, with one scratch per worker thread,
+    /// produces byte-identical results.
     scratch: ClientScratch,
 }
 
@@ -265,7 +265,7 @@ impl System {
         let n_proxies = self.config.proxies as usize;
         for client in &mut self.clients {
             if let Some(shares) =
-                client.answer_query_into(query, &params, n_proxies, &mut self.scratch)?
+                client.answer_query_into(query, &params, ts, n_proxies, &mut self.scratch)?
             {
                 for (pi, share) in shares.iter().enumerate() {
                     // One copy of the share into a shared immutable

@@ -196,17 +196,17 @@ fn client_pipeline_allocates_nothing() {
 
         let mut scratch = ClientScratch::new();
         // Warm the plan cache, bucket indexer and scratch buffers.
-        for _ in 0..200 {
+        for epoch in 0..200 {
             client
-                .answer_query_into(&query, &params, 2, &mut scratch)
+                .answer_query_into(&query, &params, Timestamp(epoch), 2, &mut scratch)
                 .unwrap()
                 .expect("s = 1 always participates");
         }
 
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        for _ in 0..2_000 {
+        for epoch in 200..2_200 {
             client
-                .answer_query_into(&query, &params, 2, &mut scratch)
+                .answer_query_into(&query, &params, Timestamp(epoch), 2, &mut scratch)
                 .unwrap()
                 .expect("s = 1 always participates");
         }
@@ -256,9 +256,12 @@ fn window_close_allocates_nothing() {
     for cycle in 0..cycles {
         // Feed the window (broker transport allocates; that is the
         // transport's business and stays outside the measured span).
-        for _ in 0..20 {
+        // One client stands in for twenty: a distinct timestamp per
+        // answer gives each its own MID.
+        for i in 0..20 {
+            let ts = Timestamp(cycle * 1_000 + 500 + i);
             let shares = client
-                .answer_query_into(&query, &params, 2, &mut scratch)
+                .answer_query_into(&query, &params, ts, 2, &mut scratch)
                 .unwrap()
                 .expect("always participates");
             for (pi, share) in shares.iter().enumerate() {
@@ -266,7 +269,7 @@ fn window_close_allocates_nothing() {
                     &inbound_topic(ProxyId(pi as u16)),
                     Some(wire_key(query.id, share.mid).to_vec()),
                     &share.payload[..],
-                    Timestamp(cycle * 1_000 + 500),
+                    ts,
                 );
             }
         }
@@ -352,7 +355,7 @@ fn sharded_overlapped_window_cycle_allocates_nothing() {
     let feed_epoch = |epoch: u64, clients: &mut Vec<Client>, scratch: &mut ClientScratch| {
         for (i, client) in clients.iter_mut().enumerate() {
             let shares = client
-                .answer_query_into(&query, &params, 2, scratch)
+                .answer_query_into(&query, &params, epoch_ts(epoch), 2, scratch)
                 .unwrap()
                 .expect("always participates");
             let partition = i % 2;

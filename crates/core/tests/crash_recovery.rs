@@ -8,10 +8,11 @@
 //!
 //! Why byte-identity is achievable at all: the journal captures the
 //! control plane (registrations, charges, submitted epochs, closes),
-//! and the data plane is a deterministic function of the seed plus
-//! that command history — recovery replays the history *muted* to
-//! advance every client's RNG stream, then re-runs the open epochs
-//! live, reproducing the exact shares the crash may have swallowed.
+//! and an epoch's data plane is a deterministic function of the seed
+//! and the epoch's journaled timestamp — recovery re-runs the open
+//! epochs under their original timestamps, reproducing the exact
+//! shares the crash may have swallowed, and owes closed epochs
+//! nothing.
 //!
 //! The privacy half of the contract: charges are journaled and
 //! fsynced strictly before any send, so a recovered ledger has spent
@@ -181,8 +182,9 @@ fn assert_sequences_identical(got: &[QueryResult], want: &[QueryResult], context
 /// unsynced journal tail is discarded), recover from the store
 /// directory, finish the run, and require byte-identity with the
 /// uninterrupted reference plus ledger spend that never exceeded the
-/// true spend.
-fn crash_recover_case(r: &Rig, crash_after: usize, tag: &str) {
+/// true spend. Returns the byte length of the newest snapshot the
+/// crashed incarnation left (0 when it had written none).
+fn crash_recover_case(r: &Rig, crash_after: usize, tag: &str) -> u64 {
     assert!(crash_after + 1 <= r.epochs);
     let (mut reference, ref_spent) = reference_run(r);
     reference.sort_by_key(|x| (x.window.start.0, x.query.to_u64()));
@@ -205,6 +207,12 @@ fn crash_recover_case(r: &Rig, crash_after: usize, tag: &str) {
         pre_spent = sys.budget_ledger(q.id).unwrap().spent();
         sys.crash();
     }
+    let snapshot_bytes = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|f| f.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "snap"))
+        .max()
+        .map_or(0, |newest| std::fs::metadata(newest).unwrap().len());
 
     // Phase 2: recover, verify the ledger, finish the run.
     let mut sys = builder(r).durable(&dir).snapshot_every(2).build();
@@ -238,6 +246,21 @@ fn crash_recover_case(r: &Rig, crash_after: usize, tag: &str) {
     assert_sequences_identical(&combined, &reference, tag);
     drop(sys);
     let _ = std::fs::remove_dir_all(&dir);
+    snapshot_bytes
+}
+
+/// Closed epochs leave nothing behind: the snapshot taken at close
+/// 2 000 is byte for byte as long as the one taken at close 10, and
+/// recovery from either continues the uninterrupted run.
+#[test]
+fn snapshot_size_and_recovery_do_not_depend_on_epochs_closed() {
+    let after = |closed: usize| {
+        let r = Rig { seed: 23, shards: 2, buckets: 11, epochs: closed + 4 };
+        crash_recover_case(&r, closed, &format!("flat-{closed}"))
+    };
+    let (early, late) = (after(10), after(2_000));
+    assert!(early > 0, "a snapshot landed on close 10");
+    assert_eq!(early, late);
 }
 
 // ----- the quick whole-system matrix (tier-1) ----------------------

@@ -1,9 +1,10 @@
 //! Multi-tenant scheduling: K concurrent queries sharing one worker
 //! pool must produce **byte-identical** per-query results to the same
 //! K queries run sequentially in isolation — the property that makes
-//! the multi-tenant runtime a drop-in. It holds because each
-//! (client, query) pair owns an RNG stream seeded from the *same*
-//! material whether or not other queries share the epoch, shares are
+//! the multi-tenant runtime a drop-in. It holds because a client's
+//! answer draws from an RNG derived from its seed and the epoch's
+//! timestamp — never the query id or what else shares the epoch —
+//! shares are
 //! routed by a query-tagged wire key so the join and the window
 //! accumulation never mix tenants, and the shared epoch clock steps
 //! identically for any schedule width.
@@ -232,8 +233,8 @@ fn four_tenants_equal_isolated_runs() {
 }
 
 /// Fault case (tier-1): a worker panics mid-stream between epochs.
-/// The respawned worker replays its history muted (advancing every
-/// tenant's RNG streams independently), so the equivalence holds even
+/// The respawned worker's clients answer from the epoch's timestamp
+/// like the dead one's would have, so the equivalence holds even
 /// across the faulted epoch — and no tenant's shares contaminate
 /// another's windows.
 #[test]
@@ -247,6 +248,32 @@ fn worker_panic_mid_stream_preserves_tenant_isolation() {
         epochs: 4,
         fault: Some((1, 1)),
     });
+}
+
+/// A respawned worker needs nothing from the epochs behind it: killed
+/// after epoch 1 or after epoch 500, the run equals the unfaulted one
+/// at every epoch, the one after the kill included, and the repair is
+/// one respawn that lost nothing.
+#[test]
+fn worker_killed_early_or_late_equals_the_unfaulted_run() {
+    for after in [1, 500] {
+        let faulted = Matrix {
+            seed: 19,
+            k: 2,
+            shards: 2,
+            depth: 1,
+            buckets: 11,
+            epochs: after + 1,
+            fault: Some((after, 1)),
+        };
+        let (got, health) = run_schedule(&faulted, &[0, 1]);
+        assert_eq!((health.respawns, health.partial_closes), (1, 0), "kill after {after}");
+        let (want, _) = run_schedule(&Matrix { fault: None, ..faulted }, &[0, 1]);
+        assert_eq!(got.len(), want.len(), "kill after {after}: result count");
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_results_identical(g, w, &format!("kill after {after}, result {i}"));
+        }
+    }
 }
 
 /// Exhaustive sweep: the full K × shards × widths × depths matrix,

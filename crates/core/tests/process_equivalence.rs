@@ -383,8 +383,8 @@ fn rss_kib(pid: u32) -> u64 {
 
 /// Soak: 600 epochs on ONE process-transport system stay as fast as
 /// the first hundred, and the children do not grow — their private
-/// topics trim what their single consumer has consumed, and an epoch
-/// leaves nothing behind in the parent's replay log but a pointer.
+/// topics trim what their single consumer has consumed, and a closed
+/// epoch leaves nothing behind in the parent.
 #[cfg(target_os = "linux")]
 #[test]
 #[ignore = "600-epoch soak at the benchmark's socket shape; run (release) by the CI multi-process job"]

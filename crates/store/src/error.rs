@@ -94,6 +94,15 @@ pub enum StoreError {
         /// Human-readable detail.
         detail: String,
     },
+    /// A record or snapshot section is too large to frame: its payload
+    /// would exceed [`crate::frame::MAX_FRAME`], which every reader
+    /// treats as corruption. Nothing was written.
+    FrameTooLarge {
+        /// Kind byte of the refused frame.
+        kind: u8,
+        /// Payload bytes it would have carried.
+        len: usize,
+    },
     /// The WAL directory's segment sequence has a hole (e.g. a segment
     /// was deleted by hand): replay would silently skip records, so we
     /// refuse.
@@ -142,6 +151,9 @@ impl fmt::Display for StoreError {
             }
             StoreError::BadRecord { what, detail } => {
                 write!(f, "malformed {what} record: {detail}")
+            }
+            StoreError::FrameTooLarge { kind, len } => {
+                write!(f, "frame of kind {kind} too large: {len} payload bytes exceed the frame cap")
             }
             StoreError::SegmentGap { after, found } => {
                 write!(f, "wal segment gap: segment {after} followed by {found}")

@@ -15,13 +15,13 @@
 //! layer — the WAL and snapshot formats assign meaning.
 
 use crate::crc::{crc32, Crc32};
-use crate::error::CorruptKind;
+use crate::error::{CorruptKind, StoreError};
 
-/// On-disk format version stamped into every frame (3: a journal
-/// close record holds each window's counts and finalize inputs, not
-/// its computed result; see the version history in
-/// `docs/checkpoint-format.md`).
-pub const STORE_VERSION: u8 = 3;
+/// On-disk format version stamped into every frame (4: a snapshot
+/// holds no answer-command history, because a client's coins are
+/// derived from the epoch's timestamp instead of replayed; see the
+/// version history in `docs/checkpoint-format.md`).
+pub const STORE_VERSION: u8 = 4;
 
 /// Upper bound on a single frame's `len` field. Anything larger is
 /// treated as corruption: the biggest legitimate frame (a warehouse
@@ -36,10 +36,18 @@ pub const FRAME_OVERHEAD: usize = 4 + 1 + 1 + 4;
 /// Minimum legal value of the `len` field (version + kind + crc).
 const MIN_LEN: u32 = 6;
 
-/// Appends one encoded frame to `buf`.
-pub fn encode_frame_into(buf: &mut Vec<u8>, kind: u8, payload: &[u8]) {
+/// Appends one encoded frame to `buf`, or refuses — leaving `buf` as
+/// it was — a payload the reader's [`MAX_FRAME`] cap would reject.
+pub fn encode_frame_into(buf: &mut Vec<u8>, kind: u8, payload: &[u8]) -> Result<(), StoreError> {
+    // Checked on `usize`, before the cast: a ≥ 4 GiB payload must not
+    // wrap into a small `len`.
+    if payload.len() > (MAX_FRAME - MIN_LEN) as usize {
+        return Err(StoreError::FrameTooLarge {
+            kind,
+            len: payload.len(),
+        });
+    }
     let len = MIN_LEN + payload.len() as u32;
-    assert!(len <= MAX_FRAME, "frame payload too large: {}", payload.len());
     buf.extend_from_slice(&len.to_le_bytes());
     buf.push(STORE_VERSION);
     buf.push(kind);
@@ -48,6 +56,7 @@ pub fn encode_frame_into(buf: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     crc.update(&[STORE_VERSION, kind]);
     crc.update(payload);
     buf.extend_from_slice(&crc.finish().to_le_bytes());
+    Ok(())
 }
 
 /// One frame successfully decoded from the head of a buffer.
@@ -130,8 +139,8 @@ mod tests {
     #[test]
     fn roundtrip() {
         let mut buf = Vec::new();
-        encode_frame_into(&mut buf, 7, b"hello");
-        encode_frame_into(&mut buf, 9, b"");
+        encode_frame_into(&mut buf, 7, b"hello").unwrap();
+        encode_frame_into(&mut buf, 9, b"").unwrap();
         let f = decode_frame(&buf).unwrap().unwrap();
         assert_eq!((f.kind, f.payload), (7, &b"hello"[..]));
         let g = decode_frame(&buf[f.consumed..]).unwrap().unwrap();
@@ -142,7 +151,7 @@ mod tests {
     #[test]
     fn truncation_reported_at_every_cut() {
         let mut buf = Vec::new();
-        encode_frame_into(&mut buf, 3, b"payload bytes");
+        encode_frame_into(&mut buf, 3, b"payload bytes").unwrap();
         for cut in 1..buf.len() {
             match decode_frame(&buf[..cut]) {
                 Err(CorruptKind::Truncated { .. }) => {}
@@ -154,7 +163,7 @@ mod tests {
     #[test]
     fn crc_catches_flips() {
         let mut buf = Vec::new();
-        encode_frame_into(&mut buf, 3, b"payload bytes");
+        encode_frame_into(&mut buf, 3, b"payload bytes").unwrap();
         // Flip each bit of the body (skip the length word: corrupting
         // it legitimately reports BadLength/Truncated instead).
         for byte in 4..buf.len() {
@@ -168,6 +177,22 @@ mod tests {
             }
         }
         assert!(decode_frame(&buf).unwrap().is_some());
+    }
+
+    #[test]
+    fn a_payload_over_the_cap_is_refused_and_the_largest_under_it_decodes() {
+        let mut buf = b"kept".to_vec();
+        let over = vec![0u8; MAX_FRAME as usize];
+        match encode_frame_into(&mut buf, 8, &over) {
+            Err(StoreError::FrameTooLarge { kind: 8, len }) => assert_eq!(len, over.len()),
+            other => panic!("expected FrameTooLarge, got {other:?}"),
+        }
+        assert_eq!(buf, b"kept", "a refused frame must leave the buffer untouched");
+        buf.clear();
+        let largest = &over[..(MAX_FRAME - MIN_LEN) as usize];
+        encode_frame_into(&mut buf, 8, largest).unwrap();
+        let f = decode_frame(&buf).unwrap().unwrap();
+        assert_eq!((f.kind, f.payload.len(), f.consumed), (8, largest.len(), buf.len()));
     }
 
     #[test]

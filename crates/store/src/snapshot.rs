@@ -53,13 +53,13 @@ pub fn write_snapshot(
     let mut buf = Vec::new();
     let mut header = Writer::new();
     header.u32(SNAPSHOT_MAGIC).u64(seq).u64(wal_floor);
-    encode_frame_into(&mut buf, KIND_SNAPSHOT_HEADER, &header.finish());
+    encode_frame_into(&mut buf, KIND_SNAPSHOT_HEADER, &header.finish())?;
     for (kind, payload) in sections {
         assert!(
             *kind != KIND_SNAPSHOT_HEADER,
             "section kind 0 is reserved"
         );
-        encode_frame_into(&mut buf, *kind, payload);
+        encode_frame_into(&mut buf, *kind, payload)?;
     }
     let tmp = dir.join(format!("snap-{seq:016x}.tmp"));
     let path = snap_path(dir, seq);

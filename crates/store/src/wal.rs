@@ -295,7 +295,8 @@ impl Wal {
     fn buffer_header(&mut self, seq: u64, base_index: u64) {
         let payload = header_payload(seq, base_index);
         let before = self.buf.len();
-        encode_frame_into(&mut self.buf, KIND_SEGMENT_HEADER, &payload);
+        encode_frame_into(&mut self.buf, KIND_SEGMENT_HEADER, &payload)
+            .expect("a segment header is 20 bytes");
         self.total_bytes += (self.buf.len() - before) as u64;
     }
 
@@ -329,7 +330,8 @@ impl Wal {
     /// fsync on the caller's thread; in the runtime's steady state the
     /// bulk of the journal is close records of ≈ 20 KB at 10⁴ buckets,
     /// so the [`DEFAULT_SEGMENT_BYTES`] segment rotates about once in
-    /// 50 closes.
+    /// 50 closes. A payload over the frame cap is refused with
+    /// [`StoreError::FrameTooLarge`] and takes no index.
     pub fn append(&mut self, kind: u8, payload: &[u8]) -> Result<u64, StoreError> {
         assert!(kind != KIND_SEGMENT_HEADER, "record kind 0 is reserved");
         if self.seg_len + self.buf.len() as u64 >= self.segment_bytes {
@@ -337,7 +339,7 @@ impl Wal {
         }
         let index = self.next_index;
         let before = self.buf.len();
-        encode_frame_into(&mut self.buf, kind, payload);
+        encode_frame_into(&mut self.buf, kind, payload)?;
         self.total_bytes += (self.buf.len() - before) as u64;
         self.next_index += 1;
         Ok(index)

@@ -27,7 +27,7 @@ proptest! {
     fn frame_roundtrip(records in records_strategy()) {
         let mut buf = Vec::new();
         for (kind, payload) in &records {
-            encode_frame_into(&mut buf, *kind, payload);
+            encode_frame_into(&mut buf, *kind, payload).unwrap();
         }
         let decoded = decode_all(&buf).expect("clean buffer decodes");
         prop_assert_eq!(decoded, records);
@@ -40,7 +40,7 @@ proptest! {
     fn frame_truncation_detected(records in records_strategy(), cut_seed in proptest::any::<u64>()) {
         let mut buf = Vec::new();
         for (kind, payload) in &records {
-            encode_frame_into(&mut buf, *kind, payload);
+            encode_frame_into(&mut buf, *kind, payload).unwrap();
         }
         let cut = 1 + (cut_seed as usize) % (buf.len() - 1);
         let short = &buf[..cut];
@@ -87,7 +87,7 @@ proptest! {
     ) {
         let mut buf = Vec::new();
         for (kind, payload) in &records {
-            encode_frame_into(&mut buf, *kind, payload);
+            encode_frame_into(&mut buf, *kind, payload).unwrap();
         }
         let target = (flip_seed as usize) % buf.len();
         buf[target] ^= 1 << bit;

@@ -80,7 +80,7 @@ fn dropped_shares_expire_without_blocking() {
     for i in 0..10 {
         let mut client = make_client(i, 5.0);
         let answer = client
-            .answer_query(&r.query, &r.params, 2)
+            .answer_query(&r.query, &r.params, Timestamp(500), 2)
             .unwrap()
             .unwrap();
         send_share(&r, 0, &answer.shares[0], 500);
@@ -99,13 +99,16 @@ fn dropped_shares_expire_without_blocking() {
 }
 
 /// An adversarial client replaying its shares many times is caught by
-/// the duplicate defence: the answer counts once.
+/// the duplicate defence: the answer counts once. So is an epoch
+/// answered twice — a driver that hands a client a wrong (already
+/// used) epoch gets that epoch's shares again, MID included, which is
+/// a counted loss, never a silent double count.
 #[test]
 fn replayed_shares_count_once() {
     let mut r = rig(2);
     let mut honest = make_client(0, 5.0);
     let answer = honest
-        .answer_query(&r.query, &r.params, 2)
+        .answer_query(&r.query, &r.params, Timestamp(100), 2)
         .unwrap()
         .unwrap();
     // Send the same pair five times.
@@ -114,9 +117,18 @@ fn replayed_shares_count_once() {
         send_share(&r, 1, &answer.shares[1], 100);
     }
     pump_all(&mut r);
+    let replayed = r.aggregator.duplicates();
+    assert!(replayed > 0);
+    let again = honest
+        .answer_query(&r.query, &r.params, Timestamp(100), 2)
+        .unwrap()
+        .unwrap();
+    send_share(&r, 0, &again.shares[0], 100);
+    send_share(&r, 1, &again.shares[1], 100);
+    pump_all(&mut r);
+    assert_eq!(r.aggregator.duplicates(), replayed + 2, "one per share");
     let results = r.aggregator.advance_watermark(Timestamp(60_000));
     assert_eq!(results[0].sample_size, 1, "replays deduplicated");
-    assert!(r.aggregator.duplicates() > 0);
 }
 
 /// Garbage records (random bytes, wrong key sizes) are counted and
@@ -132,7 +144,7 @@ fn garbage_records_are_quarantined() {
     // A valid client answer alongside.
     let mut client = make_client(0, 5.0);
     let answer = client
-        .answer_query(&r.query, &r.params, 2)
+        .answer_query(&r.query, &r.params, Timestamp(100), 2)
         .unwrap()
         .unwrap();
     send_share(&r, 0, &answer.shares[0], 100);
@@ -174,7 +186,7 @@ fn stalled_proxy_recovers_without_loss() {
     for i in 0..10 {
         let mut client = make_client(i, 5.0);
         let answer = client
-            .answer_query(&r.query, &r.params, 2)
+            .answer_query(&r.query, &r.params, Timestamp(500), 2)
             .unwrap()
             .unwrap();
         send_share(&r, 0, &answer.shares[0], 500);
@@ -201,7 +213,7 @@ fn forged_query_harvests_nothing() {
     let params = ExecutionParams::checked(1.0, 1.0, 0.5);
     for i in 0..5 {
         let mut client = make_client(i, 5.0);
-        let result = client.answer_query(&tampered, &params, 2);
+        let result = client.answer_query(&tampered, &params, Timestamp(0), 2);
         assert!(result.is_err(), "client {i} must reject the forgery");
     }
 }
@@ -233,8 +245,9 @@ fn submit_query(system: &mut ShardedSystem) -> Query {
 
 /// A worker thread panicking mid-epoch surfaces as a typed
 /// `DeployError` from the epoch API (not a hang or a panic on the
-/// main thread); the supervisor respawns the worker — replaying the
-/// load log — and the next epoch is whole again.
+/// main thread); the supervisor respawns the worker — re-sending the
+/// loads, not the dead worker's in-flight epoch — and the next epoch
+/// is whole again.
 #[test]
 fn worker_panic_mid_epoch_surfaces_and_respawns() {
     let mut system = ShardedSystem::builder()
@@ -266,8 +279,8 @@ fn worker_panic_mid_epoch_surfaces_and_respawns() {
     let health = system.deploy_health();
     assert_eq!(health.worker_panics, 1);
     assert!(health.respawns >= 1);
-    // The respawned worker replayed the load log: the next epoch is
-    // exact again.
+    // The respawned worker got the loads again: the next epoch is
+    // exact.
     let result = system.run_epoch(&query).unwrap();
     assert_eq!(result.sample_size, 40);
     assert_eq!(result.buckets[2].estimate, 40.0);

@@ -85,7 +85,7 @@ fn threaded_proxies_and_aggregator_deliver_all_answers() {
             .insert("t", vec![Value::Float((i % 10) as f64 + 0.5)])
             .unwrap();
         let answer = client
-            .answer_query(&query, &params, 2)
+            .answer_query(&query, &params, Timestamp(500), 2)
             .unwrap()
             .expect("s = 1 participates");
         for (pi, share) in answer.shares.iter().enumerate() {
