@@ -21,10 +21,12 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::poll::{wait_fd, READABLE};
 use crate::transport::{TcpTransport, Transport};
 use crate::wire::{Frame, FrameKind, Hello, RejectReason};
 
@@ -184,35 +186,54 @@ impl FrontDoor {
     pub fn accept(&self, handshake_timeout: Duration) -> io::Result<Admitted> {
         loop {
             let (stream, _) = self.listener.accept()?;
-            if self.live.load(Ordering::Relaxed) >= self.policy.max_connections {
-                self.bounced.fetch_add(1, Ordering::Relaxed);
-                let _ = reject_and_close(stream, RejectReason::Overloaded, handshake_timeout);
-                continue;
+            if let Some(admitted) = self.admit(stream, handshake_timeout) {
+                return Ok(admitted);
             }
-            let mut transport = match TcpTransport::from_stream(stream, handshake_timeout) {
-                Ok(t) => t,
-                Err(_) => continue,
-            };
-            let hello = match expect_hello(&mut transport, handshake_timeout) {
-                Ok(h) => h,
-                Err(_) => continue,
-            };
-            if transport.send(&Frame::bare(FrameKind::HelloAck)).is_err()
-                || transport.flush().is_err()
-            {
-                continue;
-            }
-            self.live.fetch_add(1, Ordering::Relaxed);
-            return Ok(Admitted {
-                transport,
-                hello,
-                bucket: self.policy.bucket(),
-                max_in_flight: self.policy.max_in_flight,
-                guard: ConnGuard {
-                    live: self.live.clone(),
-                },
-            });
         }
+    }
+
+    /// [`FrontDoor::accept`] for a loop that serves other sockets
+    /// too: admits the connection already waiting on the listener, if
+    /// there is one, and never waits for one to arrive. `Ok(None)`
+    /// also covers a knock that was bounced or failed its handshake.
+    /// The handshake itself still takes up to `handshake_timeout`
+    /// (the dialer sends its `Hello` with the connect).
+    pub fn try_accept(&self, handshake_timeout: Duration) -> io::Result<Option<Admitted>> {
+        if wait_fd(&self.listener, READABLE, Duration::ZERO)? == 0 {
+            return Ok(None);
+        }
+        let (stream, _) = self.listener.accept()?;
+        Ok(self.admit(stream, handshake_timeout))
+    }
+
+    /// Runs admission and the handshake on one accepted stream.
+    fn admit(&self, stream: TcpStream, handshake_timeout: Duration) -> Option<Admitted> {
+        if self.live.load(Ordering::Relaxed) >= self.policy.max_connections {
+            self.bounced.fetch_add(1, Ordering::Relaxed);
+            let _ = reject_and_close(stream, RejectReason::Overloaded, handshake_timeout);
+            return None;
+        }
+        let mut transport = TcpTransport::from_stream(stream, handshake_timeout).ok()?;
+        let hello = expect_hello(&mut transport, handshake_timeout).ok()?;
+        transport.send(&Frame::bare(FrameKind::HelloAck)).ok()?;
+        transport.flush().ok()?;
+        self.live.fetch_add(1, Ordering::Relaxed);
+        Some(Admitted {
+            transport,
+            hello,
+            bucket: self.policy.bucket(),
+            max_in_flight: self.policy.max_in_flight,
+            guard: ConnGuard {
+                live: self.live.clone(),
+            },
+        })
+    }
+}
+
+impl AsRawFd for FrontDoor {
+    /// The listener, for a wait over it and the connections it serves.
+    fn as_raw_fd(&self) -> RawFd {
+        self.listener.as_raw_fd()
     }
 }
 
@@ -297,6 +318,40 @@ mod tests {
         assert!(!b.try_take(t2, 0.5));
     }
 
+    /// A door served beside other sockets never waits for a knock:
+    /// it admits what is already waiting and nothing else.
+    #[test]
+    fn try_accept_admits_only_what_is_waiting() {
+        let door = FrontDoor::bind(AdmissionPolicy::default()).unwrap();
+        let timeout = Duration::from_secs(5);
+        let t0 = Instant::now();
+        assert!(door.try_accept(timeout).unwrap().is_none());
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "an empty door answers at once"
+        );
+        let addr = door.local_addr().unwrap();
+        let dialer = std::thread::spawn(move || {
+            let mut t = TcpTransport::connect(addr, timeout, Duration::from_millis(20)).unwrap();
+            let hello = Hello {
+                channel: Channel::Data,
+                index: 4,
+                fresh: true,
+            };
+            shake_hands(&mut t, hello, timeout).unwrap();
+            t
+        });
+        let admitted = loop {
+            if let Some(a) = door.try_accept(timeout).unwrap() {
+                break a;
+            }
+            wait_fd(&door, READABLE, timeout).unwrap();
+        };
+        assert_eq!((admitted.hello.index, admitted.hello.fresh), (4, true));
+        drop(dialer.join().unwrap());
+        assert!(door.try_accept(timeout).unwrap().is_none());
+    }
+
     #[test]
     fn front_door_admits_shakes_and_caps() {
         let door = Arc::new(
@@ -330,6 +385,7 @@ mod tests {
             Hello {
                 channel: Channel::Data,
                 index: 3,
+                fresh: true,
             },
             timeout,
         )
@@ -345,6 +401,7 @@ mod tests {
             Hello {
                 channel: Channel::Ctrl,
                 index: 0,
+                fresh: true,
             },
             timeout,
         )
@@ -360,6 +417,7 @@ mod tests {
             Hello {
                 channel: Channel::Ctrl,
                 index: 7,
+                fresh: true,
             },
             timeout,
         )

@@ -27,8 +27,9 @@
 //! * [`transport`] — the [`Transport`] trait over loopback TCP, an
 //!   in-process channel pair, and a deterministic fault-injection
 //!   wrapper ([`FaultyTransport`]) shaped by the [`Link`] model;
-//! * [`poll`] — `poll(2)` readiness waits and the self-pipe
-//!   [`Waker`] that lets a thread sleep on a socket *and* a wakeup;
+//! * [`poll`] — `poll(2)` readiness waits, the self-pipe [`Waker`]
+//!   that lets a thread sleep on a socket *and* a wakeup, and the
+//!   [`PollSet`] a node child sleeps in over all of its sockets;
 //! * [`supervise`] — per-connection supervision: reconnect with
 //!   exponential backoff + jitter + retry budget, idempotent resend
 //!   windows, link health counters;
@@ -51,7 +52,7 @@ pub use events::{EventQueue, Heartbeat, HeartbeatStatus, Watchdog};
 pub use frontdoor::{Admitted, AdmissionPolicy, FrontDoor, TokenBucket};
 pub use net::Link;
 pub use phases::{run_phases, Phase};
-pub use poll::Waker;
+pub use poll::{PollSet, Waker};
 pub use pool::{ClusterSpec, ServerPool};
 pub use supervise::{BackoffPolicy, LinkStats, Reassembly, SupervisedLink};
 pub use transport::{ChannelTransport, FaultPlan, FaultyTransport, TcpTransport, Transport};

@@ -3,9 +3,10 @@
 //!
 //! The transports keep their sockets non-blocking and sleep *here*,
 //! so one thread can wait on "my socket has bytes **or** somebody
-//! needs me" at once — the parent bridges' park (see the wake protocol
-//! in `docs/wire-format.md`). `poll` is declared `extern "C"` (std
-//! links libc on every unix target); the pipe is a
+//! needs me" at once — the parent bridges' park — and a node child on
+//! its front door plus every link it serves ([`PollSet`]; see the wake
+//! protocol in `docs/wire-format.md`). `poll` is declared `extern "C"`
+//! (std links libc on every unix target); the pipe is a
 //! `UnixStream::pair`, so nothing else needs FFI. There is no
 //! fallback for targets without `poll(2)`: a timed retry would be
 //! exactly the delivery-by-timer this module exists to remove.
@@ -41,45 +42,99 @@ struct PollFd {
     revents: i16,
 }
 
+impl PollFd {
+    /// What the last poll found ready of what was asked. Hang-ups and
+    /// socket errors count as ready for whatever was asked, so the I/O
+    /// call that follows reports them.
+    fn ready(&self) -> i16 {
+        if self.revents & (POLLERR | POLLHUP) != 0 {
+            self.events
+        } else {
+            self.revents & self.events
+        }
+    }
+}
+
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: NFds, timeout_ms: i32) -> i32;
 }
 
-/// Sleeps until one of `fds` (descriptor, interest mask) is ready
-/// or `timeout` passes; returns the ready mask of each (zero on a
-/// timeout or a signal — callers re-check against their own
-/// deadlines). Hang-ups and socket errors count as ready for
-/// whatever was asked, so the I/O call that follows reports them.
-fn poll_ready<const N: usize>(fds: [(RawFd, i16); N], timeout: Duration) -> io::Result<[i16; N]> {
-    let mut raw = fds.map(|(fd, events)| PollFd {
-        fd,
-        events,
-        revents: 0,
-    });
+/// Sleeps until one of `fds` is ready or `timeout` passes, leaving
+/// each record's `revents` set (all zero on a timeout or a signal —
+/// callers re-check against their own deadlines).
+fn poll_slice(fds: &mut [PollFd], timeout: Duration) -> io::Result<()> {
+    for p in fds.iter_mut() {
+        p.revents = 0;
+    }
     // Whole milliseconds, rounded up: a sub-millisecond remainder
     // must sleep, not spin.
     let ms = timeout.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32;
-    // SAFETY: `raw` is an array of N initialised `#[repr(C)]`
-    // pollfd records that lives across the call, and N is passed
-    // as its length; std links libc on unix.
-    let rc = unsafe { poll(raw.as_mut_ptr(), N as NFds, ms) };
+    // SAFETY: `fds` is a slice of initialised `#[repr(C)]` pollfd
+    // records that lives across the call, and its length is passed
+    // with it; std links libc on unix.
+    let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as NFds, ms) };
     if rc < 0 {
         let err = io::Error::last_os_error();
         if err.kind() != io::ErrorKind::Interrupted {
             return Err(err);
         }
     }
-    Ok(raw.map(|p| {
-        if p.revents & (POLLERR | POLLHUP) != 0 {
-            p.events
-        } else {
-            p.revents & p.events
-        }
-    }))
+    Ok(())
 }
 
-pub(crate) fn wait_socket(socket: &TcpStream, interest: i16, timeout: Duration) -> io::Result<i16> {
-    poll_ready([(socket.as_raw_fd(), interest)], timeout).map(|[ready]| ready)
+/// Sleeps until one of `fds` (descriptor, interest mask) is ready
+/// or `timeout` passes; returns the ready mask of each.
+fn poll_ready<const N: usize>(fds: [(RawFd, i16); N], timeout: Duration) -> io::Result<[i16; N]> {
+    let mut raw = fds.map(|(fd, events)| PollFd {
+        fd,
+        events,
+        revents: 0,
+    });
+    poll_slice(&mut raw, timeout)?;
+    Ok(raw.map(|p| p.ready()))
+}
+
+/// Sleeps until `fd` is ready for `interest` or `timeout` passes;
+/// returns the ready mask.
+pub(crate) fn wait_fd(fd: &impl AsRawFd, interest: i16, timeout: Duration) -> io::Result<i16> {
+    poll_ready([(fd.as_raw_fd(), interest)], timeout).map(|[ready]| ready)
+}
+
+/// A reusable `poll(2)` set over any number of descriptors, each
+/// watched for input: the one wait of a node child that serves its
+/// front door, its parent's link and a link per peer node at once.
+#[derive(Default)]
+pub struct PollSet {
+    fds: Vec<PollFd>,
+}
+
+impl PollSet {
+    /// An empty set.
+    pub fn new() -> PollSet {
+        PollSet::default()
+    }
+
+    /// Empties the set for the next wait, keeping its storage.
+    pub fn clear(&mut self) {
+        self.fds.clear();
+    }
+
+    /// Watches `fd` for input (or a hang-up or error, which the read
+    /// that follows reports).
+    pub fn watch(&mut self, fd: RawFd) {
+        self.fds.push(PollFd {
+            fd,
+            events: READABLE,
+            revents: 0,
+        });
+    }
+
+    /// Sleeps until a watched descriptor is ready or `timeout` passes.
+    /// Which one ended the wait is not reported — the caller re-checks
+    /// its sources.
+    pub fn wait(&mut self, timeout: Duration) -> io::Result<()> {
+        poll_slice(&mut self.fds, timeout)
+    }
 }
 
 /// A handle another thread rings to end a [`Waker::wait`]: the

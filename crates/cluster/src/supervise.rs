@@ -13,6 +13,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
+use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -94,6 +95,32 @@ impl LinkStats {
     /// Fresh zeroed stats behind an `Arc`.
     pub fn shared() -> Arc<LinkStats> {
         Arc::new(LinkStats::default())
+    }
+
+    /// The four counters in wire order: reconnects, resends,
+    /// rejections, gave-ups (the `LinkStats` frame's payload).
+    pub fn counts(&self) -> [u64; 4] {
+        [
+            &self.reconnects,
+            &self.resends,
+            &self.rejections,
+            &self.gave_up,
+        ]
+        .map(|c| c.load(Ordering::Relaxed))
+    }
+
+    /// Overwrites the counters with `counts` (wire order): the mirror
+    /// of a peer's links, which it reports cumulatively.
+    pub fn set_counts(&self, counts: [u64; 4]) {
+        let fields = [
+            &self.reconnects,
+            &self.resends,
+            &self.rejections,
+            &self.gave_up,
+        ];
+        for (c, n) in fields.into_iter().zip(counts) {
+            c.store(n, Ordering::Relaxed);
+        }
     }
 }
 
@@ -180,6 +207,19 @@ impl SupervisedLink {
     /// Number of data frames awaiting acknowledgement.
     pub fn unacked_len(&self) -> usize {
         self.unacked.len()
+    }
+
+    /// The live connection's socket, for a wait over several links
+    /// ([`Transport::raw_fd`]); `None` while the link is between
+    /// connections.
+    pub fn raw_fd(&self) -> Option<RawFd> {
+        self.conn.as_ref().and_then(|c| c.raw_fd())
+    }
+
+    /// Whether the live connection would answer a receive without
+    /// waiting ([`Transport::ready_now`]).
+    pub fn ready_now(&self) -> bool {
+        self.conn.as_ref().is_some_and(|c| c.ready_now())
     }
 
     /// Ensures a live connection, dialing under the backoff policy.

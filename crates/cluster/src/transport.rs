@@ -15,12 +15,13 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::net::Link;
-use crate::poll::{wait_socket, Waker, READABLE, WRITABLE};
+use crate::poll::{wait_fd, Waker, READABLE, WRITABLE};
 use crate::wire::{frame_header, parse_frame, write_frame, Frame, FrameKind, MAX_FRAME};
 
 /// How long a link may make **no progress** before it is declared
@@ -73,6 +74,17 @@ pub trait Transport: Send {
     /// is rung, or `timeout` passes — whichever comes first. Returns
     /// at once if a frame is already buffered.
     fn wait(&mut self, waker: &Waker, timeout: Duration) -> io::Result<()>;
+
+    /// The socket under this end, for a wait over several links at
+    /// once ([`PollSet`](crate::poll::PollSet)); `None` for an
+    /// in-memory channel.
+    fn raw_fd(&self) -> Option<RawFd>;
+
+    /// Whether a receive would return without waiting on the socket: a
+    /// whole frame is already held in user space, where `poll(2)`
+    /// cannot see it, or the link is known to be broken. A wait over
+    /// several links must not sleep while any of them is ready.
+    fn ready_now(&self) -> bool;
 
     /// Sets how long [`Transport::recv`] waits for a frame.
     fn set_read_timeout(&mut self, timeout: Duration) -> io::Result<()>;
@@ -231,7 +243,7 @@ impl TcpTransport {
                             "peer stopped draining the connection",
                         ));
                     }
-                    if wait_socket(&self.stream, READABLE | WRITABLE, left)? & READABLE != 0 {
+                    if wait_fd(&self.stream, READABLE | WRITABLE, left)? & READABLE != 0 {
                         self.fill()?;
                     }
                 }
@@ -279,7 +291,7 @@ impl Transport for TcpTransport {
             if left.is_zero() {
                 return Ok(None);
             }
-            wait_socket(&self.stream, READABLE, left)?;
+            wait_fd(&self.stream, READABLE, left)?;
         }
     }
 
@@ -295,16 +307,22 @@ impl Transport for TcpTransport {
     }
 
     fn wait(&mut self, waker: &Waker, timeout: Duration) -> io::Result<()> {
-        // Input absorbed during a flush is invisible to poll(2): a
-        // whole frame already held ends the wait before it starts.
-        let held = &self.rbuf[self.rpos..self.rend];
-        let frame_held = held
-            .first_chunk::<4>()
-            .is_some_and(|len| held.len() - 4 >= u32::from_le_bytes(*len) as usize);
-        if frame_held {
+        if self.ready_now() {
             return Ok(());
         }
         waker.wait(Some(&self.stream), timeout)
+    }
+
+    fn raw_fd(&self) -> Option<RawFd> {
+        Some(self.stream.as_raw_fd())
+    }
+
+    fn ready_now(&self) -> bool {
+        // Input absorbed during a flush is invisible to poll(2): a
+        // whole frame already held ends a wait before it starts.
+        let held = &self.rbuf[self.rpos..self.rend];
+        held.first_chunk::<4>()
+            .is_some_and(|len| held.len() - 4 >= u32::from_le_bytes(*len) as usize)
     }
 
     fn set_read_timeout(&mut self, timeout: Duration) -> io::Result<()> {
@@ -415,6 +433,14 @@ impl Transport for ChannelTransport {
         slept
     }
 
+    fn raw_fd(&self) -> Option<RawFd> {
+        None
+    }
+
+    fn ready_now(&self) -> bool {
+        self.parsed.is_some()
+    }
+
     fn set_read_timeout(&mut self, timeout: Duration) -> io::Result<()> {
         self.read_timeout = timeout;
         Ok(())
@@ -456,6 +482,10 @@ pub struct FaultPlan {
     pub cut_after: u64,
     /// Apply faults only to [`FrameKind::Data`] frames (default).
     pub data_only: bool,
+    /// Fault only the links one node dials to another (a proxy node's
+    /// link to each shard node), leaving every link the deploying
+    /// process dials clean. Default `false`: every link is faulted.
+    pub node_links_only: bool,
 }
 
 impl Default for FaultPlan {
@@ -469,6 +499,7 @@ impl Default for FaultPlan {
             link: None,
             cut_after: 0,
             data_only: true,
+            node_links_only: false,
         }
     }
 }
@@ -603,6 +634,15 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             return Err(self.cut_error());
         }
         self.inner.wait(waker, timeout)
+    }
+
+    fn raw_fd(&self) -> Option<RawFd> {
+        self.inner.raw_fd()
+    }
+
+    fn ready_now(&self) -> bool {
+        // A severed link is ready to report its error.
+        self.severed || self.inner.ready_now()
     }
 
     fn set_read_timeout(&mut self, timeout: Duration) -> io::Result<()> {

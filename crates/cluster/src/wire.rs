@@ -7,14 +7,16 @@
 //! [u32 len][u8 version][u8 kind][payload: len-2 bytes]
 //! ```
 //!
-//! `len` counts everything after the prefix (version byte + kind byte
-//! + payload). `version` must equal [`WIRE_VERSION`]; a mismatch is a
-//! hard decode error, never a negotiation. Data-plane payloads
-//! ([`DataMsg`]) are hand-rolled binary; control-plane payloads are
+//! `len` counts everything after the prefix: the version byte, the
+//! kind byte and the payload. `version` must equal [`WIRE_VERSION`]; a
+//! mismatch is a hard decode error, never a negotiation. Data-plane payloads
+//! ([`DataMsg`]) and the small fixed payloads (acks, progress, routes,
+//! link stats) are hand-rolled binary; control-plane payloads are
 //! opaque here — `privapprox-core`'s control module encodes them with
 //! the store crate's payload primitives.
 
 use std::io::{self, Write};
+use std::net::SocketAddr;
 use std::sync::Arc;
 
 pub use privapprox_types::wire::{MAX_FRAME, WIRE_VERSION};
@@ -23,7 +25,8 @@ pub use privapprox_types::wire::{MAX_FRAME, WIRE_VERSION};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameKind {
-    /// Connection handshake: `[u8 channel][u8 role][u32 index]`.
+    /// Connection handshake: `[u8 channel][u8 fresh][u32 index]` (see
+    /// [`Hello`]).
     Hello = 1,
     /// Handshake accept (empty payload).
     HelloAck = 2,
@@ -46,6 +49,14 @@ pub enum FrameKind {
     Reject = 8,
     /// Orderly connection shutdown (empty payload).
     Shutdown = 9,
+    /// Where a shard node now listens: `[u32 shard][utf-8 address]`
+    /// (see [`encode_route`]). Sent to a proxy node when a shard slot
+    /// is respawned; the proxy opens a fresh link to it.
+    Route = 10,
+    /// A node's cumulative counters over the links it dialed:
+    /// `[u64 reconnects][u64 resends][u64 rejections][u64 gave_up]`
+    /// (see [`encode_link_stats`]).
+    LinkStats = 11,
 }
 
 impl FrameKind {
@@ -61,6 +72,8 @@ impl FrameKind {
             7 => FrameKind::CtrlReply,
             8 => FrameKind::Reject,
             9 => FrameKind::Shutdown,
+            10 => FrameKind::Route,
+            11 => FrameKind::LinkStats,
             _ => return None,
         })
     }
@@ -198,9 +211,9 @@ pub fn parse_frame(buf: &[u8]) -> io::Result<Option<(Frame, usize)>> {
 ///
 /// `seq` is the per-connection send sequence driving cumulative
 /// [`FrameKind::DataAck`]s and idempotent resend; `stream` indexes
-/// which logical topic the record belongs to (e.g. which proxy's
-/// outbound topic on an aggregator link); `key_len == u16::MAX` means
-/// "no key".
+/// which logical topic the record belongs to (on a proxy node's link
+/// to a shard node, the proxy — which must match the link's
+/// [`Hello::index`]); `key_len == u16::MAX` means "no key".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataMsg {
     /// Per-connection send sequence number (starts at 1).
@@ -373,6 +386,41 @@ pub fn decode_progress(payload: &[u8]) -> io::Result<(u64, u64)> {
     Ok((epoch, delta))
 }
 
+/// Encodes a [`FrameKind::Route`] payload: shard slot `shard` now
+/// listens at `addr`.
+pub fn encode_route(shard: u32, addr: SocketAddr) -> Vec<u8> {
+    let mut out = shard.to_le_bytes().to_vec();
+    out.extend_from_slice(addr.to_string().as_bytes());
+    out
+}
+
+/// Decodes a [`FrameKind::Route`] payload into `(shard, address)`.
+pub fn decode_route(payload: &[u8]) -> io::Result<(u32, SocketAddr)> {
+    let corrupt = || io::Error::new(io::ErrorKind::InvalidData, "corrupt route frame");
+    let (shard, addr) = payload.split_first_chunk::<4>().ok_or_else(corrupt)?;
+    let addr = std::str::from_utf8(addr)
+        .ok()
+        .and_then(|a| a.parse().ok())
+        .ok_or_else(corrupt)?;
+    Ok((u32::from_le_bytes(*shard), addr))
+}
+
+/// Encodes a [`FrameKind::LinkStats`] payload from counters in wire
+/// order (`LinkStats::counts`).
+pub fn encode_link_stats(counts: [u64; 4]) -> Vec<u8> {
+    counts.iter().flat_map(|c| c.to_le_bytes()).collect()
+}
+
+/// Decodes a [`FrameKind::LinkStats`] payload.
+pub fn decode_link_stats(payload: &[u8]) -> io::Result<[u64; 4]> {
+    let bytes: &[u8; 32] = payload
+        .try_into()
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "corrupt link-stats frame"))?;
+    Ok(std::array::from_fn(|i| {
+        u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().unwrap())
+    }))
+}
+
 /// Which logical channel a connection carries (handshake byte 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -391,12 +439,17 @@ pub struct Hello {
     /// Logical stream index the peer will send (e.g. which proxy's
     /// records a data link carries toward an aggregator node).
     pub index: u32,
+    /// The first connection of a new link, whose sequence numbers
+    /// start again at 1: the node resets that stream's reassembly. A
+    /// re-dial of a live link says `false`, and its replay continues
+    /// where the node's cursor stands.
+    pub fresh: bool,
 }
 
 impl Hello {
     /// Encodes a [`FrameKind::Hello`] payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![self.channel as u8, 0];
+        let mut out = vec![self.channel as u8, self.fresh as u8];
         out.extend_from_slice(&self.index.to_le_bytes());
         out
     }
@@ -419,9 +472,20 @@ impl Hello {
                 ))
             }
         };
+        let fresh = match payload[1] {
+            0 => false,
+            1 => true,
+            _ => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "corrupt hello frame",
+                ))
+            }
+        };
         Ok(Hello {
             channel,
             index: u32::from_le_bytes(payload[2..6].try_into().unwrap()),
+            fresh,
         })
     }
 }
@@ -541,10 +605,37 @@ mod tests {
             decode_progress(&encode_progress(3, 250)).unwrap(),
             (3, 250)
         );
-        let hello = Hello {
-            channel: Channel::Data,
-            index: 2,
-        };
-        assert_eq!(Hello::decode(&hello.encode()).unwrap(), hello);
+        for fresh in [false, true] {
+            let hello = Hello {
+                channel: Channel::Data,
+                index: 2,
+                fresh,
+            };
+            assert_eq!(Hello::decode(&hello.encode()).unwrap(), hello);
+        }
+        let mut bad = Hello {
+            channel: Channel::Ctrl,
+            index: 0,
+            fresh: false,
+        }
+        .encode();
+        bad[1] = 2;
+        assert!(Hello::decode(&bad).is_err());
+    }
+
+    #[test]
+    fn route_and_link_stats_roundtrip_and_corruption() {
+        let addr: SocketAddr = "127.0.0.1:40123".parse().unwrap();
+        assert_eq!(decode_route(&encode_route(3, addr)).unwrap(), (3, addr));
+        let route = encode_route(3, addr);
+        assert!(decode_route(&route[..3]).is_err());
+        assert!(decode_route(&route[..4]).is_err());
+        assert!(decode_route(&[0, 0, 0, 0, b'x']).is_err());
+        let counts = [1, 2, 3, u64::MAX];
+        assert_eq!(
+            decode_link_stats(&encode_link_stats(counts)).unwrap(),
+            counts
+        );
+        assert!(decode_link_stats(&encode_link_stats(counts)[..31]).is_err());
     }
 }

@@ -134,7 +134,9 @@
 //!   group — committed offsets persist across membership changes, so
 //!   the replacement resumes exactly where the dead shard stopped
 //!   (no replay, no loss beyond what died in its windows) — and is
-//!   pre-registered with every live query;
+//!   pre-registered with every live query (a shard child's
+//!   replacement is instead routed to by the proxy children, once it
+//!   has every query registered);
 //! * a **proxy** respawns onto its own single-member group, resuming
 //!   from the committed offset.
 //!
@@ -366,11 +368,13 @@ pub enum TransportMode {
     InProcess,
     /// Proxies and shards run as spawned `privapprox-node` child
     /// processes reached over loopback TCP, each behind a supervised,
-    /// optionally fault-injected link (see [`crate::remote`]).
+    /// optionally fault-injected link; proxy children hold such a link
+    /// to every shard child (see [`crate::remote`]).
     Process {
         /// Path to the `privapprox-node` binary.
         node: PathBuf,
-        /// Fault plan applied to every parent→child link's dials
+        /// Fault plan applied to the dials of every link, parent →
+        /// child and proxy child → shard child
         /// ([`FaultPlan::default`] = clean links).
         faults: FaultPlan,
     },
@@ -451,8 +455,11 @@ impl ShardedSystemBuilder {
     }
 
     /// Injects deterministic network faults (drop / duplicate / delay
-    /// / reorder / cut) into every parent→child link. Only meaningful
-    /// together with [`ShardedSystemBuilder::process_transport`].
+    /// / reorder / cut) into every link a share crosses: parent →
+    /// child, and each proxy child's link to each shard child
+    /// ([`FaultPlan::node_links_only`] spares the parent's). Only
+    /// meaningful together with
+    /// [`ShardedSystemBuilder::process_transport`].
     pub fn transport_faults(mut self, plan: FaultPlan) -> Self {
         self.link_faults = plan;
         self
@@ -632,11 +639,15 @@ impl ShardedSystemBuilder {
             .max(64) as usize
         };
         // Bounded topics must exist (with their capacity) before the
-        // proxies/shards auto-create them unbounded.
+        // proxies/shards auto-create them unbounded. Proxy children
+        // send what they relay straight to the shard children, so in
+        // process mode this broker carries the inbound topics only.
         for i in 0..c.proxies {
             let id = ProxyId(i);
             broker.create_topic_with_capacity(&inbound_topic(id), partitions, capacity);
-            broker.create_topic_with_capacity(&outbound_topic(id), partitions, capacity);
+            if self.node_binary.is_none() {
+                broker.create_topic_with_capacity(&outbound_topic(id), partitions, capacity);
+            }
         }
         // The quarantine topic is bounded drop-oldest: poisoned input
         // must never backpressure the healthy pipeline, and a
@@ -661,6 +672,8 @@ impl ShardedSystemBuilder {
             watchdog: Watchdog::new(),
             link_stats: Vec::new(),
             children: Vec::new(),
+            routes: Arc::default(),
+            shard_wakes: Arc::default(),
             faults: self.faults,
         };
         let mut system = ShardedSystem {
@@ -705,23 +718,26 @@ impl ShardedSystemBuilder {
         // is complete and deterministic before the first record is
         // produced. (A shard joining the "aggregator" group after a
         // sibling already consumed would strand shares across
-        // joiners.) Both transports join the same groups in the same
-        // order, which is what pins the process transport's mapping
-        // (and so its results) byte-identical to in-process. A failed
-        // spawn drops `system`, which stops what was started.
+        // joiners.) Proxy children route by the same rank rule, which
+        // pins the process transport's mapping (and so its results)
+        // byte-identical to in-process. Shards start first: a proxy
+        // child is told where every shard child listens. Each tier's
+        // children start together. A failed spawn drops `system`,
+        // which stops what was started.
         let spawn_failed = |e: std::io::Error| DeployError::InvalidConfig(e.to_string());
         for w in 0..c.workers {
             let worker = WorkerHandle::spawn(w, &mut system.host);
             system.workers.push(worker);
         }
-        for i in 0..c.proxies as usize {
-            let proxy = system.host.spawn_proxy(i, Arc::default());
-            system.proxies.push(proxy.map_err(spawn_failed)?);
+        let shards: Vec<usize> = (0..c.shards).collect();
+        system.shards = system.host.spawn_shards(&shards).map_err(spawn_failed)?;
+        for (s, shard) in system.shards.iter().enumerate() {
+            system.host.publish_route(s, shard.route);
         }
-        for s in 0..c.shards {
-            let shard = system.host.spawn_shard(s);
-            system.shards.push(shard.map_err(spawn_failed)?);
-        }
+        let proxies: Vec<_> = (0..c.proxies as usize)
+            .map(|i| (i, Arc::default()))
+            .collect();
+        system.proxies = system.host.spawn_proxies(&proxies).map_err(spawn_failed)?;
         if let Some(dir) = self.durable_dir {
             let (durable, recovered) =
                 DurableState::open(&dir, journal_segment_bytes, snapshot_every).map_err(|e| {
@@ -1474,7 +1490,7 @@ impl ShardedSystem {
                 retain: self.retain_set.contains(&query.id),
             });
         }
-        self.wake_shards();
+        self.host.wake_shards();
         let mut result = Ok(());
         for s in 0..self.shards.len() {
             if self.shards[s].dead {
@@ -1942,7 +1958,7 @@ impl ShardedSystem {
             }
             let _ = shard.cmd.send(ShardCmd::Fetch { query, range });
         }
-        self.wake_shards();
+        self.host.wake_shards();
         let mut warehouse = Warehouse::new(query, q.answer.len(), params, self.host.config.clients);
         let wait = self.control_wait();
         for s in 0..self.shards.len() {
@@ -2000,16 +2016,6 @@ impl ShardedSystem {
             Some(e) => Err(e),
             None => Ok(result),
         }
-    }
-
-    /// Wakes every shard — in-process shard threads parked on their
-    /// consumer's event count, and remote shard bridges parked in
-    /// `poll(2)`, whose event count rings their self-pipe — so a
-    /// queued control message is observed at wakeup latency. Every
-    /// shard subscribes to the first proxy's outbound topic, so one
-    /// control wake on it reaches them all.
-    fn wake_shards(&self) {
-        self.host.broker.notify_topic(&outbound_topic(ProxyId(0)));
     }
 
     /// Completes the oldest in-flight epoch. `lenient` (drop path)
@@ -2111,7 +2117,7 @@ impl ShardedSystem {
                 recycle: std::mem::take(&mut self.pending_recycle[s]),
             }));
         }
-        self.wake_shards();
+        self.host.wake_shards();
         // A live shard replies within the epoch deadline by
         // construction (the deadline fires the close even when the
         // accounting cannot settle); the slack on top only covers
@@ -2170,7 +2176,7 @@ impl ShardedSystem {
                             watermark: ep.watermark,
                             recycle: Vec::new(),
                         }));
-                        self.wake_shards();
+                        self.host.wake_shards();
                     }
                 }
             }
@@ -2311,7 +2317,7 @@ impl ShardedSystem {
             }
             let _ = shard.cmd.send(ShardCmd::Probe);
         }
-        self.wake_shards();
+        self.host.wake_shards();
         for s in 0..self.shards.len() {
             if self.shards[s].dead {
                 continue;
@@ -2433,7 +2439,7 @@ impl ShardedSystem {
     /// Chaos hook: makes shard `s` panic on its next control check.
     pub fn inject_shard_panic(&mut self, s: usize) {
         let _ = self.shards[s].cmd.send(ShardCmd::Die);
-        self.wake_shards();
+        self.host.wake_shards();
     }
 
     // -- durability --------------------------------------------------------
@@ -2611,7 +2617,7 @@ impl ShardedSystem {
                         },
                     });
                 }
-                self.wake_shards();
+                self.host.wake_shards();
                 let wait = self.control_wait();
                 for s in 0..self.shards.len() {
                     if self.shards[s].dead {
@@ -2842,13 +2848,14 @@ impl ShardedSystem {
     }
 
     /// Respawns shard `s` — however it is hosted, see
-    /// [`Host::spawn_shard`] — and registers every live query on the
-    /// replacement before the slot goes back into service.
+    /// [`Host::spawn_shards`] — and registers every live query on the
+    /// replacement before the slot goes back into service (and, in
+    /// process mode, before the proxy children are routed to it).
     fn respawn_shard(&mut self, s: usize) -> Result<(), DeployError> {
         if self.shards[s].thread.is_some() {
             return Err(self.respawn_failed(Role::Shard, s));
         }
-        let Ok(mut handle) = self.host.spawn_shard(s) else {
+        let Some(mut handle) = self.host.spawn_shards(&[s]).ok().and_then(|mut h| h.pop()) else {
             return Err(self.respawn_failed(Role::Shard, s));
         };
         for (query, params) in self.queries.values() {
@@ -2863,7 +2870,7 @@ impl ShardedSystem {
                 retain: self.retain_set.contains(&query.id),
             });
         }
-        self.wake_shards();
+        self.host.wake_shards();
         let wait = self.control_wait();
         for _ in 0..self.queries.len() {
             if !matches!(handle.reply.recv_timeout(wait), Ok(ShardReply::Registered)) {
@@ -2871,22 +2878,23 @@ impl ShardedSystem {
             }
         }
         handle.busy_base = self.busy.shards[s];
+        self.host.publish_route(s, handle.route);
         self.shards[s] = handle;
         self.respawns += 1;
         Ok(())
     }
 
-    /// Respawns relay `i` (see [`Host::spawn_proxy`]); its counters
+    /// Respawns relay `i` (see [`Host::spawn_proxies`]); its counters
     /// carry over, so they stay cumulative.
     fn respawn_proxy(&mut self, i: usize) -> Result<(), DeployError> {
         let counters = Arc::clone(&self.proxies[i].counters);
-        match self.host.spawn_proxy(i, counters) {
-            Ok(handle) => {
+        match self.host.spawn_proxies(&[(i, counters)]).ok().and_then(|mut h| h.pop()) {
+            Some(handle) => {
                 self.proxies[i] = handle;
                 self.respawns += 1;
                 Ok(())
             }
-            Err(_) => Err(self.respawn_failed(Role::Proxy, i)),
+            None => Err(self.respawn_failed(Role::Proxy, i)),
         }
     }
 
@@ -2958,7 +2966,7 @@ impl Drop for ShardedSystem {
         for p in &self.proxies {
             self.host.broker.notify_topic(&p.in_topic);
         }
-        self.wake_shards();
+        self.host.wake_shards();
         // A wedged thread (dead flag up, thread never finished) is
         // skipped: its command channel just disconnected, so it exits
         // on its own, and joining it could hang the drop.

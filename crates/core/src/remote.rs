@@ -4,16 +4,34 @@
 //!
 //! The in-process deployment runs proxies and aggregator shards as
 //! supervised threads against one shared broker. This module lets the
-//! *same* control flow drive them as spawned child processes instead:
+//! *same* control flow drive them as spawned child processes instead,
+//! with a data path that has no hub — as in the paper (§3, Fig. 1),
+//! proxies forward straight to the aggregator:
+//!
+//! ```text
+//! data:     worker ─► parent broker ─► proxy bridge ═► proxy child ═► shard child
+//! control:  main ─► shard bridge ═► shard child      (Ctrl; CtrlReply and Progress back)
+//! ```
 //!
 //! * each proxy / shard becomes a `privapprox-node` process with its
-//!   own private broker, reached through one multiplexed framed
-//!   connection (`crates/cluster` wire format, supervised by
-//!   [`SupervisedLink`]);
+//!   own private broker, behind a front door on a loopback port;
 //! * the parent keeps a thin *bridge thread* per child that looks
 //!   exactly like the in-process `ProxyHandle` / `ShardHandle`
-//!   worker threads, so respawn, epoch accounting and health roll-up
-//!   are shared between both transports;
+//!   threads, so respawn, epoch accounting and health roll-up are
+//!   shared between both transports. A `ProxyBridge` ships its child
+//!   the shares workers publish on the proxy's inbound topic and keeps
+//!   the child's shard routes current; a shard's `Bridge` carries the
+//!   control plane only — commands out, replies and decode progress
+//!   back;
+//! * each proxy child holds one [`SupervisedLink`] per shard child and
+//!   sends every relayed share to shard `partition % shards` — the
+//!   `"aggregator"` consumer group's rank rule, so each MID's shares
+//!   still meet on one shard and results stay byte-identical. Shard
+//!   children are spawned first and their addresses ride the proxies'
+//!   command line; a respawned shard's address reaches the live
+//!   proxies as a [`Route`](FrameKind::Route) frame, and each reports
+//!   its links' counters home as [`LinkStats`](FrameKind::LinkStats)
+//!   frames;
 //! * a child's private topics are *trimmed* — unbounded, since the
 //!   one thread that fills them also drains them, but dropping what
 //!   that thread has consumed — so a child's memory follows its
@@ -33,22 +51,23 @@
 //! No hop delivers by timer (the full table is the "Wake protocol"
 //! section of `docs/wire-format.md`):
 //!
-//! * a **node child** has one source, its socket. Its `serve` loop
-//!   waits for the first frame of a burst ([`Transport::recv`], a
-//!   `poll(2)` that returns the moment bytes arrive), takes only what
-//!   is already there ([`Transport::try_recv`]), acts — feed, relay or
-//!   decode, ack — and **flushes before it waits again**, so an epoch
-//!   is relayed as it arrives and no reply it has encoded (the
-//!   `Closed` reply included) sleeps in a buffer;
-//! * a **parent bridge** has three: its child's socket, the broker
-//!   topics it consumes, and (shards) the main thread's command
-//!   queue. It reads a wake token, checks all three, flushes, and
-//!   parks in one `poll(2)` over the socket *and* a self-pipe that its
-//!   consumer's event count rings — on a record landing on a consumed
-//!   topic, `wake_shards` after a queued command, a sibling's close
-//!   kick, the stop flag's wake — only while the bridge is parked;
-//! * a blocked **write** keeps receiving, so parent and child can both
-//!   be mid-burst with more to say than the socket buffers hold.
+//! * a **node child** sleeps in one `poll(2)` ([`PollSet`]) over its
+//!   front door, every connection it admitted (the parent's; a shard's
+//!   also one per proxy) and — a proxy — every link it dialed. Woken,
+//!   it admits whoever knocked, takes only what is already there
+//!   ([`Transport::try_recv`]), acts — feed, relay or decode, ack —
+//!   and **flushes before it waits again**, so an epoch is relayed as
+//!   it arrives and no reply it has encoded (the `Closed` reply
+//!   included) sleeps in a buffer;
+//! * a **parent bridge** has two sources: its child's socket and an
+//!   event count — a proxy bridge's consumer's (rung by a share on the
+//!   inbound topic, a route change, the stop flag's wake), a shard
+//!   bridge's own (rung by a queued command or a sibling's close
+//!   kick). It reads a wake token, checks both, flushes, and parks in
+//!   one `poll(2)` over the socket *and* a self-pipe that the event
+//!   count rings — only while the bridge is parked;
+//! * a blocked **write** keeps receiving, so two ends can both be
+//!   mid-burst with more to say than the socket buffers hold.
 //!
 //! `LINK_READ_POLL` is what is left of the timers: a watchdog tick
 //! for heartbeats, the stop flag and `maybe_resend`.
@@ -58,24 +77,33 @@
 //! child's role attached, which lands in the existing crash log /
 //! respawn machinery. Share records a dead child held are a *sampling
 //! loss* — the epoch-deadline ledger closes the affected epochs
-//! partially, exactly like a shard-thread panic in-process.
+//! partially, exactly like a shard-thread panic in-process. A proxy
+//! child whose link to a shard runs out of retries drops that slot's
+//! shares, and what the link had not had acknowledged, until the
+//! parent routes the slot to a respawned shard.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::SocketAddr;
+use std::os::fd::{AsRawFd, RawFd};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use privapprox_cluster::frontdoor::shake_hands;
-use privapprox_cluster::wire::{encode_ack, encode_progress, Channel};
+use privapprox_cluster::frontdoor::{shake_hands, ConnGuard};
+use privapprox_cluster::wire::{
+    decode_link_stats, decode_route, encode_ack, encode_link_stats, encode_progress, encode_route,
+    Channel,
+};
 use privapprox_cluster::{
-    decode_data_batch, encode_data_batch, AdmissionPolicy, BackoffPolicy, DataMsg, FaultPlan,
-    FaultyTransport, Frame, FrameKind, FrontDoor, Hello, LinkStats, Reassembly, RejectReason,
-    SupervisedLink, TcpTransport, TokenBucket, Transport, Waker,
+    decode_data_batch, encode_data_batch, AdmissionPolicy, Admitted, BackoffPolicy, DataMsg,
+    FaultPlan, FaultyTransport, Frame, FrameKind, FrontDoor, Hello, Link, LinkStats, PollSet,
+    Reassembly, RejectReason, SupervisedLink, TcpTransport, TokenBucket, Transport, Waker,
 };
 use privapprox_stream::broker::{Broker, Consumer, Record, TopicWriter};
+use privapprox_stream::EventCount;
 use privapprox_types::{ProxyId, Timestamp};
 
 use crate::control::{ShardCmd, ShardReply};
@@ -87,7 +115,7 @@ use crate::stage::{LocalShard, Role};
 pub(crate) const CONNECT_TIMEOUT: Duration = Duration::from_millis(1_000);
 /// Watchdog tick of every socket wait, on both ends — **not** a
 /// delivery mechanism. What normally ends the wait is the awaited
-/// event itself: bytes on the socket, or (parent side) the bridge's
+/// event itself: bytes on a socket, or (parent side) the bridge's
 /// wake handle being rung because a record landed on a topic it
 /// consumes or the main thread queued a command. The tick only bounds
 /// how stale a heartbeat, a raised stop flag or an overdue
@@ -113,7 +141,7 @@ const NODE_DEAD_LETTER_CAP: usize = 4_096;
 /// clean shutdown) can therefore never strand an orphan listener. The
 /// child additionally watches its stdin (held open by this handle)
 /// and exits on EOF, which covers the parent being killed outright.
-struct NodeChild {
+pub(crate) struct NodeChild {
     child: Child,
     /// The loopback address the child's front door is listening on.
     addr: SocketAddr,
@@ -137,20 +165,33 @@ impl Drop for NodeChild {
     }
 }
 
-/// Spawns a `privapprox-node` child and waits for its `PORT <n>`
-/// banner (printed after the front door is bound, so a successful
-/// return means the child is dialable).
-fn spawn_node(node: &Path, args: &[String]) -> io::Result<NodeChild> {
-    let mut child = Command::new(node)
-        .args(args)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()?;
+/// Starts one child per command line — a *tier*: every shard of a
+/// build, every proxy, or the one slot a respawn replaces — and only
+/// then reads each child's `PORT <n>` banner (printed once its front
+/// door is bound, so a returned child is dialable). The tier's
+/// start-ups overlap instead of queueing. If a child fails to start or
+/// announce, the ones already announced are killed by their guards
+/// and the rest exit on their closed stdin.
+pub(crate) fn spawn_tier(node: &Path, tier: &[Vec<String>]) -> io::Result<Vec<NodeChild>> {
+    let mut started = Vec::with_capacity(tier.len());
+    for args in tier {
+        let child = Command::new(node)
+            .args(args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit())
+            .spawn()
+            .map_err(|e| io::Error::new(e.kind(), format!("spawn {}: {e}", args.join(" "))))?;
+        started.push(child);
+    }
+    started.into_iter().map(announced).collect()
+}
+
+/// Waits for a started child's `PORT <n>` banner.
+fn announced(mut child: Child) -> io::Result<NodeChild> {
     let stdout = child.stdout.take().expect("piped child stdout");
     let mut line = String::new();
-    let read = BufReader::new(stdout).read_line(&mut line);
-    let port = match read {
+    let port = match BufReader::new(stdout).read_line(&mut line) {
         Ok(_) => line
             .trim()
             .strip_prefix("PORT ")
@@ -173,16 +214,104 @@ fn spawn_node(node: &Path, args: &[String]) -> io::Result<NodeChild> {
     }
 }
 
-/// Builds the supervised, optionally fault-injected link to a child
-/// node. Each (re)dial performs the front-door handshake; admission
-/// rejection surfaces as `ConnectionRefused` and burns a retry.
+/// The command line of the child for slot `(role, index)`. A proxy's
+/// also names every shard child's address, in slot order, plus the
+/// fault plan and resend threshold of the links it dials to them.
+pub(crate) fn node_args(
+    role: Role,
+    index: usize,
+    config: &ShardedConfig,
+    partitions: usize,
+    faults: FaultPlan,
+    shards: &[SocketAddr],
+) -> Vec<String> {
+    let mut args = vec![
+        role.name().to_string(),
+        "--index".into(),
+        index.to_string(),
+        "--partitions".into(),
+        partitions.to_string(),
+        "--proxies".into(),
+        config.proxies.to_string(),
+        "--confidence-bits".into(),
+        config.confidence.to_bits().to_string(),
+    ];
+    if role == Role::Proxy {
+        let addrs: Vec<String> = shards.iter().map(SocketAddr::to_string).collect();
+        args.extend(["--shards".into(), addrs.join(",")]);
+        if !faults.is_clean() {
+            args.extend(["--faults".into(), fault_arg(&faults)]);
+        }
+        if let Some(after) = config.link_resend_after {
+            args.extend(["--resend-after-us".into(), after.as_micros().to_string()]);
+        }
+    }
+    args
+}
+
+/// A fault plan as one command-line word:
+/// `seed:drop:duplicate:delay:reorder:cut_after:data_only[:latency_us:bytes_per_us]`,
+/// floats as their IEEE-754 bits, so a child faults exactly as
+/// planned.
+fn fault_arg(p: &FaultPlan) -> String {
+    let mut words = vec![
+        p.seed,
+        p.drop.to_bits(),
+        p.duplicate.to_bits(),
+        p.delay.to_bits(),
+        p.reorder.to_bits(),
+        p.cut_after,
+        p.data_only as u64,
+    ];
+    if let Some(link) = p.link {
+        words.extend([link.latency_us, link.bytes_per_us.to_bits()]);
+    }
+    let words: Vec<String> = words.iter().map(u64::to_string).collect();
+    words.join(":")
+}
+
+/// Parses [`fault_arg`]'s word.
+fn parse_fault_arg(word: &str) -> Option<FaultPlan> {
+    let w: Vec<u64> = word
+        .split(':')
+        .map(str::parse)
+        .collect::<Result<_, _>>()
+        .ok()?;
+    let link = match w.len() {
+        7 => None,
+        9 => Some(Link {
+            latency_us: w[7],
+            bytes_per_us: f64::from_bits(w[8]),
+        }),
+        _ => return None,
+    };
+    Some(FaultPlan {
+        seed: w[0],
+        drop: f64::from_bits(w[1]),
+        duplicate: f64::from_bits(w[2]),
+        delay: f64::from_bits(w[3]),
+        reorder: f64::from_bits(w[4]),
+        cut_after: w[5],
+        data_only: w[6] != 0,
+        link,
+        ..FaultPlan::default()
+    })
+}
+
+/// Builds the supervised, optionally fault-injected link to a node.
+/// Each (re)dial performs the front-door handshake — the first one
+/// announcing a fresh link, so the node restarts that stream's
+/// reassembly; admission rejection surfaces as `ConnectionRefused`
+/// and burns a retry.
 fn node_link(
     addr: SocketAddr,
-    index: u32,
+    (channel, index): (Channel, u32),
     faults: FaultPlan,
     stats: Arc<LinkStats>,
     seed: u64,
+    resend_after: Option<Duration>,
 ) -> SupervisedLink {
+    let mut fresh = true;
     let dial = Box::new(move || -> io::Result<Box<dyn Transport>> {
         let tcp = TcpTransport::connect(addr, CONNECT_TIMEOUT, LINK_READ_POLL)?;
         let mut t: Box<dyn Transport> = if faults.is_clean() {
@@ -190,17 +319,20 @@ fn node_link(
         } else {
             Box::new(FaultyTransport::new(tcp, faults))
         };
-        shake_hands(
-            t.as_mut(),
-            Hello {
-                channel: Channel::Data,
-                index,
-            },
-            HANDSHAKE_TIMEOUT,
-        )?;
+        let hello = Hello {
+            channel,
+            index,
+            fresh,
+        };
+        shake_hands(t.as_mut(), hello, HANDSHAKE_TIMEOUT)?;
+        fresh = false;
         Ok(t)
     });
-    SupervisedLink::new(dial, BackoffPolicy::default(), stats, seed)
+    let mut link = SupervisedLink::new(dial, BackoffPolicy::default(), stats, seed);
+    if let Some(after) = resend_after {
+        link.set_resend_after(after);
+    }
+    link
 }
 
 /// Converts a polled broker record into its wire form. Key and value
@@ -240,79 +372,96 @@ fn link_ok<T>(label: &str, outcome: io::Result<T>) -> T {
     outcome.unwrap_or_else(|e| link_down(label, e))
 }
 
+/// Where every shard child listens, by slot, as the parent last
+/// published it. A proxy child learns the table on its command line
+/// and every later change as a `Route` frame, which its bridge sends
+/// when the generation moves.
+#[derive(Default)]
+pub(crate) struct Routes {
+    generation: AtomicU64,
+    addrs: Mutex<Vec<SocketAddr>>,
+}
+
+impl Routes {
+    /// Points shard slot `s` at `addr`.
+    pub(crate) fn set(&self, s: usize, addr: SocketAddr) {
+        let mut addrs = self.addrs.lock().expect("routes lock");
+        if addrs.len() <= s {
+            addrs.resize(s + 1, addr);
+        }
+        addrs[s] = addr;
+        self.generation.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// The table, with the generation it was read at.
+    pub(crate) fn read(&self) -> (u64, Vec<SocketAddr>) {
+        let addrs = self.addrs.lock().expect("routes lock");
+        (self.generation.load(Ordering::SeqCst), addrs.clone())
+    }
+
+    fn generation(&self) -> u64 {
+        self.generation.load(Ordering::SeqCst)
+    }
+}
+
 /// The parent's end of one `privapprox-node` child: the child process,
-/// the supervised link to it, the broker consumer whose records it is
-/// fed, and one park over all of them.
+/// the supervised link to it, and one park over the link and an event
+/// count.
 ///
-/// The consumer's event count is rung by every producer of the topics
-/// the bridge consumes and by control wakes
-/// ([`Broker::notify_topic`]: `wake_shards`, a sibling's close kick,
-/// the stop flag at drop). A bridge asleep in `poll(2)` cannot hear a
-/// condvar, so it installs a *bell* on that event count which rings
-/// the self-pipe its `poll(2)` also watches — only while the bridge
-/// is announced as parked, so a busy bridge costs its notifiers no
-/// syscall.
+/// A bridge asleep in `poll(2)` cannot hear a condvar, so it installs
+/// a *bell* on its event count which rings the self-pipe its `poll(2)`
+/// also watches — only while the bridge is announced as parked, so a
+/// busy bridge costs its notifiers no syscall.
 pub(crate) struct Bridge {
     /// `"<role> <index>"`, for the panic message of a dead link.
     label: String,
-    consumer: Consumer,
     link: SupervisedLink,
     waker: Waker,
-    batch: Vec<(u32, u32, Record)>,
-    msgs: Vec<DataMsg>,
+    /// What ends the bridge's park besides its socket.
+    wake: Arc<EventCount>,
     /// Declared last, so dropped last: the bridge owns the child, and
     /// a bridge thread that unwinds (or shuts down) kills the process.
     child: NodeChild,
 }
 
 impl Bridge {
-    /// Spawns the child for slot `(role, index)` and dials its
-    /// supervised link — the one place a child is born, at build and
-    /// at respawn alike. `consumer` must already have joined its group
-    /// on the calling thread.
+    /// Dials the supervised link to the freshly spawned `child` of
+    /// slot `(role, index)` — a proxy's link carries shares, a shard's
+    /// control only — and lets `wake` end the bridge's `poll(2)`.
     pub(crate) fn open(
-        node: &Path,
+        child: NodeChild,
         faults: FaultPlan,
-        role: Role,
-        index: usize,
-        consumer: Consumer,
+        (role, index): (Role, usize),
         config: &ShardedConfig,
-        partitions: usize,
+        wake: Arc<EventCount>,
     ) -> io::Result<Bridge> {
-        let role = role.name();
-        let args = [
-            role.to_string(),
-            "--index".into(),
-            index.to_string(),
-            "--partitions".into(),
-            partitions.to_string(),
-            "--proxies".into(),
-            config.proxies.to_string(),
-            "--confidence-bits".into(),
-            config.confidence.to_bits().to_string(),
-        ];
-        let child = spawn_node(node, &args)
-            .map_err(|e| io::Error::new(e.kind(), format!("spawn {role} node {index}: {e}")))?;
-        let mut link = node_link(
+        let name = role.name();
+        let channel = if role == Role::Proxy {
+            Channel::Data
+        } else {
+            Channel::Ctrl
+        };
+        let faults = if faults.node_links_only {
+            FaultPlan::default()
+        } else {
+            faults
+        };
+        let link = node_link(
             child.addr,
-            index as u32,
+            (channel, index as u32),
             faults,
             LinkStats::shared(),
-            link_seed(config.seed, role, index),
+            link_seed(config.seed, name, index),
+            config.link_resend_after,
         );
-        if let Some(after) = config.link_resend_after {
-            link.set_resend_after(after);
-        }
         let waker = Waker::new()?;
         let bell = waker.clone();
-        consumer.wake().set_bell(move || bell.ring());
+        wake.set_bell(move || bell.ring());
         Ok(Bridge {
-            label: format!("{role} {index}"),
-            consumer,
+            label: format!("{name} {index}"),
             link,
             waker,
-            batch: Vec::new(),
-            msgs: Vec::new(),
+            wake,
             child,
         })
     }
@@ -328,31 +477,24 @@ impl Bridge {
         self.child.child.id()
     }
 
+    /// Where the child's front door listens.
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.child.addr
+    }
+
     /// The link's supervision counters.
     pub(crate) fn stats(&self) -> Arc<LinkStats> {
         Arc::clone(self.link.stats())
     }
 
-    /// The park token; read **before** checking the bridge's sources.
-    pub(crate) fn token(&self) -> u64 {
-        self.consumer.wake().token()
+    /// The event count the bridge parks on.
+    pub(crate) fn wake(&self) -> Arc<EventCount> {
+        Arc::clone(&self.wake)
     }
 
-    /// Ships every record waiting on the consumed topics to the child,
-    /// one data frame per poll batch. Returns whether any moved.
-    pub(crate) fn ship(&mut self) -> bool {
-        let mut moved = false;
-        while self.consumer.poll_into(BATCH_RECORDS, &mut self.batch) > 0 {
-            moved = true;
-            self.msgs.clear();
-            for (stream, partition, rec) in self.batch.drain(..) {
-                self.msgs.push(record_to_msg(stream, partition, &rec));
-            }
-            let frame = Frame::new(FrameKind::Data, encode_data_batch(&self.msgs));
-            let sent = self.link.send(frame).and_then(|()| self.link.flush());
-            link_ok(&self.label, sent);
-        }
-        moved
+    /// The park token; read **before** checking the bridge's sources.
+    pub(crate) fn token(&self) -> u64 {
+        self.wake.token()
     }
 
     /// The next frame from the child that is already here; never
@@ -361,13 +503,15 @@ impl Bridge {
         link_ok(&self.label, self.link.try_recv())
     }
 
-    /// Sends one control request and flushes it out.
-    pub(crate) fn send_ctrl(&mut self, payload: Vec<u8>) {
-        let sent = self
-            .link
-            .send(Frame::new(FrameKind::Ctrl, payload))
-            .and_then(|()| self.link.flush());
+    /// Sends one frame and flushes it out.
+    fn send(&mut self, frame: Frame) {
+        let sent = self.link.send(frame).and_then(|()| self.link.flush());
         link_ok(&self.label, sent);
+    }
+
+    /// Sends one control request.
+    pub(crate) fn send_ctrl(&mut self, payload: Vec<u8>) {
+        self.send(Frame::new(FrameKind::Ctrl, payload));
     }
 
     /// Ends a round: replays a stalled resend window and flushes, so
@@ -382,8 +526,7 @@ impl Bridge {
     /// all if the count already moved. The caller has settled.
     pub(crate) fn park(&mut self, token: u64) {
         let slept = self
-            .consumer
-            .wake()
+            .wake
             .park_in(token, || self.link.wait(&self.waker, LINK_READ_POLL));
         link_ok(&self.label, slept.unwrap_or(Ok(())));
     }
@@ -393,6 +536,99 @@ impl Bridge {
     pub(crate) fn goodbye(&mut self) {
         let _ = self.link.send(Frame::bare(FrameKind::Shutdown));
         let _ = self.link.flush();
+    }
+}
+
+/// The parent's end of a proxy child: ships the child the shares
+/// workers publish on the proxy's inbound topic, tells it where shard
+/// children moved, and mirrors the counters of its links to them.
+pub(crate) struct ProxyBridge {
+    bridge: Bridge,
+    /// Joined to the proxy's group on the spawning thread; its event
+    /// count is the bridge's.
+    consumer: Consumer,
+    batch: Vec<(u32, u32, Record)>,
+    msgs: Vec<DataMsg>,
+    routes: Arc<Routes>,
+    /// The route table as the child knows it, and its generation.
+    told: (u64, Vec<SocketAddr>),
+    /// The child's shard links' counters, as it last reported them.
+    peer_links: Arc<LinkStats>,
+}
+
+impl ProxyBridge {
+    /// `told` is the route table on the child's command line.
+    pub(crate) fn new(
+        bridge: Bridge,
+        consumer: Consumer,
+        routes: Arc<Routes>,
+        told: (u64, Vec<SocketAddr>),
+    ) -> ProxyBridge {
+        ProxyBridge {
+            bridge,
+            consumer,
+            batch: Vec::new(),
+            msgs: Vec::new(),
+            routes,
+            told,
+            peer_links: LinkStats::shared(),
+        }
+    }
+
+    /// The counters of the child's links to the shard children.
+    pub(crate) fn peer_links(&self) -> Arc<LinkStats> {
+        Arc::clone(&self.peer_links)
+    }
+
+    pub(crate) fn token(&self) -> u64 {
+        self.bridge.token()
+    }
+
+    pub(crate) fn park(&mut self, token: u64) {
+        self.bridge.park(token);
+    }
+
+    pub(crate) fn goodbye(&mut self) {
+        self.bridge.goodbye();
+    }
+
+    /// One round: ships what waits on the inbound topic — one data
+    /// frame per poll batch, each share counted in `forwarded` — sends
+    /// a `Route` for every shard slot that moved, and takes the child's
+    /// link reports. Returns whether anything moved.
+    pub(crate) fn round(&mut self, forwarded: &AtomicU64) -> bool {
+        let mut moved = false;
+        while self.consumer.poll_into(BATCH_RECORDS, &mut self.batch) > 0 {
+            moved = true;
+            self.msgs.clear();
+            for (stream, partition, rec) in self.batch.drain(..) {
+                self.msgs.push(record_to_msg(stream, partition, &rec));
+            }
+            forwarded.fetch_add(self.msgs.len() as u64, Ordering::Relaxed);
+            let frame = Frame::new(FrameKind::Data, encode_data_batch(&self.msgs));
+            self.bridge.send(frame);
+        }
+        if self.routes.generation() != self.told.0 {
+            let (generation, addrs) = self.routes.read();
+            for (s, addr) in addrs.iter().enumerate() {
+                if self.told.1.get(s) != Some(addr) {
+                    let route = encode_route(s as u32, *addr);
+                    self.bridge.send(Frame::new(FrameKind::Route, route));
+                }
+            }
+            self.told = (generation, addrs);
+        }
+        while let Some(f) = self.bridge.try_recv() {
+            moved = true;
+            if f.kind == FrameKind::LinkStats {
+                match decode_link_stats(&f.payload) {
+                    Ok(counts) => self.peer_links.set_counts(counts),
+                    Err(e) => self.bridge.fail(e),
+                }
+            }
+        }
+        self.bridge.settle();
+        moved
     }
 }
 
@@ -412,6 +648,12 @@ struct NodeOpts {
     partitions: usize,
     proxies: usize,
     confidence: f64,
+    /// Every shard child's front door, by slot (a proxy's links).
+    shards: Vec<SocketAddr>,
+    /// Faults on the links this node dials.
+    faults: FaultPlan,
+    /// Ack-stall threshold of those links (`None`: the link default).
+    resend_after: Option<Duration>,
 }
 
 impl NodeOpts {
@@ -428,6 +670,9 @@ impl NodeOpts {
             partitions: 1,
             proxies: 2,
             confidence: 0.95,
+            shards: Vec::new(),
+            faults: FaultPlan::default(),
+            resend_after: None,
         };
         let mut it = args[1..].iter();
         while let Some(flag) = it.next() {
@@ -440,8 +685,26 @@ impl NodeOpts {
                     opts.confidence =
                         f64::from_bits(val.parse().map_err(|_| bad("--confidence-bits"))?)
                 }
+                "--shards" => {
+                    opts.shards = val
+                        .split(',')
+                        .map(str::parse)
+                        .collect::<Result<_, _>>()
+                        .map_err(|_| bad("--shards"))?
+                }
+                "--faults" => opts.faults = parse_fault_arg(val).ok_or_else(|| bad("--faults"))?,
+                "--resend-after-us" => {
+                    let us = val.parse().map_err(|_| bad("--resend-after-us"))?;
+                    opts.resend_after = Some(Duration::from_micros(us));
+                }
                 _ => return Err(bad("unknown flag")),
             }
+        }
+        if opts.partitions == 0 {
+            return Err(bad("--partitions must be positive"));
+        }
+        if role == NodeRole::Proxy && opts.shards.is_empty() {
+            return Err(bad("a proxy node needs --shards"));
         }
         Ok(opts)
     }
@@ -484,36 +747,66 @@ fn run_node(args: &[String]) -> io::Result<()> {
     }
 }
 
-/// Accept loop shared by both roles: serve one parent connection at a
-/// time; a link error drops back to `accept` and waits for the
-/// parent's supervised re-dial. Returns when `Shutdown` arrives.
-fn accept_loop<F>(door: &FrontDoor, mut serve: F) -> io::Result<()>
-where
-    F: FnMut(&mut dyn Transport, &mut TokenBucket, usize) -> io::Result<bool>,
-{
-    loop {
-        let mut admitted = match door.accept(HANDSHAKE_TIMEOUT) {
-            Ok(a) => a,
-            // A failed handshake (or a bounced connection) is the
-            // peer's problem; keep the door open.
-            Err(_) => continue,
+/// A connection the front door admitted, with the admission state its
+/// data frames answer to. A broken or hostile connection is dropped;
+/// its peer re-dials.
+struct Conn {
+    t: Box<dyn Transport>,
+    bucket: TokenBucket,
+    max_in_flight: usize,
+    /// Frees the front door's connection slot when the connection goes.
+    _slot: Option<ConnGuard>,
+}
+
+impl Conn {
+    /// Splits an admission into the peer's `Hello` and the connection.
+    fn admitted(a: Admitted) -> (Hello, Conn) {
+        let conn = Conn {
+            t: Box::new(a.transport),
+            bucket: a.bucket,
+            max_in_flight: a.max_in_flight,
+            _slot: Some(a.guard),
         };
-        admitted.transport.set_read_timeout(LINK_READ_POLL)?;
-        let max_in_flight = admitted.max_in_flight;
-        match serve(
-            &mut admitted.transport,
-            &mut admitted.bucket,
-            max_in_flight,
-        ) {
-            Ok(true) => return Ok(()),
-            // Connection lost: the parent will re-dial and replay.
-            Ok(false) | Err(_) => continue,
-        }
+        (a.hello, conn)
+    }
+
+    /// What a wait over this connection watches.
+    fn watched(&self) -> (Option<RawFd>, bool) {
+        (self.t.raw_fd(), self.t.ready_now())
     }
 }
 
-/// The receiving half of a node's data link: admission control in
-/// front of the resend protocol's reassembly.
+/// A node's one wait: sleeps until the front door or any of `ends` —
+/// the socket and [`Transport::ready_now`] of every connection and
+/// dialed link — has input, or the watchdog tick; not at all while
+/// one of them already holds a frame.
+fn wait_for_input(
+    set: &mut PollSet,
+    door: &FrontDoor,
+    ends: impl Iterator<Item = (Option<RawFd>, bool)>,
+) -> io::Result<()> {
+    set.clear();
+    set.watch(door.as_raw_fd());
+    let mut ready = false;
+    for (fd, held) in ends {
+        ready |= held;
+        if let Some(fd) = fd {
+            set.watch(fd);
+        }
+    }
+    if ready {
+        return Ok(());
+    }
+    set.wait(LINK_READ_POLL)
+}
+
+fn invalid(what: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
+}
+
+/// The receiving half of one data stream: admission control in front
+/// of the resend protocol's reassembly. It outlives the connections
+/// that feed it, so a re-dialed link's replay continues in sequence.
 struct Inbox {
     reasm: Reassembly<Vec<DataMsg>>,
     /// Highest cumulative ack sent on the current connection.
@@ -521,39 +814,62 @@ struct Inbox {
     /// Record batches released in order, waiting to be fed to the
     /// node's local topics.
     deliverable: Vec<Vec<DataMsg>>,
+    /// Records must name a partition below this.
+    partitions: usize,
+    /// The stream every record must claim, where the link's `Hello`
+    /// names one (a shard's data link from a proxy).
+    stream: Option<u8>,
 }
 
 impl Inbox {
-    fn new() -> Inbox {
+    fn new(partitions: usize, stream: Option<u8>) -> Inbox {
         Inbox {
             reasm: Reassembly::new(),
             acked: 0,
             deliverable: Vec::new(),
+            partitions,
+            stream,
         }
     }
 
-    /// Takes one inbound data frame: decoded, admitted (or bounced
-    /// with a `Reject` — the peer's resend window redelivers it
-    /// later) and put back in sequence.
-    fn accept(
-        &mut self,
-        payload: &[u8],
-        t: &mut dyn Transport,
-        bucket: &mut TokenBucket,
-        max_in_flight: usize,
-    ) -> io::Result<()> {
+    /// A new connection for this stream: the ack floor is announced
+    /// on it afresh, and a fresh link (sequence restarting at 1) also
+    /// restarts the reassembly.
+    fn reconnected(&mut self, fresh: bool) {
+        if fresh {
+            self.reasm = Reassembly::new();
+        }
+        self.acked = 0;
+    }
+
+    /// Takes one inbound data frame: decoded, checked, admitted (or
+    /// bounced with a `Reject` — the peer's resend window redelivers
+    /// it later) and put back in sequence. A batch holding a record
+    /// the node cannot file — a partition beyond its topics, or
+    /// another stream than the link's — is refused whole as
+    /// `InvalidData`, and the caller drops the connection.
+    fn accept(&mut self, payload: &[u8], c: &mut Conn) -> io::Result<()> {
         let mut msgs = Vec::new();
         decode_data_batch(payload, &mut msgs)?;
+        let misfiled = msgs.iter().find(|m| {
+            m.partition as usize >= self.partitions || self.stream.is_some_and(|s| s != m.stream)
+        });
+        if let Some(m) = misfiled {
+            return Err(invalid(format!(
+                "refused a batch: record for stream {} partition {} (this link: stream {:?}, {} partitions)",
+                m.stream, m.partition, self.stream, self.partitions
+            )));
+        }
         let seq = msgs[0].seq;
-        let refused = if seq > self.reasm.ack_floor() + max_in_flight as u64 {
+        let refused = if seq > self.reasm.ack_floor() + c.max_in_flight as u64 {
             Some(RejectReason::Overloaded)
-        } else if !bucket.try_take(Instant::now(), msgs.len() as f64) {
+        } else if !c.bucket.try_take(Instant::now(), msgs.len() as f64) {
             Some(RejectReason::RateLimited)
         } else {
             None
         };
         match refused {
-            Some(reason) => t.send(&Frame::reject(reason)),
+            Some(reason) => c.t.send(&Frame::reject(reason)),
             None => {
                 self.reasm.accept(seq, msgs, &mut self.deliverable);
                 Ok(())
@@ -574,17 +890,30 @@ impl Inbox {
 }
 
 /// Child runtime for one proxy: a private broker with the proxy's
-/// in/out topics, the real [`Proxy`] relay in between, and the framed
-/// connection to the parent on the outside.
+/// in/out topics, the real [`Proxy`] relay in between, the parent's
+/// connection on the way in and a supervised link to every shard
+/// child on the way out.
 struct ProxyNode {
+    index: usize,
     _broker: Broker,
     proxy: Proxy,
     in_writer: TopicWriter,
     egress: Consumer,
+    /// The parent's shares, put back in sequence.
     inbox: Inbox,
-    next_seq: u64,
+    parent: Option<Conn>,
+    /// One link per shard child, by slot; `None` once a link's retry
+    /// budget ran out, until the parent routes the slot again.
+    shards: Vec<Option<SupervisedLink>>,
+    faults: FaultPlan,
+    resend_after: Option<Duration>,
+    /// Counters of every link this node has dialed, old and current.
+    link_stats: Arc<LinkStats>,
+    /// `link_stats` as the parent last heard them.
+    reported: [u64; 4],
     batch: Vec<(u32, u32, Record)>,
-    out_msgs: Vec<DataMsg>,
+    /// A poll batch's records, by destination shard.
+    outgoing: Vec<Vec<DataMsg>>,
 }
 
 impl ProxyNode {
@@ -601,102 +930,204 @@ impl ProxyNode {
         let proxy = Proxy::new(id, &broker);
         let in_writer = broker.writer(&inbound);
         let egress = broker.consumer("node-egress", &[&out_name]);
-        ProxyNode {
+        let mut node = ProxyNode {
+            index: opts.index,
             _broker: broker,
             proxy,
             in_writer,
             egress,
-            inbox: Inbox::new(),
-            next_seq: 0,
+            inbox: Inbox::new(opts.partitions, None),
+            parent: None,
+            shards: Vec::new(),
+            faults: opts.faults,
+            resend_after: opts.resend_after,
+            link_stats: LinkStats::shared(),
+            reported: [0; 4],
             batch: Vec::new(),
-            out_msgs: Vec::new(),
-        }
+            outgoing: vec![Vec::new(); opts.shards.len()],
+        };
+        node.shards = (opts.shards.iter().enumerate())
+            .map(|(s, &addr)| Some(node.dial(s, addr)))
+            .collect();
+        node
+    }
+
+    /// A fresh link to shard slot `s` at `addr`, dialed on first use.
+    fn dial(&self, s: usize, addr: SocketAddr) -> SupervisedLink {
+        node_link(
+            addr,
+            (Channel::Data, self.index as u32),
+            self.faults,
+            Arc::clone(&self.link_stats),
+            link_seed(self.faults.seed ^ s as u64, "proxy", self.index),
+            self.resend_after,
+        )
     }
 
     fn run(mut self, door: &FrontDoor) -> io::Result<()> {
-        accept_loop(door, |t, bucket, max_in_flight| {
-            self.serve(t, bucket, max_in_flight)
-        })
+        let mut set = PollSet::new();
+        loop {
+            let links = self.shards.iter().flatten();
+            let ends = (self.parent.iter().map(Conn::watched))
+                .chain(links.map(|l| (l.raw_fd(), l.ready_now())));
+            wait_for_input(&mut set, door, ends)?;
+            while let Some(a) = door.try_accept(HANDSHAKE_TIMEOUT)? {
+                self.admit(a);
+            }
+            if let Some(mut c) = self.parent.take() {
+                match self.take_from(&mut c) {
+                    Ok(true) => return Ok(()),
+                    Ok(false) => self.parent = Some(c),
+                    Err(_) => {}
+                }
+            }
+            self.take_acks();
+            self.feed();
+            // Relay (partition-preserving, same code as in-process).
+            self.proxy.pump();
+            self.forward();
+            self.settle();
+            self.answer_parent();
+        }
     }
 
-    fn serve(
-        &mut self,
-        t: &mut dyn Transport,
-        bucket: &mut TokenBucket,
-        max_in_flight: usize,
-    ) -> io::Result<bool> {
-        // Fresh connection: re-announce the cumulative ack floor so
-        // the parent can trim frames acked before the reconnect.
-        self.inbox.acked = 0;
-        loop {
-            let mut shutdown = false;
-            // 1. Wait for the first frame of a burst (a quiet tick
-            //    just goes round), then take only what is already
-            //    here: the rest of the epoch is relayed as it arrives,
-            //    not after the link has gone quiet.
-            let mut next = t.recv()?;
-            while let Some(f) = next {
-                match f.kind {
-                    FrameKind::Data => self.inbox.accept(&f.payload, t, bucket, max_in_flight)?,
-                    FrameKind::Shutdown => {
-                        shutdown = true;
-                        break;
+    /// Takes a connection from the parent (the only peer that dials a
+    /// proxy node).
+    fn admit(&mut self, a: Admitted) {
+        let (hello, conn) = Conn::admitted(a);
+        if hello.channel == Channel::Data {
+            self.inbox.reconnected(hello.fresh);
+            self.reported = [0; 4];
+            self.parent = Some(conn);
+        }
+    }
+
+    /// Takes every frame the parent has already sent; `Ok(true)` on
+    /// `Shutdown`.
+    fn take_from(&mut self, c: &mut Conn) -> io::Result<bool> {
+        while let Some(f) = c.t.try_recv()? {
+            match f.kind {
+                FrameKind::Data => self.inbox.accept(&f.payload, c)?,
+                FrameKind::Route => {
+                    let (s, addr) = decode_route(&f.payload)?;
+                    let s = s as usize;
+                    if s >= self.shards.len() {
+                        return Err(invalid(format!("route to unknown shard slot {s}")));
                     }
-                    _ => {}
+                    // The old link goes with whatever it had not had
+                    // acknowledged: the epoch ledger accounts for it.
+                    self.shards[s] = Some(self.dial(s, addr));
                 }
-                next = t.try_recv()?;
+                FrameKind::Shutdown => return Ok(true),
+                _ => {}
             }
-            // 2. Feed reassembled shares into the local inbound topic.
-            for batch in self.inbox.deliverable.drain(..) {
-                for m in batch {
-                    self.in_writer.append_quiet(
-                        m.partition as usize,
-                        m.key,
-                        m.value,
-                        Timestamp(m.timestamp),
-                    );
+        }
+        Ok(false)
+    }
+
+    /// Takes what the shard children sent back: acks, which trim each
+    /// link's resend window, and rejections, which it counts. A link
+    /// whose retry budget ran out is dropped with its window.
+    fn take_acks(&mut self) {
+        for slot in &mut self.shards {
+            let Some(link) = slot else { continue };
+            let dead = loop {
+                match link.try_recv() {
+                    Ok(Some(_)) => {}
+                    Ok(None) => break false,
+                    Err(_) => break true,
                 }
+            };
+            if dead {
+                *slot = None;
             }
-            // 3. Relay (partition-preserving, same code as in-process).
-            self.proxy.pump();
-            // 4. Ship relayed shares back to the parent.
-            loop {
-                let n = self.egress.poll_into(BATCH_RECORDS, &mut self.batch);
-                if n == 0 {
-                    break;
+        }
+    }
+
+    /// Files the parent's reassembled shares on the inbound topic.
+    fn feed(&mut self) {
+        for batch in self.inbox.deliverable.drain(..) {
+            for m in batch {
+                let partition = m.partition as usize;
+                let ts = Timestamp(m.timestamp);
+                self.in_writer.append_quiet(partition, m.key, m.value, ts);
+            }
+        }
+    }
+
+    /// Sends every relayed share to shard `partition % shards` — the
+    /// `"aggregator"` group's rank rule, so all of a MID's shares meet
+    /// on one shard — one data frame per shard per poll batch. Shares
+    /// for a slot without a link are dropped.
+    fn forward(&mut self) {
+        let shards = self.shards.len();
+        while self.egress.poll_into(BATCH_RECORDS, &mut self.batch) > 0 {
+            for (_, partition, rec) in self.batch.drain(..) {
+                let msg = record_to_msg(self.index as u32, partition, &rec);
+                self.outgoing[partition as usize % shards].push(msg);
+            }
+            for (slot, msgs) in self.shards.iter_mut().zip(&mut self.outgoing) {
+                if msgs.is_empty() {
+                    continue;
                 }
-                self.out_msgs.clear();
-                for (stream, partition, rec) in self.batch.drain(..) {
-                    self.out_msgs.push(record_to_msg(stream, partition, &rec));
+                if let Some(link) = slot {
+                    let frame = Frame::new(FrameKind::Data, encode_data_batch(msgs));
+                    if link.send(frame).is_err() {
+                        *slot = None;
+                    }
                 }
-                self.next_seq += 1;
-                self.out_msgs[0].seq = self.next_seq;
-                t.send(&Frame::new(
-                    FrameKind::Data,
-                    encode_data_batch(&self.out_msgs),
-                ))?;
+                msgs.clear();
             }
-            // 5. Cumulative ack for everything delivered in order —
-            //    and every reply encoded above leaves before the next
-            //    wait.
-            self.inbox.ack(t)?;
-            t.flush()?;
-            if shutdown {
-                return Ok(true);
+        }
+    }
+
+    /// Replays stalled resend windows and flushes every shard link.
+    fn settle(&mut self) {
+        for slot in &mut self.shards {
+            let Some(link) = slot else { continue };
+            if link.maybe_resend().and_then(|()| link.flush()).is_err() {
+                *slot = None;
             }
+        }
+    }
+
+    /// Tells the parent what the shard links' counters did, acks what
+    /// arrived in order and flushes: nothing encoded this round sleeps
+    /// in a buffer.
+    fn answer_parent(&mut self) {
+        let Some(c) = self.parent.as_mut() else {
+            return;
+        };
+        let counts = self.link_stats.counts();
+        let mut sent = Ok(());
+        if counts != self.reported {
+            sent =
+                c.t.send(&Frame::new(FrameKind::LinkStats, encode_link_stats(counts)));
+        }
+        let sent = sent
+            .and_then(|()| self.inbox.ack(c.t.as_mut()))
+            .and_then(|()| c.t.flush());
+        match sent {
+            Ok(()) => self.reported = counts,
+            Err(_) => self.parent = None,
         }
     }
 }
 
 /// Child runtime for one aggregator shard: a private broker carrying
 /// every proxy's outbound topic, the same [`LocalShard`] an
-/// in-process shard thread runs as their sole consumer, and the
-/// control plane spoken over `Ctrl` / `CtrlReply` frames.
+/// in-process shard thread runs as their sole consumer, a data link
+/// from every proxy child, and the parent's control connection
+/// (`Ctrl` in; `CtrlReply` and `Progress` out).
 struct ShardNode {
     _broker: Broker,
     shard: LocalShard,
+    /// Per proxy: the writer of its stream, its data link's inbox and
+    /// its connection.
     writers: Vec<TopicWriter>,
-    inbox: Inbox,
+    inboxes: Vec<Inbox>,
+    proxies: Vec<Option<Conn>>,
+    parent: Option<Conn>,
 }
 
 impl ShardNode {
@@ -717,49 +1148,133 @@ impl ShardNode {
             _broker: broker,
             shard,
             writers,
-            inbox: Inbox::new(),
+            inboxes: (0..opts.proxies)
+                .map(|p| Inbox::new(opts.partitions, Some(p as u8)))
+                .collect(),
+            proxies: (0..opts.proxies).map(|_| None).collect(),
+            parent: None,
         }
     }
 
     fn run(mut self, door: &FrontDoor) -> io::Result<()> {
-        accept_loop(door, |t, bucket, max_in_flight| {
-            self.serve(t, bucket, max_in_flight)
-        })
+        let mut set = PollSet::new();
+        loop {
+            let conns = self.parent.iter().chain(self.proxies.iter().flatten());
+            wait_for_input(&mut set, door, conns.map(Conn::watched))?;
+            while let Some(a) = door.try_accept(HANDSHAKE_TIMEOUT)? {
+                self.admit(a);
+            }
+            // Shares first: a command acts on every share received
+            // ahead of it.
+            for p in 0..self.proxies.len() {
+                if self.take_data(p).is_err() {
+                    self.proxies[p] = None;
+                }
+            }
+            if let Some(mut c) = self.parent.take() {
+                match self.take_from(&mut c) {
+                    Ok(true) => return Ok(()),
+                    Ok(false) => self.parent = Some(c),
+                    Err(_) => {}
+                }
+            }
+            self.pump();
+            // Progress, the `Closed` reply and acks all leave before
+            // the next wait.
+            if let Some(mut c) = self.parent.take() {
+                if self.report(&mut c).and_then(|()| c.t.flush()).is_ok() {
+                    self.parent = Some(c);
+                }
+            }
+            for (slot, inbox) in self.proxies.iter_mut().zip(&mut self.inboxes) {
+                let Some(c) = slot else { continue };
+                if inbox.ack(c.t.as_mut()).and_then(|()| c.t.flush()).is_err() {
+                    *slot = None;
+                }
+            }
+        }
     }
 
-    /// Feeds reassembled shares into the local topics, decodes what is
-    /// there and queues a `Progress` frame for every epoch whose tally
-    /// moved.
-    fn pump(&mut self, t: &mut dyn Transport) -> io::Result<()> {
-        for batch in self.inbox.deliverable.drain(..) {
-            for m in batch {
-                if let Some(w) = self.writers.get(m.stream as usize) {
-                    w.append_quiet(m.partition as usize, m.key, m.value, Timestamp(m.timestamp));
+    /// Takes the parent's control connection, or a proxy's data link
+    /// — which files its records on the proxy's stream whatever a
+    /// record's own stream byte says.
+    fn admit(&mut self, a: Admitted) {
+        let (hello, conn) = Conn::admitted(a);
+        match hello.channel {
+            Channel::Ctrl => self.parent = Some(conn),
+            Channel::Data => {
+                let p = hello.index as usize;
+                if let Some(slot) = self.proxies.get_mut(p) {
+                    self.inboxes[p].reconnected(hello.fresh);
+                    *slot = Some(conn);
+                }
+            }
+        }
+    }
+
+    /// Takes every data frame proxy `p` has already sent.
+    fn take_data(&mut self, p: usize) -> io::Result<()> {
+        let Some(c) = self.proxies[p].as_mut() else {
+            return Ok(());
+        };
+        while let Some(f) = c.t.try_recv()? {
+            if f.kind == FrameKind::Data {
+                self.inboxes[p].accept(&f.payload, c)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Takes every frame the parent has already sent; `Ok(true)` on
+    /// `Shutdown`.
+    fn take_from(&mut self, c: &mut Conn) -> io::Result<bool> {
+        while let Some(f) = c.t.try_recv()? {
+            match f.kind {
+                FrameKind::Ctrl => self.on_ctrl(&f.payload, c)?,
+                FrameKind::Shutdown => return Ok(true),
+                _ => {}
+            }
+        }
+        Ok(false)
+    }
+
+    /// Files every reassembled share on its proxy's stream and
+    /// decodes what is there.
+    fn pump(&mut self) {
+        for (inbox, w) in self.inboxes.iter_mut().zip(&self.writers) {
+            for batch in inbox.deliverable.drain(..) {
+                for m in batch {
+                    let ts = Timestamp(m.timestamp);
+                    w.append_quiet(m.partition as usize, m.key, m.value, ts);
                 }
             }
         }
         self.shard.pump();
+    }
+
+    /// Queues a `Progress` frame for every epoch whose tally moved.
+    /// Without a parent connection the tally keeps them.
+    fn report(&mut self, c: &mut Conn) -> io::Result<()> {
         let mut sent = Ok(());
         self.shard.publish(|epoch, delta| {
             if sent.is_ok() {
-                sent = t.send(&Frame::new(
-                    FrameKind::Progress,
-                    encode_progress(epoch.0, delta),
-                ));
+                let progress = encode_progress(epoch.0, delta);
+                sent = c.t.send(&Frame::new(FrameKind::Progress, progress));
             }
         });
         sent
     }
 
-    fn on_ctrl(&mut self, payload: &[u8], t: &mut dyn Transport) -> io::Result<()> {
+    fn on_ctrl(&mut self, payload: &[u8], c: &mut Conn) -> io::Result<()> {
         let cmd = ShardCmd::decode(payload)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         // A command acts on every share received ahead of it, and its
         // progress leaves first, so the parent's ledger never runs
         // behind a close.
-        self.pump(t)?;
+        self.pump();
+        self.report(c)?;
         let mut reply = self.shard.handle(cmd);
-        let sent = t.send(&Frame::new(FrameKind::CtrlReply, reply.encode()));
+        let sent = c.t.send(&Frame::new(FrameKind::CtrlReply, reply.encode()));
         // The windows went out as bytes: their estimators go home to
         // the open-window pool.
         if let ShardReply::Closed { windows, .. } = reply {
@@ -769,41 +1284,6 @@ impl ShardNode {
         }
         sent
     }
-
-    fn serve(
-        &mut self,
-        t: &mut dyn Transport,
-        bucket: &mut TokenBucket,
-        max_in_flight: usize,
-    ) -> io::Result<bool> {
-        self.inbox.acked = 0;
-        loop {
-            let mut shutdown = false;
-            // Same shape as the proxy node: wait for the first frame,
-            // take what is already here, act, flush, wait again.
-            let mut next = t.recv()?;
-            while let Some(f) = next {
-                match f.kind {
-                    FrameKind::Data => self.inbox.accept(&f.payload, t, bucket, max_in_flight)?,
-                    FrameKind::Ctrl => self.on_ctrl(&f.payload, t)?,
-                    FrameKind::Shutdown => {
-                        shutdown = true;
-                        break;
-                    }
-                    _ => {}
-                }
-                next = t.try_recv()?;
-            }
-            self.pump(t)?;
-            self.inbox.ack(t)?;
-            // The `Closed` reply, progress and acks encoded above all
-            // leave before the next wait.
-            t.flush()?;
-            if shutdown {
-                return Ok(true);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -812,6 +1292,8 @@ mod tests {
     use crate::control::tests::{
         sample_close, sample_closed, sample_health, sample_query, sample_register,
     };
+    use privapprox_cluster::wire::decode_ack;
+    use privapprox_cluster::ChannelTransport;
 
     // What the node reads off and writes onto its socket — the `Ctrl`
     // and `CtrlReply` payloads — reconstructs bit for bit.
@@ -890,9 +1372,13 @@ mod tests {
         assert!(ShardCmd::decode(&[3, 0]).is_err());
     }
 
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn node_opts_parse() {
-        let args: Vec<String> = [
+        let opts = NodeOpts::parse(&args(&[
             "shard",
             "--index",
             "2",
@@ -902,11 +1388,8 @@ mod tests {
             "3",
             "--confidence-bits",
             &0.99f64.to_bits().to_string(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let opts = NodeOpts::parse(&args).unwrap();
+        ]))
+        .unwrap();
         assert!(opts.role == NodeRole::Shard);
         assert_eq!(opts.index, 2);
         assert_eq!(opts.partitions, 8);
@@ -915,5 +1398,136 @@ mod tests {
         assert!(NodeOpts::parse(&["referee".to_string()]).is_err());
         // The child has no fault hooks.
         assert!(NodeOpts::parse(&["shard".into(), "--fuse".into(), "1".into()]).is_err());
+        // A proxy is told every shard's address, in slot order.
+        let proxy = NodeOpts::parse(&args(&[
+            "proxy",
+            "--shards",
+            "127.0.0.1:7001,127.0.0.1:7002",
+            "--resend-after-us",
+            "2000000",
+        ]))
+        .unwrap();
+        assert_eq!(proxy.shards.len(), 2);
+        assert_eq!(proxy.shards[1].port(), 7002);
+        assert_eq!(proxy.resend_after, Some(Duration::from_secs(2)));
+        assert!(
+            NodeOpts::parse(&args(&["proxy"])).is_err(),
+            "a proxy needs shards"
+        );
+        assert!(NodeOpts::parse(&args(&["proxy", "--shards", "nowhere"])).is_err());
+    }
+
+    /// The links a child dials fault exactly as the parent planned.
+    #[test]
+    fn fault_plan_crosses_the_command_line_exactly() {
+        let shaped = Link {
+            latency_us: 250,
+            bytes_per_us: 12.5,
+        };
+        for link in [None, Some(shaped)] {
+            let plan = FaultPlan {
+                seed: 0xC4A05,
+                drop: 0.3,
+                duplicate: 0.25,
+                delay: 0.1,
+                reorder: 0.2,
+                cut_after: 4,
+                data_only: false,
+                link,
+                ..FaultPlan::default()
+            };
+            assert_eq!(parse_fault_arg(&fault_arg(&plan)), Some(plan));
+        }
+        assert_eq!(parse_fault_arg("1:2:3"), None);
+        assert_eq!(parse_fault_arg("1:x:0:0:0:0:1"), None);
+    }
+
+    /// A connection to a node whose far end the test holds.
+    fn channel_conn() -> (ChannelTransport, Conn) {
+        let (peer, node_end) = ChannelTransport::pair(64);
+        let conn = Conn {
+            t: Box::new(node_end),
+            bucket: TokenBucket::unlimited(),
+            max_in_flight: 64,
+            _slot: None,
+        };
+        (peer, conn)
+    }
+
+    /// One share record as a data frame with sequence number `seq`.
+    fn share(seq: u64, stream: u8, partition: u32) -> Frame {
+        let msg = DataMsg {
+            seq,
+            stream,
+            partition,
+            timestamp: 1_000,
+            key: Some(vec![7u8; 16].into()),
+            value: vec![1u8; 8].into(),
+        };
+        Frame::new(FrameKind::Data, encode_data_batch(&[msg]))
+    }
+
+    /// A proxy node's parent link: a batch naming a partition the node
+    /// has no topic for is refused whole with a typed error (it used
+    /// to panic the child inside the broker's append), and the node
+    /// serves the next well-formed batch on the re-dialed connection.
+    #[test]
+    fn proxy_node_refuses_an_out_of_range_partition_and_keeps_serving() {
+        let mut node = ProxyNode::new(
+            &NodeOpts::parse(&args(&[
+                "proxy",
+                "--partitions",
+                "2",
+                "--shards",
+                "127.0.0.1:9",
+            ]))
+            .unwrap(),
+        );
+        let (mut parent, mut conn) = channel_conn();
+        parent.send(&share(1, 0, 99)).unwrap();
+        let refused = node.take_from(&mut conn).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
+        // The parent re-dials and its resend window goes again, well
+        // formed this time.
+        let (mut parent, mut conn) = channel_conn();
+        node.inbox.reconnected(false);
+        parent.send(&share(1, 0, 1)).unwrap();
+        assert!(!node.take_from(&mut conn).unwrap());
+        node.feed();
+        let inbound = inbound_topic(ProxyId(0));
+        assert_eq!(node._broker.topic_len(&inbound), 1, "the share was filed");
+        node.parent = Some(conn);
+        node.answer_parent();
+        let ack = parent.try_recv().unwrap().expect("an ack");
+        assert_eq!(decode_ack(&ack.payload).unwrap(), 1);
+    }
+
+    /// A shard node's data link from a proxy: an out-of-range
+    /// partition, or a record claiming another proxy's stream than the
+    /// link's `Hello` named, is refused whole; the next well-formed
+    /// batch is acked.
+    #[test]
+    fn shard_node_refuses_misfiled_records_and_keeps_serving() {
+        let mut node = ShardNode::new(
+            &NodeOpts::parse(&args(&["shard", "--partitions", "2", "--proxies", "2"])).unwrap(),
+        );
+        for bad in [share(1, 1, 2), share(1, 0, 0)] {
+            let (mut proxy, conn) = channel_conn();
+            node.proxies[1] = Some(conn);
+            node.inboxes[1].reconnected(true);
+            proxy.send(&bad).unwrap();
+            let refused = node.take_data(1).unwrap_err();
+            assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
+        }
+        let (mut proxy, conn) = channel_conn();
+        node.proxies[1] = Some(conn);
+        node.inboxes[1].reconnected(false);
+        proxy.send(&share(1, 1, 1)).unwrap();
+        node.take_data(1).unwrap();
+        node.pump();
+        let c = node.proxies[1].as_mut().unwrap();
+        node.inboxes[1].ack(c.t.as_mut()).unwrap();
+        let ack = proxy.try_recv().unwrap().expect("an ack");
+        assert_eq!(decode_ack(&ack.payload).unwrap(), 1);
     }
 }

@@ -5,15 +5,18 @@
 //! and an aggregator that joins, decodes and windows. Each is written
 //! once — [`Proxy`] and [`LocalShard`] — and hosted one of two ways,
 //! chosen by [`TransportMode`] in exactly one place per role
-//! ([`Host::spawn_proxy`], [`Host::spawn_shard`], called at build and
-//! at respawn alike):
+//! ([`Host::spawn_proxies`], [`Host::spawn_shards`], called with a
+//! whole tier at build and a tier of one at respawn):
 //!
 //! * **in-process**: the role runs on a supervised thread of this
 //!   process, consuming the shared broker directly;
 //! * **process**: the role runs in a `privapprox-node` child (see
 //!   [`remote`](crate::remote)), and the supervised thread is a
-//!   [`Bridge`] that ships the child its broker records and brings
-//!   back what the child produces.
+//!   bridge to it. Shares do not come back through this process: a
+//!   [`ProxyBridge`] ships its child the records workers publish, the
+//!   proxy child sends what it relays straight to the shard children,
+//!   and a shard's [`Bridge`] carries only its control plane —
+//!   commands out, replies and decode progress back.
 //!
 //! Either way the thread has the same name, the same crash role and
 //! the same handle, and its loop has the same shape — read a wake
@@ -30,16 +33,17 @@
 use crate::aggregator::Aggregator;
 use crate::control::{CloseCmd, EpochTally, ShardCmd, ShardReply};
 use crate::deploy::{thread_busy_time, ShardedConfig, TransportMode, DEAD_LETTER_TOPIC};
-use crate::proxy::{inbound_topic, outbound_topic, Proxy};
-use crate::remote::Bridge;
-use privapprox_cluster::wire::{decode_data_batch, decode_progress, DataMsg};
+use crate::proxy::{inbound_topic, Proxy};
+use crate::remote::{self, Bridge, NodeChild, ProxyBridge, Routes};
+use privapprox_cluster::wire::decode_progress;
 use privapprox_cluster::{FaultPlan, FrameKind, Heartbeat, LinkStats, Watchdog};
 use privapprox_rr::estimate::BucketEstimator;
-use privapprox_stream::broker::{Broker, Consumer, TopicWriter};
+use privapprox_stream::broker::Broker;
 use privapprox_stream::EventCount;
 use privapprox_types::{BitVec, ProxyId, QueryId, Timestamp};
 use std::collections::{HashMap, VecDeque};
 use std::io;
+use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -51,10 +55,10 @@ use std::time::{Duration, Instant};
 /// Watchdog tick of an in-process shard thread's park (a remote shard
 /// bridge ticks at [`remote::LINK_READ_POLL`](crate::remote)). What
 /// normally ends the park is the event the shard waits for — a
-/// relayed share landing on an outbound topic, or a broker control
-/// wake: `wake_shards` after the main thread queued a command, a
-/// sibling's kick after it closed an epoch. The tick only keeps the
-/// heartbeat fresh and fires an overdue epoch deadline.
+/// relayed share landing on an outbound topic, or a wake: the main
+/// thread's after it queued a command, a sibling's kick after it
+/// closed an epoch. The tick only keeps the heartbeat fresh and fires
+/// an overdue epoch deadline.
 const SHARD_PARK: Duration = Duration::from_millis(50);
 
 /// Watchdog tick of a free-running proxy thread's park. What normally
@@ -455,6 +459,7 @@ impl LocalShard {
 #[derive(Default)]
 pub(crate) struct RelayCounters {
     pub stop: AtomicBool,
+    /// Shares relayed (in-process) or shipped to the relay child.
     pub forwarded: AtomicU64,
     pub busy_ns: AtomicU64,
     /// Backpressure deadlines the relay rode out (the batch is
@@ -473,6 +478,9 @@ pub(crate) struct ShardHandle {
     pub cmd: Sender<ShardCmd>,
     pub reply: Receiver<ShardReply>,
     pub thread: Option<JoinHandle<()>>,
+    /// Where a shard child listens (`None` in-process): published to
+    /// the proxy children once the slot is in service.
+    pub route: Option<SocketAddr>,
     /// CPU time accumulated by dead predecessor incarnations, added
     /// to this incarnation's readings so the busy profile stays
     /// monotone across respawns.
@@ -482,6 +490,17 @@ pub(crate) struct ShardHandle {
 
 // ---------------------------------------------------------------------------
 // Hosting.
+
+/// Every shard slot's park event count, rung by the main thread after
+/// it queues a command and by a shard that closed an epoch (the
+/// sibling kick).
+pub(crate) type ShardWakes = Arc<Mutex<Vec<Arc<EventCount>>>>;
+
+fn ring_all(wakes: &ShardWakes) {
+    for wake in wakes.lock().expect("shard wakes lock").iter() {
+        wake.notify();
+    }
+}
 
 /// Everything starting a stage needs: the deployment's shape and
 /// transport, the shared broker, and the supervision state every
@@ -499,13 +518,17 @@ pub(crate) struct Host {
     pub ledger: Arc<EpochLedger>,
     /// Liveness registry: every thread beats a heartbeat here.
     pub watchdog: Watchdog,
-    /// Per-link supervision counters (one entry per proxy/shard link
-    /// ever dialed, including respawn replacements). Empty in
-    /// in-process mode.
+    /// Per-link supervision counters: one entry per link a parent
+    /// bridge ever dialed, and per proxy child the mirror of its
+    /// links to the shard children, respawn replacements included.
+    /// Empty in in-process mode.
     pub link_stats: Vec<Arc<LinkStats>>,
     /// Every `privapprox-node` child ever spawned (label, OS pid),
     /// including respawn replacements. Empty in in-process mode.
     pub children: Vec<(String, u32)>,
+    /// Where the shard children listen (process mode).
+    pub routes: Arc<Routes>,
+    pub shard_wakes: ShardWakes,
     /// Test hooks; one-shot fuses are taken out as they are armed.
     pub faults: FaultInjector,
 }
@@ -515,69 +538,105 @@ pub(crate) struct Host {
 #[allow(clippy::large_enum_variant)]
 enum Relay {
     Local(Proxy),
-    Remote {
-        bridge: Bridge,
-        /// The local outbound topic the child's relayed shares land
-        /// on.
-        out: TopicWriter,
-        inbound: Vec<DataMsg>,
-    },
+    Remote(ProxyBridge),
 }
 
-/// An aggregator shard, wherever it runs.
+/// An aggregator shard, wherever it runs. (Moved into its thread
+/// once, like [`Relay`].)
+#[allow(clippy::large_enum_variant)]
 enum Shard {
     Local(LocalShard),
     Remote(Bridge),
 }
 
 impl Host {
-    /// Spawns the `node` child for slot `(role, index)` and records
-    /// it.
+    /// Spawns one `privapprox-node` child per slot of a tier — all of
+    /// them started before any is awaited — and records them.
+    fn spawn_children(
+        &mut self,
+        node: &Path,
+        role: Role,
+        slots: &[usize],
+        faults: FaultPlan,
+        shards: &[SocketAddr],
+    ) -> io::Result<Vec<NodeChild>> {
+        let (config, partitions) = (&self.config, self.partitions);
+        let tier: Vec<Vec<String>> = (slots.iter())
+            .map(|&i| remote::node_args(role, i, config, partitions, faults, shards))
+            .collect();
+        remote::spawn_tier(node, &tier)
+    }
+
+    /// Opens the bridge to the child of slot `(role, index)` and
+    /// records the child and its link.
     fn bridge(
         &mut self,
-        (node, faults): (&Path, FaultPlan),
-        role: Role,
-        index: usize,
-        consumer: Consumer,
+        child: NodeChild,
+        faults: FaultPlan,
+        slot: (Role, usize),
+        wake: Arc<EventCount>,
     ) -> io::Result<Bridge> {
-        let (config, partitions) = (&self.config, self.partitions);
-        let bridge = Bridge::open(node, faults, role, index, consumer, config, partitions)?;
+        let bridge = Bridge::open(child, faults, slot, &self.config, wake)?;
+        let (role, index) = slot;
         self.children
             .push((format!("{}-{index}", role.name()), bridge.pid()));
         self.link_stats.push(bridge.stats());
         Ok(bridge)
     }
 
-    /// Starts proxy `i`: a relay that forwards continuously until told
-    /// to stop. A proxy holds no epoch state, so it needs no epoch
+    /// Starts the proxies of `slots` (each with the counters it
+    /// reports into): relays that forward continuously until told to
+    /// stop. A proxy holds no epoch state, so it needs no epoch
     /// commands — it parks on its consumer's event count and forwards
-    /// whatever lands, whichever epoch it belongs to.
+    /// whatever lands, whichever epoch it belongs to. In process mode
+    /// each child is started with the shard children's current
+    /// addresses.
     ///
-    /// The relay joins its own single-member consumer group here, on
+    /// A relay joins its own single-member consumer group here, on
     /// the calling thread; a respawn rejoins it and resumes from the
     /// committed offset, so a dead relay delays forwarding but never
     /// loses what is still on its inbound topic. (Shares that reached
-    /// a dead *child* and were not yet relayed back died with its
-    /// private broker — the epoch ledger accounts them as a partial
-    /// close.)
-    pub(crate) fn spawn_proxy(
+    /// a dead *child* and were not yet relayed died with its private
+    /// broker — the epoch ledger accounts them as a partial close.)
+    pub(crate) fn spawn_proxies(
+        &mut self,
+        slots: &[(usize, Arc<RelayCounters>)],
+    ) -> io::Result<Vec<ProxyHandle>> {
+        let relays = match self.transport.clone() {
+            TransportMode::InProcess => (slots.iter())
+                .map(|(i, _)| Relay::Local(Proxy::new(ProxyId(*i as u16), &self.broker)))
+                .collect(),
+            TransportMode::Process { node, faults } => {
+                let told = self.routes.read();
+                let indices: Vec<usize> = slots.iter().map(|(i, _)| *i).collect();
+                let children =
+                    self.spawn_children(&node, Role::Proxy, &indices, faults, &told.1)?;
+                let mut relays = Vec::with_capacity(slots.len());
+                for (i, child) in indices.into_iter().zip(children) {
+                    let in_topic = inbound_topic(ProxyId(i as u16));
+                    let consumer = self.broker.consumer(&format!("proxy-{i}"), &[&in_topic]);
+                    let wake = Arc::clone(consumer.wake());
+                    let bridge = self.bridge(child, faults, (Role::Proxy, i), wake)?;
+                    let relay =
+                        ProxyBridge::new(bridge, consumer, Arc::clone(&self.routes), told.clone());
+                    self.link_stats.push(relay.peer_links());
+                    relays.push(Relay::Remote(relay));
+                }
+                relays
+            }
+        };
+        Ok((slots.iter().zip(relays))
+            .map(|((i, counters), relay)| self.start_proxy(*i, Arc::clone(counters), relay))
+            .collect())
+    }
+
+    /// Runs proxy `i`'s relay on its supervised thread.
+    fn start_proxy(
         &mut self,
         i: usize,
         counters: Arc<RelayCounters>,
-    ) -> io::Result<ProxyHandle> {
-        let id = ProxyId(i as u16);
-        let in_topic = inbound_topic(id);
-        let mut relay = match self.transport.clone() {
-            TransportMode::InProcess => Relay::Local(Proxy::new(id, &self.broker)),
-            TransportMode::Process { node, faults } => {
-                let consumer = self.broker.consumer(&format!("proxy-{i}"), &[&in_topic]);
-                Relay::Remote {
-                    bridge: self.bridge((&node, faults), Role::Proxy, i, consumer)?,
-                    out: self.broker.writer(&outbound_topic(id)),
-                    inbound: Vec::new(),
-                }
-            }
-        };
+        mut relay: Relay,
+    ) -> ProxyHandle {
         let heartbeat = self.watchdog.register(&format!("proxy-{i}"));
         let c = Arc::clone(&counters);
         let thread = spawn_supervised(Role::Proxy, i, Arc::clone(&self.crashes), move || loop {
@@ -593,59 +652,80 @@ impl Host {
             let dt = thread_busy_time().saturating_sub(t0);
             c.busy_ns.fetch_add(dt.as_nanos() as u64, Ordering::Relaxed);
             if stopping {
-                if let Relay::Remote { bridge, .. } = &mut relay {
+                if let Relay::Remote(bridge) = &mut relay {
                     bridge.goodbye();
                 }
                 break;
             }
             if !moved {
                 // Ended by a share landing on the inbound topic, a
-                // frame from the child, or the stop flag's wake — not
-                // by the tick.
+                // frame from the child, a route change or the stop
+                // flag's wake — not by the tick.
                 relay.park(token);
             }
         });
-        Ok(ProxyHandle {
+        ProxyHandle {
             counters,
-            in_topic,
+            in_topic: inbound_topic(ProxyId(i as u16)),
             thread: Some(thread),
             dead: false,
-        })
+        }
     }
 
-    /// Starts shard `s`. Either hosting joins the `"aggregator"`
-    /// consumer group here, on the calling thread: at build, that is
-    /// what makes membership — and so the partition → shard mapping —
-    /// complete and identical across transports before the first
-    /// record flows; at respawn, committed offsets persist across the
-    /// membership change, so the replacement resumes exactly where the
-    /// group left off. Decodes held in a dead shard's open windows are
-    /// lost — the affected epochs close partially.
-    pub(crate) fn spawn_shard(&mut self, s: usize) -> io::Result<ShardHandle> {
+    /// Starts the shards of `slots`. In-process, each joins the
+    /// `"aggregator"` consumer group here, on the calling thread: at
+    /// build, that is what makes membership — and so the partition →
+    /// shard mapping — complete before the first record flows; at
+    /// respawn, committed offsets persist across the membership
+    /// change, so the replacement resumes exactly where the group left
+    /// off. A shard child owns partitions `{p : p % shards == s}` by
+    /// construction (its proxies route by that rule), the mapping the
+    /// group's ranks give at build. Decodes held in a dead shard's
+    /// open windows are lost — the affected epochs close partially.
+    pub(crate) fn spawn_shards(&mut self, slots: &[usize]) -> io::Result<Vec<ShardHandle>> {
         let c = self.config;
-        let shard = match self.transport.clone() {
-            TransportMode::InProcess => {
-                let fuse = self.faults.shard_fuse(s);
-                Shard::Local(LocalShard::new(
-                    &self.broker,
-                    c.proxies as usize,
-                    c.confidence,
-                    fuse,
-                ))
-            }
+        let shards = match self.transport.clone() {
+            TransportMode::InProcess => (slots.iter())
+                .map(|&s| {
+                    let fuse = self.faults.shard_fuse(s);
+                    let proxies = c.proxies as usize;
+                    Shard::Local(LocalShard::new(&self.broker, proxies, c.confidence, fuse))
+                })
+                .collect(),
             TransportMode::Process { node, faults } => {
-                let outs: Vec<String> =
-                    (0..c.proxies).map(|i| outbound_topic(ProxyId(i))).collect();
-                let outs: Vec<&str> = outs.iter().map(String::as_str).collect();
-                let consumer = self.broker.consumer("aggregator", &outs);
-                Shard::Remote(self.bridge((&node, faults), Role::Shard, s, consumer)?)
+                let children = self.spawn_children(&node, Role::Shard, slots, faults, &[])?;
+                let mut shards = Vec::with_capacity(slots.len());
+                for (&s, child) in slots.iter().zip(children) {
+                    let bridge = self.bridge(child, faults, (Role::Shard, s), Arc::default())?;
+                    shards.push(Shard::Remote(bridge));
+                }
+                shards
             }
+        };
+        Ok((slots.iter().zip(shards))
+            .map(|(&s, shard)| self.start_shard(s, shard))
+            .collect())
+    }
+
+    /// Runs shard `s` on its supervised thread.
+    fn start_shard(&mut self, s: usize, shard: Shard) -> ShardHandle {
+        let wake = shard.wake();
+        {
+            let mut wakes = self.shard_wakes.lock().expect("shard wakes lock");
+            if wakes.len() <= s {
+                wakes.resize_with(s + 1, Arc::default);
+            }
+            wakes[s] = wake;
+        }
+        let route = match &shard {
+            Shard::Local(_) => None,
+            Shard::Remote(bridge) => Some(bridge.addr()),
         };
         let policy = ClosePolicy {
             ledger: Arc::clone(&self.ledger),
-            deadline: c.epoch_deadline,
+            deadline: self.config.epoch_deadline,
             straggle: self.faults.straggle(s),
-            broker: self.broker.clone(),
+            siblings: Arc::clone(&self.shard_wakes),
         };
         let heartbeat = self.watchdog.register(&format!("shard-{s}"));
         let (cmd, cmd_rx) = channel::<ShardCmd>();
@@ -653,13 +733,36 @@ impl Host {
         let thread = spawn_supervised(Role::Shard, s, Arc::clone(&self.crashes), move || {
             run_shard(shard, policy, &cmd_rx, &reply_tx, &heartbeat)
         });
-        Ok(ShardHandle {
+        ShardHandle {
             cmd,
             reply,
             thread: Some(thread),
+            route,
             busy_base: Duration::ZERO,
             dead: false,
-        })
+        }
+    }
+
+    /// Points the proxy children at shard `s`'s child (a no-op
+    /// in-process) and wakes their bridges to pass it on. Called once
+    /// the slot is in service — at respawn, after every query is
+    /// registered on the replacement, so no share reaches it first.
+    pub(crate) fn publish_route(&self, s: usize, route: Option<SocketAddr>) {
+        let Some(addr) = route else {
+            return;
+        };
+        self.routes.set(s, addr);
+        for i in 0..self.config.proxies {
+            self.broker.notify_topic(&inbound_topic(ProxyId(i)));
+        }
+    }
+
+    /// Wakes every shard — in-process shard threads parked on their
+    /// consumer's event count, and shard bridges parked in `poll(2)`,
+    /// whose event count rings their self-pipe — so a queued command
+    /// is seen at wakeup latency.
+    pub(crate) fn wake_shards(&self) {
+        ring_all(&self.shard_wakes);
     }
 }
 
@@ -667,7 +770,7 @@ impl Relay {
     fn token(&self) -> u64 {
         match self {
             Relay::Local(proxy) => proxy.wake().token(),
-            Relay::Remote { bridge, .. } => bridge.token(),
+            Relay::Remote(bridge) => bridge.token(),
         }
     }
 
@@ -688,32 +791,7 @@ impl Relay {
                     true
                 }
             },
-            Relay::Remote {
-                bridge,
-                out,
-                inbound,
-            } => {
-                // Ship produced shares to the child, then land the
-                // relayed ones that are already here.
-                let mut moved = bridge.ship();
-                while let Some(f) = bridge.try_recv() {
-                    moved = true;
-                    if f.kind != FrameKind::Data {
-                        continue;
-                    }
-                    inbound.clear();
-                    if let Err(e) = decode_data_batch(&f.payload, inbound) {
-                        bridge.fail(e);
-                    }
-                    c.forwarded.fetch_add(inbound.len() as u64, Ordering::Relaxed);
-                    for m in inbound.drain(..) {
-                        deliver_share(out, m, &c.backpressure);
-                    }
-                    out.notify();
-                }
-                bridge.settle();
-                moved
-            }
+            Relay::Remote(bridge) => bridge.round(&c.forwarded),
         }
     }
 
@@ -722,26 +800,8 @@ impl Relay {
             Relay::Local(proxy) => {
                 proxy.wake().park(token, PROXY_PARK);
             }
-            Relay::Remote { bridge, .. } => bridge.park(token),
+            Relay::Remote(bridge) => bridge.park(token),
         }
-    }
-}
-
-/// Appends one share relayed back by a child to the local broker,
-/// riding out backpressure deadlines exactly like the in-process
-/// relay: the record is retried, the stall is counted, nothing is
-/// dropped.
-fn deliver_share(writer: &TopicWriter, m: DataMsg, stalls: &AtomicU64) {
-    while writer
-        .try_append_quiet(
-            m.partition as usize,
-            m.key.clone(),
-            Arc::clone(&m.value),
-            Timestamp(m.timestamp),
-        )
-        .is_err()
-    {
-        stalls.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -755,7 +815,7 @@ struct ClosePolicy {
     /// Fault injection: delay before every close.
     straggle: Option<Duration>,
     /// For the sibling kick.
-    broker: Broker,
+    siblings: ShardWakes,
 }
 
 /// The loop of a shard's supervised thread, whichever way the shard is
@@ -772,7 +832,7 @@ fn run_shard(
         ledger,
         deadline,
         straggle,
-        broker,
+        siblings,
     } = policy;
     // Close requests queue in epoch order and are satisfied strictly
     // FIFO (watermarks must advance in order); `Instant` tracks the
@@ -817,7 +877,7 @@ fn run_shard(
                     // ledger that satisfied this close satisfies
                     // theirs, at wakeup latency instead of
                     // park-timeout latency.
-                    broker.notify_topic(&outbound_topic(ProxyId(0)));
+                    ring_all(&siblings);
                     continue 'run;
                 }
             }
@@ -826,9 +886,9 @@ fn run_shard(
         //    global ledger.
         idle &= !shard.work(&ledger, reply_tx, &mut awaiting);
         // 4. Nothing to do: sleep until a relayed share lands on an
-        //    outbound topic, a frame arrives from the child, or a
-        //    control wake (`wake_shards` after a command, a sibling's
-        //    close kick) — the tick only serves the heartbeat,
+        //    outbound topic (in-process), a frame arrives from the
+        //    child, or a wake (a queued command, a sibling's close
+        //    kick) — the tick only serves the heartbeat,
         //    `maybe_resend` and an overdue epoch deadline.
         if idle {
             shard.park(token);
@@ -840,6 +900,15 @@ fn run_shard(
 }
 
 impl Shard {
+    /// The event count the shard parks on: an in-process shard's
+    /// consumer's, a bridge's own.
+    fn wake(&self) -> Arc<EventCount> {
+        match self {
+            Shard::Local(local) => Arc::clone(local.wake()),
+            Shard::Remote(bridge) => bridge.wake(),
+        }
+    }
+
     fn token(&self) -> u64 {
         match self {
             Shard::Local(local) => local.wake().token(),
@@ -881,9 +950,9 @@ impl Shard {
                 decoded > 0
             }
             Shard::Remote(bridge) => {
-                // Forward relayed shares to the child, then take the
-                // child's frames that are already here.
-                let mut moved = bridge.ship();
+                // The child's shares come from the proxy children; what
+                // comes here is its progress and its replies.
+                let mut moved = false;
                 while let Some(f) = bridge.try_recv() {
                     moved = true;
                     match f.kind {

@@ -695,18 +695,46 @@ fn journal_disk_stays_bounded_over_soak() {
 
 // ----- SIGKILLed child node (process transport) --------------------
 
-/// Process transport: SIGKILL a child node mid-run, let supervision
-/// respawn it (epochs may close partially — degrade-to-sampling, not
-/// corruption), then kill the whole deployment and recover. The
-/// *accounting* contract holds even though a dead shard's in-flight
-/// decodes are legitimately lost: every charged epoch restores, spend
-/// never exceeds the charge sequence, and the recovered deployment
-/// keeps producing windows.
-#[test]
-fn sigkilled_child_node_then_whole_system_recovery() {
-    let r = Rig { seed: 29, shards: 2, buckets: 11, epochs: 6 };
+/// The same-seed single-threaded run, one result per epoch.
+fn oracle_run(r: &Rig) -> Vec<QueryResult> {
+    let mut oracle = System::builder()
+        .clients(POPULATION)
+        .proxies(2)
+        .seed(r.seed)
+        .build();
+    oracle.load_numeric_column("vehicle", "speed", |i| (i % 110) as f64);
+    let q = oracle
+        .analyst()
+        .query("SELECT speed FROM vehicle")
+        .buckets(AnswerSpec::ranges_with_overflow(0.0, 110.0, r.buckets - 1))
+        .window(WINDOW_MS, WINDOW_MS)
+        .params(rig_params())
+        .submit()
+        .unwrap();
+    (0..r.epochs)
+        .map(|_| oracle.run_epoch(&q).unwrap())
+        .collect()
+}
+
+/// Process transport: SIGKILL the child labelled `victim` mid-run —
+/// no unwind, no goodbye; the parent discovers the death through its
+/// supervised link, and a shard's death also reaches the proxy
+/// children through theirs. Supervision respawns it exactly once;
+/// every epoch closes, fully or partially at the deadline
+/// (degrade-to-sampling, not corruption), none hangs, and the first
+/// clean epoch after the repair is the oracle's — an epoch is a pure
+/// function of (seed, epoch), and the respawned child is routed like
+/// the one it replaced. Then the whole deployment is killed and
+/// recovered. The *accounting* contract holds even though a dead
+/// child's in-flight shares are legitimately lost: every charged
+/// epoch restores, spend never exceeds the charge sequence, and the
+/// recovered deployment keeps producing windows.
+fn sigkill_child_then_whole_system_recovery(victim: &str) {
+    let r = Rig { seed: 29, shards: 2, buckets: 11, epochs: 8 };
+    let (kill_at, resume_at) = (2, 6);
     let eps = epsilon_zk(0.9, 0.8, 0.6);
-    let dir = store_dir("sigkill");
+    let oracle = oracle_run(&r);
+    let dir = store_dir(&format!("sigkill-{victim}"));
     let charged_epochs;
     {
         let mut sys = builder(&r)
@@ -717,33 +745,54 @@ fn sigkilled_child_node_then_whole_system_recovery() {
             .build();
         load(&mut sys);
         let q = register(&mut sys, r.buckets);
-        for _ in 0..2 {
+        for _ in 0..kill_at {
             sys.run_epoch_all().unwrap();
             sys.drain_results();
         }
-        // SIGKILL the first shard child: no unwind, no goodbye — the
-        // parent discovers the death through its supervised link.
+        let mut partial_closes = sys.deploy_health().partial_closes;
         let (_, pid) = sys
             .children()
             .iter()
-            .find(|(label, _)| label == "shard-0")
+            .find(|(label, _)| label == victim)
             .cloned()
-            .expect("process transport spawns shard children");
+            .expect("process transport spawns the victim");
         Command::new("kill")
             .args(["-9", &pid.to_string()])
             .status()
             .unwrap();
-        for _ in 2..4 {
+        // The first epoch after the kill meets the dead child: nothing
+        // probes the deployment in between.
+        let mut first_clean = None;
+        for epoch in kill_at..resume_at {
             // Faults surface as typed errors while the pipeline keeps
-            // going (respawn + partial close are legitimate here).
-            let _ = sys.run_epoch_all();
-            let _ = sys.flush_epochs();
-            sys.drain_results();
+            // going (respawn + partial close are legitimate here);
+            // returning at all means the epoch closed.
+            let outcome = sys.run_epoch_all();
+            let results = sys.drain_results();
+            let health = sys.deploy_health();
+            let clean = outcome.is_ok() && health.partial_closes == partial_closes;
+            partial_closes = health.partial_closes;
+            if clean && health.respawns == 1 && first_clean.is_none() {
+                assert_eq!(results.len(), 1, "{victim}: epoch {epoch} emits its window");
+                let context = format!("{victim}: epoch {epoch}, first clean after the repair");
+                assert_results_identical(&results[0], &oracle[epoch], &context);
+                first_clean = Some(epoch);
+            }
         }
+        assert!(
+            first_clean.is_some(),
+            "{victim}: no clean epoch after the repair"
+        );
+        let health = sys.deploy_health();
+        assert_eq!(health.respawns, 1, "{victim}: one death, one respawn");
+        assert!(health.partial_closes <= (resume_at - kill_at) as u64);
         let ledger = sys.budget_ledger(q.id).unwrap();
         charged_epochs = ledger.epochs();
-        assert_eq!(charged_epochs, 4, "every submitted epoch charged exactly once");
-        assert!((ledger.spent() - eps * 4.0).abs() < 1e-9);
+        assert_eq!(
+            charged_epochs, resume_at as u64,
+            "every submitted epoch charged exactly once"
+        );
+        assert!((ledger.spent() - eps * resume_at as f64).abs() < 1e-9);
         sys.crash();
     }
     // Whole-system recovery of the process deployment.
@@ -764,7 +813,7 @@ fn sigkilled_child_node_then_whole_system_recovery() {
     );
     let _ = sys.flush_epochs();
     let mut produced = sys.drain_results();
-    for _ in 4..r.epochs {
+    for _ in resume_at..r.epochs {
         sys.run_epoch_all().unwrap();
         produced.extend(sys.drain_results());
     }
@@ -782,4 +831,16 @@ fn sigkilled_child_node_then_whole_system_recovery() {
     assert_eq!(health.recoveries, 1);
     drop(sys);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sigkilled_child_node_then_whole_system_recovery() {
+    sigkill_child_then_whole_system_recovery("shard-0");
+}
+
+/// The proxy child holds links to every shard child: its replacement
+/// dials them afresh, and each shard restarts that stream's sequence.
+#[test]
+fn sigkilled_proxy_child_then_whole_system_recovery() {
+    sigkill_child_then_whole_system_recovery("proxy-0");
 }

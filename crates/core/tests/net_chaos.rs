@@ -1,8 +1,9 @@
 //! Network-chaos suite for the process transport: seeded fault
-//! injection ([`FaultPlan`]) on every parent↔child link — drops,
-//! duplicates, adjacent reorders, shaped delays and hard connection
-//! cuts — while real epochs stream through spawned `privapprox-node`
-//! children.
+//! injection ([`FaultPlan`]) on every link a share crosses — parent →
+//! proxy child, proxy child → shard child, and the parent's control
+//! link to each shard child — with drops, duplicates, adjacent
+//! reorders, shaped delays and hard connection cuts, while real
+//! epochs stream through spawned `privapprox-node` children.
 //!
 //! The contract mirrors `tests/failure_injection.rs`' thread-level
 //! chaos, lifted to the network layer:
@@ -131,36 +132,43 @@ fn reference(seed: u64, epochs: usize) -> Vec<QueryResult> {
 /// re-delivers lost frames, the reassembly dedups and re-orders, and
 /// the results come out byte-identical — chaos below, determinism
 /// above. The repair traffic must be visible in the health counters.
+/// The second pass faults the proxy → shard links alone, which the
+/// parent never touches: their repairs reach `DeployHealth` through
+/// the proxy children's link reports.
 #[test]
 fn drop_duplicate_reorder_chaos_is_byte_identical() {
     let epochs = 4;
-    for seed in [11u64, 12] {
-        // Data records ride batched frames (512 records each), so a
-        // 120-client epoch is one or two Data frames per link — the
-        // fault rates are sized for dozens of frames, not thousands.
-        let plan = FaultPlan {
-            seed: seed ^ 0xC4A0_5,
-            drop: 0.3,
-            duplicate: 0.25,
-            reorder: 0.25,
-            ..FaultPlan::default()
-        };
-        let (got, health) = run_chaos(seed, plan, epochs, None);
-        let want = reference(seed, epochs);
-        assert_eq!(want.len(), got.len(), "seed {seed}: result count");
-        for (i, (a, b)) in want.iter().zip(&got).enumerate() {
-            assert_results_identical(a, b, &format!("seed {seed} result {i}"));
+    for node_links_only in [false, true] {
+        for seed in [11u64, 12] {
+            // Data records ride batched frames (512 records each), so a
+            // 120-client epoch is one or two Data frames per link — the
+            // fault rates are sized for dozens of frames, not thousands.
+            let plan = FaultPlan {
+                seed: seed ^ 0xC4A05,
+                drop: 0.3,
+                duplicate: 0.25,
+                reorder: 0.25,
+                node_links_only,
+                ..FaultPlan::default()
+            };
+            let context = format!("seed {seed}, node links only: {node_links_only}");
+            let (got, health) = run_chaos(seed, plan, epochs, None);
+            let want = reference(seed, epochs);
+            assert_eq!(want.len(), got.len(), "{context}: result count");
+            for (i, (a, b)) in want.iter().zip(&got).enumerate() {
+                assert_results_identical(a, b, &format!("{context}: result {i}"));
+            }
+            assert_eq!(health.partial_closes, 0, "{context}: lossless repair");
+            assert_eq!(health.lost_answers, 0, "{context}");
+            assert_eq!(health.proxy_panics + health.shard_panics, 0, "{context}");
+            // With a 30% drop rate over dozens of frames, at least one
+            // resend must have fired (and is the only reason this test
+            // passes at all).
+            assert!(
+                health.retries > 0,
+                "{context}: drops repaired without any resend?"
+            );
         }
-        assert_eq!(health.partial_closes, 0, "seed {seed}: lossless repair");
-        assert_eq!(health.lost_answers, 0, "seed {seed}");
-        assert_eq!(health.proxy_panics + health.shard_panics, 0, "seed {seed}");
-        // With a 30% drop rate over dozens of frames, at least one
-        // resend must have fired (and is the only reason this test
-        // passes at all).
-        assert!(
-            health.retries > 0,
-            "seed {seed}: drops repaired without any resend?"
-        );
     }
 }
 

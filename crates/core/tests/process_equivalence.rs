@@ -7,14 +7,13 @@
 //! whole transport chain: in-process threads and real sockets are
 //! interchangeable deployments of the same computation.
 //!
-//! Why it holds: the process transport replicates the exact consumer
-//! group names and main-thread join order of the in-process stage
-//! plan (pinning the partition → shard mapping), the wire format
-//! round-trips counts as `u64` and floats as IEEE bits, and a
-//! fault-free epoch closes only after the global decode ledger
-//! reaches its expectation — by which point every record has been
-//! decoded, so per-link FIFO delivery is all the ordering the merge
-//! needs.
+//! Why it holds: proxy children route every share to shard
+//! `partition % shards`, the mapping the in-process `"aggregator"`
+//! group's ranks give, the wire format round-trips counts as `u64`
+//! and floats as IEEE bits, and a fault-free epoch closes only after
+//! the global decode ledger reaches its expectation — by which point
+//! every record has been decoded, so per-link FIFO delivery is all
+//! the ordering the merge needs.
 //!
 //! Every case also asserts a *fault-free* supervision record: zero
 //! reconnects, rejections, retries and panics. Robustness under
@@ -332,6 +331,45 @@ fn assert_fault_free(system: &mut ShardedSystem) {
         (health.retries, health.reconnects, health.partial_closes),
         (0, 0, 0)
     );
+}
+
+/// Shares skip the parent. Its broker holds only what the workers
+/// append — one record per proxy per answer, on the inbound topics —
+/// because each proxy child sends what it relays straight to the
+/// shard children instead of back through the parent (which appended
+/// as many records again). Every share is shipped to a relay child
+/// exactly once: the count `tests/threaded_pipeline.rs` pins for relay
+/// threads.
+#[test]
+fn process_transport_shares_skip_the_parent() {
+    let (population, epochs) = (120u64, 10u64);
+    let mut system = ShardedSystem::builder()
+        .clients(population)
+        .proxies(2)
+        .shards(2)
+        .workers(2)
+        .seed(13)
+        .process_transport(node_binary())
+        .build();
+    system
+        .load_numeric_column("vehicle", "speed", |i| (i % 110) as f64)
+        .unwrap();
+    // s = 1: every client answers every epoch.
+    let query = system
+        .analyst()
+        .query("SELECT speed FROM vehicle")
+        .buckets(AnswerSpec::ranges_with_overflow(0.0, 110.0, 10))
+        .window(1_000, 1_000)
+        .params(ExecutionParams::checked(1.0, 0.9, 0.6))
+        .submit()
+        .unwrap();
+    for _ in 0..epochs {
+        assert_eq!(system.run_epoch(&query).unwrap().sample_size, population);
+    }
+    let answers = population * epochs;
+    assert_eq!(system.broker_stats().records_in, 2 * answers);
+    assert_eq!(system.forwarded_shares(), 2 * answers);
+    assert_fault_free(&mut system);
 }
 
 fn median(mut xs: Vec<std::time::Duration>) -> std::time::Duration {

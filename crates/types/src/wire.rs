@@ -11,11 +11,13 @@
 /// Bumped whenever the frame header or a payload layout — data or
 /// control — changes incompatibly (2: control payloads went from JSON
 /// to binary; 3: a `Closed` reply's per-bucket counts became one
-/// width-adaptive block). A peer receiving a frame with a
+/// width-adaptive block; 4: proxy nodes link to shard nodes directly —
+/// `Route` and `LinkStats` frames, and a `Hello` that marks a fresh
+/// link). A peer receiving a frame with a
 /// different version must drop the connection with a decode error —
 /// there is no cross-version negotiation (both ends of a deployment
 /// come from one build).
-pub const WIRE_VERSION: u8 = 3;
+pub const WIRE_VERSION: u8 = 4;
 
 /// Maximum accepted frame payload length in bytes (16 MiB).
 ///
