@@ -177,33 +177,25 @@ impl FrontDoor {
         self.bounced.load(Ordering::Relaxed)
     }
 
-    /// Accepts the next connection that passes admission, blocking.
+    /// Admits the connection already waiting on the listener, if there
+    /// is one, and never waits for one to arrive — the door is served
+    /// beside other sockets, in one wait over them all (its
+    /// [`AsRawFd`] is the listener).
     ///
     /// Over-cap arrivals are answered with `Reject(Overloaded)` and
-    /// closed without ever reaching a serving loop. Handshake
-    /// failures (garbage, wrong version) drop the connection and keep
-    /// accepting.
-    pub fn accept(&self, handshake_timeout: Duration) -> io::Result<Admitted> {
-        loop {
-            let (stream, _) = self.listener.accept()?;
-            if let Some(admitted) = self.admit(stream, handshake_timeout) {
-                return Ok(admitted);
-            }
+    /// closed without ever reaching a serving loop. `None` covers a
+    /// knock that was bounced or failed its handshake (garbage, wrong
+    /// version), and a failed `accept(2)` — an aborted connection or a
+    /// passing shortage of descriptors is the peer's problem, not the
+    /// node's. The handshake itself still takes up to
+    /// `handshake_timeout` (the dialer sends its `Hello` with the
+    /// connect).
+    pub fn try_accept(&self, handshake_timeout: Duration) -> Option<Admitted> {
+        if !matches!(wait_fd(&self.listener, READABLE, Duration::ZERO), Ok(n) if n > 0) {
+            return None;
         }
-    }
-
-    /// [`FrontDoor::accept`] for a loop that serves other sockets
-    /// too: admits the connection already waiting on the listener, if
-    /// there is one, and never waits for one to arrive. `Ok(None)`
-    /// also covers a knock that was bounced or failed its handshake.
-    /// The handshake itself still takes up to `handshake_timeout`
-    /// (the dialer sends its `Hello` with the connect).
-    pub fn try_accept(&self, handshake_timeout: Duration) -> io::Result<Option<Admitted>> {
-        if wait_fd(&self.listener, READABLE, Duration::ZERO)? == 0 {
-            return Ok(None);
-        }
-        let (stream, _) = self.listener.accept()?;
-        Ok(self.admit(stream, handshake_timeout))
+        let (stream, _) = self.listener.accept().ok()?;
+        self.admit(stream, handshake_timeout)
     }
 
     /// Runs admission and the handshake on one accepted stream.
@@ -318,6 +310,17 @@ mod tests {
         assert!(!b.try_take(t2, 0.5));
     }
 
+    /// A serving loop's admission: waits on the door, admits, and
+    /// waits again past every knock that was bounced.
+    fn admit_next(door: &FrontDoor, timeout: Duration) -> Admitted {
+        loop {
+            if let Some(a) = door.try_accept(timeout) {
+                return a;
+            }
+            wait_fd(door, READABLE, timeout).unwrap();
+        }
+    }
+
     /// A door served beside other sockets never waits for a knock:
     /// it admits what is already waiting and nothing else.
     #[test]
@@ -325,7 +328,7 @@ mod tests {
         let door = FrontDoor::bind(AdmissionPolicy::default()).unwrap();
         let timeout = Duration::from_secs(5);
         let t0 = Instant::now();
-        assert!(door.try_accept(timeout).unwrap().is_none());
+        assert!(door.try_accept(timeout).is_none());
         assert!(
             t0.elapsed() < Duration::from_secs(1),
             "an empty door answers at once"
@@ -341,15 +344,10 @@ mod tests {
             shake_hands(&mut t, hello, timeout).unwrap();
             t
         });
-        let admitted = loop {
-            if let Some(a) = door.try_accept(timeout).unwrap() {
-                break a;
-            }
-            wait_fd(&door, READABLE, timeout).unwrap();
-        };
+        let admitted = admit_next(&door, timeout);
         assert_eq!((admitted.hello.index, admitted.hello.fresh), (4, true));
         drop(dialer.join().unwrap());
-        assert!(door.try_accept(timeout).unwrap().is_none());
+        assert!(door.try_accept(timeout).is_none());
     }
 
     #[test]
@@ -365,17 +363,16 @@ mod tests {
         let timeout = Duration::from_secs(5);
 
         // Server: admit the first connection and hand its guard to the
-        // main thread, then keep accepting — so the acceptor is live
-        // (and bouncing) while the slot is held.
+        // main thread, then keep serving the door — so the acceptor is
+        // live (and bouncing) while the slot is held.
         let (tx, rx) = std::sync::mpsc::channel();
         let server_door = door.clone();
         let server = std::thread::spawn(move || {
-            let admitted = server_door.accept(timeout).unwrap();
+            let admitted = admit_next(&server_door, timeout);
             assert_eq!(admitted.hello.channel, Channel::Data);
             assert_eq!(admitted.hello.index, 3);
             tx.send(admitted).unwrap();
-            let again = server_door.accept(timeout).unwrap();
-            again.hello.index
+            admit_next(&server_door, timeout).hello.index
         });
 
         // First client: admitted.
@@ -394,7 +391,7 @@ mod tests {
         assert_eq!(door.live_connections(), 1);
 
         // Second client: bounced Overloaded while c1 holds the slot
-        // (the server thread is parked in `accept`, enforcing the cap).
+        // (the server thread is waiting on the door, enforcing the cap).
         let mut c2 = TcpTransport::connect(addr, timeout, Duration::from_millis(20)).unwrap();
         let err = shake_hands(
             &mut c2,

@@ -482,9 +482,12 @@ pub struct FaultPlan {
     pub cut_after: u64,
     /// Apply faults only to [`FrameKind::Data`] frames (default).
     pub data_only: bool,
-    /// Fault only the links one node dials to another (a proxy node's
-    /// link to each shard node), leaving every link the deploying
-    /// process dials clean. Default `false`: every link is faulted.
+    /// Test-only: fault only the links one node dials to another (a
+    /// proxy node's link to each shard node), leaving every link the
+    /// deploying process dials clean, so the chaos suite can show that
+    /// repair on that hop alone is counted. Default `false`: every
+    /// link is faulted.
+    #[doc(hidden)]
     pub node_links_only: bool,
 }
 

@@ -456,8 +456,7 @@ impl ShardedSystemBuilder {
 
     /// Injects deterministic network faults (drop / duplicate / delay
     /// / reorder / cut) into every link a share crosses: parent →
-    /// child, and each proxy child's link to each shard child
-    /// ([`FaultPlan::node_links_only`] spares the parent's). Only
+    /// child, and each proxy child's link to each shard child. Only
     /// meaningful together with
     /// [`ShardedSystemBuilder::process_transport`].
     pub fn transport_faults(mut self, plan: FaultPlan) -> Self {

@@ -79,8 +79,10 @@
 //! loss* — the epoch-deadline ledger closes the affected epochs
 //! partially, exactly like a shard-thread panic in-process. A proxy
 //! child whose link to a shard runs out of retries drops that slot's
-//! shares, and what the link had not had acknowledged, until the
-//! parent routes the slot to a respawned shard.
+//! shares for the round and dials the slot again the next: a shard
+//! that outlives the stall gets the link's unacked window replayed,
+//! and a dead one's slot keeps failing until the parent routes it to
+//! the respawned shard, whose fresh link starts with an empty window.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::SocketAddr;
@@ -902,9 +904,14 @@ struct ProxyNode {
     /// The parent's shares, put back in sequence.
     inbox: Inbox,
     parent: Option<Conn>,
-    /// One link per shard child, by slot; `None` once a link's retry
-    /// budget ran out, until the parent routes the slot again.
-    shards: Vec<Option<SupervisedLink>>,
+    /// One link per shard child, by slot, replaced when the parent
+    /// routes the slot to a respawned shard.
+    shards: Vec<SupervisedLink>,
+    /// Slots whose link ran out of retries this round: left alone for
+    /// the rest of it, so a stalled shard costs a round one retry
+    /// budget, and dialed again the next — a shard that lives through
+    /// the stall is reached again with the link's unacked window.
+    down: Vec<bool>,
     faults: FaultPlan,
     resend_after: Option<Duration>,
     /// Counters of every link this node has dialed, old and current.
@@ -939,6 +946,7 @@ impl ProxyNode {
             inbox: Inbox::new(opts.partitions, None),
             parent: None,
             shards: Vec::new(),
+            down: vec![false; opts.shards.len()],
             faults: opts.faults,
             resend_after: opts.resend_after,
             link_stats: LinkStats::shared(),
@@ -947,7 +955,7 @@ impl ProxyNode {
             outgoing: vec![Vec::new(); opts.shards.len()],
         };
         node.shards = (opts.shards.iter().enumerate())
-            .map(|(s, &addr)| Some(node.dial(s, addr)))
+            .map(|(s, &addr)| node.dial(s, addr))
             .collect();
         node
     }
@@ -967,11 +975,10 @@ impl ProxyNode {
     fn run(mut self, door: &FrontDoor) -> io::Result<()> {
         let mut set = PollSet::new();
         loop {
-            let links = self.shards.iter().flatten();
             let ends = (self.parent.iter().map(Conn::watched))
-                .chain(links.map(|l| (l.raw_fd(), l.ready_now())));
+                .chain(self.shards.iter().map(|l| (l.raw_fd(), l.ready_now())));
             wait_for_input(&mut set, door, ends)?;
-            while let Some(a) = door.try_accept(HANDSHAKE_TIMEOUT)? {
+            while let Some(a) = door.try_accept(HANDSHAKE_TIMEOUT) {
                 self.admit(a);
             }
             if let Some(mut c) = self.parent.take() {
@@ -1016,7 +1023,7 @@ impl ProxyNode {
                     }
                     // The old link goes with whatever it had not had
                     // acknowledged: the epoch ledger accounts for it.
-                    self.shards[s] = Some(self.dial(s, addr));
+                    self.shards[s] = self.dial(s, addr);
                 }
                 FrameKind::Shutdown => return Ok(true),
                 _ => {}
@@ -1026,20 +1033,15 @@ impl ProxyNode {
     }
 
     /// Takes what the shard children sent back: acks, which trim each
-    /// link's resend window, and rejections, which it counts. A link
-    /// whose retry budget ran out is dropped with its window.
+    /// link's resend window, and rejections, which it counts.
     fn take_acks(&mut self) {
-        for slot in &mut self.shards {
-            let Some(link) = slot else { continue };
-            let dead = loop {
+        for (link, down) in self.shards.iter_mut().zip(&mut self.down) {
+            while !*down {
                 match link.try_recv() {
                     Ok(Some(_)) => {}
-                    Ok(None) => break false,
-                    Err(_) => break true,
+                    Ok(None) => break,
+                    Err(_) => *down = true,
                 }
-            };
-            if dead {
-                *slot = None;
             }
         }
     }
@@ -1058,7 +1060,8 @@ impl ProxyNode {
     /// Sends every relayed share to shard `partition % shards` — the
     /// `"aggregator"` group's rank rule, so all of a MID's shares meet
     /// on one shard — one data frame per shard per poll batch. Shares
-    /// for a slot without a link are dropped.
+    /// for a slot whose link is down this round are dropped; the epoch
+    /// ledger accounts for them.
     fn forward(&mut self) {
         let shards = self.shards.len();
         while self.egress.poll_into(BATCH_RECORDS, &mut self.batch) > 0 {
@@ -1066,15 +1069,11 @@ impl ProxyNode {
                 let msg = record_to_msg(self.index as u32, partition, &rec);
                 self.outgoing[partition as usize % shards].push(msg);
             }
-            for (slot, msgs) in self.shards.iter_mut().zip(&mut self.outgoing) {
-                if msgs.is_empty() {
-                    continue;
-                }
-                if let Some(link) = slot {
+            let slots = self.shards.iter_mut().zip(&mut self.down);
+            for ((link, down), msgs) in slots.zip(&mut self.outgoing) {
+                if !*down && !msgs.is_empty() {
                     let frame = Frame::new(FrameKind::Data, encode_data_batch(msgs));
-                    if link.send(frame).is_err() {
-                        *slot = None;
-                    }
+                    *down = link.send(frame).is_err();
                 }
                 msgs.clear();
             }
@@ -1082,12 +1081,14 @@ impl ProxyNode {
     }
 
     /// Replays stalled resend windows and flushes every shard link.
+    /// Ends the round's use of the links: one that went down in it is
+    /// dialed again in the next.
     fn settle(&mut self) {
-        for slot in &mut self.shards {
-            let Some(link) = slot else { continue };
-            if link.maybe_resend().and_then(|()| link.flush()).is_err() {
-                *slot = None;
+        for (link, down) in self.shards.iter_mut().zip(&mut self.down) {
+            if !*down {
+                let _ = link.maybe_resend().and_then(|()| link.flush());
             }
+            *down = false;
         }
     }
 
@@ -1161,7 +1162,7 @@ impl ShardNode {
         loop {
             let conns = self.parent.iter().chain(self.proxies.iter().flatten());
             wait_for_input(&mut set, door, conns.map(Conn::watched))?;
-            while let Some(a) = door.try_accept(HANDSHAKE_TIMEOUT)? {
+            while let Some(a) = door.try_accept(HANDSHAKE_TIMEOUT) {
                 self.admit(a);
             }
             // Shares first: a command acts on every share received
@@ -1500,6 +1501,77 @@ mod tests {
         node.answer_parent();
         let ack = parent.try_recv().unwrap().expect("an ack");
         assert_eq!(decode_ack(&ack.payload).unwrap(), 1);
+    }
+
+    /// A proxy node's link to a shard that lives but refuses it for
+    /// longer than the retry budget — here a door bouncing every knock
+    /// while another peer holds its one connection slot — gives up for
+    /// that round and is dialed again the next, instead of dropping
+    /// the slot's shares until a route change that never comes.
+    #[test]
+    fn proxy_node_redials_a_live_shard_after_giving_up() {
+        let door = FrontDoor::bind(AdmissionPolicy {
+            max_connections: 1,
+            ..AdmissionPolicy::default()
+        })
+        .unwrap();
+        let addr = door.local_addr().unwrap();
+        // The shard's serving loop: hands over the first two
+        // connections it admits and bounces every knock in between.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let shard = thread::spawn(move || {
+            let mut set = PollSet::new();
+            for _ in 0..2 {
+                let admitted = loop {
+                    if let Some(a) = door.try_accept(HANDSHAKE_TIMEOUT) {
+                        break a;
+                    }
+                    wait_for_input(&mut set, &door, std::iter::empty()).unwrap();
+                };
+                tx.send(admitted).unwrap();
+            }
+        });
+        let mut holder = TcpTransport::connect(addr, CONNECT_TIMEOUT, LINK_READ_POLL).unwrap();
+        let hello = Hello {
+            channel: Channel::Ctrl,
+            index: 0,
+            fresh: true,
+        };
+        shake_hands(&mut holder, hello, HANDSHAKE_TIMEOUT).unwrap();
+        let held = rx.recv().unwrap();
+
+        let shards = addr.to_string();
+        let opts = args(&["proxy", "--partitions", "1", "--shards", &shards]);
+        let mut node = ProxyNode::new(&NodeOpts::parse(&opts).unwrap());
+        let relayed = node._broker.writer(&outbound_topic(ProxyId(0)));
+        let relay_one_share = |node: &mut ProxyNode| {
+            let key = Some(vec![7u8; 16].into());
+            relayed.append_quiet(0, key, vec![1u8; 8], Timestamp(1_000));
+            node.take_acks();
+            node.forward();
+            node.settle();
+        };
+        relay_one_share(&mut node);
+        assert_eq!(node.link_stats.gave_up.load(Ordering::Relaxed), 1);
+
+        // The slot frees up; the next round reaches the shard.
+        drop((held, holder));
+        relay_one_share(&mut node);
+        let mut conn = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the proxy dialed the shard again");
+        assert_eq!((conn.hello.channel, conn.hello.index), (Channel::Data, 0));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let frame = loop {
+            match conn.transport.recv().unwrap() {
+                Some(f) => break f,
+                None => assert!(Instant::now() < deadline, "no share arrived"),
+            }
+        };
+        let mut msgs = Vec::new();
+        decode_data_batch(&frame.payload, &mut msgs).unwrap();
+        assert_eq!(msgs.len(), 1, "the second round's share");
+        shard.join().unwrap();
     }
 
     /// A shard node's data link from a proxy: an out-of-range
