@@ -1237,7 +1237,7 @@ pub struct ShardedSystem {
     /// Retained-warehouse contents recovered from the last snapshot,
     /// merged into [`ShardedSystem::batch_query`] answers (the shards'
     /// in-memory stores die with the crash).
-    recovered_warehouses: HashMap<QueryId, Vec<(u64, u128, BitVec)>>,
+    recovered_warehouses: HashMap<QueryId, persist::Retained>,
     /// Lifetime epoch closes (snapshot meta; survives restarts).
     epochs_closed_total: u64,
     /// Lifetime submitted epochs (drives the crash-injection hook).
@@ -1258,6 +1258,14 @@ pub struct Retirement {
     pub allocated: f64,
     /// Epochs the query answered before exhaustion.
     pub epochs: u64,
+}
+
+/// The typed refusal of a retired query, from `admit` and from every
+/// epoch entry point alike.
+fn retired(query: QueryId) -> CoreError {
+    CoreError::Deploy(DeployError::InvalidConfig(format!(
+        "query {query:?} was retired: its privacy budget is spent"
+    )))
 }
 
 /// A deployment-wide health snapshot: the aggregator quad plus the
@@ -1519,40 +1527,86 @@ impl ShardedSystem {
     /// the oldest epoch is completed first (its windows land in the
     /// [`ShardedSystem::drain_results`] buffer, and its client error —
     /// if any — is returned here).
+    ///
+    /// This is [`ShardedSystem::submit_epoch_all`] over a schedule of
+    /// one, under the same budget rule: the epoch is charged
+    /// `ε_zk(s, p, q)` before any send; a query whose ledger cannot
+    /// cover the debit is retired instead — nothing is sent, `Ok` is
+    /// returned and its [`Retirement`] surfaces via
+    /// [`ShardedSystem::drain_retired`] — and a retired query is
+    /// refused with the typed error [`ShardedSystem::admit`] returns.
+    /// A query without a [`ShardedSystem::set_budget`] is metered on
+    /// an unbounded ledger and never retired.
     pub fn submit_epoch(&mut self, query: &Query) -> Result<(), CoreError> {
-        // The epoch runs the definition registered under this id — the
-        // one the shards aggregate with — shared, not deep-cloned per
-        // command.
-        let (query, params) = self
-            .queries
-            .get(&query.id)
-            .map(|(q, p)| (Arc::clone(q), *p))
-            .ok_or(CoreError::UnknownQuery)?;
-        self.dispatch_epoch(&[(query, params)], None, &[])
+        self.submit_charged(&[query.id])
     }
 
-    /// The one epoch dispatcher, under [`ShardedSystem::submit_epoch`]
-    /// (one entry, no charges), [`ShardedSystem::submit_epoch_all`]
-    /// (after its budget pass) and the recovery re-run of an open
-    /// epoch (its original `stamps`, no charges — the debits are
-    /// already in the restored ledgers).
+    /// The budget pass, and the only way a fresh epoch reaches the
+    /// dispatcher: [`ShardedSystem::submit_epoch`] runs it over one
+    /// query, [`ShardedSystem::submit_epoch_all`] over the admitted
+    /// set. A retired or unknown id is refused. Every other query is
+    /// debited `ε_zk` strictly before any worker command — against the
+    /// unbounded ledger its first epoch creates when it has no budget
+    /// — so a query whose ledger cannot cover the debit is retired
+    /// (one [`Retirement`], one `Retired` record, out of the schedule
+    /// for good) having sent nothing, and the epoch goes ahead with
+    /// the rest. With no survivors nothing is submitted.
+    fn submit_charged(&mut self, schedule: &[QueryId]) -> Result<(), CoreError> {
+        let mut batch = Vec::with_capacity(schedule.len());
+        for &qid in schedule {
+            if self.terminal.contains(&qid) {
+                return Err(retired(qid));
+            }
+            // The epoch runs the definition registered under this id —
+            // the one the shards aggregate with — shared, not cloned.
+            let (query, params) = self.queries.get(&qid).ok_or(CoreError::UnknownQuery)?;
+            let eps = epsilon_zk(params.s, params.p, params.q);
+            let unbounded = BudgetLedger::new(PrivacyBudget::unbounded());
+            match self.ledgers.entry(qid).or_insert(unbounded).try_charge(eps) {
+                Ok(()) => batch.push((Arc::clone(query), *params)),
+                Err(exhausted) => {
+                    let retirement = Retirement {
+                        query: qid,
+                        spent: exhausted.spent,
+                        allocated: exhausted.allocated,
+                        epochs: exhausted.epochs,
+                    };
+                    self.admitted.retain(|q| *q != qid);
+                    self.terminal.push(qid);
+                    self.retired.push(retirement);
+                    self.journal(persist::K_RETIRED, persist::rec_retired(&retirement))?;
+                }
+            }
+        }
+        if batch.is_empty() {
+            // No epoch sync will follow: make any retirement durable now.
+            return self.journal_sync();
+        }
+        self.dispatch_epoch(&batch, None)
+    }
+
+    /// The one epoch dispatcher, under the budget pass (a fresh epoch,
+    /// its ledgers already debited) and the recovery re-run of an open
+    /// epoch (its original `stamps`; the debits are already in the
+    /// restored ledgers).
     ///
     /// A fresh epoch first waits for room in the pipeline and takes
     /// the next step of the shared event clock (`admit` validated the
-    /// equal window sizes). Then, in this order: every ledger debit
-    /// plus the epoch's `Submitted` record are journaled under ONE
-    /// fsync — the durable barrier, strictly before the first worker
-    /// send, so a crash can never lose an epoch whose shares escaped:
-    /// after the sync it re-runs the epoch without re-charging, before
-    /// it leaves (at worst) orphan charges that reconstruction drops,
-    /// and the recovered spend can only under-report, never over-spend
-    /// ε; the crash hook; the batch goes to every live worker; the
-    /// epoch enters the in-flight queue.
+    /// equal window sizes). Then, in this order: one `Charge` per
+    /// entry, read from the entry's ledger, plus the epoch's
+    /// `Submitted` record are journaled under ONE fsync (a re-run
+    /// journals its `Submitted` alone) — the durable barrier, strictly
+    /// before the first worker send, so a crash can never lose an
+    /// epoch whose shares escaped: after the sync it re-runs the epoch
+    /// without re-charging, before it leaves (at worst) orphan charges
+    /// that reconstruction drops, and the recovered spend can only
+    /// under-report, never over-spend ε; the crash hook; the batch
+    /// goes to every live worker; the epoch enters the in-flight
+    /// queue.
     fn dispatch_epoch(
         &mut self,
         batch: &[(Arc<Query>, ExecutionParams)],
         stamps: Option<(Timestamp, Timestamp)>,
-        charged: &[(QueryId, f64, f64, u64)],
     ) -> Result<(), CoreError> {
         let mut result = Ok(());
         let (ts, watermark) = match stamps {
@@ -1575,8 +1629,11 @@ impl ShardedSystem {
         self.now_ms = self.now_ms.max(watermark.0);
         let journal_mark = self.durable.as_ref().map_or(0, |d| d.wal.next_index());
         if self.durable.is_some() {
-            for (qid, eps, spent_after, epochs_after) in charged {
-                let rec = persist::rec_charge(*qid, ts, *eps, *spent_after, *epochs_after);
+            let charged = if stamps.is_none() { batch } else { &[] };
+            for (query, params) in charged {
+                let ledger = &self.ledgers[&query.id];
+                let eps = epsilon_zk(params.s, params.p, params.q);
+                let rec = persist::rec_charge(query.id, ts, eps, ledger.spent(), ledger.epochs());
                 self.journal(persist::K_CHARGE, rec)?;
             }
             let rec = persist::rec_submitted(ts, watermark, batch);
@@ -1656,7 +1713,10 @@ impl ShardedSystem {
     ///
     /// Returns the epoch's windowed result — byte-identical to what
     /// [`System::run_epoch`](crate::System::run_epoch) returns for
-    /// the same configuration and seed, at any pipeline depth.
+    /// the same configuration and seed, at any pipeline depth. A query
+    /// that this call or an earlier one retired (see
+    /// [`ShardedSystem::submit_epoch`]) returns the typed error
+    /// [`ShardedSystem::admit`] returns.
     pub fn run_epoch(&mut self, query: &Query) -> Result<QueryResult, CoreError> {
         let mut outcome = self.submit_epoch(query);
         let flushed = self.flush_epochs();
@@ -1664,6 +1724,9 @@ impl ShardedSystem {
             outcome = flushed;
         }
         outcome?;
+        if self.terminal.contains(&query.id) {
+            return Err(retired(query.id));
+        }
         let idx = self
             .pending
             .iter()
@@ -1683,9 +1746,7 @@ impl ShardedSystem {
     pub fn admit(&mut self, query: QueryId) -> Result<(), CoreError> {
         let (q, _) = self.queries.get(&query).ok_or(CoreError::UnknownQuery)?;
         if self.terminal.contains(&query) {
-            return Err(CoreError::Deploy(DeployError::InvalidConfig(format!(
-                "query {query:?} was retired: its privacy budget is spent"
-            ))));
+            return Err(retired(query));
         }
         if self.admitted.contains(&query) {
             return Ok(());
@@ -1714,13 +1775,15 @@ impl ShardedSystem {
     }
 
     /// Withdraws a query from the schedule without retiring it: the
-    /// ledger keeps its spend and the query may be re-admitted.
+    /// ledger keeps its spend, the query may be re-admitted, and an
+    /// epoch it runs through [`ShardedSystem::submit_epoch`] meanwhile
+    /// is charged like any other.
     pub fn withdraw(&mut self, query: QueryId) {
         self.admitted.retain(|q| *q != query);
         // Buffered append only: the withdrawal becomes durable with
         // the next epoch's sync. Losing it re-admits the query on
         // recovery — a scheduling hiccup, never a privacy leak (every
-        // epoch still charges before sending).
+        // epoch, by either entry point, is charged before it sends).
         if self.durable.is_some() {
             if let Err(CoreError::Deploy(fault)) =
                 self.journal(persist::K_WITHDRAWN, persist::rec_query_only(query))
@@ -1730,30 +1793,32 @@ impl ShardedSystem {
         }
     }
 
-    /// Assigns a lifetime privacy budget to a query, replacing its
-    /// ledger. Every scheduled epoch debits `ε_zk(s, p, q)` — the
-    /// zero-knowledge privacy spend of one answer under sampling and
-    /// randomized response (paper Equation 9). Once a debit would
-    /// overdraw, the query is retired mid-stream: it answers no
-    /// further epochs and its typed terminal [`Retirement`] surfaces
-    /// via [`ShardedSystem::drain_retired`].
+    /// Assigns a lifetime privacy budget to a query. The new ledger
+    /// keeps the spend and epoch count of the old one, so a re-budget
+    /// never hands back ε already spent; a budget below the spend
+    /// leaves nothing to spend (the spend is capped at the new
+    /// allowance). Every epoch, by either entry point, debits
+    /// `ε_zk(s, p, q)` — the zero-knowledge privacy spend of one
+    /// answer under sampling and randomized response (paper Equation
+    /// 9). Once a debit would overdraw, the query is retired
+    /// mid-stream: it answers no further epochs and its typed
+    /// terminal [`Retirement`] surfaces via
+    /// [`ShardedSystem::drain_retired`].
     pub fn set_budget(&mut self, query: QueryId, budget: PrivacyBudget) -> Result<(), CoreError> {
         if !self.queries.contains_key(&query) {
             return Err(CoreError::UnknownQuery);
         }
-        let ledger = BudgetLedger::new(budget);
-        let allocated = ledger.allocated();
+        let allocated = budget.allocated();
+        let ledger = persist::rebudget(self.ledgers.get(&query), allocated);
         self.ledgers.insert(query, ledger);
-        if self.durable.is_some() {
-            self.journal(persist::K_BUDGET, persist::rec_budget(query, allocated))?;
-            self.journal_sync()?;
-        }
-        Ok(())
+        self.journal(persist::K_BUDGET, persist::rec_budget(query, allocated))?;
+        self.journal_sync()
     }
 
-    /// The query's spend ledger, if one exists (assigned by
-    /// [`ShardedSystem::set_budget`] or created unbounded on its
-    /// first scheduled epoch).
+    /// The query's spend ledger, if one exists: assigned by
+    /// [`ShardedSystem::set_budget`], or created unbounded by the
+    /// query's first epoch through either entry point — metered,
+    /// never retired.
     pub fn budget_ledger(&self, query: QueryId) -> Option<&BudgetLedger> {
         self.ledgers.get(&query)
     }
@@ -1826,63 +1891,8 @@ impl ShardedSystem {
     /// [`Retirement`], zero shares this epoch) and the epoch proceeds
     /// with the survivors; with no survivors, nothing is submitted.
     pub fn submit_epoch_all(&mut self) -> Result<(), CoreError> {
-        // Budget pass first: charging happens strictly before any
-        // worker command, so an exhausted query contributes nothing
-        // to the epoch it was retired in.
-        let schedule = std::mem::take(&mut self.admitted);
-        let mut batch: Vec<(Arc<Query>, ExecutionParams)> = Vec::with_capacity(schedule.len());
-        // Journal material gathered during the pass: each successful
-        // debit's *absolute* post-charge state (idempotent at replay)
-        // and each retirement. The charge records themselves are
-        // appended by the dispatcher, once the epoch timestamp is
-        // known.
-        let mut charged: Vec<(QueryId, f64, f64, u64)> = Vec::new();
-        let mut retire_recs: Vec<Vec<u8>> = Vec::new();
-        let durable_on = self.durable.is_some();
-        for qid in schedule {
-            let (query, params) = self
-                .queries
-                .get(&qid)
-                .expect("admitted queries are registered")
-                .clone();
-            let eps = epsilon_zk(params.s, params.p, params.q);
-            let ledger = self
-                .ledgers
-                .entry(qid)
-                .or_insert_with(|| BudgetLedger::new(PrivacyBudget::unbounded()));
-            match ledger.try_charge(eps) {
-                Ok(()) => {
-                    if durable_on {
-                        charged.push((qid, eps, ledger.spent(), ledger.epochs()));
-                    }
-                    self.admitted.push(qid);
-                    batch.push((query, params));
-                }
-                Err(exhausted) => {
-                    let retirement = Retirement {
-                        query: qid,
-                        spent: exhausted.spent,
-                        allocated: exhausted.allocated,
-                        epochs: exhausted.epochs,
-                    };
-                    if durable_on {
-                        retire_recs.push(persist::rec_retired(&retirement));
-                    }
-                    self.terminal.push(qid);
-                    self.retired.push(retirement);
-                }
-            }
-        }
-        for rec in retire_recs {
-            self.journal(persist::K_RETIRED, rec)?;
-        }
-        if batch.is_empty() {
-            // No epoch sync will follow: make any retirements durable
-            // now.
-            self.journal_sync()?;
-            return Ok(());
-        }
-        self.dispatch_epoch(&batch, None, &charged)
+        let schedule = self.admitted.clone();
+        self.submit_charged(&schedule)
     }
 
     /// Runs one multi-tenant epoch to completion: submit + flush.
@@ -2586,14 +2596,14 @@ impl ShardedSystem {
         if batch.is_empty() {
             return Ok(());
         }
-        self.dispatch_epoch(&batch, Some((ep.ts, ep.watermark)), &[])
+        self.dispatch_epoch(&batch, Some((ep.ts, ep.watermark)))
     }
 
     /// Captures every retained query's warehouse for the snapshot:
     /// the shards' in-memory stores (in-process transport) merged
     /// with anything recovered from the previous snapshot, deduped by
     /// `(timestamp, MID)` in canonical order.
-    fn capture_warehouses(&mut self) -> Vec<(QueryId, Vec<(u64, u128, BitVec)>)> {
+    fn capture_warehouses(&mut self) -> Vec<(QueryId, persist::Retained)> {
         let retained = self.retain_set.clone();
         let mut out = Vec::with_capacity(retained.len());
         for qid in retained {
@@ -3513,6 +3523,126 @@ mod tests {
         system.recovered_warehouses.clear();
         system.run_epoch(&query).unwrap();
         assert_eq!(system.deploy_health().snapshot_count, 1);
+        drop(system);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A 20-client durable deployment over `dir` that snapshots only
+    /// when `resume` does, so the journal keeps every record.
+    fn durable_system(dir: &std::path::Path) -> ShardedSystem {
+        let mut system = ShardedSystem::builder()
+            .clients(20)
+            .seed(5)
+            .durable(dir)
+            .snapshot_every(1_000)
+            .build();
+        system.load_numeric_column("vehicle", "speed", |i| (i % 110) as f64).unwrap();
+        system
+    }
+
+    fn speed_query(system: &mut ShardedSystem, params: ExecutionParams) -> Query {
+        system
+            .analyst()
+            .query("SELECT speed FROM vehicle")
+            .buckets(speed_spec())
+            .params(params)
+            .submit()
+            .unwrap()
+    }
+
+    fn ledger_bits(ledger: &BudgetLedger) -> (u64, u64, u64) {
+        (ledger.allocated().to_bits(), ledger.spent().to_bits(), ledger.epochs())
+    }
+
+    fn is_retired<T>(outcome: Result<T, CoreError>) -> bool {
+        matches!(outcome, Err(CoreError::Deploy(DeployError::InvalidConfig(_))))
+    }
+
+    /// Both entry points and a retune of `s` go through one budget
+    /// pass: each query's ledger counts exactly its entries in the
+    /// journal's `Submitted` records, its spend is their `ε_zk` summed
+    /// in journal order, and `resume()` rebuilds it bit for bit.
+    #[test]
+    fn every_submitted_epoch_is_charged_exactly_once() {
+        let dir = std::env::temp_dir().join(format!("privapprox-charged-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut system = durable_system(&dir);
+        let query = speed_query(&mut system, ExecutionParams::checked(0.5, 0.8, 0.6));
+        let other = speed_query(&mut system, ExecutionParams::checked(0.9, 0.7, 0.6));
+        system.run_epoch(&query).unwrap();
+        system.submit_epoch(&query).unwrap();
+        system.admit(query.id).unwrap();
+        system.admit(other.id).unwrap();
+        system.run_epoch_all().unwrap();
+        let controller = FeedbackController::new(1e-6, 0.5, 0.95);
+        system.enable_feedback(query.id, controller).unwrap();
+        let s = system.params(query.id).unwrap().s;
+        system.apply_feedback().unwrap();
+        assert_ne!(system.params(query.id).unwrap().s, s, "the retune moved s");
+        system.submit_epoch_all().unwrap();
+        system.submit_epoch(&other).unwrap();
+        system.submit_epoch(&query).unwrap();
+        let live = [query.id, other.id].map(|q| *system.budget_ledger(q).unwrap());
+        assert_eq!((live[0].epochs(), live[1].epochs()), (5, 3));
+        system.crash();
+
+        let (_, journal) = privapprox_store::wal::Wal::open(&dir, DEFAULT_SEGMENT_BYTES).unwrap();
+        for (qid, ledger) in [query.id, other.id].iter().zip(&live) {
+            let mut debits = Vec::new();
+            for rec in journal.records.iter().filter(|r| r.kind == persist::K_SUBMITTED) {
+                let mut r = privapprox_store::codec::Reader::new(&rec.payload, "submitted");
+                let (_ts, _watermark, n) = (r.u64().unwrap(), r.u64().unwrap(), r.u64().unwrap());
+                for _ in 0..n {
+                    let id = r.u64().unwrap();
+                    let (s, p, q) = (r.f64().unwrap(), r.f64().unwrap(), r.f64().unwrap());
+                    if id == qid.to_u64() {
+                        debits.push(epsilon_zk(s, p, q));
+                    }
+                }
+            }
+            assert_eq!(ledger.epochs(), debits.len() as u64, "{qid:?}: one charge per entry");
+            let spent = debits.iter().fold(0.0, |sum, eps| sum + eps);
+            assert_eq!(ledger.spent().to_bits(), spent.to_bits(), "{qid:?}: Σ ε_zk");
+        }
+
+        let mut system = durable_system(&dir);
+        system.resume().unwrap();
+        for (qid, ledger) in [query.id, other.id].iter().zip(&live) {
+            let recovered = system.budget_ledger(*qid).unwrap();
+            assert_eq!(ledger_bits(recovered), ledger_bits(ledger), "{qid:?} recovered");
+        }
+        drop(system);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A re-budget keeps what was spent: set below the spend, it
+    /// leaves nothing, the next epoch retires the query, and a restart
+    /// rebuilds the same ledger from the `Budget` record.
+    #[test]
+    fn set_budget_after_spending_keeps_the_spend() {
+        let dir = std::env::temp_dir().join(format!("privapprox-rebudget-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut system = durable_system(&dir);
+        let params = ExecutionParams::checked(0.9, 0.8, 0.6);
+        let query = speed_query(&mut system, params);
+        let eps = epsilon_zk(params.s, params.p, params.q);
+        system.run_epoch(&query).unwrap();
+        system.run_epoch(&query).unwrap();
+        system.set_budget(query.id, PrivacyBudget::new(1.5 * eps).unwrap()).unwrap();
+        let ledger = *system.budget_ledger(query.id).unwrap();
+        assert_eq!(ledger.epochs(), 2, "the epochs carry over");
+        assert_eq!(ledger.remaining(), 0.0, "a budget below the spend leaves nothing");
+        assert!(is_retired(system.run_epoch(&query)));
+        let retired = system.drain_retired();
+        assert_eq!((retired.len(), retired[0].epochs), (1, 2));
+        let live = *system.budget_ledger(query.id).unwrap();
+        system.crash();
+
+        let mut system = durable_system(&dir);
+        system.resume().unwrap();
+        let recovered = system.budget_ledger(query.id).unwrap();
+        assert_eq!(ledger_bits(recovered), ledger_bits(&live));
+        assert!(is_retired(system.submit_epoch(&query)), "still retired after the restart");
         drop(system);
         let _ = std::fs::remove_dir_all(&dir);
     }

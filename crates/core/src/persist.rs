@@ -56,7 +56,8 @@ use std::sync::Arc;
 /// retention flag. Re-registration (feedback retune, retention
 /// enable) appends a fresh record; the latest wins.
 pub(crate) const K_REGISTERED: u8 = 1;
-/// A lifetime privacy budget assigned, replacing the query's ledger.
+/// A lifetime privacy budget assigned; the query's ledger keeps its
+/// spend and epoch count ([`rebudget`]).
 pub(crate) const K_BUDGET: u8 = 2;
 /// A query admitted to the multi-tenant schedule.
 pub(crate) const K_ADMITTED: u8 = 3;
@@ -64,9 +65,11 @@ pub(crate) const K_ADMITTED: u8 = 3;
 pub(crate) const K_WITHDRAWN: u8 = 4;
 /// A query retired by budget exhaustion (terminal).
 pub(crate) const K_RETIRED: u8 = 5;
-/// One epoch's ε_zk debit against a query's ledger. Carries the
-/// *absolute* post-charge spend so replay is idempotent. Applied at
-/// reconstruction only when the epoch's `K_SUBMITTED` follows.
+/// One epoch's ε_zk debit against a query's ledger: one per entry of
+/// every fresh `K_SUBMITTED`, whichever entry point submitted it.
+/// Carries the *absolute* post-charge spend so replay is idempotent.
+/// Applied at reconstruction only when the epoch's `K_SUBMITTED`
+/// follows.
 pub(crate) const K_CHARGE: u8 = 6;
 /// An epoch handed to the workers: timestamp, watermark and the
 /// (query, params) entries answered. The fsync barrier between this
@@ -98,6 +101,42 @@ pub(crate) fn persist_err(e: StoreError) -> CoreError {
 
 fn bad(what: &'static str, detail: String) -> StoreError {
     StoreError::BadRecord { what, detail }
+}
+
+/// A query's ledger re-budgeted to `allocated`: the spend and epoch
+/// count of `old` carry over (the spend capped at the new allowance),
+/// so a re-budget never hands back ε already spent. `set_budget` and
+/// the replay of its `Budget` record both build the ledger here.
+pub(crate) fn rebudget(old: Option<&BudgetLedger>, allocated: f64) -> BudgetLedger {
+    let (spent, epochs) = old.map_or((0.0, 0), |l| (l.spent(), l.epochs()));
+    BudgetLedger::restore(allocated, spent, epochs)
+}
+
+/// Reads a ledger allowance: finite and positive, or +∞ (unbounded).
+/// Anything else is damage — a NaN allowance admits every charge
+/// (`debited > allocated` is never true), which is a free budget.
+fn get_allocation(r: &mut Reader<'_>) -> Result<f64, StoreError> {
+    let a = r.f64()?;
+    let legal = a == f64::INFINITY || (a.is_finite() && a > 0.0);
+    legal
+        .then_some(a)
+        .ok_or_else(|| r.invalid(format!("budget allocation {a}")))
+}
+
+/// Reads a ledger spend: finite and non-negative (a damaged spend must
+/// not restore as a fresh ledger).
+fn get_spend(r: &mut Reader<'_>) -> Result<f64, StoreError> {
+    let spent = r.f64()?;
+    let legal = spent.is_finite() && spent >= 0.0;
+    legal
+        .then_some(spent)
+        .ok_or_else(|| r.invalid(format!("ledger spend {spent}")))
+}
+
+/// Execution parameters read from a record, refused outside their
+/// domains with a typed error.
+fn get_params(r: &Reader<'_>, s: f64, p: f64, q: f64) -> Result<ExecutionParams, StoreError> {
+    ExecutionParams::new(s, p, q).map_err(|e| r.invalid(format!("execution parameters: {e:?}")))
 }
 
 // ----- record payload encoders -------------------------------------
@@ -229,8 +268,7 @@ fn get_closed_window(
     }
     let mut raw = get_window(r, scratch)?;
     let (p, q, _, _) = raw.estimator.raw_parts();
-    let params = ExecutionParams::new(s, p, q)
-        .map_err(|e| r.invalid(format!("execution parameters: {e:?}")))?;
+    let params = get_params(r, s, p, q)?;
     let mut result = QueryResult::shell();
     finalize_window_into(
         &mut result,
@@ -313,6 +351,9 @@ fn get_result(r: &mut Reader<'_>) -> Result<QueryResult, StoreError> {
 
 // ----- recovered state ---------------------------------------------
 
+/// One retained query's warehouse: `(ts, mid, answer)` entries.
+pub(crate) type Retained = Vec<(u64, u128, BitVec)>;
+
 /// A query reconstructed from the store, with its latest parameters.
 pub(crate) struct RecoveredQuery {
     pub query: Query,
@@ -360,9 +401,8 @@ pub(crate) struct RecoveredState {
     /// Per-(query, shard) window high-water marks: the largest
     /// window end each shard contributed for each query.
     pub marks: Vec<(QueryId, usize, u64)>,
-    /// Retained warehouses captured by the last snapshot:
-    /// `(query, [(ts, mid, answer)])`.
-    pub warehouses: Vec<(QueryId, Vec<(u64, u128, BitVec)>)>,
+    /// Retained warehouses captured by the last snapshot.
+    pub warehouses: Vec<(QueryId, Retained)>,
     /// Whether the journal ended in a torn (crash-truncated) frame.
     pub torn_tail: bool,
 }
@@ -409,7 +449,7 @@ pub(crate) struct SnapshotContents<'a> {
     pub pending: &'a [QueryResult],
     pub offsets: &'a [(String, usize, u64)],
     pub marks: &'a [(QueryId, usize, u64)],
-    pub warehouses: &'a [(QueryId, Vec<(u64, u128, BitVec)>)],
+    pub warehouses: &'a [(QueryId, Retained)],
 }
 
 fn build_sections(c: &SnapshotContents<'_>) -> Vec<(u8, Vec<u8>)> {
@@ -506,9 +546,8 @@ fn apply_snapshot(state: &mut RecoveredState, sections: &[(u8, Vec<u8>)]) -> Res
                     let qid = q.id;
                     let retain = r.u8()? != 0;
                     let ledger = if r.u8()? != 0 {
-                        let (alloc, spent) = (r.f64()?, r.f64()?);
-                        let epochs = r.u64()?;
-                        Some(BudgetLedger::restore(alloc, spent, epochs))
+                        let (alloc, spent) = (get_allocation(&mut r)?, get_spend(&mut r)?);
+                        Some(BudgetLedger::restore(alloc, spent, r.u64()?))
                     } else {
                         None
                     };
@@ -617,10 +656,10 @@ fn apply_records(state: &mut RecoveredState, records: &[WalRecord]) -> Result<()
             K_BUDGET => {
                 let mut r = Reader::new(&rec.payload, "budget");
                 let qid = QueryId::from_u64(r.u64()?);
-                let allocated = r.f64()?;
+                let allocated = get_allocation(&mut r)?;
                 r.done()?;
                 if let Some(slot) = state.ledger_mut(qid) {
-                    *slot = Some(BudgetLedger::restore(allocated, 0.0, 0));
+                    *slot = Some(rebudget(slot.as_ref(), allocated));
                 }
             }
             K_ADMITTED => {
@@ -654,7 +693,7 @@ fn apply_records(state: &mut RecoveredState, records: &[WalRecord]) -> Result<()
                 let qid = QueryId::from_u64(r.u64()?);
                 let epoch = r.u64()?;
                 let _eps = r.f64()?;
-                let spent_after = r.f64()?;
+                let spent_after = get_spend(&mut r)?;
                 let epochs_after = r.u64()?;
                 r.done()?;
                 pending_charges.push((qid, epoch, spent_after, epochs_after));
@@ -668,7 +707,7 @@ fn apply_records(state: &mut RecoveredState, records: &[WalRecord]) -> Result<()
                 for _ in 0..n {
                     let qid = QueryId::from_u64(r.u64()?);
                     let (s, p, q) = (r.f64()?, r.f64()?, r.f64()?);
-                    entries.push((qid, ExecutionParams::checked(s, p, q)));
+                    entries.push((qid, get_params(&r, s, p, q)?));
                 }
                 r.done()?;
                 // The sync barrier was crossed: this epoch's charges
@@ -678,19 +717,11 @@ fn apply_records(state: &mut RecoveredState, records: &[WalRecord]) -> Result<()
                     if epoch != ts.0 {
                         continue;
                     }
-                    let alloc = state
-                        .ledger_mut(qid)
-                        .and_then(|slot| slot.as_ref().map(|l| l.allocated()));
-                    if let (Some(alloc), Some(slot)) = (alloc, state.ledger_mut(qid)) {
+                    if let Some(slot) = state.ledger_mut(qid) {
+                        // A query's first charge creates its unbounded
+                        // ledger.
+                        let alloc = slot.map_or(f64::INFINITY, |l| l.allocated());
                         *slot = Some(BudgetLedger::restore(alloc, spent_after, epochs_after));
-                    } else if let Some(slot) = state.ledger_mut(qid) {
-                        // Charge against an implicitly-created
-                        // unbounded ledger.
-                        *slot = Some(BudgetLedger::restore(
-                            f64::INFINITY,
-                            spent_after,
-                            epochs_after,
-                        ));
                     }
                 }
                 state.now_ms = state.now_ms.max(watermark.0);
@@ -1223,6 +1254,131 @@ mod tests {
             }
             damaged[i] = good[i];
         }
+    }
+
+    /// The budget plane's records refuse damage with a typed error:
+    /// every cut of `Budget`, `Charge`, `Submitted` and `Retired` is
+    /// refused, any single damaged byte is refused or rebuilds a legal
+    /// ledger — never a panic, never a free budget — and the named
+    /// out-of-domain values are refused, in the journal and in the
+    /// snapshot's ledger field alike.
+    #[test]
+    fn hostile_budget_records_are_refused() {
+        let q = mk_query(1);
+        let params = ExecutionParams::checked(0.8, 0.9, 0.5);
+        let retirement = crate::deploy::Retirement {
+            query: q.id,
+            spent: 0.25,
+            allocated: 1.0,
+            epochs: 1,
+        };
+        let journal = [
+            (K_REGISTERED, rec_registered(&q, params, false, 2)),
+            (K_BUDGET, rec_budget(q.id, 1.0)),
+            (K_CHARGE, rec_charge(q.id, Timestamp(500), 0.25, 0.25, 1)),
+            (
+                K_SUBMITTED,
+                rec_submitted(Timestamp(500), Timestamp(1_000), &[(Arc::new(q.clone()), params)]),
+            ),
+            (K_RETIRED, rec_retired(&retirement)),
+        ];
+        // The journal with record `at`'s payload replaced.
+        let replay = |at: usize, payload: &[u8]| {
+            let records: Vec<WalRecord> = journal
+                .iter()
+                .enumerate()
+                .map(|(i, (kind, good))| WalRecord {
+                    index: i as u64,
+                    kind: *kind,
+                    payload: if i == at { payload.to_vec() } else { good.clone() },
+                })
+                .collect();
+            let mut state = RecoveredState::default();
+            apply_records(&mut state, &records).map(|()| state)
+        };
+        let legal = |state: &RecoveredState| {
+            state.queries.iter().filter_map(|rq| rq.ledger).all(|l| {
+                let a = l.allocated();
+                (a == f64::INFINITY || (a.is_finite() && a > 0.0))
+                    && l.spent().is_finite()
+                    && l.spent() <= a
+            })
+        };
+        let state = replay(0, &journal[0].1).unwrap();
+        let l = state.queries[0].ledger.unwrap();
+        assert_eq!((l.allocated(), l.spent(), l.epochs()), (1.0, 0.25, 1));
+        assert_eq!(state.terminal, vec![q.id]);
+
+        let patched = |at: usize, offset: usize, bytes: &[u8]| {
+            let mut bad = journal[at].1.clone();
+            bad[offset..offset + bytes.len()].copy_from_slice(bytes);
+            bad
+        };
+        let f = |x: f64| x.to_bits().to_le_bytes();
+        // `Budget`: allocation at 8. `Charge`: spend-after at 24.
+        // `Submitted`: entry count at 16, then s, p, q at 32, 40, 48.
+        let hostile = [
+            ("allocation NaN", 1, patched(1, 8, &f(f64::NAN))),
+            ("allocation 0", 1, patched(1, 8, &f(0.0))),
+            ("allocation < 0", 1, patched(1, 8, &f(-1.0))),
+            ("allocation −∞", 1, patched(1, 8, &f(f64::NEG_INFINITY))),
+            ("spend NaN", 2, patched(2, 24, &f(f64::NAN))),
+            ("spend < 0", 2, patched(2, 24, &f(-0.5))),
+            ("spend ∞", 2, patched(2, 24, &f(f64::INFINITY))),
+            ("s = 0", 3, patched(3, 32, &f(0.0))),
+            ("s > 1", 3, patched(3, 32, &f(1.5))),
+            ("p = NaN", 3, patched(3, 40, &f(f64::NAN))),
+            ("q = 1", 3, patched(3, 48, &f(1.0))),
+            ("more entries than bytes", 3, patched(3, 16, &(1u64 << 40).to_le_bytes())),
+        ];
+        for (what, at, payload) in &hostile {
+            assert!(
+                matches!(replay(*at, payload), Err(StoreError::BadRecord { .. })),
+                "{what} was accepted"
+            );
+        }
+        let unbounded = replay(1, &patched(1, 8, &f(f64::INFINITY))).unwrap();
+        assert!(unbounded.queries[0].ledger.unwrap().allocated().is_infinite());
+
+        for (at, (_, good)) in journal.iter().enumerate().skip(1) {
+            for cut in 0..good.len() {
+                assert!(
+                    matches!(replay(at, &good[..cut]), Err(StoreError::BadRecord { .. })),
+                    "record {at}: prefix of {cut} bytes was accepted"
+                );
+            }
+            let mut damaged = good.clone();
+            for i in 0..good.len() {
+                for flip in [0x01, 0x80, 0xFF] {
+                    damaged[i] = good[i] ^ flip;
+                    if let Ok(state) = replay(at, &damaged) {
+                        assert!(legal(&state), "record {at}, byte {i} ^ {flip:#x}");
+                    }
+                }
+                damaged[i] = good[i];
+            }
+        }
+
+        let nan = BudgetLedger::restore(f64::NAN, 0.0, 0);
+        let sections = build_sections(&SnapshotContents {
+            now_ms: 0,
+            next_serial: 0,
+            recoveries: 0,
+            partial_closes: 0,
+            lost_answers: 0,
+            epochs_closed: 0,
+            queries: vec![(&q, params, false, Some(&nan))],
+            admitted: &[],
+            terminal: &[],
+            pending: &[],
+            offsets: &[],
+            marks: &[],
+            warehouses: &[],
+        });
+        assert!(matches!(
+            apply_snapshot(&mut RecoveredState::default(), &sections),
+            Err(StoreError::BadRecord { .. })
+        ));
     }
 
     /// The size the durable path pays per epoch: one 10⁴-bucket window

@@ -30,7 +30,9 @@
 //! sweep is `#[ignore]`d and run by the CI stress job.
 
 use privapprox_core::aggregator::QueryResult;
-use privapprox_core::{DeployHealth, FeedbackController, ShardedSystem, Warehouse};
+use privapprox_core::{
+    CoreError, DeployError, DeployHealth, FeedbackController, ShardedSystem, Warehouse,
+};
 use privapprox_rr::privacy::epsilon_zk;
 use privapprox_rr::BucketEstimator;
 use privapprox_types::{
@@ -411,6 +413,65 @@ fn exhausted_budget_retires_query_exactly_once() {
     assert!(more.iter().all(|r| r.query == queries[1].id));
     assert_eq!(more.len(), 2);
     assert!(sys.drain_retired().is_empty());
+    assert_eq!(sys.deploy_health().partial_closes, 0);
+}
+
+/// One budget rule under every entry point. A query `run_epoch_all`
+/// retired is refused by `submit_epoch` and `run_epoch` with the typed
+/// error `admit` returns, and no share of it reaches the broker; a
+/// budgeted query driven only through `run_epoch` is charged each
+/// epoch and retired by the call whose debit its ledger cannot cover.
+#[test]
+fn a_retired_query_cannot_be_run_by_any_entry_point() {
+    let retired = |r: Result<(), CoreError>| {
+        matches!(r, Err(CoreError::Deploy(DeployError::InvalidConfig(_))))
+    };
+    let m = Matrix {
+        seed: 41,
+        k: 2,
+        shards: 2,
+        depth: 1,
+        buckets: 11,
+        epochs: 0,
+        fault: None,
+    };
+    let (mut sys, queries) = build(&m);
+    let eps = |j: usize| epsilon_zk(tenant_params(j).s, tenant_params(j).p, tenant_params(j).q);
+    let (q0, q1) = (&queries[0], &queries[1]);
+
+    // Retired by the schedule.
+    sys.set_budget(q0.id, PrivacyBudget::new(1.5 * eps(0)).unwrap())
+        .unwrap();
+    sys.admit(q0.id).unwrap();
+    sys.run_epoch_all().unwrap();
+    sys.run_epoch_all().unwrap();
+    assert_eq!(sys.drain_retired().len(), 1);
+    sys.drain_results();
+    let records_in = sys.broker_stats().records_in;
+    assert!(retired(sys.submit_epoch(q0)));
+    assert!(retired(sys.run_epoch(q0).map(|_| ())));
+    assert!(retired(sys.admit(q0.id)));
+    assert_eq!(sys.broker_stats().records_in, records_in, "no share of a retired query is sent");
+    assert!(sys.drain_results().is_empty());
+    assert_eq!(sys.budget_ledger(q0.id).unwrap().epochs(), 1);
+
+    // Retired through `run_epoch` alone: two epochs fit, the third
+    // call's debit does not.
+    sys.set_budget(q1.id, PrivacyBudget::new(2.5 * eps(1)).unwrap())
+        .unwrap();
+    for epoch in 0..2 {
+        sys.run_epoch(q1).unwrap();
+        assert_eq!(sys.budget_ledger(q1.id).unwrap().epochs(), epoch + 1);
+    }
+    let records_in = sys.broker_stats().records_in;
+    assert!(retired(sys.run_epoch(q1).map(|_| ())), "the call that retires it says so");
+    assert_eq!(sys.broker_stats().records_in, records_in);
+    let terminal = sys.drain_retired();
+    assert_eq!(terminal.len(), 1);
+    assert_eq!((terminal[0].query, terminal[0].epochs), (q1.id, 2));
+    assert!(terminal[0].spent <= terminal[0].allocated);
+    assert!(retired(sys.submit_epoch(q1)));
+    assert!(sys.drain_results().is_empty());
     assert_eq!(sys.deploy_health().partial_closes, 0);
 }
 

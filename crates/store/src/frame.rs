@@ -17,11 +17,10 @@
 use crate::crc::{crc32, Crc32};
 use crate::error::{CorruptKind, StoreError};
 
-/// On-disk format version stamped into every frame (4: a snapshot
-/// holds no answer-command history, because a client's coins are
-/// derived from the epoch's timestamp instead of replayed; see the
-/// version history in `docs/checkpoint-format.md`).
-pub const STORE_VERSION: u8 = 4;
+/// On-disk format version stamped into every frame (5: replaying a
+/// `Budget` record keeps the ledger's spend instead of zeroing it; see
+/// the version history in `docs/checkpoint-format.md`).
+pub const STORE_VERSION: u8 = 5;
 
 /// Upper bound on a single frame's `len` field. Anything larger is
 /// treated as corruption: the biggest legitimate frame (a warehouse
