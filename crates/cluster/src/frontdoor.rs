@@ -278,12 +278,7 @@ pub fn shake_hands(t: &mut dyn Transport, hello: Hello, timeout: Duration) -> io
                 ))
             }
             None if Instant::now() < deadline => continue,
-            None => {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "handshake timeout",
-                ))
-            }
+            None => return Err(io::Error::new(io::ErrorKind::TimedOut, "handshake timeout")),
         }
     }
 }

@@ -49,7 +49,7 @@ pub mod transport;
 pub mod wire;
 
 pub use events::{EventQueue, Heartbeat, HeartbeatStatus, Watchdog};
-pub use frontdoor::{Admitted, AdmissionPolicy, FrontDoor, TokenBucket};
+pub use frontdoor::{AdmissionPolicy, Admitted, FrontDoor, TokenBucket};
 pub use net::Link;
 pub use phases::{run_phases, Phase};
 pub use poll::{PollSet, Waker};
@@ -57,8 +57,8 @@ pub use pool::{ClusterSpec, ServerPool};
 pub use supervise::{BackoffPolicy, LinkStats, Reassembly, SupervisedLink};
 pub use transport::{ChannelTransport, FaultPlan, FaultyTransport, TcpTransport, Transport};
 pub use wire::{
-    decode_data_batch, encode_data_batch, DataMsg, Frame, FrameKind, Hello, RejectReason,
-    MAX_FRAME, WIRE_VERSION,
+    decode_data_batch, encode_data_batch, walk_data_batch, DataMsg, Frame, FrameKind, Hello,
+    RecordRef, RejectReason, MAX_FRAME, WIRE_VERSION,
 };
 
 /// Simulated time in microseconds.

@@ -538,10 +538,7 @@ mod tests {
         assert!(d3 > d0);
         assert!(p.delay(30, 42) <= p.max + p.max / 4); // capped (+jitter)
         assert_eq!(p.delay(2, 7), p.delay(2, 7)); // deterministic
-        let nj = BackoffPolicy {
-            jitter_256: 0,
-            ..p
-        };
+        let nj = BackoffPolicy { jitter_256: 0, ..p };
         assert_eq!(nj.delay(1, 1), nj.delay(1, 2)); // jitter-free
     }
 
@@ -607,8 +604,9 @@ mod tests {
         );
         link.send(data_frame(0)).unwrap();
         link.send(data_frame(0)).unwrap();
-        drop(dead_b); // peer vanishes
-        // Next send detects the broken pipe, re-dials, replays.
+        // The peer vanishes: the next send detects the broken pipe,
+        // re-dials, replays.
+        drop(dead_b);
         link.send(data_frame(0)).unwrap();
         link.flush().unwrap();
         alive_b.set_read_timeout(Duration::from_millis(5)).unwrap();

@@ -30,11 +30,12 @@ pub enum FrameKind {
     Hello = 1,
     /// Handshake accept (empty payload).
     HelloAck = 2,
-    /// One broker record in flight; binary [`DataMsg`] payload.
+    /// One or more broker records in flight; binary [`DataMsg`]
+    /// bodies, concatenated (see [`encode_data_batch`]).
     Data = 3,
     /// Cumulative acknowledgement: `[u64 seq]` — every data frame up
-    /// to and including `seq` has been durably handed to the peer's
-    /// local broker.
+    /// to and including `seq` has been received and reassembled in
+    /// order by the peer.
     DataAck = 4,
     /// Decode-progress report from an aggregator node:
     /// `[u64 epoch][u64 delta]` answers newly decoded for `epoch`.
@@ -211,9 +212,9 @@ pub fn parse_frame(buf: &[u8]) -> io::Result<Option<(Frame, usize)>> {
 ///
 /// `seq` is the per-connection send sequence driving cumulative
 /// [`FrameKind::DataAck`]s and idempotent resend; `stream` indexes
-/// which logical topic the record belongs to (on a proxy node's link
-/// to a shard node, the proxy — which must match the link's
-/// [`Hello::index`]); `key_len == u16::MAX` means "no key".
+/// which logical topic the record belongs to (the proxy whose share it
+/// is, which must match the data link's [`Hello::index`]);
+/// `key_len == u16::MAX` means "no key".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataMsg {
     /// Per-connection send sequence number (starts at 1).
@@ -269,39 +270,102 @@ impl DataMsg {
         out
     }
 
-    /// Decodes a [`FrameKind::Data`] payload.
+    /// Decodes a [`FrameKind::Data`] payload holding exactly one record.
     pub fn decode(payload: &[u8]) -> io::Result<DataMsg> {
-        let corrupt = || io::Error::new(io::ErrorKind::InvalidData, "corrupt data frame");
-        let mut at = 0usize;
-        let mut take = |n: usize| -> io::Result<&[u8]> {
-            let slice = payload.get(at..at + n).ok_or_else(corrupt)?;
-            at += n;
-            Ok(slice)
-        };
-        let seq = u64::from_le_bytes(take(8)?.try_into().unwrap());
-        let stream = take(1)?[0];
-        let partition = u32::from_le_bytes(take(4)?.try_into().unwrap());
-        let timestamp = u64::from_le_bytes(take(8)?.try_into().unwrap());
-        let klen = u16::from_le_bytes(take(2)?.try_into().unwrap());
-        let key = if klen == NO_KEY {
-            None
-        } else {
-            Some(Arc::from(take(klen as usize)?))
-        };
-        let vlen = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
-        let value: Arc<[u8]> = Arc::from(take(vlen)?);
-        if at != payload.len() {
-            return Err(corrupt());
+        match record_at(payload, 0) {
+            Some((record, end)) if end == payload.len() => Ok(record.to_msg()),
+            _ => Err(corrupt_batch()),
         }
-        Ok(DataMsg {
-            seq,
-            stream,
-            partition,
-            timestamp,
-            key,
-            value,
-        })
     }
+}
+
+/// One record of a data payload, borrowed from the bytes it was read
+/// from: what [`walk_data_batch`] hands its visitor.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordRef<'a> {
+    /// See [`DataMsg::seq`].
+    pub seq: u64,
+    /// See [`DataMsg::stream`].
+    pub stream: u8,
+    /// See [`DataMsg::partition`].
+    pub partition: u32,
+    /// See [`DataMsg::timestamp`].
+    pub timestamp: u64,
+    /// See [`DataMsg::key`].
+    pub key: Option<&'a [u8]>,
+    /// See [`DataMsg::value`].
+    pub value: &'a [u8],
+}
+
+impl RecordRef<'_> {
+    /// The record as an owned [`DataMsg`]: one allocation for the key,
+    /// one for the value.
+    fn to_msg(self) -> DataMsg {
+        DataMsg {
+            seq: self.seq,
+            stream: self.stream,
+            partition: self.partition,
+            timestamp: self.timestamp,
+            key: self.key.map(Arc::from),
+            value: Arc::from(self.value),
+        }
+    }
+}
+
+fn corrupt_batch() -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, "corrupt data batch")
+}
+
+/// Reads the record that starts at `payload[at..]`: the record and the
+/// offset just past it, or `None` if its framing runs off the end.
+/// The one place the record layout is parsed.
+fn record_at(payload: &[u8], at: usize) -> Option<(RecordRef<'_>, usize)> {
+    let head: &[u8; 23] = payload.get(at..)?.first_chunk()?;
+    let klen = u16::from_le_bytes([head[21], head[22]]);
+    let mut end = at + 23;
+    let key = if klen == NO_KEY {
+        None
+    } else {
+        end += klen as usize;
+        Some(payload.get(at + 23..end)?)
+    };
+    let vlen: &[u8; 4] = payload.get(end..)?.first_chunk()?;
+    let value_at = end + 4;
+    end = value_at + u32::from_le_bytes(*vlen) as usize;
+    let record = RecordRef {
+        seq: u64::from_le_bytes(head[..8].try_into().unwrap()),
+        stream: head[8],
+        partition: u32::from_le_bytes(head[9..13].try_into().unwrap()),
+        timestamp: u64::from_le_bytes(head[13..21].try_into().unwrap()),
+        key,
+        value: payload.get(value_at..end)?,
+    };
+    Some((record, end))
+}
+
+/// Walks the records of a [`FrameKind::Data`] payload in order without
+/// copying or allocating, handing each to `visit`. Returns how many
+/// there were. An empty payload, or one whose framing does not end
+/// exactly at its last byte, is `InvalidData`; an error from `visit`
+/// ends the walk and is returned. Every decoder of data payloads
+/// ([`decode_data_batch`], [`DataMsg::decode`]) reads through the same
+/// framing, so a payload this accepts is one they decode.
+pub fn walk_data_batch<'a>(
+    payload: &'a [u8],
+    mut visit: impl FnMut(RecordRef<'a>) -> io::Result<()>,
+) -> io::Result<usize> {
+    let mut at = 0usize;
+    let mut n = 0usize;
+    while at < payload.len() {
+        let (record, end) = record_at(payload, at).ok_or_else(corrupt_batch)?;
+        visit(record)?;
+        at = end;
+        n += 1;
+    }
+    if n == 0 {
+        return Err(corrupt_batch());
+    }
+    Ok(n)
 }
 
 /// Encodes a run of records as one [`FrameKind::Data`] payload: the
@@ -328,28 +392,10 @@ pub fn encode_data_batch(msgs: &[DataMsg]) -> Vec<u8> {
 /// sequence number is `out[first].seq`; per-record `seq` fields after
 /// the first are not meaningful.
 pub fn decode_data_batch(payload: &[u8], out: &mut Vec<DataMsg>) -> io::Result<usize> {
-    let corrupt = || io::Error::new(io::ErrorKind::InvalidData, "corrupt data batch");
-    let mut at = 0usize;
-    let mut n = 0usize;
-    while at < payload.len() {
-        // Peek the record's framing to find its end, then reuse the
-        // strict single-record decoder on the exact slice.
-        let head = payload.get(at..at + 23).ok_or_else(corrupt)?;
-        let klen = u16::from_le_bytes(head[21..23].try_into().unwrap());
-        let key_bytes = if klen == NO_KEY { 0 } else { klen as usize };
-        let vlen_at = at + 23 + key_bytes;
-        let vlen_bytes = payload.get(vlen_at..vlen_at + 4).ok_or_else(corrupt)?;
-        let vlen = u32::from_le_bytes(vlen_bytes.try_into().unwrap()) as usize;
-        let end = vlen_at + 4 + vlen;
-        let slice = payload.get(at..end).ok_or_else(corrupt)?;
-        out.push(DataMsg::decode(slice)?);
-        at = end;
-        n += 1;
-    }
-    if n == 0 {
-        return Err(corrupt());
-    }
-    Ok(n)
+    walk_data_batch(payload, |record| {
+        out.push(record.to_msg());
+        Ok(())
+    })
 }
 
 /// Encodes a cumulative [`FrameKind::DataAck`] payload.
@@ -581,7 +627,11 @@ mod tests {
                 stream: (i % 2) as u8,
                 partition: i as u32,
                 timestamp: 1_000 + i,
-                key: if i % 2 == 0 { Some(vec![i as u8; 16].into()) } else { None },
+                key: if i % 2 == 0 {
+                    Some(vec![i as u8; 16].into())
+                } else {
+                    None
+                },
                 value: vec![i as u8; 3 + i as usize].into(),
             })
             .collect();
@@ -598,13 +648,73 @@ mod tests {
         assert!(decode_data_batch(&[], &mut Vec::new()).is_err());
     }
 
+    /// A 3-record batch under the damage a socket or a hostile peer can
+    /// do. A strict prefix is refused, unless it ends where a record
+    /// does — then it is exactly the records before the cut. A flipped
+    /// byte yields an error or records that re-encode to exactly the
+    /// damaged bytes, never a panic. And the walker a node checks a
+    /// batch with agrees with the decoder the batch is later filed
+    /// through, input for input: both refuse it, or both read the same
+    /// count.
+    #[test]
+    fn hostile_data_batches_are_refused_or_well_formed() {
+        let msgs: Vec<DataMsg> = (0..3u8)
+            .map(|i| DataMsg {
+                seq: 1 + i as u64,
+                stream: 1,
+                partition: 2 * i as u32,
+                timestamp: 4_000 + i as u64,
+                key: (i != 1).then(|| vec![i; 16].into()),
+                value: vec![0xA5 ^ i; 6].into(),
+            })
+            .collect();
+        let bytes = encode_data_batch(&msgs);
+        // What the payload decodes to, re-encoded, once the walker has
+        // been checked against the decoder.
+        let recode = |payload: &[u8]| -> Option<Vec<u8>> {
+            let walked = walk_data_batch(payload, |_| Ok(())).ok();
+            let mut out = Vec::new();
+            let decoded = decode_data_batch(payload, &mut out).ok();
+            assert_eq!(walked, decoded, "walker and decoder disagree");
+            decoded.map(|_| encode_data_batch(&out))
+        };
+        assert_eq!(recode(&bytes), Some(bytes.clone()));
+        let mut boundaries = Vec::new();
+        walk_data_batch(&bytes, |r| {
+            let at = boundaries.last().copied().unwrap_or(0);
+            boundaries.push(at + 27 + r.key.map_or(0, <[u8]>::len) + r.value.len());
+            Ok(())
+        })
+        .unwrap();
+        for cut in 0..bytes.len() {
+            let prefix = &bytes[..cut];
+            match boundaries.iter().position(|&b| b == cut) {
+                Some(n) => assert_eq!(recode(prefix), Some(encode_data_batch(&msgs[..=n]))),
+                None => assert_eq!(recode(prefix), None, "prefix of {cut} bytes"),
+            }
+        }
+        let mut damaged = bytes.clone();
+        for i in 0..bytes.len() {
+            for flip in [0x01, 0x80, 0xFF] {
+                damaged[i] = bytes[i] ^ flip;
+                if let Some(again) = recode(&damaged) {
+                    assert_eq!(again, damaged, "byte {i} ^ {flip:#x}");
+                }
+            }
+            damaged[i] = bytes[i];
+        }
+        // A visitor's refusal ends the walk with its error.
+        let refused = walk_data_batch(&bytes, |r| match r.partition {
+            2 => Err(io::Error::new(io::ErrorKind::InvalidData, "misfiled")),
+            _ => Ok(()),
+        });
+        assert_eq!(refused.unwrap_err().to_string(), "misfiled");
+    }
+
     #[test]
     fn ack_progress_hello_roundtrip() {
         assert_eq!(decode_ack(&encode_ack(77)).unwrap(), 77);
-        assert_eq!(
-            decode_progress(&encode_progress(3, 250)).unwrap(),
-            (3, 250)
-        );
+        assert_eq!(decode_progress(&encode_progress(3, 250)).unwrap(), (3, 250));
         for fresh in [false, true] {
             let hello = Hello {
                 channel: Channel::Data,

@@ -13,29 +13,34 @@
 //! control:  main ─► shard bridge ═► shard child      (Ctrl; CtrlReply and Progress back)
 //! ```
 //!
-//! * each proxy / shard becomes a `privapprox-node` process with its
-//!   own private broker, behind a front door on a loopback port;
+//! * each proxy / shard becomes a `privapprox-node` process behind a
+//!   front door on a loopback port;
 //! * the parent keeps a thin *bridge thread* per child that looks
 //!   exactly like the in-process `ProxyHandle` / `ShardHandle`
 //!   threads, so respawn, epoch accounting and health roll-up are
 //!   shared between both transports. A `ProxyBridge` ships its child
-//!   the shares workers publish on the proxy's inbound topic and keeps
-//!   the child's shard routes current; a shard's `Bridge` carries the
-//!   control plane only — commands out, replies and decode progress
-//!   back;
-//! * each proxy child holds one [`SupervisedLink`] per shard child and
-//!   sends every relayed share to shard `partition % shards` — the
-//!   `"aggregator"` consumer group's rank rule, so each MID's shares
-//!   still meet on one shard and results stay byte-identical. Shard
-//!   children are spawned first and their addresses ride the proxies'
-//!   command line; a respawned shard's address reaches the live
-//!   proxies as a [`Route`](FrameKind::Route) frame, and each reports
-//!   its links' counters home as [`LinkStats`](FrameKind::LinkStats)
-//!   frames;
-//! * a child's private topics are *trimmed* — unbounded, since the
-//!   one thread that fills them also drains them, but dropping what
-//!   that thread has consumed — so a child's memory follows its
-//!   backlog, not its lifetime;
+//!   the shares workers publish on the proxy's inbound topic — one
+//!   frame per shard slot per poll batch, every record stamped with
+//!   the proxy's stream — and keeps the child's shard routes current;
+//!   a shard's `Bridge` carries the control plane only — commands out,
+//!   replies and decode progress back;
+//! * a proxy child only transmits, as the paper's proxy does (§3.2.3):
+//!   it holds one [`SupervisedLink`] per shard child and sends each
+//!   frame the parent shipped, checked by a borrowed walk
+//!   ([`walk_data_batch`]) but never decoded, whole to shard
+//!   `partition % shards` — the `"aggregator"` consumer group's rank
+//!   rule, so each MID's shares still meet on one shard and results
+//!   stay byte-identical. Shard children are spawned first and their
+//!   addresses ride the proxies' command line; a respawned shard's
+//!   address reaches the live proxies as a [`Route`](FrameKind::Route)
+//!   frame, and each reports its links' counters home as
+//!   [`LinkStats`](FrameKind::LinkStats) frames;
+//! * only a shard child has a private broker, carrying every proxy's
+//!   stream into the same `LocalShard` an in-process shard thread
+//!   runs. Its topics are *trimmed* — unbounded, since the one thread
+//!   that fills them also drains them, but dropping what that thread
+//!   has consumed — so its memory follows its backlog, not its
+//!   lifetime;
 //! * the control plane (query registration, epoch close, health
 //!   probes) is the in-process shard's own command vocabulary
 //!   (`ShardCmd`/`ShardReply`) in binary; floats travel as
@@ -55,7 +60,7 @@
 //!   front door, every connection it admitted (the parent's; a shard's
 //!   also one per proxy) and — a proxy — every link it dialed. Woken,
 //!   it admits whoever knocked, takes only what is already there
-//!   ([`Transport::try_recv`]), acts — feed, relay or decode, ack —
+//!   ([`Transport::try_recv`]), acts — relay, or file and decode; ack —
 //!   and **flushes before it waits again**, so an epoch is relayed as
 //!   it arrives and no reply it has encoded (the `Closed` reply
 //!   included) sleeps in a buffer;
@@ -100,7 +105,7 @@ use privapprox_cluster::wire::{
     Channel,
 };
 use privapprox_cluster::{
-    decode_data_batch, encode_data_batch, AdmissionPolicy, Admitted, BackoffPolicy, DataMsg,
+    encode_data_batch, walk_data_batch, AdmissionPolicy, Admitted, BackoffPolicy, DataMsg,
     FaultPlan, FaultyTransport, Frame, FrameKind, FrontDoor, Hello, Link, LinkStats, PollSet,
     Reassembly, RejectReason, SupervisedLink, TcpTransport, TokenBucket, Transport, Waker,
 };
@@ -110,7 +115,7 @@ use privapprox_types::{ProxyId, Timestamp};
 
 use crate::control::{ShardCmd, ShardReply};
 use crate::deploy::{ShardedConfig, DEAD_LETTER_TOPIC};
-use crate::proxy::{inbound_topic, outbound_topic, Proxy};
+use crate::proxy::outbound_topic;
 use crate::stage::{LocalShard, Role};
 
 /// How long a dial waits for the TCP connect to a child node.
@@ -340,10 +345,10 @@ fn node_link(
 /// Converts a polled broker record into its wire form. Key and value
 /// buffers are shared with the record (refcount bumps, no copies) —
 /// the only byte copy on the send path is the frame encode itself.
-fn record_to_msg(stream: u32, partition: u32, rec: &Record) -> DataMsg {
+fn record_to_msg(stream: u8, partition: u32, rec: &Record) -> DataMsg {
     DataMsg {
         seq: 0,
-        stream: stream as u8,
+        stream,
         partition,
         timestamp: rec.timestamp.0,
         key: rec.key.clone(),
@@ -545,12 +550,15 @@ impl Bridge {
 /// workers publish on the proxy's inbound topic, tells it where shard
 /// children moved, and mirrors the counters of its links to them.
 pub(crate) struct ProxyBridge {
+    /// The proxy's index: the `stream` of every record it ships.
+    stream: u8,
     bridge: Bridge,
     /// Joined to the proxy's group on the spawning thread; its event
     /// count is the bridge's.
     consumer: Consumer,
     batch: Vec<(u32, u32, Record)>,
-    msgs: Vec<DataMsg>,
+    /// A poll batch's records, by the child's shard slot.
+    slots: Vec<Vec<DataMsg>>,
     routes: Arc<Routes>,
     /// The route table as the child knows it, and its generation.
     told: (u64, Vec<SocketAddr>),
@@ -559,18 +567,21 @@ pub(crate) struct ProxyBridge {
 }
 
 impl ProxyBridge {
-    /// `told` is the route table on the child's command line.
+    /// The bridge of proxy `index`; `told` is the route table on the
+    /// child's command line, one address per shard slot.
     pub(crate) fn new(
+        index: usize,
         bridge: Bridge,
         consumer: Consumer,
         routes: Arc<Routes>,
         told: (u64, Vec<SocketAddr>),
     ) -> ProxyBridge {
         ProxyBridge {
+            stream: index as u8,
             bridge,
             consumer,
             batch: Vec::new(),
-            msgs: Vec::new(),
+            slots: vec![Vec::new(); told.1.len()],
             routes,
             told,
             peer_links: LinkStats::shared(),
@@ -594,21 +605,27 @@ impl ProxyBridge {
         self.bridge.goodbye();
     }
 
-    /// One round: ships what waits on the inbound topic — one data
-    /// frame per poll batch, each share counted in `forwarded` — sends
-    /// a `Route` for every shard slot that moved, and takes the child's
-    /// link reports. Returns whether anything moved.
+    /// One round: ships what waits on the inbound topic — per poll
+    /// batch, one data frame for each shard slot (`partition % shards`)
+    /// it has records for, which the child sends on whole; each share
+    /// counted in `forwarded` — sends a `Route` for every shard slot
+    /// that moved, and takes the child's link reports. Returns whether
+    /// anything moved.
     pub(crate) fn round(&mut self, forwarded: &AtomicU64) -> bool {
         let mut moved = false;
         while self.consumer.poll_into(BATCH_RECORDS, &mut self.batch) > 0 {
             moved = true;
-            self.msgs.clear();
-            for (stream, partition, rec) in self.batch.drain(..) {
-                self.msgs.push(record_to_msg(stream, partition, &rec));
+            forwarded.fetch_add(self.batch.len() as u64, Ordering::Relaxed);
+            let shards = self.slots.len();
+            for (_, partition, rec) in self.batch.drain(..) {
+                let msg = record_to_msg(self.stream, partition, &rec);
+                self.slots[partition as usize % shards].push(msg);
             }
-            forwarded.fetch_add(self.msgs.len() as u64, Ordering::Relaxed);
-            let frame = Frame::new(FrameKind::Data, encode_data_batch(&self.msgs));
-            self.bridge.send(frame);
+            for msgs in self.slots.iter_mut().filter(|m| !m.is_empty()) {
+                let frame = Frame::new(FrameKind::Data, encode_data_batch(msgs));
+                self.bridge.send(frame);
+                msgs.clear();
+            }
         }
         if self.routes.generation() != self.told.0 {
             let (generation, addrs) = self.routes.read();
@@ -806,31 +823,39 @@ fn invalid(what: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
+/// A data frame's payload as the inbox released it, with the shard
+/// slot all of its records belong to.
+type Batch = (usize, Vec<u8>);
+
 /// The receiving half of one data stream: admission control in front
 /// of the resend protocol's reassembly. It outlives the connections
 /// that feed it, so a re-dialed link's replay continues in sequence.
 struct Inbox {
-    reasm: Reassembly<Vec<DataMsg>>,
+    reasm: Reassembly<Batch>,
     /// Highest cumulative ack sent on the current connection.
     acked: u64,
-    /// Record batches released in order, waiting to be fed to the
-    /// node's local topics.
-    deliverable: Vec<Vec<DataMsg>>,
+    /// Batches released in order, payloads as they arrived, waiting to
+    /// be relayed (a proxy node) or filed (a shard node).
+    deliverable: Vec<Batch>,
     /// Records must name a partition below this.
     partitions: usize,
-    /// The stream every record must claim, where the link's `Hello`
-    /// names one (a shard's data link from a proxy).
-    stream: Option<u8>,
+    /// The stream every record must claim: the proxy whose shares the
+    /// link carries.
+    stream: u8,
+    /// Shard slots (`partition % slots`); a batch's records all fall
+    /// in one. A shard node's inbox has one.
+    slots: usize,
 }
 
 impl Inbox {
-    fn new(partitions: usize, stream: Option<u8>) -> Inbox {
+    fn new(partitions: usize, stream: u8, slots: usize) -> Inbox {
         Inbox {
             reasm: Reassembly::new(),
             acked: 0,
             deliverable: Vec::new(),
             partitions,
             stream,
+            slots,
         }
     }
 
@@ -844,28 +869,32 @@ impl Inbox {
         self.acked = 0;
     }
 
-    /// Takes one inbound data frame: decoded, checked, admitted (or
-    /// bounced with a `Reject` — the peer's resend window redelivers
-    /// it later) and put back in sequence. A batch holding a record
-    /// the node cannot file — a partition beyond its topics, or
-    /// another stream than the link's — is refused whole as
-    /// `InvalidData`, and the caller drops the connection.
-    fn accept(&mut self, payload: &[u8], c: &mut Conn) -> io::Result<()> {
-        let mut msgs = Vec::new();
-        decode_data_batch(payload, &mut msgs)?;
-        let misfiled = msgs.iter().find(|m| {
-            m.partition as usize >= self.partitions || self.stream.is_some_and(|s| s != m.stream)
-        });
-        if let Some(m) = misfiled {
-            return Err(invalid(format!(
-                "refused a batch: record for stream {} partition {} (this link: stream {:?}, {} partitions)",
-                m.stream, m.partition, self.stream, self.partitions
-            )));
-        }
-        let seq = msgs[0].seq;
+    /// Takes one inbound data frame: walked and checked without being
+    /// decoded, admitted (or bounced with a `Reject` — the peer's
+    /// resend window redelivers it later) and put back in sequence. A
+    /// batch holding a record the node cannot pass on — a partition
+    /// beyond its `--partitions`, a stream other than the link's, or a
+    /// shard slot other than the batch's first record's — is refused
+    /// whole as `InvalidData`, and the caller drops the connection.
+    fn accept(&mut self, payload: Vec<u8>, c: &mut Conn) -> io::Result<()> {
+        // The first record's sequence number (the frame's) and slot.
+        let mut head = None;
+        let records = walk_data_batch(&payload, |r| {
+            let slot = r.partition as usize % self.slots;
+            let (_, first) = *head.get_or_insert((r.seq, slot));
+            if r.partition as usize >= self.partitions || r.stream != self.stream || slot != first {
+                return Err(invalid(format!(
+                    "refused a batch: record for stream {} partition {} in a batch for slot {first} \
+                     (this link: stream {}, {} partitions, {} slots)",
+                    r.stream, r.partition, self.stream, self.partitions, self.slots
+                )));
+            }
+            Ok(())
+        })?;
+        let (seq, slot) = head.expect("a walked batch has a record");
         let refused = if seq > self.reasm.ack_floor() + c.max_in_flight as u64 {
             Some(RejectReason::Overloaded)
-        } else if !c.bucket.try_take(Instant::now(), msgs.len() as f64) {
+        } else if !c.bucket.try_take(Instant::now(), records as f64) {
             Some(RejectReason::RateLimited)
         } else {
             None
@@ -873,7 +902,8 @@ impl Inbox {
         match refused {
             Some(reason) => c.t.send(&Frame::reject(reason)),
             None => {
-                self.reasm.accept(seq, msgs, &mut self.deliverable);
+                let batch = (slot, payload);
+                self.reasm.accept(seq, batch, &mut self.deliverable);
                 Ok(())
             }
         }
@@ -891,17 +921,15 @@ impl Inbox {
     }
 }
 
-/// Child runtime for one proxy: a private broker with the proxy's
-/// in/out topics, the real [`Proxy`] relay in between, the parent's
-/// connection on the way in and a supervised link to every shard
-/// child on the way out.
+/// Child runtime for one proxy: the parent's connection on the way in
+/// and a supervised link to every shard child on the way out. Its role
+/// is transmission only (§3.2.3), so it keeps no broker and runs no
+/// [`Proxy`](crate::proxy::Proxy): each frame the parent ships holds
+/// one shard slot's shares and goes on to that slot's link as it
+/// arrived, checked but never decoded.
 struct ProxyNode {
     index: usize,
-    _broker: Broker,
-    proxy: Proxy,
-    in_writer: TopicWriter,
-    egress: Consumer,
-    /// The parent's shares, put back in sequence.
+    /// The parent's batches, checked and put back in sequence.
     inbox: Inbox,
     parent: Option<Conn>,
     /// One link per shard child, by slot, replaced when the parent
@@ -918,41 +946,21 @@ struct ProxyNode {
     link_stats: Arc<LinkStats>,
     /// `link_stats` as the parent last heard them.
     reported: [u64; 4],
-    batch: Vec<(u32, u32, Record)>,
-    /// A poll batch's records, by destination shard.
-    outgoing: Vec<Vec<DataMsg>>,
 }
 
 impl ProxyNode {
     fn new(opts: &NodeOpts) -> ProxyNode {
-        let id = ProxyId(opts.index as u16);
-        let broker = Broker::new(opts.partitions);
-        // This one thread both fills and drains the node's topics, so
-        // they must never apply backpressure — and must not keep what
-        // it has consumed, or the child grows by an epoch's shares
-        // per epoch.
-        let (inbound, out_name) = (inbound_topic(id), outbound_topic(id));
-        broker.create_topic_trimmed(&inbound, opts.partitions);
-        broker.create_topic_trimmed(&out_name, opts.partitions);
-        let proxy = Proxy::new(id, &broker);
-        let in_writer = broker.writer(&inbound);
-        let egress = broker.consumer("node-egress", &[&out_name]);
+        let slots = opts.shards.len();
         let mut node = ProxyNode {
             index: opts.index,
-            _broker: broker,
-            proxy,
-            in_writer,
-            egress,
-            inbox: Inbox::new(opts.partitions, None),
+            inbox: Inbox::new(opts.partitions, opts.index as u8, slots),
             parent: None,
             shards: Vec::new(),
-            down: vec![false; opts.shards.len()],
+            down: vec![false; slots],
             faults: opts.faults,
             resend_after: opts.resend_after,
             link_stats: LinkStats::shared(),
             reported: [0; 4],
-            batch: Vec::new(),
-            outgoing: vec![Vec::new(); opts.shards.len()],
         };
         node.shards = (opts.shards.iter().enumerate())
             .map(|(s, &addr)| node.dial(s, addr))
@@ -989,9 +997,6 @@ impl ProxyNode {
                 }
             }
             self.take_acks();
-            self.feed();
-            // Relay (partition-preserving, same code as in-process).
-            self.proxy.pump();
             self.forward();
             self.settle();
             self.answer_parent();
@@ -1014,7 +1019,7 @@ impl ProxyNode {
     fn take_from(&mut self, c: &mut Conn) -> io::Result<bool> {
         while let Some(f) = c.t.try_recv()? {
             match f.kind {
-                FrameKind::Data => self.inbox.accept(&f.payload, c)?,
+                FrameKind::Data => self.inbox.accept(f.payload, c)?,
                 FrameKind::Route => {
                     let (s, addr) = decode_route(&f.payload)?;
                     let s = s as usize;
@@ -1046,36 +1051,16 @@ impl ProxyNode {
         }
     }
 
-    /// Files the parent's reassembled shares on the inbound topic.
-    fn feed(&mut self) {
-        for batch in self.inbox.deliverable.drain(..) {
-            for m in batch {
-                let partition = m.partition as usize;
-                let ts = Timestamp(m.timestamp);
-                self.in_writer.append_quiet(partition, m.key, m.value, ts);
-            }
-        }
-    }
-
-    /// Sends every relayed share to shard `partition % shards` — the
-    /// `"aggregator"` group's rank rule, so all of a MID's shares meet
-    /// on one shard — one data frame per shard per poll batch. Shares
-    /// for a slot whose link is down this round are dropped; the epoch
-    /// ledger accounts for them.
+    /// Sends every reassembled batch, as it arrived, to its shard slot
+    /// (`partition % shards` — the `"aggregator"` group's rank rule,
+    /// so all of a MID's shares meet on one shard); the link rewrites
+    /// its leading `seq`. A batch for a slot whose link is down this
+    /// round is dropped; the epoch ledger accounts for it.
     fn forward(&mut self) {
-        let shards = self.shards.len();
-        while self.egress.poll_into(BATCH_RECORDS, &mut self.batch) > 0 {
-            for (_, partition, rec) in self.batch.drain(..) {
-                let msg = record_to_msg(self.index as u32, partition, &rec);
-                self.outgoing[partition as usize % shards].push(msg);
-            }
-            let slots = self.shards.iter_mut().zip(&mut self.down);
-            for ((link, down), msgs) in slots.zip(&mut self.outgoing) {
-                if !*down && !msgs.is_empty() {
-                    let frame = Frame::new(FrameKind::Data, encode_data_batch(msgs));
-                    *down = link.send(frame).is_err();
-                }
-                msgs.clear();
+        for (slot, payload) in self.inbox.deliverable.drain(..) {
+            if !self.down[slot] {
+                let frame = Frame::new(FrameKind::Data, payload);
+                self.down[slot] = self.shards[slot].send(frame).is_err();
             }
         }
     }
@@ -1137,8 +1122,10 @@ impl ShardNode {
         let names: Vec<String> = (0..opts.proxies)
             .map(|p| outbound_topic(ProxyId(p as u16)))
             .collect();
-        // Filled and drained by this one thread: trimmed, never
-        // bounded (see `ProxyNode::new`).
+        // This one thread both fills and drains the node's topics, so
+        // they must never apply backpressure — and must not keep what
+        // it has consumed, or the child grows by an epoch's shares
+        // per epoch.
         for n in &names {
             broker.create_topic_trimmed(n, opts.partitions);
         }
@@ -1150,7 +1137,7 @@ impl ShardNode {
             shard,
             writers,
             inboxes: (0..opts.proxies)
-                .map(|p| Inbox::new(opts.partitions, Some(p as u8)))
+                .map(|p| Inbox::new(opts.partitions, p as u8, 1))
                 .collect(),
             proxies: (0..opts.proxies).map(|_| None).collect(),
             parent: None,
@@ -1220,7 +1207,7 @@ impl ShardNode {
         };
         while let Some(f) = c.t.try_recv()? {
             if f.kind == FrameKind::Data {
-                self.inboxes[p].accept(&f.payload, c)?;
+                self.inboxes[p].accept(f.payload, c)?;
             }
         }
         Ok(())
@@ -1243,11 +1230,14 @@ impl ShardNode {
     /// decodes what is there.
     fn pump(&mut self) {
         for (inbox, w) in self.inboxes.iter_mut().zip(&self.writers) {
-            for batch in inbox.deliverable.drain(..) {
-                for m in batch {
-                    let ts = Timestamp(m.timestamp);
-                    w.append_quiet(m.partition as usize, m.key, m.value, ts);
-                }
+            for (_, payload) in inbox.deliverable.drain(..) {
+                let filed = walk_data_batch(&payload, |r| {
+                    let ts = Timestamp(r.timestamp);
+                    let key = r.key.map(Arc::from);
+                    w.append_quiet(r.partition as usize, key, r.value, ts);
+                    Ok(())
+                });
+                debug_assert!(filed.is_ok(), "the inbox walked this batch");
             }
         }
         self.shard.pump();
@@ -1267,8 +1257,8 @@ impl ShardNode {
     }
 
     fn on_ctrl(&mut self, payload: &[u8], c: &mut Conn) -> io::Result<()> {
-        let cmd = ShardCmd::decode(payload)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let cmd =
+            ShardCmd::decode(payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         // A command acts on every share received ahead of it, and its
         // progress leaves first, so the parent's ledger never runs
         // behind a close.
@@ -1294,7 +1284,8 @@ mod tests {
         sample_close, sample_closed, sample_health, sample_query, sample_register,
     };
     use privapprox_cluster::wire::decode_ack;
-    use privapprox_cluster::ChannelTransport;
+    use privapprox_cluster::{decode_data_batch, ChannelTransport};
+    use std::sync::mpsc;
 
     // What the node reads off and writes onto its socket — the `Ctrl`
     // and `CtrlReply` payloads — reconstructs bit for bit.
@@ -1302,8 +1293,15 @@ mod tests {
     #[test]
     fn register_roundtrip_is_exact() {
         let sent = sample_register();
-        let (ShardCmd::Register { query, params, population, .. }, q) =
-            (ShardCmd::decode(&sent.encode()).unwrap(), sample_query())
+        let (
+            ShardCmd::Register {
+                query,
+                params,
+                population,
+                ..
+            },
+            q,
+        ) = (ShardCmd::decode(&sent.encode()).unwrap(), sample_query())
         else {
             panic!("wrong variant");
         };
@@ -1337,28 +1335,49 @@ mod tests {
         // The widest reply the benchmark's workloads produce: 10⁴
         // buckets per window.
         let mut sent = sample_closed(3, 10_000);
-        let ShardReply::Closed { epoch, decoded, windows, busy } =
-            ShardReply::decode(&sent.encode()).unwrap()
+        let ShardReply::Closed {
+            epoch,
+            decoded,
+            windows,
+            busy,
+        } = ShardReply::decode(&sent.encode()).unwrap()
         else {
             panic!("wrong variant");
         };
-        assert_eq!((epoch.0, decoded, busy), (7_000, 200, Duration::from_nanos(1_234)));
-        let ShardReply::Closed { windows: reference, .. } = &mut sent else {
+        assert_eq!(
+            (epoch.0, decoded, busy),
+            (7_000, 200, Duration::from_nanos(1_234))
+        );
+        let ShardReply::Closed {
+            windows: reference, ..
+        } = &mut sent
+        else {
             unreachable!();
         };
         assert_eq!(windows.len(), reference.len());
         for (mut got, want) in windows.into_iter().zip(reference) {
             assert_eq!((got.query, got.window), (want.query, want.window));
             let (got, want) = (got.estimator.raw_parts(), want.estimator.raw_parts());
-            assert_eq!((got.0.to_bits(), got.1.to_bits()), (want.0.to_bits(), want.1.to_bits()));
-            assert_eq!((got.2, got.3), (want.2, want.3), "counts drifted over the wire");
+            assert_eq!(
+                (got.0.to_bits(), got.1.to_bits()),
+                (want.0.to_bits(), want.1.to_bits())
+            );
+            assert_eq!(
+                (got.2, got.3),
+                (want.2, want.3),
+                "counts drifted over the wire"
+            );
         }
     }
 
     #[test]
     fn health_roundtrip_and_corrupt_payloads() {
-        let ShardReply::Health { quad, dead_lettered, late_answers, busy } =
-            ShardReply::decode(&sample_health().encode()).unwrap()
+        let ShardReply::Health {
+            quad,
+            dead_lettered,
+            late_answers,
+            busy,
+        } = ShardReply::decode(&sample_health().encode()).unwrap()
         else {
             panic!("wrong variant");
         };
@@ -1457,71 +1476,47 @@ mod tests {
 
     /// One share record as a data frame with sequence number `seq`.
     fn share(seq: u64, stream: u8, partition: u32) -> Frame {
-        let msg = DataMsg {
-            seq,
-            stream,
-            partition,
-            timestamp: 1_000,
-            key: Some(vec![7u8; 16].into()),
-            value: vec![1u8; 8].into(),
-        };
-        Frame::new(FrameKind::Data, encode_data_batch(&[msg]))
+        batch(seq, stream, &[partition])
     }
 
-    /// A proxy node's parent link: a batch naming a partition the node
-    /// has no topic for is refused whole with a typed error (it used
-    /// to panic the child inside the broker's append), and the node
-    /// serves the next well-formed batch on the re-dialed connection.
-    #[test]
-    fn proxy_node_refuses_an_out_of_range_partition_and_keeps_serving() {
-        let mut node = ProxyNode::new(
-            &NodeOpts::parse(&args(&[
-                "proxy",
-                "--partitions",
-                "2",
-                "--shards",
-                "127.0.0.1:9",
-            ]))
-            .unwrap(),
-        );
-        let (mut parent, mut conn) = channel_conn();
-        parent.send(&share(1, 0, 99)).unwrap();
-        let refused = node.take_from(&mut conn).unwrap_err();
-        assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
-        // The parent re-dials and its resend window goes again, well
-        // formed this time.
-        let (mut parent, mut conn) = channel_conn();
-        node.inbox.reconnected(false);
-        parent.send(&share(1, 0, 1)).unwrap();
-        assert!(!node.take_from(&mut conn).unwrap());
-        node.feed();
-        let inbound = inbound_topic(ProxyId(0));
-        assert_eq!(node._broker.topic_len(&inbound), 1, "the share was filed");
-        node.parent = Some(conn);
-        node.answer_parent();
-        let ack = parent.try_recv().unwrap().expect("an ack");
-        assert_eq!(decode_ack(&ack.payload).unwrap(), 1);
+    /// A data frame with sequence number `seq` holding one share record
+    /// per entry of `partitions`.
+    fn batch(seq: u64, stream: u8, partitions: &[u32]) -> Frame {
+        let msgs: Vec<DataMsg> = (partitions.iter().enumerate())
+            .map(|(i, &partition)| DataMsg {
+                seq,
+                stream,
+                partition,
+                timestamp: 1_000 + i as u64,
+                key: Some(vec![7u8; 16].into()),
+                value: vec![i as u8; 8].into(),
+            })
+            .collect();
+        Frame::new(FrameKind::Data, encode_data_batch(&msgs))
     }
 
-    /// A proxy node's link to a shard that lives but refuses it for
-    /// longer than the retry budget — here a door bouncing every knock
-    /// while another peer holds its one connection slot — gives up for
-    /// that round and is dialed again the next, instead of dropping
-    /// the slot's shares until a route change that never comes.
-    #[test]
-    fn proxy_node_redials_a_live_shard_after_giving_up() {
-        let door = FrontDoor::bind(AdmissionPolicy {
-            max_connections: 1,
-            ..AdmissionPolicy::default()
-        })
-        .unwrap();
+    /// A proxy node with `flags`, linked to shard slots at `shards`.
+    fn proxy_node(flags: &[&str], shards: &[SocketAddr]) -> ProxyNode {
+        let shards: Vec<String> = shards.iter().map(SocketAddr::to_string).collect();
+        let shards = shards.join(",");
+        let mut words = vec!["proxy", "--shards", &shards];
+        words.extend_from_slice(flags);
+        ProxyNode::new(&NodeOpts::parse(&args(&words)).unwrap())
+    }
+
+    /// A stand-in shard child: a front door under `policy` whose
+    /// serving loop hands over the first `n` connections it admits, in
+    /// order, and bounces every knock in between.
+    fn fake_shard(
+        policy: AdmissionPolicy,
+        n: usize,
+    ) -> (SocketAddr, mpsc::Receiver<Admitted>, thread::JoinHandle<()>) {
+        let door = FrontDoor::bind(policy).unwrap();
         let addr = door.local_addr().unwrap();
-        // The shard's serving loop: hands over the first two
-        // connections it admits and bounces every knock in between.
-        let (tx, rx) = std::sync::mpsc::channel();
-        let shard = thread::spawn(move || {
+        let (tx, rx) = mpsc::channel();
+        let serving = thread::spawn(move || {
             let mut set = PollSet::new();
-            for _ in 0..2 {
+            for _ in 0..n {
                 let admitted = loop {
                     if let Some(a) = door.try_accept(HANDSHAKE_TIMEOUT) {
                         break a;
@@ -1531,6 +1526,91 @@ mod tests {
                 tx.send(admitted).unwrap();
             }
         });
+        (addr, rx, serving)
+    }
+
+    /// The first frame on shard slot `slot`'s link: a proxy node dials
+    /// its links in slot order, so the fake shard admits them so.
+    fn first_frame(admitted: &mpsc::Receiver<Admitted>, slot: usize) -> Frame {
+        let mut links = Vec::new();
+        for _ in 0..=slot {
+            let link = admitted.recv_timeout(Duration::from_secs(5));
+            links.push(link.expect("the proxy node dialed the shard"));
+        }
+        let mut link = links.pop().unwrap();
+        assert_eq!(link.hello.channel, Channel::Data);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            match link.transport.recv().unwrap() {
+                Some(f) => break f,
+                None => assert!(Instant::now() < deadline, "no share arrived"),
+            }
+        }
+    }
+
+    /// The partitions of a data frame's records.
+    fn partitions(frame: &Frame) -> Vec<u32> {
+        let mut msgs = Vec::new();
+        decode_data_batch(&frame.payload, &mut msgs).unwrap();
+        msgs.iter().map(|m| m.partition).collect()
+    }
+
+    /// One round of `ProxyNode::run` over what the parent sent on
+    /// `conn`: take it, relay it, ack it. Returns the parent's ack.
+    fn relay_round(node: &mut ProxyNode, parent: &mut ChannelTransport, mut conn: Conn) -> u64 {
+        assert!(!node.take_from(&mut conn).unwrap());
+        node.parent = Some(conn);
+        node.take_acks();
+        node.forward();
+        node.settle();
+        node.answer_parent();
+        loop {
+            let f = parent.try_recv().unwrap().expect("an ack");
+            if f.kind == FrameKind::DataAck {
+                break decode_ack(&f.payload).unwrap();
+            }
+        }
+    }
+
+    /// A proxy node's parent link: a batch naming a partition beyond
+    /// `--partitions` is refused whole with a typed error, and the node
+    /// relays the next well-formed batch on the re-dialed connection
+    /// and acks it.
+    #[test]
+    fn proxy_node_refuses_an_out_of_range_partition_and_keeps_serving() {
+        let (addr, admitted, shard) = fake_shard(AdmissionPolicy::default(), 1);
+        let mut node = proxy_node(&["--partitions", "2"], &[addr]);
+        let (mut parent, mut conn) = channel_conn();
+        parent.send(&share(1, 0, 99)).unwrap();
+        let refused = node.take_from(&mut conn).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
+        assert!(node.inbox.deliverable.is_empty());
+        // The parent re-dials and its resend window goes again, well
+        // formed this time.
+        let (mut parent, conn) = channel_conn();
+        node.inbox.reconnected(false);
+        parent.send(&share(1, 0, 1)).unwrap();
+        assert_eq!(relay_round(&mut node, &mut parent, conn), 1);
+        assert_eq!(
+            partitions(&first_frame(&admitted, 0)),
+            [1],
+            "the share was relayed"
+        );
+        shard.join().unwrap();
+    }
+
+    /// A proxy node's link to a shard that lives but refuses it for
+    /// longer than the retry budget — here a door bouncing every knock
+    /// while another peer holds its one connection slot — gives up for
+    /// that round and is dialed again the next, instead of dropping
+    /// the slot's shares until a route change that never comes.
+    #[test]
+    fn proxy_node_redials_a_live_shard_after_giving_up() {
+        let policy = AdmissionPolicy {
+            max_connections: 1,
+            ..AdmissionPolicy::default()
+        };
+        let (addr, admitted, shard) = fake_shard(policy, 2);
         let mut holder = TcpTransport::connect(addr, CONNECT_TIMEOUT, LINK_READ_POLL).unwrap();
         let hello = Hello {
             channel: Channel::Ctrl,
@@ -1538,39 +1618,66 @@ mod tests {
             fresh: true,
         };
         shake_hands(&mut holder, hello, HANDSHAKE_TIMEOUT).unwrap();
-        let held = rx.recv().unwrap();
+        let held = admitted.recv().unwrap();
 
-        let shards = addr.to_string();
-        let opts = args(&["proxy", "--partitions", "1", "--shards", &shards]);
-        let mut node = ProxyNode::new(&NodeOpts::parse(&opts).unwrap());
-        let relayed = node._broker.writer(&outbound_topic(ProxyId(0)));
-        let relay_one_share = |node: &mut ProxyNode| {
-            let key = Some(vec![7u8; 16].into());
-            relayed.append_quiet(0, key, vec![1u8; 8], Timestamp(1_000));
-            node.take_acks();
-            node.forward();
-            node.settle();
-        };
-        relay_one_share(&mut node);
+        let mut node = proxy_node(&["--partitions", "1"], &[addr]);
+        let (mut parent, conn) = channel_conn();
+        parent.send(&share(1, 0, 0)).unwrap();
+        assert_eq!(relay_round(&mut node, &mut parent, conn), 1);
         assert_eq!(node.link_stats.gave_up.load(Ordering::Relaxed), 1);
 
         // The slot frees up; the next round reaches the shard.
         drop((held, holder));
-        relay_one_share(&mut node);
-        let mut conn = rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("the proxy dialed the shard again");
-        assert_eq!((conn.hello.channel, conn.hello.index), (Channel::Data, 0));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let frame = loop {
-            match conn.transport.recv().unwrap() {
-                Some(f) => break f,
-                None => assert!(Instant::now() < deadline, "no share arrived"),
-            }
-        };
-        let mut msgs = Vec::new();
-        decode_data_batch(&frame.payload, &mut msgs).unwrap();
-        assert_eq!(msgs.len(), 1, "the second round's share");
+        let conn = node.parent.take().expect("the parent's connection");
+        parent.send(&share(2, 0, 0)).unwrap();
+        assert_eq!(relay_round(&mut node, &mut parent, conn), 2);
+        let frame = first_frame(&admitted, 0);
+        assert_eq!(partitions(&frame).len(), 1, "the second round's share");
+        shard.join().unwrap();
+    }
+
+    /// What the parent shipped reaches the shard of its slot as it
+    /// was sent, past the sequence number the link rewrites: the node
+    /// reads a batch's framing but never re-encodes it.
+    #[test]
+    fn proxy_node_relays_the_parents_frame_unchanged() {
+        let (addr, admitted, shard) = fake_shard(AdmissionPolicy::default(), 2);
+        let mut node = proxy_node(&["--index", "1", "--partitions", "4"], &[addr, addr]);
+        let sent = batch(1, 1, &[3, 1, 3]);
+        let (mut parent, conn) = channel_conn();
+        parent.send(&sent).unwrap();
+        assert_eq!(relay_round(&mut node, &mut parent, conn), 1);
+        let got = first_frame(&admitted, 1);
+        assert_eq!(
+            got.payload[..8],
+            1u64.to_le_bytes(),
+            "the link's own sequence"
+        );
+        assert_eq!(got.payload[8..], sent.payload[8..]);
+        shard.join().unwrap();
+    }
+
+    /// A batch the node cannot pass on whole — records for two shard
+    /// slots, or a record naming another proxy's stream — is refused
+    /// as `InvalidData`; the next well-formed batch is relayed and
+    /// acked.
+    #[test]
+    fn proxy_node_refuses_a_batch_spanning_shard_slots_or_naming_another_proxy() {
+        let (addr, admitted, shard) = fake_shard(AdmissionPolicy::default(), 2);
+        let mut node = proxy_node(&["--index", "1", "--partitions", "4"], &[addr, addr]);
+        for bad in [batch(1, 1, &[0, 1]), batch(1, 0, &[2])] {
+            let (mut parent, mut conn) = channel_conn();
+            node.inbox.reconnected(true);
+            parent.send(&bad).unwrap();
+            let refused = node.take_from(&mut conn).unwrap_err();
+            assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
+            assert!(node.inbox.deliverable.is_empty());
+        }
+        let (mut parent, conn) = channel_conn();
+        node.inbox.reconnected(false);
+        parent.send(&batch(1, 1, &[0, 2])).unwrap();
+        assert_eq!(relay_round(&mut node, &mut parent, conn), 1);
+        assert_eq!(partitions(&first_frame(&admitted, 0)), [0, 2]);
         shard.join().unwrap();
     }
 

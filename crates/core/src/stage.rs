@@ -13,10 +13,11 @@
 //! * **process**: the role runs in a `privapprox-node` child (see
 //!   [`remote`](crate::remote)), and the supervised thread is a
 //!   bridge to it. Shares do not come back through this process: a
-//!   [`ProxyBridge`] ships its child the records workers publish, the
-//!   proxy child sends what it relays straight to the shard children,
-//!   and a shard's [`Bridge`] carries only its control plane —
-//!   commands out, replies and decode progress back.
+//!   [`ProxyBridge`] ships its child the records workers publish, one
+//!   frame per shard slot; the proxy child, whose role is transmission
+//!   only, runs no [`Proxy`] and sends each frame on whole to its
+//!   shard child; and a shard's [`Bridge`] carries only its control
+//!   plane — commands out, replies and decode progress back.
 //!
 //! Either way the thread has the same name, the same crash role and
 //! the same handle, and its loop has the same shape — read a wake
@@ -596,8 +597,8 @@ impl Host {
     /// the calling thread; a respawn rejoins it and resumes from the
     /// committed offset, so a dead relay delays forwarding but never
     /// loses what is still on its inbound topic. (Shares that reached
-    /// a dead *child* and were not yet relayed died with its private
-    /// broker — the epoch ledger accounts them as a partial close.)
+    /// a dead *child* and were not yet relayed died with it — the
+    /// epoch ledger accounts them as a partial close.)
     pub(crate) fn spawn_proxies(
         &mut self,
         slots: &[(usize, Arc<RelayCounters>)],
@@ -617,8 +618,8 @@ impl Host {
                     let consumer = self.broker.consumer(&format!("proxy-{i}"), &[&in_topic]);
                     let wake = Arc::clone(consumer.wake());
                     let bridge = self.bridge(child, faults, (Role::Proxy, i), wake)?;
-                    let relay =
-                        ProxyBridge::new(bridge, consumer, Arc::clone(&self.routes), told.clone());
+                    let routes = Arc::clone(&self.routes);
+                    let relay = ProxyBridge::new(i, bridge, consumer, routes, told.clone());
                     self.link_stats.push(relay.peer_links());
                     relays.push(Relay::Remote(relay));
                 }

@@ -13,11 +13,13 @@
 /// to binary; 3: a `Closed` reply's per-bucket counts became one
 /// width-adaptive block; 4: proxy nodes link to shard nodes directly —
 /// `Route` and `LinkStats` frames, and a `Hello` that marks a fresh
-/// link). A peer receiving a frame with a
+/// link; 5: a parent → proxy batch holds one shard slot's records,
+/// stamped with the proxy's stream, and travels on whole). A peer
+/// receiving a frame with a
 /// different version must drop the connection with a decode error —
 /// there is no cross-version negotiation (both ends of a deployment
 /// come from one build).
-pub const WIRE_VERSION: u8 = 4;
+pub const WIRE_VERSION: u8 = 5;
 
 /// Maximum accepted frame payload length in bytes (16 MiB).
 ///
