@@ -62,10 +62,14 @@ pub struct Fig5bRow {
 /// forward hop itself is a size-independent refcount bump, so the
 /// timed region includes the ingest `send` — the one remaining copy,
 /// standing in for the network receive a real proxy cannot avoid.
+/// Each size is timed in three interleaved rounds and keeps its best:
+/// the first round also warms the allocator, and a round that shared
+/// its core with other work reads low.
 pub fn run_5b(messages: u64) -> Vec<Fig5bRow> {
-    [100usize, 1_000, 10_000]
-        .iter()
-        .map(|&bits| {
+    let sizes = [100usize, 1_000, 10_000];
+    let mut best = [0.0f64; 3];
+    for _ in 0..3 {
+        for (best, &bits) in best.iter_mut().zip(&sizes) {
             let broker = Broker::new(1);
             let producer = broker.producer();
             let payload = vec![0xA5u8; privapprox_crypto::answer_wire_size(bits)];
@@ -76,10 +80,15 @@ pub fn run_5b(messages: u64) -> Vec<Fig5bRow> {
             }
             let forwarded = proxy.pump();
             let secs = start.elapsed().as_secs_f64();
-            Fig5bRow {
-                bits,
-                kresponses_per_sec: forwarded as f64 / secs / 1_000.0,
-            }
+            *best = best.max(forwarded as f64 / secs / 1_000.0);
+        }
+    }
+    sizes
+        .iter()
+        .zip(best)
+        .map(|(&bits, kresponses_per_sec)| Fig5bRow {
+            bits,
+            kresponses_per_sec,
         })
         .collect()
 }

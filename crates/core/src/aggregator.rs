@@ -108,8 +108,14 @@ struct QueryState {
 }
 
 /// The aggregation endpoint.
-pub struct Aggregator {
-    consumer: Consumer,
+///
+/// Its input is a type parameter: the default, [`Consumer`], is the
+/// `"aggregator"`-group consumer over every proxy's output topic that
+/// [`Aggregator::new`] joins and the `pump*` methods drain. A shard
+/// child's aggregator has no broker behind it (its input is `()`):
+/// the child hands it each share it walks off a proxy link.
+pub struct Aggregator<In = Consumer> {
+    input: In,
     joiner: MidJoiner,
     queries: HashMap<QueryId, QueryState>,
     confidence: f64,
@@ -122,11 +128,12 @@ pub struct Aggregator {
     estimator_pool: EstimatorPool,
     /// Scratch buffer closed windows drain into before finalization.
     closed_scratch: Vec<(Window, BucketEstimator)>,
-    /// Reused poll batch: the drain loop performs no per-batch (let
-    /// alone per-record) allocation in the broker hop — records are
-    /// refcount clones, and the record's topic **index** is its
-    /// source for the joiner's provenance tracking (the consumer
-    /// subscribes to proxy outputs in proxy order).
+    /// The consumer's reused poll batch (empty without a consumer):
+    /// the drain loop performs no per-batch (let alone per-record)
+    /// allocation in the broker hop — records are refcount clones, and
+    /// the record's topic **index** is its source for the joiner's
+    /// provenance tracking (the consumer subscribes to proxy outputs
+    /// in proxy order).
     batch: Vec<(u32, u32, privapprox_stream::broker::Record)>,
     /// Recycled [`QueryResult`] shells (their `buckets` vectors keep
     /// their capacity), refilled by [`Aggregator::recycle_results`].
@@ -139,19 +146,12 @@ pub struct Aggregator {
     /// set, poisoned input is preserved for post-mortem instead of
     /// silently dropped.
     dead_letter: Option<TopicWriter>,
-    /// Records written to the dead-letter topic.
-    dead_lettered: u64,
 }
 
 impl Aggregator {
     /// Creates an aggregator consuming `n_proxies` proxy output
     /// topics on the broker, reporting intervals at `confidence`.
     pub fn new(broker: &Broker, n_proxies: usize, confidence: f64) -> Aggregator {
-        assert!(n_proxies >= 2, "PrivApprox requires at least two proxies");
-        assert!(
-            confidence > 0.0 && confidence < 1.0,
-            "confidence must be in (0,1)"
-        );
         let topics: Vec<String> = (0..n_proxies)
             .map(|i| crate::proxy::outbound_topic(privapprox_types::ProxyId(i as u16)))
             .collect();
@@ -159,8 +159,89 @@ impl Aggregator {
         // Subscribed in proxy order, so a record's topic index in the
         // poll batch *is* its source proxy index.
         let consumer = broker.consumer("aggregator", &topic_refs);
+        Aggregator::with_input(consumer, n_proxies, confidence)
+    }
+
+    /// Drains available proxy records, joining and decoding shares and
+    /// feeding decoded answers into their query windows. Returns the
+    /// number of fully decoded answers processed.
+    pub fn pump(&mut self) -> u64 {
+        self.pump_with(|_, _, _, _| {})
+    }
+
+    /// [`Aggregator::pump`] that parks instead of returning when the
+    /// proxy streams are momentarily empty: blocks up to `timeout`
+    /// for the first record (or a control wake), then drains
+    /// everything available. Returns the number of fully decoded
+    /// answers (`0` = nothing arrived). The loop of a plain aggregator
+    /// *thread*; one that also serves a command queue reads a token
+    /// from [`Aggregator::wake`] first and parks on it itself.
+    pub fn pump_blocking(&mut self, timeout: std::time::Duration) -> u64 {
+        if self
+            .input
+            .poll_blocking_into(2048, timeout, &mut self.batch)
+            == 0
+        {
+            return 0;
+        }
+        self.pump()
+    }
+
+    /// The event count the aggregator's consumer is woken through: a
+    /// record on any proxy stream, or a control wake
+    /// ([`Broker::notify_topic`](privapprox_stream::broker::Broker::notify_topic)).
+    pub fn wake(&self) -> &Arc<EventCount> {
+        self.input.wake()
+    }
+
+    /// [`Aggregator::pump`] with a tee: every decoded answer is also
+    /// handed to `tee` (used to feed the historical warehouse of
+    /// §3.3.1 without a second decode pass). Joins each record of the
+    /// pending poll batch, then polls the next, until the streams are
+    /// empty.
+    pub fn pump_with<F>(&mut self, mut tee: F) -> u64
+    where
+        F: FnMut(QueryId, Timestamp, MessageId, &BitVec),
+    {
+        // Moved out so its records can be read while `offer` borrows
+        // `self`; moved back (no realloc) at the end.
+        let mut batch = std::mem::take(&mut self.batch);
+        let mut decoded = 0;
+        loop {
+            for (source, partition, r) in batch.drain(..) {
+                let (source, partition) = (source as usize, partition as usize);
+                let key = r.key.as_deref();
+                decoded +=
+                    u64::from(self.offer(source, partition, key, &r.value, r.timestamp, &mut tee));
+            }
+            if self.input.poll_into(2048, &mut batch) == 0 {
+                break;
+            }
+        }
+        self.batch = batch;
+        decoded
+    }
+}
+
+impl Aggregator<()> {
+    /// Creates an aggregator with no broker behind it, joining shares
+    /// from `n_proxies` proxies and reporting intervals at
+    /// `confidence`: its caller hands it every share through
+    /// [`Aggregator::offer`].
+    pub(crate) fn detached(n_proxies: usize, confidence: f64) -> Aggregator<()> {
+        Aggregator::with_input((), n_proxies, confidence)
+    }
+}
+
+impl<In> Aggregator<In> {
+    fn with_input(input: In, n_proxies: usize, confidence: f64) -> Aggregator<In> {
+        assert!(n_proxies >= 2, "PrivApprox requires at least two proxies");
+        assert!(
+            confidence > 0.0 && confidence < 1.0,
+            "confidence must be in (0,1)"
+        );
         Aggregator {
-            consumer,
+            input,
             joiner: MidJoiner::new(n_proxies, JOIN_TIMEOUT_MS),
             queries: HashMap::new(),
             confidence,
@@ -172,7 +253,6 @@ impl Aggregator {
             undecodable: 0,
             unroutable: 0,
             dead_letter: None,
-            dead_lettered: 0,
         }
     }
 
@@ -224,154 +304,78 @@ impl Aggregator {
         );
     }
 
-    /// Drains available proxy records, joining and decoding shares and
-    /// feeding decoded answers into their query windows. Returns the
-    /// number of fully decoded answers processed.
-    pub fn pump(&mut self) -> u64 {
-        self.pump_with(|_, _, _, _| {})
-    }
-
-    /// [`Aggregator::pump`] that parks instead of returning when the
-    /// proxy streams are momentarily empty: blocks up to `timeout`
-    /// for the first record (or a control wake), then drains
-    /// everything available. Returns the number of fully decoded
-    /// answers (`0` = nothing arrived). The loop of a plain aggregator
-    /// *thread*; one that also serves a command queue reads a token
-    /// from [`Aggregator::wake`] first and parks on it itself.
-    pub fn pump_blocking(&mut self, timeout: std::time::Duration) -> u64 {
-        if self
-            .consumer
-            .poll_blocking_into(2048, timeout, &mut self.batch)
-            == 0
-        {
-            return 0;
-        }
-        self.process_batch(&mut |_, _, _, _| {}) + self.pump()
-    }
-
-    /// The event count the aggregator's consumer is woken through: a
-    /// record on any proxy stream, or a control wake
-    /// ([`Broker::notify_topic`](privapprox_stream::broker::Broker::notify_topic)).
-    pub fn wake(&self) -> &Arc<EventCount> {
-        self.consumer.wake()
-    }
-
-    /// [`Aggregator::pump`] with a tee: every decoded answer is also
-    /// handed to `tee` (used to feed the historical warehouse of
-    /// §3.3.1 without a second decode pass).
-    pub fn pump_with<F>(&mut self, mut tee: F) -> u64
-    where
-        F: FnMut(QueryId, Timestamp, MessageId, &BitVec),
-    {
-        let mut decoded_count = 0;
-        loop {
-            if self.consumer.poll_into(2048, &mut self.batch) == 0 {
-                break;
-            }
-            decoded_count += self.process_batch(&mut tee);
-        }
-        decoded_count
-    }
-
-    /// Joins, decodes and windows the pending poll batch; returns how
-    /// many answers completed.
-    fn process_batch<F>(&mut self, tee: &mut F) -> u64
-    where
-        F: FnMut(QueryId, Timestamp, MessageId, &BitVec),
-    {
-        let mut decoded_count = 0;
-        let mut quarantined = 0u64;
-        // Move the batch out so its records can be consumed while the
-        // joiner and windows borrow `self`; moved back (no realloc)
-        // at the end.
-        let mut batch = std::mem::take(&mut self.batch);
-        for (source, partition, record) in batch.drain(..) {
-            // Wire key layout (24 bytes): query tag (u64 BE) ‖ MID
-            // (16 bytes). The tag routes shares to per-(query, shard)
-            // join state *before* decode — concurrent queries draw
-            // identical MID sequences per client (same-seed streams),
-            // so a MID-only join would fuse shares across queries.
-            let Some((qtag, mid)) = record.key.as_deref().and_then(|k| {
-                let k = <[u8; 24]>::try_from(k).ok()?;
-                let qtag = u64::from_be_bytes(k[..8].try_into().expect("8-byte slice"));
-                let mid = MessageId::from_bytes(k[8..].try_into().expect("16-byte slice"));
-                Some((qtag, mid))
-            }) else {
-                self.undecodable += 1;
-                if let Some(w) = &self.dead_letter {
-                    w.append_quiet(partition as usize, record.key, record.value, record.timestamp);
-                    quarantined += 1;
+    /// Joins one share: `source` is the index of the proxy it came
+    /// through, `partition` the stream partition it came on, `key` its
+    /// wire key. When it completes its message, the answer is decoded,
+    /// handed to `tee` and folded into its query's window, and `offer`
+    /// returns `true`. Poisoned input is counted — and, with a
+    /// dead-letter sink, quarantined — never fatal.
+    pub(crate) fn offer(
+        &mut self,
+        source: usize,
+        partition: usize,
+        key: Option<&[u8]>,
+        value: &[u8],
+        ts: Timestamp,
+        mut tee: impl FnMut(QueryId, Timestamp, MessageId, &BitVec),
+    ) -> bool {
+        // Wire key layout (24 bytes): query tag (u64 BE) ‖ MID
+        // (16 bytes). The tag routes shares to per-(query, shard)
+        // join state *before* decode — concurrent queries draw
+        // identical MID sequences per client (same-seed streams),
+        // so a MID-only join would fuse shares across queries.
+        let Some((qtag, mid)) = key.and_then(|k| {
+            let k = <[u8; 24]>::try_from(k).ok()?;
+            let qtag = u64::from_be_bytes(k[..8].try_into().expect("8-byte slice"));
+            let mid = MessageId::from_bytes(k[8..].try_into().expect("16-byte slice"));
+            Some((qtag, mid))
+        }) else {
+            self.undecodable += 1;
+            self.quarantine(partition, key, value, ts);
+            return false;
+        };
+        // Pending, duplicate and malformed shares wait or drop in the
+        // joiner.
+        let JoinOutcome::Complete(message) = self.joiner.offer(qtag, mid, source, value, ts) else {
+            return false;
+        };
+        // Decode into the scratch vector and fold it by reference; the
+        // joined buffer goes back to the joiner's pool. Nothing is
+        // allocated per message once the scratch buffers are warm.
+        let answer = &mut self.answer_scratch;
+        let mut decoded = false;
+        match decode_answer_into(&message, answer) {
+            None => self.undecodable += 1,
+            // A decoded QID that disagrees with the key's query tag
+            // means the share was routed under the wrong join key —
+            // corrupt, not merely unregistered.
+            Some(qid) if qid.to_u64() != qtag => self.undecodable += 1,
+            Some(qid) => match self.queries.get_mut(&qid) {
+                None => self.unroutable += 1,
+                Some(state) if answer.len() == state.buckets => {
+                    tee(qid, ts, mid, answer);
+                    state.windows.push(ts, answer);
+                    decoded = true;
                 }
-                continue;
-            };
-            let source = source as usize;
-            match self
-                .joiner
-                .offer(qtag, mid, source, &record.value, record.timestamp)
-            {
-                JoinOutcome::Pending | JoinOutcome::Duplicate | JoinOutcome::Malformed => {}
-                JoinOutcome::Complete(message) => {
-                    // Decode into the scratch vector and fold it
-                    // by reference; the joined buffer goes back to
-                    // the joiner's pool. Nothing is allocated per
-                    // message once the scratch buffers are warm.
-                    let answer = &mut self.answer_scratch;
-                    let mut poisoned = false;
-                    match decode_answer_into(&message, answer) {
-                        None => {
-                            self.undecodable += 1;
-                            poisoned = true;
-                        }
-                        // A decoded QID that disagrees with the key's
-                        // query tag means the share was routed under
-                        // the wrong join key — corrupt, not merely
-                        // unregistered.
-                        Some(qid) if qid.to_u64() != qtag => {
-                            self.undecodable += 1;
-                            poisoned = true;
-                        }
-                        Some(qid) => match self.queries.get_mut(&qid) {
-                            None => {
-                                self.unroutable += 1;
-                                poisoned = true;
-                            }
-                            Some(state) if answer.len() == state.buckets => {
-                                tee(qid, record.timestamp, mid, answer);
-                                state.windows.push(record.timestamp, answer);
-                                decoded_count += 1;
-                            }
-                            Some(_) => {
-                                self.undecodable += 1;
-                                poisoned = true;
-                            }
-                        },
-                    }
-                    if poisoned {
-                        // Quarantine the share that completed the
-                        // poisoned join — enough to recover the MID
-                        // and inspect the payload post-mortem.
-                        if let Some(w) = &self.dead_letter {
-                            w.append_quiet(
-                                partition as usize,
-                                record.key,
-                                record.value,
-                                record.timestamp,
-                            );
-                            quarantined += 1;
-                        }
-                    }
-                    self.joiner.recycle(message);
-                }
-            }
+                Some(_) => self.undecodable += 1,
+            },
         }
-        self.batch = batch;
-        if quarantined > 0 {
-            self.dead_lettered += quarantined;
-            if let Some(w) = &self.dead_letter {
-                w.notify();
-            }
+        self.joiner.recycle(message);
+        if !decoded {
+            // Quarantine the share that completed the poisoned join —
+            // enough to recover the MID and inspect the payload
+            // post-mortem.
+            self.quarantine(partition, key, value, ts);
         }
-        decoded_count
+        decoded
+    }
+
+    /// Keeps a copy of a poisoned share on the dead-letter sink, if
+    /// one is set.
+    fn quarantine(&self, partition: usize, key: Option<&[u8]>, value: &[u8], ts: Timestamp) {
+        if let Some(w) = &self.dead_letter {
+            w.send_to(partition, key.map(Arc::from), value, ts);
+        }
     }
 
     /// Advances event time, sweeping the joiner and emitting results
@@ -497,10 +501,11 @@ impl Aggregator {
         self.unroutable
     }
 
-    /// Records quarantined to the dead-letter topic (0 unless
-    /// [`Aggregator::set_dead_letter`] was called).
+    /// Shares quarantined as poisoned: every undecodable or
+    /// unroutable one, whether or not a dead-letter sink
+    /// ([`Aggregator::set_dead_letter`]) keeps a copy.
     pub fn dead_lettered(&self) -> u64 {
-        self.dead_lettered
+        self.undecodable + self.unroutable
     }
 
     /// Decoded answers that arrived behind the watermark and were

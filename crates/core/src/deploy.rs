@@ -158,9 +158,9 @@
 //! consumer group's partition → shard assignment reshuffles.
 //!
 //! Poisoned input (malformed keys, undecodable or unroutable
-//! payloads) is quarantined to a dead-letter topic (see
-//! [`Aggregator::set_dead_letter`]) and counted, and every thread
-//! carries a [`Heartbeat`] surfaced through
+//! payloads) is counted, and an in-process shard quarantines a copy
+//! to a dead-letter topic (see [`Aggregator::set_dead_letter`]);
+//! every thread carries a [`Heartbeat`] surfaced through
 //! [`ShardedSystem::thread_health`].
 //!
 //! [`Aggregator::set_dead_letter`]: crate::Aggregator::set_dead_letter
@@ -1281,7 +1281,9 @@ pub struct DeployHealth {
     pub duplicates: u64,
     /// Joins evicted incomplete after the join timeout.
     pub expired_joins: u64,
-    /// Poisoned records preserved on the dead-letter topic.
+    /// Poisoned shares quarantined: every undecodable or unroutable
+    /// one, on either transport (only in-process shards keep copies,
+    /// on the dead-letter topic; a shard child counts and keeps none).
     pub dead_lettered: u64,
     /// Decoded answers dropped behind the watermark (e.g. records
     /// arriving after their epoch partially closed).
@@ -1311,7 +1313,9 @@ pub struct DeployHealth {
     /// Unacknowledged frames retransmitted after a resend stall.
     pub retries: u64,
     /// Poisoned records evicted from the bounded dead-letter topic to
-    /// admit newer ones (drop-oldest overflow).
+    /// admit newer ones (drop-oldest overflow). Only in-process shards
+    /// keep copies there; a shard child counts its quarantined shares
+    /// in [`DeployHealth::dead_lettered`] and keeps none.
     pub dead_letter_dropped: u64,
     /// Successful crash recoveries of the durable store directory
     /// (persisted in snapshot meta, so it survives further restarts).
@@ -2421,8 +2425,10 @@ impl ShardedSystem {
     }
 
     /// Records quarantined on the dead-letter topic and not yet
-    /// consumed by an operator (poisoned input is preserved verbatim
-    /// for offline inspection, never silently dropped).
+    /// consumed by an operator (an in-process shard preserves poisoned
+    /// input verbatim there for offline inspection). Only in-process
+    /// shards keep copies; a shard child counts its quarantined shares
+    /// in [`DeployHealth::dead_lettered`] and keeps none.
     pub fn dead_letter_backlog(&self) -> u64 {
         self.host.broker.topic_len(DEAD_LETTER_TOPIC)
     }

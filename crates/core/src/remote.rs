@@ -35,12 +35,12 @@
 //!   address reaches the live proxies as a [`Route`](FrameKind::Route)
 //!   frame, and each reports its links' counters home as
 //!   [`LinkStats`](FrameKind::LinkStats) frames;
-//! * only a shard child has a private broker, carrying every proxy's
-//!   stream into the same `LocalShard` an in-process shard thread
-//!   runs. Its topics are *trimmed* — unbounded, since the one thread
-//!   that fills them also drains them, but dropping what that thread
-//!   has consumed — so its memory follows its backlog, not its
-//!   lifetime;
+//! * neither child keeps a broker: a shard child walks each frame a
+//!   proxy link delivers and offers every share, by reference, to
+//!   the same `LocalShard` join an in-process shard thread runs on
+//!   what its consumer polls — the link *is* the paper's proxy output
+//!   stream (§3.2.4). It counts poisoned shares and keeps no copy of
+//!   them;
 //! * the control plane (query registration, epoch close, health
 //!   probes) is the in-process shard's own command vocabulary
 //!   (`ShardCmd`/`ShardReply`) in binary; floats travel as
@@ -60,7 +60,7 @@
 //!   front door, every connection it admitted (the parent's; a shard's
 //!   also one per proxy) and — a proxy — every link it dialed. Woken,
 //!   it admits whoever knocked, takes only what is already there
-//!   ([`Transport::try_recv`]), acts — relay, or file and decode; ack —
+//!   ([`Transport::try_recv`]), acts — relay, or join and decode; ack —
 //!   and **flushes before it waits again**, so an epoch is relayed as
 //!   it arrives and no reply it has encoded (the `Closed` reply
 //!   included) sleeps in a buffer;
@@ -109,13 +109,11 @@ use privapprox_cluster::{
     FaultPlan, FaultyTransport, Frame, FrameKind, FrontDoor, Hello, Link, LinkStats, PollSet,
     Reassembly, RejectReason, SupervisedLink, TcpTransport, TokenBucket, Transport, Waker,
 };
-use privapprox_stream::broker::{Broker, Consumer, Record, TopicWriter};
+use privapprox_stream::broker::{Consumer, Record};
 use privapprox_stream::EventCount;
-use privapprox_types::{ProxyId, Timestamp};
 
 use crate::control::{ShardCmd, ShardReply};
-use crate::deploy::{ShardedConfig, DEAD_LETTER_TOPIC};
-use crate::proxy::outbound_topic;
+use crate::deploy::ShardedConfig;
 use crate::stage::{LocalShard, Role};
 
 /// How long a dial waits for the TCP connect to a child node.
@@ -135,8 +133,6 @@ pub(crate) const LINK_READ_POLL: Duration = Duration::from_millis(50);
 pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_millis(2_000);
 /// Records packed into one data frame (one sequence number, one ack).
 pub(crate) const BATCH_RECORDS: usize = 512;
-/// Capacity of a node's local drop-oldest dead-letter quarantine.
-const NODE_DEAD_LETTER_CAP: usize = 4_096;
 
 // ---------------------------------------------------------------------------
 // Parent side: spawning children and dialing supervised links.
@@ -835,7 +831,7 @@ struct Inbox {
     /// Highest cumulative ack sent on the current connection.
     acked: u64,
     /// Batches released in order, payloads as they arrived, waiting to
-    /// be relayed (a proxy node) or filed (a shard node).
+    /// be relayed (a proxy node) or joined (a shard node).
     deliverable: Vec<Batch>,
     /// Records must name a partition below this.
     partitions: usize,
@@ -1100,17 +1096,14 @@ impl ProxyNode {
     }
 }
 
-/// Child runtime for one aggregator shard: a private broker carrying
-/// every proxy's outbound topic, the same [`LocalShard`] an
-/// in-process shard thread runs as their sole consumer, a data link
-/// from every proxy child, and the parent's control connection
-/// (`Ctrl` in; `CtrlReply` and `Progress` out).
+/// Child runtime for one aggregator shard: the same join, decode and
+/// windowing as an in-process shard thread, in a detached
+/// [`LocalShard`] that takes each share straight off its proxy's data
+/// link; a data link from every proxy child; and the parent's control
+/// connection (`Ctrl` in; `CtrlReply` and `Progress` out).
 struct ShardNode {
-    _broker: Broker,
-    shard: LocalShard,
-    /// Per proxy: the writer of its stream, its data link's inbox and
-    /// its connection.
-    writers: Vec<TopicWriter>,
+    shard: LocalShard<()>,
+    /// Per proxy: its data link's inbox and its connection.
     inboxes: Vec<Inbox>,
     proxies: Vec<Option<Conn>>,
     parent: Option<Conn>,
@@ -1118,24 +1111,8 @@ struct ShardNode {
 
 impl ShardNode {
     fn new(opts: &NodeOpts) -> ShardNode {
-        let broker = Broker::new(opts.partitions);
-        let names: Vec<String> = (0..opts.proxies)
-            .map(|p| outbound_topic(ProxyId(p as u16)))
-            .collect();
-        // This one thread both fills and drains the node's topics, so
-        // they must never apply backpressure — and must not keep what
-        // it has consumed, or the child grows by an epoch's shares
-        // per epoch.
-        for n in &names {
-            broker.create_topic_trimmed(n, opts.partitions);
-        }
-        broker.create_topic_drop_oldest(DEAD_LETTER_TOPIC, opts.partitions, NODE_DEAD_LETTER_CAP);
-        let shard = LocalShard::new(&broker, opts.proxies, opts.confidence, None);
-        let writers = names.iter().map(|n| broker.writer(n)).collect();
         ShardNode {
-            _broker: broker,
-            shard,
-            writers,
+            shard: LocalShard::detached(opts.proxies, opts.confidence),
             inboxes: (0..opts.proxies)
                 .map(|p| Inbox::new(opts.partitions, p as u8, 1))
                 .collect(),
@@ -1183,9 +1160,8 @@ impl ShardNode {
         }
     }
 
-    /// Takes the parent's control connection, or a proxy's data link
-    /// — which files its records on the proxy's stream whatever a
-    /// record's own stream byte says.
+    /// Takes the parent's control connection, or a proxy's data link,
+    /// whose records it joins as that proxy's shares.
     fn admit(&mut self, a: Admitted) {
         let (hello, conn) = Conn::admitted(a);
         match hello.channel {
@@ -1226,21 +1202,18 @@ impl ShardNode {
         Ok(false)
     }
 
-    /// Files every reassembled share on its proxy's stream and
-    /// decodes what is there.
+    /// Joins every reassembled share as its proxy's, in the order the
+    /// link delivered them.
     fn pump(&mut self) {
-        for (inbox, w) in self.inboxes.iter_mut().zip(&self.writers) {
+        for (p, inbox) in self.inboxes.iter_mut().enumerate() {
             for (_, payload) in inbox.deliverable.drain(..) {
-                let filed = walk_data_batch(&payload, |r| {
-                    let ts = Timestamp(r.timestamp);
-                    let key = r.key.map(Arc::from);
-                    w.append_quiet(r.partition as usize, key, r.value, ts);
+                let walked = walk_data_batch(&payload, |r| {
+                    self.shard.offer(p, r);
                     Ok(())
                 });
-                debug_assert!(filed.is_ok(), "the inbox walked this batch");
+                debug_assert!(walked.is_ok(), "the inbox walked this batch");
             }
         }
-        self.shard.pump();
     }
 
     /// Queues a `Progress` frame for every epoch whose tally moved.
@@ -1708,5 +1681,43 @@ mod tests {
         node.inboxes[1].ack(c.t.as_mut()).unwrap();
         let ack = proxy.try_recv().unwrap().expect("an ack");
         assert_eq!(decode_ack(&ack.payload).unwrap(), 1);
+    }
+
+    /// A shard node joins shares straight off its links, with no
+    /// broker to quarantine them on: a well-framed share whose key is
+    /// not a wire key passes the link's checks, and the shard counts
+    /// it as undecodable and dead-lettered.
+    #[test]
+    fn shard_node_counts_poisoned_shares_without_a_broker() {
+        let mut node = ShardNode::new(
+            &NodeOpts::parse(&args(&["shard", "--partitions", "2", "--proxies", "2"])).unwrap(),
+        );
+        let (mut proxy, conn) = channel_conn();
+        node.proxies[0] = Some(conn);
+        let poisoned = DataMsg {
+            seq: 1,
+            stream: 0,
+            partition: 1,
+            timestamp: 1_000,
+            key: Some(vec![7u8; 23].into()),
+            value: vec![0xAB; 8].into(),
+        };
+        let frame = Frame::new(FrameKind::Data, encode_data_batch(&[poisoned]));
+        proxy.send(&frame).unwrap();
+        node.take_data(0).unwrap();
+        node.pump();
+        let (mut parent, mut conn) = channel_conn();
+        node.on_ctrl(&ShardCmd::Probe.encode(), &mut conn).unwrap();
+        let reply = parent.try_recv().unwrap().expect("a reply");
+        assert_eq!(reply.kind, FrameKind::CtrlReply);
+        let ShardReply::Health {
+            quad: (undecodable, ..),
+            dead_lettered,
+            ..
+        } = ShardReply::decode(&reply.payload).unwrap()
+        else {
+            panic!("wrong variant");
+        };
+        assert_eq!((undecodable, dead_lettered), (1, 1));
     }
 }

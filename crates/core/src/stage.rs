@@ -37,11 +37,11 @@ use crate::deploy::{thread_busy_time, ShardedConfig, TransportMode, DEAD_LETTER_
 use crate::proxy::{inbound_topic, Proxy};
 use crate::remote::{self, Bridge, NodeChild, ProxyBridge, Routes};
 use privapprox_cluster::wire::decode_progress;
-use privapprox_cluster::{FaultPlan, FrameKind, Heartbeat, LinkStats, Watchdog};
+use privapprox_cluster::{FaultPlan, FrameKind, Heartbeat, LinkStats, RecordRef, Watchdog};
 use privapprox_rr::estimate::BucketEstimator;
-use privapprox_stream::broker::Broker;
+use privapprox_stream::broker::{Broker, Consumer};
 use privapprox_stream::EventCount;
-use privapprox_types::{BitVec, ProxyId, QueryId, Timestamp};
+use privapprox_types::{BitVec, MessageId, ProxyId, QueryId, Timestamp};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
@@ -324,15 +324,41 @@ fn take_slot(hook: &mut Option<(usize, u64)>, i: usize) -> Option<u64> {
 /// retained answers of queries registered for history, and the
 /// control-plane handling of [`ShardCmd`]s. An in-process shard thread
 /// and a `privapprox-node` child run this same value; they differ only
-/// in where [`LocalShard::publish`] sends the tally's deltas.
-pub(crate) struct LocalShard {
-    agg: Aggregator,
+/// in where shares come from — the thread's consumer
+/// ([`LocalShard::pump`]), or the child's proxy links, walked frame by
+/// frame into a detached shard ([`LocalShard::offer`]) — and where
+/// [`LocalShard::publish`] sends the tally's deltas.
+pub(crate) struct LocalShard<In = Consumer> {
+    agg: Aggregator<In>,
+    decodes: Decodes,
+}
+
+/// What a shard keeps of every answer it decodes.
+#[derive(Default)]
+struct Decodes {
     tally: EpochTally,
     /// The §3.3.1 at-rest store (randomized answers only) of queries
     /// registered with `retain`.
     retained: HashMap<QueryId, Vec<(u64, u128, BitVec)>>,
     /// Fault injection: panic on the `n`-th decode.
     fuse: Option<u64>,
+}
+
+impl Decodes {
+    /// Tags one decode with its epoch and stores it if its query is
+    /// retained.
+    fn keep(&mut self, qid: QueryId, ts: Timestamp, mid: MessageId, answer: &BitVec) {
+        self.tally.bump(ts);
+        if let Some(stored) = self.retained.get_mut(&qid) {
+            stored.push((ts.0, mid.0, answer.clone()));
+        }
+        if let Some(n) = &mut self.fuse {
+            if *n <= 1 {
+                panic!("injected shard fault");
+            }
+            *n -= 1;
+        }
+    }
 }
 
 impl LocalShard {
@@ -347,12 +373,11 @@ impl LocalShard {
     ) -> LocalShard {
         let mut agg = Aggregator::new(broker, proxies, confidence);
         agg.set_dead_letter(broker.writer(DEAD_LETTER_TOPIC));
-        LocalShard {
-            agg,
-            tally: EpochTally::default(),
-            retained: HashMap::new(),
+        let decodes = Decodes {
             fuse,
-        }
+            ..Decodes::default()
+        };
+        LocalShard { agg, decodes }
     }
 
     /// The event count the shard's consumer is woken through.
@@ -360,28 +385,40 @@ impl LocalShard {
         self.agg.wake()
     }
 
-    /// Drains what the proxy streams hold, tagging every decode with
-    /// its epoch. Returns the number of answers decoded.
+    /// Offers every share the proxy streams hold, tagging every decode
+    /// with its epoch. Returns the number of answers decoded.
     pub(crate) fn pump(&mut self) -> u64 {
-        let (tally, retained, fuse) = (&mut self.tally, &mut self.retained, &mut self.fuse);
-        self.agg.pump_with(|qid, ts, mid, answer| {
-            tally.bump(ts);
-            if let Some(stored) = retained.get_mut(&qid) {
-                stored.push((ts.0, mid.0, answer.clone()));
-            }
-            if let Some(n) = fuse {
-                if *n <= 1 {
-                    panic!("injected shard fault");
-                }
-                *n -= 1;
-            }
-        })
+        self.agg
+            .pump_with(|qid, ts, mid, answer| self.decodes.keep(qid, ts, mid, answer))
+    }
+}
+
+impl LocalShard<()> {
+    /// A shard with no broker behind it, fed share by share through
+    /// [`LocalShard::offer`]; it counts poisoned input but keeps no
+    /// copy of it.
+    pub(crate) fn detached(proxies: usize, confidence: f64) -> LocalShard<()> {
+        let agg = Aggregator::detached(proxies, confidence);
+        LocalShard {
+            agg,
+            decodes: Decodes::default(),
+        }
     }
 
+    /// Offers one share walked off proxy `source`'s link, tagging a
+    /// decode it completes with its epoch.
+    pub(crate) fn offer(&mut self, source: usize, r: RecordRef) {
+        let (partition, ts) = (r.partition as usize, Timestamp(r.timestamp));
+        let keep = |qid, ts, mid, answer: &BitVec| self.decodes.keep(qid, ts, mid, answer);
+        self.agg.offer(source, partition, r.key, r.value, ts, keep);
+    }
+}
+
+impl<In> LocalShard<In> {
     /// Reports every decode counted since the last call, as `(epoch,
     /// delta)`, for the global epoch ledger.
     pub(crate) fn publish(&mut self, sink: impl FnMut(Timestamp, u64)) {
-        self.tally.publish(sink);
+        self.decodes.tally.publish(sink);
     }
 
     /// Returns an estimator to the open-window pool.
@@ -392,6 +429,9 @@ impl LocalShard {
     /// Acts on one control command and produces its reply. The host
     /// decides *when* a `Close` is due; this cuts the windows.
     pub(crate) fn handle(&mut self, cmd: ShardCmd) -> ShardReply {
+        let Decodes {
+            tally, retained, ..
+        } = &mut self.decodes;
         match cmd {
             ShardCmd::Register {
                 query,
@@ -402,13 +442,13 @@ impl LocalShard {
                 if retain {
                     // Keep whatever is already stored: re-registration
                     // (a feedback retune) must not wipe history.
-                    self.retained.entry(query.id).or_default();
+                    retained.entry(query.id).or_default();
                 }
                 self.agg.register_query(&query, params, population);
                 ShardReply::Registered
             }
             ShardCmd::Fetch { query, range } => ShardReply::Stored {
-                answers: self.retained.get(&query).map_or_else(Vec::new, |stored| {
+                answers: retained.get(&query).map_or_else(Vec::new, |stored| {
                     stored
                         .iter()
                         .filter(|(ts, _, _)| range.contains(Timestamp(*ts)))
@@ -418,13 +458,14 @@ impl LocalShard {
             },
             ShardCmd::Close(c) => {
                 for est in c.recycle {
-                    self.release(est);
+                    self.agg.release_estimator(est);
                 }
                 let mut windows = Vec::new();
-                self.agg.advance_watermark_raw_into(c.watermark, &mut windows);
-                let decoded = self.tally.count(c.epoch);
+                self.agg
+                    .advance_watermark_raw_into(c.watermark, &mut windows);
+                let decoded = tally.count(c.epoch);
                 // The epoch's accounting retires with the close.
-                self.tally.retire(c.epoch);
+                tally.retire(c.epoch);
                 ShardReply::Closed {
                     epoch: c.epoch,
                     decoded,

@@ -282,7 +282,7 @@ impl Broker {
             inner: Arc::new(BrokerInner {
                 topics: RwLock::new(HashMap::new()),
                 backpressure_deadline_ns: AtomicU64::new(
-                    DEFAULT_BACKPRESSURE_DEADLINE.as_nanos() as u64,
+                    DEFAULT_BACKPRESSURE_DEADLINE.as_nanos() as u64
                 ),
                 group_offsets: Mutex::new(HashMap::new()),
                 groups: Mutex::new(HashMap::new()),
@@ -322,21 +322,6 @@ impl Broker {
         topics
             .entry(name.to_string())
             .or_insert_with(|| Arc::new(Topic::new(name, partitions, capacity)));
-    }
-
-    /// Creates a topic that **trims without bounding**: producers
-    /// never park (the backlog is unlimited, as with
-    /// [`Broker::create_topic`]), but records below every registered
-    /// group's committed offset drop off the log exactly as on a
-    /// bounded topic, so memory follows the backlog instead of the
-    /// lifetime record count. This is the policy for a topic whose
-    /// producer and consumer are the *same thread* (a node child's
-    /// private topics): backpressure there could only deadlock, while
-    /// an untrimmed log grows — and page-faults — without bound. A
-    /// group joining after trimming reads from the earliest retained
-    /// record. A no-op if the topic already exists.
-    pub fn create_topic_trimmed(&self, name: &str, partitions: usize) {
-        self.create_topic_with_capacity(name, partitions, usize::MAX)
     }
 
     /// Creates a bounded topic with **drop-oldest** overflow: each
@@ -522,7 +507,6 @@ impl Broker {
         TopicWriter {
             broker: self.clone(),
             topic: self.topic(topic),
-            park: None,
         }
     }
 
@@ -619,7 +603,6 @@ impl Producer {
             value.into(),
             timestamp,
             true,
-            None,
         )
         .unwrap_or_else(|e| panic!("{e}"));
         (partition, offset)
@@ -680,7 +663,6 @@ impl Producer {
             value.into(),
             timestamp,
             true,
-            None,
         )
     }
 }
@@ -708,11 +690,10 @@ fn append(
     value: Arc<[u8]>,
     timestamp: Timestamp,
     notify: bool,
-    park: Option<Duration>,
 ) -> Result<u64, BrokerError> {
     let mut waited = false;
     let started = std::time::Instant::now();
-    let deadline = started + park.unwrap_or_else(|| broker.backpressure_deadline());
+    let deadline = started + broker.backpressure_deadline();
     let (offset, size) = loop {
         // Read before the capacity check: space freed at any point
         // after this ends the park below at once.
@@ -753,7 +734,11 @@ fn append(
         .stats
         .records_in
         .fetch_add(1, Ordering::Relaxed);
-    broker.inner.stats.bytes_in.fetch_add(size, Ordering::Relaxed);
+    broker
+        .inner
+        .stats
+        .bytes_in
+        .fetch_add(size, Ordering::Relaxed);
     if notify || waited {
         // Wake blocked consumers (always after a backpressure wait:
         // the record the consumer is parked for may be this one).
@@ -835,7 +820,6 @@ fn append_batch(
     partition: usize,
     records: &mut Vec<BatchEntry>,
     notify: bool,
-    park: Option<Duration>,
 ) -> Result<u64, BrokerError> {
     let n = records.len() as u64;
     if n == 0 {
@@ -843,7 +827,7 @@ fn append_batch(
     }
     let mut waited = false;
     let started = std::time::Instant::now();
-    let deadline = started + park.unwrap_or_else(|| broker.backpressure_deadline());
+    let deadline = started + broker.backpressure_deadline();
     let (first, size) = loop {
         let space = t.space.token();
         let mut p = t.partitions[partition].lock();
@@ -884,7 +868,11 @@ fn append_batch(
         .stats
         .records_in
         .fetch_add(n, Ordering::Relaxed);
-    broker.inner.stats.bytes_in.fetch_add(size, Ordering::Relaxed);
+    broker
+        .inner
+        .stats
+        .bytes_in
+        .fetch_add(size, Ordering::Relaxed);
     if notify || waited {
         t.wake_consumers();
     }
@@ -900,31 +888,9 @@ fn append_batch(
 pub struct TopicWriter {
     broker: Broker,
     topic: Arc<Topic>,
-    /// Per-writer override of the broker's backpressure deadline;
-    /// `None` inherits [`Broker::backpressure_deadline`].
-    park: Option<Duration>,
 }
 
 impl TopicWriter {
-    /// Returns a writer whose bounded-partition park is limited to
-    /// `timeout` instead of the broker-wide deadline. A partition
-    /// still full when it elapses surfaces the existing typed
-    /// [`BrokerError::Backpressure`] from the `try_` appends —
-    /// crucial when every consumer of a group is gone *without*
-    /// withdrawing its committed floors (a leaked or wedged consumer
-    /// handle): the floor never advances, freed space is never
-    /// announced again, and only this deadline stands between the
-    /// producer and an unbounded park.
-    pub fn with_park_timeout(mut self, timeout: Duration) -> TopicWriter {
-        self.park = Some(timeout);
-        self
-    }
-
-    /// The effective park bound this writer applies to full bounded
-    /// partitions.
-    pub fn park_timeout(&self) -> Duration {
-        self.park.unwrap_or_else(|| self.broker.backpressure_deadline())
-    }
     /// Appends to an explicit partition and wakes consumers, like
     /// [`Producer::send_to`] but without the topic lookup and with
     /// shared (refcounted) key bytes.
@@ -962,7 +928,6 @@ impl TopicWriter {
             value.into(),
             timestamp,
             true,
-            self.park,
         )
     }
 
@@ -1006,7 +971,6 @@ impl TopicWriter {
             value.into(),
             timestamp,
             false,
-            self.park,
         )
     }
 
@@ -1022,7 +986,7 @@ impl TopicWriter {
     /// Panics on a backpressure deadline; see
     /// [`TopicWriter::try_append_batch`].
     pub fn append_batch(&self, partition: usize, records: &mut Vec<BatchEntry>) -> u64 {
-        append_batch(&self.broker, &self.topic, partition, records, true, self.park)
+        append_batch(&self.broker, &self.topic, partition, records, true)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -1046,7 +1010,7 @@ impl TopicWriter {
         partition: usize,
         records: &mut Vec<BatchEntry>,
     ) -> Result<u64, BrokerError> {
-        append_batch(&self.broker, &self.topic, partition, records, false, self.park)
+        append_batch(&self.broker, &self.topic, partition, records, false)
     }
 
     /// Wakes consumers parked on this topic — the batch-end pair of
@@ -1184,8 +1148,7 @@ impl Consumer {
             // group's offset predates the trim point (late joiner on
             // a bounded topic).
             let read_from = committed.max(p.base).min(next);
-            let take =
-                ((next - read_from) as usize).min(max - (out.len() - pushed_at_entry));
+            let take = ((next - read_from) as usize).min(max - (out.len() - pushed_at_entry));
             if take == 0 {
                 continue;
             }
@@ -1476,13 +1439,13 @@ mod tests {
         broker.create_topic_with_capacity("pipe", 1, 2);
         // A consumer registers a floor then leaks without running its
         // Drop (a wedged thread still holding the handle): the floor
-        // never advances and nobody will ever announce freed space.
+        // never advances and nobody will ever announce freed space, so
+        // only the broker's deadline bounds the producer's park.
         let consumer = broker.consumer("g", &["pipe"]);
         std::mem::forget(consumer);
-        let w = broker
-            .writer("pipe")
-            .with_park_timeout(Duration::from_millis(30));
-        assert_eq!(w.park_timeout(), Duration::from_millis(30));
+        broker.set_backpressure_deadline(Duration::from_millis(30));
+        assert_eq!(broker.backpressure_deadline(), Duration::from_millis(30));
+        let w = broker.writer("pipe");
         w.send_to(0, None, b"a".to_vec(), ts(1));
         w.send_to(0, None, b"b".to_vec(), ts(2));
         let started = std::time::Instant::now();
@@ -1491,23 +1454,19 @@ mod tests {
             .expect_err("full partition with a leaked consumer must time out");
         let waited = started.elapsed();
         match err {
-            BrokerError::Backpressure { topic, partition, .. } => {
+            BrokerError::Backpressure {
+                topic, partition, ..
+            } => {
                 assert_eq!(topic, "pipe");
                 assert_eq!(partition, 0);
             }
         }
-        // The per-writer bound, not the broker's 60 s default.
+        // The configured bound, not the broker's 60 s default.
         assert!(waited < Duration::from_secs(5), "waited {waited:?}");
-        // The batch path honors the same override.
+        // The batch path honors the same deadline.
         let mut batch: Vec<BatchEntry> = vec![(None, Arc::from(b"d".as_slice()), ts(4))];
         assert!(w.try_append_batch(0, &mut batch).is_err());
         assert_eq!(batch.len(), 1, "failed batch left intact");
-        // A writer without the override still inherits the broker
-        // deadline (shortened here so the test stays fast).
-        broker.set_backpressure_deadline(Duration::from_millis(10));
-        let plain = broker.writer("pipe");
-        assert_eq!(plain.park_timeout(), Duration::from_millis(10));
-        assert!(plain.try_send_to(0, None, b"e".to_vec(), ts(5)).is_err());
     }
 
     #[test]
@@ -1713,24 +1672,6 @@ mod tests {
             "woken by the full partition, not a timeout: {:?}",
             start.elapsed()
         );
-    }
-
-    #[test]
-    fn trimmed_topic_never_parks_its_producer_and_drops_consumed_records() {
-        let broker = Broker::new(1);
-        broker.create_topic_trimmed("loop", 1);
-        let consumer = broker.consumer("g", &["loop"]);
-        let w = broker.writer("loop");
-        // One thread produces far ahead of its own consumption…
-        for i in 0..10_000u64 {
-            w.append_quiet(0, None, vec![0u8; 8], ts(i));
-        }
-        assert_eq!(broker.topic_len("loop"), 10_000);
-        // …and what it consumes leaves the log.
-        let mut out = Vec::new();
-        while consumer.poll_into(1024, &mut out) > 0 {}
-        assert_eq!(out.len(), 10_000);
-        assert_eq!(broker.topic_len("loop"), 0);
     }
 
     #[test]

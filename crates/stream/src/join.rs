@@ -297,7 +297,10 @@ mod tests {
             joiner.offer(0, mid, 0, &[1, 2, 3], ts(0)),
             JoinOutcome::Pending
         );
-        assert_eq!(joiner.offer(0, mid, 1, &[1, 2], ts(0)), JoinOutcome::Malformed);
+        assert_eq!(
+            joiner.offer(0, mid, 1, &[1, 2], ts(0)),
+            JoinOutcome::Malformed
+        );
         // Subsequent shares with that MID are rejected too.
         assert_eq!(
             joiner.offer(0, mid, 0, &[9, 9, 9], ts(1)),
@@ -341,8 +344,14 @@ mod tests {
         // treat (q, mid) — not mid — as the join key.
         let mid = MessageId(0xDEAD_BEEF);
         let mut joiner = MidJoiner::new(2, 1000);
-        assert_eq!(joiner.offer(1, mid, 0, &[0xAA], ts(0)), JoinOutcome::Pending);
-        assert_eq!(joiner.offer(2, mid, 0, &[0x55], ts(0)), JoinOutcome::Pending);
+        assert_eq!(
+            joiner.offer(1, mid, 0, &[0xAA], ts(0)),
+            JoinOutcome::Pending
+        );
+        assert_eq!(
+            joiner.offer(2, mid, 0, &[0x55], ts(0)),
+            JoinOutcome::Pending
+        );
         assert_eq!(
             joiner.offer(1, mid, 1, &[0x0F], ts(1)),
             JoinOutcome::Complete(vec![0xAA ^ 0x0F])

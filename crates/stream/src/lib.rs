@@ -25,7 +25,9 @@ pub mod join;
 pub mod wake;
 pub mod window;
 
-pub use broker::{BatchEntry, Broker, BrokerError, BrokerStats, Consumer, Producer, Record, TopicWriter};
+pub use broker::{
+    BatchEntry, Broker, BrokerError, BrokerStats, Consumer, Producer, Record, TopicWriter,
+};
 pub use join::{JoinOutcome, MidJoiner};
 pub use wake::EventCount;
 pub use window::WindowedFold;

@@ -37,11 +37,7 @@ fn drain(consumer: &privapprox_stream::Consumer) -> Vec<Observed> {
 }
 
 fn entry(key: u8, value: &[u8], ts: u64) -> BatchEntry {
-    (
-        Some(Arc::from(&[key][..])),
-        Arc::from(value),
-        Timestamp(ts),
-    )
+    (Some(Arc::from(&[key][..])), Arc::from(value), Timestamp(ts))
 }
 
 proptest! {
@@ -193,8 +189,15 @@ fn mid_batch_backpressure_publishes_nothing_and_retries_exactly_once() {
     w.try_append_batch(0, &mut batch).unwrap();
     assert!(batch.is_empty());
     let got = drain(&consumer);
-    let keys: Vec<u8> = got.iter().map(|(_, _, k, _, _)| k.as_ref().unwrap()[0]).collect();
-    assert_eq!(keys, vec![10, 11, 12], "retried batch published exactly once");
+    let keys: Vec<u8> = got
+        .iter()
+        .map(|(_, _, k, _, _)| k.as_ref().unwrap()[0])
+        .collect();
+    assert_eq!(
+        keys,
+        vec![10, 11, 12],
+        "retried batch published exactly once"
+    );
 }
 
 /// A batch wider than the whole partition capacity can never fit; it
@@ -250,8 +253,14 @@ fn batch_appends_are_zero_copy() {
     consumer.poll_into(16, &mut buf);
     assert_eq!(buf.len(), 2);
     for (_, _, rec) in &buf {
-        assert!(Arc::ptr_eq(&payload, &rec.value), "payload shared, not copied");
-        assert!(Arc::ptr_eq(&key, rec.key.as_ref().unwrap()), "key shared too");
+        assert!(
+            Arc::ptr_eq(&payload, &rec.value),
+            "payload shared, not copied"
+        );
+        assert!(
+            Arc::ptr_eq(&key, rec.key.as_ref().unwrap()),
+            "key shared too"
+        );
     }
 }
 
