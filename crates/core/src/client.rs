@@ -91,16 +91,18 @@ pub struct Client {
     id: ClientId,
     db: Database,
     /// Seed material for every answer's RNG, which is a pure function
-    /// of `(rng_seed, epoch)` (see [`Client::epoch_rng`]): the client
-    /// carries no RNG state from one call to the next, so a respawned
-    /// or recovered client answers an epoch exactly as the original
-    /// would have. Deliberately NOT mixed with the `QueryId`: a query
-    /// answered inside a multi-tenant schedule draws exactly what it
-    /// would draw running alone in a fresh system, which is what makes
-    /// K concurrent queries byte-identical to K isolation runs (the
-    /// `multi_query` equivalence suite) — at the cost of concurrent
-    /// queries drawing equal MIDs and coins, which is why the share
-    /// join is keyed by (query, MID), not MID alone.
+    /// of `(rng_seed, query, epoch)` (see [`Client::epoch_rng`]): the
+    /// client carries no RNG state from one call to the next, so a
+    /// respawned or recovered client answers an epoch exactly as the
+    /// original would have. The `QueryId` is mixed in so that two
+    /// tenants draw independent coins, MIDs and pads — equal pads would
+    /// hand the proxy holding both tenants' `M_E` shares the XOR of the
+    /// two randomized answers, and equal coins would let an aggregator
+    /// read true bits off complementary queries. A query's stream still
+    /// depends on nothing but (seed, query, epoch), never on which
+    /// other tenants are admitted, so K concurrent queries stay
+    /// byte-identical to the same K queries run in isolation under the
+    /// same ids (the `multi_query` equivalence suite).
     rng_seed: u64,
     /// Analyst public keys this client trusts (keyed verification of
     /// query signatures, §3.1).
@@ -129,19 +131,23 @@ impl Client {
         }
     }
 
-    /// The RNG of this client's answer to `epoch`. The seed is hashed
-    /// (one SplitMix64 finalizer) before the epoch is added, never
-    /// XORed raw: `rng_seed` carries the client id in its high 32 bits
-    /// and a millisecond clock passes 2³² after 49.7 days, so a raw
-    /// mix would hand client `c` at `t + 2³²` the stream of client
-    /// `c ^ 1` at `t`. The multiplier is odd (epochs map one-to-one)
-    /// and is not `seed_from_u64`'s own SplitMix64 increment, whose
-    /// multiples would make neighbouring epochs' state words overlap.
-    fn epoch_rng(&self, epoch: Timestamp) -> StdRng {
-        let mut z = self.rng_seed;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+    /// The RNG of this client's answer to `query` at `epoch`. The seed
+    /// is hashed (one SplitMix64 finalizer), XORed with the query id
+    /// and hashed again, before the epoch is added; it is never XORed
+    /// raw with the epoch: `rng_seed` carries the client id in its
+    /// high 32 bits and a millisecond clock passes 2³² after 49.7 days,
+    /// so a raw mix would hand client `c` at `t + 2³²` the stream of
+    /// client `c ^ 1` at `t`. The multiplier is odd (epochs map
+    /// one-to-one) and is not `seed_from_u64`'s own SplitMix64
+    /// increment, whose multiples would make neighbouring epochs'
+    /// state words overlap.
+    fn epoch_rng(&self, query: QueryId, epoch: Timestamp) -> StdRng {
+        let mix = |mut z: u64| {
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let z = mix(mix(self.rng_seed) ^ query.to_u64());
         StdRng::seed_from_u64(z.wrapping_add(epoch.0.wrapping_mul(0xD1B5_4A32_D192_ED03)))
     }
 
@@ -240,10 +246,10 @@ impl Client {
     /// to sit this epoch out — the low-latency half of the paper's
     /// marriage. Otherwise returns the XOR shares to transmit, one per
     /// proxy. Coins, randomized bits, MID and share pads are a pure
-    /// function of the client's seed and `epoch` (§3.2: fresh per
-    /// epoch, nothing carried over): answering the same epoch again
-    /// yields the same shares, which the aggregator's duplicate
-    /// defence counts once.
+    /// function of the client's seed, the query and `epoch` (§3.2:
+    /// fresh per query epoch, nothing carried over): answering the
+    /// same epoch again yields the same shares, which the
+    /// aggregator's duplicate defence counts once.
     pub fn answer_query(
         &mut self,
         query: &Query,
@@ -299,7 +305,7 @@ impl Client {
         // expose the previous epoch's shares (a stale read could
         // resubmit the old message).
         scratch.split.invalidate();
-        let mut rng = self.epoch_rng(epoch);
+        let mut rng = self.epoch_rng(query.id, epoch);
         // Step I: sampling at the client (§3.2.1).
         let coin = ParticipationCoin::new(params.s);
         if !coin.flip(&mut rng) {
@@ -312,7 +318,7 @@ impl Client {
         } else {
             // The *forked* path re-seeds the scratch's bulk generator
             // from this answer's RNG on every call, so the randomized
-            // bits are a pure function of (client seed, epoch) —
+            // bits are a pure function of (client seed, query, epoch) —
             // independent of which (possibly shared, possibly
             // per-shard) scratch serves the call. That determinism is
             // what makes the sharded deployment byte-identical to the
@@ -444,8 +450,7 @@ mod tests {
         let n = 2_000;
         let mut participated = 0;
         for epoch in 0..n {
-            if c
-                .answer_query(&q, &params, Timestamp(epoch), 2)
+            if c.answer_query(&q, &params, Timestamp(epoch), 2)
                 .unwrap()
                 .is_some()
             {
@@ -551,10 +556,20 @@ mod tests {
                 for k in 0..256 {
                     let Some(word) = cells[c][k] else { continue };
                     if c + 1 < 256 {
-                        assert_ne!(cells[c + 1][k], Some(word), "grid {g}: clients {c}, {}", c + 1);
+                        assert_ne!(
+                            cells[c + 1][k],
+                            Some(word),
+                            "grid {g}: clients {c}, {}",
+                            c + 1
+                        );
                     }
                     if k + 1 < 256 {
-                        assert_ne!(cells[c][k + 1], Some(word), "grid {g}: epochs {k}, {}", k + 1);
+                        assert_ne!(
+                            cells[c][k + 1],
+                            Some(word),
+                            "grid {g}: epochs {k}, {}",
+                            k + 1
+                        );
                     }
                 }
             }
@@ -670,5 +685,69 @@ mod tests {
             distinct.insert(decoded.to_string());
         }
         assert!(distinct.len() > 1, "randomization must vary answers");
+    }
+
+    /// `speed_query` under another id and `buckets` 1-mph buckets: a
+    /// second tenant asking the same question at the same width.
+    fn tenant_query(number: u32, buckets: usize) -> Query {
+        QueryBuilder::new(
+            QueryId::new(AnalystId(1), number),
+            "SELECT speed FROM vehicle WHERE location = 'SF'",
+        )
+        .answer(AnswerSpec::ranges_with_overflow(
+            0.0,
+            buckets as f64,
+            buckets,
+        ))
+        .frequency(1_000)
+        .window(60_000, 60_000)
+        .sign_and_build(KEY)
+    }
+
+    /// Two tenants of equal width draw their own pads: the proxy that
+    /// holds both tenants' `M_E` shares (share 0) must not be able to
+    /// XOR them into `msg₁ ⊕ msg₂`, the XOR of the two randomized
+    /// answers (a two-time pad breaks §3.2.3's guarantee that one
+    /// proxy learns nothing). Nor may the two answers carry one MID.
+    #[test]
+    fn two_tenants_never_share_pads() {
+        let mut c = client_with_speed(15.0);
+        let params = ExecutionParams::checked(1.0, 0.9, 0.6);
+        let epoch = Timestamp(1_000);
+        let a = c
+            .answer_query(&tenant_query(1, 11), &params, epoch, 2)
+            .unwrap()
+            .expect("s = 1 participates");
+        let b = c
+            .answer_query(&tenant_query(2, 11), &params, epoch, 2)
+            .unwrap()
+            .expect("s = 1 participates");
+        let xor = |x: &[u8], y: &[u8]| -> Vec<u8> { x.iter().zip(y).map(|(x, y)| x ^ y).collect() };
+        let messages = xor(&combine(&a.shares).unwrap(), &combine(&b.shares).unwrap());
+        let proxy_view = xor(&a.shares[0].payload, &b.shares[0].payload);
+        assert_ne!(proxy_view, messages, "one proxy can read msg₁ ⊕ msg₂");
+        assert_ne!(a.shares[0].mid, b.shares[0].mid, "the tenants share a MID");
+    }
+
+    /// Two tenants with equal truth and equal (p, q) flip their own
+    /// coins: their randomized vectors differ. With shared coins they
+    /// would be identical, and for complementary queries every
+    /// disagreement would reveal a truthful bit (Eq. 9 charges each
+    /// query's ε on the premise of fresh coins per query).
+    #[test]
+    fn two_tenants_flip_their_own_coins() {
+        let mut c = client_with_speed(15.0);
+        let params = ExecutionParams::checked(1.0, 0.5, 0.5);
+        let epoch = Timestamp(1_000);
+        let mut randomized = Vec::new();
+        for number in [1, 2] {
+            let answer = c
+                .answer_query(&tenant_query(number, 256), &params, epoch, 2)
+                .unwrap()
+                .expect("s = 1 participates");
+            let (_, bits) = decode_answer(&combine(&answer.shares).unwrap()).unwrap();
+            randomized.push(bits);
+        }
+        assert_ne!(randomized[0], randomized[1], "the tenants share RR coins");
     }
 }

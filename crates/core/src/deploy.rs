@@ -85,8 +85,9 @@
 //! count *and any pipeline depth*. Four properties compose into that
 //! guarantee:
 //!
-//! 1. every client's answer is a pure function of its seed and the
-//!    epoch's timestamp (the answer's RNG is derived from the two, and
+//! 1. every client's answer is a pure function of its seed, the query
+//!    and the epoch's timestamp (the answer's RNG is derived from the
+//!    three, and
 //!    [`Randomizer::randomize_vec_forked`](privapprox_rr::randomize::Randomizer::randomize_vec_forked)
 //!    re-forks the bulk generator from it per call), so processing
 //!    order, scratch sharing and epoch overlap are irrelevant;

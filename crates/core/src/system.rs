@@ -153,8 +153,8 @@ pub struct System {
     /// randomize stage re-forks the scratch's bulk generator from
     /// each answer's own RNG per call
     /// (`Randomizer::randomize_vec_forked`), so every client's answer
-    /// is a pure function of its seed and the epoch — which is also
-    /// why `ShardedSystem`, with one scratch per worker thread,
+    /// is a pure function of its seed, the query and the epoch — which
+    /// is also why `ShardedSystem`, with one scratch per worker thread,
     /// produces byte-identical results.
     scratch: ClientScratch,
 }

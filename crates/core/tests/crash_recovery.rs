@@ -723,7 +723,7 @@ fn oracle_run(r: &Rig) -> Vec<QueryResult> {
 /// every epoch closes, fully or partially at the deadline
 /// (degrade-to-sampling, not corruption), none hangs, and the first
 /// clean epoch after the repair is the oracle's — an epoch is a pure
-/// function of (seed, epoch), and the respawned child is routed like
+/// function of (seed, query, epoch), and the respawned child is routed like
 /// the one it replaced. Then the whole deployment is killed and
 /// recovered. The *accounting* contract holds even though a dead
 /// child's in-flight shares are legitimately lost: every charged

@@ -395,10 +395,11 @@ pub const WIRE_KEY_LEN: usize = 24;
 /// Builds the broker record key carried by every share of `qid`'s
 /// message `mid`: the query tag routes the share to per-(query, shard)
 /// join state before any decode, and the MID pairs the `n` shares at
-/// the aggregator. The tag is load-bearing for multi-tenant runs:
-/// per-(client, query) RNG streams are seeded from the same material,
-/// so concurrent queries draw identical MID sequences and a MID-only
-/// key would collide across queries.
+/// the aggregator. The tag keeps multi-tenant joins apart by
+/// construction: a client draws each query's MIDs from that query's
+/// own RNG stream, so two queries' MIDs coincide only by a 2⁻¹²⁸
+/// accident, but a MID-only key would then fuse shares across
+/// queries.
 pub fn wire_key(qid: QueryId, mid: MessageId) -> [u8; WIRE_KEY_LEN] {
     let mut key = [0u8; WIRE_KEY_LEN];
     key[..8].copy_from_slice(&qid.to_u64().to_be_bytes());

@@ -509,10 +509,7 @@ mod tests {
         // integers and the same p/q bit patterns).
         let a = est.estimates();
         let b = rebuilt.estimates();
-        assert!(a
-            .iter()
-            .zip(&b)
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
+        assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
         // Merging a reconstructed estimator behaves like the original.
         let mut into_a = BucketEstimator::new(130, 0.9, 0.55);
         let mut into_b = BucketEstimator::new(130, 0.9, 0.55);

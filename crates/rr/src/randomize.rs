@@ -6,48 +6,14 @@
 //! tails." The first coin lands heads with probability `p`, the second
 //! with probability `q`.
 //!
-//! # Bit-sliced sampling and fixed-point precision
+//! # The composed channel in fixed point
 //!
-//! The vector path ([`Randomizer::randomize_vec_into`]) resolves 64
-//! independent biased coins at a time instead of looping per bit.
-//! Rather than sampling the two coins separately (a "keep the truth"
-//! mask and a "lie Yes" mask), it samples the *composed* channel
-//! directly: the output bit is Bernoulli with marginal
-//! `p + (1−p)·q` when the truthful bit is 1 and `(1−p)·q` when it is
-//! 0, so each lane needs exactly **one** biased coin whose threshold
-//! depends on its truth bit. Thresholds are 16-bit fixed point
-//! (`t = round(bias · 2¹⁶)`; heads iff a uniform 16-bit `r < t`), and
-//! the comparison is evaluated *bit-sliced*: random word `w_j`
-//! carries bit `j` of all 64 lanes' `r` values, the per-lane
-//! threshold bit is selected word-wise from the truth limb, and a
-//! standard MSB-first ripple computes all 64 comparisons together.
-//! Two refinements cut the random words consumed below the
-//! worst-case 16 per block:
-//!
-//! * bits below *both* thresholds' lowest set bit cannot change any
-//!   lane's outcome and are skipped entirely;
-//! * once every lane's comparison is decided (`eq == 0`, ≈ 7 words in
-//!   expectation with 64 lanes) the remaining bits are skipped.
-//!
-//! Fusing the two coins into one comparison halves the random words
-//! and ripple passes per limb versus the two-mask formulation — the
-//! difference between ~14 and ~7 words per 64 answer bits.
-//!
-//! # Bulk random words
-//!
-//! The comparison ripple no longer calls the generator per word: the
-//! driver pre-fills a word buffer in blocks ([`rand::RngCore::fill_words`])
-//! and the comparison blocks (`yes_block1`/`yes_block8`) read slices
-//! of it, so the
-//! generator's serial dependency chain stays out of the ripple loop.
-//! The block fills are sized to the worst case still reachable for
-//! the remaining limbs (`COIN_FRACTION_BITS − stop` words per limb),
-//! so narrow answers draw only a handful of words while wide answers
-//! amortize whole-buffer refills. [`Randomizer::randomize_vec_buffered`]
-//! pairs this with a [`crate::rng::WideRng`] — an 8-lane AVX2/scalar
-//! xoshiro256++ — held in a reusable [`RandomizeScratch`]; that is the
-//! client hot path. [`Randomizer::randomize_vec_into`] keeps the
-//! generic-RNG surface (any [`rand::Rng`]) over a stack buffer.
+//! The vector path ([`Randomizer::randomize_vec_into`]) does not flip
+//! the two coins separately: it samples the *composed* channel, whose
+//! output bit is Bernoulli `p + (1−p)·q` when the truthful bit is 1 and
+//! `(1−p)·q` when it is 0. Both biases are 16-bit fixed point
+//! (`T = round(bias · 2¹⁶)`, clamped into `[1, 2¹⁶ − 1]`), and a lane
+//! says "Yes" iff a uniform 16-bit `r` is below its threshold.
 //!
 //! The trade-off: per-bit marginals are quantized to multiples of
 //! 2⁻¹⁶, i.e. the realized composed bias is within 2⁻¹⁷ ≈ 7.6·10⁻⁶
@@ -58,6 +24,74 @@
 //! The scalar path ([`Randomizer::randomize_bit`]) still flips the
 //! two coins literally with exact `f64` comparisons and remains the
 //! reference the property tests compare against.
+//!
+//! # Survivor-compacted sampling
+//!
+//! An answer of four limbs or more is drawn as two masks in which
+//! every bit is independently Bernoulli(`T / 2¹⁶`) for one constant
+//! `T`: every limb gets the truth-0 mask `S₀` (threshold `T₀`), each
+//! limb whose truth limb is non-zero also gets an independent truth-1
+//! mask `S₁` (`T₁`), and the output limb is `(t & S₁) | (!t & S₀)`.
+//! A one-hot answer therefore pays for one extra limb. One mask is two
+//! stages:
+//!
+//! * If `T > 2¹⁵` the sampler draws the complement `2¹⁶ − T` and
+//!   inverts the mask, so from here on `T ≤ 2¹⁵`. With `k` the leading
+//!   zeros of `T` in 16 bits, `r < T` holds exactly when `r`'s top `k`
+//!   bits are all zero and its low `16 − k` bits are below `T`.
+//! * **Stage 1** draws the top bits, `k` words per limb: the survivors
+//!   are `!(w₁ | … | w_k)`, a density of 2⁻ᵏ.
+//! * **Stage 2** compares only the survivors' low bits against `T`. It
+//!   is an MSB-first bit-sliced ripple against the constant `T` over
+//!   64 compacted survivor lanes per word, from `T`'s top bit down to
+//!   its lowest set bit; it runs every position, because a branch on
+//!   "all 64 decided" costs more than the few words it saves. Its
+//!   result bits are handed out in order, `popcount` of them per limb,
+//!   and deposited on that limb's survivors with `pdep` (BMI2 when the
+//!   CPU has it, a portable loop with identical bits otherwise). The
+//!   portable loop branches once per survivor, and those branches do
+//!   not predict: on a 10⁴-bucket answer it makes the whole sampler
+//!   about three times slower than `pdep`.
+//!
+//! The result is exact, not approximate: a lane's `r` is built from
+//! bits no other lane reads — its top bits are its own column of the
+//! stage-1 words, its low bits its own column of one stage-2 word,
+//! drawn after stage 1 fixed which lanes survive — so each lane says
+//! "Yes" with probability `2⁻ᵏ · T / 2¹⁶⁻ᵏ = T / 2¹⁶`, independently of
+//! every other lane. The channel is the same 16-bit fixed-point
+//! channel as before, so Equations 5, 8 and 9 are unchanged.
+//!
+//! At the benchmark's `(p, q) = (0.9, 0.6)`, `T₀ = 3 932` (`k = 4`,
+//! stage 2 over 10 bit positions) and `T₁`'s complement is 2 621
+//! (`k = 4`): stage 1 costs 4 words per limb and stage 2 10 words per
+//! 64 survivors, 4 survivors per limb. A one-hot 10⁴-bucket answer
+//! reads ≈ 4.7 words per limb and draws 5.05, counting what the last
+//! refill leaves unread (a unit test pins ≤ 5.5). Resolving every
+//! lane in lock-step instead costs 10.8 words per limb with 512 lanes
+//! abreast, since the ripple runs until the last lane decides, while
+//! one lane needs about two random bits.
+//!
+//! # Narrow answers
+//!
+//! Below four limbs the fused single-limb ripple (`yes_block1`) is
+//! cheaper: each lane draws one coin against a per-lane threshold
+//! selected from its truth bit, ≈ 7 words per limb, with no second
+//! mask to pay for. The selection reads only the answer width, which
+//! is public (it is in the query and on the wire).
+//!
+//! # Bulk random words
+//!
+//! Neither sampler calls the generator per word: a cursor pre-fills a
+//! word buffer in blocks ([`rand::RngCore::fill_words`]) and both read
+//! slices of it, so the generator's serial dependency chain stays out
+//! of the sampling loops. The compacted sampler works through an
+//! answer in chunks of 32 limbs, so one fixed 4 KiB buffer serves any
+//! width.
+//! [`Randomizer::randomize_vec_buffered`] pairs this with a
+//! [`crate::rng::WideRng`] — an 8-lane AVX2/AVX-512/scalar xoshiro256++
+//! — held in a reusable [`RandomizeScratch`]; that is the client hot
+//! path. [`Randomizer::randomize_vec_into`] keeps the generic-RNG
+//! surface (any [`rand::Rng`]) over a stack buffer.
 
 use crate::rng::WideRng;
 use privapprox_types::BitVec;
@@ -136,13 +170,12 @@ impl Randomizer {
         out
     }
 
-    /// Randomizes `truth` into a caller-owned output vector, 64 bits
-    /// per step via fused bit-sliced coin sampling (see the module
-    /// docs): each lane draws one coin whose threshold is the
-    /// composed yes-probability for its truthful bit.
+    /// Randomizes `truth` into a caller-owned output vector through
+    /// the sampler the module docs describe (survivor-compacted from
+    /// four limbs up, the fused single-limb ripple below).
     ///
     /// Random words are pre-filled through [`rand::RngCore::fill_words`]
-    /// into a stack buffer; `rng` is the generic surface, so any
+    /// into a 4 KiB stack buffer; `rng` is the generic surface, so any
     /// generator works (a bulk generator like [`WideRng`] makes the
     /// fills wide). For the reusable-buffer client hot path see
     /// [`Randomizer::randomize_vec_buffered`].
@@ -155,9 +188,7 @@ impl Randomizer {
         out: &mut BitVec,
         rng: &mut R,
     ) {
-        // 4 KiB of stack: enough that a 10⁴-bucket answer refills only
-        // a few times even at the worst-case words-per-limb.
-        let mut buf = [0u64; 512];
+        let mut buf = [0u64; BUF_WORDS];
         self.randomize_vec_with_buf(truth, out, rng, &mut buf);
     }
 
@@ -166,8 +197,7 @@ impl Randomizer {
     /// reused across calls, and the generator is a private 8-lane
     /// [`WideRng`] forked lazily (one `next_u64`) from `seeder` on the
     /// scratch's first use. This is the client's steady-state path —
-    /// after the first call the scratch never allocates again for a
-    /// fixed answer width.
+    /// after the first call the scratch never allocates again.
     pub fn randomize_vec_buffered<R: Rng + ?Sized>(
         &self,
         truth: &BitVec,
@@ -192,9 +222,9 @@ impl Randomizer {
     /// client for client; the sharded-vs-single-threaded equivalence
     /// tests in `privapprox-core` pin exactly this.
     ///
-    /// Costs one 8-lane reseed (32 SplitMix64 steps, no heap) per
-    /// call on top of the buffered path; the word buffer is still
-    /// reused, so the steady state remains allocation-free. The
+    /// Costs one 8-lane reseed (32 independent SplitMix64 outputs, no
+    /// heap) per call on top of the buffered path; the word buffer is
+    /// still reused, so the steady state remains allocation-free. The
     /// degenerate `p = 1` channel consumes nothing from `seeder`,
     /// matching the identity short-circuit of the other entry points.
     pub fn randomize_vec_forked<R: Rng + ?Sized>(
@@ -221,12 +251,8 @@ impl Randomizer {
         self.randomize_vec_with_buf(truth, out, rng, &mut scratch.words);
     }
 
-    /// Shared driver: pre-fills `buf` in blocks sized to the remaining
-    /// worst case and hands slices to the bit-sliced comparison
-    /// blocks.
-    ///
-    /// `buf` must hold at least `8 · COIN_FRACTION_BITS` words (one
-    /// 8-limb block's worst case).
+    /// Shared driver: picks the sampler by width and hands it a word
+    /// cursor over `buf` (at least [`BUF_WORDS`] words).
     fn randomize_vec_with_buf<R: Rng + ?Sized>(
         &self,
         truth: &BitVec,
@@ -244,6 +270,41 @@ impl Randomizer {
             out.mask_padding();
             return;
         }
+        assert!(
+            buf.len() >= BUF_WORDS,
+            "word buffer too small: {} < {BUF_WORDS}",
+            buf.len()
+        );
+        let mut cursor = WordCursor {
+            rng,
+            buf,
+            pos: 0,
+            filled: 0,
+        };
+        let truth_limbs = truth.limbs();
+        let out_limbs = out.limbs_mut();
+        if truth_limbs.len() < COMPACT_MIN_LIMBS {
+            self.ripple(truth_limbs, out_limbs, &mut cursor);
+        } else if has_bmi2() {
+            // SAFETY: BMI2 and POPCNT were just detected at runtime.
+            #[cfg(target_arch = "x86_64")]
+            unsafe {
+                self.compacted_bmi2(truth_limbs, out_limbs, &mut cursor)
+            };
+        } else {
+            self.compacted::<R, false>(truth_limbs, out_limbs, &mut cursor);
+        }
+        out.mask_padding();
+    }
+
+    /// The fused single-limb ripple over a narrow answer: see
+    /// [`yes_block1`].
+    fn ripple<R: Rng + ?Sized>(
+        &self,
+        truth: &[u64],
+        out: &mut [u64],
+        cursor: &mut WordCursor<'_, R>,
+    ) {
         // Bits below both thresholds' lowest set bit cannot flip any
         // lane's comparison; skip them for every limb.
         let stop = self
@@ -261,65 +322,66 @@ impl Randomizer {
         // Worst-case words one limb can consume; ≥ 1 because the
         // thresholds are clamped into [1, 2¹⁶ − 1].
         let per_limb = (COIN_FRACTION_BITS - stop) as usize;
-        assert!(
-            buf.len() >= 8 * COIN_FRACTION_BITS as usize,
-            "word buffer too small: {} < {}",
-            buf.len(),
-            8 * COIN_FRACTION_BITS
-        );
-        let truth_limbs = truth.limbs();
-        let out_limbs = out.limbs_mut();
-        // Cursor over pre-filled words: refills carry stranded words
-        // forward and top up in bounded chunks, so the generator runs
-        // a handful of wide bulk fills per call and total generation
-        // tracks actual consumption (the early exits make consumption
-        // run well below the worst case) instead of the worst case.
-        let mut cursor = WordCursor {
-            rng,
-            buf,
-            pos: 0,
-            filled: 0,
-        };
-        let mut limbs_left = truth_limbs.len();
-        #[cfg(target_arch = "x86_64")]
-        let use_avx512 = std::arch::is_x86_feature_detected!("avx512f");
-        #[cfg(not(target_arch = "x86_64"))]
-        let use_avx512 = false;
-        #[cfg(target_arch = "x86_64")]
-        let use_avx2 = std::arch::is_x86_feature_detected!("avx2");
-        #[cfg(not(target_arch = "x86_64"))]
-        let use_avx2 = false;
-        // Eight limbs per step: the MSB-first ripple is a serial
-        // dependency chain within a limb, so interleaving independent
-        // limbs keeps the ALU busy while one chain's update retires —
-        // and makes each bit position's eight words two 256-bit lane
-        // sets for the AVX2 kernel, whose two accumulator chains and
-        // shared per-position broadcasts amortize the early-exit test
-        // down to one `vptest` per position.
-        let mut out_chunks = out_limbs.chunks_exact_mut(8);
-        let mut truth_chunks = truth_limbs.chunks_exact(8);
-        for (o, t) in (&mut out_chunks).zip(&mut truth_chunks) {
-            let need = 8 * per_limb;
-            cursor.ensure(need, per_limb * limbs_left);
-            let words = &cursor.buf[cursor.pos..cursor.pos + need];
-            let t8: &[u64; 8] = t.try_into().expect("chunk of 8");
-            let (block, used) = yes_block8_dispatch(use_avx512, use_avx2, t8, &bits, stop, words);
-            cursor.pos += used;
-            o.copy_from_slice(&block);
-            limbs_left -= 8;
-        }
-        for (o, &t) in out_chunks
-            .into_remainder()
-            .iter_mut()
-            .zip(truth_chunks.remainder())
-        {
+        let mut limbs_left = truth.len();
+        for (o, &t) in out.iter_mut().zip(truth) {
             cursor.ensure(per_limb, per_limb * limbs_left);
             let (word, used) = yes_block1(t, &bits, stop, &cursor.buf[cursor.pos..]);
             cursor.pos += used;
             *o = word;
             limbs_left -= 1;
         }
-        out.mask_padding();
+    }
+
+    /// [`Randomizer::compacted`] with the hardware bit deposit and
+    /// population count.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified BMI2 and POPCNT support at
+    /// runtime.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "bmi2,popcnt")]
+    unsafe fn compacted_bmi2<R: Rng + ?Sized>(
+        &self,
+        truth: &[u64],
+        out: &mut [u64],
+        cursor: &mut WordCursor<'_, R>,
+    ) {
+        self.compacted::<R, true>(truth, out, cursor);
+    }
+
+    /// The survivor-compacted sampler (see the module docs), one
+    /// chunk of [`CHUNK_LIMBS`] limbs at a time: the chunk's `S₀`,
+    /// then one `S₁` over the chunk's limbs with a truthful "Yes",
+    /// gathered. Each mask carries its leftover stage-2 bits from
+    /// chunk to chunk. `BMI2` selects the hardware deposit; only
+    /// [`Randomizer::compacted_bmi2`] sets it.
+    #[inline(always)]
+    fn compacted<R: Rng + ?Sized, const BMI2: bool>(
+        &self,
+        truth: &[u64],
+        out: &mut [u64],
+        cursor: &mut WordCursor<'_, R>,
+    ) {
+        let mut yes0 = Coin::new(self.yes0_fx);
+        let mut yes1 = Coin::new(self.yes1_fx);
+        let mut yes_limbs = [0usize; CHUNK_LIMBS];
+        let mut s1 = [0u64; CHUNK_LIMBS];
+        for (out, truth) in out.chunks_mut(CHUNK_LIMBS).zip(truth.chunks(CHUNK_LIMBS)) {
+            yes0.fill::<R, BMI2>(out, cursor);
+            let mut m = 0;
+            for (i, &t) in truth.iter().enumerate() {
+                yes_limbs[m] = i;
+                m += (t != 0) as usize;
+            }
+            if m == 0 {
+                continue;
+            }
+            yes1.fill::<R, BMI2>(&mut s1[..m], cursor);
+            for (&i, &s) in yes_limbs[..m].iter().zip(&s1[..m]) {
+                out[i] = (truth[i] & s) | (!truth[i] & out[i]);
+            }
+        }
     }
 
     /// Probability that the randomized response is "Yes" given the
@@ -348,6 +410,32 @@ fn to_fixed(bias: f64) -> u32 {
     ((bias * COIN_ONE as f64).round() as u32).clamp(1, COIN_ONE - 1)
 }
 
+/// Answers narrower than this many limbs take the fused single-limb
+/// ripple; wider ones the survivor-compacted sampler (see the module
+/// docs, "Narrow answers").
+const COMPACT_MIN_LIMBS: usize = 4;
+
+/// Limbs per chunk of the compacted sampler. A chunk's stage-1 words
+/// (at most 15 per limb, at `T = 1`) must fit the word buffer at once.
+const CHUNK_LIMBS: usize = 32;
+
+/// Words in either path's buffer: one chunk's worst-case stage 1.
+const BUF_WORDS: usize = 512;
+
+const _: () = assert!(BUF_WORDS >= (COIN_FRACTION_BITS as usize - 1) * CHUNK_LIMBS);
+
+/// Whether the CPU has BMI2's `pdep` (and POPCNT, which the
+/// survivor counts want in hardware too).
+#[cfg(target_arch = "x86_64")]
+fn has_bmi2() -> bool {
+    std::arch::is_x86_feature_detected!("bmi2") && std::arch::is_x86_feature_detected!("popcnt")
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn has_bmi2() -> bool {
+    false
+}
+
 /// Reusable buffers for [`Randomizer::randomize_vec_buffered`]: a
 /// private 8-lane [`WideRng`] plus the heap word buffer its bulk
 /// fills land in.
@@ -365,11 +453,6 @@ pub struct RandomizeScratch {
     /// Pre-filled random words (empty until first use).
     words: Vec<u64>,
 }
-
-/// Heap word-buffer size: 8 KiB. A 10⁴-bucket answer (157 limbs)
-/// consumes ~1 100 words in expectation, so most messages refill once
-/// or twice; narrow answers fill only what their limbs can consume.
-const SCRATCH_WORDS: usize = 1024;
 
 impl RandomizeScratch {
     /// Creates an empty scratch (generator forked and buffer allocated
@@ -394,7 +477,10 @@ impl RandomizeScratch {
     /// seeder's state, regardless of the scratch's history. No heap —
     /// the generator is inline state.
     pub fn refork<R: Rng + ?Sized>(&mut self, seeder: &mut R) {
-        self.rng = Some(WideRng::fork_from(seeder));
+        match &mut self.rng {
+            Some(rng) => rng.reseed(seeder.next_u64()),
+            None => self.rng = Some(WideRng::fork_from(seeder)),
+        }
     }
 
     /// First-use initialization: fork the wide generator and size the
@@ -404,18 +490,22 @@ impl RandomizeScratch {
             self.rng = Some(WideRng::fork_from(seeder));
         }
         if self.words.is_empty() {
-            self.words = vec![0u64; SCRATCH_WORDS];
+            self.words = vec![0u64; BUF_WORDS];
         }
     }
 }
 
-/// Words the cursor tops up per refill beyond what the next block
+/// Words the cursor tops up per refill beyond what the next read
 /// needs: large enough to amortize the bulk generator's call
-/// overhead, small enough that generation tracks the early-exit
-/// consumption rate instead of the worst case.
+/// overhead, small enough that generation tracks consumption.
 const REFILL_CHUNK: usize = 256;
 
-/// A consuming cursor over a pre-filled word buffer: blocks read
+/// The most a refill of the compacted sampler generates beyond what
+/// the read needs: whatever is left at the end of a call was drawn and
+/// is never read.
+const COMPACT_SLACK: usize = 64;
+
+/// A consuming cursor over a pre-filled word buffer: samplers read
 /// `buf[pos..]` and advance `pos` by what they used; refills slide
 /// stranded words to the front and bulk-generate on top of them.
 struct WordCursor<'a, R: Rng + ?Sized> {
@@ -428,12 +518,11 @@ struct WordCursor<'a, R: Rng + ?Sized> {
 }
 
 impl<R: Rng + ?Sized> WordCursor<'_, R> {
-    /// Guarantees at least `need` readable words at `pos`.
-    /// `remaining_worst` is the worst case the rest of the vector can
-    /// still consume (`≥ need`); generation never runs past it, so a
+    /// Guarantees at least `need` readable words at `pos`. `most`
+    /// (`≥ need`) caps the readable words a refill generates, so a
     /// narrow answer draws only what its limbs could possibly use.
     #[inline]
-    fn ensure(&mut self, need: usize, remaining_worst: usize) {
+    fn ensure(&mut self, need: usize, most: usize) {
         let have = self.filled - self.pos;
         if have >= need {
             return;
@@ -441,220 +530,162 @@ impl<R: Rng + ?Sized> WordCursor<'_, R> {
         self.buf.copy_within(self.pos..self.filled, 0);
         let target = (have + REFILL_CHUNK)
             .max(need)
-            .min(remaining_worst)
+            .min(most)
             .min(self.buf.len());
         self.rng.fill_words(&mut self.buf[have..target]);
         self.pos = 0;
         self.filled = target;
     }
+
+    /// The next `n` words, consumed.
+    #[inline]
+    fn take(&mut self, n: usize) -> &[u64] {
+        self.ensure(n, n + COMPACT_SLACK);
+        self.pos += n;
+        &self.buf[self.pos - n..self.pos]
+    }
 }
 
-/// Picks the widest [`yes_block8`] kernel: the AVX-512 form when the
-/// caller verified support, then the AVX2 form, the portable form
-/// otherwise. All compute the identical function and consume the
-/// identical word count.
-#[inline]
-fn yes_block8_dispatch(
-    use_avx512: bool,
-    use_avx2: bool,
-    t: &[u64; 8],
-    bits: &[(u64, u64); COIN_FRACTION_BITS as usize],
-    stop: u32,
-    words: &[u64],
-) -> ([u64; 8], usize) {
-    #[cfg(target_arch = "x86_64")]
-    if use_avx512 {
-        // SAFETY: the caller detected AVX-512F at runtime.
-        return unsafe { yes_block8_avx512(t, bits, stop, words) };
+/// One threshold's sampler state for the compacted path (see the
+/// module docs): the stage plan plus the stage-2 result bits drawn
+/// but not yet handed to a survivor.
+struct Coin {
+    /// `!0` when the sampler draws the complement `2¹⁶ − T` and
+    /// inverts, else 0.
+    invert: u64,
+    /// Stage-1 words per limb: the leading zeros of `t` in 16 bits.
+    k: usize,
+    /// The threshold stage 2 compares against, `≤ 2¹⁵`.
+    t: u32,
+    /// Stage-2 result bits not yet handed out, lowest first.
+    bits: u64,
+    /// How many of `bits` are valid.
+    avail: u32,
+}
+
+impl Coin {
+    fn new(fx: u32) -> Coin {
+        let (t, invert) = if fx > COIN_ONE / 2 {
+            (COIN_ONE - fx, !0)
+        } else {
+            (fx, 0)
+        };
+        Coin {
+            invert,
+            k: (t.leading_zeros() - (u32::BITS - COIN_FRACTION_BITS)) as usize,
+            t,
+            bits: 0,
+            avail: 0,
+        }
     }
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2 {
-        // SAFETY: the caller detected AVX2 at runtime.
-        return unsafe { yes_block8_avx2(t, bits, stop, words) };
+
+    /// Writes a fresh mask into every limb of `out` (at most
+    /// [`CHUNK_LIMBS`]): stage 1 over the whole slice, then stage 2
+    /// limb by limb.
+    #[inline(always)]
+    fn fill<R: Rng + ?Sized, const BMI2: bool>(
+        &mut self,
+        out: &mut [u64],
+        cursor: &mut WordCursor<'_, R>,
+    ) {
+        let n = out.len();
+        // `k` planes of `n` words, ORed limb by limb: the survivors
+        // are the lanes left at zero.
+        out.fill(0);
+        for plane in cursor.take(self.k * n).chunks_exact(n) {
+            for (o, &w) in out.iter_mut().zip(plane) {
+                *o |= w;
+            }
+        }
+        // Stage 2: each limb's survivors take the next `popcount`
+        // result bits, held in locals so they stay in registers. The
+        // deposit reads only the low `c` bits of what it is handed.
+        let (mut bits, mut avail) = (self.bits, self.avail);
+        for o in out.iter_mut() {
+            let survivors = !*o;
+            let c = survivors.count_ones();
+            let taken = if c <= avail {
+                let taken = bits;
+                bits = bits.checked_shr(c).unwrap_or(0);
+                avail -= c;
+                taken
+            } else {
+                // `avail < c ≤ 64`: the rest comes from a fresh word.
+                let word = stage2_word(self.t, self.k, cursor);
+                let taken = bits | (word << avail);
+                let used = c - avail;
+                bits = word.checked_shr(used).unwrap_or(0);
+                avail = u64::BITS - used;
+                taken
+            };
+            *o = deposit::<BMI2>(taken, survivors) ^ self.invert;
+        }
+        (self.bits, self.avail) = (bits, avail);
     }
-    let _ = (use_avx512, use_avx2);
-    yes_block8(t, bits, stop, words)
+}
+
+/// 64 independent bits, each set iff a fresh uniform `(16 − k)`-bit
+/// value is below `t`: the MSB-first bit-sliced ripple from `t`'s top
+/// bit down to its lowest set bit. It runs every position rather than
+/// stopping once all 64 lanes are decided: the early exit's branch
+/// costs more than the few words it saves.
+fn stage2_word<R: Rng + ?Sized>(t: u32, k: usize, cursor: &mut WordCursor<'_, R>) -> u64 {
+    let top = COIN_FRACTION_BITS - k as u32;
+    let low = t.trailing_zeros();
+    let mut less = 0u64;
+    let mut eq = !0u64;
+    for (j, &w) in (low..top).rev().zip(cursor.take((top - low) as usize)) {
+        let bit = (((t >> j) & 1) as u64).wrapping_neg();
+        less |= eq & bit & !w;
+        eq &= !(bit ^ w);
+    }
+    less
+}
+
+/// Deposits the low `popcount(mask)` bits of `bits` on the set bits of
+/// `mask`, lowest first (`pdep`); higher bits of `bits` are ignored.
+/// `BMI2` is set only under [`Randomizer::compacted_bmi2`].
+#[inline(always)]
+fn deposit<const BMI2: bool>(bits: u64, mask: u64) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if BMI2 {
+        // SAFETY: `BMI2 = true` is instantiated only inside
+        // `compacted_bmi2`, which runs only after BMI2 was detected.
+        return unsafe { core::arch::x86_64::_pdep_u64(bits, mask) };
+    }
+    deposit_portable(bits, mask)
+}
+
+/// `pdep` one set mask bit at a time: a survivor mask holds a few
+/// bits at the densities the benchmark runs.
+#[inline(always)]
+fn deposit_portable(mut bits: u64, mut mask: u64) -> u64 {
+    let mut out = 0u64;
+    while mask != 0 {
+        let lowest = mask & mask.wrapping_neg();
+        out |= lowest & (bits & 1).wrapping_neg();
+        bits >>= 1;
+        mask ^= lowest;
+    }
+    out
 }
 
 /// Draws 64 independent coins as a bitmask (bit i set ⇔ lane i says
 /// "Yes"), where lane i's bias is `yes1_fx / 2¹⁶` when its truthful
 /// bit in `t` is set and `yes0_fx / 2¹⁶` otherwise.
 ///
-/// Bit-sliced comparison `r < T` over 8 × 64 lanes with *per-lane*
-/// thresholds: `w_j` holds bit `j` of 64 lanes' uniform 16-bit values
-/// `r`, and the threshold word `tw` selects bit `j` of `yes1_fx` for
-/// truth-1 lanes and of `yes0_fx` for truth-0 lanes (`bits[j]` holds
-/// both choices pre-broadcast to full words). Walking MSB-first with
-/// the running "still undecided" mask `eq`, a lane resolves less-than
-/// (heads) at the first bit where its `r` bit is 0 and its threshold
-/// bit is 1, and greater-than (tails) in the mirrored case. The eight
-/// limbs ride the same `j` loop so their serial `eq` chains overlap.
-/// Random words come from the caller's pre-filled slice, 8 per bit
-/// position in limb order; the loop exits as soon as every lane of
-/// every limb is decided (≈ 9 of the worst-case 16 positions per
-/// limb in expectation at 512 lanes), returning how many words it
-/// actually consumed so the caller's cursor can hand the rest to the
-/// next block. It never looks at bits where both thresholds are
-/// trailing zeros (`stop`); `words` must hold the worst case,
-/// `8 · (COIN_FRACTION_BITS − stop)`.
-///
-/// The exit test itself sits on the serial `eq` chain, so the first
-/// [`MIN_POSITIONS`] positions run unchecked: the probability that
-/// all 512 lanes decide earlier is `(1 − 2⁻⁶)⁵¹² ≈ 3·10⁻⁴`, making
-/// the skipped checks nearly-always-pointless latency.
-#[inline]
-fn yes_block8(
-    t: &[u64; 8],
-    bits: &[(u64, u64); COIN_FRACTION_BITS as usize],
-    stop: u32,
-    words: &[u64],
-) -> ([u64; 8], usize) {
-    let mut less = [0u64; 8];
-    let mut eq = [!0u64; 8];
-    let mut used = 0usize;
-    let mut position = 0u32;
-    for j in (stop..COIN_FRACTION_BITS).rev() {
-        let (b1, b0) = bits[j as usize];
-        for (k, &w) in words[used..used + 8].iter().enumerate() {
-            let tw = (t[k] & b1) | (!t[k] & b0);
-            less[k] |= eq[k] & tw & !w;
-            eq[k] &= !(tw ^ w);
-        }
-        used += 8;
-        position += 1;
-        if position >= MIN_POSITIONS && eq.iter().fold(0, |a, &e| a | e) == 0 {
-            break;
-        }
-    }
-    (less, used)
-}
-
-/// Bit positions every [`yes_block8`] kernel processes before it
-/// starts testing the all-decided early exit (see its docs).
-const MIN_POSITIONS: u32 = 6;
-
-/// [`yes_block8`] with the eight limbs held across two 256-bit lane
-/// sets: each bit position is two unaligned loads of its pre-filled
-/// words plus ~14 vector ops whose two accumulator chains are
-/// independent (so they overlap in the pipeline), and the all-decided
-/// early exit is one `vptest` of the OR of both `eq` halves.
-/// Bit-for-bit and word-for-word identical to the portable form.
-///
-/// # Safety
-///
-/// The caller must have verified AVX2 support at runtime. `words`
-/// must hold `8 · (COIN_FRACTION_BITS − stop)` entries.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn yes_block8_avx2(
-    t: &[u64; 8],
-    bits: &[(u64, u64); COIN_FRACTION_BITS as usize],
-    stop: u32,
-    words: &[u64],
-) -> ([u64; 8], usize) {
-    use core::arch::x86_64::*;
-
-    let ta = _mm256_loadu_si256(t.as_ptr() as *const __m256i);
-    let tb = _mm256_loadu_si256(t.as_ptr().add(4) as *const __m256i);
-    let mut less_a = _mm256_setzero_si256();
-    let mut less_b = _mm256_setzero_si256();
-    let mut eq_a = _mm256_set1_epi64x(-1);
-    let mut eq_b = _mm256_set1_epi64x(-1);
-    let mut used = 0usize;
-    let mut position = 0u32;
-    for j in (stop..COIN_FRACTION_BITS).rev() {
-        let (b1, b0) = bits[j as usize];
-        let wa = _mm256_loadu_si256(words.as_ptr().add(used) as *const __m256i);
-        let wb = _mm256_loadu_si256(words.as_ptr().add(used + 4) as *const __m256i);
-        used += 8;
-        let b1v = _mm256_set1_epi64x(b1 as i64);
-        let b0v = _mm256_set1_epi64x(b0 as i64);
-        // tw = (t & b1) | (!t & b0), shared broadcasts for both halves.
-        let tw_a = _mm256_or_si256(_mm256_and_si256(ta, b1v), _mm256_andnot_si256(ta, b0v));
-        let tw_b = _mm256_or_si256(_mm256_and_si256(tb, b1v), _mm256_andnot_si256(tb, b0v));
-        // less |= eq & tw & !w
-        less_a = _mm256_or_si256(
-            less_a,
-            _mm256_and_si256(eq_a, _mm256_andnot_si256(wa, tw_a)),
-        );
-        less_b = _mm256_or_si256(
-            less_b,
-            _mm256_and_si256(eq_b, _mm256_andnot_si256(wb, tw_b)),
-        );
-        // eq &= !(tw ^ w)
-        eq_a = _mm256_andnot_si256(_mm256_xor_si256(tw_a, wa), eq_a);
-        eq_b = _mm256_andnot_si256(_mm256_xor_si256(tw_b, wb), eq_b);
-        position += 1;
-        if position >= MIN_POSITIONS {
-            let any = _mm256_or_si256(eq_a, eq_b);
-            if _mm256_testz_si256(any, any) != 0 {
-                break;
-            }
-        }
-    }
-    let mut out = [0u64; 8];
-    _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, less_a);
-    _mm256_storeu_si256(out.as_mut_ptr().add(4) as *mut __m256i, less_b);
-    (out, used)
-}
-
-/// [`yes_block8`] with the eight limbs in a single 512-bit register.
-/// AVX-512F's three-input `vpternlogq` fuses each of the ripple's
-/// boolean update expressions into one instruction — the threshold
-/// select `(t & b1) | (!t & b0)`, the decide-accumulate
-/// `less |= eq & tw & !w`, and the undecided-mask update
-/// `eq &= !(tw ^ w)` are one op each — and the early exit is one
-/// `vptestmq` against the single `eq` register. Bit-for-bit and
-/// word-for-word identical to the portable form.
-///
-/// # Safety
-///
-/// The caller must have verified AVX-512F support at runtime. `words`
-/// must hold `8 · (COIN_FRACTION_BITS − stop)` entries.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn yes_block8_avx512(
-    t: &[u64; 8],
-    bits: &[(u64, u64); COIN_FRACTION_BITS as usize],
-    stop: u32,
-    words: &[u64],
-) -> ([u64; 8], usize) {
-    use core::arch::x86_64::*;
-
-    let tv = _mm512_loadu_si512(t.as_ptr() as *const __m512i);
-    let mut less = _mm512_setzero_si512();
-    let mut eq = _mm512_set1_epi64(-1);
-    let mut used = 0usize;
-    let mut position = 0u32;
-    for j in (stop..COIN_FRACTION_BITS).rev() {
-        let (b1, b0) = bits[j as usize];
-        let w = _mm512_loadu_si512(words.as_ptr().add(used) as *const __m512i);
-        used += 8;
-        let b1v = _mm512_set1_epi64(b1 as i64);
-        let b0v = _mm512_set1_epi64(b0 as i64);
-        // tw = t ? b1 : b0 (0xCA = bitwise select by the first operand).
-        let tw = _mm512_ternarylogic_epi64::<0xCA>(tv, b1v, b0v);
-        // less |= (eq & tw) & !w (0xF4 = a | (b & !c)).
-        let dec = _mm512_and_si512(eq, tw);
-        less = _mm512_ternarylogic_epi64::<0xF4>(less, dec, w);
-        // eq &= !(tw ^ w) (0x90 = a & !(b ^ c)).
-        eq = _mm512_ternarylogic_epi64::<0x90>(eq, tw, w);
-        position += 1;
-        if position >= MIN_POSITIONS && _mm512_test_epi64_mask(eq, eq) == 0 {
-            break;
-        }
-    }
-    let mut out = [0u64; 8];
-    _mm512_storeu_si512(out.as_mut_ptr() as *mut __m512i, less);
-    (out, used)
-}
-
-/// Single-limb form of [`yes_block8`] for the tail of the limb array
-/// — and the whole of it for narrow answers (an 11-bucket vector is
-/// one limb). Consuming one pre-filled word per bit position instead
-/// of riding seven dummy limbs through the 8-way block keeps the
-/// common small-answer path at the expected ~7 words per limb.
-/// `words` must hold the worst case, `COIN_FRACTION_BITS − stop`.
+/// Bit-sliced comparison `r < T` with *per-lane* thresholds: `w_j`
+/// holds bit `j` of 64 lanes' uniform 16-bit values `r`, and the
+/// threshold word `tw` selects bit `j` of `yes1_fx` for truth-1 lanes
+/// and of `yes0_fx` for truth-0 lanes (`bits[j]` holds both choices
+/// pre-broadcast to full words). Walking MSB-first with the running
+/// "still undecided" mask `eq`, a lane resolves less-than (heads) at
+/// the first bit where its `r` bit is 0 and its threshold bit is 1,
+/// and greater-than (tails) in the mirrored case. The loop exits as
+/// soon as every lane is decided (≈ 7 words in expectation), and
+/// returns how many pre-filled words it consumed. It never looks at
+/// bits where both thresholds are trailing zeros (`stop`); `words`
+/// must hold the worst case, `COIN_FRACTION_BITS − stop`.
 #[inline]
 fn yes_block1(
     t: u64,
@@ -888,71 +919,95 @@ mod tests {
         assert_eq!(seeder.next_u64(), reference.next_u64(), "no draw at p = 1");
     }
 
-    /// The AVX2 comparison-ripple kernel returns the same masks and
-    /// consumes the same word counts as the portable kernel, across
-    /// random truth limbs, pre-filled words and threshold pairs.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_ripple_matches_portable() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return; // fallback-only machine: nothing to cross-check
+    /// A generator that counts the words drawn from it.
+    struct Counting {
+        inner: StdRng,
+        words: usize,
+    }
+
+    impl RngCore for Counting {
+        fn next_u64(&mut self) -> u64 {
+            self.words += 1;
+            self.inner.next_u64()
         }
-        let mut rng = StdRng::seed_from_u64(0x51D);
-        for case in 0..500 {
-            let r = Randomizer::new(
-                0.05 + 0.9 * (case % 17) as f64 / 17.0,
-                0.05 + 0.9 * (case % 13) as f64 / 13.0,
-            );
-            let stop = r.yes1_fx.trailing_zeros().min(r.yes0_fx.trailing_zeros());
-            let mut bits = [(0u64, 0u64); COIN_FRACTION_BITS as usize];
-            for j in stop..COIN_FRACTION_BITS {
-                bits[j as usize] = (
-                    (((r.yes1_fx >> j) & 1) as u64).wrapping_neg(),
-                    (((r.yes0_fx >> j) & 1) as u64).wrapping_neg(),
-                );
-            }
-            let mut t = [0u64; 8];
-            for limb in t.iter_mut() {
-                *limb = rng.gen();
-            }
-            let mut words = vec![0u64; 8 * COIN_FRACTION_BITS as usize];
-            rng.fill_words(&mut words);
-            let scalar = yes_block8(&t, &bits, stop, &words);
-            let avx2 = unsafe { yes_block8_avx2(&t, &bits, stop, &words) };
-            assert_eq!(scalar, avx2, "case {case}");
+
+        fn fill_words(&mut self, dest: &mut [u64]) {
+            self.words += dest.len();
+            self.inner.fill_words(dest);
         }
     }
 
+    /// The mechanism's cost as a count that repeats exactly: a one-hot
+    /// 10⁴-bucket answer at the benchmark's (p, q) draws at most 5.5
+    /// random words per 64 buckets (the 8-limb ripple drew 10.8).
+    #[test]
+    fn one_hot_wide_answer_draws_at_most_five_and_a_half_words_per_limb() {
+        let r = Randomizer::new(0.9, 0.6);
+        let truth = BitVec::one_hot(10_000, 4_321);
+        let mut out = BitVec::zeros(0);
+        let mut rng = Counting {
+            inner: StdRng::seed_from_u64(7),
+            words: 0,
+        };
+        let answers = 50;
+        for _ in 0..answers {
+            r.randomize_vec_into(&truth, &mut out, &mut rng);
+        }
+        let per_limb = rng.words as f64 / (answers * truth.limbs().len()) as f64;
+        eprintln!("words per limb: {per_limb:.3}");
+        assert!(per_limb <= 5.5, "{per_limb:.2} words per limb");
+    }
+
+    /// The hardware (`pdep`) and portable bit deposits of the
+    /// compacted sampler give identical bits from the same generator
+    /// state, across widths, truth densities and thresholds.
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn avx512_ripple_matches_portable() {
-        if !std::arch::is_x86_feature_detected!("avx512f") {
-            return; // no AVX-512: nothing to cross-check
+    fn bmi2_and_portable_deposits_are_bit_identical() {
+        if !has_bmi2() {
+            return;
         }
-        let mut rng = StdRng::seed_from_u64(0x512);
-        for case in 0..500 {
-            let r = Randomizer::new(
-                0.05 + 0.9 * (case % 17) as f64 / 17.0,
-                0.05 + 0.9 * (case % 13) as f64 / 13.0,
-            );
-            let stop = r.yes1_fx.trailing_zeros().min(r.yes0_fx.trailing_zeros());
-            let mut bits = [(0u64, 0u64); COIN_FRACTION_BITS as usize];
-            for j in stop..COIN_FRACTION_BITS {
-                bits[j as usize] = (
-                    (((r.yes1_fx >> j) & 1) as u64).wrapping_neg(),
-                    (((r.yes0_fx >> j) & 1) as u64).wrapping_neg(),
-                );
+        let mut truth_rng = StdRng::seed_from_u64(41);
+        for (case, &(p, q)) in [
+            (0.9, 0.6),
+            (0.5, 0.5),
+            (0.05, 0.9),
+            (0.999, 0.01),
+            (0.3, 0.2),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let r = Randomizer::new(p, q);
+            for &limbs in &[4usize, 31, 32, 33, 157, 200] {
+                for &density in &[0.0, 0.01, 0.5, 1.0] {
+                    let truth: Vec<u64> = (0..limbs * 64)
+                        .map(|_| truth_rng.gen::<f64>() < density)
+                        .collect::<Vec<_>>()
+                        .chunks(64)
+                        .map(|c| c.iter().rev().fold(0, |w, &b| (w << 1) | b as u64))
+                        .collect();
+                    let draw = |bmi2: bool| {
+                        let mut rng = StdRng::seed_from_u64(case as u64 * 1_000 + limbs as u64);
+                        let mut buf = [0u64; BUF_WORDS];
+                        let mut cursor = WordCursor {
+                            rng: &mut rng,
+                            buf: &mut buf,
+                            pos: 0,
+                            filled: 0,
+                        };
+                        let mut out = vec![0u64; limbs];
+                        if bmi2 {
+                            // SAFETY: BMI2 and POPCNT were detected above.
+                            unsafe { r.compacted_bmi2(&truth, &mut out, &mut cursor) };
+                        } else {
+                            r.compacted::<_, false>(&truth, &mut out, &mut cursor);
+                        }
+                        out
+                    };
+                    assert_eq!(draw(true), draw(false), "p {p} q {q} limbs {limbs}");
+                }
             }
-            let mut t = [0u64; 8];
-            for limb in t.iter_mut() {
-                *limb = rng.gen();
-            }
-            let mut words = vec![0u64; 8 * COIN_FRACTION_BITS as usize];
-            rng.fill_words(&mut words);
-            let scalar = yes_block8(&t, &bits, stop, &words);
-            let avx512 = unsafe { yes_block8_avx512(&t, &bits, stop, &words) };
-            assert_eq!(scalar.0, avx512.0, "case {case} mask");
-            assert_eq!(scalar.1, avx512.1, "case {case} words used");
         }
     }
 

@@ -30,7 +30,12 @@
 //! stream into all 32 state words (lane `l` takes words `4l..4l+4`),
 //! the same recipe the `rand` shim's `StdRng` uses for its single
 //! lane — so the eight lanes are decorrelated exactly as eight
-//! consecutively-seeded scalar generators would be.
+//! consecutively-seeded scalar generators would be. A SplitMix64
+//! stream's `i`-th word is a pure function of `(seed, i)`, so the 32
+//! words are computed independently rather than by stepping the
+//! stream. That matters because the client reseeds once per answer,
+//! and independent words let the CPU overlap their multiplies instead
+//! of waiting out a 32-step dependency chain.
 //! [`WideRng::fork_from`] draws one word from a parent generator and
 //! seeds a child from it: the child's stream is a deterministic
 //! function of the parent's position, and the parent advances by
@@ -69,33 +74,18 @@ impl WideRng {
     /// Seeds all eight lanes from one 64-bit seed via a single
     /// SplitMix64 stream (lane `l` gets stream words `4l..4l+4`).
     pub fn seed_from_u64(seed: u64) -> WideRng {
-        let mut z = seed;
-        let mut next = move || {
-            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut x = z;
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            x ^ (x >> 31)
-        };
-        let mut s = [[0u64; LANES]; 4];
-        for lane in 0..LANES {
-            for word in &mut s {
-                word[lane] = next();
-            }
-        }
-        // An all-zero lane is a fixed point of xoshiro. SplitMix64 is
-        // a bijection of the counter so four consecutive zeros cannot
-        // happen in practice, but the guard keeps the invariant local.
-        for lane in 0..LANES {
-            if s.iter().all(|w| w[lane] == 0) {
-                s[0][lane] = 0x2545_F491_4F6C_DD1D ^ lane as u64;
-            }
-        }
         WideRng {
-            s,
+            s: seed_state(seed),
             buf: [0; DRAIN_BUF],
             pos: DRAIN_BUF,
         }
+    }
+
+    /// Re-seeds in place, exactly as [`WideRng::seed_from_u64`] would
+    /// (the drain buffer is emptied, not rewritten).
+    pub(crate) fn reseed(&mut self, seed: u64) {
+        self.s = seed_state(seed);
+        self.pos = DRAIN_BUF;
     }
 
     /// Forks a child generator off any scalar RNG: draws exactly one
@@ -177,6 +167,31 @@ impl RngCore for WideRng {
     fn fill_words(&mut self, dest: &mut [u64]) {
         WideRng::fill_words(self, dest)
     }
+}
+
+/// SplitMix64's `i`-th output is the finalizer of `seed + (i + 1) · γ`,
+/// so all 32 words are computed independently, with no serial chain
+/// between them: lane `l`'s state word `j` is output `4l + j`.
+fn seed_state(seed: u64) -> [[u64; LANES]; 4] {
+    let mut s = [[0u64; LANES]; 4];
+    for lane in 0..LANES {
+        for (j, word) in s.iter_mut().enumerate() {
+            let index = (4 * lane + j) as u64 + 1;
+            let mut x = seed.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            word[lane] = x ^ (x >> 31);
+        }
+    }
+    // An all-zero lane is a fixed point of xoshiro. SplitMix64 is a
+    // bijection of the counter so four consecutive zeros cannot happen
+    // in practice, but the guard keeps the invariant local.
+    for lane in 0..LANES {
+        if s.iter().all(|w| w[lane] == 0) {
+            s[0][lane] = 0x2545_F491_4F6C_DD1D ^ lane as u64;
+        }
+    }
+    s
 }
 
 /// One xoshiro256++ step across all four lanes of `s`, returning the

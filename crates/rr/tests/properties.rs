@@ -279,3 +279,135 @@ fn bit_sliced_truthful_mechanism_is_identity() {
     r.randomize_vec_into(&truth, &mut out, &mut rng);
     assert_eq!(out, truth);
 }
+
+/// A mechanism whose two fixed-point thresholds both equal `t`: with
+/// `p` = 10⁻⁶ the truthful coin adds `≈ 0.07 / 2¹⁶` to the truth-1
+/// bias, which rounds away.
+fn randomizer_at_threshold(t: u32) -> Randomizer {
+    let p = 1e-6;
+    Randomizer::new(p, f64::from(t) / 65_536.0 / (1.0 - p))
+}
+
+/// Every bit of the compacted sampler's masks says "Yes" at exactly
+/// its threshold's rate — at the edges of the complement split
+/// (`2¹⁵ − 1`, `2¹⁵`, `2¹⁵ + 1`), at the deepest stage 1 (`T = 1` and
+/// `2¹⁶ − 1`), and at one threshold for every stage-1 depth `k` in
+/// 1..=15. Both masks run: an all-"No" truth draws `S₀`, an all-"Yes"
+/// truth `S₁`. Tolerance 5σ of the binomial count.
+#[test]
+fn compacted_sampler_rates_match_every_threshold_depth() {
+    let edges = [1u32, (1 << 15) - 1, 1 << 15, (1 << 15) + 1, (1 << 16) - 1];
+    // T ∈ [2^(15−k), 2^(16−k)) has k leading zeros in 16 bits.
+    let per_depth = (1..=15u32).map(|k| (1 << (15 - k)) + (1 << (15 - k)) / 2 + 1);
+    for t in edges.into_iter().chain(per_depth) {
+        let r = randomizer_at_threshold(t);
+        let rate = f64::from(t) / 65_536.0;
+        let rarer = rate.min(1.0 - rate);
+        // Enough bits that the rarer outcome shows ≥ ~100 times.
+        let n = ((200.0 / rarer) as usize).clamp(1 << 17, 1 << 23);
+        for class in [false, true] {
+            let truth = BitVec::from_bools((0..n).map(|_| class));
+            let mut out = BitVec::zeros(0);
+            r.randomize_vec_into(&truth, &mut out, &mut StdRng::seed_from_u64(u64::from(t)));
+            let yes = out.count_ones() as f64;
+            let expect = n as f64 * rate;
+            let sigma = (n as f64 * rate * (1.0 - rate)).sqrt();
+            assert!(
+                (yes - expect).abs() <= 5.0 * sigma + 1.0,
+                "T = {t}, truth {class}: {yes} yes of {n}, expected {expect:.1} ± {sigma:.1}"
+            );
+        }
+    }
+}
+
+/// Per-bucket uniformity: a compaction bug can bias particular
+/// positions (a limb's top lane, the lanes a stage-2 word boundary
+/// lands on) while the aggregate rates stay right. 4 000 one-hot
+/// 10⁴-bucket answers at (0.9, 0.6) through the client's forked path,
+/// the hot bucket moving per answer; each bucket's "Yes" count is
+/// checked against its expectation from yes₀/yes₁. The χ² over 10⁴
+/// buckets has mean 10⁴ and standard deviation 141; the gate sits at
+/// six deviations, and no single bucket may stray beyond 5.5σ.
+#[test]
+fn per_bucket_yes_counts_are_uniform() {
+    let r = Randomizer::new(0.9, 0.6);
+    let (width, answers) = (10_000usize, 4_000usize);
+    let mut yes = vec![0u32; width];
+    let mut hot = vec![0u32; width];
+    let mut seeder = StdRng::seed_from_u64(0xB0C4E7);
+    let mut scratch = RandomizeScratch::new();
+    let mut out = BitVec::zeros(0);
+    for i in 0..answers {
+        let bucket = (i * 7_919) % width;
+        hot[bucket] += 1;
+        let truth = BitVec::one_hot(width, bucket);
+        r.randomize_vec_forked(&truth, &mut out, &mut scratch, &mut seeder);
+        for b in out.iter_ones() {
+            yes[b] += 1;
+        }
+    }
+    let (y1, y0) = (r.yes_probability(true), r.yes_probability(false));
+    let mut chi2 = 0.0;
+    for (b, (&observed, &ones)) in yes.iter().zip(&hot).enumerate() {
+        let (ones, zeros) = (f64::from(ones), (answers as f64) - f64::from(ones));
+        let expect = ones * y1 + zeros * y0;
+        let var = ones * y1 * (1.0 - y1) + zeros * y0 * (1.0 - y0);
+        let z2 = (f64::from(observed) - expect).powi(2) / var;
+        assert!(
+            z2 < 5.5 * 5.5,
+            "bucket {b}: {observed} yes, expected {expect:.1}"
+        );
+        chi2 += z2;
+    }
+    let bound = width as f64 + 6.0 * (2.0 * width as f64).sqrt();
+    assert!(
+        chi2 < bound,
+        "χ² = {chi2:.0} over {width} buckets (bound {bound:.0})"
+    );
+}
+
+/// Neighbouring lanes are independent: the correlation of bit `i` with
+/// bit `i + 1` is ≈ 0 over all pairs, and over the pairs that straddle
+/// a limb boundary (bit 63 → bit 64) on their own. At (0.9, 0.6) each
+/// limb holds ≈ 4 survivors, so stage-2 words span many limbs; at a
+/// threshold with a one-word stage 1 (`k = 1`) half the lanes survive
+/// and stage-2 word boundaries fall inside limbs, next to lanes whose
+/// bits came from the previous word. Tolerance: 5 standard errors.
+#[test]
+fn adjacent_lanes_are_uncorrelated() {
+    let width = 10_000usize;
+    for (r, answers) in [
+        (Randomizer::new(0.9, 0.6), 2_000usize),
+        (randomizer_at_threshold(24_577), 500),
+    ] {
+        let rate = r.yes_probability(false);
+        let truth = BitVec::zeros(width);
+        let mut seeder = StdRng::seed_from_u64(0xAD1ACE);
+        let mut scratch = RandomizeScratch::new();
+        let mut out = BitVec::zeros(0);
+        // (pairs, both set) over all neighbours and over limb edges.
+        let mut all = (0u64, 0u64);
+        let mut edges = (0u64, 0u64);
+        for _ in 0..answers {
+            r.randomize_vec_forked(&truth, &mut out, &mut scratch, &mut seeder);
+            let limbs = out.limbs();
+            for (l, &limb) in limbs.iter().enumerate() {
+                all.1 += u64::from((limb & (limb >> 1)).count_ones());
+                if let Some(&next) = limbs.get(l + 1) {
+                    let both = (limb >> 63) & next & 1;
+                    all.1 += both;
+                    edges = (edges.0 + 1, edges.1 + both);
+                }
+            }
+            all.0 += width as u64 - 1;
+        }
+        for (name, (pairs, both)) in [("all", all), ("limb edges", edges)] {
+            let corr = (both as f64 / pairs as f64 - rate * rate) / (rate * (1.0 - rate));
+            let bound = 5.0 / (pairs as f64).sqrt();
+            assert!(
+                corr.abs() < bound,
+                "{name}: correlation {corr:.5} (bound {bound:.5}) at yes₀ = {rate}"
+            );
+        }
+    }
+}

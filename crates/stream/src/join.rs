@@ -39,12 +39,12 @@ struct Pending {
 
 /// Joins XOR shares by `(query, message identifier)`.
 ///
-/// Keying on the pair — not the MID alone — is what makes the joiner
-/// multi-tenant safe: per-(client, query) RNG streams are seeded from
-/// the same material so two concurrent queries draw *identical* MID
-/// sequences from each client, and a MID-only join would fuse shares
-/// across queries. The query tag comes from the record key's leading
-/// 8 bytes (see the aggregator's wire-key layout).
+/// Keying on the pair — not the MID alone — keeps the joiner
+/// multi-tenant safe by construction: a client draws each query's MIDs
+/// from that query's own RNG stream, so two queries' MIDs coincide only
+/// by accident, and a MID-only join would then fuse shares across
+/// queries. The query tag comes from the record key's leading 8 bytes
+/// (see the aggregator's wire-key layout).
 pub struct MidJoiner {
     expected: usize,
     timeout: u64,

@@ -40,12 +40,12 @@ impl BitVec {
         for b in iter {
             current |= (b as u64) << (len % 64);
             len += 1;
-            if len % 64 == 0 {
+            if len.is_multiple_of(64) {
                 limbs.push(current);
                 current = 0;
             }
         }
-        if len % 64 != 0 {
+        if !len.is_multiple_of(64) {
             limbs.push(current);
         }
         BitVec { len, limbs }
@@ -140,17 +140,14 @@ impl BitVec {
     /// `O(limbs + ones)` rather than `O(len)`.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.limbs.iter().enumerate().flat_map(|(li, &limb)| {
-            core::iter::successors(
-                if limb == 0 { None } else { Some(limb) },
-                |&rest| {
-                    let next = rest & (rest - 1); // clear lowest set bit
-                    if next == 0 {
-                        None
-                    } else {
-                        Some(next)
-                    }
-                },
-            )
+            core::iter::successors(if limb == 0 { None } else { Some(limb) }, |&rest| {
+                let next = rest & (rest - 1); // clear lowest set bit
+                if next == 0 {
+                    None
+                } else {
+                    Some(next)
+                }
+            })
             .map(move |rest| li * 64 + rest.trailing_zeros() as usize)
         })
     }
@@ -163,16 +160,20 @@ impl BitVec {
     }
 
     /// Appends the [`BitVec::to_bytes`] form to `out` without
-    /// allocating (beyond any growth of `out` itself): whole limbs are
-    /// appended as 8-byte little-endian chunks, the tail byte-by-byte.
+    /// allocating (beyond any growth of `out` itself): one `resize`,
+    /// then whole limbs copied as 8-byte little-endian chunks and the
+    /// last limb's leading bytes as the tail.
     pub fn extend_bytes_into(&self, out: &mut Vec<u8>) {
-        let total = self.len.div_ceil(8);
-        let whole_limbs = total / 8;
-        for &limb in &self.limbs[..whole_limbs] {
-            out.extend_from_slice(&limb.to_le_bytes());
+        let start = out.len();
+        out.resize(start + self.len.div_ceil(8), 0);
+        let mut chunks = out[start..].chunks_exact_mut(8);
+        for (chunk, limb) in (&mut chunks).zip(&self.limbs) {
+            chunk.copy_from_slice(&limb.to_le_bytes());
         }
-        for byte_idx in whole_limbs * 8..total {
-            out.push((self.limbs[byte_idx / 8] >> ((byte_idx % 8) * 8)) as u8);
+        let tail = chunks.into_remainder();
+        if let Some(&last) = self.limbs.last() {
+            let n = tail.len();
+            tail.copy_from_slice(&last.to_le_bytes()[..n]);
         }
     }
 
@@ -202,26 +203,23 @@ impl BitVec {
             return false;
         }
         self.len = len;
-        let limb_count = len.div_ceil(64);
         self.limbs.clear();
-        self.limbs.reserve(limb_count);
+        self.limbs.resize(len.div_ceil(64), 0);
         let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.limbs
-                .push(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        for (limb, chunk) in self.limbs.iter_mut().zip(&mut chunks) {
+            *limb = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
         }
         let rem = chunks.remainder();
-        if !rem.is_empty() {
+        if let Some(last) = self.limbs.last_mut().filter(|_| !rem.is_empty()) {
             let mut tail = [0u8; 8];
             tail[..rem.len()].copy_from_slice(rem);
-            self.limbs.push(u64::from_le_bytes(tail));
+            *last = u64::from_le_bytes(tail);
         }
-        debug_assert_eq!(self.limbs.len(), limb_count);
         // Reject set bits in the padding region beyond `len` — but
         // first clear them, so even the rejection path leaves `self`
         // honoring the representation invariant (derived
         // `PartialEq`/`Hash` compare raw limbs).
-        if len % 64 != 0 {
+        if !len.is_multiple_of(64) {
             let valid_mask = (1u64 << (len % 64)) - 1;
             if let Some(last) = self.limbs.last_mut() {
                 if *last & !valid_mask != 0 {
@@ -251,7 +249,7 @@ impl BitVec {
     /// Zeroes any bits at positions `>= len()` in the last limb,
     /// restoring the representation invariant after raw limb writes.
     pub fn mask_padding(&mut self) {
-        if self.len % 64 != 0 {
+        if !self.len.is_multiple_of(64) {
             if let Some(last) = self.limbs.last_mut() {
                 *last &= (1u64 << (self.len % 64)) - 1;
             }
@@ -353,6 +351,30 @@ mod tests {
             assert_eq!(bytes.len(), len.div_ceil(8));
             let back = BitVec::from_bytes(len, &bytes).expect("valid bytes");
             assert_eq!(back, v, "round-trip failed for len {len}");
+        }
+    }
+
+    /// `extend_bytes_into` ↔ `assign_from_bytes` at every width a
+    /// tail can take (1..=200) and at 10⁴: the bytes append after
+    /// whatever `out` held, decode into a reused vector, and a set
+    /// padding bit — any bit past `len` in the last byte — is refused.
+    #[test]
+    fn byte_copies_round_trip_at_every_width() {
+        let mut back = BitVec::zeros(0);
+        for len in (1usize..=200).chain([10_000]) {
+            let v = BitVec::from_bools((0..len).map(|i| (i * 7 + len) % 3 == 0));
+            let mut out = vec![0xAB];
+            v.extend_bytes_into(&mut out);
+            assert_eq!(out.len(), 1 + len.div_ceil(8), "len {len}");
+            assert_eq!(out[0], 0xAB, "len {len}: prefix kept");
+            assert!(back.assign_from_bytes(len, &out[1..]), "len {len}");
+            assert_eq!(back, v, "len {len}");
+            if !len.is_multiple_of(8) {
+                let mut bad = out[1..].to_vec();
+                *bad.last_mut().unwrap() |= 0x80;
+                assert!(!back.assign_from_bytes(len, &bad), "len {len}: padding");
+                assert_eq!(back, BitVec::from_bools(back.iter()), "len {len}");
+            }
         }
     }
 

@@ -411,7 +411,10 @@ mod tests {
         let mut l = BudgetLedger::new(PrivacyBudget::new(f64::MAX).unwrap());
         l.try_charge(f64::MAX).unwrap();
         assert_eq!(l.spent(), f64::MAX);
-        assert!(l.try_charge(f64::MAX).is_err(), "overflowing re-charge admitted");
+        assert!(
+            l.try_charge(f64::MAX).is_err(),
+            "overflowing re-charge admitted"
+        );
         assert!(l.try_charge(1.0).is_err(), "absorbed re-charge admitted");
         assert!(l.try_charge(1e-300).is_err());
         assert_eq!(l.epochs(), 1);

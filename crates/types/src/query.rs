@@ -262,7 +262,10 @@ impl BucketIndexer {
                     return Some(u.count - 1);
                 }
                 if let Some(tail) = spec.buckets().get(u.count..) {
-                    return tail.iter().position(|b| b.matches_num(v)).map(|i| i + u.count);
+                    return tail
+                        .iter()
+                        .position(|b| b.matches_num(v))
+                        .map(|i| i + u.count);
                 }
             }
             // v below the ladder (or NaN): no ladder rung matches,
