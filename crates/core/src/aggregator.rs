@@ -111,9 +111,9 @@ struct QueryState {
 ///
 /// Its input is a type parameter: the default, [`Consumer`], is the
 /// `"aggregator"`-group consumer over every proxy's output topic that
-/// [`Aggregator::new`] joins and the `pump*` methods drain. A shard
-/// child's aggregator has no broker behind it (its input is `()`):
-/// the child hands it each share it walks off a proxy link.
+/// [`Aggregator::for_shard`] creates and the `pump*` methods drain. A
+/// shard child's aggregator has no broker behind it (its input is
+/// `()`): the child hands it each share it walks off a proxy link.
 pub struct Aggregator<In = Consumer> {
     input: In,
     joiner: MidJoiner,
@@ -149,16 +149,31 @@ pub struct Aggregator<In = Consumer> {
 }
 
 impl Aggregator {
-    /// Creates an aggregator consuming `n_proxies` proxy output
-    /// topics on the broker, reporting intervals at `confidence`.
+    /// Creates an aggregator consuming every partition of `n_proxies`
+    /// proxy output topics on the broker, reporting intervals at
+    /// `confidence`: [`Aggregator::for_shard`] of one shard.
     pub fn new(broker: &Broker, n_proxies: usize, confidence: f64) -> Aggregator {
+        Aggregator::for_shard(broker, n_proxies, confidence, 0, 1)
+    }
+
+    /// Creates aggregator shard `shard` of `shards`: it consumes
+    /// partitions `{p : p % shards == shard}` of every proxy output
+    /// topic in the `"aggregator"` group, so all of a MID's shares,
+    /// which travel in one partition index of every topic, meet on it.
+    pub fn for_shard(
+        broker: &Broker,
+        n_proxies: usize,
+        confidence: f64,
+        shard: usize,
+        shards: usize,
+    ) -> Aggregator {
         let topics: Vec<String> = (0..n_proxies)
             .map(|i| crate::proxy::outbound_topic(privapprox_types::ProxyId(i as u16)))
             .collect();
         let topic_refs: Vec<&str> = topics.iter().map(|s| s.as_str()).collect();
         // Subscribed in proxy order, so a record's topic index in the
         // poll batch *is* its source proxy index.
-        let consumer = broker.consumer("aggregator", &topic_refs);
+        let consumer = broker.consumer_of("aggregator", &topic_refs, shard, shards);
         Aggregator::with_input(consumer, n_proxies, confidence)
     }
 

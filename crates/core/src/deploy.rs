@@ -21,9 +21,9 @@
 //!
 //! Every client `c` is pinned to partition `π(c) = c mod P`; all `n`
 //! of its XOR shares travel in partition `π(c)` of their respective
-//! proxy topics (proxies forward partition-preserving), and the
-//! broker's consumer-group assignment hands partition `π(c)` of
-//! *every* proxy-out topic to the same shard — so each MID's shares
+//! proxy topics (proxies forward partition-preserving), and shard
+//! `π(c) mod M` owns partition `π(c)` of *every* proxy-out topic
+//! (`Broker::consumer_of`) — so each MID's shares
 //! join **shard-locally**, with no cross-shard traffic before the
 //! window merge.
 //!
@@ -131,14 +131,15 @@
 //!   randomness is derived from the seed and the epoch's timestamp, so
 //!   the replacement answers every later epoch exactly as the dead
 //!   worker would have, at a cost independent of the epochs behind it;
-//! * a **shard** respawns by rejoining the `"aggregator"` consumer
-//!   group — committed offsets persist across membership changes, so
-//!   the replacement resumes exactly where the dead shard stopped
-//!   (no replay, no loss beyond what died in its windows) — and is
-//!   pre-registered with every live query (a shard child's
-//!   replacement is instead routed to by the proxy children, once it
-//!   has every query registered);
-//! * a **proxy** respawns onto its own single-member group, resuming
+//! * a **shard** respawns owning its slot's partitions, `{p : p %
+//!   shards == s}`, as on the process transport: its
+//!   `"aggregator"`-group consumer resumes at the committed offsets,
+//!   exactly where the dead shard stopped (no replay, no loss beyond
+//!   what died in its windows), and it is pre-registered with every
+//!   live query (a shard child's replacement is instead routed to by
+//!   the proxy children, once it has every query registered). While
+//!   a slot is dead its partitions wait for the replacement;
+//! * a **proxy** respawns into its own consumer group, resuming
 //!   from the committed offset.
 //!
 //! Epoch closes carry a **deadline**
@@ -155,8 +156,9 @@
 //! Epoch-completion accounting is **global**, not per shard: every
 //! decode bumps a shared epoch ledger keyed by epoch tag, and a
 //! close is satisfied when the ledger reaches the epoch's total
-//! expectation. This keeps closes correct across respawns, where the
-//! consumer group's partition → shard assignment reshuffles.
+//! expectation. This keeps closes correct across respawns, where a
+//! replacement's re-issued close counts the decodes its predecessor
+//! published.
 //!
 //! Poisoned input (malformed keys, undecodable or unroutable
 //! payloads) is counted, and an in-process shard quarantines a copy
@@ -570,9 +572,8 @@ impl ShardedSystemBuilder {
     }
 
     /// Builds and starts the deployment: creates the (optionally
-    /// bounded) topics, spawns the worker, proxy and shard threads
-    /// and settles consumer-group membership before any record flows
-    /// (so partition assignment is fixed for the run).
+    /// bounded) topics and spawns the worker, proxy and shard
+    /// threads.
     ///
     /// # Panics
     ///
@@ -706,31 +707,22 @@ impl ShardedSystemBuilder {
             batch_scratch: None,
             durable: None,
             recovered: None,
-            high_water: HashMap::new(),
-            recovered_offsets: Vec::new(),
             recovered_warehouses: HashMap::new(),
             epochs_closed_total: 0,
             epochs_submitted_total: 0,
         };
-        // Order matters: every proxy and shard joins its consumer
-        // group *now*, on this thread, in slot order, so group
-        // membership — and therefore the partition → shard mapping —
-        // is complete and deterministic before the first record is
-        // produced. (A shard joining the "aggregator" group after a
-        // sibling already consumed would strand shares across
-        // joiners.) Proxy children route by the same rank rule, which
-        // pins the process transport's mapping (and so its results)
-        // byte-identical to in-process. Shards start first: a proxy
-        // child is told where every shard child listens. Each tier's
-        // children start together. A failed spawn drops `system`,
-        // which stops what was started.
+        // Shards start first: a proxy child is told where every shard
+        // child listens. Each tier's children start together. A failed
+        // spawn drops `system`, which stops what was started.
         let spawn_failed = |e: std::io::Error| DeployError::InvalidConfig(e.to_string());
         for w in 0..c.workers {
             let worker = WorkerHandle::spawn(w, &mut system.host);
             system.workers.push(worker);
         }
         let shards: Vec<usize> = (0..c.shards).collect();
-        system.shards = system.host.spawn_shards(&shards).map_err(spawn_failed)?;
+        system.shards = (system.host)
+            .spawn_shards(&shards, Vec::new)
+            .map_err(spawn_failed)?;
         for (s, shard) in system.shards.iter().enumerate() {
             system.host.publish_route(s, shard.route);
         }
@@ -1226,15 +1218,6 @@ pub struct ShardedSystem {
     /// State reconstructed from the store at build time, consumed by
     /// [`ShardedSystem::resume`].
     recovered: Option<Box<RecoveredState>>,
-    /// Per-(query, shard) window high-water marks: the largest window
-    /// end each shard has contributed for each query, checkpointed in
-    /// every close record.
-    high_water: HashMap<(QueryId, usize), u64>,
-    /// Committed `"aggregator"`-group offsets checkpointed by the
-    /// crashed incarnation's last close. A restart rebuilds the broker
-    /// log, so these are the *pre-crash* floors for audit/rebasing,
-    /// not live positions; see [`ShardedSystem::recovered_offsets`].
-    recovered_offsets: Vec<(String, usize, u64)>,
     /// Retained-warehouse contents recovered from the last snapshot,
     /// merged into [`ShardedSystem::batch_query`] answers (the shards'
     /// in-memory stores die with the crash).
@@ -1352,9 +1335,8 @@ impl ShardedSystem {
         (client % self.host.partitions as u64) as usize
     }
 
-    /// The shard owning a partition under the group assignment
-    /// (`p mod shards` — shards joined the group in order, so rank
-    /// equals shard index).
+    /// The shard owning a partition: `p mod shards`, on both
+    /// transports and across respawns.
     pub fn shard_of_partition(&self, partition: usize) -> usize {
         partition % self.host.config.shards
     }
@@ -2117,8 +2099,8 @@ impl ShardedSystem {
         // after cleanup.
         //
         // The close carries the epoch's *total* expectation — every
-        // shard closes against the global ledger, which stays correct
-        // when a respawn reshuffles the partition → shard assignment.
+        // shard closes against the global ledger, which still counts
+        // what a respawned shard's predecessor decoded.
         let expect: u64 = per_partition.iter().sum();
         for (s, shard) in self.shards.iter().enumerate() {
             if shard.dead {
@@ -2213,11 +2195,6 @@ impl ShardedSystem {
         for (qid, window, mut est, src) in merged {
             let (_, qparams) = self.queries.get(&qid).expect("registered query");
             if self.durable.is_some() {
-                // Per-(query, shard) window high-water mark: the
-                // largest window end this shard has contributed,
-                // checkpointed in the close record below.
-                let hw = self.high_water.entry((qid, src)).or_insert(0);
-                *hw = (*hw).max(window.end.0);
                 closed_params.push(*qparams);
             }
             let mut shell = self.spare_shells.pop().unwrap_or_else(QueryResult::shell);
@@ -2237,19 +2214,12 @@ impl ShardedSystem {
             self.pending.push(shell);
             self.pending_recycle[src].push(est);
         }
-        // Checkpoint the close: what the windows counted, the shard
-        // group's committed offsets and the window high-water marks,
-        // fsynced before the results can be drained. The lenient (drop) path
+        // Checkpoint the close: what the windows counted and what they
+        // were finalized under, fsynced before the results can be
+        // drained. The lenient (drop) path
         // never journals — an epoch abandoned at drop stays open in
         // the journal and is re-run on recovery (at-least-once).
         if !lenient && self.durable.is_some() {
-            let offsets = self.host.broker.committed_offsets("aggregator");
-            let mut marks: Vec<(QueryId, usize, u64)> = self
-                .high_water
-                .iter()
-                .map(|(&(q, s), &hw)| (q, s, hw))
-                .collect();
-            marks.sort_unstable_by_key(|&(q, s, _)| (q.to_u64(), s));
             let rec = persist::rec_closed(&CloseRecord {
                 epoch: ep.epoch,
                 watermark: ep.watermark,
@@ -2258,8 +2228,6 @@ impl ShardedSystem {
                 results: &self.pending[pending_base..],
                 params: &closed_params,
                 confidence: self.host.config.confidence,
-                offsets: &offsets,
-                marks: &marks,
             });
             let journaled = self
                 .journal(persist::K_CLOSED, rec)
@@ -2485,18 +2453,6 @@ impl ShardedSystem {
         self.recovered.is_some()
     }
 
-    /// The `"aggregator"` consumer group's committed offsets as
-    /// checkpointed by the crashed incarnation's last close:
-    /// `(topic, partition, next offset)`. A restart rebuilds the
-    /// broker log from its origin, so these are reported as the
-    /// pre-crash floors (everything below them was consumed by
-    /// closed, journaled epochs) rather than force-restored — the
-    /// rebuilt log's origin *is* the rebased floor, and re-run open
-    /// epochs must be consumable above it.
-    pub fn recovered_offsets(&self) -> &[(String, usize, u64)] {
-        &self.recovered_offsets
-    }
-
     /// Adopts the state recovered from the durable store: queries are
     /// re-registered on every shard, budget ledgers restored to their
     /// journaled spend, the schedule and retirement set rebuilt,
@@ -2529,10 +2485,6 @@ impl ShardedSystem {
         self.lost_answers = rec.lost_answers;
         self.epochs_closed_total = rec.epochs_closed;
         self.terminal = rec.terminal;
-        self.recovered_offsets = rec.offsets;
-        for (qid, shard, hw) in rec.marks {
-            self.high_water.insert((qid, shard), hw);
-        }
         for (qid, entries) in rec.warehouses {
             self.recovered_warehouses.insert(qid, entries);
         }
@@ -2673,13 +2625,6 @@ impl ShardedSystem {
             return Ok(());
         }
         let warehouses = self.capture_warehouses();
-        let offsets = self.host.broker.committed_offsets("aggregator");
-        let mut marks: Vec<(QueryId, usize, u64)> = self
-            .high_water
-            .iter()
-            .map(|(&(q, s), &hw)| (q, s, hw))
-            .collect();
-        marks.sort_unstable_by_key(|&(q, s, _)| (q.to_u64(), s));
         let mut queries: Vec<(&Query, ExecutionParams, bool, Option<&BudgetLedger>)> = self
             .queries
             .values()
@@ -2705,8 +2650,6 @@ impl ShardedSystem {
             admitted: &self.admitted,
             terminal: &self.terminal,
             pending: &self.pending,
-            offsets: &offsets,
-            marks: &marks,
             warehouses: &warehouses,
         };
         let floor_cap = self
@@ -2871,22 +2814,25 @@ impl ShardedSystem {
         if self.shards[s].thread.is_some() {
             return Err(self.respawn_failed(Role::Shard, s));
         }
-        let Some(mut handle) = self.host.spawn_shards(&[s]).ok().and_then(|mut h| h.pop()) else {
+        let population = self.host.config.clients;
+        let register = || {
+            (self.queries.values())
+                .map(|(query, params)| ShardCmd::Register {
+                    query: Arc::clone(query),
+                    params: *params,
+                    population,
+                    // The dead shard's retained store died with it;
+                    // re-enabling retention lets later epochs
+                    // accumulate again (the batch answer degrades,
+                    // reported as the respawn fault).
+                    retain: self.retain_set.contains(&query.id),
+                })
+                .collect()
+        };
+        let spawned = self.host.spawn_shards(&[s], register);
+        let Some(mut handle) = spawned.ok().and_then(|mut h| h.pop()) else {
             return Err(self.respawn_failed(Role::Shard, s));
         };
-        for (query, params) in self.queries.values() {
-            let _ = handle.cmd.send(ShardCmd::Register {
-                query: Arc::clone(query),
-                params: *params,
-                population: self.host.config.clients,
-                // The dead shard's retained store died with it;
-                // re-enabling retention lets later epochs accumulate
-                // again (the batch answer degrades, reported as the
-                // respawn fault).
-                retain: self.retain_set.contains(&query.id),
-            });
-        }
-        self.host.wake_shards();
         let wait = self.control_wait();
         for _ in 0..self.queries.len() {
             if !matches!(handle.reply.recv_timeout(wait), Ok(ShardReply::Registered)) {
@@ -3227,6 +3173,70 @@ mod tests {
     /// partial count, so the next epoch runs from consistent
     /// accounting instead of tripping the close asserts on stale
     /// records.
+    /// Shard `s` owns partitions `{p : p % shards == s}` after a
+    /// respawn too, as a shard child does: the replacement takes its
+    /// slot's stride, and a share written to partition `p` is read by
+    /// `shard_of_partition(p)` and no other shard.
+    #[test]
+    fn a_respawned_shard_keeps_its_slots_partitions() {
+        let mut system = ShardedSystem::builder()
+            .clients(30)
+            .proxies(2)
+            .shards(3)
+            .workers(2)
+            .partitions(6)
+            .seed(5)
+            .build();
+        system
+            .load_numeric_column("vehicle", "speed", |_| 15.0)
+            .unwrap();
+        let query = system
+            .analyst()
+            .query("SELECT speed FROM vehicle")
+            .buckets(speed_spec())
+            .params(ExecutionParams::checked(1.0, 1.0, 0.5))
+            .submit()
+            .unwrap();
+        assert_eq!(system.run_epoch(&query).unwrap().sample_size, 30);
+        system.inject_shard_panic(0);
+        let served = (0..20).any(|_| {
+            let full = system.run_epoch(&query).is_ok_and(|r| r.sample_size == 30);
+            full && system.respawns == 1
+        });
+        assert!(served, "the replacement never served an epoch in full");
+        let (_, unroutable, _, _) = system.aggregator_health();
+        assert_eq!(unroutable, 0, "the replacement read a share before its queries");
+        // Each shard's undecodable count, probed one shard at a time.
+        let undecodable = |system: &mut ShardedSystem| -> Vec<u64> {
+            (0..3)
+                .map(|s| {
+                    system.shards[s].cmd.send(ShardCmd::Probe).unwrap();
+                    system.host.wake_shards();
+                    match system.shards[s].reply.recv_timeout(system.control_wait()) {
+                        Ok(ShardReply::Health { quad, .. }) => quad.0,
+                        _ => panic!("shard {s} did not answer the probe"),
+                    }
+                })
+                .collect()
+        };
+        for p in 0..6 {
+            let before = undecodable(&mut system);
+            // A key of the wrong width: whichever shard reads it
+            // counts it as undecodable.
+            system.broker().producer().send_to(
+                "proxy-0-out",
+                p,
+                Some(vec![9; 5]),
+                vec![1, 2, 3],
+                Timestamp(0),
+            );
+            system.run_epoch(&query).unwrap();
+            let after = undecodable(&mut system);
+            let counted: Vec<usize> = (0..3).filter(|&s| after[s] > before[s]).collect();
+            assert_eq!(counted, vec![system.shard_of_partition(p)], "partition {p}");
+        }
+    }
+
     #[test]
     fn sharded_failed_epoch_cleans_up_for_the_next() {
         let mut system = ShardedSystem::builder()
@@ -3418,39 +3428,6 @@ mod tests {
 
     /// A restart surfaces the shard group's committed offsets as the
     /// crashed incarnation's last close checkpointed them.
-    #[test]
-    fn recovered_offsets_report_the_last_closes_floors() {
-        let dir = std::env::temp_dir().join(format!("privapprox-offsets-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let start = || {
-            let mut system = ShardedSystem::builder()
-                .clients(20)
-                .seed(5)
-                .durable(&dir)
-                .build();
-            system.load_numeric_column("vehicle", "speed", |_| 15.0).unwrap();
-            system
-        };
-        let mut system = start();
-        let query = system
-            .analyst()
-            .query("SELECT speed FROM vehicle")
-            .buckets(speed_spec())
-            .params(ExecutionParams::checked(1.0, 1.0, 0.5))
-            .submit()
-            .unwrap();
-        system.run_epoch(&query).unwrap();
-        let committed = system.host.broker.committed_offsets("aggregator");
-        assert_eq!(committed.iter().map(|(_, _, next)| next).sum::<u64>(), 40);
-        system.crash();
-        let mut system = start();
-        assert!(system.needs_recovery());
-        system.resume().unwrap();
-        assert_eq!(system.recovered_offsets(), committed);
-        drop(system);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// What a worker respawn re-sends is the loads and nothing else:
     /// epochs leave no trace in the supervisor's replay state, so a
     /// respawn costs the same after any number of them.

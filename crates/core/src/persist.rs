@@ -44,9 +44,7 @@ use privapprox_store::codec::{Reader, Writer};
 use privapprox_store::snapshot::{load_latest, prune_snapshots, write_snapshot};
 use privapprox_store::wal::{dir_bytes, Wal, WalRecord};
 use privapprox_store::StoreError;
-use privapprox_types::{
-    BitVec, BudgetLedger, ExecutionParams, Query, QueryId, Timestamp, Window,
-};
+use privapprox_types::{BitVec, BudgetLedger, ExecutionParams, Query, QueryId, Timestamp, Window};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -77,8 +75,7 @@ pub(crate) const K_CHARGE: u8 = 6;
 pub(crate) const K_SUBMITTED: u8 = 7;
 /// An epoch fully closed: what its windows *counted* plus the inputs
 /// they were finalized under (results are recomputed at recovery, see
-/// [`rec_closed`]), the shard group's committed offsets, and
-/// per-(query, shard) window high-water marks.
+/// [`rec_closed`]).
 pub(crate) const K_CLOSED: u8 = 8;
 
 // ----- snapshot section kinds (0 is reserved for the header) -------
@@ -88,8 +85,8 @@ const S_QUERIES: u8 = 2;
 const S_SCHED: u8 = 3;
 // 4 is retired (the answer-command history of store versions ≤ 3).
 const S_PENDING: u8 = 5;
-const S_OFFSETS: u8 = 6;
-const S_MARKS: u8 = 7;
+// 6 and 7 are retired (committed offsets and window high-water marks
+// of store versions ≤ 5).
 const S_WAREHOUSES: u8 = 8;
 
 /// Converts a store fault into the deployment's typed error.
@@ -215,8 +212,6 @@ pub(crate) struct CloseRecord<'a> {
     pub params: &'a [ExecutionParams],
     /// The confidence level every window was finalized at.
     pub confidence: f64,
-    pub offsets: &'a [(String, usize, u64)],
-    pub marks: &'a [(QueryId, usize, u64)],
 }
 
 /// Encodes a close. A result is a pure function of its window's
@@ -225,7 +220,11 @@ pub(crate) struct CloseRecord<'a> {
 /// and not the eight computed words a bucket: per window the three
 /// finalize inputs a [`put_window`] body lacks, then that body.
 pub(crate) fn rec_closed(c: &CloseRecord<'_>) -> Vec<u8> {
-    assert_eq!(c.results.len(), c.params.len(), "one parameter set per result");
+    assert_eq!(
+        c.results.len(),
+        c.params.len(),
+        "one parameter set per result"
+    );
     let mut w = Writer::new();
     w.u64(c.epoch.0)
         .u64(c.watermark.0)
@@ -242,14 +241,6 @@ pub(crate) fn rec_closed(c: &CloseRecord<'_>) -> Vec<u8> {
             r.sample_size,
             r.buckets.iter().map(|b| b.raw_yes),
         );
-    }
-    w.u64(c.offsets.len() as u64);
-    for (topic, partition, next) in c.offsets {
-        w.str(topic).u32(*partition as u32).u64(*next);
-    }
-    w.u64(c.marks.len() as u64);
-    for (qid, shard, hw) in c.marks {
-        w.u64(qid.to_u64()).u32(*shard as u32).u64(*hw);
     }
     w.finish()
 }
@@ -307,7 +298,9 @@ fn put_result(w: &mut Writer, r: &QueryResult) {
             .f64(b.sampling_error)
             .f64(b.rr_error);
     }
-    w.f64(r.privacy.eps_rr).f64(r.privacy.eps_dp).f64(r.privacy.eps_zk);
+    w.f64(r.privacy.eps_rr)
+        .f64(r.privacy.eps_dp)
+        .f64(r.privacy.eps_zk);
 }
 
 fn get_result(r: &mut Reader<'_>) -> Result<QueryResult, StoreError> {
@@ -391,16 +384,6 @@ pub(crate) struct RecoveredState {
     /// Results closed but possibly not yet drained (at-least-once:
     /// a result drained after the last snapshot is re-emitted).
     pub pending: Vec<QueryResult>,
-    /// Last checkpointed committed offsets of the `"aggregator"`
-    /// group: `(topic, partition, next offset)`. A whole-system
-    /// restart rebuilds the broker log, so these floors are reported
-    /// (not force-restored): the rebuilt log's origin *is* the
-    /// rebased floor — everything below it was consumed by closed,
-    /// journaled epochs.
-    pub offsets: Vec<(String, usize, u64)>,
-    /// Per-(query, shard) window high-water marks: the largest
-    /// window end each shard contributed for each query.
-    pub marks: Vec<(QueryId, usize, u64)>,
     /// Retained warehouses captured by the last snapshot.
     pub warehouses: Vec<(QueryId, Retained)>,
     /// Whether the journal ended in a torn (crash-truncated) frame.
@@ -447,8 +430,6 @@ pub(crate) struct SnapshotContents<'a> {
     pub admitted: &'a [QueryId],
     pub terminal: &'a [QueryId],
     pub pending: &'a [QueryResult],
-    pub offsets: &'a [(String, usize, u64)],
-    pub marks: &'a [(QueryId, usize, u64)],
     pub warehouses: &'a [(QueryId, Retained)],
 }
 
@@ -468,7 +449,11 @@ fn build_sections(c: &SnapshotContents<'_>) -> Vec<(u8, Vec<u8>)> {
         queries.u8(*retain as u8);
         match ledger {
             Some(l) => {
-                queries.u8(1).f64(l.allocated()).f64(l.spent()).u64(l.epochs());
+                queries
+                    .u8(1)
+                    .f64(l.allocated())
+                    .f64(l.spent())
+                    .u64(l.epochs());
             }
             None => {
                 queries.u8(0);
@@ -492,18 +477,6 @@ fn build_sections(c: &SnapshotContents<'_>) -> Vec<(u8, Vec<u8>)> {
         put_result(&mut pending, r);
     }
 
-    let mut offsets = Writer::new();
-    offsets.u64(c.offsets.len() as u64);
-    for (topic, partition, next) in c.offsets {
-        offsets.str(topic).u32(*partition as u32).u64(*next);
-    }
-
-    let mut marks = Writer::new();
-    marks.u64(c.marks.len() as u64);
-    for (qid, shard, hw) in c.marks {
-        marks.u64(qid.to_u64()).u32(*shard as u32).u64(*hw);
-    }
-
     let mut wh = Writer::new();
     wh.u64(c.warehouses.len() as u64);
     for (qid, entries) in c.warehouses {
@@ -519,13 +492,14 @@ fn build_sections(c: &SnapshotContents<'_>) -> Vec<(u8, Vec<u8>)> {
         (S_QUERIES, queries.finish()),
         (S_SCHED, sched.finish()),
         (S_PENDING, pending.finish()),
-        (S_OFFSETS, offsets.finish()),
-        (S_MARKS, marks.finish()),
         (S_WAREHOUSES, wh.finish()),
     ]
 }
 
-fn apply_snapshot(state: &mut RecoveredState, sections: &[(u8, Vec<u8>)]) -> Result<(), StoreError> {
+fn apply_snapshot(
+    state: &mut RecoveredState,
+    sections: &[(u8, Vec<u8>)],
+) -> Result<(), StoreError> {
     for (kind, payload) in sections {
         match *kind {
             S_META => {
@@ -580,29 +554,6 @@ fn apply_snapshot(state: &mut RecoveredState, sections: &[(u8, Vec<u8>)]) -> Res
                 }
                 r.done()?;
             }
-            S_OFFSETS => {
-                let mut r = Reader::new(payload, "snapshot offsets");
-                let n = r.count(20)?;
-                state.offsets.clear();
-                for _ in 0..n {
-                    let topic = r.str()?.to_string();
-                    let partition = r.u32()? as usize;
-                    let next = r.u64()?;
-                    state.offsets.push((topic, partition, next));
-                }
-                r.done()?;
-            }
-            S_MARKS => {
-                let mut r = Reader::new(payload, "snapshot marks");
-                let n = r.count(20)?;
-                for _ in 0..n {
-                    let qid = QueryId::from_u64(r.u64()?);
-                    let shard = r.u32()? as usize;
-                    let hw = r.u64()?;
-                    state.marks.push((qid, shard, hw));
-                }
-                r.done()?;
-            }
             S_WAREHOUSES => {
                 let mut r = Reader::new(payload, "snapshot warehouses");
                 let nq = r.count(16)?;
@@ -618,7 +569,10 @@ fn apply_snapshot(state: &mut RecoveredState, sections: &[(u8, Vec<u8>)]) -> Res
                         let answer = BitVec::from_bytes(bits, raw).ok_or_else(|| {
                             bad(
                                 "snapshot warehouses",
-                                format!("bit vector of {bits} bits does not fit {} bytes", raw.len()),
+                                format!(
+                                    "bit vector of {bits} bits does not fit {} bytes",
+                                    raw.len()
+                                ),
                             )
                         })?;
                         entries.push((ts, mid, answer));
@@ -751,25 +705,7 @@ fn apply_records(state: &mut RecoveredState, records: &[WalRecord]) -> Result<()
                 for _ in 0..nr {
                     state.pending.push(get_closed_window(&mut r, &mut counts)?);
                 }
-                let no = r.count(20)?;
-                let mut offsets = Vec::with_capacity(no);
-                for _ in 0..no {
-                    let topic = r.str()?.to_string();
-                    let partition = r.u32()? as usize;
-                    let next = r.u64()?;
-                    offsets.push((topic, partition, next));
-                }
-                let nm = r.count(20)?;
-                let mut marks = Vec::with_capacity(nm);
-                for _ in 0..nm {
-                    let qid = QueryId::from_u64(r.u64()?);
-                    let shard = r.u32()? as usize;
-                    let hw = r.u64()?;
-                    marks.push((qid, shard, hw));
-                }
                 r.done()?;
-                state.offsets = offsets;
-                state.marks = marks;
                 state.epochs_closed += 1;
                 if partial {
                     state.partial_closes += 1;
@@ -913,16 +849,16 @@ mod tests {
     use privapprox_types::{AnswerSpec, BucketRule, QueryBuilder};
 
     fn mk_query(serial: u32) -> Query {
-        QueryBuilder::new(
-            QueryId::new(AnalystId(1), serial),
-            "SELECT speed FROM cars",
-        )
-        .answer(AnswerSpec::new(vec![
-            BucketRule::Range { lo: 0.0, hi: 50.0 },
-            BucketRule::Range { lo: 50.0, hi: 100.0 },
-        ]))
-        .window(1_000, 1_000)
-        .sign_and_build(42)
+        QueryBuilder::new(QueryId::new(AnalystId(1), serial), "SELECT speed FROM cars")
+            .answer(AnswerSpec::new(vec![
+                BucketRule::Range { lo: 0.0, hi: 50.0 },
+                BucketRule::Range {
+                    lo: 50.0,
+                    hi: 100.0,
+                },
+            ]))
+            .window(1_000, 1_000)
+            .sign_and_build(42)
     }
 
     fn mk_result(qid: QueryId, start: u64) -> QueryResult {
@@ -996,7 +932,11 @@ mod tests {
         push(
             &mut records,
             K_SUBMITTED,
-            rec_submitted(Timestamp(500), Timestamp(1_000), &[(Arc::new(q.clone()), params)]),
+            rec_submitted(
+                Timestamp(500),
+                Timestamp(1_000),
+                &[(Arc::new(q.clone()), params)],
+            ),
         );
         // Epoch 2: a torn tail left the charge without its submitted.
         push(
@@ -1009,7 +949,11 @@ mod tests {
         let ledger = state.queries[0].ledger.as_ref().unwrap();
         assert_eq!(ledger.spent(), 0.25, "orphan charge must not apply");
         assert_eq!(ledger.epochs(), 1);
-        assert_eq!(state.open_epochs.len(), 1, "epoch 1 submitted, never closed");
+        assert_eq!(
+            state.open_epochs.len(),
+            1,
+            "epoch 1 submitted, never closed"
+        );
     }
 
     /// What the live merge would have pushed for a window with these
@@ -1028,7 +972,9 @@ mod tests {
             end: Timestamp(1_000),
         };
         let mut out = QueryResult::shell();
-        finalize_window_into(&mut out, qid, window, &mut est, params, population, confidence);
+        finalize_window_into(
+            &mut out, qid, window, &mut est, params, population, confidence,
+        );
         out
     }
 
@@ -1062,7 +1008,11 @@ mod tests {
             (K_REGISTERED, rec_registered(q, params, false, 2)),
             (
                 K_SUBMITTED,
-                rec_submitted(Timestamp(500), Timestamp(1_000), &[(Arc::new(q.clone()), params)]),
+                rec_submitted(
+                    Timestamp(500),
+                    Timestamp(1_000),
+                    &[(Arc::new(q.clone()), params)],
+                ),
             ),
             (
                 K_CLOSED,
@@ -1074,8 +1024,6 @@ mod tests {
                     results: std::slice::from_ref(result),
                     params: &[params],
                     confidence,
-                    offsets: &[("proxy-0-out".to_string(), 0, 11)],
-                    marks: &[(q.id, 0, 1_000)],
                 }),
             ),
         ];
@@ -1100,8 +1048,6 @@ mod tests {
         apply_records(&mut state, &records).unwrap();
         assert!(state.open_epochs.is_empty());
         assert_eq!(state.pending, vec![result]);
-        assert_eq!(state.offsets, vec![("proxy-0-out".to_string(), 0, 11)]);
-        assert_eq!(state.marks, vec![(q.id, 0, 1_000)]);
         assert_eq!(state.epochs_closed, 1);
         assert_eq!(state.now_ms, 1_000);
     }
@@ -1226,12 +1172,24 @@ mod tests {
             ("confidence = 0", patched(AT_CONFIDENCE, &f(0.0))),
             ("confidence = 1", patched(AT_CONFIDENCE, &f(1.0))),
             ("confidence = NaN", patched(AT_CONFIDENCE, &f(f64::NAN))),
-            ("a yes-count above the total", patched(AT_TOTAL, &4u64.to_le_bytes())),
+            (
+                "a yes-count above the total",
+                patched(AT_TOTAL, &4u64.to_le_bytes()),
+            ),
             ("unknown width", patched(AT_WIDTH, &[3])),
-            ("byte length not buckets × width", patched(AT_BLOCK_LEN, &3u64.to_le_bytes())),
+            (
+                "byte length not buckets × width",
+                patched(AT_BLOCK_LEN, &3u64.to_le_bytes()),
+            ),
             ("zero buckets", patched(AT_BLOCK_LEN, &0u64.to_le_bytes())),
-            ("block longer than the payload", patched(AT_BLOCK_LEN, &(1u64 << 40).to_le_bytes())),
-            ("more windows than bytes", patched(25, &(1u64 << 40).to_le_bytes())),
+            (
+                "block longer than the payload",
+                patched(AT_BLOCK_LEN, &(1u64 << 40).to_le_bytes()),
+            ),
+            (
+                "more windows than bytes",
+                patched(25, &(1u64 << 40).to_le_bytes()),
+            ),
         ];
         for (what, payload) in &hostile {
             assert!(
@@ -1278,7 +1236,11 @@ mod tests {
             (K_CHARGE, rec_charge(q.id, Timestamp(500), 0.25, 0.25, 1)),
             (
                 K_SUBMITTED,
-                rec_submitted(Timestamp(500), Timestamp(1_000), &[(Arc::new(q.clone()), params)]),
+                rec_submitted(
+                    Timestamp(500),
+                    Timestamp(1_000),
+                    &[(Arc::new(q.clone()), params)],
+                ),
             ),
             (K_RETIRED, rec_retired(&retirement)),
         ];
@@ -1290,7 +1252,11 @@ mod tests {
                 .map(|(i, (kind, good))| WalRecord {
                     index: i as u64,
                     kind: *kind,
-                    payload: if i == at { payload.to_vec() } else { good.clone() },
+                    payload: if i == at {
+                        payload.to_vec()
+                    } else {
+                        good.clone()
+                    },
                 })
                 .collect();
             let mut state = RecoveredState::default();
@@ -1329,7 +1295,11 @@ mod tests {
             ("s > 1", 3, patched(3, 32, &f(1.5))),
             ("p = NaN", 3, patched(3, 40, &f(f64::NAN))),
             ("q = 1", 3, patched(3, 48, &f(1.0))),
-            ("more entries than bytes", 3, patched(3, 16, &(1u64 << 40).to_le_bytes())),
+            (
+                "more entries than bytes",
+                3,
+                patched(3, 16, &(1u64 << 40).to_le_bytes()),
+            ),
         ];
         for (what, at, payload) in &hostile {
             assert!(
@@ -1338,7 +1308,11 @@ mod tests {
             );
         }
         let unbounded = replay(1, &patched(1, 8, &f(f64::INFINITY))).unwrap();
-        assert!(unbounded.queries[0].ledger.unwrap().allocated().is_infinite());
+        assert!(unbounded.queries[0]
+            .ledger
+            .unwrap()
+            .allocated()
+            .is_infinite());
 
         for (at, (_, good)) in journal.iter().enumerate().skip(1) {
             for cut in 0..good.len() {
@@ -1371,8 +1345,6 @@ mod tests {
             admitted: &[],
             terminal: &[],
             pending: &[],
-            offsets: &[],
-            marks: &[],
             warehouses: &[],
         });
         assert!(matches!(
@@ -1391,7 +1363,11 @@ mod tests {
         let result = finalized(q.id, &counts, 1_000, params, 1_000, 0.95);
         let mut records = one_epoch_journal(&q, params, &result, 0.95);
         let close = records.pop().unwrap().payload;
-        assert!(close.len() <= 24 * 1024, "close record is {} bytes", close.len());
+        assert!(
+            close.len() <= 24 * 1024,
+            "close record is {} bytes",
+            close.len()
+        );
         records.push(WalRecord {
             index: 2,
             kind: K_CLOSED,
@@ -1409,12 +1385,7 @@ mod tests {
         let ledger = BudgetLedger::restore(2.0, 0.75, 3);
         let result = mk_result(q.id, 2_000);
         let pending = vec![result.clone()];
-        let offsets = vec![("proxy-1-out".to_string(), 2, 33u64)];
-        let marks = vec![(q.id, 1, 3_000u64)];
-        let warehouses = vec![(
-            q.id,
-            vec![(500u64, 7u128, BitVec::one_hot(2, 1))],
-        )];
+        let warehouses = vec![(q.id, vec![(500u64, 7u128, BitVec::one_hot(2, 1))])];
         let contents = SnapshotContents {
             now_ms: 3_000,
             next_serial: 2,
@@ -1426,8 +1397,6 @@ mod tests {
             admitted: &[q.id],
             terminal: &[],
             pending: &pending,
-            offsets: &offsets,
-            marks: &marks,
             warehouses: &warehouses,
         };
         let sections = build_sections(&contents);
@@ -1445,8 +1414,6 @@ mod tests {
         assert_eq!((l.allocated(), l.spent(), l.epochs()), (2.0, 0.75, 3));
         assert_eq!(state.admitted, vec![q.id]);
         assert_eq!(state.pending, pending);
-        assert_eq!(state.offsets, offsets);
-        assert_eq!(state.marks, marks);
         assert_eq!(state.warehouses.len(), 1);
         assert_eq!(state.warehouses[0].1[0].2, BitVec::one_hot(2, 1));
     }

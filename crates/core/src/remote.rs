@@ -28,9 +28,9 @@
 //!   it holds one [`SupervisedLink`] per shard child and sends each
 //!   frame the parent shipped, checked by a borrowed walk
 //!   ([`walk_data_batch`]) but never decoded, whole to shard
-//!   `partition % shards` — the `"aggregator"` consumer group's rank
-//!   rule, so each MID's shares still meet on one shard and results
-//!   stay byte-identical. Shard children are spawned first and their
+//!   `partition % shards` — the stride an in-process shard owns too,
+//!   so each MID's shares still meet on one shard and results stay
+//!   byte-identical. Shard children are spawned first and their
 //!   addresses ride the proxies' command line; a respawned shard's
 //!   address reaches the live proxies as a [`Route`](FrameKind::Route)
 //!   frame, and each reports its links' counters home as
@@ -1048,7 +1048,7 @@ impl ProxyNode {
     }
 
     /// Sends every reassembled batch, as it arrived, to its shard slot
-    /// (`partition % shards` — the `"aggregator"` group's rank rule,
+    /// (`partition % shards` — the stride an in-process shard owns,
     /// so all of a MID's shares meet on one shard); the link rewrites
     /// its leading `seq`. A batch for a slot whose link is down this
     /// round is dropped; the epoch ledger accounts for it.

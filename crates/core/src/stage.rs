@@ -146,10 +146,10 @@ pub(crate) fn spawn_supervised(
 ///
 /// Closes are satisfied against the **global** count (the close
 /// command carries the epoch's *total* expectation), which keeps
-/// epoch accounting correct across shard respawns: a consumer-group
-/// rebalance reshuffles the partition → shard assignment, so any
-/// per-shard split of the expectation would go permanently stale the
-/// first time a shard dies.
+/// epoch accounting correct across shard respawns: a replacement
+/// shard is re-issued the close of every open epoch, and that close
+/// is satisfied by decodes its dead predecessor published as well as
+/// its own.
 ///
 /// Shards batch their bumps (one ledger update per poll batch, not
 /// per record), and the entry list is a bounded scan list — at most
@@ -319,8 +319,8 @@ fn take_slot(hook: &mut Option<(usize, u64)>, i: usize) -> Option<u64> {
 // ---------------------------------------------------------------------------
 // The aggregator role.
 
-/// One aggregator shard: join ⟂ decode ⟂ window over the partitions
-/// the `"aggregator"` group assigns it, a per-epoch decode tally, the
+/// One aggregator shard: join ⟂ decode ⟂ window over its stride of
+/// partitions, `{p : p % shards == s}`, a per-epoch decode tally, the
 /// retained answers of queries registered for history, and the
 /// control-plane handling of [`ShardCmd`]s. An in-process shard thread
 /// and a `privapprox-node` child run this same value; they differ only
@@ -362,16 +362,17 @@ impl Decodes {
 }
 
 impl LocalShard {
-    /// Joins the `"aggregator"` group over `broker`'s proxy-out
-    /// topics; poisoned input is quarantined to `broker`'s dead-letter
-    /// topic.
+    /// Shard `s` of `shards`: consumes partitions `{p : p % shards ==
+    /// s}` of `broker`'s proxy-out topics in the `"aggregator"` group;
+    /// poisoned input is quarantined to `broker`'s dead-letter topic.
     pub(crate) fn new(
         broker: &Broker,
+        (s, shards): (usize, usize),
         proxies: usize,
         confidence: f64,
         fuse: Option<u64>,
     ) -> LocalShard {
-        let mut agg = Aggregator::new(broker, proxies, confidence);
+        let mut agg = Aggregator::for_shard(broker, proxies, confidence, s, shards);
         agg.set_dead_letter(broker.writer(DEAD_LETTER_TOPIC));
         let decodes = Decodes {
             fuse,
@@ -634,10 +635,10 @@ impl Host {
     /// each child is started with the shard children's current
     /// addresses.
     ///
-    /// A relay joins its own single-member consumer group here, on
-    /// the calling thread; a respawn rejoins it and resumes from the
-    /// committed offset, so a dead relay delays forwarding but never
-    /// loses what is still on its inbound topic. (Shares that reached
+    /// A relay consumes its inbound topic in its own consumer group; a
+    /// respawn resumes from the group's committed offset, so a dead
+    /// relay delays forwarding but never loses what is still on its
+    /// inbound topic. (Shares that reached
     /// a dead *child* and were not yet relayed died with it — the
     /// epoch ledger accounts them as a partial close.)
     pub(crate) fn spawn_proxies(
@@ -714,24 +715,33 @@ impl Host {
         }
     }
 
-    /// Starts the shards of `slots`. In-process, each joins the
-    /// `"aggregator"` consumer group here, on the calling thread: at
-    /// build, that is what makes membership — and so the partition →
-    /// shard mapping — complete before the first record flows; at
-    /// respawn, committed offsets persist across the membership
-    /// change, so the replacement resumes exactly where the group left
-    /// off. A shard child owns partitions `{p : p % shards == s}` by
-    /// construction (its proxies route by that rule), the mapping the
-    /// group's ranks give at build. Decodes held in a dead shard's
-    /// open windows are lost — the affected epochs close partially.
-    pub(crate) fn spawn_shards(&mut self, slots: &[usize]) -> io::Result<Vec<ShardHandle>> {
+    /// Starts the shards of `slots`. Shard `s` owns partitions `{p :
+    /// p % shards == s}` on both transports: in-process, its consumer
+    /// owns that stride of the `"aggregator"` group's topics, and a
+    /// replacement resumes at the group's committed offsets; a shard
+    /// child's proxies route to it by the same rule. Each shard's
+    /// command queue starts with `register()`'s commands, so a
+    /// replacement knows every live query before it reads the shares
+    /// waiting in its partitions. Decodes held in a dead shard's open
+    /// windows are lost — the affected epochs close partially.
+    pub(crate) fn spawn_shards(
+        &mut self,
+        slots: &[usize],
+        register: impl Fn() -> Vec<ShardCmd>,
+    ) -> io::Result<Vec<ShardHandle>> {
         let c = self.config;
         let shards = match self.transport.clone() {
             TransportMode::InProcess => (slots.iter())
                 .map(|&s| {
                     let fuse = self.faults.shard_fuse(s);
-                    let proxies = c.proxies as usize;
-                    Shard::Local(LocalShard::new(&self.broker, proxies, c.confidence, fuse))
+                    let (slot, proxies) = ((s, c.shards), c.proxies as usize);
+                    Shard::Local(LocalShard::new(
+                        &self.broker,
+                        slot,
+                        proxies,
+                        c.confidence,
+                        fuse,
+                    ))
                 })
                 .collect(),
             TransportMode::Process { node, faults } => {
@@ -745,12 +755,13 @@ impl Host {
             }
         };
         Ok((slots.iter().zip(shards))
-            .map(|(&s, shard)| self.start_shard(s, shard))
+            .map(|(&s, shard)| self.start_shard(s, shard, register()))
             .collect())
     }
 
-    /// Runs shard `s` on its supervised thread.
-    fn start_shard(&mut self, s: usize, shard: Shard) -> ShardHandle {
+    /// Runs shard `s` on its supervised thread, with `queued` ahead of
+    /// every later command.
+    fn start_shard(&mut self, s: usize, shard: Shard, queued: Vec<ShardCmd>) -> ShardHandle {
         let wake = shard.wake();
         {
             let mut wakes = self.shard_wakes.lock().expect("shard wakes lock");
@@ -771,6 +782,9 @@ impl Host {
         };
         let heartbeat = self.watchdog.register(&format!("shard-{s}"));
         let (cmd, cmd_rx) = channel::<ShardCmd>();
+        for c in queued {
+            let _ = cmd.send(c);
+        }
         let (reply_tx, reply) = channel::<ShardReply>();
         let thread = spawn_supervised(Role::Shard, s, Arc::clone(&self.crashes), move || {
             run_shard(shard, policy, &cmd_rx, &reply_tx, &heartbeat)

@@ -331,9 +331,11 @@ fn sharded_overlapped_window_cycle_allocates_nothing() {
     let params = ExecutionParams::checked(1.0, 0.9, 0.6);
     let producer = broker.producer();
     let mut proxies: Vec<Proxy> = (0..2).map(|i| Proxy::new(ProxyId(i), &broker)).collect();
-    // Two shards in one consumer group: rank 0 owns partition 0,
-    // rank 1 owns partition 1, across both proxy-out topics.
-    let mut shards: Vec<Aggregator> = (0..2).map(|_| Aggregator::new(&broker, 2, 0.95)).collect();
+    // Two shards in one consumer group: shard 0 owns partition 0,
+    // shard 1 owns partition 1, across both proxy-out topics.
+    let mut shards: Vec<Aggregator> = (0..2)
+        .map(|s| Aggregator::for_shard(&broker, 2, 0.95, s, 2))
+        .collect();
     for shard in &mut shards {
         shard.register_query(&query, params, 50);
     }
@@ -436,7 +438,7 @@ fn sharded_overlapped_window_cycle_allocates_nothing() {
             let mut shell = shells.pop().unwrap_or_else(QueryResult::shell);
             finalize_window_into(&mut shell, qid, window, &mut est, params, 50, 0.95);
             assert_eq!(shell.sample_size, 20, "cycle {cycle}");
-            assert_eq!(shell.buckets[2].raw_yes > 0, true);
+            assert!(shell.buckets[2].raw_yes > 0);
             shells.push(shell);
             shards[src].release_estimator(est);
         }

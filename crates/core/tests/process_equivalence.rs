@@ -8,8 +8,8 @@
 //! interchangeable deployments of the same computation.
 //!
 //! Why it holds: proxy children route every share to shard
-//! `partition % shards`, the mapping the in-process `"aggregator"`
-//! group's ranks give, the wire format round-trips counts as `u64`
+//! `partition % shards`, the stride an in-process shard owns
+//! (`Broker::consumer_of`), the wire format round-trips counts as `u64`
 //! and floats as IEEE bits, and a fault-free epoch closes only after
 //! the global decode ledger reaches its expectation — by which point
 //! every record has been decoded, so per-link FIFO delivery is all

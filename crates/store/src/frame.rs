@@ -17,10 +17,11 @@
 use crate::crc::{crc32, Crc32};
 use crate::error::{CorruptKind, StoreError};
 
-/// On-disk format version stamped into every frame (5: replaying a
-/// `Budget` record keeps the ledger's spend instead of zeroing it; see
-/// the version history in `docs/checkpoint-format.md`).
-pub const STORE_VERSION: u8 = 5;
+/// On-disk format version stamped into every frame (6: `Closed`
+/// records and snapshots no longer carry committed offsets or window
+/// high-water marks; see the version history in
+/// `docs/checkpoint-format.md`).
+pub const STORE_VERSION: u8 = 6;
 
 /// Upper bound on a single frame's `len` field. Anything larger is
 /// treated as corruption: the biggest legitimate frame (a warehouse
@@ -113,10 +114,13 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<DecodedFrame<'_>>, CorruptKind>
     }))
 }
 
+/// A frame's kind and an owned copy of its payload.
+pub type OwnedFrame = (u8, Vec<u8>);
+
 /// Decodes every frame in `buf`, requiring the buffer to end exactly
 /// on a frame boundary (snapshot files: rename is atomic, so a valid
 /// snapshot is never torn — any truncation is corruption).
-pub fn decode_all(buf: &[u8]) -> Result<Vec<(u8, Vec<u8>)>, (u64, CorruptKind)> {
+pub fn decode_all(buf: &[u8]) -> Result<Vec<OwnedFrame>, (u64, CorruptKind)> {
     let mut out = Vec::new();
     let mut off = 0usize;
     loop {

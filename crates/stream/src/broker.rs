@@ -11,27 +11,26 @@
 //! client/proxy/aggregator threads can share one broker, exactly like
 //! the paper's proxies share a Kafka cluster.
 //!
-//! # Consumer groups and rebalancing
+//! # Partition ownership
 //!
-//! Consumers in one group **divide** a topic's partitions instead of
-//! all reading everything: each [`Consumer`] registers as a group
-//! member on creation and deregisters on drop, and the group's
-//! partitions are assigned by rank — the member with the `k`-th
-//! smallest id owns every partition `p` with `p % members == k`, for
-//! every subscribed topic. Because the mapping depends only on rank
-//! and member count, it is *consistent across topics*: partition `p`
-//! of every topic a group consumes lands on the same member, which is
+//! A [`Consumer`] owns a fixed stride of every subscribed topic's
+//! partitions, `{p : p % shards == shard}`, given when it is created
+//! ([`Broker::consumer_of`]; [`Broker::consumer`] owns them all).
+//! Because the stride is the same for every topic, partition `p` of
+//! every topic a consumer reads lands on the same consumer, which is
 //! what lets the sharded deployment join a message's XOR shares
 //! shard-locally (all of client `c`'s shares travel in partition
-//! `π(c)` of their respective proxy topics).
+//! `π(c)` of their respective proxy topics, and shard `s` owns the
+//! same stride on both transports).
 //!
-//! Delivery is **exactly-once per group across rebalances**: the
-//! per-(group, topic, partition) offset map is the single source of
-//! truth, and a poll reads records and advances the offset atomically
-//! under one lock. A membership change merely changes *who* polls a
-//! partition next; whoever does continues from the committed offset,
-//! so records are neither dropped nor delivered twice (asserted by
-//! the sequence-numbered rebalance tests in `tests/rebalance.rs`).
+//! Delivery is **exactly-once per group**: the per-(group, topic,
+//! partition) offset map is the single source of truth, and a poll
+//! reads records and advances the offset atomically under one lock.
+//! A successor created in the same group with the same stride — a
+//! respawned shard — resumes at the group's committed offsets, and
+//! consumers of one group that own the same partition share its
+//! offset, so records are neither dropped nor delivered twice
+//! (asserted by the sequence-numbered tests in `tests/rebalance.rs`).
 //!
 //! # Partition fairness
 //!
@@ -52,8 +51,8 @@
 //!
 //! The poll hot path is allocation-free: [`Consumer::poll_into`]
 //! appends `(topic_index, partition, record)` triples into a
-//! caller-owned buffer (records are refcount clones) over a partition
-//! assignment cached per rebalance generation, and forwarders append
+//! caller-owned buffer (records are refcount clones) over the
+//! consumer's partitions, fixed at creation, and forwarders append
 //! through a [`TopicWriter`] (topic resolved once, one consumer
 //! wakeup per batch). The allocating `poll`/`poll_partitioned`
 //! wrappers remain for control paths and tests.
@@ -240,25 +239,12 @@ struct Stats {
     bytes_out: AtomicU64,
 }
 
-/// Membership of one consumer group: live member ids in ascending
-/// order (ids are globally monotonic, so join order = rank order) and
-/// a generation bumped on every change — the rebalance epoch.
-#[derive(Debug, Default)]
-struct GroupState {
-    members: Vec<u64>,
-    generation: u64,
-}
-
 struct BrokerInner {
     topics: RwLock<HashMap<String, Arc<Topic>>>,
     /// How long a producer parks on a full bounded partition before
     /// failing with [`BrokerError::Backpressure`], in nanoseconds.
     backpressure_deadline_ns: AtomicU64,
     group_offsets: Mutex<HashMap<(String, String, usize), u64>>,
-    /// Consumer-group membership, keyed by group name.
-    groups: Mutex<HashMap<String, GroupState>>,
-    /// Monotonic member-id source for all groups.
-    next_member: AtomicU64,
     stats: Stats,
     default_partitions: usize,
 }
@@ -285,8 +271,6 @@ impl Broker {
                     DEFAULT_BACKPRESSURE_DEADLINE.as_nanos() as u64
                 ),
                 group_offsets: Mutex::new(HashMap::new()),
-                groups: Mutex::new(HashMap::new()),
-                next_member: AtomicU64::new(0),
                 stats: Stats::default(),
                 default_partitions,
             }),
@@ -434,51 +418,56 @@ impl Broker {
         }
     }
 
-    /// Creates a consumer in `group` subscribed to `topics`.
-    ///
-    /// The consumer **joins the group**: from now on the group's
-    /// members divide each subscribed topic's partitions between them
-    /// (see the module docs), and dropping the consumer triggers a
-    /// rebalance. Members of one group should share a subscription —
-    /// a partition is assigned to a member by rank regardless of
-    /// whether that member subscribed to its topic, exactly like a
-    /// Kafka group with mismatched subscriptions.
+    /// Creates a consumer in `group` subscribed to `topics` that owns
+    /// every partition: [`Broker::consumer_of`] with a stride of one.
     pub fn consumer(&self, group: &str, topics: &[&str]) -> Consumer {
-        // Materialize the topics so partition counts are stable, and
-        // register this group's committed-offset floors on bounded
-        // topics so producers start honoring the backlog limit (the
-        // floor starts at the group's committed offset, which is 0
-        // for a fresh group).
-        for t in topics {
-            let topic = self.topic(t);
-            if topic.capacity > 0 {
-                let offsets = self.inner.group_offsets.lock();
-                for (pi, p) in topic.partitions.iter().enumerate() {
-                    let committed = offsets
-                        .get(&(group.to_string(), t.to_string(), pi))
-                        .copied()
-                        .unwrap_or(0);
-                    let mut p = p.lock();
-                    // A group joining after trimming starts from the
-                    // earliest retained record.
-                    let floor = committed.max(p.base);
-                    p.committed.entry(group.to_string()).or_insert(floor);
-                }
+        self.consumer_of(group, topics, 0, 1)
+    }
+
+    /// Creates a consumer in `group` subscribed to `topics` that owns
+    /// partitions `{p : p % shards == shard}` of every topic (see the
+    /// module docs). Ownership is fixed here: the consumer starts at
+    /// the group's committed offsets of its partitions, and dropping
+    /// it withdraws the group's backpressure floors on them.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `shard < shards`.
+    pub fn consumer_of(
+        &self,
+        group: &str,
+        topics: &[&str],
+        shard: usize,
+        shards: usize,
+    ) -> Consumer {
+        assert!(shard < shards, "shard {shard} of {shards}");
+        let mut slots = Vec::new();
+        for (ti, name) in topics.iter().enumerate() {
+            let topic = self.topic(name);
+            for pi in (0..topic.partitions.len()).filter(|p| p % shards == shard) {
+                slots.push(Slot {
+                    topic_idx: ti as u32,
+                    topic: Arc::clone(&topic),
+                    partition: pi as u32,
+                    offset_key: (group.to_string(), name.to_string(), pi),
+                });
             }
         }
-        let member = {
-            // Id allocation happens under the groups lock so members
-            // really are pushed in ascending-id order even when many
-            // threads create consumers concurrently — the "k-th
-            // smallest id has rank k" invariant the assignment rule
-            // documents.
-            let mut groups = self.inner.groups.lock();
-            let member = self.inner.next_member.fetch_add(1, Ordering::Relaxed);
-            let state = groups.entry(group.to_string()).or_default();
-            state.members.push(member); // ids are monotonic: stays sorted
-            state.generation += 1;
-            member
-        };
+        // Register this group's committed-offset floors on the owned
+        // partitions of bounded topics so producers start honoring the
+        // backlog limit (the floor starts at the group's committed
+        // offset, which is 0 for a fresh group).
+        {
+            let offsets = self.inner.group_offsets.lock();
+            for slot in slots.iter().filter(|s| s.topic.capacity > 0) {
+                let committed = offsets.get(&slot.offset_key).copied().unwrap_or(0);
+                let mut p = slot.topic.partitions[slot.partition as usize].lock();
+                // A group joining after trimming starts from the
+                // earliest retained record.
+                let floor = committed.max(p.base);
+                p.committed.entry(group.to_string()).or_insert(floor);
+            }
+        }
         // One event count covers every subscribed topic: producers and
         // control wakes notify it through each topic's waiter list.
         let wake = Arc::new(EventCount::new());
@@ -489,13 +478,9 @@ impl Broker {
             broker: self.clone(),
             group: group.to_string(),
             topics: topics.iter().map(|s| s.to_string()).collect(),
-            member,
             wake,
             cursor: AtomicU64::new(0),
-            slots: Mutex::new(SlotCache {
-                generation: u64::MAX,
-                slots: Vec::new(),
-            }),
+            slots,
         }
     }
 
@@ -507,58 +492,6 @@ impl Broker {
         TopicWriter {
             broker: self.clone(),
             topic: self.topic(topic),
-        }
-    }
-
-    /// Live member count of a consumer group (0 if unknown).
-    pub fn group_members(&self, group: &str) -> usize {
-        self.inner
-            .groups
-            .lock()
-            .get(group)
-            .map(|g| g.members.len())
-            .unwrap_or(0)
-    }
-
-    /// The group's rebalance generation: bumped on every join/leave.
-    pub fn group_generation(&self, group: &str) -> u64 {
-        self.inner
-            .groups
-            .lock()
-            .get(group)
-            .map(|g| g.generation)
-            .unwrap_or(0)
-    }
-
-    /// Snapshot of one group's committed offsets as `(topic,
-    /// partition, next offset)` triples, sorted for deterministic
-    /// serialization. This is the durable-checkpoint export hook: the
-    /// runtime journals these floors at epoch close so a restarted
-    /// deployment knows exactly how far each group's consumption got.
-    pub fn committed_offsets(&self, group: &str) -> Vec<(String, usize, u64)> {
-        let offsets = self.inner.group_offsets.lock();
-        let mut out: Vec<(String, usize, u64)> = offsets
-            .iter()
-            .filter(|((g, _, _), _)| g == group)
-            .map(|((_, topic, partition), &off)| (topic.clone(), *partition, off))
-            .collect();
-        out.sort();
-        out
-    }
-
-    /// Pre-seeds a group's committed offsets from a durable
-    /// checkpoint, before its members join. Restoration is monotonic —
-    /// an entry never moves an existing committed offset backwards —
-    /// so replaying a stale checkpoint cannot cause re-consumption of
-    /// records the group already processed. Members joining afterwards
-    /// resume past the restored floors exactly as a PR-6 respawn
-    /// resumes past in-memory ones.
-    pub fn restore_committed(&self, group: &str, entries: &[(String, usize, u64)]) {
-        let mut offsets = self.inner.group_offsets.lock();
-        for (topic, partition, off) in entries {
-            let key = (group.to_string(), topic.clone(), *partition);
-            let slot = offsets.entry(key).or_insert(0);
-            *slot = (*slot).max(*off);
         }
     }
 }
@@ -579,9 +512,9 @@ impl Producer {
     /// # Panics
     ///
     /// Panics if a bounded partition stays full past the broker's
-    /// backpressure deadline; fault-tolerant producers use
-    /// [`Producer::try_send_to`] (or a [`TopicWriter`]'s `try_` forms)
-    /// to receive the [`BrokerError`] instead.
+    /// backpressure deadline; fault-tolerant producers use a
+    /// [`TopicWriter`]'s `try_` forms to receive the [`BrokerError`]
+    /// instead.
     pub fn send(
         &self,
         topic: &str,
@@ -620,7 +553,8 @@ impl Producer {
     ///
     /// Panics if the topic does not have partition `partition`, or if
     /// a bounded partition stays full past the broker's backpressure
-    /// deadline (use [`Producer::try_send_to`] to handle the latter).
+    /// deadline (use a [`TopicWriter`]'s `try_` forms to handle the
+    /// latter).
     pub fn send_to(
         &self,
         topic: &str,
@@ -629,26 +563,6 @@ impl Producer {
         value: impl Into<Arc<[u8]>>,
         timestamp: Timestamp,
     ) -> u64 {
-        self.try_send_to(topic, partition, key, value, timestamp)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Producer::send_to`] that reports a full-past-deadline
-    /// partition as [`BrokerError::Backpressure`] instead of
-    /// panicking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topic does not have partition `partition` (a
-    /// wiring bug, not a runtime fault).
-    pub fn try_send_to(
-        &self,
-        topic: &str,
-        partition: usize,
-        key: Option<Vec<u8>>,
-        value: impl Into<Arc<[u8]>>,
-        timestamp: Timestamp,
-    ) -> Result<u64, BrokerError> {
         let t = self.broker.topic(topic);
         assert!(
             partition < t.partitions.len(),
@@ -664,6 +578,7 @@ impl Producer {
             timestamp,
             true,
         )
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -679,7 +594,7 @@ const DEFAULT_BACKPRESSURE_DEADLINE: Duration = Duration::from_secs(60);
 /// backpressure deadline fails with [`BrokerError::Backpressure`]
 /// instead of parking the producer forever. A consumer group dying
 /// mid-park is detected without waiting for the deadline — the
-/// departing member withdraws its group's committed floors and
+/// departing consumer withdraws its group's committed floors and
 /// notifies the topic's `space` count, and every wait iteration
 /// re-evaluates the backlog against the remaining floors.
 fn append(
@@ -898,7 +813,7 @@ impl TopicWriter {
     /// # Panics
     ///
     /// Panics on a backpressure deadline; see
-    /// [`TopicWriter::try_send_to`].
+    /// [`TopicWriter::try_append_quiet`].
     pub fn send_to(
         &self,
         partition: usize,
@@ -906,20 +821,6 @@ impl TopicWriter {
         value: impl Into<Arc<[u8]>>,
         timestamp: Timestamp,
     ) -> u64 {
-        self.try_send_to(partition, key, value, timestamp)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`TopicWriter::send_to`] returning
-    /// [`BrokerError::Backpressure`] when a bounded partition stays
-    /// full past the broker's deadline.
-    pub fn try_send_to(
-        &self,
-        partition: usize,
-        key: Option<Arc<[u8]>>,
-        value: impl Into<Arc<[u8]>>,
-        timestamp: Timestamp,
-    ) -> Result<u64, BrokerError> {
         append(
             &self.broker,
             &self.topic,
@@ -929,6 +830,7 @@ impl TopicWriter {
             timestamp,
             true,
         )
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Appends without waking consumers; callers forwarding a batch
@@ -1032,36 +934,27 @@ impl TopicWriter {
     }
 }
 
-/// Sequentially consumes records from subscribed topics, as one
-/// member of a consumer group (see the module docs for assignment,
-/// rebalancing and fairness semantics).
+/// Sequentially consumes records from subscribed topics: its group's
+/// records on the partitions it owns (see the module docs for
+/// ownership and fairness semantics).
 pub struct Consumer {
     broker: Broker,
     group: String,
     topics: Vec<String>,
-    /// This consumer's globally unique member id.
-    member: u64,
     /// What this consumer parks on; registered with every subscribed
     /// topic, so one park covers them all.
     wake: Arc<EventCount>,
     /// Rotating start slot for partition-fair polling: the next poll
     /// begins one past where the previous capped poll stopped.
     cursor: AtomicU64,
-    /// The flattened (topic, partition) assignment, cached per
-    /// rebalance generation so steady-state polls neither re-derive
-    /// the assignment nor allocate.
-    slots: Mutex<SlotCache>,
-}
-
-/// Cached partition assignment of one consumer, valid for one group
-/// generation. Each slot carries its pre-built offset-map key, so the
-/// steady-state poll updates committed offsets in place without
-/// cloning group/topic strings per slot per poll.
-struct SlotCache {
-    generation: u64,
+    /// The owned (topic, partition) pairs, flattened once at creation
+    /// so polls neither re-derive them nor allocate.
     slots: Vec<Slot>,
 }
 
+/// One owned (topic, partition) pair. It carries its pre-built
+/// offset-map key, so the steady-state poll updates committed offsets
+/// in place without cloning group/topic strings per slot per poll.
 struct Slot {
     topic_idx: u32,
     topic: Arc<Topic>,
@@ -1070,28 +963,6 @@ struct Slot {
 }
 
 impl Consumer {
-    /// This member's rank, the group's size and the rebalance
-    /// generation, under the current membership.
-    fn rank(&self) -> (usize, usize, u64) {
-        let groups = self.broker.inner.groups.lock();
-        let g = groups.get(&self.group).expect("member is registered");
-        let rank = g
-            .members
-            .iter()
-            .position(|&m| m == self.member)
-            .expect("member is listed until dropped");
-        (rank, g.members.len(), g.generation)
-    }
-
-    /// The partitions of `topic` this member currently owns:
-    /// `p % members == rank`. Re-evaluated on every poll, so a
-    /// rebalance takes effect immediately.
-    pub fn assigned_partitions(&self, topic: &str) -> Vec<usize> {
-        let (rank, members, _) = self.rank();
-        let n = self.broker.partitions(topic);
-        (0..n).filter(|p| p % members == rank).collect()
-    }
-
     /// Non-blocking poll into a caller-owned buffer — the hot-path
     /// form of [`Consumer::poll_partitioned`]: appends up to `max`
     /// `(topic_index, partition, record)` triples to `out` and
@@ -1100,38 +971,19 @@ impl Consumer {
     /// (subscription order), so routing-by-source costs an array
     /// index instead of a topic-name clone per record; with a warm
     /// `out` the poll allocates nothing (records are refcount
-    /// clones, and the partition assignment is cached per rebalance
-    /// generation).
+    /// clones).
     ///
     /// Offsets advance atomically with the read (one lock), so a
-    /// group delivers every record exactly once even while members
-    /// join or leave. Fairness: iteration starts at a rotating
-    /// cursor, so when `max` caps the batch the next poll resumes at
-    /// the following partition instead of re-draining the lowest
-    /// indices first.
+    /// group delivers every record exactly once even when several of
+    /// its consumers own a partition. Fairness: iteration starts at a
+    /// rotating cursor, so when `max` caps the batch the next poll
+    /// resumes at the following partition instead of re-draining the
+    /// lowest indices first.
     pub fn poll_into(&self, max: usize, out: &mut Vec<(u32, u32, Record)>) -> usize {
         if max == 0 {
             return 0;
         }
-        let (rank, members, generation) = self.rank();
-        let mut cache = self.slots.lock();
-        if cache.generation != generation {
-            cache.slots.clear();
-            for (ti, topic_name) in self.topics.iter().enumerate() {
-                let topic = self.broker.topic(topic_name);
-                let parts = topic.partitions.len();
-                for pi in (0..parts).filter(|p| p % members == rank) {
-                    cache.slots.push(Slot {
-                        topic_idx: ti as u32,
-                        topic: Arc::clone(&topic),
-                        partition: pi as u32,
-                        offset_key: (self.group.clone(), topic_name.clone(), pi),
-                    });
-                }
-            }
-            cache.generation = generation;
-        }
-        let slots = &cache.slots;
+        let slots = &self.slots;
         if slots.is_empty() {
             return 0;
         }
@@ -1236,7 +1088,7 @@ impl Consumer {
 
     /// Allocating wrapper over [`Consumer::poll_into`] reporting topic
     /// names: drains up to `max` available records across the
-    /// topic-partitions assigned to this member.
+    /// topic-partitions this consumer owns.
     pub fn poll_partitioned(&self, max: usize) -> Vec<(String, usize, Record)> {
         let mut buf = Vec::new();
         self.poll_into(max, &mut buf);
@@ -1263,7 +1115,7 @@ impl Consumer {
 
     /// The event count this consumer parks on, notified by every
     /// append-with-wakeup on a subscribed topic, by
-    /// [`Broker::notify_topic`] and by rebalances. A thread that must
+    /// and by [`Broker::notify_topic`]. A thread that must
     /// wait for broker records *and* something else (a socket, a
     /// command queue) reads a token from it before checking its
     /// sources and parks on it when all are empty.
@@ -1278,11 +1130,11 @@ impl Consumer {
     /// appended.
     ///
     /// `0` therefore means "timed out" *or* "woken without data" — a
-    /// control wake ([`Broker::notify_topic`]) or a rebalance — and
-    /// callers loop. The park cannot miss a wakeup: the event-count
-    /// token is read before the first poll, so a record (on any
-    /// subscribed topic) or a control wake landing after that check
-    /// ends the park immediately.
+    /// control wake ([`Broker::notify_topic`]) — and callers loop. The
+    /// park cannot miss a wakeup: the event-count token is read before
+    /// the first poll, so a record (on any subscribed topic) or a
+    /// control wake landing after that check ends the park
+    /// immediately.
     pub fn poll_blocking_into(
         &self,
         max: usize,
@@ -1297,14 +1149,9 @@ impl Consumer {
         self.poll_into(max, out)
     }
 
-    /// Blocking poll: waits up to `timeout` for at least one record
-    /// (riding out wakes that bring no data), reporting source
-    /// partitions.
-    pub fn poll_blocking_partitioned(
-        &self,
-        max: usize,
-        timeout: Duration,
-    ) -> Vec<(String, usize, Record)> {
+    /// Blocking poll: waits up to `timeout` for at least one record,
+    /// riding out wakes that bring no data.
+    pub fn poll_blocking(&self, max: usize, timeout: Duration) -> Vec<(String, Record)> {
         let deadline = std::time::Instant::now() + timeout;
         let mut buf = Vec::new();
         loop {
@@ -1313,67 +1160,34 @@ impl Consumer {
                 break;
             }
         }
-        self.named(buf)
-    }
-
-    /// Blocking poll: waits up to `timeout` for at least one record.
-    pub fn poll_blocking(&self, max: usize, timeout: Duration) -> Vec<(String, Record)> {
-        self.poll_blocking_partitioned(max, timeout)
-            .into_iter()
-            .map(|(t, _, r)| (t, r))
+        (buf.into_iter())
+            .map(|(ti, _, r)| (self.topics[ti as usize].clone(), r))
             .collect()
-    }
-
-    /// The consumer group name.
-    pub fn group(&self) -> &str {
-        &self.group
     }
 }
 
 impl Drop for Consumer {
-    /// Leaves the group: surviving members re-divide the partitions
-    /// (committed offsets carry over, so nothing is lost or repeated),
-    /// and blocked siblings are woken so they notice their enlarged
-    /// assignment. When the **last** member leaves, the group's
-    /// committed floors are withdrawn from its bounded topics — a
-    /// departed group must not freeze backpressure and trimming at
-    /// its final offset (it re-registers a floor, resuming from the
-    /// earliest retained record, if it ever comes back).
+    /// Withdraws the group's committed floors on the bounded
+    /// partitions this consumer owned: a departed consumer must not
+    /// freeze backpressure and trimming at its final offset. A
+    /// successor in the group re-registers the floor at the group's
+    /// committed offset (or the earliest retained record).
     fn drop(&mut self) {
-        let group_emptied = {
-            let mut groups = self.broker.inner.groups.lock();
-            match groups.get_mut(&self.group) {
-                Some(state) => {
-                    state.members.retain(|&m| m != self.member);
-                    state.generation += 1;
-                    if state.members.is_empty() {
-                        groups.remove(&self.group);
-                        true
-                    } else {
-                        false
-                    }
-                }
-                None => false,
+        for slot in self.slots.iter().filter(|s| s.topic.capacity > 0) {
+            let mut p = slot.topic.partitions[slot.partition as usize].lock();
+            if p.committed.remove(&self.group).is_some() {
+                drop(p);
+                // Producers parked against the withdrawn floor can
+                // re-evaluate their backlog now.
+                slot.topic.space.notify();
             }
-        };
+        }
         for topic_name in &self.topics {
-            let topic = self.broker.topic(topic_name);
-            topic
+            self.broker
+                .topic(topic_name)
                 .waiters
                 .write()
                 .retain(|w| !Arc::ptr_eq(w, &self.wake));
-            if group_emptied && topic.capacity > 0 {
-                let mut freed = false;
-                for p in &topic.partitions {
-                    freed |= p.lock().committed.remove(&self.group).is_some();
-                }
-                if freed {
-                    // Producers parked against the departed group's
-                    // floor can re-evaluate their backlog now.
-                    topic.space.notify();
-                }
-            }
-            topic.wake_consumers();
         }
     }
 }
@@ -1450,7 +1264,7 @@ mod tests {
         w.send_to(0, None, b"b".to_vec(), ts(2));
         let started = std::time::Instant::now();
         let err = w
-            .try_send_to(0, None, b"c".to_vec(), ts(3))
+            .try_append_quiet(0, None, b"c".to_vec(), ts(3))
             .expect_err("full partition with a leaked consumer must time out");
         let waited = started.elapsed();
         match err {
@@ -1758,62 +1572,106 @@ mod tests {
         );
     }
 
-    /// Two members of one group own disjoint, exhaustive partition
-    /// sets, consistently across topics.
+    /// `consumer_of` strides of one group are disjoint, exhaustive and
+    /// the same on every topic, and a dropped stride withdraws the
+    /// group's backpressure floors on its own partitions only.
     #[test]
     fn group_members_divide_partitions_consistently() {
-        let broker = Broker::new(4);
-        broker.create_topic("a", 4);
-        broker.create_topic("b", 4);
-        let c1 = broker.consumer("g", &["a", "b"]);
-        let c2 = broker.consumer("g", &["a", "b"]);
-        assert_eq!(broker.group_members("g"), 2);
-        for topic in ["a", "b"] {
-            let p1 = c1.assigned_partitions(topic);
-            let p2 = c2.assigned_partitions(topic);
-            let mut all: Vec<usize> = p1.iter().chain(&p2).copied().collect();
-            all.sort_unstable();
-            assert_eq!(all, vec![0, 1, 2, 3], "exhaustive on {topic}");
-            assert!(p1.iter().all(|p| !p2.contains(p)), "disjoint on {topic}");
-            // Consistent across topics: same member owns partition 0
-            // of both.
-            assert_eq!(c1.assigned_partitions("a"), c1.assigned_partitions("b"));
-        }
-    }
-
-    /// A record is delivered to exactly one member of a group, and a
-    /// leaving member's partitions continue from the committed offset
-    /// for the survivor — nothing lost, nothing repeated.
-    #[test]
-    fn rebalance_hands_off_offsets_exactly_once() {
-        let broker = Broker::new(2);
+        const SHARDS: usize = 3;
+        let broker = Broker::new(7);
         let producer = broker.producer();
-        for i in 0..10u8 {
-            producer.send_to("t", (i % 2) as usize, None, vec![i], ts(0));
-        }
-        let c1 = broker.consumer("g", &["t"]);
-        let c2 = broker.consumer("g", &["t"]);
-        let gen_before = broker.group_generation("g");
-        let mut delivered: Vec<u8> = Vec::new();
-        // Each member drains part of its assignment.
-        delivered.extend(c1.poll(3).iter().map(|(_, r)| r.value[0]));
-        delivered.extend(c2.poll(3).iter().map(|(_, r)| r.value[0]));
-        // c2 leaves; c1 inherits its partition mid-stream.
-        drop(c2);
-        assert!(broker.group_generation("g") > gen_before);
-        loop {
-            let batch = c1.poll(64);
-            if batch.is_empty() {
-                break;
+        for topic in ["a", "b"] {
+            for p in 0..7 {
+                producer.send_to(topic, p, None, vec![p as u8], ts(0));
             }
-            delivered.extend(batch.iter().map(|(_, r)| r.value[0]));
+        }
+        let mut delivered: Vec<(String, u8)> = Vec::new();
+        for s in 0..SHARDS {
+            let shard = broker.consumer_of("g", &["a", "b"], s, SHARDS);
+            for (topic, r) in shard.poll(64) {
+                assert_eq!(
+                    r.value[0] as usize % SHARDS,
+                    s,
+                    "{topic} outside the stride"
+                );
+                delivered.push((topic, r.value[0]));
+            }
         }
         delivered.sort_unstable();
+        let mut expected: Vec<(String, u8)> = ["a", "b"]
+            .iter()
+            .flat_map(|t| (0..7u8).map(move |p| (t.to_string(), p)))
+            .collect();
+        expected.sort_unstable();
         assert_eq!(
-            delivered,
-            (0..10u8).collect::<Vec<_>>(),
-            "exactly-once across the rebalance"
+            delivered, expected,
+            "disjoint and exhaustive on both topics"
         );
+
+        broker.create_topic_with_capacity("bounded", 2, 1);
+        broker.set_backpressure_deadline(Duration::from_millis(20));
+        let even = broker.consumer_of("h", &["bounded"], 0, 2);
+        let odd = broker.consumer_of("h", &["bounded"], 1, 2);
+        let w = broker.writer("bounded");
+        w.send_to(0, None, vec![0], ts(0));
+        w.send_to(1, None, vec![1], ts(0));
+        assert!(w.try_append_quiet(1, None, vec![2], ts(0)).is_err());
+        drop(odd);
+        assert!(w.try_append_quiet(1, None, vec![2], ts(0)).is_ok());
+        assert!(w.try_append_quiet(0, None, vec![2], ts(0)).is_err());
+        assert_eq!(even.poll(8).len(), 1, "the even stride reads only its own");
+    }
+
+    /// A record is delivered to exactly one stride of a group, and a
+    /// successor with the same stride resumes at the committed offset
+    /// of the one that left — nothing lost, nothing repeated.
+    #[test]
+    fn rebalance_hands_off_offsets_exactly_once() {
+        const SHARDS: usize = 3;
+        let broker = Broker::new(7);
+        let producer = broker.producer();
+        for round in 0..2u8 {
+            for topic in ["a", "b"] {
+                for p in 0..7 {
+                    producer.send_to(topic, p, None, vec![round, p as u8], ts(0));
+                }
+            }
+        }
+        let mut shards: Vec<Consumer> = (0..SHARDS)
+            .map(|s| broker.consumer_of("g", &["a", "b"], s, SHARDS))
+            .collect();
+        let mut delivered: Vec<(String, u8, u8)> = Vec::new();
+        let mut take = |shard: &Consumer, s: usize, max: usize| {
+            for (topic, r) in shard.poll(max) {
+                assert_eq!(
+                    r.value[1] as usize % SHARDS,
+                    s,
+                    "{topic} outside the stride"
+                );
+                delivered.push((topic, r.value[0], r.value[1]));
+            }
+        };
+        for (s, shard) in shards.iter().enumerate() {
+            take(shard, s, 3);
+        }
+        // Shard 1 leaves mid-stream; its successor resumes at the
+        // group's committed offsets.
+        drop(shards.remove(1));
+        shards.insert(1, broker.consumer_of("g", &["a", "b"], 1, SHARDS));
+        for (s, shard) in shards.iter().enumerate() {
+            take(shard, s, 64);
+        }
+        delivered.sort_unstable();
+        let mut expected = Vec::new();
+        for topic in ["a", "b"] {
+            for round in 0..2u8 {
+                for p in 0..7u8 {
+                    expected.push((topic.to_string(), round, p));
+                }
+            }
+        }
+        expected.sort_unstable();
+        assert_eq!(delivered, expected, "exactly once across the handoff");
     }
 
     /// A bounded partition blocks its producer at capacity and
@@ -1896,48 +1754,6 @@ mod tests {
         assert_eq!(c1.poll(10).len(), 1);
     }
 
-    /// The durable-checkpoint hooks: a group's committed offsets
-    /// export after consumption, and restoring them into a *fresh*
-    /// broker makes a newly joined member resume past the restored
-    /// floor instead of re-reading from zero. Restoration is monotonic
-    /// — a stale checkpoint can never rewind progress.
-    #[test]
-    fn committed_offsets_export_and_restore() {
-        let broker = Broker::new(1);
-        broker.create_topic("t", 2);
-        let c = broker.consumer("g", &["t"]);
-        let producer = broker.producer();
-        for i in 0..6u8 {
-            producer.send_to("t", (i % 2) as usize, None, vec![i], ts(0));
-        }
-        assert_eq!(c.poll(10).len(), 6);
-        let snap = broker.committed_offsets("g");
-        assert_eq!(
-            snap,
-            vec![("t".to_string(), 0, 3), ("t".to_string(), 1, 3)],
-            "both partitions consumed through offset 3"
-        );
-
-        // A restarted broker: same topic, the log rebuilt by re-runs.
-        let fresh = Broker::new(1);
-        fresh.create_topic("t", 2);
-        fresh.restore_committed("g", &snap);
-        assert_eq!(fresh.committed_offsets("g"), snap);
-        let producer = fresh.producer();
-        for i in 0..8u8 {
-            producer.send_to("t", (i % 2) as usize, None, vec![i], ts(0));
-        }
-        let rejoined = fresh.consumer("g", &["t"]);
-        let got = rejoined.poll_partitioned(16);
-        assert_eq!(got.len(), 2, "records below the restored floor skipped");
-        assert!(got.iter().all(|(_, _, r)| r.offset == 3));
-
-        // Monotonic: restoring an older checkpoint is a no-op.
-        let current = fresh.committed_offsets("g");
-        fresh.restore_committed("g", &[("t".to_string(), 0, 1)]);
-        assert_eq!(fresh.committed_offsets("g"), current);
-    }
-
     /// A group that fully departs a bounded topic releases its
     /// committed floor: backpressure and trimming must track the
     /// *live* slowest group, not a ghost.
@@ -1964,7 +1780,7 @@ mod tests {
     }
 
     /// A producer parked on a full partition when its only consumer
-    /// **dies mid-park** must unblock promptly: the departing member
+    /// **dies mid-park** must unblock promptly: the departing consumer
     /// withdraws the group's committed floors and signals the waiters,
     /// so the park re-evaluates against the remaining (none) floors
     /// instead of sleeping to the deadline.
@@ -1980,10 +1796,10 @@ mod tests {
         // Deadline far away: only the death can release the park.
         broker.set_backpressure_deadline(Duration::from_secs(30));
         let parked = thread::spawn({
-            let producer = producer.clone();
+            let writer = broker.writer("b");
             move || {
                 let start = std::time::Instant::now();
-                let r = producer.try_send_to("b", 0, None, vec![4], ts(0));
+                let r = writer.try_append_quiet(0, None, vec![4], ts(0));
                 (r, start.elapsed())
             }
         });
@@ -2011,8 +1827,9 @@ mod tests {
         producer.send_to("b", 0, None, vec![0], ts(0));
         producer.send_to("b", 0, None, vec![1], ts(0));
         // Partition full, consumer never polls: deadline fires.
-        let err = producer
-            .try_send_to("b", 0, None, vec![2], ts(0))
+        let writer = broker.writer("b");
+        let err = writer
+            .try_append_quiet(0, None, vec![2], ts(0))
             .unwrap_err();
         match err {
             BrokerError::Backpressure {
@@ -2025,12 +1842,12 @@ mod tests {
                 assert!(waited >= Duration::from_millis(50));
             }
         }
-        // The writer's try form reports the same.
-        let writer = broker.writer("b");
-        assert!(writer.try_append_quiet(0, None, vec![3u8], ts(0)).is_err());
+        // The batch form reports the same.
+        let mut batch: Vec<BatchEntry> = vec![(None, Arc::from(vec![3u8]), ts(0))];
+        assert!(writer.try_append_batch(0, &mut batch).is_err());
         // Draining recovers the topic for good.
         assert_eq!(_stalled.poll(10).len(), 2);
-        assert!(producer.try_send_to("b", 0, None, vec![4], ts(0)).is_ok());
+        assert!(writer.try_append_quiet(0, None, vec![4], ts(0)).is_ok());
     }
 
     /// Backpressure only engages once a consumer group exists: a

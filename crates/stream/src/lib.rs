@@ -8,19 +8,17 @@
 //! implements those pieces natively:
 //!
 //! * [`broker`] — an in-process, thread-safe topic/partition/offset
-//!   log with producers, consumer groups, blocking polls, and byte
-//!   accounting (the Figure 9a traffic numbers come from here);
+//!   log with producers, consumers that own fixed partition strides,
+//!   blocking polls, and byte accounting (the Figure 9a traffic
+//!   numbers come from here);
 //! * [`wake`] — the event count every broker park sleeps on (no
 //!   lost wakeups, so no timed re-checks);
 //! * [`join`] — the MID-keyed share joiner with timeout eviction and
 //!   duplicate-defence;
 //! * [`window`] — event-time sliding-window folding with watermarks
-//!   and allowed lateness;
-//! * [`dataflow`] — small thread-per-operator pipeline helpers over
-//!   crossbeam channels.
+//!   and allowed lateness.
 
 pub mod broker;
-pub mod dataflow;
 pub mod join;
 pub mod wake;
 pub mod window;

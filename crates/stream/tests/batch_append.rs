@@ -131,10 +131,11 @@ proptest! {
         }
     }
 
-    /// Consumer-group handoff over batched appends: a member leaving
-    /// mid-drain hands its partitions to the survivor at the committed
-    /// offset — every batched record is delivered exactly once, just
-    /// as with per-record appends.
+    /// Consumer-group handoff over batched appends: two consumers of
+    /// one group own every partition, and when one leaves mid-drain
+    /// the survivor continues at the group's committed offsets —
+    /// every batched record is delivered exactly once, just as with
+    /// per-record appends.
     #[test]
     fn group_handoff_is_exactly_once_over_batches(
         runs in proptest::collection::vec(1usize..6, 1..10),
@@ -161,7 +162,7 @@ proptest! {
         delivered += buf.len() as u64;
         drop(c2); // handoff: c1 inherits mid-stream
         delivered += drain(&c1).len() as u64;
-        prop_assert_eq!(delivered, total, "exactly once across the rebalance");
+        prop_assert_eq!(delivered, total, "exactly once across the handoff");
     }
 }
 

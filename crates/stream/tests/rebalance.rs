@@ -1,11 +1,12 @@
-//! Consumer-group rebalancing under real concurrency: members join
-//! and leave a group while producers keep writing, and the group as a
-//! whole must deliver every record **exactly once** — no drops when a
-//! leaving member's partitions are handed off mid-stream, no double
-//! delivery when a joiner shrinks everyone else's assignment.
+//! One consumer group under real concurrency: consumers that all own
+//! every partition join and leave the group while producers keep
+//! writing, and the group as a whole must deliver every record
+//! **exactly once** — offsets are per group, so no record is dropped
+//! when a consumer leaves mid-stream and none is delivered twice to
+//! consumers polling the same partition.
 //!
 //! Payloads are sequence-numbered so the union of everything every
-//! member ever saw can be checked against the produced set.
+//! consumer ever saw can be checked against the produced set.
 
 use privapprox_stream::broker::Broker;
 use privapprox_types::Timestamp;
@@ -34,18 +35,17 @@ fn drain_until_stopped(broker: &Broker, group: &str, stop: &AtomicBool) -> Vec<u
             seen.push(seq_of(&record.value));
         }
     }
-    // Final sweep: anything still committed to this member.
+    // Final sweep: anything this consumer's group has not yet read.
     for (_, record) in consumer.poll(usize::MAX) {
         seen.push(seq_of(&record.value));
     }
     seen
 }
 
-/// Two long-lived members plus a churner that repeatedly joins,
-/// consumes a little, and leaves (each join and each leave is a
-/// rebalance), concurrent with production. Exactly-once per group:
-/// the union of all deliveries is precisely the produced sequence
-/// set.
+/// Two long-lived consumers plus a churner that repeatedly joins,
+/// consumes a little, and leaves, all in one group and concurrent
+/// with production. Exactly-once per group: the union of all
+/// deliveries is precisely the produced sequence set.
 #[test]
 fn threaded_rebalance_churn_delivers_exactly_once() {
     let broker = Broker::new(PARTITIONS);
@@ -74,7 +74,7 @@ fn threaded_rebalance_churn_delivers_exactly_once() {
                         seen.push(seq_of(&record.value));
                     }
                 }
-                drop(consumer); // leave: triggers a rebalance
+                drop(consumer); // leave mid-stream
                 std::thread::yield_now();
             }
             seen
@@ -105,7 +105,7 @@ fn threaded_rebalance_churn_delivers_exactly_once() {
 
     let mut all: Vec<u64> = Vec::new();
     for h in steady {
-        all.extend(h.join().expect("steady member"));
+        all.extend(h.join().expect("steady consumer"));
     }
     all.extend(churner.join().expect("churner"));
 
@@ -125,9 +125,9 @@ fn threaded_rebalance_churn_delivers_exactly_once() {
     );
 }
 
-/// A member that joins *after* production started still sees only
+/// A consumer that joins *after* production started still sees only
 /// records no one else consumed: committed offsets are per group, not
-/// per member.
+/// per consumer.
 #[test]
 fn threaded_late_joiner_continues_from_group_offsets() {
     let broker = Broker::new(4);
@@ -148,7 +148,7 @@ fn threaded_late_joiner_continues_from_group_offsets() {
         .iter()
         .map(|(_, r)| seq_of(&r.value))
         .collect();
-    // A second member joins; between the two of them the remainder
+    // A second consumer joins; between the two of them the remainder
     // arrives exactly once.
     let second = broker.consumer("g", &["records"]);
     loop {

@@ -30,7 +30,7 @@
 //! | [`rr`] | randomized response, privacy accounting, RAPPOR |
 //! | [`crypto`] | XOR split encryption, ChaCha20, RSA/GM/Paillier |
 //! | [`sql`] | the client-local SQL engine |
-//! | [`stream`] | pub/sub broker + sliding-window dataflow |
+//! | [`stream`] | pub/sub broker, MID join, sliding-window folding |
 //! | [`cluster`] | calibrated discrete-event cluster simulator |
 //! | [`datasets`] | synthetic NYC-taxi / electricity workloads |
 //! | [`core`] | clients, proxies, aggregator, analyst sessions |
