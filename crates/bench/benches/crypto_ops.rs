@@ -4,10 +4,10 @@
 //! the `table2` binary measures the paper's 1024-bit configuration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use privapprox_crypto::gm::GmKeyPair;
-use privapprox_crypto::paillier::PaillierKeyPair;
-use privapprox_crypto::rsa::RsaKeyPair;
-use privapprox_crypto::ubig::UBig;
+use privapprox_bench::gm::GmKeyPair;
+use privapprox_bench::paillier::PaillierKeyPair;
+use privapprox_bench::rsa::RsaKeyPair;
+use privapprox_bench::ubig::UBig;
 use privapprox_crypto::xor::{combine, combine_into, encode_answer, SplitScratch, XorSplitter};
 use privapprox_types::ids::AnalystId;
 use privapprox_types::{BitVec, MessageId, QueryId};

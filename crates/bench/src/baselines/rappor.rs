@@ -154,7 +154,7 @@ impl Rappor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::privacy::epsilon_rr;
+    use privapprox_rr::privacy::epsilon_rr;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -164,7 +164,7 @@ mod tests {
         for value in ["chrome", "firefox", "safari", "edge"] {
             let b = r.bloom(value);
             let ones = b.count_ones();
-            assert!(ones >= 1 && ones <= 2, "{value}: {ones} bits");
+            assert!((1..=2).contains(&ones), "{value}: {ones} bits");
         }
     }
 

@@ -143,9 +143,9 @@ impl UBig {
         };
         let mut out = Vec::with_capacity(long.len() + 1);
         let mut carry = 0u64;
-        for i in 0..long.len() {
+        for (i, &a) in long.iter().enumerate() {
             let b = short.get(i).copied().unwrap_or(0);
-            let (s1, c1) = long[i].overflowing_add(b);
+            let (s1, c1) = a.overflowing_add(b);
             let (s2, c2) = s1.overflowing_add(carry);
             out.push(s2);
             carry = (c1 as u64) + (c2 as u64);
@@ -510,7 +510,7 @@ impl UBig {
         assert!(!bound.is_zero(), "bound must be positive");
         let bits = bound.bit_len();
         let limbs = bits.div_ceil(64);
-        let top_mask = if bits % 64 == 0 {
+        let top_mask = if bits.is_multiple_of(64) {
             u64::MAX
         } else {
             (1u64 << (bits % 64)) - 1

@@ -5,7 +5,7 @@
 //! honest service times. Everything here runs the *real*
 //! implementation in a tight loop.
 
-use privapprox_core::splitx::{run_privapprox_epoch, run_splitx_epoch, synthetic_batch};
+use crate::splitx::{run_privapprox_epoch, run_splitx_epoch, synthetic_batch};
 use privapprox_crypto::xor::{encode_answer, XorSplitter};
 use privapprox_rr::randomize::Randomizer;
 use privapprox_stream::broker::Broker;

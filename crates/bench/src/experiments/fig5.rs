@@ -6,7 +6,7 @@ use crate::experiments::RUNS;
 use privapprox_core::proxy::Proxy;
 use privapprox_rr::inversion::compare_native_vs_inverted;
 use privapprox_rr::privacy::epsilon_dp_sampled;
-use privapprox_rr::rappor::Rappor;
+use crate::rappor::Rappor;
 use privapprox_stream::broker::Broker;
 use privapprox_types::{ProxyId, Timestamp};
 use rand::rngs::StdRng;

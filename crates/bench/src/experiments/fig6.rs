@@ -2,16 +2,16 @@
 //! clients.
 //!
 //! Up to `REAL_LIMIT` clients both pipelines execute for real
-//! (`privapprox_core::splitx`); beyond that the calibrated cluster
+//! ([`crate::splitx`]); beyond that the calibrated cluster
 //! simulator extends the curves — per-answer service times come from
 //! the real runs, the synchronization structure (4 barrier-separated
 //! phases vs 1 free phase) is the models' only difference, mirroring
 //! the paper's explanation of the gap.
 
 use crate::calibrate::Calibration;
-use privapprox_cluster::phases::{run_phases, Phase};
-use privapprox_cluster::pool::ServerPool;
-use privapprox_core::splitx::{run_privapprox_epoch, run_splitx_epoch, synthetic_batch};
+use crate::phases::{run_phases, Phase};
+use crate::pool::ServerPool;
+use crate::splitx::{run_privapprox_epoch, run_splitx_epoch, synthetic_batch};
 use serde::Serialize;
 
 /// Largest client count executed for real.

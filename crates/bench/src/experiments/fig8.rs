@@ -10,7 +10,7 @@
 //! component.
 
 use crate::calibrate::Calibration;
-use privapprox_cluster::pool::ServerPool;
+use crate::pool::ServerPool;
 use serde::Serialize;
 
 /// Messages per simulated epoch batch.

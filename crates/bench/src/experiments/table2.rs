@@ -8,10 +8,10 @@
 //! treat it as one plaintext, Goldwasser-Micali pays per bit, and the
 //! XOR scheme splits/combines two shares.
 
-use privapprox_crypto::gm::GmKeyPair;
-use privapprox_crypto::paillier::PaillierKeyPair;
-use privapprox_crypto::rsa::RsaKeyPair;
-use privapprox_crypto::ubig::UBig;
+use crate::gm::GmKeyPair;
+use crate::paillier::PaillierKeyPair;
+use crate::rsa::RsaKeyPair;
+use crate::ubig::UBig;
 use privapprox_crypto::xor::{combine, XorSplitter};
 use privapprox_types::BitVec;
 use rand::rngs::StdRng;

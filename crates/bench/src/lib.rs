@@ -18,9 +18,41 @@
 //! | Figure 7a/b/c | [`experiments::fig7`] | `fig7` |
 //! | Figure 8a/b | [`experiments::fig8`] | `fig8` |
 //! | Figure 9a/b | [`experiments::fig9`] | `fig9` |
+//!
+//! Code that only the experiments run lives here too, out of the
+//! runtime crates:
+//!
+//! | group | files | modules |
+//! |---|---|---|
+//! | baselines — the schemes the paper compares against | `src/baselines/` | [`ubig`], [`prime`], [`rsa`], [`gm`], [`paillier`] (Table 2), [`rappor`] (Figure 5c), [`splitx`] (Figure 6) |
+//! | sim — the calibrated cluster simulator standing in for the 44-node testbed | `src/sim/` | [`pool`], [`phases`] (Figures 6 and 8) |
+//!
+//! None of the baselines should be used for real-world
+//! confidentiality; they are comparators reproducing published
+//! measurements.
 
 pub mod calibrate;
 pub mod experiments;
 pub mod report;
+
+#[path = "baselines/gm.rs"]
+pub mod gm;
+#[path = "baselines/paillier.rs"]
+pub mod paillier;
+#[path = "baselines/prime.rs"]
+pub mod prime;
+#[path = "baselines/rappor.rs"]
+pub mod rappor;
+#[path = "baselines/rsa.rs"]
+pub mod rsa;
+#[path = "baselines/splitx.rs"]
+pub mod splitx;
+#[path = "baselines/ubig.rs"]
+pub mod ubig;
+
+#[path = "sim/phases.rs"]
+pub mod phases;
+#[path = "sim/pool.rs"]
+pub mod pool;
 
 pub use report::{save_json, Table};

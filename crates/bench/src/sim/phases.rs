@@ -11,7 +11,6 @@
 //! forwarding phase — the gap between the two is Figure 6.
 
 use crate::pool::ServerPool;
-use crate::SimTime;
 
 /// One phase of a synchronized computation.
 #[derive(Debug, Clone)]
@@ -24,12 +23,12 @@ pub struct Phase {
     pub service_us: f64,
     /// Fixed post-phase exchange/synchronization delay in µs (barrier
     /// plus cross-proxy data exchange).
-    pub barrier_us: SimTime,
+    pub barrier_us: u64,
 }
 
 impl Phase {
     /// Convenience constructor.
-    pub fn new(name: &str, tasks: u64, service_us: f64, barrier_us: SimTime) -> Phase {
+    pub fn new(name: &str, tasks: u64, service_us: f64, barrier_us: u64) -> Phase {
         Phase {
             name: name.to_string(),
             tasks,
@@ -45,9 +44,9 @@ impl Phase {
 /// Each participant processes its own copy of every phase's tasks
 /// (SplitX replicates the work at both proxies); the barrier waits for
 /// the slowest.
-pub fn run_phases(participants: &mut [ServerPool], phases: &[Phase]) -> (SimTime, Vec<SimTime>) {
+pub fn run_phases(participants: &mut [ServerPool], phases: &[Phase]) -> (u64, Vec<u64>) {
     assert!(!participants.is_empty(), "need at least one participant");
-    let mut clock: SimTime = 0;
+    let mut clock: u64 = 0;
     let mut per_phase = Vec::with_capacity(phases.len());
     for phase in phases {
         let start = clock;

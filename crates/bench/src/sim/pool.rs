@@ -6,7 +6,6 @@
 //! G/G/c earliest-available-server discipline. Makespan over a batch
 //! gives throughput; per-task completion minus arrival gives latency.
 
-use crate::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -42,7 +41,7 @@ impl ClusterSpec {
 #[derive(Debug, Clone)]
 pub struct ServerPool {
     /// Min-heap of per-core next-free times.
-    cores: BinaryHeap<Reverse<SimTime>>,
+    cores: BinaryHeap<Reverse<u64>>,
 }
 
 impl ServerPool {
@@ -70,10 +69,10 @@ impl ServerPool {
 
     /// Submits a task arriving at `arrival` needing `service_us`
     /// microseconds; returns its completion time.
-    pub fn submit(&mut self, arrival: SimTime, service_us: f64) -> SimTime {
+    pub fn submit(&mut self, arrival: u64, service_us: f64) -> u64 {
         let Reverse(free_at) = self.cores.pop().expect("pool never empty");
         let start = free_at.max(arrival);
-        let completion = start + service_us.ceil() as SimTime;
+        let completion = start + service_us.ceil() as u64;
         self.cores.push(Reverse(completion));
         completion
     }
@@ -86,17 +85,17 @@ impl ServerPool {
     /// assignment of identical tasks is a water-filling problem, so
     /// the makespan is the smallest level `L` at which the cores'
     /// combined capacity `Σ ⌊(L − hᵢ)/t⌋` reaches `count`.
-    pub fn submit_batch(&mut self, arrival: SimTime, count: u64, service_us: f64) -> SimTime {
+    pub fn submit_batch(&mut self, arrival: u64, count: u64, service_us: f64) -> u64 {
         if count == 0 {
             return self.horizon().max(arrival);
         }
-        let t = (service_us.ceil() as SimTime).max(1);
-        let heights: Vec<SimTime> = self
+        let t = (service_us.ceil() as u64).max(1);
+        let heights: Vec<u64> = self
             .cores
             .iter()
             .map(|Reverse(free_at)| (*free_at).max(arrival))
             .collect();
-        let capacity = |level: SimTime| -> u64 {
+        let capacity = |level: u64| -> u64 {
             heights
                 .iter()
                 .map(|&h| if level > h { (level - h) / t } else { 0 })
@@ -147,13 +146,13 @@ impl ServerPool {
     }
 
     /// The latest next-free time across cores (the current makespan).
-    pub fn horizon(&self) -> SimTime {
+    pub fn horizon(&self) -> u64 {
         self.cores.iter().map(|Reverse(t)| *t).max().unwrap_or(0)
     }
 
     /// Throughput over a batch: tasks per second given the batch
     /// completed at `completion` having started at `arrival`.
-    pub fn throughput(count: u64, arrival: SimTime, completion: SimTime) -> f64 {
+    pub fn throughput(count: u64, arrival: u64, completion: u64) -> f64 {
         let elapsed_us = completion.saturating_sub(arrival).max(1);
         count as f64 * 1_000_000.0 / elapsed_us as f64
     }
@@ -174,7 +173,7 @@ mod tests {
     #[test]
     fn parallel_cores_run_concurrently() {
         let mut pool = ServerPool::new(4);
-        let completions: Vec<SimTime> = (0..4).map(|_| pool.submit(0, 10.0)).collect();
+        let completions: Vec<u64> = (0..4).map(|_| pool.submit(0, 10.0)).collect();
         assert!(completions.iter().all(|&c| c == 10));
         // Fifth task queues behind one of them.
         assert_eq!(pool.submit(0, 10.0), 20);

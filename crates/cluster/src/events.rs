@@ -1,93 +1,10 @@
-//! A generic discrete-event queue for ad-hoc simulation models, plus
-//! the **wall-clock liveness primitives** ([`Heartbeat`]/[`Watchdog`])
+//! The wall-clock liveness primitives ([`Heartbeat`]/[`Watchdog`])
 //! the supervised deployment runtime uses to tell a busy thread from
 //! a dead or wedged one.
 
-use crate::SimTime;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A time-ordered event queue delivering payloads of type `E`.
-///
-/// Events at equal times are delivered in insertion order (a sequence
-/// number breaks ties deterministically).
-#[derive(Debug, Clone)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<(SimTime, u64)>>,
-    payloads: std::collections::HashMap<u64, E>,
-    seq: u64,
-    now: SimTime,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        EventQueue::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue at time zero.
-    pub fn new() -> EventQueue<E> {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            payloads: std::collections::HashMap::new(),
-            seq: 0,
-            now: 0,
-        }
-    }
-
-    /// Schedules `event` at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when scheduling into the past — a logic error in the
-    /// model.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        assert!(
-            at >= self.now,
-            "scheduling into the past ({at} < {})",
-            self.now
-        );
-        let id = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse((at, id)));
-        self.payloads.insert(id, event);
-    }
-
-    /// Schedules `event` `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimTime, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
-    /// Pops the next event, advancing the clock to its time.
-    pub fn next(&mut self) -> Option<(SimTime, E)> {
-        let Reverse((at, id)) = self.heap.pop()?;
-        self.now = at;
-        let payload = self.payloads.remove(&id).expect("payload for event");
-        Some((at, payload))
-    }
-
-    /// The current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Wall-clock heartbeats: the real-time counterpart of the simulator.
 
 /// A thread's liveness beacon: the owning thread calls
 /// [`Heartbeat::beat`] on every loop iteration (an atomic store —
@@ -203,65 +120,6 @@ impl Watchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn events_deliver_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(30, "c");
-        q.schedule(10, "a");
-        q.schedule(20, "b");
-        assert_eq!(q.next(), Some((10, "a")));
-        assert_eq!(q.next(), Some((20, "b")));
-        assert_eq!(q.next(), Some((30, "c")));
-        assert_eq!(q.next(), None);
-    }
-
-    #[test]
-    fn equal_times_keep_insertion_order() {
-        let mut q = EventQueue::new();
-        q.schedule(5, 1);
-        q.schedule(5, 2);
-        q.schedule(5, 3);
-        assert_eq!(q.next().unwrap().1, 1);
-        assert_eq!(q.next().unwrap().1, 2);
-        assert_eq!(q.next().unwrap().1, 3);
-    }
-
-    #[test]
-    fn clock_advances_with_delivery() {
-        let mut q = EventQueue::new();
-        q.schedule(100, ());
-        assert_eq!(q.now(), 0);
-        q.next();
-        assert_eq!(q.now(), 100);
-        q.schedule_in(50, ());
-        assert_eq!(q.next(), Some((150, ())));
-    }
-
-    #[test]
-    fn cascading_scheduling_works() {
-        // A model that reschedules itself: a ping every 10 µs, 5 times.
-        let mut q = EventQueue::new();
-        q.schedule(0, 0u32);
-        let mut delivered = Vec::new();
-        while let Some((t, gen)) = q.next() {
-            delivered.push((t, gen));
-            if gen < 4 {
-                q.schedule_in(10, gen + 1);
-            }
-        }
-        assert_eq!(delivered.len(), 5);
-        assert_eq!(delivered.last(), Some(&(40, 4)));
-    }
-
-    #[test]
-    #[should_panic(expected = "into the past")]
-    fn past_scheduling_panics() {
-        let mut q = EventQueue::new();
-        q.schedule(100, ());
-        q.next();
-        q.schedule(50, ());
-    }
 
     #[test]
     fn heartbeat_keeps_thread_alive() {

@@ -1,46 +1,20 @@
 //! Network links: latency + bandwidth delay model.
 
-use crate::SimTime;
-
 /// A point-to-point link with fixed latency and finite bandwidth.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// One-way propagation latency in microseconds.
-    pub latency_us: SimTime,
+    pub latency_us: u64,
     /// Bandwidth in bytes per microsecond (1 byte/µs = 1 MB/s).
     pub bytes_per_us: f64,
 }
 
 impl Link {
-    /// A gigabit-Ethernet-class link (~125 MB/s, 100 µs latency) —
-    /// the paper's cluster interconnect.
-    pub fn gigabit() -> Link {
-        Link {
-            latency_us: 100,
-            bytes_per_us: 125.0,
-        }
-    }
-
-    /// A WAN-ish client uplink (~1 MB/s, 20 ms latency) for modeling
-    /// client-to-proxy transfers.
-    pub fn client_uplink() -> Link {
-        Link {
-            latency_us: 20_000,
-            bytes_per_us: 1.0,
-        }
-    }
-
     /// Time to transfer `bytes` starting at `start`: latency plus
     /// serialization delay.
-    pub fn transfer(&self, start: SimTime, bytes: u64) -> SimTime {
+    pub fn transfer(&self, start: u64, bytes: u64) -> u64 {
         assert!(self.bytes_per_us > 0.0, "bandwidth must be positive");
-        start + self.latency_us + (bytes as f64 / self.bytes_per_us).ceil() as SimTime
-    }
-
-    /// Serialization-only delay for `bytes` (no propagation latency),
-    /// used when batching many messages over a kept-alive connection.
-    pub fn serialize_only(&self, bytes: u64) -> SimTime {
-        (bytes as f64 / self.bytes_per_us).ceil() as SimTime
+        start + self.latency_us + (bytes as f64 / self.bytes_per_us).ceil() as u64
     }
 }
 
@@ -61,20 +35,10 @@ mod tests {
 
     #[test]
     fn zero_bytes_costs_latency_only() {
-        let link = Link::gigabit();
+        let link = Link {
+            latency_us: 100,
+            bytes_per_us: 125.0,
+        };
         assert_eq!(link.transfer(0, 0), 100);
-    }
-
-    #[test]
-    fn serialization_scales_with_size() {
-        let link = Link::gigabit();
-        assert!(link.serialize_only(1_250_000) >= 10_000); // 1.25 MB ≥ 10 ms
-        assert!(link.serialize_only(125) <= 1 + 1);
-    }
-
-    #[test]
-    fn presets_are_sane() {
-        assert!(Link::gigabit().bytes_per_us > Link::client_uplink().bytes_per_us);
-        assert!(Link::gigabit().latency_us < Link::client_uplink().latency_us);
     }
 }

@@ -19,6 +19,8 @@ pub const DEFAULT_Q: f64 = 0.6;
 /// Sampling fraction floor: below this the CLT-based error machinery
 /// stops being meaningful for realistic populations.
 pub const MIN_S: f64 = 0.01;
+/// The truthful-yes rate accuracy planning assumes.
+const YES_RATE_HINT: f64 = 0.5;
 
 /// Capacity model for latency budgets: how fast the deployment chews
 /// through answers, measured by the bench harness.
@@ -38,24 +40,12 @@ impl Default for CapacityModel {
 }
 
 /// Converts analyst budgets into execution parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Initializer {
     capacity: CapacityModel,
     /// Optional privacy ceiling: the derived parameters must satisfy
     /// `ε_zk(s, p, q) ≤ max_epsilon_zk`.
     max_epsilon_zk: Option<f64>,
-    /// Anticipated truthful-yes rate used by accuracy planning.
-    yes_rate_hint: f64,
-}
-
-impl Default for Initializer {
-    fn default() -> Self {
-        Initializer {
-            capacity: CapacityModel::default(),
-            max_epsilon_zk: None,
-            yes_rate_hint: 0.5,
-        }
-    }
 }
 
 impl Initializer {
@@ -77,13 +67,6 @@ impl Initializer {
         self
     }
 
-    /// Sets the anticipated truthful-yes rate for accuracy planning.
-    pub fn with_yes_rate_hint(mut self, rate: f64) -> Self {
-        assert!((0.0..=1.0).contains(&rate));
-        self.yes_rate_hint = rate;
-        self
-    }
-
     /// Converts a budget for a query over `population` clients into
     /// `(s, p, q)`.
     pub fn derive(&self, budget: &Budget, population: u64) -> Result<ExecutionParams, CoreError> {
@@ -97,7 +80,7 @@ impl Initializer {
                         "bad accuracy budget: error {target_error}, confidence {confidence}"
                     )));
                 }
-                sampling_fraction_for(population, self.yes_rate_hint, *target_error, *confidence)
+                sampling_fraction_for(population, YES_RATE_HINT, *target_error, *confidence)
             }
             Budget::LatencySla(ms) => {
                 // Process s·U answers within the SLA at the modeled

@@ -1,5 +1,5 @@
-//! The PrivApprox system: clients, proxies, aggregator, analyst
-//! sessions, and the SplitX baseline.
+//! The PrivApprox system: clients, proxies, aggregator and analyst
+//! sessions.
 //!
 //! This crate wires the substrates (SQL engine, sampling, randomized
 //! response, XOR crypto, stream broker, windowed dataflow) into the
@@ -20,7 +20,6 @@
 //! * [`feedback`] — the adaptive re-tuning loop (§5);
 //! * [`historical`] — the batch-analytics warehouse with second-round
 //!   sampling (§3.3.1);
-//! * [`splitx`] — the synchronized-proxy baseline of Figure 6;
 //! * [`system`] — an in-process deployment harness used by examples,
 //!   integration tests and benchmarks;
 //! * [`deploy`] — the *threaded, sharded* deployment runtime
@@ -66,7 +65,6 @@ pub mod initializer;
 pub mod persist;
 pub mod proxy;
 pub mod remote;
-pub mod splitx;
 mod stage;
 pub mod system;
 

@@ -207,11 +207,6 @@ impl System {
         }
     }
 
-    /// Direct mutable access to one client (failure injection, tests).
-    pub fn client_mut(&mut self, i: usize) -> &mut Client {
-        &mut self.clients[i]
-    }
-
     /// Opens an analyst session for query submission.
     pub fn analyst(&mut self) -> AnalystSession<'_> {
         AnalystSession {

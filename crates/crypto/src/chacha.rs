@@ -29,9 +29,7 @@ pub struct ChaCha20 {
 /// The caller must have verified AVX2 support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn block8_avx2_core(
-    initial: &[u32; 16],
-) -> [core::arch::x86_64::__m256i; 16] {
+unsafe fn block8_avx2_core(initial: &[u32; 16]) -> [core::arch::x86_64::__m256i; 16] {
     use core::arch::x86_64::*;
 
     macro_rules! rotl {
@@ -51,7 +49,10 @@ unsafe fn block8_avx2_core(
         }};
         ($v:expr, $n:literal) => {{
             let v = $v;
-            _mm256_or_si256(_mm256_slli_epi32::<$n>(v), _mm256_srli_epi32::<{ 32 - $n }>(v))
+            _mm256_or_si256(
+                _mm256_slli_epi32::<$n>(v),
+                _mm256_srli_epi32::<{ 32 - $n }>(v),
+            )
         }};
     }
     macro_rules! qr {
@@ -113,9 +114,7 @@ unsafe fn block8_avx2_core(
 /// runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "avx512vl")]
-unsafe fn block8_avx512_core(
-    initial: &[u32; 16],
-) -> [core::arch::x86_64::__m256i; 16] {
+unsafe fn block8_avx512_core(initial: &[u32; 16]) -> [core::arch::x86_64::__m256i; 16] {
     use core::arch::x86_64::*;
 
     macro_rules! qr {
@@ -318,10 +317,7 @@ unsafe fn store_xor_blocks8(
         let a0 = _mm256_loadu_si256(a as *const __m256i);
         let a1 = _mm256_loadu_si256(a.add(32) as *const __m256i);
         _mm256_storeu_si256(a as *mut __m256i, _mm256_xor_si256(a0, lo[lane]));
-        _mm256_storeu_si256(
-            a.add(32) as *mut __m256i,
-            _mm256_xor_si256(a1, hi[lane]),
-        );
+        _mm256_storeu_si256(a.add(32) as *mut __m256i, _mm256_xor_si256(a1, hi[lane]));
     }
 }
 
@@ -796,11 +792,7 @@ impl ChaCha20 {
     /// Consumes up to `out.len()` bytes of previously buffered
     /// keystream through `consume(dst, keystream)`; returns how many
     /// bytes of `out` were covered.
-    fn drain_buffer(
-        &mut self,
-        out: &mut [u8],
-        consume: impl Fn(&mut [u8], &[u8]),
-    ) -> usize {
+    fn drain_buffer(&mut self, out: &mut [u8], consume: impl Fn(&mut [u8], &[u8])) -> usize {
         let take = out.len().min(self.buffered);
         if take > 0 {
             let start = 64 - self.buffered;

@@ -1,37 +1,21 @@
 //! Cryptographic substrate for the PrivApprox reproduction.
 //!
-//! The centerpiece is the paper's XOR-based split encryption (§3.2.3):
-//! light-weight enough for "resource-constrained clients, e.g.,
-//! smartphones and sensors", and the reason the proxies need no
-//! synchronization. Everything else exists to reproduce Table 2's
-//! comparison against the public-key schemes of prior systems:
+//! The paper's XOR-based split encryption (§3.2.3): light-weight
+//! enough for "resource-constrained clients, e.g., smartphones and
+//! sensors", and the reason the proxies need no synchronization.
 //!
-//! * [`ubig`] — arbitrary-precision unsigned arithmetic (no external
-//!   bignum crates are permitted in this workspace);
 //! * [`chacha`] — ChaCha20 (RFC 7539), the keystream generator behind
 //!   the XOR pads;
-//! * [`prime`] — Miller-Rabin and random prime generation;
-//! * [`xor`] — the PrivApprox scheme: split, combine, wire codec;
-//! * [`rsa`] — textbook RSA baseline;
-//! * [`gm`] — Goldwasser-Micali per-bit baseline;
-//! * [`paillier`] — Paillier additively homomorphic baseline.
+//! * [`xor`] — the PrivApprox scheme: split, combine, wire codec.
 //!
-//! None of the baselines should be used for real-world confidentiality;
-//! they are benchmark comparators reproducing published measurements.
+//! The public-key schemes Table 2 compares against (RSA,
+//! Goldwasser-Micali, Paillier) are benchmark comparators and live in
+//! `privapprox-bench`.
 
 pub mod chacha;
-pub mod gm;
-pub mod paillier;
-pub mod prime;
-pub mod rsa;
-pub mod ubig;
 pub mod xor;
 
 pub use chacha::ChaCha20;
-pub use gm::GmKeyPair;
-pub use paillier::PaillierKeyPair;
-pub use rsa::RsaKeyPair;
-pub use ubig::UBig;
 pub use xor::{
     answer_wire_size, combine, combine_into, decode_answer, decode_answer_into, encode_answer,
     encode_answer_into, CombineError, Share, SlotPool, SplitScratch, XorSplitter,

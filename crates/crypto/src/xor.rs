@@ -642,7 +642,11 @@ mod tests {
         for m in 6..12u128 {
             splitter.split_into(b"later message#", MessageId(m), &mut rng, &mut scratch);
         }
-        assert_eq!(scratch.payload_slots(), grown, "pool must plateau once freed");
+        assert_eq!(
+            scratch.payload_slots(),
+            grown,
+            "pool must plateau once freed"
+        );
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //!   bound, and the zero-knowledge reconstruction (see DESIGN.md §1
 //!   for the Eq 19 substitution note);
 //! * [`inversion`] — the query-inversion mechanism of §3.3.2;
-//! * [`rappor`] — Google's RAPPOR randomizer as the Fig 5c baseline;
 //! * [`rng`] — the bulk random-word subsystem: an 8-lane interleaved
 //!   xoshiro256++ ([`rng::WideRng`]) with an AVX2 kernel behind
 //!   runtime detection and a byte-identical portable fallback,
@@ -41,7 +40,6 @@ pub mod estimate;
 pub mod inversion;
 pub mod privacy;
 pub mod randomize;
-pub mod rappor;
 pub mod rng;
 
 pub use estimate::{accuracy_loss, estimate_true_yes, BucketEstimator};
@@ -51,5 +49,4 @@ pub use privacy::{
     PrivacyReport,
 };
 pub use randomize::{RandomizeScratch, Randomizer};
-pub use rappor::Rappor;
 pub use rng::WideRng;

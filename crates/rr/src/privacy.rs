@@ -11,8 +11,6 @@
 //! ε_zk surrogate — every qualitative trend the paper reports is
 //! preserved (see DESIGN.md §1 and EXPERIMENTS.md).
 
-use serde::{Deserialize, Serialize};
-
 /// Equation 8, verbatim: the differential-privacy level of randomized
 /// response as the paper states it —
 /// `ε_rr = ln( (p + (1−p)·q) / ((1−p)·q) )`,
@@ -127,7 +125,7 @@ pub fn s_for_epsilon_zk(target_eps: f64, p: f64, q: f64) -> Option<f64> {
 }
 
 /// A bundle of the three privacy levels for reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrivacyReport {
     /// Eq 8: randomized response alone.
     pub eps_rr: f64,

@@ -461,15 +461,6 @@ impl RandomizeScratch {
         RandomizeScratch::default()
     }
 
-    /// Creates a scratch around an explicitly seeded generator
-    /// (buffer still allocates on first use).
-    pub fn with_rng(rng: WideRng) -> RandomizeScratch {
-        RandomizeScratch {
-            rng: Some(rng),
-            words: Vec::new(),
-        }
-    }
-
     /// Replaces the scratch generator with a fresh fork of `seeder`
     /// (consuming exactly one `next_u64`). The per-call determinism
     /// anchor of [`Randomizer::randomize_vec_forked`]: after a refork

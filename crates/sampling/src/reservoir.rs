@@ -55,11 +55,6 @@ impl<T> Reservoir<T> {
         &self.items
     }
 
-    /// Consumes the reservoir, returning the sample.
-    pub fn into_sample(self) -> Vec<T> {
-        self.items
-    }
-
     /// Capacity of the reservoir.
     pub fn capacity(&self) -> usize {
         self.capacity

@@ -83,14 +83,6 @@ impl<'a> ValueRef<'a> {
         }
     }
 
-    /// Text view; `None` for non-text.
-    pub fn as_text(&self) -> Option<&'a str> {
-        match self {
-            ValueRef::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// True for NULL.
     pub fn is_null(&self) -> bool {
         matches!(self, ValueRef::Null)
@@ -366,11 +358,6 @@ impl PreparedSelect {
         }
         plan.fast = detect_fast(&folded_items, folded_filter.as_ref(), schema);
         Ok(plan)
-    }
-
-    /// The source table name.
-    pub fn table_name(&self) -> &str {
-        &self.table
     }
 
     /// The catalog generation this plan was compiled against.

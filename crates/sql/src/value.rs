@@ -31,14 +31,6 @@ impl Value {
         }
     }
 
-    /// Text view; `None` for non-text.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// SQL truthiness: NULL is unknown (None), numbers are true when
     /// non-zero, booleans are themselves.
     pub fn truth(&self) -> Option<bool> {

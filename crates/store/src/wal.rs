@@ -92,7 +92,6 @@ pub struct Wal {
     /// Appended frames not yet handed to the OS.
     buf: Vec<u8>,
     next_index: u64,
-    total_bytes: u64,
 }
 
 fn segment_path(dir: &Path, seq: u64) -> PathBuf {
@@ -152,7 +151,6 @@ impl Wal {
         let mut recovery = WalRecovery { segments: seqs.len(), ..WalRecovery::default() };
         let mut segments = Vec::new();
         let mut next_index = 0u64;
-        let mut total_bytes = 0u64;
         let mut tail_len = 0u64;
         for (i, &seq) in seqs.iter().enumerate() {
             let last = i + 1 == seqs.len();
@@ -243,7 +241,6 @@ impl Wal {
             if header.is_none() && !(last && clean_len == 0) {
                 return Err(StoreError::corrupt(&path, 0, CorruptKind::BadMagic));
             }
-            total_bytes += clean_len;
             if last {
                 tail_len = clean_len;
             }
@@ -263,7 +260,6 @@ impl Wal {
                 seg_len: tail_len,
                 buf: Vec::new(),
                 next_index,
-                total_bytes,
             }
         } else {
             // Fresh directory: start segment 0.
@@ -278,7 +274,6 @@ impl Wal {
                 seg_len: 0,
                 buf: Vec::new(),
                 next_index: 0,
-                total_bytes: 0,
             };
             wal.buffer_header(0, 0);
             wal
@@ -294,22 +289,13 @@ impl Wal {
 
     fn buffer_header(&mut self, seq: u64, base_index: u64) {
         let payload = header_payload(seq, base_index);
-        let before = self.buf.len();
         encode_frame_into(&mut self.buf, KIND_SEGMENT_HEADER, &payload)
             .expect("a segment header is 20 bytes");
-        self.total_bytes += (self.buf.len() - before) as u64;
     }
 
     /// Index the next appended record will get.
     pub fn next_index(&self) -> u64 {
         self.next_index
-    }
-
-    /// Lifetime bytes appended to the journal (headers included),
-    /// regardless of later pruning. Feeds the `journal_bytes` health
-    /// counter.
-    pub fn bytes_appended(&self) -> u64 {
-        self.total_bytes
     }
 
     /// Bytes appended but not yet durable (lost if the process dies
@@ -338,9 +324,7 @@ impl Wal {
             self.rotate()?;
         }
         let index = self.next_index;
-        let before = self.buf.len();
         encode_frame_into(&mut self.buf, kind, payload)?;
-        self.total_bytes += (self.buf.len() - before) as u64;
         self.next_index += 1;
         Ok(index)
     }

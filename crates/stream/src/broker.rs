@@ -5,7 +5,7 @@
 //! partition-affine senders pick one explicitly via
 //! [`Producer::send_to`]); consumers poll sequentially from
 //! per-(group, topic, partition) offsets with optional blocking. All
-//! state lives behind `parking_lot` locks, and every park is on an
+//! state lives behind `std::sync` locks, and every park is on an
 //! [`EventCount`] (a wakeup between a waiter's check and its sleep is
 //! never lost, so no park needs a timed re-check), so many
 //! client/proxy/aggregator threads can share one broker, exactly like
@@ -68,11 +68,10 @@
 //! of growing the log without bound.
 
 use crate::wake::EventCount;
-use parking_lot::{Mutex, RwLock};
 use privapprox_types::Timestamp;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
 /// Broker-level failures surfaced to producers.
@@ -212,7 +211,7 @@ impl Topic {
     /// Wakes every subscribed consumer that is parked (or about to
     /// park) on its event count.
     fn wake_consumers(&self) {
-        for waiter in self.waiters.read().iter() {
+        for waiter in read(&self.waiters).iter() {
             waiter.notify();
         }
     }
@@ -302,7 +301,7 @@ impl Broker {
     /// A no-op if the topic already exists.
     pub fn create_topic_with_capacity(&self, name: &str, partitions: usize, capacity: usize) {
         assert!(partitions > 0, "topics need at least 1 partition");
-        let mut topics = self.inner.topics.write();
+        let mut topics = write(&self.inner.topics);
         topics
             .entry(name.to_string())
             .or_insert_with(|| Arc::new(Topic::new(name, partitions, capacity)));
@@ -331,7 +330,7 @@ impl Broker {
     pub fn create_topic_drop_oldest(&self, name: &str, partitions: usize, capacity: usize) {
         assert!(partitions > 0, "topics need at least 1 partition");
         assert!(capacity > 0, "drop-oldest topics need a capacity");
-        let mut topics = self.inner.topics.write();
+        let mut topics = write(&self.inner.topics);
         topics
             .entry(name.to_string())
             .or_insert_with(|| Arc::new(Topic::with_policy(name, partitions, capacity, true)));
@@ -340,9 +339,7 @@ impl Broker {
     /// Records evicted from `name` by the drop-oldest policy so far
     /// (0 for unknown or backpressure-bounded topics).
     pub fn topic_dropped(&self, name: &str) -> u64 {
-        self.inner
-            .topics
-            .read()
+        read(&self.inner.topics)
             .get(name)
             .map_or(0, |t| t.dropped.load(Ordering::Relaxed))
     }
@@ -365,10 +362,10 @@ impl Broker {
     }
 
     fn topic(&self, name: &str) -> Arc<Topic> {
-        if let Some(t) = self.inner.topics.read().get(name) {
+        if let Some(t) = read(&self.inner.topics).get(name) {
             return Arc::clone(t);
         }
-        let mut topics = self.inner.topics.write();
+        let mut topics = write(&self.inner.topics);
         Arc::clone(
             topics
                 .entry(name.to_string())
@@ -407,7 +404,7 @@ impl Broker {
         let t = self.topic(topic);
         t.partitions
             .iter()
-            .map(|p| p.lock().records.len() as u64)
+            .map(|p| lock(p).records.len() as u64)
             .sum()
     }
 
@@ -458,10 +455,10 @@ impl Broker {
         // backlog limit (the floor starts at the group's committed
         // offset, which is 0 for a fresh group).
         {
-            let offsets = self.inner.group_offsets.lock();
+            let offsets = lock(&self.inner.group_offsets);
             for slot in slots.iter().filter(|s| s.topic.capacity > 0) {
                 let committed = offsets.get(&slot.offset_key).copied().unwrap_or(0);
-                let mut p = slot.topic.partitions[slot.partition as usize].lock();
+                let mut p = lock(&slot.topic.partitions[slot.partition as usize]);
                 // A group joining after trimming starts from the
                 // earliest retained record.
                 let floor = committed.max(p.base);
@@ -472,7 +469,7 @@ impl Broker {
         // control wakes notify it through each topic's waiter list.
         let wake = Arc::new(EventCount::new());
         for t in topics {
-            self.topic(t).waiters.write().push(Arc::clone(&wake));
+            write(&self.topic(t).waiters).push(Arc::clone(&wake));
         }
         Consumer {
             broker: self.clone(),
@@ -613,7 +610,7 @@ fn append(
         // Read before the capacity check: space freed at any point
         // after this ends the park below at once.
         let space = t.space.token();
-        let mut p = t.partitions[partition].lock();
+        let mut p = lock(&t.partitions[partition]);
         let next = p.base + p.records.len() as u64;
         if t.capacity > 0 && !t.drop_oldest {
             // Backlog against the slowest registered group; an empty
@@ -745,7 +742,7 @@ fn append_batch(
     let deadline = started + broker.backpressure_deadline();
     let (first, size) = loop {
         let space = t.space.token();
-        let mut p = t.partitions[partition].lock();
+        let mut p = lock(&t.partitions[partition]);
         let next = p.base + p.records.len() as u64;
         if t.capacity > 0 && !t.drop_oldest {
             if let Some(floor) = p.committed.values().copied().min() {
@@ -989,12 +986,12 @@ impl Consumer {
         }
         let pushed_at_entry = out.len();
         let start = (self.cursor.load(Ordering::Relaxed) % slots.len() as u64) as usize;
-        let mut offsets = self.broker.inner.group_offsets.lock();
+        let mut offsets = lock(&self.broker.inner.group_offsets);
         let mut freed_bounded = false;
         for k in 0..slots.len() {
             let slot = &slots[(start + k) % slots.len()];
             let committed = offsets.get(&slot.offset_key).copied().unwrap_or(0);
-            let mut p = slot.topic.partitions[slot.partition as usize].lock();
+            let mut p = lock(&slot.topic.partitions[slot.partition as usize]);
             let next = p.base + p.records.len() as u64;
             // Reads resume from the earliest retained record if this
             // group's offset predates the trim point (late joiner on
@@ -1174,7 +1171,7 @@ impl Drop for Consumer {
     /// committed offset (or the earliest retained record).
     fn drop(&mut self) {
         for slot in self.slots.iter().filter(|s| s.topic.capacity > 0) {
-            let mut p = slot.topic.partitions[slot.partition as usize].lock();
+            let mut p = lock(&slot.topic.partitions[slot.partition as usize]);
             if p.committed.remove(&self.group).is_some() {
                 drop(p);
                 // Producers parked against the withdrawn floor can
@@ -1183,13 +1180,24 @@ impl Drop for Consumer {
             }
         }
         for topic_name in &self.topics {
-            self.broker
-                .topic(topic_name)
-                .waiters
-                .write()
-                .retain(|w| !Arc::ptr_eq(w, &self.wake));
+            write(&self.broker.topic(topic_name).waiters).retain(|w| !Arc::ptr_eq(w, &self.wake));
         }
     }
+}
+
+// A panic in another thread poisons a lock, and these take it anyway:
+// every critical section leaves its data consistent before anything in
+// it can panic, so a poisoned lock guards no torn state.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn fnv1a(data: &[u8]) -> u64 {
@@ -1208,6 +1216,46 @@ mod tests {
 
     fn ts(v: u64) -> Timestamp {
         Timestamp(v)
+    }
+
+    #[test]
+    fn a_poisoned_lock_does_not_wedge_the_broker() {
+        let broker = Broker::new(2);
+        broker.create_topic("t", 2);
+        let w = broker.writer("t");
+        let c = broker.consumer("g", &["t"]);
+        w.send_to(1, None, b"before".to_vec(), ts(1));
+        // A thread panics while it holds partition 1's lock, the
+        // topic's waiter list and the broker's topic map.
+        let topic = broker.topic("t");
+        let (held, inner) = (Arc::clone(&topic), Arc::clone(&broker.inner));
+        let died = thread::spawn(move || {
+            let _partition = lock(&held.partitions[1]);
+            let _waiters = write(&held.waiters);
+            let _topics = write(&inner.topics);
+            panic!("dies holding the locks");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(topic.partitions[1].is_poisoned());
+        assert!(topic.waiters.is_poisoned());
+        assert!(broker.inner.topics.is_poisoned());
+        // Appending to that partition (which wakes the waiter list)
+        // and polling it both go through.
+        w.send_to(1, None, b"after".to_vec(), ts(2));
+        let got: Vec<Vec<u8>> = c
+            .poll(10)
+            .into_iter()
+            .map(|(_, r)| r.value.to_vec())
+            .collect();
+        assert_eq!(got, [b"before".to_vec(), b"after".to_vec()]);
+        // Subscribing and unsubscribing write the waiter list; a new
+        // topic writes the topic map.
+        let late = broker.consumer("h", &["t", "u"]);
+        assert_eq!(late.poll(10).len(), 2);
+        drop(late);
+        broker.writer("u").send_to(0, None, b"u".to_vec(), ts(3));
+        assert_eq!(broker.topic_len("u"), 1);
     }
 
     #[test]

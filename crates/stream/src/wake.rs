@@ -19,9 +19,8 @@
 //! notifying a busy consumer costs two atomic operations and no
 //! syscall.
 
-use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// What interrupts a sleeper parked through [`EventCount::park_in`].
@@ -72,8 +71,9 @@ impl EventCount {
         }
         // Condvar sleepers hold `lock` from announcing themselves
         // until they are inside the wait, so taking it here orders
-        // this notify after their wait began.
-        drop(self.lock.lock());
+        // this notify after their wait began. `lock` guards no data,
+        // so a poisoned one is taken as it is, here and in `park`.
+        drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
         self.cv.notify_all();
         if let Some(bell) = self.bell.get() {
             bell();
@@ -85,7 +85,7 @@ impl EventCount {
     /// Returns whether the sequence moved.
     pub fn park(&self, token: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut guard = self.lock.lock();
+        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         let mut moved = self.seq.load(Ordering::SeqCst) != token;
         while !moved {
@@ -93,7 +93,11 @@ impl EventCount {
             if left.is_zero() {
                 break;
             }
-            self.cv.wait_for(&mut guard, left);
+            guard = self
+                .cv
+                .wait_timeout(guard, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
             moved = self.seq.load(Ordering::SeqCst) != token;
         }
         self.sleepers.fetch_sub(1, Ordering::SeqCst);

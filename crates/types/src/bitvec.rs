@@ -7,10 +7,8 @@
 //! to 10⁴ bits (Figure 5b), so the layout matters: bits are packed into
 //! `u64` limbs, least-significant bit first.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-length, heap-allocated bit vector packed into `u64` limbs.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BitVec {
     /// Number of addressable bits.
     len: usize,
@@ -95,13 +93,6 @@ impl BitVec {
         } else {
             self.limbs[i / 64] &= !mask;
         }
-    }
-
-    /// Flips bit `i`, returning its new value.
-    pub fn toggle(&mut self, i: usize) -> bool {
-        let v = !self.get(i);
-        self.set(i, v);
-        v
     }
 
     /// Number of set bits.

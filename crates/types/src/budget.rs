@@ -9,12 +9,10 @@
 //! itself lives in `privapprox-core::initializer` — this module only
 //! defines the vocabulary.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Millis;
 
 /// An analyst-specified query execution budget (paper §2.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Budget {
     /// Latency SLA: each windowed result must be produced within the
     /// given number of milliseconds.
@@ -50,7 +48,7 @@ impl Budget {
 /// The system parameters the initializer derives from a budget:
 /// sampling fraction `s` and randomization coin biases `(p, q)`
 /// (paper §3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutionParams {
     /// Sampling parameter: probability that a client participates in a
     /// given epoch (§3.2.1).
@@ -108,7 +106,7 @@ impl Default for ExecutionParams {
 /// remaining allowance cannot cover the next epoch the query must be
 /// retired. Stored as a plain `f64` so the leaf `types` crate needs no
 /// knowledge of the ε formulas (those live in `privapprox-rr`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrivacyBudget {
     allocated: f64,
 }
@@ -149,7 +147,7 @@ impl PrivacyBudget {
 /// no refund, so `spent() <= allocated()` holds by construction over
 /// any interleaving of charges (the `multi_query` property suite
 /// replays arbitrary interleavings against this invariant).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BudgetLedger {
     allocated: f64,
     spent: f64,

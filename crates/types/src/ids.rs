@@ -6,23 +6,21 @@
 //! that lets the aggregator re-join the XOR shares transmitted through
 //! independent proxies (§3.2.3).
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of an analyst publishing queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AnalystId(pub u32);
 
 /// Identifier of a client device holding private data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClientId(pub u64);
 
 /// Identifier of a proxy in the anonymizing relay set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProxyId(pub u16);
 
 /// Unique query identifier: analyst identifier concatenated with a
 /// serial number unique to that analyst (paper §3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId {
     /// The issuing analyst.
     pub analyst: AnalystId,
@@ -63,7 +61,7 @@ impl core::fmt::Display for QueryId {
 /// The identifier must be unlinkable to the client, so clients draw it
 /// uniformly at random from a 128-bit space; collisions are negligible
 /// at any realistic population size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MessageId(pub u128);
 
 impl MessageId {

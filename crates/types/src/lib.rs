@@ -14,7 +14,6 @@ pub mod fasthash;
 pub mod ids;
 pub mod query;
 pub mod time;
-pub mod wire;
 pub mod words;
 
 pub use bitvec::BitVec;
@@ -23,4 +22,3 @@ pub use fasthash::{FastHasher, FastState};
 pub use ids::{AnalystId, ClientId, MessageId, ProxyId, QueryId};
 pub use query::{AnswerSpec, BucketIndexer, BucketRule, Query, QueryBuilder};
 pub use time::{Millis, Timestamp, Window, WindowSpec};
-pub use wire::{MAX_FRAME, WIRE_VERSION};

@@ -11,10 +11,9 @@
 
 use crate::ids::QueryId;
 use crate::time::{Millis, WindowSpec};
-use serde::{Deserialize, Serialize};
 
 /// A rule deciding whether a client's answer value falls into a bucket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BucketRule {
     /// Half-open numeric range `[lo, hi)`; use `f64::INFINITY` for an
     /// unbounded top bucket such as the paper's `>100`.
@@ -87,7 +86,7 @@ pub fn like_match(pattern: &str, text: &str) -> bool {
 ///
 /// A client's answer to a query is the n-bit vector whose i-th bit says
 /// whether the client's value matched bucket i (paper §2.2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnswerSpec {
     buckets: Vec<BucketRule>,
 }
@@ -282,7 +281,7 @@ impl BucketIndexer {
 }
 
 /// An analyst's streaming query `⟨QID, SQL, A[n], f, w, δ⟩` (Eq. 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// Unique query identifier.
     pub id: QueryId,

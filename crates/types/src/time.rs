@@ -7,15 +7,11 @@
 //! belongs to every window `[start, start + w)` with
 //! `start ≡ 0 (mod δ)` and `start ∈ (t − w, t]`.
 
-use serde::{Deserialize, Serialize};
-
 /// A span of milliseconds (durations, periods, window sizes).
 pub type Millis = u64;
 
 /// An event-time instant in milliseconds since the stream epoch.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Timestamp(pub Millis);
 
 impl Timestamp {
@@ -37,7 +33,7 @@ impl core::fmt::Display for Timestamp {
 }
 
 /// A half-open event-time window `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Window {
     /// Inclusive start.
     pub start: Timestamp,
@@ -75,7 +71,7 @@ impl core::fmt::Display for Window {
 ///
 /// `slide == size` degenerates to tumbling windows; `slide > size` is
 /// rejected because events would fall into no window at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WindowSpec {
     /// Window length `w` in milliseconds.
     pub size: Millis,

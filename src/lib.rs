@@ -27,11 +27,11 @@
 //! | [`types`] | query model, buckets, bit vectors, budgets |
 //! | [`stats`] | t/normal quantiles, Eq 2–4 estimators |
 //! | [`sampling`] | client coin, stratified/reservoir sampling |
-//! | [`rr`] | randomized response, privacy accounting, RAPPOR |
-//! | [`crypto`] | XOR split encryption, ChaCha20, RSA/GM/Paillier |
+//! | [`rr`] | randomized response, privacy accounting |
+//! | [`crypto`] | XOR split encryption, ChaCha20 |
 //! | [`sql`] | the client-local SQL engine |
 //! | [`stream`] | pub/sub broker, MID join, sliding-window folding |
-//! | [`cluster`] | calibrated discrete-event cluster simulator |
+//! | [`cluster`] | multi-process transport |
 //! | [`datasets`] | synthetic NYC-taxi / electricity workloads |
 //! | [`core`] | clients, proxies, aggregator, analyst sessions |
 //!
