@@ -9,12 +9,12 @@
 //! into XOR shares, one per proxy.
 //!
 //! A query is long-lived while local rows churn, so the client
-//! compiles each `QueryId`'s SQL once into a prepared plan
-//! ([`privapprox_sql::PlanCache`]) and caches a compiled bucket
-//! indexer per query ([`privapprox_types::BucketIndexer`]); the
-//! per-epoch SQL stage is then a plan-cache hit plus an
-//! allocation-free scan. Re-registering a `QueryId` with different
-//! SQL, or re-creating a local table, transparently recompiles.
+//! prepares each `QueryId`'s SQL once ([`privapprox_sql::PlanCache`])
+//! and caches a compiled bucket indexer per query
+//! ([`privapprox_types::BucketIndexer`]); the per-epoch SQL stage is
+//! then a plan-cache hit plus the plan's fused scan, which allocates
+//! nothing. Re-registering a `QueryId` with different SQL, or
+//! re-creating a local table, transparently re-prepares.
 
 use crate::error::CoreError;
 use privapprox_crypto::xor::{encode_answer_into, Share, SplitScratch, XorSplitter};
@@ -109,7 +109,7 @@ pub struct Client {
     analyst_key: u64,
     /// Prepared plans keyed by `QueryId` (see the module docs).
     plans: PlanCache,
-    /// Opcode-stack scratch for prepared execution.
+    /// Where a plan the fused scan cannot serve parks its answer.
     sql_scratch: EvalScratch,
     /// Compiled bucket indexers keyed by `QueryId`. `FastState`: hit
     /// once per answered message, analyst-assigned keys.

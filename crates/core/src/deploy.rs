@@ -404,10 +404,10 @@ pub struct ShardedSystemBuilder {
 impl ShardedSystemBuilder {
     /// Enables **durable crash recovery** backed by `dir`: budget
     /// charges are journaled (and fsynced) strictly before the
-    /// debit-gated sends of every epoch, committed offsets and window
-    /// high-water marks are checkpointed at each epoch close, and the
-    /// full supervisor state (ledgers, schedule, retained warehouses,
-    /// undrained results) is snapshotted every
+    /// debit-gated sends of every epoch, each epoch close journals
+    /// what its windows counted (recovery recomputes their results
+    /// from it), and the full supervisor state (ledgers, schedule,
+    /// retained warehouses, undrained results) is snapshotted every
     /// [`snapshot_every`](ShardedSystemBuilder::snapshot_every) closes
     /// with the journal pruned beneath the snapshot floor.
     ///
@@ -616,6 +616,10 @@ impl ShardedSystemBuilder {
         }
         if c.epoch_deadline.is_zero() {
             return invalid("epoch deadline must be positive".into());
+        }
+        // Written so that NaN fails too.
+        if !(c.confidence > 0.0 && c.confidence < 1.0) {
+            return invalid("confidence must be in (0,1)".into());
         }
         let partitions = c.effective_partitions();
         let broker = Broker::new(partitions);
@@ -3362,6 +3366,9 @@ mod tests {
                 .clients(10)
                 .epoch_deadline(Duration::ZERO)
         ));
+        for c in [0.0, 1.0, f64::NAN] {
+            assert!(invalid(ShardedSystem::builder().clients(10).confidence(c)));
+        }
         let inject = |f: FaultInjector| ShardedSystem::builder().clients(10).fault_injector(f);
         let none = FaultInjector::default();
         assert!(invalid(inject(none.worker_panic_after(9, 1))));
@@ -3426,8 +3433,6 @@ mod tests {
         assert_eq!(health.respawns, 0);
     }
 
-    /// A restart surfaces the shard group's committed offsets as the
-    /// crashed incarnation's last close checkpointed them.
     /// What a worker respawn re-sends is the loads and nothing else:
     /// epochs leave no trace in the supervisor's replay state, so a
     /// respawn costs the same after any number of them.

@@ -39,8 +39,9 @@
 //!   epoch (prepared SQL → bucketize → randomize → encode → split)
 //!   through one [`ClientScratch`]; the returned shares borrow from
 //!   it. The SQL stage hits the client's internal plan cache
-//!   (`privapprox_sql::PlanCache`) — the plan compiles on the first
-//!   epoch and is reused until the SQL or the local catalog changes.
+//!   (`privapprox_sql::PlanCache`) — the plan is prepared on the
+//!   first epoch and reused until the SQL or the local catalog
+//!   changes.
 //! * Aggregator side: `pump` decodes into an internal scratch
 //!   `BitVec` and folds it by reference;
 //!   [`Aggregator::advance_watermark_into`] appends closed windows

@@ -97,7 +97,8 @@ impl SystemBuilder {
     ///
     /// # Panics
     ///
-    /// Panics on a zero-client population or fewer than two proxies.
+    /// Panics on a zero-client population, fewer than two proxies, or
+    /// a confidence outside (0, 1).
     pub fn build(self) -> System {
         let c = self.config;
         assert!(c.clients > 0, "population must be positive");

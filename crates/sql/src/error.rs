@@ -46,7 +46,10 @@ impl core::fmt::Display for SqlError {
                 write!(f, "row has {got} values, schema expects {expected}")
             }
             SqlError::StalePlan => {
-                write!(f, "prepared plan is stale: the catalog changed since compilation")
+                write!(
+                    f,
+                    "prepared plan is stale: the catalog changed since compilation"
+                )
             }
         }
     }

@@ -219,26 +219,7 @@ fn eval_binary(
 pub fn execute(stmt: &SelectStmt, db: &Database) -> Result<ResultSet, SqlError> {
     let table: &Table = db.table(&stmt.table)?;
     let schema = table.schema();
-
-    // Resolve projection up front so column errors surface even on
-    // empty tables.
-    let mut columns = Vec::new();
-    for (i, item) in stmt.items.iter().enumerate() {
-        match item {
-            SelectItem::Wildcard => {
-                for name in schema.names() {
-                    columns.push(name.to_string());
-                }
-            }
-            SelectItem::Expr { expr, .. } => {
-                validate_columns(expr, schema)?;
-                columns.push(stmt.output_name(i));
-            }
-        }
-    }
-    if let Some(w) = &stmt.where_clause {
-        validate_columns(w, schema)?;
-    }
+    let columns = output_columns(stmt, schema)?;
 
     let mut rows = Vec::new();
     for row in table.rows() {
@@ -269,6 +250,31 @@ pub fn execute(stmt: &SelectStmt, db: &Database) -> Result<ResultSet, SqlError> 
         }
     }
     Ok(ResultSet { columns, rows })
+}
+
+/// The output column names of `stmt` over `schema`, wildcards
+/// expanded. Every column reference is resolved here, projection
+/// first and then `WHERE`, so column errors surface even on empty
+/// tables.
+pub(crate) fn output_columns(stmt: &SelectStmt, schema: &Schema) -> Result<Vec<String>, SqlError> {
+    let mut columns = Vec::new();
+    for (i, item) in stmt.items.iter().enumerate() {
+        match item {
+            SelectItem::Wildcard => {
+                for name in schema.names() {
+                    columns.push(name.to_string());
+                }
+            }
+            SelectItem::Expr { expr, .. } => {
+                validate_columns(expr, schema)?;
+                columns.push(stmt.output_name(i));
+            }
+        }
+    }
+    if let Some(w) = &stmt.where_clause {
+        validate_columns(w, schema)?;
+    }
+    Ok(columns)
 }
 
 /// Walks an expression rejecting unknown column references.

@@ -27,37 +27,37 @@
 //!
 //! # Prepared plans
 //!
-//! The engine has two execution paths with identical semantics:
+//! The engine has one evaluator and one specialization of it:
 //!
 //! * **Interpreted** — [`parse_select`] + [`execute`]: walks the AST
-//!   per row. Simple, allocating, and the semantic reference.
-//! * **Prepared** — [`parse_select`] + [`PreparedSelect::prepare`]:
-//!   compiles the statement once (column names resolved to indices,
-//!   constants folded, expressions flattened to opcodes), then
-//!   executes it any number of times without re-parsing or
-//!   allocating. The property tests enforce that both paths return
-//!   byte-identical results *and errors* across the parser corpus.
+//!   per row. It is the semantic reference, and the only path for
+//!   general SELECTs.
+//! * **Fused scan** — [`PreparedSelect::prepare`] recognizes the
+//!   client's shape, `SELECT col FROM t [WHERE col ⋈ lit] [LIMIT n]`,
+//!   and [`PreparedSelect::last_single_value`] answers it with one
+//!   row walk that compares in place and clones nothing. Any other
+//!   shape is handed to the interpreter. The property tests pin the
+//!   two paths to byte-identical results *and errors*.
 //!
 //! The prepared lifecycle is: `parse → prepare → execute × N →
-//! (invalidate on SQL or catalog change) → re-prepare`. Plans record
-//! the [`Database::generation`] they were compiled against and fail
-//! with [`SqlError::StalePlan`] if the catalog moved; [`PlanCache`]
-//! automates the validate-or-recompile step keyed by query id, which
+//! (invalidate on SQL or catalog change) → re-prepare`. Preparing
+//! looks up the table and resolves every column reference once, so
+//! unknown names fail there. Plans record the
+//! [`Database::generation`] they were prepared against and fail with
+//! [`SqlError::StalePlan`] if the catalog moved; [`PlanCache`]
+//! automates the validate-or-re-prepare step keyed by query id, which
 //! is how the PrivApprox client uses this crate (one long-lived query
 //! × millions of per-epoch executions).
 //!
 //! # Scratch-buffer conventions
 //!
-//! Functions named `*_into` write through caller-owned buffers
-//! instead of allocating their result, following the workspace-wide
-//! convention (see `privapprox-core`): the *caller* owns and reuses
-//! the buffer across calls, the callee only resizes it on shape
-//! changes. Here that means [`execute_prepared_into`] (recycles a
-//! [`ResultSet`]'s vectors) and the [`EvalScratch`] passed to
-//! [`PreparedSelect::for_each_row`] /
-//! [`PreparedSelect::last_single_value`], which holds the opcode
-//! stack and projected-row slots. A warm scratch makes the prepared
-//! scan allocation-free.
+//! The workspace-wide convention (see `privapprox-core`) is that the
+//! *caller* owns and reuses buffers across calls. Here that is the
+//! [`EvalScratch`] passed to [`PreparedSelect::last_single_value`]:
+//! the fused scan borrows its answer straight from the table and
+//! never touches it, so the client's per-epoch SQL stage allocates
+//! nothing; an interpreted answer is parked in it so the caller can
+//! borrow it the same way.
 
 pub mod ast;
 pub mod error;
@@ -72,6 +72,6 @@ pub use ast::{BinaryOp, Expr, SelectItem, SelectStmt, UnaryOp};
 pub use error::SqlError;
 pub use exec::{execute, ResultSet};
 pub use parser::parse_select;
-pub use plan::{execute_prepared_into, EvalScratch, PlanCache, PreparedSelect, RowView, ValueRef};
+pub use plan::{EvalScratch, PlanCache, PreparedSelect, ValueRef};
 pub use table::{ColumnType, Database, Schema, Table};
 pub use value::Value;

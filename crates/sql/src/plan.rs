@@ -1,63 +1,50 @@
-//! Prepared query plans: compile a SELECT once, execute it every
-//! epoch without re-lexing, re-parsing, re-resolving or allocating.
+//! Prepared query plans: resolve a SELECT once, answer it every epoch
+//! without re-lexing or re-parsing.
 //!
 //! PrivApprox's workload is a *long-lived* query executed by millions
 //! of clients once per answer frequency (paper §2.2): the SQL text
-//! never changes between epochs, only the local rows do. The
-//! interpreted path ([`crate::execute`]) walks the AST per row,
-//! resolves column names through the schema per reference, and
-//! materializes a fresh [`ResultSet`] per call — all of it redundant
-//! after the first epoch. A [`PreparedSelect`] front-loads that work:
+//! never changes between epochs, only the local rows do. A
+//! [`PreparedSelect`] does the per-statement work once — name
+//! resolution (`UnknownTable` and `UnknownColumn` surface at prepare
+//! time, not per execution), output naming and shape detection — and
+//! then runs one of two evaluators:
 //!
-//! * column references are resolved to row indices at prepare time
-//!   (`UnknownColumn` surfaces once, not per execution);
-//! * constant subexpressions are folded (`speed > 2*30` compiles to
-//!   one comparison against `60`);
-//! * projections and predicates are flattened into a closure-free
-//!   opcode form (the private `Op` enum) evaluated by a small stack
-//!   machine whose stack lives in a caller-owned [`EvalScratch`] —
-//!   values on the stack are lifetime-free slots that reference row
-//!   text and pooled literals by index, so predicate evaluation
-//!   never clones a string;
-//! * the common client shape — `SELECT col FROM t [WHERE col ⋈ lit]`
-//!   — is additionally specialized into a fused scan that can answer
-//!   "last matching value" without evaluating opcodes at all.
+//! * the client's shape — `SELECT col FROM t [WHERE col ⋈ lit]
+//!   [LIMIT n]` — is detected at prepare time and served by a fused
+//!   row walk that compares values in place and clones nothing;
+//! * every other shape is handed to the interpreter,
+//!   [`crate::execute`], which is the semantic reference for both.
 //!
-//! Execution entry points, in decreasing generality:
+//! Entry points:
 //!
-//! * [`PreparedSelect::execute`] — materializes a [`ResultSet`],
-//!   byte-identical to the interpreted [`crate::execute`] (the
-//!   property tests in `tests/properties.rs` enforce this across the
-//!   whole parser corpus, errors included);
-//! * [`execute_prepared_into`] — the same, but recycles the caller's
-//!   [`ResultSet`] buffers;
-//! * [`PreparedSelect::for_each_row`] — visitor over projected rows
-//!   as borrowed [`ValueRef`]s, allocation-free at steady state;
+//! * [`PreparedSelect::execute`] — materializes a [`ResultSet`]; it is
+//!   [`crate::execute`] behind a staleness check;
 //! * [`PreparedSelect::last_single_value`] — the PrivApprox client's
 //!   question ("newest matching value of the single answer column"),
-//!   served by the fused scan when available.
+//!   served by the fused scan when the plan qualifies. The property
+//!   tests in `tests/properties.rs` pin it to interpret → single
+//!   column → last, errors included.
 //!
-//! Plans are bound to the catalog generation they were compiled
+//! Plans are bound to the catalog generation they were prepared
 //! against ([`crate::Database::generation`]); executing a stale plan
 //! fails with [`SqlError::StalePlan`] instead of reading through
 //! remapped column indices. [`PlanCache`] wraps the
-//! prepare-validate-recompile cycle keyed by [`QueryId`], which is
+//! prepare-validate-reprepare cycle keyed by [`QueryId`], which is
 //! what the client consults on every `truthful_answer`.
 
-use crate::ast::{BinaryOp, Expr, SelectItem, SelectStmt, UnaryOp};
+use crate::ast::{BinaryOp, Expr, SelectItem, SelectStmt};
 use crate::error::SqlError;
 use crate::exec::ResultSet;
 use crate::table::{Database, Schema, Table};
 use crate::value::Value;
 use privapprox_types::fasthash::FastState;
 use privapprox_types::ids::QueryId;
-use privapprox_types::query::like_match;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-/// A borrowed SQL value: what [`PreparedSelect::for_each_row`] hands
-/// its visitor. Text borrows from the row (or the plan's literal
-/// pool) instead of cloning.
+/// A borrowed SQL value: what [`PreparedSelect::last_single_value`]
+/// returns. Text borrows from the row (or the caller's
+/// [`EvalScratch`]) instead of cloning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ValueRef<'a> {
     /// SQL NULL.
@@ -112,72 +99,10 @@ impl<'a> From<&'a Value> for ValueRef<'a> {
     }
 }
 
-/// A lifetime-free stack value: scalars inline, text by reference
-/// into the current row (`RowText`) or the plan's literal pool
-/// (`LitText`). This is what lets the evaluation stack live in a
-/// caller-owned buffer across calls with different row lifetimes.
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    Null,
-    Int(i64),
-    Float(f64),
-    Bool(bool),
-    /// Text in column `i` of the row under evaluation.
-    RowText(u32),
-    /// Text literal `i` in [`PreparedSelect::lits`].
-    LitText(u32),
-}
-
-/// One opcode of the compiled expression machine. Postfix order with
-/// explicit jump targets for the short-circuit forms, so evaluation
-/// order — and therefore which row errors surface — is identical to
-/// the tree-walking interpreter.
-#[derive(Debug, Clone)]
-enum Op {
-    /// Push a pre-resolved literal slot.
-    Push(Slot),
-    /// Push column `i` of the current row.
-    Col(u32),
-    /// Pop two, push their comparison (`Eq`/`Neq`/`Lt`/`Le`/`Gt`/`Ge`).
-    Cmp(BinaryOp),
-    /// Pop two, push their arithmetic result (`Add`/`Sub`/`Mul`/`Div`).
-    Arith(BinaryOp),
-    /// Pop one, push its arithmetic negation.
-    Neg,
-    /// Pop one, push its three-valued logical negation.
-    Not,
-    /// Pop one, push `IS [NOT] NULL`.
-    IsNull { negated: bool },
-    /// Pop one, push `[NOT] LIKE patterns[pattern]`.
-    Like { pattern: u32, negated: bool },
-    /// `AND` short-circuit: if the top's truth is `false`, replace it
-    /// with `Bool(false)` and jump to `end` (skipping the rhs).
-    AndJump { end: u32 },
-    /// `OR` short-circuit: if the top's truth is `true`, replace it
-    /// with `Bool(true)` and jump to `end`.
-    OrJump { end: u32 },
-    /// Pop rhs and lhs, push their three-valued `AND`.
-    AndCombine,
-    /// Pop rhs and lhs, push their three-valued `OR`.
-    OrCombine,
-    /// Pop hi, lo and the tested value, push `[NOT] BETWEEN`.
-    Between { negated: bool },
-    /// `IN` prologue: if the needle on top is NULL, replace it with
-    /// NULL and jump to `end`; otherwise push the saw-null sentinel.
-    InBegin { end: u32 },
-    /// One `IN` list item: pop it, compare against the needle; on a
-    /// match collapse to the result and jump to `end`, on an
-    /// incomparable NULL set the sentinel.
-    InCheck { end: u32, negated: bool },
-    /// `IN` epilogue: collapse needle + sentinel into the final
-    /// three-valued result.
-    InEnd { negated: bool },
-}
-
 /// The specialized fused scan for `SELECT col FROM t [WHERE col ⋈
-/// lit] [LIMIT n]`: no opcodes, no projection evaluation, just a row
-/// walk. Detected at prepare time; only shapes whose evaluation can
-/// never error qualify, which is what makes it safe for
+/// lit] [LIMIT n]`: no projection evaluation, just a row walk.
+/// Detected at prepare time; only shapes whose evaluation can never
+/// error qualify, which is what makes it safe for
 /// [`PreparedSelect::last_single_value`] to skip rows.
 #[derive(Debug, Clone)]
 struct FastScan {
@@ -211,156 +136,49 @@ impl FastScan {
     }
 }
 
-/// One projection item after compilation.
-#[derive(Debug, Clone)]
-enum PlannedItem {
-    /// `*`: every row column in schema order.
-    AllColumns,
-    /// A compiled expression.
-    Expr(Vec<Op>),
-}
-
-/// A SELECT compiled against one catalog generation. See the module
-/// docs for what compilation buys and which entry point to use.
+/// A SELECT prepared against one catalog generation. See the module
+/// docs for what preparation buys and which entry point to use.
 #[derive(Debug, Clone)]
 pub struct PreparedSelect {
-    table: String,
+    stmt: SelectStmt,
     generation: u64,
     /// Output column names, wildcards expanded.
     columns: Vec<String>,
-    items: Vec<PlannedItem>,
-    filter: Option<Vec<Op>>,
-    /// Text-literal pool referenced by [`Slot::LitText`].
-    lits: Vec<Value>,
-    /// LIKE-pattern pool.
-    patterns: Vec<String>,
-    limit: Option<u64>,
     fast: Option<FastScan>,
 }
 
-/// Caller-owned evaluation buffers: the opcode stack and the
-/// projected-row slots. One warm `EvalScratch` makes
-/// [`PreparedSelect::for_each_row`] allocation-free.
+/// Caller-owned storage for [`PreparedSelect::last_single_value`]: a
+/// value the interpreter produced is parked here so the caller can
+/// borrow it like a row value. The fused scan never touches it.
 #[derive(Debug, Clone, Default)]
 pub struct EvalScratch {
-    stack: Vec<Slot>,
-    out: Vec<Slot>,
+    last: Option<Value>,
 }
 
 impl EvalScratch {
-    /// Creates an empty scratch (buffers grow on first use).
+    /// Creates an empty scratch.
     pub fn new() -> EvalScratch {
         EvalScratch::default()
     }
 }
 
-/// A projected row handed to the [`PreparedSelect::for_each_row`]
-/// visitor; values resolve lazily as borrowed [`ValueRef`]s.
-pub struct RowView<'v> {
-    plan: &'v PreparedSelect,
-    row: &'v [Value],
-    slots: &'v [Slot],
-}
-
-impl<'v> RowView<'v> {
-    /// Number of output columns.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when the projection is empty (never for valid plans).
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Output column `i` of this row.
-    pub fn get(&self, i: usize) -> ValueRef<'v> {
-        resolve(self.slots[i], self.row, &self.plan.lits)
-    }
-}
-
-/// Resolves a slot to a borrowed value against its row and pool.
-#[inline]
-fn resolve<'a>(slot: Slot, row: &'a [Value], lits: &'a [Value]) -> ValueRef<'a> {
-    match slot {
-        Slot::Null => ValueRef::Null,
-        Slot::Int(i) => ValueRef::Int(i),
-        Slot::Float(f) => ValueRef::Float(f),
-        Slot::Bool(b) => ValueRef::Bool(b),
-        Slot::RowText(i) => match &row[i as usize] {
-            Value::Text(s) => ValueRef::Text(s),
-            _ => unreachable!("RowText slot over non-text column"),
-        },
-        Slot::LitText(i) => match &lits[i as usize] {
-            Value::Text(s) => ValueRef::Text(s),
-            _ => unreachable!("LitText slot over non-text literal"),
-        },
-    }
-}
-
 impl PreparedSelect {
-    /// Compiles `stmt` against the catalog's current state.
+    /// Prepares `stmt` against the catalog's current state.
     ///
     /// Unknown tables/columns error here, once, instead of on every
     /// execution. The plan records [`Database::generation`] and
     /// refuses to run once the catalog changes.
     pub fn prepare(stmt: &SelectStmt, db: &Database) -> Result<PreparedSelect, SqlError> {
-        let table = db.table(&stmt.table)?;
-        let schema = table.schema();
-        let mut plan = PreparedSelect {
-            table: stmt.table.clone(),
+        let schema = db.table(&stmt.table)?.schema();
+        Ok(PreparedSelect {
+            columns: crate::exec::output_columns(stmt, schema)?,
+            fast: detect_fast(&stmt.items, stmt.where_clause.as_ref(), schema),
+            stmt: stmt.clone(),
             generation: db.generation(),
-            columns: Vec::new(),
-            items: Vec::with_capacity(stmt.items.len()),
-            filter: None,
-            lits: Vec::new(),
-            patterns: Vec::new(),
-            limit: stmt.limit,
-            fast: None,
-        };
-        // Fold constants first so `2*30` specializes as well as `60`
-        // does; folding never introduces or hides errors (a constant
-        // subexpression that fails to evaluate is left unfolded and
-        // errors at execution, exactly like the interpreter).
-        let folded_items: Vec<SelectItem> = stmt
-            .items
-            .iter()
-            .map(|item| match item {
-                SelectItem::Wildcard => SelectItem::Wildcard,
-                SelectItem::Expr { expr, alias } => SelectItem::Expr {
-                    expr: fold_constants(expr),
-                    alias: alias.clone(),
-                },
-            })
-            .collect();
-        let folded_filter = stmt.where_clause.as_ref().map(|w| fold_constants(w));
-
-        for (i, item) in folded_items.iter().enumerate() {
-            match item {
-                SelectItem::Wildcard => {
-                    for name in schema.names() {
-                        plan.columns.push(name.to_string());
-                    }
-                    plan.items.push(PlannedItem::AllColumns);
-                }
-                SelectItem::Expr { expr, .. } => {
-                    let mut ops = Vec::new();
-                    compile_expr(expr, schema, &mut plan.lits, &mut plan.patterns, &mut ops)?;
-                    plan.columns.push(stmt.output_name(i));
-                    plan.items.push(PlannedItem::Expr(ops));
-                }
-            }
-        }
-        if let Some(w) = &folded_filter {
-            let mut ops = Vec::new();
-            compile_expr(w, schema, &mut plan.lits, &mut plan.patterns, &mut ops)?;
-            plan.filter = Some(ops);
-        }
-        plan.fast = detect_fast(&folded_items, folded_filter.as_ref(), schema);
-        Ok(plan)
+        })
     }
 
-    /// The catalog generation this plan was compiled against.
+    /// The catalog generation this plan was prepared against.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -371,78 +189,18 @@ impl PreparedSelect {
     }
 
     /// True when the fused single-column scan specialization applies
-    /// (diagnostics; the entry points pick it automatically).
+    /// (diagnostics; [`PreparedSelect::last_single_value`] picks it
+    /// automatically).
     pub fn is_fast_scan(&self) -> bool {
         self.fast.is_some()
     }
 
-    /// Runs the plan, materializing a fresh [`ResultSet`] —
-    /// byte-identical to interpreting the original statement with
-    /// [`crate::execute`], errors included.
+    /// Runs the plan, materializing a fresh [`ResultSet`]: interpreting
+    /// the original statement with [`crate::execute`], once the plan
+    /// is known not to be stale.
     pub fn execute(&self, db: &Database) -> Result<ResultSet, SqlError> {
-        let mut out = ResultSet {
-            columns: Vec::new(),
-            rows: Vec::new(),
-        };
-        let mut scratch = EvalScratch::new();
-        execute_prepared_into(self, db, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Streams every emitted row to `visit` as a [`RowView`] without
-    /// materializing anything; with a warm `scratch` the call is
-    /// allocation-free. Rows are visited in table order, after the
-    /// `WHERE` filter and under the `LIMIT` cap, with projection
-    /// expressions evaluated eagerly so errors surface for exactly
-    /// the rows the interpreter would have evaluated.
-    pub fn for_each_row<F>(
-        &self,
-        db: &Database,
-        scratch: &mut EvalScratch,
-        mut visit: F,
-    ) -> Result<(), SqlError>
-    where
-        F: FnMut(RowView<'_>),
-    {
-        let table = self.table_for(db)?;
-        let limit = self.limit.unwrap_or(u64::MAX);
-        if limit == 0 {
-            return Ok(());
-        }
-        let mut emitted = 0u64;
-        for row in table.rows() {
-            if let Some(filter) = &self.filter {
-                let slot = run_ops(filter, &self.lits, &self.patterns, row, &mut scratch.stack)?;
-                if truth_of(slot) != Some(true) {
-                    continue;
-                }
-            }
-            scratch.out.clear();
-            for item in &self.items {
-                match item {
-                    PlannedItem::AllColumns => {
-                        for (i, v) in row.iter().enumerate() {
-                            scratch.out.push(slot_of_row_value(v, i as u32));
-                        }
-                    }
-                    PlannedItem::Expr(ops) => {
-                        let slot =
-                            run_ops(ops, &self.lits, &self.patterns, row, &mut scratch.stack)?;
-                        scratch.out.push(slot);
-                    }
-                }
-            }
-            visit(RowView {
-                plan: self,
-                row,
-                slots: &scratch.out,
-            });
-            emitted += 1;
-            if emitted >= limit {
-                break;
-            }
-        }
-        Ok(())
+        self.table_for(db)?;
+        crate::execute(&self.stmt, db)
     }
 
     /// The PrivApprox client's question: the value of the single
@@ -452,12 +210,13 @@ impl PreparedSelect {
     ///
     /// Uses the fused scan when the plan qualifies — for an unlimited
     /// query that is a reverse walk stopping at the first match — and
-    /// falls back to the full opcode scan otherwise, so error
-    /// behaviour always matches interpret-then-`single_column`.
+    /// otherwise interprets the statement, parking the value in
+    /// `scratch`, so error behaviour always matches
+    /// interpret-then-`single_column`.
     pub fn last_single_value<'a>(
         &'a self,
         db: &'a Database,
-        scratch: &mut EvalScratch,
+        scratch: &'a mut EvalScratch,
     ) -> Result<Option<ValueRef<'a>>, SqlError> {
         let table = self.table_for(db)?;
         if let Some(fast) = &self.fast {
@@ -465,7 +224,7 @@ impl PreparedSelect {
             // observationally identical to evaluating them.
             let rows = table.rows();
             let col = fast.col as usize;
-            let limit = self.limit.unwrap_or(u64::MAX);
+            let limit = self.stmt.limit.unwrap_or(u64::MAX);
             if limit == 0 {
                 return Ok(None);
             }
@@ -490,74 +249,8 @@ impl PreparedSelect {
             }
             return Ok(last);
         }
-        // Generic path: full scan (errors must surface for every row
-        // the interpreter would evaluate), remembering which emitted
-        // row and which slot produced the final value. Borrowed text
-        // cannot escape the visitor closure, so a text result is
-        // re-resolved by walking the filtered rows a second time —
-        // slots are indices, and the table has not moved.
-        let mut last: Option<(usize, Slot)> = None;
-        let mut emitted = 0usize;
-        self.for_each_row(db, scratch, |view| {
-            if view.slots.len() == 1 {
-                last = Some((emitted, view.slots[0]));
-            }
-            emitted += 1;
-        })?;
-        if self.columns.len() != 1 {
-            return Err(SqlError::Type(format!(
-                "expected exactly 1 output column, got {}",
-                self.columns.len()
-            )));
-        }
-        match last {
-            None => Ok(None),
-            Some((target, Slot::RowText(col))) => {
-                let mut hit: Option<&Value> = None;
-                let mut i = 0usize;
-                self.for_each_emitted_source(table, scratch, |row| {
-                    if i == target {
-                        hit = Some(&row[col as usize]);
-                    }
-                    i += 1;
-                })?;
-                Ok(hit.map(ValueRef::from))
-            }
-            Some((_, slot)) => Ok(Some(resolve(slot, &[], &self.lits))),
-        }
-    }
-
-    /// Internal: walks the *source* rows that pass the filter (under
-    /// LIMIT), without evaluating projections. Only used to re-find a
-    /// row already visited by a successful scan.
-    fn for_each_emitted_source<'a, F>(
-        &self,
-        table: &'a Table,
-        scratch: &mut EvalScratch,
-        mut visit: F,
-    ) -> Result<(), SqlError>
-    where
-        F: FnMut(&'a [Value]),
-    {
-        let limit = self.limit.unwrap_or(u64::MAX);
-        if limit == 0 {
-            return Ok(());
-        }
-        let mut emitted = 0u64;
-        for row in table.rows() {
-            if let Some(filter) = &self.filter {
-                let slot = run_ops(filter, &self.lits, &self.patterns, row, &mut scratch.stack)?;
-                if truth_of(slot) != Some(true) {
-                    continue;
-                }
-            }
-            visit(row);
-            emitted += 1;
-            if emitted >= limit {
-                break;
-            }
-        }
-        Ok(())
+        scratch.last = self.execute(db)?.single_column()?.pop();
+        Ok(scratch.last.as_ref().map(ValueRef::from))
     }
 
     /// Looks up the plan's table, checking staleness first.
@@ -565,47 +258,20 @@ impl PreparedSelect {
         if db.generation() != self.generation {
             return Err(SqlError::StalePlan);
         }
-        db.table(&self.table)
+        db.table(&self.stmt.table)
     }
-}
-
-/// Runs a prepared plan into a caller-owned [`ResultSet`], recycling
-/// its buffers (columns and per-row vectors keep their allocations
-/// across calls). On error the contents of `out` are unspecified.
-pub fn execute_prepared_into(
-    plan: &PreparedSelect,
-    db: &Database,
-    scratch: &mut EvalScratch,
-    out: &mut ResultSet,
-) -> Result<(), SqlError> {
-    out.columns.clear();
-    out.columns.extend(plan.columns.iter().cloned());
-    let mut used = 0usize;
-    let rows = &mut out.rows;
-    plan.for_each_row(db, scratch, |view| {
-        if used < rows.len() {
-            let dst = &mut rows[used];
-            dst.clear();
-            dst.extend((0..view.len()).map(|i| view.get(i).to_value()));
-        } else {
-            rows.push((0..view.len()).map(|i| view.get(i).to_value()).collect());
-        }
-        used += 1;
-    })?;
-    rows.truncate(used);
-    Ok(())
 }
 
 /// A cache of prepared plans keyed by [`QueryId`] — what the client
 /// consults on every answer epoch.
 ///
 /// An entry is reused only while both of these hold, otherwise it is
-/// transparently recompiled:
+/// transparently re-prepared:
 ///
 /// * the SQL text is unchanged (a re-registered `QueryId` with
 ///   different SQL invalidates the entry);
 /// * the catalog generation is unchanged (a re-created table
-///   invalidates every plan compiled before it).
+///   invalidates every plan prepared before it).
 #[derive(Debug, Default)]
 pub struct PlanCache {
     // `FastState`: looked up once per answered message; QueryIds are
@@ -635,9 +301,9 @@ impl PlanCache {
         self.plans.is_empty()
     }
 
-    /// Returns the cached plan for `id`, (re)compiling `sql` against
+    /// Returns the cached plan for `id`, (re)preparing `sql` against
     /// `db` when the entry is missing, carries different SQL, or was
-    /// compiled against an older catalog generation. The hot-path
+    /// prepared against an older catalog generation. The hot-path
     /// cost of a hit is one hash lookup plus one string compare.
     pub fn get_or_prepare(
         &mut self,
@@ -680,230 +346,8 @@ impl PlanCache {
     }
 }
 
-// ---------------------------------------------------------------------
-// Compilation
-// ---------------------------------------------------------------------
-
-/// Bottom-up constant folding. A subexpression with no column
-/// references whose evaluation *succeeds* is replaced by its literal
-/// value; one that errors (`1/0`, `'a' + 1`) is kept verbatim so the
-/// error still surfaces per evaluated row, like the interpreter.
-fn fold_constants(expr: &Expr) -> Expr {
-    let folded = match expr {
-        Expr::Literal(_) | Expr::Column(_) => expr.clone(),
-        Expr::Binary { op, lhs, rhs } => Expr::Binary {
-            op: *op,
-            lhs: Box::new(fold_constants(lhs)),
-            rhs: Box::new(fold_constants(rhs)),
-        },
-        Expr::Unary { op, expr } => Expr::Unary {
-            op: *op,
-            expr: Box::new(fold_constants(expr)),
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(fold_constants(expr)),
-            pattern: pattern.clone(),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(fold_constants(expr)),
-            list: list.iter().map(fold_constants).collect(),
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            lo,
-            hi,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(fold_constants(expr)),
-            lo: Box::new(fold_constants(lo)),
-            hi: Box::new(fold_constants(hi)),
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(fold_constants(expr)),
-            negated: *negated,
-        },
-    };
-    if matches!(folded, Expr::Literal(_)) || !is_constant(&folded) {
-        return folded;
-    }
-    // Evaluate against an empty schema/row: constant expressions
-    // never touch either.
-    let empty = Schema::new(vec![]);
-    match crate::exec::eval(&folded, &empty, &[]) {
-        Ok(v) => Expr::Literal(v),
-        Err(_) => folded,
-    }
-}
-
-/// True when the expression references no columns.
-fn is_constant(expr: &Expr) -> bool {
-    match expr {
-        Expr::Literal(_) => true,
-        Expr::Column(_) => false,
-        Expr::Binary { lhs, rhs, .. } => is_constant(lhs) && is_constant(rhs),
-        Expr::Unary { expr, .. } => is_constant(expr),
-        Expr::Like { expr, .. } => is_constant(expr),
-        Expr::InList { expr, list, .. } => is_constant(expr) && list.iter().all(is_constant),
-        Expr::Between { expr, lo, hi, .. } => {
-            is_constant(expr) && is_constant(lo) && is_constant(hi)
-        }
-        Expr::IsNull { expr, .. } => is_constant(expr),
-    }
-}
-
-/// Compiles one expression to postfix opcodes, resolving columns.
-fn compile_expr(
-    expr: &Expr,
-    schema: &Schema,
-    lits: &mut Vec<Value>,
-    patterns: &mut Vec<String>,
-    ops: &mut Vec<Op>,
-) -> Result<(), SqlError> {
-    match expr {
-        Expr::Literal(v) => {
-            ops.push(Op::Push(lit_slot(v, lits)));
-        }
-        Expr::Column(name) => {
-            let idx = schema
-                .index_of(name)
-                .ok_or_else(|| SqlError::UnknownColumn(name.clone()))?;
-            ops.push(Op::Col(idx as u32));
-        }
-        Expr::Unary { op, expr } => {
-            compile_expr(expr, schema, lits, patterns, ops)?;
-            ops.push(match op {
-                UnaryOp::Not => Op::Not,
-                UnaryOp::Neg => Op::Neg,
-            });
-        }
-        Expr::Binary { op, lhs, rhs } => match op {
-            BinaryOp::And | BinaryOp::Or => {
-                compile_expr(lhs, schema, lits, patterns, ops)?;
-                let jump_at = ops.len();
-                ops.push(Op::AndJump { end: 0 }); // patched below
-                compile_expr(rhs, schema, lits, patterns, ops)?;
-                ops.push(if *op == BinaryOp::And {
-                    Op::AndCombine
-                } else {
-                    Op::OrCombine
-                });
-                let end = ops.len() as u32;
-                ops[jump_at] = if *op == BinaryOp::And {
-                    Op::AndJump { end }
-                } else {
-                    Op::OrJump { end }
-                };
-            }
-            BinaryOp::Eq
-            | BinaryOp::Neq
-            | BinaryOp::Lt
-            | BinaryOp::Le
-            | BinaryOp::Gt
-            | BinaryOp::Ge => {
-                compile_expr(lhs, schema, lits, patterns, ops)?;
-                compile_expr(rhs, schema, lits, patterns, ops)?;
-                ops.push(Op::Cmp(*op));
-            }
-            BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div => {
-                compile_expr(lhs, schema, lits, patterns, ops)?;
-                compile_expr(rhs, schema, lits, patterns, ops)?;
-                ops.push(Op::Arith(*op));
-            }
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            compile_expr(expr, schema, lits, patterns, ops)?;
-            let idx = patterns.len() as u32;
-            patterns.push(pattern.clone());
-            ops.push(Op::Like {
-                pattern: idx,
-                negated: *negated,
-            });
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            compile_expr(expr, schema, lits, patterns, ops)?;
-            let begin_at = ops.len();
-            ops.push(Op::InBegin { end: 0 }); // patched below
-            let mut checks = Vec::with_capacity(list.len());
-            for item in list {
-                compile_expr(item, schema, lits, patterns, ops)?;
-                checks.push(ops.len());
-                ops.push(Op::InCheck {
-                    end: 0,
-                    negated: *negated,
-                });
-            }
-            ops.push(Op::InEnd { negated: *negated });
-            let end = ops.len() as u32;
-            ops[begin_at] = Op::InBegin { end };
-            for at in checks {
-                ops[at] = Op::InCheck {
-                    end,
-                    negated: *negated,
-                };
-            }
-        }
-        Expr::Between {
-            expr,
-            lo,
-            hi,
-            negated,
-        } => {
-            compile_expr(expr, schema, lits, patterns, ops)?;
-            compile_expr(lo, schema, lits, patterns, ops)?;
-            compile_expr(hi, schema, lits, patterns, ops)?;
-            ops.push(Op::Between { negated: *negated });
-        }
-        Expr::IsNull { expr, negated } => {
-            compile_expr(expr, schema, lits, patterns, ops)?;
-            ops.push(Op::IsNull { negated: *negated });
-        }
-    }
-    Ok(())
-}
-
-/// Interns a literal as a pushable slot (text goes to the pool).
-fn lit_slot(v: &Value, lits: &mut Vec<Value>) -> Slot {
-    match v {
-        Value::Null => Slot::Null,
-        Value::Int(i) => Slot::Int(*i),
-        Value::Float(f) => Slot::Float(*f),
-        Value::Bool(b) => Slot::Bool(*b),
-        Value::Text(_) => {
-            if let Some(i) = lits.iter().position(|l| l == v) {
-                Slot::LitText(i as u32)
-            } else {
-                lits.push(v.clone());
-                Slot::LitText((lits.len() - 1) as u32)
-            }
-        }
-    }
-}
-
 /// Detects the fused single-column scan shape (see [`FastScan`]).
-fn detect_fast(
-    items: &[SelectItem],
-    filter: Option<&Expr>,
-    schema: &Schema,
-) -> Option<FastScan> {
+fn detect_fast(items: &[SelectItem], filter: Option<&Expr>, schema: &Schema) -> Option<FastScan> {
     let [SelectItem::Expr {
         expr: Expr::Column(col),
         ..
@@ -938,321 +382,6 @@ fn detect_fast(
         Some(_) => return None,
     };
     Some(FastScan { pred, col })
-}
-
-// ---------------------------------------------------------------------
-// Evaluation
-// ---------------------------------------------------------------------
-
-/// SQL truthiness of a slot (no resolution needed: text is always
-/// "false" and scalars carry their own value).
-#[inline]
-fn truth_of(slot: Slot) -> Option<bool> {
-    match slot {
-        Slot::Null => None,
-        Slot::Bool(b) => Some(b),
-        Slot::Int(i) => Some(i != 0),
-        Slot::Float(f) => Some(f != 0.0),
-        Slot::RowText(_) | Slot::LitText(_) => Some(false),
-    }
-}
-
-/// Numeric view of a slot (same coercions as [`Value::as_f64`]).
-#[inline]
-fn f64_of(slot: Slot) -> Option<f64> {
-    match slot {
-        Slot::Int(i) => Some(i as f64),
-        Slot::Float(f) => Some(f),
-        Slot::Bool(b) => Some(if b { 1.0 } else { 0.0 }),
-        _ => None,
-    }
-}
-
-/// Converts a row value to a slot (text by reference).
-#[inline]
-fn slot_of_row_value(v: &Value, col: u32) -> Slot {
-    match v {
-        Value::Null => Slot::Null,
-        Value::Int(i) => Slot::Int(*i),
-        Value::Float(f) => Slot::Float(*f),
-        Value::Bool(b) => Slot::Bool(*b),
-        Value::Text(_) => Slot::RowText(col),
-    }
-}
-
-/// Owned clone of a slot's value — error paths only.
-fn value_of(slot: Slot, row: &[Value], lits: &[Value]) -> Value {
-    resolve(slot, row, lits).to_value()
-}
-
-/// Resolves a text slot to its backing string.
-#[inline]
-fn text_of<'a>(slot: Slot, row: &'a [Value], lits: &'a [Value]) -> &'a str {
-    match resolve(slot, row, lits) {
-        ValueRef::Text(s) => s,
-        _ => unreachable!("text_of on non-text slot"),
-    }
-}
-
-/// [`Value::sql_eq`] over slots.
-fn slot_eq(a: Slot, b: Slot, row: &[Value], lits: &[Value]) -> Option<bool> {
-    if matches!(a, Slot::Null) || matches!(b, Slot::Null) {
-        return None;
-    }
-    Some(match (a, b) {
-        (Slot::RowText(_) | Slot::LitText(_), Slot::RowText(_) | Slot::LitText(_)) => {
-            text_of(a, row, lits) == text_of(b, row, lits)
-        }
-        (Slot::Bool(x), Slot::Bool(y)) => x == y,
-        _ => match (f64_of(a), f64_of(b)) {
-            (Some(x), Some(y)) => x == y,
-            _ => false,
-        },
-    })
-}
-
-/// [`Value::sql_cmp`] over slots.
-fn slot_cmp(a: Slot, b: Slot, row: &[Value], lits: &[Value]) -> Option<core::cmp::Ordering> {
-    if matches!(a, Slot::Null) || matches!(b, Slot::Null) {
-        return None;
-    }
-    match (a, b) {
-        (Slot::RowText(_) | Slot::LitText(_), Slot::RowText(_) | Slot::LitText(_)) => {
-            Some(text_of(a, row, lits).cmp(text_of(b, row, lits)))
-        }
-        _ => {
-            let (x, y) = (f64_of(a)?, f64_of(b)?);
-            x.partial_cmp(&y)
-        }
-    }
-}
-
-/// Executes a compiled opcode sequence against one row, returning the
-/// result slot. The stack is caller-owned and cleared on entry.
-fn run_ops(
-    ops: &[Op],
-    lits: &[Value],
-    patterns: &[String],
-    row: &[Value],
-    stack: &mut Vec<Slot>,
-) -> Result<Slot, SqlError> {
-    stack.clear();
-    let mut pc = 0usize;
-    while pc < ops.len() {
-        match &ops[pc] {
-            Op::Push(slot) => stack.push(*slot),
-            Op::Col(i) => stack.push(slot_of_row_value(&row[*i as usize], *i)),
-            Op::Cmp(op) => {
-                let r = stack.pop().expect("cmp rhs");
-                let l = stack.pop().expect("cmp lhs");
-                let slot = match op {
-                    BinaryOp::Eq | BinaryOp::Neq => match slot_eq(l, r, row, lits) {
-                        None => Slot::Null,
-                        Some(eq) => Slot::Bool(if *op == BinaryOp::Eq { eq } else { !eq }),
-                    },
-                    _ => match slot_cmp(l, r, row, lits) {
-                        None => Slot::Null,
-                        Some(ord) => {
-                            use core::cmp::Ordering::*;
-                            Slot::Bool(match op {
-                                BinaryOp::Lt => ord == Less,
-                                BinaryOp::Le => ord != Greater,
-                                BinaryOp::Gt => ord == Greater,
-                                BinaryOp::Ge => ord != Less,
-                                _ => unreachable!(),
-                            })
-                        }
-                    },
-                };
-                stack.push(slot);
-            }
-            Op::Arith(op) => {
-                let r = stack.pop().expect("arith rhs");
-                let l = stack.pop().expect("arith lhs");
-                stack.push(arith(*op, l, r, row, lits)?);
-            }
-            Op::Neg => {
-                let v = stack.pop().expect("neg operand");
-                let slot = match v {
-                    Slot::Null => Slot::Null,
-                    Slot::Int(i) => Slot::Int(-i),
-                    Slot::Float(f) => Slot::Float(-f),
-                    other => {
-                        return Err(SqlError::Type(format!(
-                            "cannot negate {}",
-                            value_of(other, row, lits)
-                        )))
-                    }
-                };
-                stack.push(slot);
-            }
-            Op::Not => {
-                let v = stack.pop().expect("not operand");
-                stack.push(match truth_of(v) {
-                    None => Slot::Null,
-                    Some(b) => Slot::Bool(!b),
-                });
-            }
-            Op::IsNull { negated } => {
-                let v = stack.pop().expect("is-null operand");
-                stack.push(Slot::Bool(matches!(v, Slot::Null) != *negated));
-            }
-            Op::Like { pattern, negated } => {
-                let v = stack.pop().expect("like operand");
-                let slot = match v {
-                    Slot::Null => Slot::Null,
-                    Slot::RowText(_) | Slot::LitText(_) => {
-                        let hit = like_match(&patterns[*pattern as usize], text_of(v, row, lits));
-                        Slot::Bool(hit != *negated)
-                    }
-                    other => {
-                        return Err(SqlError::Type(format!(
-                            "LIKE needs text, got {}",
-                            value_of(other, row, lits)
-                        )))
-                    }
-                };
-                stack.push(slot);
-            }
-            Op::AndJump { end } => {
-                let l = *stack.last().expect("and lhs");
-                if truth_of(l) == Some(false) {
-                    *stack.last_mut().expect("and lhs") = Slot::Bool(false);
-                    pc = *end as usize;
-                    continue;
-                }
-            }
-            Op::OrJump { end } => {
-                let l = *stack.last().expect("or lhs");
-                if truth_of(l) == Some(true) {
-                    *stack.last_mut().expect("or lhs") = Slot::Bool(true);
-                    pc = *end as usize;
-                    continue;
-                }
-            }
-            Op::AndCombine => {
-                let r = truth_of(stack.pop().expect("and rhs"));
-                let l = truth_of(stack.pop().expect("and lhs"));
-                stack.push(match (l, r) {
-                    (Some(true), Some(b)) => Slot::Bool(b),
-                    (Some(b), Some(true)) => Slot::Bool(b),
-                    (_, Some(false)) => Slot::Bool(false),
-                    _ => Slot::Null,
-                });
-            }
-            Op::OrCombine => {
-                let r = truth_of(stack.pop().expect("or rhs"));
-                let l = truth_of(stack.pop().expect("or lhs"));
-                stack.push(match (l, r) {
-                    (Some(false), Some(b)) => Slot::Bool(b),
-                    (Some(b), Some(false)) => Slot::Bool(b),
-                    (_, Some(true)) => Slot::Bool(true),
-                    _ => Slot::Null,
-                });
-            }
-            Op::Between { negated } => {
-                let hi = stack.pop().expect("between hi");
-                let lo = stack.pop().expect("between lo");
-                let v = stack.pop().expect("between value");
-                let slot = match (slot_cmp(v, lo, row, lits), slot_cmp(v, hi, row, lits)) {
-                    (Some(a), Some(b)) => {
-                        let inside =
-                            a != core::cmp::Ordering::Less && b != core::cmp::Ordering::Greater;
-                        Slot::Bool(inside != *negated)
-                    }
-                    _ => Slot::Null,
-                };
-                stack.push(slot);
-            }
-            Op::InBegin { end } => {
-                let needle = *stack.last().expect("in needle");
-                if matches!(needle, Slot::Null) {
-                    *stack.last_mut().expect("in needle") = Slot::Null;
-                    pc = *end as usize;
-                    continue;
-                }
-                // Saw-null sentinel rides on top of the needle.
-                stack.push(Slot::Bool(false));
-            }
-            Op::InCheck { end, negated } => {
-                let item = stack.pop().expect("in item");
-                let needle = stack[stack.len() - 2];
-                match slot_eq(needle, item, row, lits) {
-                    Some(true) => {
-                        stack.pop(); // sentinel
-                        stack.pop(); // needle
-                        stack.push(Slot::Bool(!*negated));
-                        pc = *end as usize;
-                        continue;
-                    }
-                    Some(false) => {}
-                    None => {
-                        let n = stack.len();
-                        stack[n - 1] = Slot::Bool(true);
-                    }
-                }
-            }
-            Op::InEnd { negated } => {
-                let saw_null = matches!(stack.pop().expect("in sentinel"), Slot::Bool(true));
-                stack.pop().expect("in needle");
-                stack.push(if saw_null {
-                    Slot::Null
-                } else {
-                    Slot::Bool(*negated)
-                });
-            }
-        }
-        pc += 1;
-    }
-    Ok(stack.pop().expect("expression result"))
-}
-
-/// [`crate::exec`]'s arithmetic semantics over slots: NULL
-/// propagates, int/int stays integral (wrapping, division checked),
-/// everything else coerces to f64 or type-errors with both operands
-/// displayed.
-fn arith(op: BinaryOp, l: Slot, r: Slot, row: &[Value], lits: &[Value]) -> Result<Slot, SqlError> {
-    if matches!(l, Slot::Null) || matches!(r, Slot::Null) {
-        return Ok(Slot::Null);
-    }
-    if let (Slot::Int(a), Slot::Int(b)) = (l, r) {
-        return match op {
-            BinaryOp::Add => Ok(Slot::Int(a.wrapping_add(b))),
-            BinaryOp::Sub => Ok(Slot::Int(a.wrapping_sub(b))),
-            BinaryOp::Mul => Ok(Slot::Int(a.wrapping_mul(b))),
-            BinaryOp::Div => {
-                if b == 0 {
-                    Err(SqlError::DivisionByZero)
-                } else {
-                    Ok(Slot::Int(a / b))
-                }
-            }
-            _ => unreachable!(),
-        };
-    }
-    let (a, b) = match (f64_of(l), f64_of(r)) {
-        (Some(a), Some(b)) => (a, b),
-        _ => {
-            return Err(SqlError::Type(format!(
-                "arithmetic needs numbers, got {} and {}",
-                value_of(l, row, lits),
-                value_of(r, row, lits)
-            )))
-        }
-    };
-    match op {
-        BinaryOp::Add => Ok(Slot::Float(a + b)),
-        BinaryOp::Sub => Ok(Slot::Float(a - b)),
-        BinaryOp::Mul => Ok(Slot::Float(a * b)),
-        BinaryOp::Div => {
-            if b == 0.0 {
-                Err(SqlError::DivisionByZero)
-            } else {
-                Ok(Slot::Float(a / b))
-            }
-        }
-        _ => unreachable!(),
-    }
 }
 
 #[cfg(test)]
@@ -1364,10 +493,13 @@ mod tests {
         let mut db = Database::new();
         db.create_table("empty", Schema::new(vec![("a", ColumnType::Int)]));
         let stmt = parse_select("SELECT 7 / 0 FROM empty").unwrap();
-        let plan = PreparedSelect::prepare(&stmt, &db).expect("prepare must not fold the error");
+        let plan = PreparedSelect::prepare(&stmt, &db).expect("prepare must not evaluate 7 / 0");
         assert_eq!(plan.execute(&db).unwrap().rows.len(), 0);
         // With one row, the error surfaces exactly like interpretation.
-        db.table_mut("empty").unwrap().insert(vec![Value::Int(1)]).unwrap();
+        db.table_mut("empty")
+            .unwrap()
+            .insert(vec![Value::Int(1)])
+            .unwrap();
         let plan = PreparedSelect::prepare(&stmt, &db).unwrap();
         assert_eq!(plan.execute(&db).unwrap_err(), SqlError::DivisionByZero);
     }
@@ -1381,10 +513,7 @@ mod tests {
             &db,
             "SELECT ts FROM vehicle WHERE location = 'Oakland' AND speed / 0 > 1",
         );
-        assert_equivalent(
-            &db,
-            "SELECT ts FROM vehicle WHERE ts < 99 OR speed / 0 > 1",
-        );
+        assert_equivalent(&db, "SELECT ts FROM vehicle WHERE ts < 99 OR speed / 0 > 1");
     }
 
     #[test]
@@ -1397,9 +526,37 @@ mod tests {
             ("SELECT speed FROM vehicle", true),
             ("SELECT speed FROM vehicle LIMIT 2", true),
             ("SELECT speed * 2 FROM vehicle", false),
-            ("SELECT speed FROM vehicle WHERE ts >= 3 AND speed > 0", false),
+            (
+                "SELECT speed FROM vehicle WHERE ts >= 3 AND speed > 0",
+                false,
+            ),
             ("SELECT * FROM vehicle", false),
             ("SELECT speed FROM vehicle WHERE ts IN (1, 2)", false),
+            // Every value type the fused comparison sees: text against
+            // text (either side), int against float, text against a
+            // number (unknown), and NULL — with and without LIMIT.
+            ("SELECT speed FROM vehicle WHERE location = 'x'", true),
+            (
+                "SELECT speed FROM vehicle WHERE location = 'x' LIMIT 2",
+                true,
+            ),
+            ("SELECT speed FROM vehicle WHERE 'x' = location", true),
+            (
+                "SELECT speed FROM vehicle WHERE 'x' = location LIMIT 2",
+                true,
+            ),
+            ("SELECT speed FROM vehicle WHERE ts < 1.5", true),
+            ("SELECT speed FROM vehicle WHERE ts < 1.5 LIMIT 2", true),
+            ("SELECT location FROM vehicle WHERE location > 3", true),
+            (
+                "SELECT location FROM vehicle WHERE location > 3 LIMIT 2",
+                true,
+            ),
+            ("SELECT speed FROM vehicle WHERE ts = NULL", true),
+            ("SELECT speed FROM vehicle WHERE ts = NULL LIMIT 2", true),
+            // Constants are not folded: a computed literal is the
+            // interpreter's.
+            ("SELECT speed FROM vehicle WHERE ts >= 1 + 2", false),
         ] {
             let stmt = parse_select(sql).unwrap();
             let plan = PreparedSelect::prepare(&stmt, &db).unwrap();
@@ -1431,6 +588,10 @@ mod tests {
             "SELECT speed FROM vehicle LIMIT 2",
             "SELECT speed FROM vehicle WHERE ts > 1 LIMIT 2",
             "SELECT speed FROM vehicle LIMIT 0",
+            "SELECT speed FROM vehicle WHERE 'Oakland' = location",
+            "SELECT ts FROM vehicle WHERE speed < 8.5 LIMIT 2",
+            "SELECT location FROM vehicle WHERE location > 3",
+            "SELECT speed FROM vehicle WHERE ts = NULL",
             // Generic shapes.
             "SELECT speed * 2 FROM vehicle WHERE ts <= 4",
             "SELECT location FROM vehicle WHERE ts IN (1, 3)",
@@ -1443,8 +604,10 @@ mod tests {
         ] {
             let stmt = parse_select(sql).unwrap();
             let expect = last_via_interpreter(&db, sql);
-            let got = PreparedSelect::prepare(&stmt, &db)
-                .and_then(|p| Ok(p.last_single_value(&db, &mut scratch)?.map(|v| v.to_value())));
+            let got = PreparedSelect::prepare(&stmt, &db).and_then(|p| {
+                Ok(p.last_single_value(&db, &mut scratch)?
+                    .map(|v| v.to_value()))
+            });
             assert_eq!(got, expect, "query: {sql}");
         }
     }
@@ -1503,7 +666,8 @@ mod tests {
             "vehicle",
             Schema::new(vec![("x", ColumnType::Int), ("speed", ColumnType::Float)]),
         );
-        db.insert("vehicle", vec![Value::Int(0), Value::Float(3.0)]).unwrap();
+        db.insert("vehicle", vec![Value::Int(0), Value::Float(3.0)])
+            .unwrap();
         let plan = cache.get_or_prepare(id, sql, &db).unwrap();
         assert_eq!(plan.generation(), db.generation());
         let rs = plan.execute(&db).unwrap();
@@ -1512,28 +676,6 @@ mod tests {
         assert!(cache.get_or_prepare(id, "SELECT FROM", &db).is_err());
         cache.invalidate(id);
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn execute_prepared_into_recycles_buffers() {
-        let db = vehicle_db();
-        let stmt = parse_select("SELECT ts, speed FROM vehicle WHERE speed > 5").unwrap();
-        let plan = PreparedSelect::prepare(&stmt, &db).unwrap();
-        let mut scratch = EvalScratch::new();
-        let mut out = ResultSet {
-            columns: Vec::new(),
-            rows: Vec::new(),
-        };
-        execute_prepared_into(&plan, &db, &mut scratch, &mut out).unwrap();
-        let first = out.clone();
-        assert_eq!(first.rows.len(), 4);
-        // A second run with a narrower filter reuses the buffers and
-        // truncates; contents match a fresh interpretation.
-        let stmt2 = parse_select("SELECT ts, speed FROM vehicle WHERE speed > 40").unwrap();
-        let plan2 = PreparedSelect::prepare(&stmt2, &db).unwrap();
-        execute_prepared_into(&plan2, &db, &mut scratch, &mut out).unwrap();
-        assert_eq!(out, execute(&stmt2, &db).unwrap());
-        assert_eq!(out.rows.len(), 2);
     }
 
     #[test]

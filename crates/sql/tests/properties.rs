@@ -9,14 +9,27 @@ use privapprox_sql::{
 };
 use proptest::prelude::*;
 
+/// `t(a INT, b FLOAT, c TEXT)`; `c` is a function of `a` — one of
+/// `'w'`, `'x'`, `'y'` or NULL — so every generated table has text
+/// and NULL rows for the prepared-plan property to compare against.
 fn table_with(values: &[(i64, f64)]) -> Database {
     let mut db = Database::new();
     db.create_table(
         "t",
-        Schema::new(vec![("a", ColumnType::Int), ("b", ColumnType::Float)]),
+        Schema::new(vec![
+            ("a", ColumnType::Int),
+            ("b", ColumnType::Float),
+            ("c", ColumnType::Text),
+        ]),
     );
     for &(a, b) in values {
-        db.insert("t", vec![Value::Int(a), Value::Float(b)])
+        let c = match a.rem_euclid(4) {
+            0 => "w".into(),
+            1 => "x".into(),
+            2 => "y".into(),
+            _ => Value::Null,
+        };
+        db.insert("t", vec![Value::Int(a), Value::Float(b), c])
             .unwrap();
     }
     db
@@ -144,7 +157,7 @@ proptest! {
         t1 in -50i64..50,
         t2 in -5.0f64..5.0,
         limit in 0u64..45,
-        which in 0usize..16,
+        which in 0usize..26,
     ) {
         let db = table_with(&rows);
         let sql = match which {
@@ -157,13 +170,26 @@ proptest! {
             6 => format!("SELECT a FROM t WHERE NOT (a > {t1})"),
             7 => format!("SELECT a FROM t WHERE a BETWEEN {t1} AND {}", t1 + 7),
             8 => format!("SELECT a + {t1} FROM t"),
-            9 => format!("SELECT a * b FROM t WHERE b != 0"),
+            9 => "SELECT a * b FROM t WHERE b != 0".to_string(),
             10 => format!("SELECT * FROM t LIMIT {limit}"),
             11 => format!("SELECT a FROM t WHERE a IN ({t1}, {}, NULL)", t1 + 1),
             12 => format!("SELECT a, b FROM t WHERE b <= {t2}"),
             13 => format!("SELECT a / (a - {t1}) FROM t"), // may divide by zero
             14 => format!("SELECT b FROM t WHERE {t1} <= a LIMIT {limit}"),
-            _ => format!("SELECT a FROM t WHERE b IS NOT NULL AND a <= {t1}"),
+            15 => format!("SELECT a FROM t WHERE b IS NOT NULL AND a <= {t1}"),
+            // The fused scan's comparisons on every type it meets:
+            // text, text with the literal first, int against a float,
+            // text against a number (unknown) and NULL.
+            16 => "SELECT a FROM t WHERE c = 'x'".to_string(),
+            17 => format!("SELECT a FROM t WHERE c = 'x' LIMIT {limit}"),
+            18 => "SELECT c FROM t WHERE 'x' = c".to_string(),
+            19 => format!("SELECT c FROM t WHERE 'x' = c LIMIT {limit}"),
+            20 => format!("SELECT b FROM t WHERE a < {}.5", t1.abs()),
+            21 => format!("SELECT b FROM t WHERE a < {}.5 LIMIT {limit}", t1.abs()),
+            22 => "SELECT c FROM t WHERE c > 3".to_string(),
+            23 => format!("SELECT c FROM t WHERE c > 3 LIMIT {limit}"),
+            24 => "SELECT b FROM t WHERE a = NULL".to_string(),
+            _ => format!("SELECT b FROM t WHERE a = NULL LIMIT {limit}"),
         };
         let stmt = parse_select(&sql).expect("corpus SQL parses");
         let interpreted = execute(&stmt, &db);
