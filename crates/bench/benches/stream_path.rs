@@ -31,9 +31,10 @@ fn bench_stream(c: &mut Criterion) {
                 b.iter_batched(
                     || {
                         let broker = Broker::new(1);
-                        let producer = broker.producer();
+                        let writer = broker.writer("proxy-0-in");
                         for i in 0..batch {
-                            producer.send("proxy-0-in", None, payload.clone(), Timestamp(i));
+                            let value = payload.clone();
+                            (writer.try_append_quiet(0, None, value, Timestamp(i))).unwrap();
                         }
                         (Proxy::new(ProxyId(0), &broker), broker)
                     },

@@ -1,5 +1,5 @@
-//! Ablation studies for the design choices DESIGN.md calls out —
-//! beyond the paper's own evaluation:
+//! Ablation studies for design choices beyond the paper's own
+//! evaluation:
 //!
 //! 1. **Share count** — the XOR scheme's cost as the number of
 //!    non-colluding proxies grows (the paper fixes n = 2).

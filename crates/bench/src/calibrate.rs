@@ -70,12 +70,13 @@ pub fn calibrate() -> Calibration {
     // copy left now that forwarding shares the buffer by refcount —
     // the stand-in for the network receive) plus the forward pump.
     let broker = Broker::new(1);
-    let producer = broker.producer();
+    let writer = broker.writer("proxy-0-in");
     let m = 200_000u64;
     let mut proxy = privapprox_core::proxy::Proxy::new(privapprox_types::ProxyId(0), &broker);
     let t = Instant::now();
     for i in 0..m {
-        producer.send("proxy-0-in", None, &message[..], Timestamp(i));
+        (writer.try_append_quiet(0, None, &message[..], Timestamp(i)))
+            .expect("an unbounded topic never applies backpressure");
     }
     let forwarded = proxy.pump();
     let proxy_forward_us = t.elapsed().as_secs_f64() * 1e6 / forwarded.max(1) as f64;

@@ -60,7 +60,7 @@ pub struct Fig5bRow {
 /// Measures the real broker ingest + proxy forward path on this
 /// host. Since the broker moved to shared immutable payloads, the
 /// forward hop itself is a size-independent refcount bump, so the
-/// timed region includes the ingest `send` — the one remaining copy,
+/// timed region includes the ingest append — the one remaining copy,
 /// standing in for the network receive a real proxy cannot avoid.
 /// Each size is timed in three interleaved rounds and keeps its best:
 /// the first round also warms the allocator, and a round that shared
@@ -71,12 +71,13 @@ pub fn run_5b(messages: u64) -> Vec<Fig5bRow> {
     for _ in 0..3 {
         for (best, &bits) in best.iter_mut().zip(&sizes) {
             let broker = Broker::new(1);
-            let producer = broker.producer();
+            let writer = broker.writer("proxy-0-in");
             let payload = vec![0xA5u8; privapprox_crypto::answer_wire_size(bits)];
             let mut proxy = Proxy::new(ProxyId(0), &broker);
             let start = Instant::now();
             for i in 0..messages {
-                producer.send("proxy-0-in", None, &payload[..], Timestamp(i));
+                (writer.try_append_quiet(0, None, &payload[..], Timestamp(i)))
+                    .expect("an unbounded topic never applies backpressure");
             }
             let forwarded = proxy.pump();
             let secs = start.elapsed().as_secs_f64();

@@ -1,9 +1,10 @@
 //! Table 2: computational cost of the crypto schemes — PrivApprox's
 //! XOR splitting vs RSA, Goldwasser-Micali and Paillier.
 //!
-//! All four schemes run for real on this host (the paper additionally
-//! reports phone/laptop columns; EXPERIMENTS.md compares against its
-//! published numbers). Each "operation" encrypts or decrypts one
+//! All four schemes run for real on the host that runs them (the paper
+//! additionally reports phone/laptop columns). `cargo run -p
+//! privapprox-bench --bin table2` prints the table and writes it under
+//! the git-ignored `results/`. Each "operation" encrypts or decrypts one
 //! 11-bucket encoded answer (13 bytes / 104 bits): RSA and Paillier
 //! treat it as one plaintext, Goldwasser-Micali pays per bit, and the
 //! XOR scheme splits/combines two shares.

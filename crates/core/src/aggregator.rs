@@ -184,27 +184,11 @@ impl Aggregator {
         self.pump_with(|_, _, _, _| {})
     }
 
-    /// [`Aggregator::pump`] that parks instead of returning when the
-    /// proxy streams are momentarily empty: blocks up to `timeout`
-    /// for the first record (or a control wake), then drains
-    /// everything available. Returns the number of fully decoded
-    /// answers (`0` = nothing arrived). The loop of a plain aggregator
-    /// *thread*; one that also serves a command queue reads a token
-    /// from [`Aggregator::wake`] first and parks on it itself.
-    pub fn pump_blocking(&mut self, timeout: std::time::Duration) -> u64 {
-        if self
-            .input
-            .poll_blocking_into(2048, timeout, &mut self.batch)
-            == 0
-        {
-            return 0;
-        }
-        self.pump()
-    }
-
     /// The event count the aggregator's consumer is woken through: a
     /// record on any proxy stream, or a control wake
     /// ([`Broker::notify_topic`](privapprox_stream::broker::Broker::notify_topic)).
+    /// An aggregator thread reads a token from it, pumps, and parks on
+    /// the token when the pump decoded nothing.
     pub fn wake(&self) -> &Arc<EventCount> {
         self.input.wake()
     }
@@ -389,7 +373,9 @@ impl<In> Aggregator<In> {
     /// one is set.
     fn quarantine(&self, partition: usize, key: Option<&[u8]>, value: &[u8], ts: Timestamp) {
         if let Some(w) = &self.dead_letter {
-            w.send_to(partition, key.map(Arc::from), value, ts);
+            (w.try_append_quiet(partition, key.map(Arc::from), value, ts))
+                .unwrap_or_else(|e| panic!("{e}"));
+            w.notify();
         }
     }
 
@@ -711,11 +697,28 @@ mod tests {
     use crate::client::Client;
     use crate::proxy::{inbound_topic, Proxy};
     use privapprox_crypto::xor::wire_key;
+    use privapprox_crypto::Share;
     use privapprox_sql::{ColumnType, Schema, Value};
+    use privapprox_stream::broker::Broker;
     use privapprox_types::ids::AnalystId;
     use privapprox_types::{AnswerSpec, ClientId, ProxyId, Query, QueryBuilder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Appends a client's shares to their proxies' inbound topics.
+    fn publish(broker: &Broker, query: QueryId, shares: &[Share], ts: Timestamp) {
+        for (pi, share) in shares.iter().enumerate() {
+            let w = broker.writer(&inbound_topic(ProxyId(pi as u16)));
+            let key = wire_key(query, share.mid);
+            (w.try_append_quiet(0, Some(Arc::from(&key[..])), &share.payload[..], ts)).unwrap();
+        }
+    }
+
+    /// Appends one record straight onto a proxy's outbound topic.
+    fn put(broker: &Broker, topic: &str, key: &[u8], value: &[u8]) {
+        let w = broker.writer(topic);
+        (w.try_append_quiet(0, Some(Arc::from(key)), value, Timestamp(0))).unwrap();
+    }
 
     const KEY: u64 = 0xBEE;
 
@@ -741,7 +744,6 @@ mod tests {
     fn run_once(params: ExecutionParams, population: u64) -> QueryResult {
         let broker = privapprox_stream::broker::Broker::new(2);
         let query = test_query(1_000);
-        let producer = broker.producer();
         let mut proxies: Vec<Proxy> = (0..2).map(|i| Proxy::new(ProxyId(i), &broker)).collect();
         let mut agg = Aggregator::new(&broker, 2, 0.95);
         agg.register_query(&query, params, population);
@@ -753,14 +755,7 @@ mod tests {
             let mut client = make_client(i, value);
             let answer = client.answer_query(&query, &params, Timestamp(500), 2);
             if let Some(answer) = answer.unwrap() {
-                for (pi, share) in answer.shares.iter().enumerate() {
-                    producer.send(
-                        &inbound_topic(ProxyId(pi as u16)),
-                        Some(wire_key(query.id, share.mid).to_vec()),
-                        &share.payload[..],
-                        Timestamp(500),
-                    );
-                }
+                publish(&broker, query.id, &answer.shares, Timestamp(500));
             }
         }
         for p in &mut proxies {
@@ -842,7 +837,6 @@ mod tests {
         // Two windows of 1s; answers land in both.
         let broker = privapprox_stream::broker::Broker::new(2);
         let query = test_query(1_000);
-        let producer = broker.producer();
         let mut proxies: Vec<Proxy> = (0..2).map(|i| Proxy::new(ProxyId(i), &broker)).collect();
         let mut agg = Aggregator::new(&broker, 2, 0.95);
         let params = ExecutionParams::checked(1.0, 1.0, 0.5);
@@ -852,14 +846,7 @@ mod tests {
             let mut client = make_client(i, 2.5);
             let answer = client.answer_query(&query, &params, Timestamp(ts), 2);
             let answer = answer.unwrap().unwrap();
-            for (pi, share) in answer.shares.iter().enumerate() {
-                producer.send(
-                    &inbound_topic(ProxyId(pi as u16)),
-                    Some(wire_key(query.id, share.mid).to_vec()),
-                    &share.payload[..],
-                    Timestamp(ts),
-                );
-            }
+            publish(&broker, query.id, &answer.shares, Timestamp(ts));
         }
         for p in &mut proxies {
             p.pump();
@@ -880,7 +867,6 @@ mod tests {
         // (a stale estimator would inflate the counts).
         let broker = privapprox_stream::broker::Broker::new(2);
         let query = test_query(1_000);
-        let producer = broker.producer();
         let mut proxies: Vec<Proxy> = (0..2).map(|i| Proxy::new(ProxyId(i), &broker)).collect();
         let mut agg = Aggregator::new(&broker, 2, 0.95);
         let params = ExecutionParams::checked(1.0, 1.0, 0.5);
@@ -894,14 +880,7 @@ mod tests {
                 let epoch = Timestamp(cycle * 1_000 + 500);
                 let answer = client.answer_query(&query, &params, epoch, 2);
                 let answer = answer.unwrap().unwrap();
-                for (pi, share) in answer.shares.iter().enumerate() {
-                    producer.send(
-                        &inbound_topic(ProxyId(pi as u16)),
-                        Some(wire_key(query.id, share.mid).to_vec()),
-                        &share.payload[..],
-                        epoch,
-                    );
-                }
+                publish(&broker, query.id, &answer.shares, epoch);
             }
             for p in &mut proxies {
                 p.pump();
@@ -928,24 +907,13 @@ mod tests {
         let query = test_query(1_000);
         let mut agg = Aggregator::new(&broker, 2, 0.95);
         agg.register_query(&query, ExecutionParams::checked(1.0, 0.9, 0.5), 10);
-        let producer = broker.producer();
         // Record with a short key (no MID).
-        producer.send(
-            "proxy-0-out",
-            Some(vec![1, 2, 3]),
-            vec![0; 13],
-            Timestamp(0),
-        );
+        put(&broker, "proxy-0-out", &[1, 2, 3], &[0; 13]);
         // A pair of "shares" under a well-formed 24-byte key that
         // joins to garbage (decode failure, not key failure).
-        let key = wire_key(query.id, MessageId(77)).to_vec();
-        producer.send(
-            "proxy-0-out",
-            Some(key.clone()),
-            vec![0xAB; 13],
-            Timestamp(0),
-        );
-        producer.send("proxy-1-out", Some(key), vec![0xCD; 13], Timestamp(0));
+        let key = wire_key(query.id, MessageId(77));
+        put(&broker, "proxy-0-out", &key, &[0xAB; 13]);
+        put(&broker, "proxy-1-out", &key, &[0xCD; 13]);
         agg.pump();
         assert_eq!(agg.undecodable(), 2);
         // No valid answer ever arrived, so no window opened at all.

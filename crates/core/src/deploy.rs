@@ -13,7 +13,7 @@
 //! # Topology and partition affinity
 //!
 //! ```text
-//! worker threads ──send_to(partition π(c))──► proxy-i-in[π(c)]   (i = 0..n)
+//! worker threads ──append(partition π(c))───► proxy-i-in[π(c)]   (i = 0..n)
 //! proxy thread i ──partition-preserving─────► proxy-i-out[π(c)]   (free-running)
 //! shard thread s (owns {p : p % M == s}) ───► join ⟂ decode ⟂ window (free-running)
 //! main ──Close(epoch) → merge counts────────► finalize → QueryResult
@@ -3227,13 +3227,10 @@ mod tests {
             let before = undecodable(&mut system);
             // A key of the wrong width: whichever shard reads it
             // counts it as undecodable.
-            system.broker().producer().send_to(
-                "proxy-0-out",
-                p,
-                Some(vec![9; 5]),
-                vec![1, 2, 3],
-                Timestamp(0),
-            );
+            let w = system.broker().writer("proxy-0-out");
+            (w.try_append_quiet(p, Some(Arc::from(&[9u8; 5][..])), vec![1, 2, 3], Timestamp(0)))
+                .unwrap();
+            w.notify();
             system.run_epoch(&query).unwrap();
             let after = undecodable(&mut system);
             let counted: Vec<usize> = (0..3).filter(|&s| after[s] > before[s]).collect();
@@ -3418,12 +3415,10 @@ mod tests {
             .unwrap();
         // A key of the wrong width, injected straight onto a shard
         // inbound topic.
-        system.broker().producer().send(
-            "proxy-0-out",
-            Some(vec![9; 5]),
-            vec![1, 2, 3],
-            Timestamp(0),
-        );
+        let w = system.broker().writer("proxy-0-out");
+        (w.try_append_quiet(0, Some(Arc::from(&[9u8; 5][..])), vec![1, 2, 3], Timestamp(0)))
+            .unwrap();
+        w.notify();
         let result = system.run_epoch(&query).unwrap();
         assert_eq!(result.sample_size, 20, "healthy stream unaffected");
         let health = system.deploy_health();

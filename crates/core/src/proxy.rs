@@ -13,7 +13,6 @@ use privapprox_stream::broker::{Broker, BrokerError, Consumer, Record, TopicWrit
 use privapprox_stream::EventCount;
 use privapprox_types::ProxyId;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Naming convention for the client→proxy topic.
 pub fn inbound_topic(id: ProxyId) -> String {
@@ -89,26 +88,10 @@ impl Proxy {
         Ok(n)
     }
 
-    /// Blocks up to `timeout` for inbound shares, then forwards
-    /// everything available (the blocked wait plus a non-blocking
-    /// drain). Returns the number forwarded — `0` means nothing
-    /// arrived. The loop of a plain proxy *thread*; one that also
-    /// watches a stop flag reads a token from [`Proxy::wake`] first
-    /// and parks on it itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a backpressure deadline, like [`Proxy::pump`].
-    pub fn pump_blocking(&mut self, timeout: Duration) -> u64 {
-        if self.batch.is_empty() {
-            self.consumer
-                .poll_blocking_into(1024, timeout, &mut self.batch);
-        }
-        self.pump()
-    }
-
     /// The event count the proxy's consumer is woken through: a share
-    /// on the inbound topic, or a control wake.
+    /// on the inbound topic, or a control wake. A proxy thread reads a
+    /// token from it, pumps, and parks on the token when the pump
+    /// forwarded nothing.
     pub fn wake(&self) -> &Arc<EventCount> {
         self.consumer.wake()
     }
@@ -158,6 +141,22 @@ impl Proxy {
 mod tests {
     use super::*;
     use privapprox_types::Timestamp;
+    use std::time::Duration;
+
+    /// Appends one record, stamped 777, to `topic`'s `partition` and
+    /// wakes its consumers.
+    fn put(broker: &Broker, topic: &str, partition: usize, key: Option<&[u8]>, value: &[u8]) {
+        let w = broker.writer(topic);
+        (w.try_append_quiet(partition, key.map(Arc::from), value, Timestamp(777))).unwrap();
+        w.notify();
+    }
+
+    /// Everything `group` can read of `topic`.
+    fn read_all(broker: &Broker, group: &str, topic: &str) -> Vec<(u32, u32, Record)> {
+        let mut out = Vec::new();
+        broker.consumer(group, &[topic]).poll_into(1000, &mut out);
+        out
+    }
 
     #[test]
     fn topics_are_stable() {
@@ -168,36 +167,28 @@ mod tests {
     #[test]
     fn pump_forwards_everything_in_order() {
         let broker = Broker::new(1);
-        let producer = broker.producer();
         for i in 0..5u8 {
-            producer.send("proxy-0-in", None, vec![i], Timestamp(i as u64));
+            put(&broker, "proxy-0-in", 0, None, &[i]);
         }
         let mut proxy = Proxy::new(ProxyId(0), &broker);
         assert_eq!(proxy.pump(), 5);
         assert_eq!(proxy.forwarded(), 5);
 
-        let agg = broker.consumer("agg", &["proxy-0-out"]);
-        let got = agg.poll(100);
-        assert_eq!(got.len(), 5);
-        let values: Vec<u8> = got.iter().map(|(_, r)| r.value[0]).collect();
+        let got = read_all(&broker, "agg", "proxy-0-out");
+        let values: Vec<u8> = got.iter().map(|(_, _, r)| r.value[0]).collect();
         assert_eq!(values, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn payloads_and_timestamps_pass_through_unchanged() {
         let broker = Broker::new(1);
-        broker.producer().send(
-            "proxy-1-in",
-            Some(b"mid".to_vec()),
-            b"opaque-share".to_vec(),
-            Timestamp(777),
-        );
+        put(&broker, "proxy-1-in", 0, Some(b"mid"), b"opaque-share");
         let mut proxy = Proxy::new(ProxyId(1), &broker);
         proxy.pump();
-        let got = broker.consumer("agg", &["proxy-1-out"]).poll(10);
-        assert_eq!(&*got[0].1.value, b"opaque-share");
-        assert_eq!(got[0].1.key.as_deref(), Some(&b"mid"[..]));
-        assert_eq!(got[0].1.timestamp, Timestamp(777));
+        let got = read_all(&broker, "agg", "proxy-1-out");
+        assert_eq!(&*got[0].2.value, b"opaque-share");
+        assert_eq!(got[0].2.key.as_deref(), Some(&b"mid"[..]));
+        assert_eq!(got[0].2.timestamp, Timestamp(777));
     }
 
     #[test]
@@ -205,9 +196,7 @@ mod tests {
         // Shares sent to proxy 0 never appear on proxy 1's output —
         // the unlinkability path separation.
         let broker = Broker::new(1);
-        broker
-            .producer()
-            .send("proxy-0-in", None, b"for-0".to_vec(), Timestamp(0));
+        put(&broker, "proxy-0-in", 0, None, b"for-0");
         let mut p0 = Proxy::new(ProxyId(0), &broker);
         let mut p1 = Proxy::new(ProxyId(1), &broker);
         assert_eq!(p0.pump(), 1);
@@ -218,16 +207,12 @@ mod tests {
     #[test]
     fn forwarding_preserves_partitions() {
         let broker = Broker::new(4);
-        let producer = broker.producer();
         for p in 0..4usize {
-            producer.send_to("proxy-0-in", p, None, vec![p as u8], Timestamp(0));
+            put(&broker, "proxy-0-in", p, None, &[p as u8]);
         }
         let mut proxy = Proxy::new(ProxyId(0), &broker);
         assert_eq!(proxy.pump(), 4);
-        let agg = broker.consumer("agg", &["proxy-0-out"]);
-        let mut got: Vec<(usize, u8)> = agg
-            .poll_partitioned(100)
-            .iter()
+        let mut got: Vec<(u32, u8)> = (read_all(&broker, "agg", "proxy-0-out").iter())
             .map(|(_, p, r)| (*p, r.value[0]))
             .collect();
         got.sort_unstable();
@@ -238,29 +223,39 @@ mod tests {
         );
     }
 
+    /// A proxy thread's loop: a token from [`Proxy::wake`], a pump, and
+    /// a park on the token when nothing moved. The park times out on an
+    /// empty inbound topic and ends as soon as a share lands.
     #[test]
-    fn pump_blocking_wakes_on_data_and_times_out_empty() {
+    fn parked_proxy_wakes_on_data_and_times_out_empty() {
         let broker = Broker::new(1);
         let mut proxy = Proxy::new(ProxyId(0), &broker);
-        // Empty inbound: times out with nothing forwarded.
-        assert_eq!(proxy.pump_blocking(std::time::Duration::from_millis(20)), 0);
-        let producer = broker.producer();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            producer.send("proxy-0-in", None, b"wake".to_vec(), Timestamp(1));
+        let token = proxy.wake().token();
+        assert_eq!(proxy.pump(), 0);
+        assert!(!proxy.wake().park(token, Duration::from_millis(20)));
+        let token = proxy.wake().token();
+        let t = std::thread::spawn({
+            let broker = broker.clone();
+            move || {
+                std::thread::sleep(Duration::from_millis(20));
+                put(&broker, "proxy-0-in", 0, None, b"wake");
+            }
         });
-        let n = proxy.pump_blocking(std::time::Duration::from_secs(5));
+        let started = std::time::Instant::now();
+        assert!(proxy.wake().park(token, Duration::from_secs(5)));
+        assert!(
+            started.elapsed() < Duration::from_secs(4),
+            "woken, not timed out"
+        );
         t.join().unwrap();
-        assert_eq!(n, 1, "blocked pump forwards the record that woke it");
+        assert_eq!(proxy.pump(), 1, "the pump forwards the record that woke it");
         assert_eq!(broker.topic_len("proxy-0-out"), 1);
     }
 
     #[test]
     fn repeated_pumps_do_not_duplicate() {
         let broker = Broker::new(1);
-        broker
-            .producer()
-            .send("proxy-0-in", None, b"x".to_vec(), Timestamp(0));
+        put(&broker, "proxy-0-in", 0, None, b"x");
         let mut proxy = Proxy::new(ProxyId(0), &broker);
         assert_eq!(proxy.pump(), 1);
         assert_eq!(proxy.pump(), 0);

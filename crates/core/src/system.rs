@@ -17,12 +17,13 @@ use crate::initializer::Initializer;
 use crate::proxy::{inbound_topic, Proxy};
 use privapprox_crypto::xor::wire_key;
 use privapprox_sql::{ColumnType, Schema, Value};
-use privapprox_stream::broker::{Broker, BrokerStats, Producer};
+use privapprox_stream::broker::{Broker, BrokerStats, TopicWriter};
 use privapprox_types::ids::AnalystId;
 use privapprox_types::{
     AnswerSpec, Budget, ClientId, ExecutionParams, ProxyId, Query, QueryBuilder, QueryId, Timestamp,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Static configuration of an in-process deployment.
 #[derive(Debug, Clone)]
@@ -111,11 +112,13 @@ impl SystemBuilder {
         let clients = (0..c.clients)
             .map(|i| Client::new(ClientId(i), c.seed, c.analyst_key))
             .collect();
-        let producer = broker.producer();
+        let inbound = (0..c.proxies)
+            .map(|i| broker.writer(&inbound_topic(ProxyId(i))))
+            .collect();
         System {
             config: c,
             broker,
-            producer,
+            inbound,
             clients,
             proxies,
             aggregator,
@@ -134,7 +137,8 @@ impl SystemBuilder {
 pub struct System {
     config: SystemConfig,
     broker: Broker,
-    producer: Producer,
+    /// Writers onto each proxy's inbound topic, in proxy order.
+    inbound: Vec<TopicWriter>,
     clients: Vec<Client>,
     proxies: Vec<Proxy>,
     aggregator: Aggregator,
@@ -263,16 +267,13 @@ impl System {
             if let Some(shares) =
                 client.answer_query_into(query, &params, ts, n_proxies, &mut self.scratch)?
             {
-                for (pi, share) in shares.iter().enumerate() {
+                for (writer, share) in self.inbound.iter().zip(shares) {
                     // One copy of the share into a shared immutable
                     // buffer; every downstream hop (proxy poll,
                     // forward, aggregator poll) shares it by refcount.
-                    self.producer.send(
-                        &inbound_topic(ProxyId(pi as u16)),
-                        Some(wire_key(query.id, share.mid).to_vec()),
-                        &share.payload[..],
-                        ts,
-                    );
+                    // The oracle's topics have one partition.
+                    let key = Arc::from(&wire_key(query.id, share.mid)[..]);
+                    writer.try_append_quiet(0, Some(key), &share.payload[..], ts)?;
                 }
             }
         }

@@ -222,6 +222,20 @@ fn client_pipeline_allocates_nothing() {
     }
 }
 
+/// Writers onto the two proxies' inbound topics.
+fn inbound_writers(broker: &Broker) -> Vec<TopicWriter> {
+    (0..2).map(|i| broker.writer(&inbound_topic(ProxyId(i)))).collect()
+}
+
+/// Appends one client's shares to its proxies' inbound topics on
+/// `partition` (unmeasured: the transport copies into the log).
+fn publish(writers: &[TopicWriter], partition: usize, query: QueryId, shares: &[Share], ts: Timestamp) {
+    for (writer, share) in writers.iter().zip(shares) {
+        let key = Arc::from(&wire_key(query, share.mid)[..]);
+        (writer.try_append_quiet(partition, Some(key), &share.payload[..], ts)).unwrap();
+    }
+}
+
 /// Window close through the pooled path: after one warm-up cycle,
 /// `advance_watermark_into` + `recycle_results` allocate nothing per
 /// cycle — the estimator returns to the pool and the result shells
@@ -233,7 +247,7 @@ fn window_close_allocates_nothing() {
         .window(1_000, 1_000)
         .sign_and_build(KEY);
     let params = ExecutionParams::checked(1.0, 0.9, 0.6);
-    let producer = broker.producer();
+    let writers = inbound_writers(&broker);
     let mut proxies: Vec<Proxy> = (0..2).map(|i| Proxy::new(ProxyId(i), &broker)).collect();
     let mut agg = Aggregator::new(&broker, 2, 0.95);
     agg.register_query(&query, params, 50);
@@ -264,14 +278,7 @@ fn window_close_allocates_nothing() {
                 .answer_query_into(&query, &params, ts, 2, &mut scratch)
                 .unwrap()
                 .expect("always participates");
-            for (pi, share) in shares.iter().enumerate() {
-                producer.send(
-                    &inbound_topic(ProxyId(pi as u16)),
-                    Some(wire_key(query.id, share.mid).to_vec()),
-                    &share.payload[..],
-                    ts,
-                );
-            }
+            publish(&writers, 0, query.id, shares, ts);
         }
         for p in &mut proxies {
             p.pump();
@@ -329,7 +336,7 @@ fn sharded_overlapped_window_cycle_allocates_nothing() {
         .window(WINDOW_MS, WINDOW_MS)
         .sign_and_build(KEY);
     let params = ExecutionParams::checked(1.0, 0.9, 0.6);
-    let producer = broker.producer();
+    let writers = inbound_writers(&broker);
     let mut proxies: Vec<Proxy> = (0..2).map(|i| Proxy::new(ProxyId(i), &broker)).collect();
     // Two shards in one consumer group: shard 0 owns partition 0,
     // shard 1 owns partition 1, across both proxy-out topics.
@@ -360,16 +367,7 @@ fn sharded_overlapped_window_cycle_allocates_nothing() {
                 .answer_query_into(&query, &params, epoch_ts(epoch), 2, scratch)
                 .unwrap()
                 .expect("always participates");
-            let partition = i % 2;
-            for (pi, share) in shares.iter().enumerate() {
-                producer.send_to(
-                    &inbound_topic(ProxyId(pi as u16)),
-                    partition,
-                    Some(wire_key(query.id, share.mid).to_vec()),
-                    &share.payload[..],
-                    epoch_ts(epoch),
-                );
-            }
+            publish(&writers, i % 2, query.id, shares, epoch_ts(epoch));
         }
     };
 
@@ -603,11 +601,11 @@ fn invalidated_scratch_reuse_never_mutates_retained_payloads() {
         assert_eq!(&share.payload[..], &snap[..], "retained payload mutated");
     }
     let consumer = broker.consumer("late", &[topic]);
-    let polled = consumer.poll(8);
-    assert_eq!(polled.len(), 3);
+    let mut polled = Vec::new();
+    assert_eq!(consumer.poll_into(8, &mut polled), 3);
     let from_log: Vec<Share> = polled
         .iter()
-        .map(|(_, rec)| Share {
+        .map(|(_, _, rec)| Share {
             mid: mid_a,
             payload: Arc::clone(&rec.value),
         })

@@ -17,8 +17,8 @@
 //! * [`estimate`] — Equations 5 and 6 plus bucket-count inversion with
 //!   confidence bounds;
 //! * [`privacy`] — ε accounting: Eq 8, the sampled amplification
-//!   bound, and the zero-knowledge reconstruction (see DESIGN.md §1
-//!   for the Eq 19 substitution note);
+//!   bound, and the zero-knowledge reconstruction (its module docs
+//!   hold the Eq 19 substitution note);
 //! * [`inversion`] — the query-inversion mechanism of §3.3.2;
 //! * [`rng`] — the bulk random-word subsystem: an 8-lane interleaved
 //!   xoshiro256++ ([`rng::WideRng`]) with an AVX2 kernel behind

@@ -9,7 +9,8 @@
 //! ε_zk expression (Equation 19) lives in the unavailable technical
 //! report, so this reproduction uses the amplification bound as the
 //! ε_zk surrogate — every qualitative trend the paper reports is
-//! preserved (see DESIGN.md §1 and EXPERIMENTS.md).
+//! preserved (`cargo run -p privapprox-bench --bin table1` tabulates
+//! both, under the git-ignored `results/`).
 
 /// Equation 8, verbatim: the differential-privacy level of randomized
 /// response as the paper states it —
@@ -80,8 +81,8 @@ pub fn epsilon_dp_sampled(s: f64, p: f64, q: f64) -> f64 {
 /// uses the amplification-by-sampling bound as the ε_zk value, which
 /// preserves the paper's reported trends: ε_zk grows with `p` and `s`,
 /// shrinks with `q`, and coincides with ε_rr at `s = 1`. Absolute
-/// values in Table 1's ε column differ; both are tabulated in
-/// EXPERIMENTS.md.
+/// values in Table 1's ε column differ; `cargo run -p
+/// privapprox-bench --bin table1` tabulates both.
 pub fn epsilon_zk(s: f64, p: f64, q: f64) -> f64 {
     epsilon_dp_sampled(s, p, q)
 }

@@ -1,13 +1,12 @@
 //! An in-process pub/sub message broker (the Kafka stand-in).
 //!
-//! Topics hold ordered partitions of records; producers append (keyed
-//! records hash to a partition, unkeyed ones round-robin, and
-//! partition-affine senders pick one explicitly via
-//! [`Producer::send_to`]); consumers poll sequentially from
-//! per-(group, topic, partition) offsets with optional blocking. All
-//! state lives behind `std::sync` locks, and every park is on an
-//! [`EventCount`] (a wakeup between a waiter's check and its sleep is
-//! never lost, so no park needs a timed re-check), so many
+//! Topics hold ordered partitions of records. Writers append to an
+//! explicit partition through a [`TopicWriter`] (the deployment pins
+//! client `c` to partition `c mod partitions`; a relay re-publishes on
+//! the partition it polled from). Consumers poll their group's records
+//! sequentially. All state lives behind `std::sync` locks, and every
+//! park is on an [`EventCount`] (a wakeup between a waiter's check and
+//! its sleep is never lost, so no park needs a timed re-check), so many
 //! client/proxy/aggregator threads can share one broker, exactly like
 //! the paper's proxies share a Kafka cluster.
 //!
@@ -23,14 +22,17 @@
 //! `π(c)` of their respective proxy topics, and shard `s` owns the
 //! same stride on both transports).
 //!
-//! Delivery is **exactly-once per group**: the per-(group, topic,
-//! partition) offset map is the single source of truth, and a poll
-//! reads records and advances the offset atomically under one lock.
-//! A successor created in the same group with the same stride — a
-//! respawned shard — resumes at the group's committed offsets, and
-//! consumers of one group that own the same partition share its
-//! offset, so records are neither dropped nor delivered twice
-//! (asserted by the sequence-numbered tests in `tests/rebalance.rs`).
+//! # Committed offsets
+//!
+//! Each partition keeps one cursor per consumer group that ever
+//! subscribed to it: the group's committed next offset, and how many
+//! live consumers of the group own the partition. A poll reads records
+//! and advances the cursor under the partition's lock, so delivery is
+//! **exactly-once per group**: consumers of one group that own the
+//! same partition share its cursor, and a successor created in the
+//! same group with the same stride — a respawned shard — resumes where
+//! the group stopped (asserted by the sequence-numbered tests in
+//! `tests/rebalance.rs`).
 //!
 //! # Partition fairness
 //!
@@ -39,40 +41,35 @@
 //! partitions) instead of always draining partition 0 first, so a
 //! busy low-index partition cannot starve the rest.
 //!
-//! Payloads are shared immutable buffers ([`Record::value`] is an
-//! `Arc<[u8]>`, and since the pipelined deployment [`Record::key`]
-//! too): a record is copied into the broker **once** at its first
-//! [`Producer::send`] and every subsequent hop — consumer polls,
-//! proxy forwarding, multiple consumer groups — shares that
-//! allocation by refcount. Before this, each of a message's `k`
-//! shares was cloned at every hop (client send, proxy poll, proxy
-//! re-send, aggregator poll); now the fan-out to `k` proxies costs
-//! `k` buffer copies total, not `3k–4k`.
+//! Payloads are shared immutable buffers ([`Record::value`] and
+//! [`Record::key`] are `Arc<[u8]>`): a record is copied into the
+//! broker **once**, when it is first appended, and every later hop —
+//! consumer polls, proxy forwarding, multiple consumer groups — shares
+//! that allocation by refcount, so the fan-out to `k` proxies costs
+//! `k` buffer copies in total.
 //!
 //! The poll hot path is allocation-free: [`Consumer::poll_into`]
 //! appends `(topic_index, partition, record)` triples into a
-//! caller-owned buffer (records are refcount clones) over the
-//! consumer's partitions, fixed at creation, and forwarders append
-//! through a [`TopicWriter`] (topic resolved once, one consumer
-//! wakeup per batch). The allocating `poll`/`poll_partitioned`
-//! wrappers remain for control paths and tests.
+//! caller-owned buffer (records are refcount clones), and writers
+//! append without waking anyone, then wake consumers once per batch
+//! with [`TopicWriter::notify`].
 //!
 //! # Bounded partitions (backpressure)
 //!
 //! Topics created with [`Broker::create_topic_with_capacity`] bound
-//! each partition's backlog: a producer appending to a partition
-//! whose `appended − slowest group's committed offset` has reached
-//! the capacity blocks until a consumer polls the backlog down. This
-//! is what keeps an overlapped deployment's epoch `k+1` from flooding
-//! a shard still draining epoch `k`: the producer side parks instead
-//! of growing the log without bound.
+//! each partition's backlog: a writer appending to a partition whose
+//! `appended − slowest live group's committed offset` has reached the
+//! capacity parks until a consumer polls the backlog down. This is
+//! what keeps an overlapped deployment's epoch `k+1` from flooding a
+//! shard still draining epoch `k`: the producer side parks instead of
+//! growing the log without bound.
 
 use crate::wake::EventCount;
 use privapprox_types::Timestamp;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Broker-level failures surfaced to producers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,19 +111,13 @@ impl std::error::Error for BrokerError {}
 pub struct Record {
     /// Position within the partition.
     pub offset: u64,
-    /// Optional partitioning key, behind a shared immutable buffer
-    /// like the payload: polling a record out of the log (which must
-    /// retain its copy) bumps a refcount instead of reallocating the
-    /// key bytes — previously every hop of every share re-allocated
-    /// its 16-byte MID key.
+    /// Optional key (the share's wire key), behind a shared immutable
+    /// buffer like the payload: polling a record out of the log bumps
+    /// a refcount instead of reallocating the key bytes.
     pub key: Option<Arc<[u8]>>,
     /// Payload bytes, behind a shared immutable buffer: the partition
-    /// log, every consumer group's poll and every forwarding re-send
-    /// all reference the **same** allocation — cloning a `Record` (or
-    /// relaying one through [`Producer::send`]) bumps a refcount
-    /// instead of copying the bytes. One client message fanned out to
-    /// `k` proxies therefore costs one buffer per share end to end,
-    /// not one per pipeline hop.
+    /// log, every consumer group's poll and every forwarding re-append
+    /// all reference the **same** allocation.
     pub value: Arc<[u8]>,
     /// Event timestamp assigned by the producer.
     pub timestamp: Timestamp,
@@ -141,25 +132,47 @@ impl Record {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct Partition {
     /// Retained records; the front holds offset `base`. Bounded
-    /// topics **trim**: records below every registered group's
-    /// committed floor pop off the front, so consumed payloads drop
-    /// their last log reference and the allocator recycles warm pages
-    /// instead of faulting fresh ones for every message (an unbounded
-    /// log costs ~3× per append in page faults alone at 1.3 KB
-    /// payloads). Unbounded topics retain everything, preserving
-    /// read-from-zero semantics for late-joining groups.
+    /// topics **trim**: records below every live group's committed
+    /// offset pop off the front, so consumed payloads drop their last
+    /// log reference and the allocator recycles warm pages instead of
+    /// faulting fresh ones for every message. Unbounded topics retain
+    /// everything, so a group that subscribes late reads from zero.
     records: VecDeque<Record>,
     /// Offset of the record at the front of `records`.
     base: u64,
-    /// Per-group committed offsets, mirrored here from the global
-    /// offset map so a bounded producer can compute its backlog — and
-    /// the trim point — with only the partition lock held. Maintained
-    /// only for topics with a capacity limit (empty map = no
-    /// registered consumer yet = no backpressure, no trimming).
-    committed: HashMap<String, u64>,
+    /// One cursor per consumer group that ever subscribed to this
+    /// partition, in subscription order. A cursor outlives its
+    /// consumers, so a respawned one resumes where its group stopped;
+    /// a [`Slot`] holds its group's index here.
+    groups: Vec<Cursor>,
+}
+
+/// A consumer group's position in one partition.
+struct Cursor {
+    group: String,
+    /// The group's committed next offset.
+    next: u64,
+    /// Live consumers of the group that own the partition. Only groups
+    /// with one hold the backpressure and trimming floor.
+    live: usize,
+}
+
+impl Partition {
+    /// The offset the next appended record gets.
+    fn end(&self) -> u64 {
+        self.base + self.records.len() as u64
+    }
+
+    /// The slowest live group's committed offset, if any group is live.
+    fn floor(&self) -> Option<u64> {
+        (self.groups.iter())
+            .filter(|c| c.live > 0)
+            .map(|c| c.next)
+            .min()
+    }
 }
 
 struct Topic {
@@ -167,14 +180,13 @@ struct Topic {
     name: String,
     partitions: Vec<Mutex<Partition>>,
     /// The event counts of every consumer subscribed to this topic,
-    /// notified whenever a partition receives data (and by control
-    /// wakes, see [`Broker::notify_topic`]).
+    /// notified when a writer asks for it and by control wakes (see
+    /// [`Broker::notify_topic`]).
     waiters: RwLock<Vec<Arc<EventCount>>>,
     /// Notified whenever a bounded topic's consumer frees backlog;
     /// producers parked on a full partition wait here.
     space: EventCount,
-    round_robin: AtomicU64,
-    /// Maximum per-partition backlog (appended − slowest group's
+    /// Maximum per-partition backlog (appended − slowest live group's
     /// committed offset) before producers block; `0` = unbounded.
     capacity: usize,
     /// Overflow policy for a full bounded partition: `true` evicts
@@ -189,11 +201,8 @@ struct Topic {
 }
 
 impl Topic {
-    fn new(name: &str, partitions: usize, capacity: usize) -> Topic {
-        Topic::with_policy(name, partitions, capacity, false)
-    }
-
-    fn with_policy(name: &str, partitions: usize, capacity: usize, drop_oldest: bool) -> Topic {
+    fn new(name: &str, partitions: usize, capacity: usize, drop_oldest: bool) -> Topic {
+        assert!(partitions > 0, "topics need at least 1 partition");
         Topic {
             name: name.to_string(),
             partitions: (0..partitions)
@@ -201,11 +210,15 @@ impl Topic {
                 .collect(),
             waiters: RwLock::new(Vec::new()),
             space: EventCount::new(),
-            round_robin: AtomicU64::new(0),
             capacity,
             drop_oldest,
             dropped: AtomicU64::new(0),
         }
+    }
+
+    /// Whether a full partition parks its producers.
+    fn applies_backpressure(&self) -> bool {
+        self.capacity > 0 && !self.drop_oldest
     }
 
     /// Wakes every subscribed consumer that is parked (or about to
@@ -243,7 +256,6 @@ struct BrokerInner {
     /// How long a producer parks on a full bounded partition before
     /// failing with [`BrokerError::Backpressure`], in nanoseconds.
     backpressure_deadline_ns: AtomicU64,
-    group_offsets: Mutex<HashMap<(String, String, usize), u64>>,
     stats: Stats,
     default_partitions: usize,
 }
@@ -253,6 +265,11 @@ struct BrokerInner {
 pub struct Broker {
     inner: Arc<BrokerInner>,
 }
+
+/// Default producer park bound on a full partition — a deadlock
+/// backstop (a correctly wired deployment always drains), not a
+/// tuning knob; see [`Broker::set_backpressure_deadline`].
+const DEFAULT_BACKPRESSURE_DEADLINE: Duration = Duration::from_secs(60);
 
 impl Broker {
     /// Creates a broker whose auto-created topics have
@@ -269,7 +286,6 @@ impl Broker {
                 backpressure_deadline_ns: AtomicU64::new(
                     DEFAULT_BACKPRESSURE_DEADLINE.as_nanos() as u64
                 ),
-                group_offsets: Mutex::new(HashMap::new()),
                 stats: Stats::default(),
                 default_partitions,
             }),
@@ -284,27 +300,22 @@ impl Broker {
 
     /// Creates a topic whose partitions apply **backpressure**: a
     /// producer appending to a partition whose backlog (records
-    /// appended minus the slowest consumer group's committed offset)
-    /// has reached `capacity` blocks until a consumer polls the
-    /// backlog down. `capacity = 0` means unbounded (the default).
+    /// appended minus the slowest live consumer group's committed
+    /// offset) has reached `capacity` blocks until a consumer polls
+    /// the backlog down. `capacity = 0` means unbounded (the default).
     ///
-    /// Bounded partitions also **trim**: records below every
-    /// registered group's committed offset drop off the log (their
-    /// last log reference), so a pipeline topic's memory stays flat
-    /// instead of growing — and page-faulting — without bound. A
-    /// group joining after trimming reads from the earliest retained
-    /// record.
+    /// Bounded partitions also **trim**: records below every live
+    /// group's committed offset drop off the log (their last log
+    /// reference), so a pipeline topic's memory stays flat instead of
+    /// growing — and page-faulting — without bound. A group joining
+    /// after trimming reads from the earliest retained record.
     ///
-    /// Backpressure engages only once at least one consumer group has
-    /// registered for the topic — producers racing ahead of consumer
-    /// creation would otherwise deadlock on a floor nobody advances.
-    /// A no-op if the topic already exists.
+    /// Backpressure engages only while at least one consumer group
+    /// has a live consumer on the partition — producers racing ahead
+    /// of consumer creation would otherwise deadlock on a floor
+    /// nobody advances. A no-op if the topic already exists.
     pub fn create_topic_with_capacity(&self, name: &str, partitions: usize, capacity: usize) {
-        assert!(partitions > 0, "topics need at least 1 partition");
-        let mut topics = write(&self.inner.topics);
-        topics
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(Topic::new(name, partitions, capacity)));
+        self.create(name, partitions, capacity, false);
     }
 
     /// Creates a bounded topic with **drop-oldest** overflow: each
@@ -328,12 +339,13 @@ impl Broker {
     /// contradiction) or `partitions` is zero. A no-op if the topic
     /// already exists.
     pub fn create_topic_drop_oldest(&self, name: &str, partitions: usize, capacity: usize) {
-        assert!(partitions > 0, "topics need at least 1 partition");
         assert!(capacity > 0, "drop-oldest topics need a capacity");
-        let mut topics = write(&self.inner.topics);
-        topics
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(Topic::with_policy(name, partitions, capacity, true)));
+        self.create(name, partitions, capacity, true);
+    }
+
+    fn create(&self, name: &str, partitions: usize, capacity: usize, drop_oldest: bool) {
+        (write(&self.inner.topics).entry(name.to_string()))
+            .or_insert_with(|| Arc::new(Topic::new(name, partitions, capacity, drop_oldest)));
     }
 
     /// Records evicted from `name` by the drop-oldest policy so far
@@ -356,21 +368,12 @@ impl Broker {
             .store(deadline.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// The current producer-park deadline for full bounded partitions.
-    pub fn backpressure_deadline(&self) -> Duration {
-        Duration::from_nanos(self.inner.backpressure_deadline_ns.load(Ordering::Relaxed))
-    }
-
     fn topic(&self, name: &str) -> Arc<Topic> {
         if let Some(t) = read(&self.inner.topics).get(name) {
             return Arc::clone(t);
         }
-        let mut topics = write(&self.inner.topics);
-        Arc::clone(
-            topics
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Topic::new(name, self.inner.default_partitions, 0))),
-        )
+        self.create(name, self.inner.default_partitions, 0, false);
+        Arc::clone(&read(&self.inner.topics)[name])
     }
 
     /// Wakes every consumer subscribed to `topic` without producing a
@@ -391,28 +394,20 @@ impl Broker {
 
     /// Snapshot of the traffic counters.
     pub fn stats(&self) -> BrokerStats {
+        let s = &self.inner.stats;
         BrokerStats {
-            records_in: self.inner.stats.records_in.load(Ordering::Relaxed),
-            bytes_in: self.inner.stats.bytes_in.load(Ordering::Relaxed),
-            records_out: self.inner.stats.records_out.load(Ordering::Relaxed),
-            bytes_out: self.inner.stats.bytes_out.load(Ordering::Relaxed),
+            records_in: s.records_in.load(Ordering::Relaxed),
+            bytes_in: s.bytes_in.load(Ordering::Relaxed),
+            records_out: s.records_out.load(Ordering::Relaxed),
+            bytes_out: s.bytes_out.load(Ordering::Relaxed),
         }
     }
 
     /// Total records currently stored in a topic across partitions.
     pub fn topic_len(&self, topic: &str) -> u64 {
-        let t = self.topic(topic);
-        t.partitions
-            .iter()
+        (self.topic(topic).partitions.iter())
             .map(|p| lock(p).records.len() as u64)
             .sum()
-    }
-
-    /// Creates a producer handle.
-    pub fn producer(&self) -> Producer {
-        Producer {
-            broker: self.clone(),
-        }
     }
 
     /// Creates a consumer in `group` subscribed to `topics` that owns
@@ -424,8 +419,9 @@ impl Broker {
     /// Creates a consumer in `group` subscribed to `topics` that owns
     /// partitions `{p : p % shards == shard}` of every topic (see the
     /// module docs). Ownership is fixed here: the consumer starts at
-    /// the group's committed offsets of its partitions, and dropping
-    /// it withdraws the group's backpressure floors on them.
+    /// the group's committed offsets of its partitions (the earliest
+    /// retained record for a new group), and the group holds the
+    /// backpressure floor on them until its last live consumer drops.
     ///
     /// # Panics
     ///
@@ -438,53 +434,51 @@ impl Broker {
         shards: usize,
     ) -> Consumer {
         assert!(shard < shards, "shard {shard} of {shards}");
+        // One event count covers every subscribed topic: writers and
+        // control wakes notify it through each topic's waiter list.
+        let wake = Arc::new(EventCount::new());
+        let topics: Vec<Arc<Topic>> = topics.iter().map(|name| self.topic(name)).collect();
         let mut slots = Vec::new();
-        for (ti, name) in topics.iter().enumerate() {
-            let topic = self.topic(name);
+        for (ti, topic) in topics.iter().enumerate() {
+            write(&topic.waiters).push(Arc::clone(&wake));
             for pi in (0..topic.partitions.len()).filter(|p| p % shards == shard) {
+                let mut p = lock(&topic.partitions[pi]);
+                let gi = match p.groups.iter().position(|c| c.group == group) {
+                    Some(i) => i,
+                    None => {
+                        p.groups.push(Cursor {
+                            group: group.to_string(),
+                            next: 0,
+                            live: 0,
+                        });
+                        p.groups.len() - 1
+                    }
+                };
+                // A group joining after trimming starts from the
+                // earliest retained record.
+                let base = p.base;
+                let c = &mut p.groups[gi];
+                c.next = c.next.max(base);
+                c.live += 1;
                 slots.push(Slot {
                     topic_idx: ti as u32,
-                    topic: Arc::clone(&topic),
+                    topic: Arc::clone(topic),
                     partition: pi as u32,
-                    offset_key: (group.to_string(), name.to_string(), pi),
+                    group: gi,
                 });
             }
         }
-        // Register this group's committed-offset floors on the owned
-        // partitions of bounded topics so producers start honoring the
-        // backlog limit (the floor starts at the group's committed
-        // offset, which is 0 for a fresh group).
-        {
-            let offsets = lock(&self.inner.group_offsets);
-            for slot in slots.iter().filter(|s| s.topic.capacity > 0) {
-                let committed = offsets.get(&slot.offset_key).copied().unwrap_or(0);
-                let mut p = lock(&slot.topic.partitions[slot.partition as usize]);
-                // A group joining after trimming starts from the
-                // earliest retained record.
-                let floor = committed.max(p.base);
-                p.committed.entry(group.to_string()).or_insert(floor);
-            }
-        }
-        // One event count covers every subscribed topic: producers and
-        // control wakes notify it through each topic's waiter list.
-        let wake = Arc::new(EventCount::new());
-        for t in topics {
-            write(&self.topic(t).waiters).push(Arc::clone(&wake));
-        }
         Consumer {
             broker: self.clone(),
-            group: group.to_string(),
-            topics: topics.iter().map(|s| s.to_string()).collect(),
+            topics,
             wake,
             cursor: AtomicU64::new(0),
             slots,
         }
     }
 
-    /// Creates a [`TopicWriter`] bound to one topic — the hot-path
-    /// producer for forwarders: the topic handle is resolved once
-    /// instead of a name lookup per record, and appends can defer the
-    /// consumer wakeup to one notify per batch.
+    /// Creates a [`TopicWriter`] bound to one topic (auto-creating it
+    /// if absent): the topic is resolved once, not per record.
     pub fn writer(&self, topic: &str) -> TopicWriter {
         TopicWriter {
             broker: self.clone(),
@@ -493,132 +487,130 @@ impl Broker {
     }
 }
 
-/// Appends records to topics.
+/// One record of a batch append: `(key, value, timestamp)`. Key and
+/// value are shared immutable buffers, so batching costs refcount
+/// moves, never payload copies.
+pub type BatchEntry = (Option<Arc<[u8]>>, Arc<[u8]>, Timestamp);
+
+/// Appends to one topic, on an explicit partition. Every append —
+/// one record or a batch — takes the same path: one partition lock,
+/// one capacity check, consecutive offsets, all or nothing.
+///
+/// The `try_` appends wake no consumer themselves (except after a
+/// backpressure wait); a writer follows a run of them with one
+/// [`TopicWriter::notify`].
 #[derive(Clone)]
-pub struct Producer {
+pub struct TopicWriter {
     broker: Broker,
+    topic: Arc<Topic>,
 }
 
-impl Producer {
-    /// Sends a record; returns `(partition, offset)`.
-    ///
-    /// `value` is anything convertible into a shared immutable buffer:
-    /// a `Vec<u8>` or `&[u8]` (one copy into a fresh `Arc<[u8]>`), or
-    /// an `Arc<[u8]>` — e.g. a [`Record::value`] being relayed — which
-    /// is shared as-is, so forwarding paths never copy payload bytes.
-    /// # Panics
-    ///
-    /// Panics if a bounded partition stays full past the broker's
-    /// backpressure deadline; fault-tolerant producers use a
-    /// [`TopicWriter`]'s `try_` forms to receive the [`BrokerError`]
-    /// instead.
-    pub fn send(
+impl TopicWriter {
+    /// Appends one record to `partition` — the proxy relay's per-record
+    /// form of [`TopicWriter::try_append_batch`], with the same
+    /// backpressure rule and error. `value` is anything convertible
+    /// into a shared immutable buffer: a `Vec<u8>` or `&[u8]` (one
+    /// copy), or an `Arc<[u8]>` — e.g. a [`Record::value`] being
+    /// relayed — which is shared as-is. Returns the record's offset.
+    pub fn try_append_quiet(
         &self,
-        topic: &str,
-        key: Option<Vec<u8>>,
-        value: impl Into<Arc<[u8]>>,
-        timestamp: Timestamp,
-    ) -> (usize, u64) {
-        let t = self.broker.topic(topic);
-        let n = t.partitions.len();
-        let partition = match &key {
-            Some(k) => (fnv1a(k) % n as u64) as usize,
-            None => (t.round_robin.fetch_add(1, Ordering::Relaxed) % n as u64) as usize,
-        };
-        let offset = append(
-            &self.broker,
-            &t,
-            partition,
-            key.map(Arc::from),
-            value.into(),
-            timestamp,
-            true,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        (partition, offset)
-    }
-
-    /// Sends a record to an **explicit partition** — the
-    /// partition-affine routing primitive: a sharded deployment maps
-    /// each client to a fixed partition so all of its shares (across
-    /// every proxy topic) meet at the aggregator shard owning that
-    /// partition, and partition-preserving forwarders relay a record
-    /// onto the same partition index they polled it from. Returns the
-    /// record's offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topic does not have partition `partition`, or if
-    /// a bounded partition stays full past the broker's backpressure
-    /// deadline (use a [`TopicWriter`]'s `try_` forms to handle the
-    /// latter).
-    pub fn send_to(
-        &self,
-        topic: &str,
         partition: usize,
-        key: Option<Vec<u8>>,
+        key: Option<Arc<[u8]>>,
         value: impl Into<Arc<[u8]>>,
         timestamp: Timestamp,
-    ) -> u64 {
-        let t = self.broker.topic(topic);
-        assert!(
-            partition < t.partitions.len(),
-            "topic {topic:?} has {} partitions, no partition {partition}",
-            t.partitions.len()
-        );
-        append(
-            &self.broker,
-            &t,
-            partition,
-            key.map(Arc::from),
-            value.into(),
-            timestamp,
-            true,
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
+    ) -> Result<u64, BrokerError> {
+        let value = value.into();
+        self.append(partition, 1, false, |log, offset| {
+            push(log, offset, key, value, timestamp)
+        })
     }
-}
 
-/// Default producer park bound on a full partition — a deadlock
-/// backstop (a correctly wired deployment always drains), not a
-/// tuning knob; see [`Broker::set_backpressure_deadline`].
-const DEFAULT_BACKPRESSURE_DEADLINE: Duration = Duration::from_secs(60);
+    /// [`TopicWriter::try_append_batch`] that wakes consumers, and
+    /// panics on a backpressure deadline instead of returning it.
+    pub fn append_batch(&self, partition: usize, records: &mut Vec<BatchEntry>) -> u64 {
+        self.append_entries(partition, records, true)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
 
-/// Shared append path: waits for backlog space on bounded topics,
-/// writes the record, bumps the traffic counters and (unless the
-/// caller batches wakeups) wakes blocked consumers. The bounded wait
-/// is deadline-limited: a partition that stays full past the broker's
-/// backpressure deadline fails with [`BrokerError::Backpressure`]
-/// instead of parking the producer forever. A consumer group dying
-/// mid-park is detected without waiting for the deadline — the
-/// departing consumer withdraws its group's committed floors and
-/// notifies the topic's `space` count, and every wait iteration
-/// re-evaluates the backlog against the remaining floors.
-fn append(
-    broker: &Broker,
-    t: &Topic,
-    partition: usize,
-    key: Option<Arc<[u8]>>,
-    value: Arc<[u8]>,
-    timestamp: Timestamp,
-    notify: bool,
-) -> Result<u64, BrokerError> {
-    let mut waited = false;
-    let started = std::time::Instant::now();
-    let deadline = started + broker.backpressure_deadline();
-    let (offset, size) = loop {
-        // Read before the capacity check: space freed at any point
-        // after this ends the park below at once.
-        let space = t.space.token();
-        let mut p = lock(&t.partitions[partition]);
-        let next = p.base + p.records.len() as u64;
-        if t.capacity > 0 && !t.drop_oldest {
-            // Backlog against the slowest registered group; an empty
-            // floor map (no consumer yet) leaves the topic unbounded.
-            let floor = p.committed.values().copied().min().unwrap_or(next);
-            if next - floor.min(next) >= t.capacity as u64 {
+    /// Publishes every entry of `records` onto `partition` under a
+    /// single lock acquisition and a single backpressure evaluation,
+    /// without waking consumers.
+    ///
+    /// All-or-nothing: on `Ok` every record was appended at
+    /// consecutive offsets (the returned offset is the first) and
+    /// `records` is drained, so the caller's buffer — and the
+    /// `Arc<[u8]>` payload slots inside it — can be reused without
+    /// reallocating; on `Err` **nothing** was published and `records`
+    /// is untouched, so retrying the same batch cannot double-publish
+    /// and abandoning it cannot half-publish a share set. A batch
+    /// larger than the partition capacity fails fast (it could never
+    /// fit); chunk on [`TopicWriter::capacity`] first. An empty batch
+    /// returns `Ok(0)` and publishes nothing.
+    pub fn try_append_batch(
+        &self,
+        partition: usize,
+        records: &mut Vec<BatchEntry>,
+    ) -> Result<u64, BrokerError> {
+        self.append_entries(partition, records, false)
+    }
+
+    fn append_entries(
+        &self,
+        partition: usize,
+        records: &mut Vec<BatchEntry>,
+        notify: bool,
+    ) -> Result<u64, BrokerError> {
+        self.append(partition, records.len(), notify, |log, first| {
+            (records.drain(..).zip(first..))
+                .map(|((key, value, timestamp), offset)| push(log, offset, key, value, timestamp))
+                .sum()
+        })
+    }
+
+    /// The one append path. Parks while the partition's backlog plus
+    /// the `n` new records would exceed a backpressure topic's
+    /// capacity, then lets `fill` push the records at consecutive
+    /// offsets from the one it is handed (it returns their wire
+    /// bytes), counts them and — if `notify`, or after a park, since
+    /// the parked-for consumer may want these very records — wakes
+    /// consumers.
+    ///
+    /// The park is deadline-limited: a partition that stays full past
+    /// the broker's backpressure deadline fails with
+    /// [`BrokerError::Backpressure`], and so does, at once, a run wider
+    /// than the whole capacity. A consumer group whose last live member
+    /// drops mid-park withdraws its floor and notifies the topic's
+    /// `space` count, so the park re-evaluates without waiting for the
+    /// deadline.
+    fn append(
+        &self,
+        partition: usize,
+        n: usize,
+        notify: bool,
+        fill: impl FnOnce(&mut VecDeque<Record>, u64) -> u64,
+    ) -> Result<u64, BrokerError> {
+        let t = &*self.topic;
+        if n == 0 {
+            return Ok(0);
+        }
+        let started = Instant::now();
+        let deadline_ns = self
+            .broker
+            .inner
+            .backpressure_deadline_ns
+            .load(Ordering::Relaxed);
+        let deadline = started + Duration::from_nanos(deadline_ns);
+        let mut waited = false;
+        let (first, size) = loop {
+            // Read before the capacity check: space freed at any point
+            // after this ends the park below at once.
+            let space = t.space.token();
+            let mut p = lock(&t.partitions[partition]);
+            let end = p.end();
+            let backlog = p.floor().map_or(0, |floor| end - floor.min(end));
+            if t.applies_backpressure() && backlog + n as u64 > t.capacity as u64 {
                 drop(p);
-                if !park_for_space(t, space, deadline) {
+                if n > t.capacity || !park_for_space(t, space, deadline) {
                     return Err(BrokerError::Backpressure {
                         topic: t.name.clone(),
                         partition,
@@ -628,35 +620,52 @@ fn append(
                 waited = true;
                 continue;
             }
-        }
-        let offset = next;
-        let rec = Record {
-            offset,
-            key,
-            value,
-            timestamp,
+            let size = fill(&mut p.records, end);
+            if t.drop_oldest {
+                evict_over_capacity(t, &mut p);
+            }
+            break (end, size);
         };
-        let size = rec.wire_size();
-        p.records.push_back(rec);
-        evict_over_capacity(t, &mut p);
-        break (offset, size);
-    };
-    broker
-        .inner
-        .stats
-        .records_in
-        .fetch_add(1, Ordering::Relaxed);
-    broker
-        .inner
-        .stats
-        .bytes_in
-        .fetch_add(size, Ordering::Relaxed);
-    if notify || waited {
-        // Wake blocked consumers (always after a backpressure wait:
-        // the record the consumer is parked for may be this one).
-        t.wake_consumers();
+        let stats = &self.broker.inner.stats;
+        stats.records_in.fetch_add(n as u64, Ordering::Relaxed);
+        stats.bytes_in.fetch_add(size, Ordering::Relaxed);
+        if notify || waited {
+            t.wake_consumers();
+        }
+        Ok(first)
     }
-    Ok(offset)
+
+    /// Wakes consumers parked on this topic — the end of a run of
+    /// appends.
+    pub fn notify(&self) {
+        self.topic.wake_consumers();
+    }
+
+    /// The bound topic's per-partition backlog capacity (`0` =
+    /// unbounded) — what batching producers chunk oversized runs on,
+    /// since a single batch wider than this can never publish.
+    pub fn capacity(&self) -> usize {
+        self.topic.capacity
+    }
+}
+
+/// Pushes one record onto a partition log; returns its wire size.
+fn push(
+    log: &mut VecDeque<Record>,
+    offset: u64,
+    key: Option<Arc<[u8]>>,
+    value: Arc<[u8]>,
+    timestamp: Timestamp,
+) -> u64 {
+    let rec = Record {
+        offset,
+        key,
+        value,
+        timestamp,
+    };
+    let size = rec.wire_size();
+    log.push_back(rec);
+    size
 }
 
 /// Parks a producer that found its partition full until a consumer
@@ -664,8 +673,8 @@ fn append(
 /// count newer than `token`, which the caller read before its
 /// capacity check — or until `deadline`. `false` means the deadline
 /// passed.
-fn park_for_space(t: &Topic, token: u64, deadline: std::time::Instant) -> bool {
-    let left = deadline.saturating_duration_since(std::time::Instant::now());
+fn park_for_space(t: &Topic, token: u64, deadline: Instant) -> bool {
+    let left = deadline.saturating_duration_since(Instant::now());
     if left.is_zero() {
         return false;
     }
@@ -679,255 +688,16 @@ fn park_for_space(t: &Topic, token: u64, deadline: std::time::Instant) -> bool {
 }
 
 /// Drop-oldest overflow: after an append, evicts from the log front
-/// until at most `capacity` records remain, counting evictions.
-/// Ring semantics for quarantine topics — producers never park and
-/// memory stays bounded even with no consumer at all; a consumer
-/// whose offset falls below the new base resumes from the earliest
-/// retained record. No-op for unbounded or backpressure topics.
+/// until at most `capacity` records remain, counting evictions, so a
+/// quarantine topic's producers never park and its memory stays
+/// bounded even with no consumer at all. A consumer whose offset falls
+/// below the new base resumes from the earliest retained record.
 fn evict_over_capacity(t: &Topic, p: &mut Partition) {
-    if t.capacity == 0 || !t.drop_oldest {
-        return;
-    }
-    let mut evicted = 0u64;
-    while p.records.len() > t.capacity {
-        p.records.pop_front();
-        p.base += 1;
-        evicted += 1;
-    }
+    let evicted = p.records.len().saturating_sub(t.capacity);
     if evicted > 0 {
-        t.dropped.fetch_add(evicted, Ordering::Relaxed);
-    }
-}
-
-/// One record of a batch append: `(key, value, timestamp)`. Key and
-/// value are shared immutable buffers, so batching costs refcount
-/// moves, never payload copies.
-pub type BatchEntry = (Option<Arc<[u8]>>, Arc<[u8]>, Timestamp);
-
-/// Batch form of [`append`]: publishes every entry of `records` onto
-/// one partition under a **single** lock acquisition, with a single
-/// capacity/backpressure evaluation and one stats/notify pass —
-/// per-record cost collapses to a `VecDeque` push.
-///
-/// The contract is **all-or-nothing**: either every record is
-/// published at consecutive offsets (returning the first offset and
-/// draining `records`, so the caller's buffer can be reused
-/// allocation-free) or none is (`records` is left intact, so a retry
-/// after `Err` cannot double-publish). This is what lets a producer
-/// treat one client message's `n` shares as atomic: a mid-batch
-/// `Backpressure` can never half-publish a share set.
-///
-/// The wait condition generalizes the per-record one: the producer
-/// parks while `backlog + records.len() > capacity`, which for a
-/// 1-record batch is exactly the `backlog ≥ capacity` check of
-/// [`append`]. A batch wider than the whole capacity (which no
-/// amount of consumer progress could ever admit) fails fast with
-/// [`BrokerError::Backpressure`] instead of parking to the deadline;
-/// callers split oversized runs on [`TopicWriter::capacity`]. As in
-/// [`append`], backpressure engages only once a consumer group has
-/// registered a floor.
-fn append_batch(
-    broker: &Broker,
-    t: &Topic,
-    partition: usize,
-    records: &mut Vec<BatchEntry>,
-    notify: bool,
-) -> Result<u64, BrokerError> {
-    let n = records.len() as u64;
-    if n == 0 {
-        return Ok(0);
-    }
-    let mut waited = false;
-    let started = std::time::Instant::now();
-    let deadline = started + broker.backpressure_deadline();
-    let (first, size) = loop {
-        let space = t.space.token();
-        let mut p = lock(&t.partitions[partition]);
-        let next = p.base + p.records.len() as u64;
-        if t.capacity > 0 && !t.drop_oldest {
-            if let Some(floor) = p.committed.values().copied().min() {
-                let backlog = next - floor.min(next);
-                if backlog + n > t.capacity as u64 {
-                    drop(p);
-                    if n > t.capacity as u64 || !park_for_space(t, space, deadline) {
-                        return Err(BrokerError::Backpressure {
-                            topic: t.name.clone(),
-                            partition,
-                            waited: started.elapsed(),
-                        });
-                    }
-                    waited = true;
-                    continue;
-                }
-            }
-        }
-        let mut size = 0u64;
-        for (i, (key, value, timestamp)) in records.drain(..).enumerate() {
-            let rec = Record {
-                offset: next + i as u64,
-                key,
-                value,
-                timestamp,
-            };
-            size += rec.wire_size();
-            p.records.push_back(rec);
-        }
-        evict_over_capacity(t, &mut p);
-        break (next, size);
-    };
-    broker
-        .inner
-        .stats
-        .records_in
-        .fetch_add(n, Ordering::Relaxed);
-    broker
-        .inner
-        .stats
-        .bytes_in
-        .fetch_add(size, Ordering::Relaxed);
-    if notify || waited {
-        t.wake_consumers();
-    }
-    Ok(first)
-}
-
-/// A producer handle bound to a single topic, for forwarding-shaped
-/// hot paths: no per-record topic-name hash lookup, shared-buffer key
-/// and value pass-through, and batched consumer wakeups
-/// ([`TopicWriter::append_quiet`] + one [`TopicWriter::notify`] per
-/// batch instead of a wakeup per record).
-#[derive(Clone)]
-pub struct TopicWriter {
-    broker: Broker,
-    topic: Arc<Topic>,
-}
-
-impl TopicWriter {
-    /// Appends to an explicit partition and wakes consumers, like
-    /// [`Producer::send_to`] but without the topic lookup and with
-    /// shared (refcounted) key bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a backpressure deadline; see
-    /// [`TopicWriter::try_append_quiet`].
-    pub fn send_to(
-        &self,
-        partition: usize,
-        key: Option<Arc<[u8]>>,
-        value: impl Into<Arc<[u8]>>,
-        timestamp: Timestamp,
-    ) -> u64 {
-        append(
-            &self.broker,
-            &self.topic,
-            partition,
-            key,
-            value.into(),
-            timestamp,
-            true,
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Appends without waking consumers; callers forwarding a batch
-    /// follow up with one [`TopicWriter::notify`]. (A backpressure
-    /// wait still notifies, so a bounded pipeline cannot stall on a
-    /// deferred wakeup.)
-    ///
-    /// # Panics
-    ///
-    /// Panics on a backpressure deadline; see
-    /// [`TopicWriter::try_append_quiet`].
-    pub fn append_quiet(
-        &self,
-        partition: usize,
-        key: Option<Arc<[u8]>>,
-        value: impl Into<Arc<[u8]>>,
-        timestamp: Timestamp,
-    ) -> u64 {
-        self.try_append_quiet(partition, key, value, timestamp)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`TopicWriter::append_quiet`] returning
-    /// [`BrokerError::Backpressure`] when a bounded partition stays
-    /// full past the broker's deadline — the form the supervised
-    /// deployment's hot paths use, so a stalled consumer degrades the
-    /// epoch instead of wedging (or killing) a producer thread.
-    pub fn try_append_quiet(
-        &self,
-        partition: usize,
-        key: Option<Arc<[u8]>>,
-        value: impl Into<Arc<[u8]>>,
-        timestamp: Timestamp,
-    ) -> Result<u64, BrokerError> {
-        append(
-            &self.broker,
-            &self.topic,
-            partition,
-            key,
-            value.into(),
-            timestamp,
-            false,
-        )
-    }
-
-    /// Publishes a run of records onto one partition atomically —
-    /// one lock acquisition, one capacity check, consecutive offsets
-    /// — and wakes consumers. Returns the first record's offset;
-    /// `records` is drained on success (reuse the buffer) and left
-    /// intact on failure. See [`TopicWriter::try_append_batch`] for
-    /// the full contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a backpressure deadline; see
-    /// [`TopicWriter::try_append_batch`].
-    pub fn append_batch(&self, partition: usize, records: &mut Vec<BatchEntry>) -> u64 {
-        append_batch(&self.broker, &self.topic, partition, records, true)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Batch form of [`TopicWriter::try_append_quiet`]: publishes
-    /// every entry of `records` onto `partition` under a single lock
-    /// acquisition and a single backpressure evaluation, **without**
-    /// waking consumers (follow a flush with one
-    /// [`TopicWriter::notify`]).
-    ///
-    /// All-or-nothing: on `Ok` every record was appended at
-    /// consecutive offsets (the returned offset is the first) and
-    /// `records` is drained, so the caller's buffer — and the
-    /// `Arc<[u8]>` payload slots inside it — can be reused without
-    /// reallocating; on `Err` **nothing** was published and `records`
-    /// is untouched, so retrying the same batch cannot double-publish
-    /// and abandoning it cannot half-publish a share set. A batch
-    /// larger than the partition capacity fails fast (it could never
-    /// fit); chunk on [`TopicWriter::capacity`] first.
-    pub fn try_append_batch(
-        &self,
-        partition: usize,
-        records: &mut Vec<BatchEntry>,
-    ) -> Result<u64, BrokerError> {
-        append_batch(&self.broker, &self.topic, partition, records, false)
-    }
-
-    /// Wakes consumers parked on this topic — the batch-end pair of
-    /// [`TopicWriter::append_quiet`].
-    pub fn notify(&self) {
-        self.topic.wake_consumers();
-    }
-
-    /// Number of partitions of the bound topic.
-    pub fn partitions(&self) -> usize {
-        self.topic.partitions.len()
-    }
-
-    /// The bound topic's per-partition backlog capacity (`0` =
-    /// unbounded) — what batching producers chunk oversized runs on,
-    /// since a single batch wider than this can never publish.
-    pub fn capacity(&self) -> usize {
-        self.topic.capacity
+        p.records.drain(..evicted);
+        p.base += evicted as u64;
+        t.dropped.fetch_add(evicted as u64, Ordering::Relaxed);
     }
 }
 
@@ -936,8 +706,8 @@ impl TopicWriter {
 /// ownership and fairness semantics).
 pub struct Consumer {
     broker: Broker,
-    group: String,
-    topics: Vec<String>,
+    /// The subscribed topics, in subscription order.
+    topics: Vec<Arc<Topic>>,
     /// What this consumer parks on; registered with every subscribed
     /// topic, so one park covers them all.
     wake: Arc<EventCount>,
@@ -949,20 +719,18 @@ pub struct Consumer {
     slots: Vec<Slot>,
 }
 
-/// One owned (topic, partition) pair. It carries its pre-built
-/// offset-map key, so the steady-state poll updates committed offsets
-/// in place without cloning group/topic strings per slot per poll.
+/// One owned (topic, partition) pair.
 struct Slot {
     topic_idx: u32,
     topic: Arc<Topic>,
     partition: u32,
-    offset_key: (String, String, usize),
+    /// The index of the consumer's group's [`Cursor`] in the partition.
+    group: usize,
 }
 
 impl Consumer {
-    /// Non-blocking poll into a caller-owned buffer — the hot-path
-    /// form of [`Consumer::poll_partitioned`]: appends up to `max`
-    /// `(topic_index, partition, record)` triples to `out` and
+    /// Non-blocking poll into a caller-owned buffer: appends up to
+    /// `max` `(topic_index, partition, record)` triples to `out` and
     /// returns how many were appended. The topic index is the
     /// record's position in this consumer's subscription list
     /// (subscription order), so routing-by-source costs an array
@@ -970,152 +738,85 @@ impl Consumer {
     /// `out` the poll allocates nothing (records are refcount
     /// clones).
     ///
-    /// Offsets advance atomically with the read (one lock), so a
-    /// group delivers every record exactly once even when several of
-    /// its consumers own a partition. Fairness: iteration starts at a
-    /// rotating cursor, so when `max` caps the batch the next poll
-    /// resumes at the following partition instead of re-draining the
-    /// lowest indices first.
+    /// The group's cursor advances under the partition lock that the
+    /// read holds, so a group delivers every record exactly once even
+    /// when several of its consumers own a partition. Fairness:
+    /// iteration starts at a rotating cursor, so when `max` caps the
+    /// batch the next poll resumes at the following partition instead
+    /// of re-draining the lowest indices first.
     pub fn poll_into(&self, max: usize, out: &mut Vec<(u32, u32, Record)>) -> usize {
-        if max == 0 {
-            return 0;
-        }
         let slots = &self.slots;
-        if slots.is_empty() {
+        if max == 0 || slots.is_empty() {
             return 0;
         }
         let pushed_at_entry = out.len();
         let start = (self.cursor.load(Ordering::Relaxed) % slots.len() as u64) as usize;
-        let mut offsets = lock(&self.broker.inner.group_offsets);
-        let mut freed_bounded = false;
+        let (mut bytes, mut freed_bounded) = (0u64, false);
         for k in 0..slots.len() {
             let slot = &slots[(start + k) % slots.len()];
-            let committed = offsets.get(&slot.offset_key).copied().unwrap_or(0);
-            let mut p = lock(&slot.topic.partitions[slot.partition as usize]);
-            let next = p.base + p.records.len() as u64;
+            let mut guard = lock(&slot.topic.partitions[slot.partition as usize]);
+            let p = &mut *guard;
+            let end = p.end();
+            let cursor = &mut p.groups[slot.group];
             // Reads resume from the earliest retained record if this
-            // group's offset predates the trim point (late joiner on
-            // a bounded topic).
-            let read_from = committed.max(p.base).min(next);
-            let take = ((next - read_from) as usize).min(max - (out.len() - pushed_at_entry));
+            // group's offset predates the trim point.
+            let read_from = cursor.next.max(p.base).min(end);
+            let take = ((end - read_from) as usize).min(max - (out.len() - pushed_at_entry));
             if take == 0 {
                 continue;
             }
+            cursor.next = read_from + take as u64;
             let idx = (read_from - p.base) as usize;
             for rec in p.records.range(idx..idx + take) {
-                self.broker
-                    .inner
-                    .stats
-                    .records_out
-                    .fetch_add(1, Ordering::Relaxed);
-                self.broker
-                    .inner
-                    .stats
-                    .bytes_out
-                    .fetch_add(rec.wire_size(), Ordering::Relaxed);
+                bytes += rec.wire_size();
                 out.push((slot.topic_idx, slot.partition, rec.clone()));
             }
-            let advanced = read_from + take as u64;
             if slot.topic.capacity > 0 {
-                // Mirror the committed floor for bounded producers and
-                // remember to wake any of them parked on this topic.
-                // In-place on the warm path: the floor entry exists
-                // from consumer registration.
-                match p.committed.get_mut(&self.group) {
-                    Some(v) => *v = advanced,
-                    None => {
-                        p.committed.insert(self.group.clone(), advanced);
-                    }
-                }
-                // Trim: drop records every registered group has
-                // consumed — their last log reference — so the pages
-                // backing consumed payloads recycle instead of the
-                // log growing (and faulting) without bound.
-                if let Some(floor) = p.committed.values().copied().min() {
-                    while p.base < floor && !p.records.is_empty() {
-                        p.records.pop_front();
-                        p.base += 1;
-                    }
-                }
+                // Trim: drop records every live group has consumed —
+                // their last log reference — so the pages backing
+                // consumed payloads recycle instead of the log growing
+                // (and faulting) without bound.
+                let trim = p.floor().map_or(0, |floor| floor.saturating_sub(p.base));
+                let trim = (trim as usize).min(p.records.len());
+                p.records.drain(..trim);
+                p.base += trim as u64;
                 freed_bounded = true;
             }
-            drop(p);
-            // In-place on the warm path: the offset entry exists after
-            // this slot's first non-empty poll.
-            match offsets.get_mut(&slot.offset_key) {
-                Some(v) => *v = advanced,
-                None => {
-                    offsets.insert(slot.offset_key.clone(), advanced);
-                }
-            }
+            drop(guard);
             if out.len() - pushed_at_entry >= max {
                 // Capped mid-rotation: resume after this partition.
-                self.cursor.store(
-                    (start + k + 1) as u64 % slots.len() as u64,
-                    Ordering::Relaxed,
-                );
+                let resume = (start + k + 1) % slots.len();
+                self.cursor.store(resume as u64, Ordering::Relaxed);
                 break;
             }
         }
-        drop(offsets);
+        let polled = out.len() - pushed_at_entry;
+        if polled == 0 {
+            // An empty poll writes nothing that other threads read.
+            return 0;
+        }
+        let stats = &self.broker.inner.stats;
+        stats
+            .records_out
+            .fetch_add(polled as u64, Ordering::Relaxed);
+        stats.bytes_out.fetch_add(bytes, Ordering::Relaxed);
         if freed_bounded {
-            // Wake producers blocked on backlog space. One notify per
-            // poll batch: bounded topics trade per-record wakeup
-            // latency for batch-granular signalling.
-            let mut notified: [Option<&Arc<Topic>>; 8] = [None; 8];
-            let mut n = 0;
-            for slot in slots.iter() {
-                let topic = &slot.topic;
-                if topic.capacity == 0
-                    || notified[..n]
-                        .iter()
-                        .any(|t| t.map(|t| Arc::ptr_eq(t, topic)).unwrap_or(false))
-                {
-                    continue;
-                }
+            // Wake producers blocked on backlog space: one notify per
+            // bounded topic per poll batch.
+            for topic in self.topics.iter().filter(|t| t.capacity > 0) {
                 topic.space.notify();
-                if n < notified.len() {
-                    notified[n] = Some(topic);
-                    n += 1;
-                }
             }
         }
-        out.len() - pushed_at_entry
-    }
-
-    /// Allocating wrapper over [`Consumer::poll_into`] reporting topic
-    /// names: drains up to `max` available records across the
-    /// topic-partitions this consumer owns.
-    pub fn poll_partitioned(&self, max: usize) -> Vec<(String, usize, Record)> {
-        let mut buf = Vec::new();
-        self.poll_into(max, &mut buf);
-        self.named(buf)
-    }
-
-    /// Replaces subscription indices by topic names.
-    fn named(&self, polled: Vec<(u32, u32, Record)>) -> Vec<(String, usize, Record)> {
         polled
-            .into_iter()
-            .map(|(ti, pi, r)| (self.topics[ti as usize].clone(), pi as usize, r))
-            .collect()
     }
 
-    /// [`Consumer::poll_partitioned`] without the partition indices —
-    /// the original poll surface, kept for callers that don't route by
-    /// partition.
-    pub fn poll(&self, max: usize) -> Vec<(String, Record)> {
-        self.poll_partitioned(max)
-            .into_iter()
-            .map(|(t, _, r)| (t, r))
-            .collect()
-    }
-
-    /// The event count this consumer parks on, notified by every
-    /// append-with-wakeup on a subscribed topic, by
-    /// and by [`Broker::notify_topic`]. A thread that must
-    /// wait for broker records *and* something else (a socket, a
-    /// command queue) reads a token from it before checking its
-    /// sources and parks on it when all are empty.
+    /// The event count this consumer parks on, notified by
+    /// [`TopicWriter::notify`] and [`TopicWriter::append_batch`] on a
+    /// subscribed topic, by a producer parking on a full one, and by
+    /// [`Broker::notify_topic`]. A thread that must wait for broker
+    /// records *and* something else (a socket, a command queue) reads
+    /// a token from it before checking its sources and parks on it
+    /// when all are empty.
     pub fn wake(&self) -> &Arc<EventCount> {
         &self.wake
     }
@@ -1129,9 +830,8 @@ impl Consumer {
     /// `0` therefore means "timed out" *or* "woken without data" — a
     /// control wake ([`Broker::notify_topic`]) — and callers loop. The
     /// park cannot miss a wakeup: the event-count token is read before
-    /// the first poll, so a record (on any subscribed topic) or a
-    /// control wake landing after that check ends the park
-    /// immediately.
+    /// the first poll, so a wake (on any subscribed topic) landing
+    /// after that check ends the park immediately.
     pub fn poll_blocking_into(
         &self,
         max: usize,
@@ -1145,42 +845,28 @@ impl Consumer {
         }
         self.poll_into(max, out)
     }
-
-    /// Blocking poll: waits up to `timeout` for at least one record,
-    /// riding out wakes that bring no data.
-    pub fn poll_blocking(&self, max: usize, timeout: Duration) -> Vec<(String, Record)> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut buf = Vec::new();
-        loop {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            if self.poll_blocking_into(max, left, &mut buf) > 0 || left.is_zero() {
-                break;
-            }
-        }
-        (buf.into_iter())
-            .map(|(ti, _, r)| (self.topics[ti as usize].clone(), r))
-            .collect()
-    }
 }
 
 impl Drop for Consumer {
-    /// Withdraws the group's committed floors on the bounded
-    /// partitions this consumer owned: a departed consumer must not
-    /// freeze backpressure and trimming at its final offset. A
-    /// successor in the group re-registers the floor at the group's
-    /// committed offset (or the earliest retained record).
+    /// Leaves the group on the partitions this consumer owned. The
+    /// group's cursor stays (a successor resumes at it), but once its
+    /// last live consumer of a partition is gone the group no longer
+    /// holds that partition's backpressure and trimming floor: a
+    /// departed group must not freeze them at its final offset.
     fn drop(&mut self) {
-        for slot in self.slots.iter().filter(|s| s.topic.capacity > 0) {
+        for slot in &self.slots {
             let mut p = lock(&slot.topic.partitions[slot.partition as usize]);
-            if p.committed.remove(&self.group).is_some() {
+            let cursor = &mut p.groups[slot.group];
+            cursor.live -= 1;
+            if cursor.live == 0 && slot.topic.capacity > 0 {
                 drop(p);
                 // Producers parked against the withdrawn floor can
                 // re-evaluate their backlog now.
                 slot.topic.space.notify();
             }
         }
-        for topic_name in &self.topics {
-            write(&self.broker.topic(topic_name).waiters).retain(|w| !Arc::ptr_eq(w, &self.wake));
+        for topic in &self.topics {
+            write(&topic.waiters).retain(|w| !Arc::ptr_eq(w, &self.wake));
         }
     }
 }
@@ -1200,15 +886,6 @@ fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1218,13 +895,33 @@ mod tests {
         Timestamp(v)
     }
 
+    /// Appends one unkeyed record to `topic`'s `partition` and wakes
+    /// its consumers; returns the record's offset.
+    fn put(broker: &Broker, topic: &str, partition: usize, value: impl Into<Arc<[u8]>>) -> u64 {
+        let w = broker.writer(topic);
+        let offset = w.try_append_quiet(partition, None, value, ts(0)).unwrap();
+        w.notify();
+        offset
+    }
+
+    /// Polls up to `max` records into a fresh buffer.
+    fn poll(consumer: &Consumer, max: usize) -> Vec<(u32, u32, Record)> {
+        let mut out = Vec::new();
+        consumer.poll_into(max, &mut out);
+        out
+    }
+
+    /// The first payload byte of every polled record.
+    fn firsts(polled: &[(u32, u32, Record)]) -> Vec<u8> {
+        polled.iter().map(|(_, _, r)| r.value[0]).collect()
+    }
+
     #[test]
     fn a_poisoned_lock_does_not_wedge_the_broker() {
         let broker = Broker::new(2);
         broker.create_topic("t", 2);
-        let w = broker.writer("t");
         let c = broker.consumer("g", &["t"]);
-        w.send_to(1, None, b"before".to_vec(), ts(1));
+        put(&broker, "t", 1, b"before".to_vec());
         // A thread panics while it holds partition 1's lock, the
         // topic's waiter list and the broker's topic map.
         let topic = broker.topic("t");
@@ -1242,19 +939,17 @@ mod tests {
         assert!(broker.inner.topics.is_poisoned());
         // Appending to that partition (which wakes the waiter list)
         // and polling it both go through.
-        w.send_to(1, None, b"after".to_vec(), ts(2));
-        let got: Vec<Vec<u8>> = c
-            .poll(10)
-            .into_iter()
-            .map(|(_, r)| r.value.to_vec())
+        put(&broker, "t", 1, b"after".to_vec());
+        let got: Vec<Vec<u8>> = (poll(&c, 10).into_iter())
+            .map(|(_, _, r)| r.value.to_vec())
             .collect();
         assert_eq!(got, [b"before".to_vec(), b"after".to_vec()]);
         // Subscribing and unsubscribing write the waiter list; a new
         // topic writes the topic map.
         let late = broker.consumer("h", &["t", "u"]);
-        assert_eq!(late.poll(10).len(), 2);
+        assert_eq!(poll(&late, 10).len(), 2);
         drop(late);
-        broker.writer("u").send_to(0, None, b"u".to_vec(), ts(3));
+        put(&broker, "u", 0, b"u".to_vec());
         assert_eq!(broker.topic_len("u"), 1);
     }
 
@@ -1262,26 +957,23 @@ mod tests {
     fn drop_oldest_topic_evicts_instead_of_parking() {
         let broker = Broker::new(1);
         broker.create_topic_drop_oldest("quarantine", 1, 3);
-        let w = broker.writer("quarantine");
         // No consumer at all — a backpressure topic would be
         // unbounded here; a drop-oldest topic must stay capped.
         for i in 0..10u8 {
-            w.send_to(0, None, vec![i], ts(i as u64));
+            put(&broker, "quarantine", 0, vec![i]);
         }
         assert_eq!(broker.topic_len("quarantine"), 3);
         assert_eq!(broker.topic_dropped("quarantine"), 7);
         // A late consumer reads the newest `capacity` records.
         let c = broker.consumer("auditor", &["quarantine"]);
-        let got: Vec<u8> = c.poll(10).into_iter().map(|(_, r)| r.value[0]).collect();
-        assert_eq!(got, vec![7, 8, 9]);
+        assert_eq!(firsts(&poll(&c, 10)), vec![7, 8, 9]);
         // Batches never park or fail either, even oversized ones.
         let mut batch: Vec<BatchEntry> = (10..15u8)
             .map(|i| (None, Arc::from(vec![i]), ts(i as u64)))
             .collect();
-        w.append_batch(0, &mut batch);
+        broker.writer("quarantine").append_batch(0, &mut batch);
         assert!(batch.is_empty());
-        let got: Vec<u8> = c.poll(10).into_iter().map(|(_, r)| r.value[0]).collect();
-        assert_eq!(got, vec![12, 13, 14]);
+        assert_eq!(firsts(&poll(&c, 10)), vec![12, 13, 14]);
         // Consumed records trim off like any bounded topic's; the
         // retained count never exceeds the ring capacity.
         assert!(broker.topic_len("quarantine") <= 3);
@@ -1306,11 +998,10 @@ mod tests {
         let consumer = broker.consumer("g", &["pipe"]);
         std::mem::forget(consumer);
         broker.set_backpressure_deadline(Duration::from_millis(30));
-        assert_eq!(broker.backpressure_deadline(), Duration::from_millis(30));
+        put(&broker, "pipe", 0, b"a".to_vec());
+        put(&broker, "pipe", 0, b"b".to_vec());
         let w = broker.writer("pipe");
-        w.send_to(0, None, b"a".to_vec(), ts(1));
-        w.send_to(0, None, b"b".to_vec(), ts(2));
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let err = w
             .try_append_quiet(0, None, b"c".to_vec(), ts(3))
             .expect_err("full partition with a leaked consumer must time out");
@@ -1334,65 +1025,39 @@ mod tests {
     #[test]
     fn produce_consume_round_trip() {
         let broker = Broker::new(1);
-        let producer = broker.producer();
         let consumer = broker.consumer("g", &["answers"]);
-        producer.send("answers", None, b"a".to_vec(), ts(1));
-        producer.send("answers", None, b"b".to_vec(), ts(2));
-        let got = consumer.poll(10);
+        put(&broker, "answers", 0, b"a".to_vec());
+        put(&broker, "answers", 0, b"b".to_vec());
+        let got = poll(&consumer, 10);
         assert_eq!(got.len(), 2);
-        assert_eq!(&*got[0].1.value, b"a");
-        assert_eq!(&*got[1].1.value, b"b");
+        assert_eq!(&*got[0].2.value, b"a");
+        assert_eq!(&*got[1].2.value, b"b");
         // Offsets advanced: nothing left.
-        assert!(consumer.poll(10).is_empty());
+        assert!(poll(&consumer, 10).is_empty());
     }
 
     #[test]
     fn offsets_are_per_group() {
         let broker = Broker::new(1);
-        broker.producer().send("t", None, b"x".to_vec(), ts(1));
+        put(&broker, "t", 0, b"x".to_vec());
         let c1 = broker.consumer("g1", &["t"]);
         let c2 = broker.consumer("g2", &["t"]);
-        assert_eq!(c1.poll(10).len(), 1);
-        assert_eq!(c2.poll(10).len(), 1, "independent group sees the record");
-        assert!(c1.poll(10).is_empty());
-    }
-
-    #[test]
-    fn keyed_records_stick_to_partitions() {
-        let broker = Broker::new(4);
-        let producer = broker.producer();
-        let (p1, _) = producer.send("t", Some(b"alpha".to_vec()), b"1".to_vec(), ts(1));
-        let (p2, _) = producer.send("t", Some(b"alpha".to_vec()), b"2".to_vec(), ts(2));
-        assert_eq!(p1, p2, "same key must land in the same partition");
-    }
-
-    #[test]
-    fn unkeyed_records_round_robin() {
-        let broker = Broker::new(4);
-        let producer = broker.producer();
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..4 {
-            let (p, _) = producer.send("t", None, vec![i], ts(i as u64));
-            seen.insert(p);
-        }
-        assert_eq!(seen.len(), 4, "round robin should cover all partitions");
+        assert_eq!(poll(&c1, 10).len(), 1);
+        assert_eq!(poll(&c2, 10).len(), 1, "independent group sees the record");
+        assert!(poll(&c1, 10).is_empty());
     }
 
     #[test]
     fn per_partition_order_is_preserved() {
         let broker = Broker::new(2);
-        let producer = broker.producer();
         for i in 0..100u8 {
-            producer.send("t", Some(b"k".to_vec()), vec![i], ts(i as u64));
+            put(&broker, "t", 1, vec![i]);
         }
         let consumer = broker.consumer("g", &["t"]);
-        let got = consumer.poll(1000);
-        let values: Vec<u8> = got.iter().map(|(_, r)| r.value[0]).collect();
-        let mut sorted = values.clone();
-        sorted.sort_unstable();
-        assert_eq!(values, sorted, "single-key stream must stay ordered");
+        let got = poll(&consumer, 1000);
+        assert_eq!(firsts(&got), (0..100u8).collect::<Vec<_>>());
         // Offsets are contiguous from zero.
-        for (i, (_, r)) in got.iter().enumerate() {
+        for (i, (_, _, r)) in got.iter().enumerate() {
             assert_eq!(r.offset, i as u64);
         }
     }
@@ -1400,45 +1065,39 @@ mod tests {
     #[test]
     fn poll_respects_max() {
         let broker = Broker::new(1);
-        let producer = broker.producer();
         for i in 0..10u8 {
-            producer.send("t", None, vec![i], ts(0));
+            put(&broker, "t", 0, vec![i]);
         }
         let consumer = broker.consumer("g", &["t"]);
-        assert_eq!(consumer.poll(3).len(), 3);
-        assert_eq!(consumer.poll(3).len(), 3);
-        assert_eq!(consumer.poll(100).len(), 4);
+        assert_eq!(poll(&consumer, 3).len(), 3);
+        assert_eq!(poll(&consumer, 3).len(), 3);
+        assert_eq!(poll(&consumer, 100).len(), 4);
     }
 
     /// The payload allocation is shared, not copied: every consumer
-    /// group's poll and a forwarding re-send all see the producer's
+    /// group's poll and a forwarding re-append all see the producer's
     /// original buffer.
     #[test]
     fn payload_buffer_is_shared_not_copied() {
         let broker = Broker::new(1);
         let payload: Arc<[u8]> = Arc::from(&b"one allocation"[..]);
-        broker
-            .producer()
-            .send("t", None, Arc::clone(&payload), ts(1));
-        let a = broker.consumer("g1", &["t"]).poll(10);
-        let b = broker.consumer("g2", &["t"]).poll(10);
-        assert!(Arc::ptr_eq(&payload, &a[0].1.value));
-        assert!(Arc::ptr_eq(&payload, &b[0].1.value));
+        put(&broker, "t", 0, Arc::clone(&payload));
+        let a = poll(&broker.consumer("g1", &["t"]), 10);
+        let b = poll(&broker.consumer("g2", &["t"]), 10);
+        assert!(Arc::ptr_eq(&payload, &a[0].2.value));
+        assert!(Arc::ptr_eq(&payload, &b[0].2.value));
         // Relay (the proxy pattern): still the same allocation.
-        broker
-            .producer()
-            .send("fwd", None, a[0].1.value.clone(), ts(2));
-        let c = broker.consumer("g3", &["fwd"]).poll(10);
-        assert!(Arc::ptr_eq(&payload, &c[0].1.value));
+        put(&broker, "fwd", 0, a[0].2.value.clone());
+        let c = poll(&broker.consumer("g3", &["fwd"]), 10);
+        assert!(Arc::ptr_eq(&payload, &c[0].2.value));
     }
 
     #[test]
     fn traffic_stats_accumulate() {
         let broker = Broker::new(1);
-        let producer = broker.producer();
-        producer.send("t", None, vec![0u8; 100], ts(0));
+        put(&broker, "t", 0, vec![0u8; 100]);
         let consumer = broker.consumer("g", &["t"]);
-        let _ = consumer.poll(10);
+        let _ = poll(&consumer, 10);
         let stats = broker.stats();
         assert_eq!(stats.records_in, 1);
         assert_eq!(stats.records_out, 1);
@@ -1450,15 +1109,18 @@ mod tests {
     fn blocking_poll_wakes_on_data() {
         let broker = Broker::new(1);
         let consumer = broker.consumer("g", &["t"]);
-        let producer = broker.producer();
-        let handle = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(30));
-            producer.send("t", None, b"wake".to_vec(), ts(1));
+        let handle = thread::spawn({
+            let broker = broker.clone();
+            move || {
+                thread::sleep(Duration::from_millis(30));
+                put(&broker, "t", 0, b"wake".to_vec());
+            }
         });
-        let got = consumer.poll_blocking(10, Duration::from_secs(5));
+        let mut got = Vec::new();
+        let n = consumer.poll_blocking_into(10, Duration::from_secs(5), &mut got);
         handle.join().unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(&*got[0].1.value, b"wake");
+        assert_eq!(n, 1);
+        assert_eq!(&*got[0].2.value, b"wake");
     }
 
     /// The park covers every subscribed topic, not just the first: a
@@ -1474,7 +1136,7 @@ mod tests {
             let broker2 = broker.clone();
             let waker = thread::spawn(move || {
                 if wake_with_data {
-                    broker2.producer().send("third", None, b"x".to_vec(), ts(1));
+                    put(&broker2, "third", 0, b"x".to_vec());
                     return;
                 }
                 // A control wake that lands before the poll has read
@@ -1485,7 +1147,7 @@ mod tests {
                     thread::yield_now();
                 }
             });
-            let start = std::time::Instant::now();
+            let start = Instant::now();
             let n = consumer.poll_blocking_into(10, Duration::from_secs(10), &mut out);
             drop(done_tx);
             waker.join().unwrap();
@@ -1522,10 +1184,10 @@ mod tests {
         // Let the reader find the topic empty and park.
         idle_rx.recv().unwrap();
         thread::sleep(Duration::from_millis(50));
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let w = broker.writer("pipe");
         for i in 0..TOTAL as u64 {
-            w.append_quiet(0, None, vec![0u8; 8], ts(i));
+            w.try_append_quiet(0, None, vec![0u8; 8], ts(i)).unwrap();
         }
         w.notify();
         reader.join().unwrap();
@@ -1540,8 +1202,12 @@ mod tests {
     fn blocking_poll_times_out_empty() {
         let broker = Broker::new(1);
         let consumer = broker.consumer("g", &["empty"]);
-        let start = std::time::Instant::now();
-        let got = consumer.poll_blocking(10, Duration::from_millis(50));
+        let start = Instant::now();
+        let mut got = Vec::new();
+        assert_eq!(
+            consumer.poll_blocking_into(10, Duration::from_millis(50), &mut got),
+            0
+        );
         assert!(got.is_empty());
         assert!(start.elapsed() >= Duration::from_millis(45));
     }
@@ -1549,24 +1215,23 @@ mod tests {
     #[test]
     fn send_to_targets_the_exact_partition() {
         let broker = Broker::new(4);
-        let producer = broker.producer();
         for p in 0..4usize {
-            let off = producer.send_to("t", p, None, vec![p as u8], ts(0));
+            let off = put(&broker, "t", p, vec![p as u8]);
             assert_eq!(off, 0, "first record of partition {p}");
         }
         let consumer = broker.consumer("g", &["t"]);
-        let got = consumer.poll_partitioned(100);
-        let mut by_partition: Vec<(usize, u8)> =
-            got.iter().map(|(_, p, r)| (*p, r.value[0])).collect();
+        let mut by_partition: Vec<(u32, u8)> = (poll(&consumer, 100).iter())
+            .map(|(_, p, r)| (*p, r.value[0]))
+            .collect();
         by_partition.sort_unstable();
         assert_eq!(by_partition, vec![(0, 0), (1, 1), (2, 2), (3, 3)]);
     }
 
     #[test]
-    #[should_panic(expected = "no partition")]
+    #[should_panic(expected = "index out of bounds")]
     fn send_to_missing_partition_panics() {
         let broker = Broker::new(2);
-        broker.producer().send_to("t", 2, None, vec![0], ts(0));
+        let _ = broker.writer("t").try_append_quiet(2, None, vec![0], ts(0));
     }
 
     /// The round-robin cursor: a capped poll resumes at the next
@@ -1575,14 +1240,13 @@ mod tests {
     #[test]
     fn capped_polls_rotate_across_partitions() {
         let broker = Broker::new(2);
-        let producer = broker.producer();
         for i in 0..6u8 {
-            producer.send_to("t", (i % 2) as usize, None, vec![i], ts(0));
+            put(&broker, "t", (i % 2) as usize, vec![i]);
         }
         let consumer = broker.consumer("g", &["t"]);
         let mut partitions = Vec::new();
         for _ in 0..6 {
-            let got = consumer.poll_partitioned(1);
+            let got = poll(&consumer, 1);
             assert_eq!(got.len(), 1);
             partitions.push(got[0].1);
         }
@@ -1599,17 +1263,15 @@ mod tests {
     #[test]
     fn high_partitions_do_not_starve_under_load() {
         let broker = Broker::new(2);
-        let producer = broker.producer();
         let consumer = broker.consumer("g", &["t"]);
-        producer.send_to("t", 1, None, b"straggler".to_vec(), ts(0));
+        put(&broker, "t", 1, b"straggler".to_vec());
         let mut seen_partition_1_after = None;
         for round in 0..4 {
             // Keep partition 0 saturated beyond the poll cap.
             for i in 0..8u8 {
-                producer.send_to("t", 0, None, vec![i], ts(0));
+                put(&broker, "t", 0, vec![i]);
             }
-            let got = consumer.poll_partitioned(4);
-            if got.iter().any(|(_, p, _)| *p == 1) {
+            if poll(&consumer, 4).iter().any(|(_, p, _)| *p == 1) {
                 seen_partition_1_after = Some(round);
                 break;
             }
@@ -1627,30 +1289,27 @@ mod tests {
     fn group_members_divide_partitions_consistently() {
         const SHARDS: usize = 3;
         let broker = Broker::new(7);
-        let producer = broker.producer();
         for topic in ["a", "b"] {
             for p in 0..7 {
-                producer.send_to(topic, p, None, vec![p as u8], ts(0));
+                put(&broker, topic, p, vec![p as u8]);
             }
         }
-        let mut delivered: Vec<(String, u8)> = Vec::new();
+        let mut delivered: Vec<(u32, u8)> = Vec::new();
         for s in 0..SHARDS {
             let shard = broker.consumer_of("g", &["a", "b"], s, SHARDS);
-            for (topic, r) in shard.poll(64) {
+            for (topic, _, r) in poll(&shard, 64) {
                 assert_eq!(
                     r.value[0] as usize % SHARDS,
                     s,
-                    "{topic} outside the stride"
+                    "topic {topic} outside the stride"
                 );
                 delivered.push((topic, r.value[0]));
             }
         }
         delivered.sort_unstable();
-        let mut expected: Vec<(String, u8)> = ["a", "b"]
-            .iter()
-            .flat_map(|t| (0..7u8).map(move |p| (t.to_string(), p)))
+        let expected: Vec<(u32, u8)> = (0..2u32)
+            .flat_map(|t| (0..7u8).map(move |p| (t, p)))
             .collect();
-        expected.sort_unstable();
         assert_eq!(
             delivered, expected,
             "disjoint and exhaustive on both topics"
@@ -1661,13 +1320,17 @@ mod tests {
         let even = broker.consumer_of("h", &["bounded"], 0, 2);
         let odd = broker.consumer_of("h", &["bounded"], 1, 2);
         let w = broker.writer("bounded");
-        w.send_to(0, None, vec![0], ts(0));
-        w.send_to(1, None, vec![1], ts(0));
+        put(&broker, "bounded", 0, vec![0]);
+        put(&broker, "bounded", 1, vec![1]);
         assert!(w.try_append_quiet(1, None, vec![2], ts(0)).is_err());
         drop(odd);
         assert!(w.try_append_quiet(1, None, vec![2], ts(0)).is_ok());
         assert!(w.try_append_quiet(0, None, vec![2], ts(0)).is_err());
-        assert_eq!(even.poll(8).len(), 1, "the even stride reads only its own");
+        assert_eq!(
+            poll(&even, 8).len(),
+            1,
+            "the even stride reads only its own"
+        );
     }
 
     /// A record is delivered to exactly one stride of a group, and a
@@ -1677,24 +1340,23 @@ mod tests {
     fn rebalance_hands_off_offsets_exactly_once() {
         const SHARDS: usize = 3;
         let broker = Broker::new(7);
-        let producer = broker.producer();
         for round in 0..2u8 {
             for topic in ["a", "b"] {
                 for p in 0..7 {
-                    producer.send_to(topic, p, None, vec![round, p as u8], ts(0));
+                    put(&broker, topic, p, vec![round, p as u8]);
                 }
             }
         }
         let mut shards: Vec<Consumer> = (0..SHARDS)
             .map(|s| broker.consumer_of("g", &["a", "b"], s, SHARDS))
             .collect();
-        let mut delivered: Vec<(String, u8, u8)> = Vec::new();
+        let mut delivered: Vec<(u32, u8, u8)> = Vec::new();
         let mut take = |shard: &Consumer, s: usize, max: usize| {
-            for (topic, r) in shard.poll(max) {
+            for (topic, _, r) in poll(shard, max) {
                 assert_eq!(
                     r.value[1] as usize % SHARDS,
                     s,
-                    "{topic} outside the stride"
+                    "topic {topic} outside the stride"
                 );
                 delivered.push((topic, r.value[0], r.value[1]));
             }
@@ -1711,14 +1373,13 @@ mod tests {
         }
         delivered.sort_unstable();
         let mut expected = Vec::new();
-        for topic in ["a", "b"] {
+        for topic in 0..2u32 {
             for round in 0..2u8 {
                 for p in 0..7u8 {
-                    expected.push((topic.to_string(), round, p));
+                    expected.push((topic, round, p));
                 }
             }
         }
-        expected.sort_unstable();
         assert_eq!(delivered, expected, "exactly once across the handoff");
     }
 
@@ -1730,22 +1391,21 @@ mod tests {
         let broker = Broker::new(1);
         broker.create_topic_with_capacity("b", 1, 4);
         let consumer = broker.consumer("g", &["b"]);
-        let producer = broker.producer();
         // Fill to capacity without blocking.
         for i in 0..4u8 {
-            producer.send_to("b", 0, None, vec![i], ts(0));
+            put(&broker, "b", 0, vec![i]);
         }
-        // The fifth send must block until the consumer drains.
+        // The fifth append must block until the consumer drains.
         let blocked = thread::spawn({
-            let producer = producer.clone();
+            let broker = broker.clone();
             move || {
-                let start = std::time::Instant::now();
-                producer.send_to("b", 0, None, vec![4], ts(0));
+                let start = Instant::now();
+                put(&broker, "b", 0, vec![4]);
                 start.elapsed()
             }
         });
         thread::sleep(Duration::from_millis(50));
-        assert_eq!(consumer.poll(2).len(), 2, "drain frees space");
+        assert_eq!(poll(&consumer, 2).len(), 2, "drain frees space");
         let waited = blocked.join().unwrap();
         assert!(
             waited >= Duration::from_millis(40),
@@ -1754,52 +1414,50 @@ mod tests {
         // Everything arrives exactly once, in order.
         let mut seen: Vec<u8> = vec![0, 1];
         loop {
-            let batch = consumer.poll(16);
+            let batch = poll(&consumer, 16);
             if batch.is_empty() {
                 break;
             }
-            seen.extend(batch.iter().map(|(_, r)| r.value[0]));
+            seen.extend(firsts(&batch));
         }
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
     }
 
-    /// Bounded topics trim consumed records: once every registered
-    /// group's committed offset passes a record, it leaves the log
-    /// (memory stays flat), while offsets remain absolute and a
-    /// late-joining group reads from the earliest retained record.
+    /// Bounded topics trim consumed records: once every live group's
+    /// committed offset passes a record, it leaves the log (memory
+    /// stays flat), while offsets remain absolute and a late-joining
+    /// group reads from the earliest retained record.
     #[test]
     fn bounded_topics_trim_consumed_records() {
         let broker = Broker::new(1);
         broker.create_topic_with_capacity("b", 1, 100);
         let c1 = broker.consumer("g1", &["b"]);
-        let producer = broker.producer();
         for i in 0..10u8 {
-            producer.send_to("b", 0, None, vec![i], ts(0));
+            put(&broker, "b", 0, vec![i]);
         }
         assert_eq!(broker.topic_len("b"), 10);
-        let got = c1.poll(6);
-        assert_eq!(got.len(), 6);
+        assert_eq!(poll(&c1, 6).len(), 6);
         assert_eq!(
             broker.topic_len("b"),
             4,
             "consumed records trimmed off the log"
         );
         // Offsets stay absolute across the trim.
-        let more = c1.poll(10);
+        let more = poll(&c1, 10);
         assert_eq!(more.len(), 4);
-        assert_eq!(more[0].1.offset, 6);
+        assert_eq!(more[0].2.offset, 6);
         assert_eq!(broker.topic_len("b"), 0);
         // A group joining after the trim starts at the earliest
         // retained record (nothing retained here → sees only new
         // records), without stalling producers.
         let c2 = broker.consumer("g2", &["b"]);
-        producer.send_to("b", 0, None, vec![99], ts(1));
-        let late = c2.poll(10);
+        put(&broker, "b", 0, vec![99]);
+        let late = poll(&c2, 10);
         assert_eq!(late.len(), 1);
-        assert_eq!(late[0].1.value[0], 99);
-        assert_eq!(late[0].1.offset, 10);
+        assert_eq!(late[0].2.value[0], 99);
+        assert_eq!(late[0].2.offset, 10);
         // g1 sees it too, exactly once.
-        assert_eq!(c1.poll(10).len(), 1);
+        assert_eq!(poll(&c1, 10).len(), 1);
     }
 
     /// A group that fully departs a bounded topic releases its
@@ -1811,20 +1469,52 @@ mod tests {
         broker.create_topic_with_capacity("b", 1, 4);
         let slow = broker.consumer("slow", &["b"]);
         let fast = broker.consumer("fast", &["b"]);
-        let producer = broker.producer();
         for i in 0..4u8 {
-            producer.send_to("b", 0, None, vec![i], ts(0));
+            put(&broker, "b", 0, vec![i]);
         }
         // `fast` is caught up; `slow` never polls, pinning the floor.
-        assert_eq!(fast.poll(10).len(), 4);
+        assert_eq!(poll(&fast, 10).len(), 4);
         assert_eq!(broker.topic_len("b"), 4, "slow group pins retention");
         // Once `slow` departs, its floor must not wedge producers.
         drop(slow);
         for i in 4..8u8 {
-            producer.send_to("b", 0, None, vec![i], ts(0));
+            put(&broker, "b", 0, vec![i]);
         }
-        assert_eq!(fast.poll(10).len(), 4, "fast sees the new records");
+        assert_eq!(poll(&fast, 10).len(), 4, "fast sees the new records");
         assert_eq!(broker.topic_len("b"), 0, "trimming resumed");
+    }
+
+    /// A group holds its floor while any of its consumers owning the
+    /// partition lives: dropping one of two members must not let a
+    /// producer past the capacity the survivor has not drained.
+    #[test]
+    fn a_group_keeps_its_floor_while_any_member_lives() {
+        let broker = Broker::new(1);
+        broker.create_topic_with_capacity("b", 1, 4);
+        broker.set_backpressure_deadline(Duration::from_millis(20));
+        let a = broker.consumer("g", &["b"]);
+        let b = broker.consumer("g", &["b"]);
+        for i in 0..4u8 {
+            put(&broker, "b", 0, vec![i]);
+        }
+        let w = broker.writer("b");
+        let full = |w: &TopicWriter| w.try_append_quiet(0, None, vec![4], ts(0));
+        assert!(matches!(full(&w), Err(BrokerError::Backpressure { .. })));
+        drop(a);
+        assert!(
+            matches!(full(&w), Err(BrokerError::Backpressure { .. })),
+            "`b` still holds the group's floor"
+        );
+        assert_eq!(broker.topic_len("b"), 4);
+        // The survivor drains, and the group's floor moves with it.
+        assert_eq!(poll(&b, 2).len(), 2);
+        assert_eq!(full(&w), Ok(4));
+        drop(b);
+        // With no live member left the floor is gone, but the cursor
+        // stays: a successor resumes where the group stopped.
+        assert_eq!(full(&w), Ok(5));
+        let successor = broker.consumer("g", &["b"]);
+        assert_eq!(firsts(&poll(&successor, 10)), vec![2, 3, 4, 4]);
     }
 
     /// A producer parked on a full partition when its only consumer
@@ -1837,16 +1527,15 @@ mod tests {
         let broker = Broker::new(1);
         broker.create_topic_with_capacity("b", 1, 4);
         let stalled = broker.consumer("g", &["b"]);
-        let producer = broker.producer();
         for i in 0..4u8 {
-            producer.send_to("b", 0, None, vec![i], ts(0));
+            put(&broker, "b", 0, vec![i]);
         }
         // Deadline far away: only the death can release the park.
         broker.set_backpressure_deadline(Duration::from_secs(30));
         let parked = thread::spawn({
             let writer = broker.writer("b");
             move || {
-                let start = std::time::Instant::now();
+                let start = Instant::now();
                 let r = writer.try_append_quiet(0, None, vec![4], ts(0));
                 (r, start.elapsed())
             }
@@ -1870,10 +1559,9 @@ mod tests {
         let broker = Broker::new(1);
         broker.create_topic_with_capacity("b", 1, 2);
         broker.set_backpressure_deadline(Duration::from_millis(50));
-        let _stalled = broker.consumer("g", &["b"]);
-        let producer = broker.producer();
-        producer.send_to("b", 0, None, vec![0], ts(0));
-        producer.send_to("b", 0, None, vec![1], ts(0));
+        let stalled = broker.consumer("g", &["b"]);
+        put(&broker, "b", 0, vec![0]);
+        put(&broker, "b", 0, vec![1]);
         // Partition full, consumer never polls: deadline fires.
         let writer = broker.writer("b");
         let err = writer
@@ -1894,7 +1582,7 @@ mod tests {
         let mut batch: Vec<BatchEntry> = vec![(None, Arc::from(vec![3u8]), ts(0))];
         assert!(writer.try_append_batch(0, &mut batch).is_err());
         // Draining recovers the topic for good.
-        assert_eq!(_stalled.poll(10).len(), 2);
+        assert_eq!(poll(&stalled, 10).len(), 2);
         assert!(writer.try_append_quiet(0, None, vec![4], ts(0)).is_ok());
     }
 
@@ -1905,26 +1593,24 @@ mod tests {
     fn bounded_topic_without_consumers_does_not_block() {
         let broker = Broker::new(1);
         broker.create_topic_with_capacity("b", 1, 2);
-        let producer = broker.producer();
         for i in 0..10u8 {
-            producer.send_to("b", 0, None, vec![i], ts(0));
+            put(&broker, "b", 0, vec![i]);
         }
         assert_eq!(broker.topic_len("b"), 10);
         // A late consumer still sees everything.
         let consumer = broker.consumer("g", &["b"]);
-        assert_eq!(consumer.poll(100).len(), 10);
+        assert_eq!(poll(&consumer, 100).len(), 10);
     }
 
-    /// `poll_into` reports subscription-order topic indices and reuses
-    /// the caller's buffer.
+    /// `poll_into` reports subscription-order topic indices and
+    /// appends to the caller's buffer.
     #[test]
     fn poll_into_reports_topic_indices() {
         let broker = Broker::new(2);
         broker.create_topic("alpha", 2);
         broker.create_topic("beta", 2);
-        let producer = broker.producer();
-        producer.send_to("alpha", 0, None, b"a".to_vec(), ts(1));
-        producer.send_to("beta", 1, None, b"b".to_vec(), ts(2));
+        put(&broker, "alpha", 0, b"a".to_vec());
+        put(&broker, "beta", 1, b"b".to_vec());
         let consumer = broker.consumer("g", &["alpha", "beta"]);
         let mut buf = Vec::new();
         let n = consumer.poll_into(16, &mut buf);
@@ -1934,34 +1620,25 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, vec![(0, 0, b'a'), (1, 1, b'b')]);
         // The buffer is appended to, not cleared.
-        consumer_send_and_poll_appends(&broker, &consumer, &mut buf);
-    }
-
-    fn consumer_send_and_poll_appends(
-        broker: &Broker,
-        consumer: &Consumer,
-        buf: &mut Vec<(u32, u32, Record)>,
-    ) {
-        broker
-            .producer()
-            .send_to("alpha", 1, None, b"c".to_vec(), ts(3));
-        let before = buf.len();
-        assert_eq!(consumer.poll_into(16, buf), 1);
-        assert_eq!(buf.len(), before + 1);
+        put(&broker, "alpha", 1, b"c".to_vec());
+        assert_eq!(consumer.poll_into(16, &mut buf), 1);
+        assert_eq!(buf.len(), 3);
     }
 
     #[test]
     fn concurrent_producers_lose_nothing() {
         let broker = Broker::new(4);
-        let mut handles = Vec::new();
-        for t in 0..4 {
-            let producer = broker.producer();
-            handles.push(thread::spawn(move || {
-                for i in 0..250u64 {
-                    producer.send("t", None, (t * 1000 + i).to_le_bytes().to_vec(), ts(i));
-                }
-            }));
-        }
+        let handles: Vec<_> = (0..4u64)
+            .map(|t| {
+                let broker = broker.clone();
+                thread::spawn(move || {
+                    for i in 0..250u64 {
+                        let value = (t * 1000 + i).to_le_bytes().to_vec();
+                        put(&broker, "t", (i % 4) as usize, value);
+                    }
+                })
+            })
+            .collect();
         for h in handles {
             h.join().unwrap();
         }
@@ -1969,7 +1646,7 @@ mod tests {
         let consumer = broker.consumer("g", &["t"]);
         let mut total = 0;
         loop {
-            let batch = consumer.poll(128);
+            let batch = poll(&consumer, 128);
             if batch.is_empty() {
                 break;
             }

@@ -8,8 +8,9 @@
 //! implements those pieces natively:
 //!
 //! * [`broker`] — an in-process, thread-safe topic/partition/offset
-//!   log with producers, consumers that own fixed partition strides,
-//!   blocking polls, and byte accounting (the Figure 9a traffic
+//!   log with writers that append to explicit partitions, consumers
+//!   that own fixed partition strides, per-partition group offsets,
+//!   and byte accounting (the Figure 9a traffic
 //!   numbers come from here);
 //! * [`wake`] — the event count every broker park sleeps on (no
 //!   lost wakeups, so no timed re-checks);
@@ -23,9 +24,7 @@ pub mod join;
 pub mod wake;
 pub mod window;
 
-pub use broker::{
-    BatchEntry, Broker, BrokerError, BrokerStats, Consumer, Producer, Record, TopicWriter,
-};
+pub use broker::{BatchEntry, Broker, BrokerError, BrokerStats, Consumer, Record, TopicWriter};
 pub use join::{JoinOutcome, MidJoiner};
 pub use wake::EventCount;
 pub use window::WindowedFold;

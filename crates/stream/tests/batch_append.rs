@@ -1,9 +1,11 @@
-//! Property suite for the zero-copy batch append path: a batched
+//! Property suite for the broker's one append path: a batched
 //! producer is **observably identical** to a per-record one — same
-//! record sequence, offsets, timestamps and consumer-group handoff —
-//! across arbitrary batch shapes × partition counts × bounded
-//! capacities, and a mid-batch failure publishes nothing (so a retry
-//! cannot double-publish and an abandonment cannot half-publish).
+//! record sequence, offsets, timestamps, payload allocations, traffic
+//! counters and consumer-group handoff — across arbitrary batch shapes
+//! × partition counts × bounded capacities; a batch of one is the
+//! single-record append, backpressure outcome included; and a
+//! mid-batch failure publishes nothing (so a retry cannot
+//! double-publish and an abandonment cannot half-publish).
 
 use privapprox_stream::broker::{BatchEntry, Broker, BrokerError};
 use privapprox_types::Timestamp;
@@ -11,8 +13,10 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What a consumer observes of one record, in delivery order.
-type Observed = (u32, u64, Option<Vec<u8>>, Vec<u8>, u64);
+/// What a consumer observes of one record, in delivery order: its
+/// partition, offset, key, payload, timestamp and the payload's
+/// address (the same allocation on both sides means no copy).
+type Observed = (u32, u64, Option<Vec<u8>>, Vec<u8>, u64, usize);
 
 /// Drains everything a consumer can see, as comparable tuples.
 fn drain(consumer: &privapprox_stream::Consumer) -> Vec<Observed> {
@@ -30,6 +34,7 @@ fn drain(consumer: &privapprox_stream::Consumer) -> Vec<Observed> {
                 rec.key.as_ref().map(|k| k.to_vec()),
                 rec.value.to_vec(),
                 rec.timestamp.0,
+                Arc::as_ptr(&rec.value) as *const u8 as usize,
             ));
         }
     }
@@ -40,13 +45,29 @@ fn entry(key: u8, value: &[u8], ts: u64) -> BatchEntry {
     (Some(Arc::from(&[key][..])), Arc::from(value), Timestamp(ts))
 }
 
+/// An append's outcome without the time it waited.
+fn outcome(result: Result<u64, BrokerError>) -> Result<u64, (String, usize)> {
+    result.map_err(
+        |BrokerError::Backpressure {
+             topic, partition, ..
+         }| (topic, partition),
+    )
+}
+
 proptest! {
     /// The core equivalence: the same records, grouped into arbitrary
     /// per-partition runs and published with `try_append_batch`, are
     /// indistinguishable to a consumer from the same records appended
     /// one `try_append_quiet` at a time — identical partitions,
-    /// offsets, keys, payloads and timestamps, on bounded and
+    /// offsets, keys, payloads (the very same allocations) and
+    /// timestamps, and identical traffic counters, on bounded and
     /// unbounded topics alike.
+    ///
+    /// With `one_by_one`, every run goes out as batches of one and the
+    /// consumers drain only every other step, so bounded partitions
+    /// fill up: each batch of one must return what the single-record
+    /// append of the same record returned — the same offset, or the
+    /// same `Backpressure` — and publish exactly when it did.
     #[test]
     fn batched_equals_per_record(
         // (partition selector, payload, run length) per step.
@@ -56,14 +77,19 @@ proptest! {
         ),
         partitions in 1usize..5,
         bounded in any::<bool>(),
+        one_by_one in any::<bool>(),
     ) {
-        // Capacity covers the widest generated run (8), so an append
-        // never parks: draining happens between steps.
+        // Capacity covers the widest generated run (8), so with a
+        // drain after every step an append never hits it; a full
+        // partition fails at once.
         let capacity = if bounded { 8 } else { 0 };
         let batched = Broker::new(partitions);
         batched.create_topic_with_capacity("t", partitions, capacity);
         let single = Broker::new(partitions);
         single.create_topic_with_capacity("t", partitions, capacity);
+        for broker in [&batched, &single] {
+            broker.set_backpressure_deadline(Duration::ZERO);
+        }
         let bw = batched.writer("t");
         let sw = single.writer("t");
         let bc = batched.consumer("g", &["t"]);
@@ -72,26 +98,39 @@ proptest! {
         let mut got_batched = Vec::new();
         let mut got_single = Vec::new();
         let mut ts = 0u64;
-        for (psel, payload, run) in &steps {
+        for (step, (psel, payload, run)) in steps.iter().enumerate() {
             let partition = psel % partitions;
             let mut batch: Vec<BatchEntry> = Vec::new();
             for k in 0..*run {
                 let e = entry(k as u8, payload, ts);
-                prop_assert!(sw
-                    .try_append_quiet(partition, e.0.clone(), Arc::clone(&e.1), e.2)
-                    .is_ok());
-                batch.push(e);
                 ts += 1;
+                let alone =
+                    outcome(sw.try_append_quiet(partition, e.0.clone(), Arc::clone(&e.1), e.2));
+                if one_by_one {
+                    let mut one = vec![e];
+                    prop_assert_eq!(outcome(bw.try_append_batch(partition, &mut one)), alone.clone());
+                    prop_assert_eq!(one.is_empty(), alone.is_ok(), "published exactly when it did");
+                } else {
+                    prop_assert!(alone.is_ok());
+                    batch.push(e);
+                }
             }
-            let before = batch.len();
-            let first = bw.try_append_batch(partition, &mut batch);
-            prop_assert!(first.is_ok(), "no backpressure with drain-per-step");
-            prop_assert_eq!(batch.len(), 0, "success drains the caller's buffer");
-            prop_assert!(batch.capacity() >= before, "buffer is reusable, not stolen");
-            got_batched.extend(drain(&bc));
-            got_single.extend(drain(&sc));
+            if !one_by_one {
+                let before = batch.len();
+                let first = bw.try_append_batch(partition, &mut batch);
+                prop_assert!(first.is_ok(), "no backpressure with drain-per-step");
+                prop_assert_eq!(batch.len(), 0, "success drains the caller's buffer");
+                prop_assert!(batch.capacity() >= before, "buffer is reusable, not stolen");
+            }
+            if !one_by_one || step % 2 == 1 {
+                got_batched.extend(drain(&bc));
+                got_single.extend(drain(&sc));
+            }
         }
+        got_batched.extend(drain(&bc));
+        got_single.extend(drain(&sc));
         prop_assert_eq!(got_batched, got_single);
+        prop_assert_eq!(batched.stats(), single.stats());
     }
 
     /// Offsets a batch assigns are the per-record ones: the returned
@@ -186,13 +225,13 @@ fn mid_batch_backpressure_publishes_nothing_and_retries_exactly_once() {
     assert_eq!(batch.len(), 3, "failed batch left intact for retry");
     assert_eq!(broker.topic_len("t"), 2, "no partial publish");
     // Drain, then retry the SAME batch: exactly once, in order.
-    assert_eq!(consumer.poll(10).len(), 2);
+    assert_eq!(drain(&consumer).len(), 2);
     w.try_append_batch(0, &mut batch).unwrap();
     assert!(batch.is_empty());
     let got = drain(&consumer);
     let keys: Vec<u8> = got
         .iter()
-        .map(|(_, _, k, _, _)| k.as_ref().unwrap()[0])
+        .map(|(_, _, k, ..)| k.as_ref().unwrap()[0])
         .collect();
     assert_eq!(
         keys,

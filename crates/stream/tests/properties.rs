@@ -6,6 +6,7 @@ use privapprox_stream::join::{JoinOutcome, MidJoiner};
 use privapprox_stream::window::WindowedFold;
 use privapprox_types::{MessageId, Timestamp, WindowSpec};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 proptest! {
     /// Every record produced is consumed exactly once per group, in
@@ -17,23 +18,17 @@ proptest! {
         keyed in any::<bool>(),
     ) {
         let broker = Broker::new(partitions);
-        let producer = broker.producer();
+        let writer = broker.writer("t");
         for (i, p) in payloads.iter().enumerate() {
-            let key = if keyed {
-                Some(vec![(i % 5) as u8])
-            } else {
-                None
-            };
-            producer.send("t", key, p.clone(), Timestamp(i as u64));
+            let key = keyed.then(|| Arc::from(&[(i % 5) as u8][..]));
+            let partition = i % partitions;
+            writer.try_append_quiet(partition, key, &p[..], Timestamp(i as u64)).unwrap();
         }
         let consumer = broker.consumer("g", &["t"]);
         let mut got = Vec::new();
-        loop {
-            let batch = consumer.poll(7);
-            if batch.is_empty() {
-                break;
-            }
-            got.extend(batch.into_iter().map(|(_, r)| r.value.to_vec()));
+        let mut batch = Vec::new();
+        while consumer.poll_into(7, &mut batch) > 0 {
+            got.extend(batch.drain(..).map(|(_, _, r)| r.value.to_vec()));
         }
         prop_assert_eq!(got.len(), payloads.len());
         // Same multiset of payloads.

@@ -8,7 +8,7 @@
 //! Payloads are sequence-numbered so the union of everything every
 //! consumer ever saw can be checked against the produced set.
 
-use privapprox_stream::broker::Broker;
+use privapprox_stream::broker::{Broker, Consumer};
 use privapprox_types::Timestamp;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,19 +26,23 @@ fn seq_of(value: &[u8]) -> u64 {
     u64::from_le_bytes(value.try_into().expect("8-byte seq payload"))
 }
 
+/// Polls up to `max` records (waiting up to `wait` for the first),
+/// returning their sequence numbers.
+fn take(consumer: &Consumer, max: usize, wait: Duration) -> Vec<u64> {
+    let mut batch = Vec::new();
+    consumer.poll_blocking_into(max, wait, &mut batch);
+    batch.iter().map(|(_, _, r)| seq_of(&r.value)).collect()
+}
+
 /// Drains a consumer until `stop` is set, collecting sequence numbers.
 fn drain_until_stopped(broker: &Broker, group: &str, stop: &AtomicBool) -> Vec<u64> {
     let consumer = broker.consumer(group, &["records"]);
     let mut seen = Vec::new();
     while !stop.load(Ordering::Relaxed) {
-        for (_, record) in consumer.poll_blocking(64, Duration::from_millis(20)) {
-            seen.push(seq_of(&record.value));
-        }
+        seen.extend(take(&consumer, 64, Duration::from_millis(20)));
     }
     // Final sweep: anything this consumer's group has not yet read.
-    for (_, record) in consumer.poll(usize::MAX) {
-        seen.push(seq_of(&record.value));
-    }
+    seen.extend(take(&consumer, usize::MAX, Duration::ZERO));
     seen
 }
 
@@ -70,9 +74,7 @@ fn threaded_rebalance_churn_delivers_exactly_once() {
             while !stop.load(Ordering::Relaxed) {
                 let consumer = broker.consumer("g", &["records"]);
                 for _ in 0..3 {
-                    for (_, record) in consumer.poll_blocking(16, Duration::from_millis(5)) {
-                        seen.push(seq_of(&record.value));
-                    }
+                    seen.extend(take(&consumer, 16, Duration::from_millis(5)));
                 }
                 drop(consumer); // leave mid-stream
                 std::thread::yield_now();
@@ -82,15 +84,11 @@ fn threaded_rebalance_churn_delivers_exactly_once() {
     };
 
     // Produce concurrently with the churn, spread over partitions.
-    let producer = broker.producer();
+    let writer = broker.writer("records");
     for i in 0..RECORDS {
-        producer.send_to(
-            "records",
-            (i % PARTITIONS as u64) as usize,
-            None,
-            seq_payload(i),
-            Timestamp(i),
-        );
+        let partition = (i % PARTITIONS as u64) as usize;
+        (writer.try_append_quiet(partition, None, seq_payload(i), Timestamp(i))).unwrap();
+        writer.notify();
         if i % 128 == 0 {
             std::thread::yield_now();
         }
@@ -132,32 +130,23 @@ fn threaded_rebalance_churn_delivers_exactly_once() {
 fn threaded_late_joiner_continues_from_group_offsets() {
     let broker = Broker::new(4);
     broker.create_topic("records", 4);
-    let producer = broker.producer();
+    let writer = broker.writer("records");
     for i in 0..100u64 {
-        producer.send_to(
-            "records",
-            (i % 4) as usize,
-            None,
-            seq_payload(i),
-            Timestamp(i),
-        );
+        let partition = (i % 4) as usize;
+        (writer.try_append_quiet(partition, None, seq_payload(i), Timestamp(i))).unwrap();
     }
     let first = broker.consumer("g", &["records"]);
-    let mut seen: Vec<u64> = first
-        .poll(60)
-        .iter()
-        .map(|(_, r)| seq_of(&r.value))
-        .collect();
+    let mut seen = take(&first, 60, Duration::ZERO);
     // A second consumer joins; between the two of them the remainder
     // arrives exactly once.
     let second = broker.consumer("g", &["records"]);
     loop {
-        let batch1 = first.poll(16);
-        let batch2 = second.poll(16);
+        let batch1 = take(&first, 16, Duration::ZERO);
+        let batch2 = take(&second, 16, Duration::ZERO);
         if batch1.is_empty() && batch2.is_empty() {
             break;
         }
-        seen.extend(batch1.iter().chain(&batch2).map(|(_, r)| seq_of(&r.value)));
+        seen.extend(batch1.into_iter().chain(batch2));
     }
     seen.sort_unstable();
     assert_eq!(seen, (0..100u64).collect::<Vec<_>>());

@@ -13,6 +13,7 @@ use privapprox::types::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 const KEY: u64 = 0xFA11;
 
@@ -56,12 +57,14 @@ fn rig(population: u64) -> Rig {
 }
 
 fn send_share(rig: &Rig, proxy: u16, share: &privapprox::crypto::Share, ts: u64) {
-    rig.broker.producer().send(
-        &inbound_topic(ProxyId(proxy)),
-        Some(privapprox::crypto::xor::wire_key(rig.query.id, share.mid).to_vec()),
-        &share.payload[..],
-        Timestamp(ts),
-    );
+    let key = privapprox::crypto::xor::wire_key(rig.query.id, share.mid);
+    put(rig, &inbound_topic(ProxyId(proxy)), Some(&key), &share.payload, ts);
+}
+
+/// Appends one record to `topic` as it is.
+fn put(rig: &Rig, topic: &str, key: Option<&[u8]>, value: &[u8], ts: u64) {
+    let w = rig.broker.writer(topic);
+    (w.try_append_quiet(0, key.map(Arc::from), value, Timestamp(ts))).unwrap();
 }
 
 fn pump_all(rig: &mut Rig) {
@@ -136,11 +139,10 @@ fn replayed_shares_count_once() {
 #[test]
 fn garbage_records_are_quarantined() {
     let mut r = rig(2);
-    let producer = r.broker.producer();
     // No key at all.
-    producer.send("proxy-0-out", None, vec![1, 2, 3], Timestamp(0));
+    put(&r, "proxy-0-out", None, &[1, 2, 3], 0);
     // Key of the wrong width.
-    producer.send("proxy-0-out", Some(vec![9; 5]), vec![1], Timestamp(0));
+    put(&r, "proxy-0-out", Some(&[9; 5]), &[1], 0);
     // A valid client answer alongside.
     let mut client = make_client(0, 5.0);
     let answer = client

@@ -1,20 +1,20 @@
 //! Concurrency integration test: the pipeline running as real threads
-//! over the broker's blocking polls — clients, two proxy threads and
-//! an aggregator thread, like the deployed topology (and unlike the
-//! deterministic epoch harness used elsewhere).
+//! over the broker — clients, two proxy threads and an aggregator
+//! thread, like the deployed topology (and unlike the deterministic
+//! epoch harness used elsewhere).
 //!
-//! Synchronization is condvar-based throughout: proxy threads loop on
-//! [`Proxy::pump_blocking`] and the aggregator on
-//! [`Aggregator::pump_blocking`], parking on the broker's data-ready
-//! condvar instead of sleep-spinning — the loops are tight (no fixed
-//! 1ms sleeps), wake as soon as data lands, and stay robust under
-//! load because nothing depends on a sleep being "long enough".
+//! Synchronization is event-count based throughout: each proxy and the
+//! aggregator loop on a token from their `wake()`, a `pump()`, and a
+//! park on the token when the pump moved nothing — the loop the
+//! deployment's relay threads run. They wake as soon as data lands and
+//! stay robust under load because nothing depends on a sleep being
+//! "long enough".
 
 use privapprox::core::aggregator::Aggregator;
 use privapprox::core::client::Client;
 use privapprox::core::proxy::{inbound_topic, Proxy};
 use privapprox::sql::{ColumnType, Schema, Value};
-use privapprox::stream::broker::Broker;
+use privapprox::stream::broker::{Broker, TopicWriter};
 use privapprox::types::ids::AnalystId;
 use privapprox::types::{
     AnswerSpec, ClientId, ExecutionParams, ProxyId, QueryBuilder, QueryId, Timestamp,
@@ -37,8 +37,9 @@ fn threaded_proxies_and_aggregator_deliver_all_answers() {
 
     let stop = Arc::new(AtomicBool::new(false));
 
-    // Two proxy threads, parked on the broker's condvar between
-    // batches, forwarding until told to stop.
+    // Two proxy threads, parked on their event counts between
+    // batches, forwarding until told to stop (the stop flag rings
+    // nobody, so a park is also bounded by a 50 ms tick).
     let mut proxy_handles = Vec::new();
     for i in 0..2u16 {
         let broker = broker.clone();
@@ -46,15 +47,22 @@ fn threaded_proxies_and_aggregator_deliver_all_answers() {
         proxy_handles.push(std::thread::spawn(move || {
             let mut proxy = Proxy::new(ProxyId(i), &broker);
             let mut forwarded = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                forwarded += proxy.pump_blocking(Duration::from_millis(50));
+            loop {
+                let token = proxy.wake().token();
+                let stopping = stop.load(Ordering::Relaxed);
+                let moved = proxy.pump();
+                forwarded += moved;
+                if stopping {
+                    break forwarded; // that pump was the final drain
+                }
+                if moved == 0 {
+                    proxy.wake().park(token, Duration::from_millis(50));
+                }
             }
-            forwarded += proxy.pump(); // final drain
-            forwarded
         }));
     }
 
-    // Aggregator thread: blocking-pumps until it has decoded every
+    // Aggregator thread: pumps and parks until it has decoded every
     // answer (the deadline is a liveness backstop, not a pacing
     // device — under correct operation the loop exits as soon as the
     // last share lands).
@@ -67,14 +75,21 @@ fn threaded_proxies_and_aggregator_deliver_all_answers() {
             let mut decoded = 0u64;
             let deadline = std::time::Instant::now() + Duration::from_secs(30);
             while decoded < population && std::time::Instant::now() < deadline {
-                decoded += agg.pump_blocking(Duration::from_millis(50));
+                let token = agg.wake().token();
+                let n = agg.pump();
+                decoded += n;
+                if n == 0 {
+                    agg.wake().park(token, Duration::from_millis(50));
+                }
             }
             (decoded, agg.advance_watermark(Timestamp(10_000)))
         })
     };
 
     // Main thread: clients answer concurrently with the pipeline.
-    let producer = broker.producer();
+    let writers: Vec<TopicWriter> = (0..2)
+        .map(|i| broker.writer(&inbound_topic(ProxyId(i))))
+        .collect();
     for i in 0..population {
         let mut client = Client::new(ClientId(i), 900 + i, KEY);
         client
@@ -88,13 +103,12 @@ fn threaded_proxies_and_aggregator_deliver_all_answers() {
             .answer_query(&query, &params, Timestamp(500), 2)
             .unwrap()
             .expect("s = 1 participates");
-        for (pi, share) in answer.shares.iter().enumerate() {
-            producer.send(
-                &inbound_topic(ProxyId(pi as u16)),
-                Some(privapprox::crypto::xor::wire_key(query.id, share.mid).to_vec()),
-                &share.payload[..],
-                Timestamp(500),
-            );
+        let partition = (i % 4) as usize;
+        for (writer, share) in writers.iter().zip(&answer.shares) {
+            let key = privapprox::crypto::xor::wire_key(query.id, share.mid);
+            let key = Some(Arc::from(&key[..]));
+            (writer.try_append_quiet(partition, key, &share.payload[..], Timestamp(500))).unwrap();
+            writer.notify();
         }
     }
 
@@ -263,21 +277,22 @@ fn threaded_sharded_control_plane_flushes_in_flight_epochs() {
 #[test]
 fn blocking_consumers_wake_across_threads() {
     // A slow producer feeding a blocked consumer through the broker —
-    // the condvar path the threaded topology relies on.
+    // the wakeup path the threaded topology relies on.
     let broker = Broker::new(1);
     let consumer = broker.consumer("g", &["wake"]);
-    let producer = broker.producer();
+    let writer = broker.writer("wake");
     let t = std::thread::spawn(move || {
         for i in 0..5u8 {
             std::thread::sleep(Duration::from_millis(5));
-            producer.send("wake", None, vec![i], Timestamp(i as u64));
+            (writer.try_append_quiet(0, None, vec![i], Timestamp(i as u64))).unwrap();
+            writer.notify();
         }
     });
-    let mut got = 0;
+    let mut got = Vec::new();
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while got < 5 && std::time::Instant::now() < deadline {
-        got += consumer.poll_blocking(10, Duration::from_secs(1)).len();
+    while got.len() < 5 && std::time::Instant::now() < deadline {
+        consumer.poll_blocking_into(10, Duration::from_secs(1), &mut got);
     }
     t.join().unwrap();
-    assert_eq!(got, 5);
+    assert_eq!(got.len(), 5);
 }
