@@ -1,23 +1,13 @@
 //! The front door: connection acceptor with admission control.
 //!
-//! A node binds one listener and multiplexes every peer over it. The
-//! door enforces the overload policy *before* work is admitted:
-//!
-//! * **connection cap** — beyond `max_connections` concurrent links,
-//!   new arrivals get a `Reject(Overloaded)` frame and are closed;
-//! * **per-client token bucket** — each connection carries a
-//!   [`TokenBucket`]; a data frame arriving on an empty bucket is
-//!   answered with `Reject(RateLimited)` and dropped (the sender's
-//!   supervised resend path re-delivers it once tokens refill);
-//! * **in-flight cap** — a connection with more than `max_in_flight`
-//!   unacknowledged data frames gets `Reject(Overloaded)` per excess
-//!   frame, bounding the receiver's queue regardless of sender
-//!   behavior.
-//!
-//! Rejected *frames* are never silently lost: senders treat them like
-//! drops (ack-timeout resend), and the MID duplicate defense absorbs
-//! any over-delivery — so admission control degrades throughput,
-//! never correctness.
+//! A node binds one listener and multiplexes every peer over it.
+//! Beyond `max_connections` concurrent links, new arrivals get a
+//! `Reject(Overloaded)` frame and are closed before any handshake;
+//! the dialer's [`shake_hands`] reports that as `ConnectionRefused`,
+//! which its supervised link treats like any other failed dial
+//! (backoff and retry). What a node admits per connection — the
+//! in-flight cap on its data frames — is the node's serving loop's
+//! business, not the door's.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -29,89 +19,6 @@ use std::time::{Duration, Instant};
 use crate::poll::{wait_fd, READABLE};
 use crate::transport::{TcpTransport, Transport};
 use crate::wire::{Frame, FrameKind, Hello, RejectReason};
-
-/// A token bucket with an injectable clock (tests pass synthetic
-/// `Instant`s; production uses `Instant::now()` per call).
-#[derive(Debug, Clone, Copy)]
-pub struct TokenBucket {
-    capacity: f64,
-    tokens: f64,
-    fill_per_sec: f64,
-    last: Option<Instant>,
-}
-
-impl TokenBucket {
-    /// A bucket holding at most `capacity` tokens, refilling at
-    /// `fill_per_sec`; starts full.
-    pub fn new(capacity: f64, fill_per_sec: f64) -> TokenBucket {
-        assert!(capacity > 0.0 && fill_per_sec >= 0.0);
-        TokenBucket {
-            capacity,
-            tokens: capacity,
-            fill_per_sec,
-            last: None,
-        }
-    }
-
-    /// An effectively unlimited bucket (admission always passes).
-    pub fn unlimited() -> TokenBucket {
-        TokenBucket::new(f64::MAX / 4.0, 0.0)
-    }
-
-    /// Takes `n` tokens at time `now`; `false` (and no deduction) if
-    /// the refilled level is insufficient.
-    pub fn try_take(&mut self, now: Instant, n: f64) -> bool {
-        if let Some(last) = self.last {
-            let dt = now.saturating_duration_since(last).as_secs_f64();
-            self.tokens = (self.tokens + dt * self.fill_per_sec).min(self.capacity);
-        }
-        self.last = Some(now);
-        if self.tokens >= n {
-            self.tokens -= n;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Current token level (after the last refill).
-    pub fn level(&self) -> f64 {
-        self.tokens
-    }
-}
-
-/// Admission limits a [`FrontDoor`] enforces.
-#[derive(Debug, Clone, Copy)]
-pub struct AdmissionPolicy {
-    /// Concurrent connections accepted before `Overloaded` bounces.
-    pub max_connections: usize,
-    /// Unacknowledged data frames tolerated per connection before
-    /// excess frames are bounced `Overloaded`.
-    pub max_in_flight: usize,
-    /// Per-connection token bucket `(capacity, fill_per_sec)`;
-    /// `None` = unlimited.
-    pub rate: Option<(f64, f64)>,
-}
-
-impl Default for AdmissionPolicy {
-    fn default() -> AdmissionPolicy {
-        AdmissionPolicy {
-            max_connections: 64,
-            max_in_flight: 16_384,
-            rate: None,
-        }
-    }
-}
-
-impl AdmissionPolicy {
-    /// Builds the per-connection token bucket this policy implies.
-    pub fn bucket(&self) -> TokenBucket {
-        match self.rate {
-            Some((cap, fill)) => TokenBucket::new(cap, fill),
-            None => TokenBucket::unlimited(),
-        }
-    }
-}
 
 /// Decrements the live-connection gauge when an admitted connection
 /// ends.
@@ -126,16 +33,12 @@ impl Drop for ConnGuard {
 }
 
 /// An admitted connection: its transport, the peer's handshake, and
-/// the admission state the serving loop enforces.
+/// the slot it holds.
 pub struct Admitted {
     /// The framed connection (handshake consumed; `HelloAck` sent).
     pub transport: TcpTransport,
     /// What the peer declared in its `Hello`.
     pub hello: Hello,
-    /// Token bucket for this connection's data frames.
-    pub bucket: TokenBucket,
-    /// In-flight cap for this connection.
-    pub max_in_flight: usize,
     /// Releases the connection slot on drop.
     pub guard: ConnGuard,
 }
@@ -144,21 +47,20 @@ pub struct Admitted {
 /// handshakes.
 pub struct FrontDoor {
     listener: TcpListener,
-    policy: AdmissionPolicy,
+    /// Concurrent connections admitted before arrivals are bounced.
+    max_connections: usize,
     live: Arc<AtomicUsize>,
-    /// Connections bounced `Overloaded` at accept.
-    bounced: AtomicUsize,
 }
 
 impl FrontDoor {
-    /// Binds a loopback listener on an OS-assigned port.
-    pub fn bind(policy: AdmissionPolicy) -> io::Result<FrontDoor> {
+    /// Binds a loopback listener on an OS-assigned port that admits
+    /// at most `max_connections` connections at a time.
+    pub fn bind(max_connections: usize) -> io::Result<FrontDoor> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         Ok(FrontDoor {
             listener,
-            policy,
+            max_connections,
             live: Arc::new(AtomicUsize::new(0)),
-            bounced: AtomicUsize::new(0),
         })
     }
 
@@ -170,11 +72,6 @@ impl FrontDoor {
     /// Number of currently admitted connections.
     pub fn live_connections(&self) -> usize {
         self.live.load(Ordering::Relaxed)
-    }
-
-    /// Connections bounced at accept so far.
-    pub fn bounced_connections(&self) -> usize {
-        self.bounced.load(Ordering::Relaxed)
     }
 
     /// Admits the connection already waiting on the listener, if there
@@ -200,8 +97,7 @@ impl FrontDoor {
 
     /// Runs admission and the handshake on one accepted stream.
     fn admit(&self, stream: TcpStream, handshake_timeout: Duration) -> Option<Admitted> {
-        if self.live.load(Ordering::Relaxed) >= self.policy.max_connections {
-            self.bounced.fetch_add(1, Ordering::Relaxed);
+        if self.live.load(Ordering::Relaxed) >= self.max_connections {
             let _ = reject_and_close(stream, RejectReason::Overloaded, handshake_timeout);
             return None;
         }
@@ -213,8 +109,6 @@ impl FrontDoor {
         Some(Admitted {
             transport,
             hello,
-            bucket: self.policy.bucket(),
-            max_in_flight: self.policy.max_in_flight,
             guard: ConnGuard {
                 live: self.live.clone(),
             },
@@ -288,23 +182,6 @@ mod tests {
     use super::*;
     use crate::wire::Channel;
 
-    #[test]
-    fn token_bucket_refills_and_bounds() {
-        let t0 = Instant::now();
-        let mut b = TokenBucket::new(2.0, 1.0);
-        assert!(b.try_take(t0, 1.0));
-        assert!(b.try_take(t0, 1.0));
-        assert!(!b.try_take(t0, 1.0), "empty bucket rejects");
-        // 1.5 simulated seconds refill 1.5 tokens.
-        let t1 = t0 + Duration::from_millis(1500);
-        assert!(b.try_take(t1, 1.0));
-        assert!(!b.try_take(t1, 1.0));
-        // Refill never exceeds capacity.
-        let t2 = t1 + Duration::from_secs(100);
-        assert!(b.try_take(t2, 2.0));
-        assert!(!b.try_take(t2, 0.5));
-    }
-
     /// A serving loop's admission: waits on the door, admits, and
     /// waits again past every knock that was bounced.
     fn admit_next(door: &FrontDoor, timeout: Duration) -> Admitted {
@@ -320,7 +197,7 @@ mod tests {
     /// it admits what is already waiting and nothing else.
     #[test]
     fn try_accept_admits_only_what_is_waiting() {
-        let door = FrontDoor::bind(AdmissionPolicy::default()).unwrap();
+        let door = FrontDoor::bind(64).unwrap();
         let timeout = Duration::from_secs(5);
         let t0 = Instant::now();
         assert!(door.try_accept(timeout).is_none());
@@ -347,13 +224,7 @@ mod tests {
 
     #[test]
     fn front_door_admits_shakes_and_caps() {
-        let door = Arc::new(
-            FrontDoor::bind(AdmissionPolicy {
-                max_connections: 1,
-                ..AdmissionPolicy::default()
-            })
-            .unwrap(),
-        );
+        let door = Arc::new(FrontDoor::bind(1).unwrap());
         let addr = door.local_addr().unwrap();
         let timeout = Duration::from_secs(5);
 
@@ -399,7 +270,6 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
-        assert!(door.bounced_connections() >= 1);
 
         // Third client: admitted once the guard frees the slot.
         drop(admitted);

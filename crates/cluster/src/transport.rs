@@ -5,13 +5,12 @@
 //!
 //! * [`TcpTransport`] — loopback TCP, the real multi-process path
 //!   (non-blocking socket, `poll(2)` waits, user-space frame buffer);
-//! * [`ChannelTransport`] — in-process mpsc pair, proving the trait is
-//!   honest (the equivalence matrix runs the same bridge code over
-//!   both) and giving tests a socket-free harness;
+//! * [`ChannelTransport`] — in-process mpsc pair: the socket-free
+//!   harness unit tests drive node and supervision logic through (no
+//!   deployment runs it);
 //! * [`FaultyTransport`] — a deterministic fault-injection wrapper
-//!   (seeded drop/duplicate/delay/reorder/partition/cut) shaped by the
-//!   [`Link`] latency/bandwidth model, driving the network-chaos
-//!   suite.
+//!   (seeded drop/duplicate/delay/reorder and a connection cut, on
+//!   data frames only), driving the network-chaos suite.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -20,7 +19,6 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::net::Link;
 use crate::poll::{wait_fd, Waker, READABLE, WRITABLE};
 use crate::wire::{frame_header, parse_frame, write_frame, Frame, FrameKind, MAX_FRAME};
 
@@ -85,12 +83,6 @@ pub trait Transport: Send {
     /// cannot see it, or the link is known to be broken. A wait over
     /// several links must not sleep while any of them is ready.
     fn ready_now(&self) -> bool;
-
-    /// Sets how long [`Transport::recv`] waits for a frame.
-    fn set_read_timeout(&mut self, timeout: Duration) -> io::Result<()>;
-
-    /// Human-readable peer description for error messages.
-    fn peer(&self) -> String;
 }
 
 /// [`Transport`] over a TCP stream (loopback in this deployment).
@@ -112,7 +104,6 @@ pub struct TcpTransport {
     /// Queued, not yet written.
     wbuf: Vec<u8>,
     read_timeout: Duration,
-    peer: String,
 }
 
 impl TcpTransport {
@@ -131,10 +122,6 @@ impl TcpTransport {
     pub fn from_stream(stream: TcpStream, read_timeout: Duration) -> io::Result<TcpTransport> {
         stream.set_nodelay(true)?;
         stream.set_nonblocking(true)?;
-        let peer = stream
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "<unknown>".into());
         Ok(TcpTransport {
             stream,
             rbuf: Vec::new(),
@@ -143,7 +130,6 @@ impl TcpTransport {
             partial_since: None,
             wbuf: Vec::new(),
             read_timeout,
-            peer,
         })
     }
 
@@ -324,20 +310,11 @@ impl Transport for TcpTransport {
         held.first_chunk::<4>()
             .is_some_and(|len| held.len() - 4 >= u32::from_le_bytes(*len) as usize)
     }
-
-    fn set_read_timeout(&mut self, timeout: Duration) -> io::Result<()> {
-        self.read_timeout = timeout;
-        Ok(())
-    }
-
-    fn peer(&self) -> String {
-        self.peer.clone()
-    }
 }
 
-/// [`Transport`] over in-process channels: the second implementation
-/// pinning the trait's contract, and the socket-free path for unit
-/// tests of bridge/supervision logic.
+/// [`Transport`] over in-process channels: the socket-free path for
+/// unit tests of node and supervision logic. A receive waits at most
+/// 10 ms.
 pub struct ChannelTransport {
     tx: SyncSender<Frame>,
     rx: Receiver<Frame>,
@@ -374,7 +351,7 @@ impl ChannelTransport {
         )
     }
 
-    fn peer_gone() -> io::Error {
+    fn disconnected() -> io::Error {
         io::Error::new(io::ErrorKind::UnexpectedEof, "channel peer gone")
     }
 }
@@ -401,7 +378,7 @@ impl Transport for ChannelTransport {
         match self.rx.recv_timeout(self.read_timeout) {
             Ok(frame) => Ok(Some(frame)),
             Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(ChannelTransport::peer_gone()),
+            Err(RecvTimeoutError::Disconnected) => Err(ChannelTransport::disconnected()),
         }
     }
 
@@ -412,7 +389,7 @@ impl Transport for ChannelTransport {
         match self.rx.try_recv() {
             Ok(frame) => Ok(Some(frame)),
             Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(ChannelTransport::peer_gone()),
+            Err(TryRecvError::Disconnected) => Err(ChannelTransport::disconnected()),
         }
     }
 
@@ -440,24 +417,15 @@ impl Transport for ChannelTransport {
     fn ready_now(&self) -> bool {
         self.parsed.is_some()
     }
-
-    fn set_read_timeout(&mut self, timeout: Duration) -> io::Result<()> {
-        self.read_timeout = timeout;
-        Ok(())
-    }
-
-    fn peer(&self) -> String {
-        "<channel>".into()
-    }
 }
 
 /// Deterministic fault plan for [`FaultyTransport`].
 ///
-/// All probabilities are per *data* frame (control frames stay clean
-/// unless `data_only` is false — losing a `Register` reply forever is
-/// a different failure class, covered by the cut/reconnect path).
-/// Faults are driven by a seeded xorshift generator, so a given
-/// `(plan, traffic)` pair replays identically.
+/// Every fault — the cut's count included — touches
+/// [`FrameKind::Data`] frames only: every other frame passes clean,
+/// so a link that carries no data (a shard child's control link) is
+/// never faulted. Faults are driven by a seeded xorshift generator,
+/// so a given `(plan, traffic)` pair replays identically.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// RNG seed; two transports with equal seeds and equal traffic
@@ -467,21 +435,16 @@ pub struct FaultPlan {
     pub drop: f64,
     /// Probability a sent frame is delivered twice.
     pub duplicate: f64,
-    /// Probability a sent frame is delayed by the link model's
-    /// transfer time for its size.
+    /// Probability a sent frame is delayed by a flat 1 ms.
     pub delay: f64,
     /// Probability a sent frame is held back and swapped with the
     /// next one (adjacent reorder).
     pub reorder: f64,
-    /// Link model shaping delay durations; `None` = 1 ms flat.
-    pub link: Option<Link>,
     /// After this many sent data frames the connection is cut with an
     /// I/O error (a partition: everything until re-dial fails). `0`
     /// disables. Each new connection gets a fresh count, so a
     /// supervised link makes progress between cuts.
     pub cut_after: u64,
-    /// Apply faults only to [`FrameKind::Data`] frames (default).
-    pub data_only: bool,
     /// Test-only: fault only the links one node dials to another (a
     /// proxy node's link to each shard node), leaving every link the
     /// deploying process dials clean, so the chaos suite can show that
@@ -499,9 +462,7 @@ impl Default for FaultPlan {
             duplicate: 0.0,
             delay: 0.0,
             reorder: 0.0,
-            link: None,
             cut_after: 0,
-            data_only: true,
             node_links_only: false,
         }
     }
@@ -558,13 +519,6 @@ impl<T: Transport> FaultyTransport<T> {
         p > 0.0 && ((self.next_u64() >> 11) as f64) < p * (1u64 << 53) as f64
     }
 
-    fn shaped_delay(&self, bytes: usize) -> Duration {
-        match self.plan.link {
-            Some(link) => Duration::from_micros(link.transfer(0, bytes as u64)),
-            None => Duration::from_millis(1),
-        }
-    }
-
     fn cut_error(&self) -> io::Error {
         io::Error::new(
             io::ErrorKind::ConnectionReset,
@@ -578,7 +532,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         if self.severed {
             return Err(self.cut_error());
         }
-        if self.plan.data_only && frame.kind != FrameKind::Data {
+        if frame.kind != FrameKind::Data {
             return self.inner.send(frame);
         }
         self.sent += 1;
@@ -590,7 +544,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             return Ok(()); // silently lost; resend path repairs it
         }
         if self.chance(self.plan.delay) {
-            std::thread::sleep(self.shaped_delay(frame.payload.len() + 6));
+            std::thread::sleep(Duration::from_millis(1));
         }
         if self.chance(self.plan.reorder) && self.held.is_none() {
             self.held = Some(frame.clone());
@@ -647,41 +601,35 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         // A severed link is ready to report its error.
         self.severed || self.inner.ready_now()
     }
-
-    fn set_read_timeout(&mut self, timeout: Duration) -> io::Result<()> {
-        self.inner.set_read_timeout(timeout)
-    }
-
-    fn peer(&self) -> String {
-        format!("{} (faulty)", self.inner.peer())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::DataMsg;
+    use crate::wire::{decode_data_batch, encode_data_batch, DataMsg};
 
     fn data_frame(seq: u64) -> Frame {
-        Frame::new(
-            FrameKind::Data,
-            DataMsg {
-                seq,
-                stream: 0,
-                partition: 0,
-                timestamp: 0,
-                key: None,
-                value: vec![seq as u8].into(),
-            }
-            .encode(),
-        )
+        let msg = DataMsg {
+            seq,
+            stream: 0,
+            partition: 0,
+            timestamp: 0,
+            key: None,
+            value: vec![seq as u8].into(),
+        };
+        Frame::new(FrameKind::Data, encode_data_batch(&[msg]))
+    }
+
+    /// The sequence number of a one-record data frame.
+    fn seq_of(frame: &Frame) -> u64 {
+        let mut msgs = Vec::new();
+        assert_eq!(decode_data_batch(&frame.payload, &mut msgs).unwrap(), 1);
+        msgs[0].seq
     }
 
     #[test]
     fn channel_pair_roundtrip_and_timeout() {
         let (mut a, mut b) = ChannelTransport::pair(16);
-        a.set_read_timeout(Duration::from_millis(5)).unwrap();
-        b.set_read_timeout(Duration::from_millis(5)).unwrap();
         assert!(b.recv().unwrap().is_none()); // quiet read
         a.send(&data_frame(1)).unwrap();
         a.flush().unwrap();
@@ -756,7 +704,7 @@ mod tests {
         let (ta, tb) = tcp_pair(LONG);
         let pairs: [(Box<dyn Transport>, Box<dyn Transport>); 2] =
             [(Box::new(a), Box::new(b)), (Box::new(ta), Box::new(tb))];
-        for (mut near, mut far) in pairs {
+        for (kind, (mut near, mut far)) in ["channel", "tcp"].into_iter().zip(pairs) {
             let waker = Waker::new().unwrap();
             // A ring from another thread ends the sleep.
             let (sleeping_tx, sleeping_rx) = mpsc::channel();
@@ -771,7 +719,7 @@ mod tests {
             sleeping_tx.send(()).unwrap();
             far.wait(&waker, LONG).unwrap();
             ringer.join().unwrap();
-            assert!(t0.elapsed() < Duration::from_secs(1), "{}", far.peer());
+            assert!(t0.elapsed() < Duration::from_secs(1), "{kind}");
             assert!(far.try_recv().unwrap().is_none());
             // So does a frame — and it is there to take afterwards.
             let sender = std::thread::spawn(move || {
@@ -787,7 +735,7 @@ mod tests {
                 }
             };
             assert_eq!(got, data_frame(7));
-            assert!(t0.elapsed() < Duration::from_secs(1), "{}", far.peer());
+            assert!(t0.elapsed() < Duration::from_secs(1), "{kind}");
             drop(sender.join().unwrap());
         }
     }
@@ -819,18 +767,15 @@ mod tests {
     fn two_ends_writing_at_each_other_do_not_deadlock() {
         const FRAMES: u64 = 64;
         let big = |seq: u64| {
-            Frame::new(
-                FrameKind::Data,
-                DataMsg {
-                    seq,
-                    stream: 0,
-                    partition: 0,
-                    timestamp: 0,
-                    key: None,
-                    value: vec![seq as u8; 256 << 10].into(),
-                }
-                .encode(),
-            )
+            let msg = DataMsg {
+                seq,
+                stream: 0,
+                partition: 0,
+                timestamp: 0,
+                key: None,
+                value: vec![seq as u8; 256 << 10].into(),
+            };
+            Frame::new(FrameKind::Data, encode_data_batch(&[msg]))
         };
         let (a, b) = tcp_pair(LONG);
         let ends = [a, b].map(|mut t| {
@@ -865,10 +810,9 @@ mod tests {
                 f.send(&data_frame(i)).unwrap();
             }
             f.flush().unwrap();
-            b.set_read_timeout(Duration::from_millis(1)).unwrap();
             let mut got = Vec::new();
             while let Some(frame) = b.recv().unwrap() {
-                got.push(DataMsg::decode(&frame.payload).unwrap().seq);
+                got.push(seq_of(&frame));
             }
             got
         };
@@ -894,11 +838,10 @@ mod tests {
             f.send(&data_frame(i)).unwrap();
         }
         f.flush().unwrap(); // delivers any held reorder frame
-        b.set_read_timeout(Duration::from_millis(1)).unwrap();
         let mut seen = std::collections::BTreeSet::new();
         let mut total = 0;
         while let Some(frame) = b.recv().unwrap() {
-            seen.insert(DataMsg::decode(&frame.payload).unwrap().seq);
+            seen.insert(seq_of(&frame));
             total += 1;
         }
         assert_eq!(seen.len(), 100, "no frame may be lost");
@@ -937,7 +880,6 @@ mod tests {
         );
         f.send(&data_frame(0)).unwrap();
         f.send(&Frame::bare(FrameKind::Shutdown)).unwrap();
-        b.set_read_timeout(Duration::from_millis(1)).unwrap();
         let got = b.recv().unwrap().unwrap();
         assert_eq!(got.kind, FrameKind::Shutdown);
         assert!(b.recv().unwrap().is_none());

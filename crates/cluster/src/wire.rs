@@ -102,25 +102,14 @@ impl FrameKind {
     }
 }
 
-/// Why the front door bounced a frame or connection.
+/// Why a node bounced a frame or connection: the `Reject` frame's
+/// reason byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum RejectReason {
-    /// Too many connections or too many unacknowledged frames in
-    /// flight for this client.
+    /// Too many connections, or too many unacknowledged frames in
+    /// flight on this connection.
     Overloaded = 1,
-    /// The client's token bucket is empty.
-    RateLimited = 2,
-}
-
-impl RejectReason {
-    /// Parses the reason byte; unknown bytes degrade to `Overloaded`.
-    pub fn from_u8(b: u8) -> RejectReason {
-        match b {
-            2 => RejectReason::RateLimited,
-            _ => RejectReason::Overloaded,
-        }
-    }
 }
 
 /// One decoded frame: a kind plus its raw payload bytes.
@@ -284,21 +273,6 @@ impl DataMsg {
         out.extend_from_slice(&(self.value.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.value);
     }
-
-    /// Encodes into a payload buffer for a [`FrameKind::Data`] frame.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Decodes a [`FrameKind::Data`] payload holding exactly one record.
-    pub fn decode(payload: &[u8]) -> io::Result<DataMsg> {
-        match record_at(payload, 0) {
-            Some((record, end)) if end == payload.len() => Ok(record.to_msg()),
-            _ => Err(corrupt_batch()),
-        }
-    }
 }
 
 /// One record of a data payload, borrowed from the bytes it was read
@@ -369,9 +343,8 @@ fn record_at(payload: &[u8], at: usize) -> Option<(RecordRef<'_>, usize)> {
 /// copying or allocating, handing each to `visit`. Returns how many
 /// there were. An empty payload, or one whose framing does not end
 /// exactly at its last byte, is `InvalidData`; an error from `visit`
-/// ends the walk and is returned. Every decoder of data payloads
-/// ([`decode_data_batch`], [`DataMsg::decode`]) reads through the same
-/// framing, so a payload this accepts is one they decode.
+/// ends the walk and is returned. [`decode_data_batch`] reads through
+/// the same framing, so a payload this accepts is one it decodes.
 pub fn walk_data_batch<'a>(
     payload: &'a [u8],
     mut visit: impl FnMut(RecordRef<'a>) -> io::Result<()>,
@@ -391,7 +364,7 @@ pub fn walk_data_batch<'a>(
 }
 
 /// Encodes a run of records as one [`FrameKind::Data`] payload: the
-/// concatenation of each record's [`DataMsg::encode`] body. The
+/// concatenation of each record's [`DataMsg::encode_into`] body. The
 /// *frame's* sequence number is the first record's `seq` (the
 /// supervised link rewrites the leading 8 bytes); the remaining
 /// records ride under it, so acks and resends operate on whole
@@ -567,7 +540,7 @@ mod tests {
         let frames = [
             Frame::bare(FrameKind::HelloAck),
             Frame::new(FrameKind::Data, b"payload".to_vec()),
-            Frame::reject(RejectReason::RateLimited),
+            Frame::reject(RejectReason::Overloaded),
         ];
         let mut buf = Vec::new();
         for f in &frames {
@@ -616,8 +589,11 @@ mod tests {
                 key: key.clone(),
                 value: vec![9; 257].into(),
             };
-            let decoded = DataMsg::decode(&msg.encode()).unwrap();
-            assert_eq!(decoded, msg);
+            let enc = encode_data_batch(std::slice::from_ref(&msg));
+            assert_eq!(enc.len(), msg.encoded_len());
+            let mut decoded = Vec::new();
+            assert_eq!(decode_data_batch(&enc, &mut decoded).unwrap(), 1);
+            assert_eq!(decoded, [msg]);
         }
     }
 
@@ -631,14 +607,14 @@ mod tests {
             key: None,
             value: vec![1, 2, 3, 4].into(),
         };
-        let enc = msg.encode();
+        let enc = encode_data_batch(&[msg]);
         for cut in [0, 5, enc.len() - 1] {
-            assert!(DataMsg::decode(&enc[..cut]).is_err());
+            assert!(decode_data_batch(&enc[..cut], &mut Vec::new()).is_err());
         }
         // Trailing garbage is also corruption, not silently ignored.
         let mut padded = enc.clone();
         padded.push(0);
-        assert!(DataMsg::decode(&padded).is_err());
+        assert!(decode_data_batch(&padded, &mut Vec::new()).is_err());
     }
 
     #[test]
@@ -661,9 +637,10 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(decode_data_batch(&enc, &mut out).unwrap(), 5);
         assert_eq!(out, msgs);
-        // A single record still decodes through the batch path.
+        // A single record is a batch of one.
         out.clear();
-        assert_eq!(decode_data_batch(&msgs[0].encode(), &mut out).unwrap(), 1);
+        let one = encode_data_batch(&msgs[..1]);
+        assert_eq!(decode_data_batch(&one, &mut out).unwrap(), 1);
         assert_eq!(out[0], msgs[0]);
         // Truncation and empty payloads are corruption.
         assert!(decode_data_batch(&enc[..enc.len() - 1], &mut Vec::new()).is_err());

@@ -458,8 +458,10 @@ impl ShardedSystemBuilder {
     }
 
     /// Injects deterministic network faults (drop / duplicate / delay
-    /// / reorder / cut) into every link a share crosses: parent →
-    /// child, and each proxy child's link to each shard child. Only
+    /// / reorder / cut) into the data frames of every link a share
+    /// crosses: parent → proxy child, and each proxy child's link to
+    /// each shard child. The parent's control link to a shard child
+    /// carries no data frame, so no fault fires there. Only
     /// meaningful together with
     /// [`ShardedSystemBuilder::process_transport`].
     pub fn transport_faults(mut self, plan: FaultPlan) -> Self {
@@ -1295,8 +1297,11 @@ pub struct DeployHealth {
     /// Socket links re-dialed after a severed connection (process
     /// transport; always zero in-process).
     pub reconnects: u64,
-    /// Frames bounced by a node's admission control (`Overloaded` /
-    /// `RateLimited` rejections observed by the parent's links).
+    /// `Reject(Overloaded)` frames received on the deployment's links
+    /// (the parent's, and each proxy child's to the shard children):
+    /// data frames a node bounced for running more than its in-flight
+    /// cap past the stream's ack floor. A dial the front door refuses
+    /// at its connection cap is a failed dial, not counted here.
     pub rejections: u64,
     /// Unacknowledged frames retransmitted after a resend stall.
     pub retries: u64,

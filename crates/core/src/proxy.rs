@@ -12,6 +12,7 @@
 use privapprox_stream::broker::{Broker, BrokerError, Consumer, Record, TopicWriter};
 use privapprox_stream::EventCount;
 use privapprox_types::ProxyId;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Naming convention for the client→proxy topic.
@@ -33,7 +34,9 @@ pub struct Proxy {
     /// record (poll clones are refcounts, the writer's topic handle
     /// is cached, and consumers are woken once per batch).
     batch: Vec<(u32, u32, Record)>,
-    forwarded: u64,
+    /// Shares forwarded, counted before they are published: whoever
+    /// sees a share downstream sees it counted.
+    forwarded: Arc<AtomicU64>,
 }
 
 impl Proxy {
@@ -50,8 +53,15 @@ impl Proxy {
             consumer: broker.consumer(&format!("proxy-{}", id.0), &[&in_topic]),
             writer: broker.writer(&out_topic),
             batch: Vec::new(),
-            forwarded: 0,
+            forwarded: Arc::default(),
         }
+    }
+
+    /// The proxy counting its forwarded shares into `forwarded`, a
+    /// count it shares with the relay that runs it (and with the
+    /// proxies that replace it).
+    pub(crate) fn counting_into(self, forwarded: Arc<AtomicU64>) -> Proxy {
+        Proxy { forwarded, ..self }
     }
 
     /// The proxy id.
@@ -75,7 +85,9 @@ impl Proxy {
     /// [`Proxy::pump`] reporting a backpressure deadline on the
     /// outbound topic as a typed error instead of panicking. Shares
     /// already polled but not yet re-published stay in the batch
-    /// buffer, so a later pump retries them — nothing is dropped.
+    /// buffer, so a later pump retries them — nothing is dropped. What
+    /// the pump did publish before the stall stays counted in
+    /// [`Proxy::forwarded`].
     pub fn try_pump(&mut self) -> Result<u64, BrokerError> {
         let mut n = 0;
         loop {
@@ -84,7 +96,6 @@ impl Proxy {
                 break;
             }
         }
-        self.forwarded += n;
         Ok(n)
     }
 
@@ -100,8 +111,10 @@ impl Proxy {
     /// and value pass through by refcount, and consumers are woken
     /// once at the end of the batch. On a backpressure error the
     /// unforwarded tail (including the failing record) is retained
-    /// for retry.
+    /// for retry, and taken back out of the count.
     fn try_forward(&mut self) -> Result<u64, BrokerError> {
+        self.forwarded
+            .fetch_add(self.batch.len() as u64, Ordering::Relaxed);
         let mut sent = 0usize;
         let mut fault = None;
         for (_, partition, record) in &self.batch {
@@ -125,15 +138,17 @@ impl Proxy {
         match fault {
             None => Ok(sent as u64),
             Some(e) => {
-                self.forwarded += sent as u64;
+                self.forwarded
+                    .fetch_sub(self.batch.len() as u64, Ordering::Relaxed);
                 Err(e)
             }
         }
     }
 
-    /// Total shares forwarded over the proxy's lifetime.
+    /// Total shares forwarded over the proxy's lifetime (or, for a
+    /// deployment's relay, over the lifetimes of every proxy it ran).
     pub fn forwarded(&self) -> u64 {
-        self.forwarded
+        self.forwarded.load(Ordering::Relaxed)
     }
 }
 
@@ -250,6 +265,25 @@ mod tests {
         t.join().unwrap();
         assert_eq!(proxy.pump(), 1, "the pump forwards the record that woke it");
         assert_eq!(broker.topic_len("proxy-0-out"), 1);
+    }
+
+    /// A pump that stalls on a full outbound topic keeps the count of
+    /// every batch it published before the stall, not just the
+    /// stalled batch's part, and does not count the unpublished tail.
+    #[test]
+    fn a_stall_loses_no_forwarded_count() {
+        let broker = Broker::new(1);
+        broker.create_topic_with_capacity("proxy-0-out", 1, 1_500);
+        broker.set_backpressure_deadline(Duration::from_millis(10));
+        // Live, so the capacity binds; it never polls.
+        let _stuck = broker.consumer("agg", &["proxy-0-out"]);
+        for i in 0..2_048u32 {
+            put(&broker, "proxy-0-in", 0, None, &i.to_le_bytes());
+        }
+        let mut proxy = Proxy::new(ProxyId(0), &broker);
+        assert!(proxy.try_pump().is_err(), "the outbound topic is full");
+        assert_eq!(broker.topic_len("proxy-0-out"), 1_500);
+        assert_eq!(proxy.forwarded(), 1_500);
     }
 
     #[test]

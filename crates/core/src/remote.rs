@@ -97,7 +97,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use privapprox_cluster::frontdoor::{shake_hands, ConnGuard};
 use privapprox_cluster::wire::{
@@ -105,9 +105,9 @@ use privapprox_cluster::wire::{
     Channel,
 };
 use privapprox_cluster::{
-    encode_data_batch, walk_data_batch, AdmissionPolicy, Admitted, BackoffPolicy, DataMsg,
-    FaultPlan, FaultyTransport, Frame, FrameKind, FrontDoor, Hello, Link, LinkStats, PollSet,
-    Reassembly, RejectReason, SupervisedLink, TcpTransport, TokenBucket, Transport, Waker,
+    encode_data_batch, walk_data_batch, Admitted, BackoffPolicy, DataMsg, FaultPlan,
+    FaultyTransport, Frame, FrameKind, FrontDoor, Hello, LinkStats, PollSet, Reassembly,
+    RejectReason, SupervisedLink, TcpTransport, Transport, Waker,
 };
 use privapprox_stream::broker::{Consumer, Record};
 use privapprox_stream::EventCount;
@@ -133,6 +133,13 @@ pub(crate) const LINK_READ_POLL: Duration = Duration::from_millis(50);
 pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_millis(2_000);
 /// Records packed into one data frame (one sequence number, one ack).
 pub(crate) const BATCH_RECORDS: usize = 512;
+/// Connections a node's front door admits at once; beyond it a dialer
+/// is refused `Overloaded` and backs off.
+const MAX_CONNECTIONS: usize = 64;
+/// Data frames a connection may send beyond a stream's ack floor
+/// before the node answers the excess with `Reject(Overloaded)`,
+/// bounding what it parks for one stream whatever the sender does.
+const MAX_IN_FLIGHT: u64 = 16_384;
 
 // ---------------------------------------------------------------------------
 // Parent side: spawning children and dialing supervised links.
@@ -253,22 +260,17 @@ pub(crate) fn node_args(
 }
 
 /// A fault plan as one command-line word:
-/// `seed:drop:duplicate:delay:reorder:cut_after:data_only[:latency_us:bytes_per_us]`,
-/// floats as their IEEE-754 bits, so a child faults exactly as
-/// planned.
+/// `seed:drop:duplicate:delay:reorder:cut_after`, floats as their
+/// IEEE-754 bits, so a child faults exactly as planned.
 fn fault_arg(p: &FaultPlan) -> String {
-    let mut words = vec![
+    let words = [
         p.seed,
         p.drop.to_bits(),
         p.duplicate.to_bits(),
         p.delay.to_bits(),
         p.reorder.to_bits(),
         p.cut_after,
-        p.data_only as u64,
     ];
-    if let Some(link) = p.link {
-        words.extend([link.latency_us, link.bytes_per_us.to_bits()]);
-    }
     let words: Vec<String> = words.iter().map(u64::to_string).collect();
     words.join(":")
 }
@@ -280,23 +282,16 @@ fn parse_fault_arg(word: &str) -> Option<FaultPlan> {
         .map(str::parse)
         .collect::<Result<_, _>>()
         .ok()?;
-    let link = match w.len() {
-        7 => None,
-        9 => Some(Link {
-            latency_us: w[7],
-            bytes_per_us: f64::from_bits(w[8]),
-        }),
-        _ => return None,
+    let [seed, drop, duplicate, delay, reorder, cut_after] = w[..] else {
+        return None;
     };
     Some(FaultPlan {
-        seed: w[0],
-        drop: f64::from_bits(w[1]),
-        duplicate: f64::from_bits(w[2]),
-        delay: f64::from_bits(w[3]),
-        reorder: f64::from_bits(w[4]),
-        cut_after: w[5],
-        data_only: w[6] != 0,
-        link,
+        seed,
+        drop: f64::from_bits(drop),
+        duplicate: f64::from_bits(duplicate),
+        delay: f64::from_bits(delay),
+        reorder: f64::from_bits(reorder),
+        cut_after,
         ..FaultPlan::default()
     })
 }
@@ -559,7 +554,7 @@ pub(crate) struct ProxyBridge {
     /// The route table as the child knows it, and its generation.
     told: (u64, Vec<SocketAddr>),
     /// The child's shard links' counters, as it last reported them.
-    peer_links: Arc<LinkStats>,
+    shard_links: Arc<LinkStats>,
 }
 
 impl ProxyBridge {
@@ -580,13 +575,13 @@ impl ProxyBridge {
             slots: vec![Vec::new(); told.1.len()],
             routes,
             told,
-            peer_links: LinkStats::shared(),
+            shard_links: LinkStats::shared(),
         }
     }
 
     /// The counters of the child's links to the shard children.
-    pub(crate) fn peer_links(&self) -> Arc<LinkStats> {
-        Arc::clone(&self.peer_links)
+    pub(crate) fn shard_links(&self) -> Arc<LinkStats> {
+        Arc::clone(&self.shard_links)
     }
 
     pub(crate) fn token(&self) -> u64 {
@@ -637,7 +632,7 @@ impl ProxyBridge {
             moved = true;
             if f.kind == FrameKind::LinkStats {
                 match decode_link_stats(&f.payload) {
-                    Ok(counts) => self.peer_links.set_counts(counts),
+                    Ok(counts) => self.shard_links.set_counts(counts),
                     Err(e) => self.bridge.fail(e),
                 }
             }
@@ -741,7 +736,7 @@ pub fn node_main(args: &[String]) -> i32 {
 
 fn run_node(args: &[String]) -> io::Result<()> {
     let opts = NodeOpts::parse(args)?;
-    let door = FrontDoor::bind(AdmissionPolicy::default())?;
+    let door = FrontDoor::bind(MAX_CONNECTIONS)?;
     let port = door.local_addr()?.port();
     {
         let mut out = io::stdout().lock();
@@ -762,13 +757,10 @@ fn run_node(args: &[String]) -> io::Result<()> {
     }
 }
 
-/// A connection the front door admitted, with the admission state its
-/// data frames answer to. A broken or hostile connection is dropped;
-/// its peer re-dials.
+/// A connection the front door admitted. A broken or hostile
+/// connection is dropped; its peer re-dials.
 struct Conn {
     t: Box<dyn Transport>,
-    bucket: TokenBucket,
-    max_in_flight: usize,
     /// Frees the front door's connection slot when the connection goes.
     _slot: Option<ConnGuard>,
 }
@@ -778,8 +770,6 @@ impl Conn {
     fn admitted(a: Admitted) -> (Hello, Conn) {
         let conn = Conn {
             t: Box::new(a.transport),
-            bucket: a.bucket,
-            max_in_flight: a.max_in_flight,
             _slot: Some(a.guard),
         };
         (a.hello, conn)
@@ -823,7 +813,7 @@ fn invalid(what: String) -> io::Error {
 /// slot all of its records belong to.
 type Batch = (usize, Vec<u8>);
 
-/// The receiving half of one data stream: admission control in front
+/// The receiving half of one data stream: the in-flight cap in front
 /// of the resend protocol's reassembly. It outlives the connections
 /// that feed it, so a re-dialed link's replay continues in sequence.
 struct Inbox {
@@ -866,8 +856,9 @@ impl Inbox {
     }
 
     /// Takes one inbound data frame: walked and checked without being
-    /// decoded, admitted (or bounced with a `Reject` — the peer's
-    /// resend window redelivers it later) and put back in sequence. A
+    /// decoded, admitted (or, beyond [`MAX_IN_FLIGHT`], bounced with a
+    /// `Reject` — the peer's resend window redelivers it later) and put
+    /// back in sequence. A
     /// batch holding a record the node cannot pass on — a partition
     /// beyond its `--partitions`, a stream other than the link's, or a
     /// shard slot other than the batch's first record's — is refused
@@ -875,7 +866,7 @@ impl Inbox {
     fn accept(&mut self, payload: Vec<u8>, c: &mut Conn) -> io::Result<()> {
         // The first record's sequence number (the frame's) and slot.
         let mut head = None;
-        let records = walk_data_batch(&payload, |r| {
+        walk_data_batch(&payload, |r| {
             let slot = r.partition as usize % self.slots;
             let (_, first) = *head.get_or_insert((r.seq, slot));
             if r.partition as usize >= self.partitions || r.stream != self.stream || slot != first {
@@ -888,21 +879,12 @@ impl Inbox {
             Ok(())
         })?;
         let (seq, slot) = head.expect("a walked batch has a record");
-        let refused = if seq > self.reasm.ack_floor() + c.max_in_flight as u64 {
-            Some(RejectReason::Overloaded)
-        } else if !c.bucket.try_take(Instant::now(), records as f64) {
-            Some(RejectReason::RateLimited)
-        } else {
-            None
-        };
-        match refused {
-            Some(reason) => c.t.send(&Frame::reject(reason)),
-            None => {
-                let batch = (slot, payload);
-                self.reasm.accept(seq, batch, &mut self.deliverable);
-                Ok(())
-            }
+        if seq > self.reasm.ack_floor() + MAX_IN_FLIGHT {
+            return c.t.send(&Frame::reject(RejectReason::Overloaded));
         }
+        self.reasm
+            .accept(seq, (slot, payload), &mut self.deliverable);
+        Ok(())
     }
 
     /// Queues the cumulative ack for everything delivered in order,
@@ -1259,6 +1241,7 @@ mod tests {
     use privapprox_cluster::wire::decode_ack;
     use privapprox_cluster::{decode_data_batch, ChannelTransport};
     use std::sync::mpsc;
+    use std::time::Instant;
 
     // What the node reads off and writes onto its socket — the `Ctrl`
     // and `CtrlReply` payloads — reconstructs bit for bit.
@@ -1410,29 +1393,62 @@ mod tests {
         assert!(NodeOpts::parse(&args(&["proxy", "--shards", "nowhere"])).is_err());
     }
 
-    /// The links a child dials fault exactly as the parent planned.
+    /// The links a child dials fault exactly as the parent planned:
+    /// every field of the six-word form crosses bit for bit, and no
+    /// other length parses.
     #[test]
     fn fault_plan_crosses_the_command_line_exactly() {
-        let shaped = Link {
-            latency_us: 250,
-            bytes_per_us: 12.5,
+        let plan = FaultPlan {
+            seed: 0xC4A05,
+            drop: 0.3,
+            duplicate: 0.25,
+            delay: 0.1,
+            reorder: 0.2,
+            cut_after: 4,
+            ..FaultPlan::default()
         };
-        for link in [None, Some(shaped)] {
-            let plan = FaultPlan {
-                seed: 0xC4A05,
-                drop: 0.3,
-                duplicate: 0.25,
-                delay: 0.1,
-                reorder: 0.2,
-                cut_after: 4,
-                data_only: false,
-                link,
+        let word = fault_arg(&plan);
+        assert_eq!(word.split(':').count(), 6);
+        assert_eq!(parse_fault_arg(&word), Some(plan));
+        // Each field on its own, so none can stand in for another.
+        let one_each = [
+            FaultPlan {
+                seed: 9,
                 ..FaultPlan::default()
-            };
+            },
+            FaultPlan {
+                drop: 0.5,
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                duplicate: 0.5,
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                delay: 0.5,
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                reorder: 0.5,
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                cut_after: 7,
+                ..FaultPlan::default()
+            },
+        ];
+        for plan in one_each {
             assert_eq!(parse_fault_arg(&fault_arg(&plan)), Some(plan));
         }
+        // The old forms (a data-only word, then a link model) and
+        // garbage are refused.
+        assert_eq!(parse_fault_arg(&format!("{word}:1")), None);
+        assert_eq!(
+            parse_fault_arg(&format!("{word}:1:250:4623507967449235456")),
+            None
+        );
         assert_eq!(parse_fault_arg("1:2:3"), None);
-        assert_eq!(parse_fault_arg("1:x:0:0:0:0:1"), None);
+        assert_eq!(parse_fault_arg("1:x:0:0:0:0"), None);
     }
 
     /// A connection to a node whose far end the test holds.
@@ -1440,8 +1456,6 @@ mod tests {
         let (peer, node_end) = ChannelTransport::pair(64);
         let conn = Conn {
             t: Box::new(node_end),
-            bucket: TokenBucket::unlimited(),
-            max_in_flight: 64,
             _slot: None,
         };
         (peer, conn)
@@ -1477,14 +1491,15 @@ mod tests {
         ProxyNode::new(&NodeOpts::parse(&args(&words)).unwrap())
     }
 
-    /// A stand-in shard child: a front door under `policy` whose
-    /// serving loop hands over the first `n` connections it admits, in
-    /// order, and bounces every knock in between.
+    /// A stand-in shard child: a front door admitting at most
+    /// `max_connections` at once, whose serving loop hands over the
+    /// first `n` connections it admits, in order, and bounces every
+    /// knock in between.
     fn fake_shard(
-        policy: AdmissionPolicy,
+        max_connections: usize,
         n: usize,
     ) -> (SocketAddr, mpsc::Receiver<Admitted>, thread::JoinHandle<()>) {
-        let door = FrontDoor::bind(policy).unwrap();
+        let door = FrontDoor::bind(max_connections).unwrap();
         let addr = door.local_addr().unwrap();
         let (tx, rx) = mpsc::channel();
         let serving = thread::spawn(move || {
@@ -1551,7 +1566,7 @@ mod tests {
     /// and acks it.
     #[test]
     fn proxy_node_refuses_an_out_of_range_partition_and_keeps_serving() {
-        let (addr, admitted, shard) = fake_shard(AdmissionPolicy::default(), 1);
+        let (addr, admitted, shard) = fake_shard(MAX_CONNECTIONS, 1);
         let mut node = proxy_node(&["--partitions", "2"], &[addr]);
         let (mut parent, mut conn) = channel_conn();
         parent.send(&share(1, 0, 99)).unwrap();
@@ -1579,11 +1594,7 @@ mod tests {
     /// the slot's shares until a route change that never comes.
     #[test]
     fn proxy_node_redials_a_live_shard_after_giving_up() {
-        let policy = AdmissionPolicy {
-            max_connections: 1,
-            ..AdmissionPolicy::default()
-        };
-        let (addr, admitted, shard) = fake_shard(policy, 2);
+        let (addr, admitted, shard) = fake_shard(1, 2);
         let mut holder = TcpTransport::connect(addr, CONNECT_TIMEOUT, LINK_READ_POLL).unwrap();
         let hello = Hello {
             channel: Channel::Ctrl,
@@ -1614,7 +1625,7 @@ mod tests {
     /// reads a batch's framing but never re-encodes it.
     #[test]
     fn proxy_node_relays_the_parents_frame_unchanged() {
-        let (addr, admitted, shard) = fake_shard(AdmissionPolicy::default(), 2);
+        let (addr, admitted, shard) = fake_shard(MAX_CONNECTIONS, 2);
         let mut node = proxy_node(&["--index", "1", "--partitions", "4"], &[addr, addr]);
         let sent = batch(1, 1, &[3, 1, 3]);
         let (mut parent, conn) = channel_conn();
@@ -1636,7 +1647,7 @@ mod tests {
     /// acked.
     #[test]
     fn proxy_node_refuses_a_batch_spanning_shard_slots_or_naming_another_proxy() {
-        let (addr, admitted, shard) = fake_shard(AdmissionPolicy::default(), 2);
+        let (addr, admitted, shard) = fake_shard(MAX_CONNECTIONS, 2);
         let mut node = proxy_node(&["--index", "1", "--partitions", "4"], &[addr, addr]);
         for bad in [batch(1, 1, &[0, 1]), batch(1, 0, &[2])] {
             let (mut parent, mut conn) = channel_conn();
@@ -1681,6 +1692,36 @@ mod tests {
         node.inboxes[1].ack(c.t.as_mut()).unwrap();
         let ack = proxy.try_recv().unwrap().expect("an ack");
         assert_eq!(decode_ack(&ack.payload).unwrap(), 1);
+    }
+
+    /// A data frame numbered beyond the stream's ack floor plus
+    /// [`MAX_IN_FLIGHT`] is answered `Reject(Overloaded)` and not
+    /// delivered; the same records resent inside the window — as the
+    /// sender's resend path numbers them — are accepted and acked.
+    #[test]
+    fn shard_node_rejects_a_frame_beyond_the_in_flight_cap() {
+        let mut node = ShardNode::new(
+            &NodeOpts::parse(&args(&["shard", "--partitions", "2", "--proxies", "2"])).unwrap(),
+        );
+        let (mut proxy, conn) = channel_conn();
+        node.proxies[0] = Some(conn);
+        proxy.send(&share(MAX_IN_FLIGHT + 1, 0, 1)).unwrap();
+        node.take_data(0).unwrap();
+        let reject = proxy.try_recv().unwrap().expect("a rejection");
+        assert_eq!(reject, Frame::reject(RejectReason::Overloaded));
+        assert!(node.inboxes[0].deliverable.is_empty(), "nothing delivered");
+        assert_eq!(node.inboxes[0].reasm.ack_floor(), 0, "nothing parked");
+
+        proxy.send(&share(1, 0, 1)).unwrap();
+        node.take_data(0).unwrap();
+        assert_eq!(node.inboxes[0].deliverable.len(), 1);
+        node.pump();
+        let c = node.proxies[0].as_mut().unwrap();
+        node.inboxes[0].ack(c.t.as_mut()).unwrap();
+        let ack = proxy.try_recv().unwrap().expect("an ack");
+        assert_eq!(ack.kind, FrameKind::DataAck);
+        assert_eq!(decode_ack(&ack.payload).unwrap(), 1);
+        assert!(proxy.try_recv().unwrap().is_none(), "no second rejection");
     }
 
     /// A shard node joins shares straight off its links, with no

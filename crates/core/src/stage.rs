@@ -502,8 +502,10 @@ impl<In> LocalShard<In> {
 #[derive(Default)]
 pub(crate) struct RelayCounters {
     pub stop: AtomicBool,
-    /// Shares relayed (in-process) or shipped to the relay child.
-    pub forwarded: AtomicU64,
+    /// Shares relayed (in-process) or shipped to the relay child, each
+    /// counted before it is published or shipped, so a share that
+    /// reached a shard is already in the count.
+    pub forwarded: Arc<AtomicU64>,
     pub busy_ns: AtomicU64,
     /// Backpressure deadlines the relay rode out (the batch is
     /// retained and retried, so these are stalls, not losses).
@@ -647,7 +649,10 @@ impl Host {
     ) -> io::Result<Vec<ProxyHandle>> {
         let relays = match self.transport.clone() {
             TransportMode::InProcess => (slots.iter())
-                .map(|(i, _)| Relay::Local(Proxy::new(ProxyId(*i as u16), &self.broker)))
+                .map(|(i, c)| {
+                    let proxy = Proxy::new(ProxyId(*i as u16), &self.broker);
+                    Relay::Local(proxy.counting_into(Arc::clone(&c.forwarded)))
+                })
                 .collect(),
             TransportMode::Process { node, faults } => {
                 let told = self.routes.read();
@@ -662,7 +667,7 @@ impl Host {
                     let bridge = self.bridge(child, faults, (Role::Proxy, i), wake)?;
                     let routes = Arc::clone(&self.routes);
                     let relay = ProxyBridge::new(i, bridge, consumer, routes, told.clone());
-                    self.link_stats.push(relay.peer_links());
+                    self.link_stats.push(relay.shard_links());
                     relays.push(Relay::Remote(relay));
                 }
                 relays
@@ -835,10 +840,7 @@ impl Relay {
     fn round(&mut self, c: &RelayCounters) -> bool {
         match self {
             Relay::Local(proxy) => match proxy.try_pump() {
-                Ok(n) => {
-                    c.forwarded.fetch_add(n, Ordering::Relaxed);
-                    n > 0
-                }
+                Ok(n) => n > 0,
                 // A backpressure deadline is a stall downstream, not a
                 // relay fault: the unforwarded tail stays buffered and
                 // the next round retries it.
