@@ -38,7 +38,7 @@ pub struct Fig4aSeries {
 /// Figure 4a: loss vs sampling fraction per (p, q).
 pub fn run_4a(seed: u64) -> Vec<Fig4aSeries> {
     let population = MicroAnswers::paper_default(seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xF16_4A);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xF164A);
     PQ.iter()
         .map(|&(p, q)| Fig4aSeries {
             p,
@@ -82,7 +82,7 @@ pub struct Fig4bRow {
 /// q = 0.6).
 pub fn run_4b(seed: u64) -> Vec<Fig4bRow> {
     let population = MicroAnswers::paper_default(seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xF16_4B);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xF164B);
     let (p, q) = (0.3, 0.6);
     let rr_only = 100.0
         * mean_loss(
@@ -140,7 +140,7 @@ pub struct Fig4cRow {
 
 /// Figure 4c: client counts 10¹..10⁶ at s = 0.9, p = 0.9, q = 0.6.
 pub fn run_4c(seed: u64) -> Vec<Fig4cRow> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xF16_4C);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xF164C);
     [10u64, 100, 1_000, 10_000, 100_000, 1_000_000]
         .iter()
         .map(|&n| {

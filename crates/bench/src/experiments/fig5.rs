@@ -31,7 +31,7 @@ pub struct Fig5aRow {
 /// paper's microbenchmark) the comparison isolates the randomization
 /// stage at full sampling.
 pub fn run_5a(seed: u64) -> Vec<Fig5aRow> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xF16_5A);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xF165A);
     (1..=9)
         .map(|tens| {
             let yes_rate = tens as f64 / 10.0;

@@ -110,7 +110,7 @@ struct QueryState {
 /// The aggregation endpoint.
 ///
 /// Its input is a type parameter: the default, [`Consumer`], is the
-/// `"aggregator"`-group consumer over every proxy's output topic that
+/// `"aggregator"`-group consumer over one topic per proxy that
 /// [`Aggregator::for_shard`] creates and the `pump*` methods drain. A
 /// shard child's aggregator has no broker behind it (its input is
 /// `()`): the child hands it each share it walks off a proxy link.
@@ -132,8 +132,8 @@ pub struct Aggregator<In = Consumer> {
     /// the drain loop performs no per-batch (let alone per-record)
     /// allocation in the broker hop — records are refcount clones, and
     /// the record's topic **index** is its source for the joiner's
-    /// provenance tracking (the consumer subscribes to proxy outputs
-    /// in proxy order).
+    /// provenance tracking (the consumer subscribes to one topic per
+    /// proxy, in proxy order).
     batch: Vec<(u32, u32, privapprox_stream::broker::Record)>,
     /// Recycled [`QueryResult`] shells (their `buckets` vectors keep
     /// their capacity), refilled by [`Aggregator::recycle_results`].
@@ -153,28 +153,29 @@ impl Aggregator {
     /// proxy output topics on the broker, reporting intervals at
     /// `confidence`: [`Aggregator::for_shard`] of one shard.
     pub fn new(broker: &Broker, n_proxies: usize, confidence: f64) -> Aggregator {
-        Aggregator::for_shard(broker, n_proxies, confidence, 0, 1)
+        let topics: Vec<String> = (0..n_proxies)
+            .map(|i| crate::proxy::outbound_topic(privapprox_types::ProxyId(i as u16)))
+            .collect();
+        Aggregator::for_shard(broker, &topics, confidence, 0, 1)
     }
 
-    /// Creates aggregator shard `shard` of `shards`: it consumes
-    /// partitions `{p : p % shards == shard}` of every proxy output
-    /// topic in the `"aggregator"` group, so all of a MID's shares,
-    /// which travel in one partition index of every topic, meet on it.
+    /// Creates aggregator shard `shard` of `shards` over `topics`, one
+    /// per proxy in proxy order: it consumes partitions `{p : p %
+    /// shards == shard}` of each in the `"aggregator"` group, so all
+    /// of a MID's shares, which travel in one partition index of every
+    /// topic, meet on it.
     pub fn for_shard(
         broker: &Broker,
-        n_proxies: usize,
+        topics: &[String],
         confidence: f64,
         shard: usize,
         shards: usize,
     ) -> Aggregator {
-        let topics: Vec<String> = (0..n_proxies)
-            .map(|i| crate::proxy::outbound_topic(privapprox_types::ProxyId(i as u16)))
-            .collect();
-        let topic_refs: Vec<&str> = topics.iter().map(|s| s.as_str()).collect();
+        let topic_refs: Vec<&str> = topics.iter().map(String::as_str).collect();
         // Subscribed in proxy order, so a record's topic index in the
         // poll batch *is* its source proxy index.
         let consumer = broker.consumer_of("aggregator", &topic_refs, shard, shards);
-        Aggregator::with_input(consumer, n_proxies, confidence)
+        Aggregator::with_input(consumer, topics.len(), confidence)
     }
 
     /// Drains available proxy records, joining and decoding shares and

@@ -4,26 +4,27 @@
 //! harness: one thread walks clients → proxies → aggregator in
 //! sequence, so every BENCH number it produces is per-core.
 //! [`ShardedSystem`] is the same deployment run the way the paper
-//! runs it (§5): **N proxy relay threads** and **M aggregator
-//! shards** over *partitioned* broker topics, fed by a pool of client
-//! worker threads — and, since the pipelined runtime, the stages run
+//! runs it (§5): **N proxy topics** and **M aggregator shards** over
+//! *partitioned* broker topics, fed by a pool of client worker
+//! threads — and, since the pipelined runtime, the stages run
 //! **continuously and concurrently** instead of lock-stepping behind
-//! per-epoch barriers.
+//! per-epoch barriers. As on the paper's Kafka deployment, a proxy is
+//! its topic: a worker publishes each share once, onto its proxy's
+//! topic, and the shards subscribe to those topics, so a share makes
+//! one hop.
 //!
 //! # Topology and partition affinity
 //!
 //! ```text
 //! worker threads ──append(partition π(c))───► proxy-i-in[π(c)]   (i = 0..n)
-//! proxy thread i ──partition-preserving─────► proxy-i-out[π(c)]   (free-running)
 //! shard thread s (owns {p : p % M == s}) ───► join ⟂ decode ⟂ window (free-running)
 //! main ──Close(epoch) → merge counts────────► finalize → QueryResult
 //! ```
 //!
 //! Every client `c` is pinned to partition `π(c) = c mod P`; all `n`
 //! of its XOR shares travel in partition `π(c)` of their respective
-//! proxy topics (proxies forward partition-preserving), and shard
-//! `π(c) mod M` owns partition `π(c)` of *every* proxy-out topic
-//! (`Broker::consumer_of`) — so each MID's shares
+//! proxy topics, and shard `π(c) mod M` owns partition `π(c)` of
+//! *every* proxy topic (`Broker::consumer_of`) — so each MID's shares
 //! join **shard-locally**, with no cross-shard traffic before the
 //! window merge.
 //!
@@ -39,9 +40,11 @@
 //! epoch (all workers answer → all proxies drain → all shards drain),
 //! so the epoch's critical path *summed* the stage maxima. Now:
 //!
-//! * **proxy threads free-run**: they forward whatever arrives,
-//!   whenever it arrives, with no per-epoch commands at all — a relay
-//!   has no epoch state to synchronize;
+//! * **proxies need no epoch commands**: a share is on its proxy's
+//!   topic as soon as a worker flushes its run, whichever epoch it
+//!   belongs to (on the process transport a proxy bridge ships it to
+//!   its child as it lands) — a proxy has no epoch state to
+//!   synchronize;
 //! * **shard threads free-run**: they continuously join/decode/window
 //!   records, counting completed decodes **per epoch tag** (the
 //!   answer timestamp, which identifies its epoch); an epoch is
@@ -139,8 +142,8 @@
 //!   live query (a shard child's replacement is instead routed to by
 //!   the proxy children, once it has every query registered). While
 //!   a slot is dead its partitions wait for the replacement;
-//! * a **proxy** respawns into its own consumer group, resuming
-//!   from the committed offset.
+//! * a **proxy bridge** (process transport) respawns into its own
+//!   consumer group, resuming from the committed offset.
 //!
 //! Epoch closes carry a **deadline**
 //! ([`ShardedSystemBuilder::epoch_deadline`]): a close that cannot
@@ -179,7 +182,7 @@ use crate::initializer::Initializer;
 use crate::persist::{
     self, persist_err, CloseRecord, DurableState, OpenEpoch, RecoveredState, SnapshotContents,
 };
-use crate::proxy::{inbound_topic, outbound_topic};
+use crate::proxy::inbound_topic;
 use crate::remote;
 use crate::stage::{
     spawn_supervised, take_crash, CrashLog, Host, ProxyHandle, Role, ShardHandle,
@@ -287,7 +290,7 @@ fn wall_clock_fallback() -> Duration {
 pub struct ShardedConfig {
     /// Number of client devices.
     pub clients: u64,
-    /// Number of proxies = relay threads (≥ 2).
+    /// Number of proxies, one topic each (≥ 2).
     pub proxies: u16,
     /// Number of aggregator shards (≥ 1).
     pub shards: usize,
@@ -474,7 +477,7 @@ impl ShardedSystemBuilder {
         self
     }
 
-    /// Sets the number of proxies / relay threads (≥ 2).
+    /// Sets the number of proxies, one topic each (≥ 2).
     pub fn proxies(mut self, n: u16) -> Self {
         self.config.proxies = n;
         self
@@ -646,15 +649,13 @@ impl ShardedSystemBuilder {
             .max(64) as usize
         };
         // Bounded topics must exist (with their capacity) before the
-        // proxies/shards auto-create them unbounded. Proxy children
-        // send what they relay straight to the shard children, so in
-        // process mode this broker carries the inbound topics only.
+        // workers/shards auto-create them unbounded. One topic per
+        // proxy carries each share once: in-process shards consume it,
+        // and proxy bridges ship it to the proxy children, which send
+        // it straight to the shard children.
         for i in 0..c.proxies {
-            let id = ProxyId(i);
-            broker.create_topic_with_capacity(&inbound_topic(id), partitions, capacity);
-            if self.node_binary.is_none() {
-                broker.create_topic_with_capacity(&outbound_topic(id), partitions, capacity);
-            }
+            let topic = inbound_topic(ProxyId(i));
+            broker.create_topic_with_capacity(&topic, partitions, capacity);
         }
         // The quarantine topic is bounded drop-oldest: poisoned input
         // must never backpressure the healthy pipeline, and a
@@ -676,7 +677,9 @@ impl ShardedSystemBuilder {
             broker,
             crashes: CrashLog::default(),
             ledger: Arc::default(),
+            forwarded: Arc::default(),
             watchdog: Watchdog::new(),
+            proxy_beats: Vec::new(),
             link_stats: Vec::new(),
             children: Vec::new(),
             routes: Arc::default(),
@@ -696,7 +699,7 @@ impl ShardedSystemBuilder {
             pending: Vec::new(),
             spare_shells: Vec::new(),
             pending_recycle: vec![Vec::new(); c.shards],
-            busy: BusyProfile::new(c.workers, c.proxies as usize, c.shards),
+            busy: BusyProfile::new(c.workers, c.shards),
             loads: Vec::new(),
             faults: Vec::new(),
             partial_closes: 0,
@@ -724,6 +727,14 @@ impl ShardedSystemBuilder {
         for w in 0..c.workers {
             let worker = WorkerHandle::spawn(w, &mut system.host);
             system.workers.push(worker);
+        }
+        if matches!(system.host.transport, TransportMode::InProcess) {
+            // A proxy is its topic and runs no thread here: the shards
+            // reading the topics beat its heartbeat.
+            for i in 0..c.proxies {
+                let beat = system.host.watchdog.register(&format!("proxy-{i}"));
+                system.host.proxy_beats.push(beat);
+            }
         }
         let shards: Vec<usize> = (0..c.shards).collect();
         system.shards = (system.host)
@@ -837,6 +848,7 @@ impl WorkerHandle {
         let mut fuse = host.faults.worker_fuse(w);
         let drop_hook = host.faults.drop_hook(c.shards);
         let heartbeat = host.watchdog.register(&format!("worker-{w}"));
+        let forwarded = Arc::clone(&host.forwarded);
         let thread =
             spawn_supervised(Role::Worker, w, Arc::clone(&host.crashes), move || {
                 let mut owned: Vec<(usize, Client)> = (0..clients)
@@ -877,9 +889,13 @@ impl WorkerHandle {
                 // (those share sets expire at the join, exactly
                 // like the pre-batching failure path) and the
                 // run's messages stay uncounted.
+                // A run's shares are counted as forwarded before
+                // they are published, so a shard never decodes an
+                // uncounted share; a run that stalls unpublished
+                // is taken back out.
                 // Every flushed run wakes its topic's consumer, so
                 // an epoch streams through the stages while it is
-                // still being answered. A relay that is awake
+                // still being answered. A consumer that is awake
                 // costs the notify two atomic operations; only
                 // one that caught up and parked is rung.
                 let flush_partition = |writers: &[TopicWriter],
@@ -888,9 +904,12 @@ impl WorkerHandle {
                  -> Result<u64, CoreError> {
                     let n = batches[0][partition].len() as u64;
                     for (pi, writer) in writers.iter().enumerate() {
-                        writer
-                            .try_append_batch(partition, &mut batches[pi][partition])
-                            .map_err(CoreError::from)?;
+                        forwarded.fetch_add(n, Ordering::Relaxed);
+                        let run = &mut batches[pi][partition];
+                        if let Err(e) = writer.try_append_batch(partition, run) {
+                            forwarded.fetch_sub(n, Ordering::Relaxed);
+                            return Err(e.into());
+                        }
                         writer.notify();
                     }
                     Ok(n)
@@ -1085,8 +1104,9 @@ impl WorkerHandle {
 pub struct BusyProfile {
     /// Per client-worker CPU time in the answer stage.
     pub workers: Vec<Duration>,
-    /// Per proxy-thread CPU time (forwarding plus the free-running
-    /// poll loop).
+    /// Per proxy-bridge CPU time (shipping plus the free-running poll
+    /// loop). Empty in-process, where a proxy is its topic and runs no
+    /// thread.
     pub proxies: Vec<Duration>,
     /// Per shard-thread CPU time (drain/close plus the free-running
     /// poll loop).
@@ -1094,10 +1114,10 @@ pub struct BusyProfile {
 }
 
 impl BusyProfile {
-    fn new(workers: usize, proxies: usize, shards: usize) -> BusyProfile {
+    fn new(workers: usize, shards: usize) -> BusyProfile {
         BusyProfile {
             workers: vec![Duration::ZERO; workers],
-            proxies: vec![Duration::ZERO; proxies],
+            proxies: Vec::new(),
             shards: vec![Duration::ZERO; shards],
         }
     }
@@ -1177,8 +1197,8 @@ pub struct ShardedSystem {
     /// with its next close command.
     pending_recycle: Vec<Vec<BucketEstimator>>,
     /// Cumulative per-thread busy time (workers accumulate deltas;
-    /// shard slots hold the latest cumulative reading; proxy times
-    /// live in the handles' atomics).
+    /// shard slots hold the latest cumulative reading; proxy-bridge
+    /// times live in the handles' atomics).
     busy: BusyProfile,
     /// Every load ever issued, in order: what a respawned worker is
     /// sent to rebuild its clients' tables.
@@ -1193,9 +1213,8 @@ pub struct ShardedSystem {
     lost_answers: u64,
     /// Threads respawned so far.
     respawns: u64,
-    /// Worker batch flushes that hit the backpressure deadline (the
-    /// proxies' stalls live in their handles' atomics; workers report
-    /// theirs through epoch replies, tallied here).
+    /// Worker batch flushes that hit the backpressure deadline
+    /// (reported through epoch replies, tallied here).
     worker_backpressure: u64,
     /// Multi-tenant schedule: queries admitted to
     /// [`ShardedSystem::submit_epoch_all`], in admission order.
@@ -1287,12 +1306,13 @@ pub struct DeployHealth {
     pub worker_panics: u64,
     /// Shard threads that panicked or wedged.
     pub shard_panics: u64,
-    /// Proxy threads that panicked.
+    /// Proxy bridges (process transport) that panicked; in-process a
+    /// proxy is its topic and runs no thread.
     pub proxy_panics: u64,
     /// Threads respawned.
     pub respawns: u64,
-    /// Backpressure deadlines hit by producers: relay retries plus
-    /// worker batch flushes that gave up at the deadline.
+    /// Backpressure deadlines hit by producers: worker batch flushes
+    /// that gave up at the deadline, their run left unpublished.
     pub backpressure_stalls: u64,
     /// Socket links re-dialed after a severed connection (process
     /// transport; always zero in-process).
@@ -2093,9 +2113,10 @@ impl ShardedSystem {
                 }
             }
         }
-        // Sweep dead relays before waiting on the closes: a dead
-        // proxy strands shares on its inbound topic, and respawning
-        // it now lets the close drain instead of deadlining.
+        // Sweep dead proxy bridges before waiting on the closes: a
+        // dead bridge strands shares on its proxy's topic, and
+        // respawning it now lets the close drain instead of
+        // deadlining.
         if !lenient {
             self.check_proxies();
         }
@@ -2360,12 +2381,7 @@ impl ShardedSystem {
             partial_closes: self.partial_closes,
             lost_answers: self.lost_answers,
             respawns: self.respawns,
-            backpressure_stalls: self.worker_backpressure
-                + self
-                    .proxies
-                    .iter()
-                    .map(|p| p.counters.backpressure.load(Ordering::Relaxed))
-                    .sum::<u64>(),
+            backpressure_stalls: self.worker_backpressure,
             reconnects: links(|l| &l.reconnects),
             rejections: links(|l| &l.rejections),
             retries: links(|l| &l.resends),
@@ -2397,7 +2413,8 @@ impl ShardedSystem {
     /// heartbeat registry: `(thread name, status)`, stale when the
     /// thread has not beaten within `stale_after`. Workers beat at
     /// least every 250 ms while idle; proxies and shards beat once per park interval — pass a
-    /// `stale_after` comfortably above ~250 ms.
+    /// `stale_after` comfortably above ~250 ms. In-process a proxy is
+    /// its topic, and its entry is beaten by the shards that read it.
     pub fn thread_health(&self, stale_after: Duration) -> Vec<(String, HeartbeatStatus)> {
         self.host.watchdog.statuses(stale_after)
     }
@@ -2701,7 +2718,7 @@ impl ShardedSystem {
     }
 
     /// Declares a worker or shard dead after a failed wait and returns
-    /// the typed fault (relays have no reply channel to wait on; see
+    /// the typed fault (proxy bridges have no reply channel to wait on; see
     /// [`ShardedSystem::check_proxies`]). Distinguishes a *wedge* (deadline elapsed,
     /// thread still running — retired but never respawned, because a
     /// live predecessor could double-send shares) from real death
@@ -2739,9 +2756,9 @@ impl ShardedSystem {
         fault
     }
 
-    /// Sweeps the relay threads for silent deaths (proxies have no
-    /// reply channel, so death shows as a finished thread) and
-    /// respawns them.
+    /// Sweeps the proxy bridges (process transport) for silent deaths
+    /// (a bridge has no reply channel, so death shows as a finished
+    /// thread) and respawns them.
     fn check_proxies(&mut self) {
         for i in 0..self.proxies.len() {
             let proxy = &mut self.proxies[i];
@@ -2855,7 +2872,7 @@ impl ShardedSystem {
         Ok(())
     }
 
-    /// Respawns relay `i` (see [`Host::spawn_proxies`]); its counters
+    /// Respawns proxy bridge `i` (see [`Host::spawn_proxies`]); its counters
     /// carry over, so they stay cumulative.
     fn respawn_proxy(&mut self, i: usize) -> Result<(), DeployError> {
         let counters = Arc::clone(&self.proxies[i].counters);
@@ -2899,18 +2916,16 @@ impl ShardedSystem {
     /// [`thread_busy_time`] and [`BusyProfile::bottleneck`]).
     pub fn busy_profile(&self) -> BusyProfile {
         let mut profile = self.busy.clone();
-        for (i, p) in self.proxies.iter().enumerate() {
-            profile.proxies[i] = Duration::from_nanos(p.counters.busy_ns.load(Ordering::Relaxed));
-        }
+        profile.proxies = (self.proxies.iter())
+            .map(|p| Duration::from_nanos(p.counters.busy_ns.load(Ordering::Relaxed)))
+            .collect();
         profile
     }
 
-    /// Total shares forwarded by the relay threads so far.
+    /// Total shares workers have published onto proxy topics so far,
+    /// on either transport.
     pub fn forwarded_shares(&self) -> u64 {
-        self.proxies
-            .iter()
-            .map(|p| p.counters.forwarded.load(Ordering::Relaxed))
-            .sum()
+        self.host.forwarded.load(Ordering::Relaxed)
     }
 }
 
@@ -3232,7 +3247,7 @@ mod tests {
             let before = undecodable(&mut system);
             // A key of the wrong width: whichever shard reads it
             // counts it as undecodable.
-            let w = system.broker().writer("proxy-0-out");
+            let w = system.broker().writer("proxy-0-in");
             (w.try_append_quiet(p, Some(Arc::from(&[9u8; 5][..])), vec![1, 2, 3], Timestamp(0)))
                 .unwrap();
             w.notify();
@@ -3396,6 +3411,89 @@ mod tests {
         assert!(statuses.iter().all(|(_, s)| s.is_alive()));
     }
 
+    /// In-process a proxy is its topic: a worker appends each share
+    /// once, onto its proxy's topic, and the shards read it there. A
+    /// relay hop would append every share a second time (4 records per
+    /// answer with 2 proxies). The auto-sized partitions hold a
+    /// pipeline of depth 3 without a stall.
+    #[test]
+    fn in_process_shares_are_appended_once() {
+        let (population, epochs) = (120u64, 6u64);
+        let mut system = ShardedSystem::builder()
+            .clients(population)
+            .proxies(2)
+            .shards(2)
+            .workers(2)
+            .pipeline_depth(3)
+            .seed(13)
+            .build();
+        system
+            .load_numeric_column("vehicle", "speed", |i| (i % 110) as f64)
+            .unwrap();
+        let query = system
+            .analyst()
+            .query("SELECT speed FROM vehicle")
+            .buckets(speed_spec())
+            .params(ExecutionParams::checked(1.0, 0.9, 0.6))
+            .submit()
+            .unwrap();
+        for _ in 0..epochs {
+            system.submit_epoch(&query).unwrap();
+        }
+        system.flush_epochs().unwrap();
+        let results = system.drain_results();
+        assert_eq!(results.len(), epochs as usize);
+        assert!(results.iter().all(|r| r.sample_size == population));
+        let answers = population * epochs;
+        assert_eq!(system.broker_stats().records_in, 2 * answers);
+        assert_eq!(system.forwarded_shares(), 2 * answers);
+        assert_eq!(system.deploy_health().backpressure_stalls, 0);
+    }
+
+    /// The worker-side twin of the relay's stall accounting: a flush
+    /// that hits the backpressure deadline on proxy 1's topic leaves
+    /// its unpublished run uncounted, while proxy 0's run of the same
+    /// flush, already published, stays counted — so the forwarded
+    /// count is exactly what the broker holds.
+    #[test]
+    fn a_stalled_worker_flush_leaves_its_run_uncounted() {
+        let mut system = ShardedSystem::builder()
+            .clients(48)
+            .proxies(2)
+            .shards(1)
+            .workers(1)
+            .seed(13)
+            .partition_capacity(8)
+            .epoch_deadline(Duration::from_millis(300))
+            .build();
+        system
+            .load_numeric_column("vehicle", "speed", |_| 15.0)
+            .unwrap();
+        let query = system
+            .analyst()
+            .query("SELECT speed FROM vehicle")
+            .buckets(speed_spec())
+            .params(ExecutionParams::checked(1.0, 1.0, 0.5))
+            .submit()
+            .unwrap();
+        // A never-polling group pins proxy 1's floor: its first run
+        // (8 records, the capacity) fits, the second never does.
+        let wedge = system
+            .broker()
+            .consumer("wedge", &[&inbound_topic(ProxyId(1))]);
+        let err = system.run_epoch(&query).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Deploy(DeployError::Backpressure { .. })),
+            "expected a typed backpressure fault, got {err}"
+        );
+        let published = system.broker_stats().records_in;
+        assert_eq!(system.forwarded_shares(), published);
+        // Proxy 0 published one run more than proxy 1.
+        assert_eq!(published, 8 + 8 + 8);
+        assert_eq!(system.deploy_health().backpressure_stalls, 1);
+        drop(wedge);
+    }
+
     /// Poisoned input (malformed key) is quarantined to the
     /// dead-letter topic and counted — never silently dropped, never
     /// blocking the healthy stream.
@@ -3418,9 +3516,9 @@ mod tests {
             .params(ExecutionParams::checked(1.0, 1.0, 0.5))
             .submit()
             .unwrap();
-        // A key of the wrong width, injected straight onto a shard
-        // inbound topic.
-        let w = system.broker().writer("proxy-0-out");
+        // A key of the wrong width, injected straight onto a proxy
+        // topic the shards read.
+        let w = system.broker().writer("proxy-0-in");
         (w.try_append_quiet(0, Some(Arc::from(&[9u8; 5][..])), vec![1, 2, 3], Timestamp(0)))
             .unwrap();
         w.notify();

@@ -52,8 +52,8 @@ pub enum DeployError {
         /// The captured panic payload.
         message: String,
     },
-    /// A proxy relay thread panicked or hit a broker fault; shares on
-    /// its topics sit until it is respawned.
+    /// A proxy bridge thread (process transport) panicked; shares on
+    /// its proxy's topic sit until it is respawned.
     ProxyPanic {
         /// Proxy index.
         proxy: usize,
@@ -147,7 +147,7 @@ impl core::fmt::Display for DeployError {
                 write!(f, "shard thread {shard} panicked: {message}")
             }
             DeployError::ProxyPanic { proxy, message } => {
-                write!(f, "proxy thread {proxy} panicked: {message}")
+                write!(f, "proxy bridge {proxy} panicked: {message}")
             }
             DeployError::Backpressure { topic, partition } => write!(
                 f,

@@ -75,7 +75,9 @@ impl Initializer {
                 target_error,
                 confidence,
             } => {
-                if !(*target_error > 0.0) || !(*confidence > 0.0 && *confidence < 1.0) {
+                // Written so that NaN fails too.
+                let valid = *target_error > 0.0 && *confidence > 0.0 && *confidence < 1.0;
+                if !valid {
                     return Err(CoreError::InfeasibleBudget(format!(
                         "bad accuracy budget: error {target_error}, confidence {confidence}"
                     )));

@@ -23,9 +23,9 @@
 //! * [`system`] — an in-process deployment harness used by examples,
 //!   integration tests and benchmarks;
 //! * [`deploy`] — the *threaded, sharded* deployment runtime
-//!   ([`ShardedSystem`]): N proxy threads + M aggregator shards over
-//!   partitioned broker topics, byte-identical to [`System`] seed for
-//!   seed.
+//!   ([`ShardedSystem`]): M aggregator shards reading N proxy topics
+//!   over partitioned broker topics, byte-identical to [`System`] seed
+//!   for seed.
 //!
 //! # Hot-path buffer conventions (`*_into`)
 //!

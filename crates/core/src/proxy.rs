@@ -8,11 +8,14 @@
 //! indistinguishable), never synchronizes with other proxies, and
 //! keeps no per-client state: source rewriting means the records it
 //! sees carry no client identity at all.
+//!
+//! [`System`](crate::System) runs this relay between two topics. In a
+//! [`ShardedSystem`](crate::ShardedSystem) a proxy is its inbound
+//! topic: shards subscribe to it, so a share is appended once.
 
 use privapprox_stream::broker::{Broker, BrokerError, Consumer, Record, TopicWriter};
 use privapprox_stream::EventCount;
 use privapprox_types::ProxyId;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Naming convention for the client→proxy topic.
@@ -34,9 +37,8 @@ pub struct Proxy {
     /// record (poll clones are refcounts, the writer's topic handle
     /// is cached, and consumers are woken once per batch).
     batch: Vec<(u32, u32, Record)>,
-    /// Shares forwarded, counted before they are published: whoever
-    /// sees a share downstream sees it counted.
-    forwarded: Arc<AtomicU64>,
+    /// Shares forwarded over the proxy's lifetime.
+    forwarded: u64,
 }
 
 impl Proxy {
@@ -53,15 +55,8 @@ impl Proxy {
             consumer: broker.consumer(&format!("proxy-{}", id.0), &[&in_topic]),
             writer: broker.writer(&out_topic),
             batch: Vec::new(),
-            forwarded: Arc::default(),
+            forwarded: 0,
         }
-    }
-
-    /// The proxy counting its forwarded shares into `forwarded`, a
-    /// count it shares with the relay that runs it (and with the
-    /// proxies that replace it).
-    pub(crate) fn counting_into(self, forwarded: Arc<AtomicU64>) -> Proxy {
-        Proxy { forwarded, ..self }
     }
 
     /// The proxy id.
@@ -111,10 +106,8 @@ impl Proxy {
     /// and value pass through by refcount, and consumers are woken
     /// once at the end of the batch. On a backpressure error the
     /// unforwarded tail (including the failing record) is retained
-    /// for retry, and taken back out of the count.
+    /// for retry, and left out of the count.
     fn try_forward(&mut self) -> Result<u64, BrokerError> {
-        self.forwarded
-            .fetch_add(self.batch.len() as u64, Ordering::Relaxed);
         let mut sent = 0usize;
         let mut fault = None;
         for (_, partition, record) in &self.batch {
@@ -135,20 +128,16 @@ impl Proxy {
             self.batch.drain(..sent);
             self.writer.notify();
         }
+        self.forwarded += sent as u64;
         match fault {
             None => Ok(sent as u64),
-            Some(e) => {
-                self.forwarded
-                    .fetch_sub(self.batch.len() as u64, Ordering::Relaxed);
-                Err(e)
-            }
+            Some(e) => Err(e),
         }
     }
 
-    /// Total shares forwarded over the proxy's lifetime (or, for a
-    /// deployment's relay, over the lifetimes of every proxy it ran).
+    /// Total shares forwarded over the proxy's lifetime.
     pub fn forwarded(&self) -> u64 {
-        self.forwarded.load(Ordering::Relaxed)
+        self.forwarded
     }
 }
 

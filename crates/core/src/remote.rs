@@ -596,17 +596,15 @@ impl ProxyBridge {
         self.bridge.goodbye();
     }
 
-    /// One round: ships what waits on the inbound topic — per poll
+    /// One round: ships what waits on the proxy's topic — per poll
     /// batch, one data frame for each shard slot (`partition % shards`)
-    /// it has records for, which the child sends on whole; each share
-    /// counted in `forwarded` — sends a `Route` for every shard slot
-    /// that moved, and takes the child's link reports. Returns whether
-    /// anything moved.
-    pub(crate) fn round(&mut self, forwarded: &AtomicU64) -> bool {
+    /// it has records for, which the child sends on whole — sends a
+    /// `Route` for every shard slot that moved, and takes the child's
+    /// link reports. Returns whether anything moved.
+    pub(crate) fn round(&mut self) -> bool {
         let mut moved = false;
         while self.consumer.poll_into(BATCH_RECORDS, &mut self.batch) > 0 {
             moved = true;
-            forwarded.fetch_add(self.batch.len() as u64, Ordering::Relaxed);
             let shards = self.slots.len();
             for (_, partition, rec) in self.batch.drain(..) {
                 let msg = record_to_msg(self.stream, partition, &rec);

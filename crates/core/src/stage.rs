@@ -1,29 +1,33 @@
-//! Stage hosting: where a deployment's proxy relays and aggregator
-//! shards run, and how the supervisor starts them.
+//! Stage hosting: where a deployment's proxies and aggregator shards
+//! run, and how the supervisor starts them.
 //!
-//! The paper has two server roles (§3.2, §5): a stateless proxy relay
-//! and an aggregator that joins, decodes and windows. Each is written
-//! once — [`Proxy`] and [`LocalShard`] — and hosted one of two ways,
-//! chosen by [`TransportMode`] in exactly one place per role
+//! The paper has two server roles (§3.2, §5): a proxy whose only job
+//! is the answer transmission, and an aggregator that joins, decodes
+//! and windows. A proxy is its topic, as on Kafka: workers publish
+//! each share once, onto its proxy's
+//! [`inbound_topic`](crate::proxy::inbound_topic), and an aggregator
+//! subscribes to those topics. The aggregator is written once —
+//! [`LocalShard`] — and each role is hosted one of two ways, chosen by
+//! [`TransportMode`] in exactly one place per role
 //! ([`Host::spawn_proxies`], [`Host::spawn_shards`], called with a
 //! whole tier at build and a tier of one at respawn):
 //!
-//! * **in-process**: the role runs on a supervised thread of this
-//!   process, consuming the shared broker directly;
-//! * **process**: the role runs in a `privapprox-node` child (see
-//!   [`remote`](crate::remote)), and the supervised thread is a
-//!   bridge to it. Shares do not come back through this process: a
+//! * **in-process**: a shard runs on a supervised thread of this
+//!   process and consumes the proxy topics directly, so a share makes
+//!   one hop; a proxy is its topic and runs no thread;
+//! * **process**: each role runs in a `privapprox-node` child (see
+//!   [`remote`](crate::remote)), and a supervised thread is a bridge
+//!   to it. Shares do not come back through this process: a
 //!   [`ProxyBridge`] ships its child the records workers publish, one
-//!   frame per shard slot; the proxy child, whose role is transmission
-//!   only, runs no [`Proxy`] and sends each frame on whole to its
-//!   shard child; and a shard's [`Bridge`] carries only its control
-//!   plane — commands out, replies and decode progress back.
+//!   frame per shard slot; the proxy child sends each frame on whole
+//!   to its shard child; and a shard's [`Bridge`] carries only its
+//!   control plane — commands out, replies and decode progress back.
 //!
-//! Either way the thread has the same name, the same crash role and
-//! the same handle, and its loop has the same shape — read a wake
+//! Either way a shard's thread has the same name, the same crash role
+//! and the same handle, and its loop has the same shape — read a wake
 //! token, check every source, act, park only if nothing was found —
 //! so the supervisor's epoch, supervision and respawn machinery never
-//! asks how a stage is hosted. The aggregator's **close policy** (FIFO
+//! asks how a shard is hosted. The aggregator's **close policy** (FIFO
 //! close queue, `ledger ≥ expect` or the epoch deadline, straggle,
 //! sibling kick) lives in that one loop, [`run_shard`]: it is
 //! evaluated where the global [`EpochLedger`] lives, which every
@@ -34,7 +38,7 @@
 use crate::aggregator::Aggregator;
 use crate::control::{CloseCmd, EpochTally, ShardCmd, ShardReply};
 use crate::deploy::{thread_busy_time, ShardedConfig, TransportMode, DEAD_LETTER_TOPIC};
-use crate::proxy::{inbound_topic, Proxy};
+use crate::proxy::inbound_topic;
 use crate::remote::{self, Bridge, NodeChild, ProxyBridge, Routes};
 use privapprox_cluster::wire::decode_progress;
 use privapprox_cluster::{FaultPlan, FrameKind, Heartbeat, LinkStats, RecordRef, Watchdog};
@@ -55,18 +59,12 @@ use std::time::{Duration, Instant};
 
 /// Watchdog tick of an in-process shard thread's park (a remote shard
 /// bridge ticks at [`remote::LINK_READ_POLL`](crate::remote)). What
-/// normally ends the park is the event the shard waits for — a
-/// relayed share landing on an outbound topic, or a wake: the main
+/// normally ends the park is the event the shard waits for — a worker
+/// publishing a share onto a proxy topic, or a wake: the main
 /// thread's after it queued a command, a sibling's kick after it
 /// closed an epoch. The tick only keeps the heartbeat fresh and fires
 /// an overdue epoch deadline.
 const SHARD_PARK: Duration = Duration::from_millis(50);
-
-/// Watchdog tick of a free-running proxy thread's park. What normally
-/// ends the park is a share landing on the inbound topic (or the
-/// control wake that follows the stop flag at shutdown); the tick
-/// only keeps the heartbeat fresh.
-const PROXY_PARK: Duration = Duration::from_millis(50);
 
 // ---------------------------------------------------------------------------
 // Supervision primitives.
@@ -324,10 +322,10 @@ fn take_slot(hook: &mut Option<(usize, u64)>, i: usize) -> Option<u64> {
 /// retained answers of queries registered for history, and the
 /// control-plane handling of [`ShardCmd`]s. An in-process shard thread
 /// and a `privapprox-node` child run this same value; they differ only
-/// in where shares come from — the thread's consumer
-/// ([`LocalShard::pump`]), or the child's proxy links, walked frame by
-/// frame into a detached shard ([`LocalShard::offer`]) — and where
-/// [`LocalShard::publish`] sends the tally's deltas.
+/// in where shares come from — the thread's consumer of the proxy
+/// topics ([`LocalShard::pump`]), or the child's proxy links, walked
+/// frame by frame into a detached shard ([`LocalShard::offer`]) — and
+/// where [`LocalShard::publish`] sends the tally's deltas.
 pub(crate) struct LocalShard<In = Consumer> {
     agg: Aggregator<In>,
     decodes: Decodes,
@@ -363,8 +361,9 @@ impl Decodes {
 
 impl LocalShard {
     /// Shard `s` of `shards`: consumes partitions `{p : p % shards ==
-    /// s}` of `broker`'s proxy-out topics in the `"aggregator"` group;
-    /// poisoned input is quarantined to `broker`'s dead-letter topic.
+    /// s}` of `broker`'s proxy topics — the ones workers publish to —
+    /// in the `"aggregator"` group; poisoned input is quarantined to
+    /// `broker`'s dead-letter topic.
     pub(crate) fn new(
         broker: &Broker,
         (s, shards): (usize, usize),
@@ -372,7 +371,10 @@ impl LocalShard {
         confidence: f64,
         fuse: Option<u64>,
     ) -> LocalShard {
-        let mut agg = Aggregator::for_shard(broker, proxies, confidence, s, shards);
+        let topics: Vec<String> = (0..proxies)
+            .map(|i| inbound_topic(ProxyId(i as u16)))
+            .collect();
+        let mut agg = Aggregator::for_shard(broker, &topics, confidence, s, shards);
         agg.set_dead_letter(broker.writer(DEAD_LETTER_TOPIC));
         let decodes = Decodes {
             fuse,
@@ -386,7 +388,7 @@ impl LocalShard {
         self.agg.wake()
     }
 
-    /// Offers every share the proxy streams hold, tagging every decode
+    /// Offers every share the proxy topics hold, tagging every decode
     /// with its epoch. Returns the number of answers decoded.
     pub(crate) fn pump(&mut self) -> u64 {
         self.agg
@@ -495,21 +497,14 @@ impl<In> LocalShard<In> {
 // ---------------------------------------------------------------------------
 // Handles.
 
-/// What a relay shares with the supervisor: its stop flag and its
-/// counters. They outlive a respawn — the replacement keeps counting
-/// where its predecessor stopped — so every reading is cumulative and
-/// monotone.
+/// What a proxy bridge shares with the supervisor: its stop flag and
+/// its CPU time. They outlive a respawn — the replacement keeps
+/// counting where its predecessor stopped — so every reading is
+/// cumulative and monotone.
 #[derive(Default)]
 pub(crate) struct RelayCounters {
     pub stop: AtomicBool,
-    /// Shares relayed (in-process) or shipped to the relay child, each
-    /// counted before it is published or shipped, so a share that
-    /// reached a shard is already in the count.
-    pub forwarded: Arc<AtomicU64>,
     pub busy_ns: AtomicU64,
-    /// Backpressure deadlines the relay rode out (the batch is
-    /// retained and retried, so these are stalls, not losses).
-    pub backpressure: AtomicU64,
 }
 
 pub(crate) struct ProxyHandle {
@@ -561,8 +556,16 @@ pub(crate) struct Host {
     pub crashes: CrashLog,
     /// Global per-epoch decode accounting shared with every shard.
     pub ledger: Arc<EpochLedger>,
+    /// Shares workers published onto proxy topics, each counted before
+    /// it is published (and taken back out if its run stalls
+    /// unpublished), so a share a shard decoded is already counted.
+    pub forwarded: Arc<AtomicU64>,
     /// Liveness registry: every thread beats a heartbeat here.
     pub watchdog: Watchdog,
+    /// In-process, one heartbeat per proxy, beaten by every shard
+    /// thread that reads the proxy's topic (empty in process mode,
+    /// where each proxy bridge beats its own).
+    pub proxy_beats: Vec<Heartbeat>,
     /// Per-link supervision counters: one entry per link a parent
     /// bridge ever dialed, and per proxy child the mirror of its
     /// links to the shard children, respawn replacements included.
@@ -578,16 +581,9 @@ pub(crate) struct Host {
     pub faults: FaultInjector,
 }
 
-/// A proxy relay, wherever it runs. (One value per relay thread, moved
-/// into it once: the size gap between the variants costs nothing.)
-#[allow(clippy::large_enum_variant)]
-enum Relay {
-    Local(Proxy),
-    Remote(ProxyBridge),
-}
-
-/// An aggregator shard, wherever it runs. (Moved into its thread
-/// once, like [`Relay`].)
+/// An aggregator shard, wherever it runs. (One value per shard thread,
+/// moved into it once: the size gap between the variants costs
+/// nothing.)
 #[allow(clippy::large_enum_variant)]
 enum Shard {
     Local(LocalShard),
@@ -629,61 +625,52 @@ impl Host {
         Ok(bridge)
     }
 
-    /// Starts the proxies of `slots` (each with the counters it
-    /// reports into): relays that forward continuously until told to
-    /// stop. A proxy holds no epoch state, so it needs no epoch
-    /// commands — it parks on its consumer's event count and forwards
-    /// whatever lands, whichever epoch it belongs to. In process mode
+    /// Starts the proxy bridges of `slots` (each with the counters it
+    /// reports into). In-process a proxy is its topic, which the shards
+    /// consume directly, so there is nothing to start. In process mode
     /// each child is started with the shard children's current
-    /// addresses.
+    /// addresses, and its bridge ships it whatever lands on the proxy's
+    /// topic, whichever epoch it belongs to — a proxy holds no epoch
+    /// state, so it needs no epoch commands.
     ///
-    /// A relay consumes its inbound topic in its own consumer group; a
+    /// A bridge consumes its proxy's topic in its own consumer group; a
     /// respawn resumes from the group's committed offset, so a dead
-    /// relay delays forwarding but never loses what is still on its
-    /// inbound topic. (Shares that reached
-    /// a dead *child* and were not yet relayed died with it — the
-    /// epoch ledger accounts them as a partial close.)
+    /// bridge delays forwarding but never loses what is still on the
+    /// topic. (Shares that reached a dead *child* and were not yet
+    /// relayed died with it — the epoch ledger accounts them as a
+    /// partial close.)
     pub(crate) fn spawn_proxies(
         &mut self,
         slots: &[(usize, Arc<RelayCounters>)],
     ) -> io::Result<Vec<ProxyHandle>> {
-        let relays = match self.transport.clone() {
-            TransportMode::InProcess => (slots.iter())
-                .map(|(i, c)| {
-                    let proxy = Proxy::new(ProxyId(*i as u16), &self.broker);
-                    Relay::Local(proxy.counting_into(Arc::clone(&c.forwarded)))
-                })
-                .collect(),
-            TransportMode::Process { node, faults } => {
-                let told = self.routes.read();
-                let indices: Vec<usize> = slots.iter().map(|(i, _)| *i).collect();
-                let children =
-                    self.spawn_children(&node, Role::Proxy, &indices, faults, &told.1)?;
-                let mut relays = Vec::with_capacity(slots.len());
-                for (i, child) in indices.into_iter().zip(children) {
-                    let in_topic = inbound_topic(ProxyId(i as u16));
-                    let consumer = self.broker.consumer(&format!("proxy-{i}"), &[&in_topic]);
-                    let wake = Arc::clone(consumer.wake());
-                    let bridge = self.bridge(child, faults, (Role::Proxy, i), wake)?;
-                    let routes = Arc::clone(&self.routes);
-                    let relay = ProxyBridge::new(i, bridge, consumer, routes, told.clone());
-                    self.link_stats.push(relay.shard_links());
-                    relays.push(Relay::Remote(relay));
-                }
-                relays
-            }
+        let TransportMode::Process { node, faults } = self.transport.clone() else {
+            return Ok(Vec::new());
         };
+        let told = self.routes.read();
+        let indices: Vec<usize> = slots.iter().map(|(i, _)| *i).collect();
+        let children = self.spawn_children(&node, Role::Proxy, &indices, faults, &told.1)?;
+        let mut relays = Vec::with_capacity(slots.len());
+        for (i, child) in indices.into_iter().zip(children) {
+            let in_topic = inbound_topic(ProxyId(i as u16));
+            let consumer = self.broker.consumer(&format!("proxy-{i}"), &[&in_topic]);
+            let wake = Arc::clone(consumer.wake());
+            let bridge = self.bridge(child, faults, (Role::Proxy, i), wake)?;
+            let routes = Arc::clone(&self.routes);
+            let relay = ProxyBridge::new(i, bridge, consumer, routes, told.clone());
+            self.link_stats.push(relay.shard_links());
+            relays.push(relay);
+        }
         Ok((slots.iter().zip(relays))
             .map(|((i, counters), relay)| self.start_proxy(*i, Arc::clone(counters), relay))
             .collect())
     }
 
-    /// Runs proxy `i`'s relay on its supervised thread.
+    /// Runs proxy `i`'s bridge on its supervised thread.
     fn start_proxy(
         &mut self,
         i: usize,
         counters: Arc<RelayCounters>,
-        mut relay: Relay,
+        mut relay: ProxyBridge,
     ) -> ProxyHandle {
         let heartbeat = self.watchdog.register(&format!("proxy-{i}"));
         let c = Arc::clone(&counters);
@@ -696,17 +683,15 @@ impl Host {
             let stopping = c.stop.load(Ordering::Relaxed);
             heartbeat.beat();
             let t0 = thread_busy_time();
-            let moved = relay.round(&c);
+            let moved = relay.round();
             let dt = thread_busy_time().saturating_sub(t0);
             c.busy_ns.fetch_add(dt.as_nanos() as u64, Ordering::Relaxed);
             if stopping {
-                if let Relay::Remote(bridge) = &mut relay {
-                    bridge.goodbye();
-                }
+                relay.goodbye();
                 break;
             }
             if !moved {
-                // Ended by a share landing on the inbound topic, a
+                // Ended by a share landing on the proxy's topic, a
                 // frame from the child, a route change or the stop
                 // flag's wake — not by the tick.
                 relay.park(token);
@@ -786,13 +771,14 @@ impl Host {
             siblings: Arc::clone(&self.shard_wakes),
         };
         let heartbeat = self.watchdog.register(&format!("shard-{s}"));
+        let beats = (heartbeat, self.proxy_beats.clone());
         let (cmd, cmd_rx) = channel::<ShardCmd>();
         for c in queued {
             let _ = cmd.send(c);
         }
         let (reply_tx, reply) = channel::<ShardReply>();
         let thread = spawn_supervised(Role::Shard, s, Arc::clone(&self.crashes), move || {
-            run_shard(shard, policy, &cmd_rx, &reply_tx, &heartbeat)
+            run_shard(shard, policy, &cmd_rx, &reply_tx, &beats)
         });
         ShardHandle {
             cmd,
@@ -827,42 +813,6 @@ impl Host {
     }
 }
 
-impl Relay {
-    fn token(&self) -> u64 {
-        match self {
-            Relay::Local(proxy) => proxy.wake().token(),
-            Relay::Remote(bridge) => bridge.token(),
-        }
-    }
-
-    /// One forwarding round; returns whether anything moved (or is
-    /// waiting to: a stalled relay retries without parking).
-    fn round(&mut self, c: &RelayCounters) -> bool {
-        match self {
-            Relay::Local(proxy) => match proxy.try_pump() {
-                Ok(n) => n > 0,
-                // A backpressure deadline is a stall downstream, not a
-                // relay fault: the unforwarded tail stays buffered and
-                // the next round retries it.
-                Err(_) => {
-                    c.backpressure.fetch_add(1, Ordering::Relaxed);
-                    true
-                }
-            },
-            Relay::Remote(bridge) => bridge.round(&c.forwarded),
-        }
-    }
-
-    fn park(&mut self, token: u64) {
-        match self {
-            Relay::Local(proxy) => {
-                proxy.wake().park(token, PROXY_PARK);
-            }
-            Relay::Remote(bridge) => bridge.park(token),
-        }
-    }
-}
-
 /// When a queued close fires, and what firing it touches besides the
 /// shard itself.
 struct ClosePolicy {
@@ -878,13 +828,14 @@ struct ClosePolicy {
 
 /// The loop of a shard's supervised thread, whichever way the shard is
 /// hosted: absorb the supervisor's commands, fire the oldest queued
-/// close once it is due, move data, park.
+/// close once it is due, move data, park. Each turn beats the shard's
+/// heartbeat and those of the proxy topics it reads in-process.
 fn run_shard(
     mut shard: Shard,
     policy: ClosePolicy,
     cmd_rx: &Receiver<ShardCmd>,
     reply_tx: &Sender<ShardReply>,
-    heartbeat: &Heartbeat,
+    (heartbeat, proxy_beats): &(Heartbeat, Vec<Heartbeat>),
 ) {
     let ClosePolicy {
         ledger,
@@ -902,6 +853,7 @@ fn run_shard(
     let mut awaiting: Option<Timestamp> = None;
     'run: loop {
         heartbeat.beat();
+        proxy_beats.iter().for_each(Heartbeat::beat);
         // Before looking at any source: whatever lands after this
         // turns the park below into a no-op.
         let token = shard.token();
@@ -943,8 +895,8 @@ fn run_shard(
         // 3. Move what is there, publishing decode deltas to the
         //    global ledger.
         idle &= !shard.work(&ledger, reply_tx, &mut awaiting);
-        // 4. Nothing to do: sleep until a relayed share lands on an
-        //    outbound topic (in-process), a frame arrives from the
+        // 4. Nothing to do: sleep until a worker publishes a share onto
+        //    a proxy topic (in-process), a frame arrives from the
         //    child, or a wake (a queued command, a sibling's close
         //    kick) — the tick only serves the heartbeat,
         //    `maybe_resend` and an overdue epoch deadline.

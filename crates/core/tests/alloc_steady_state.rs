@@ -323,9 +323,10 @@ fn window_close_allocates_nothing() {
 ///   recycled shell, and the estimators' trip home —
 ///
 /// and performs **zero** heap allocations once warm. (Client sends
-/// and proxy forwards stay outside the span: producing a record
-/// copies bytes into the shared log — that is the transport's
-/// business, as in the proofs above.) The query window is 60 s so
+/// stay outside the span: producing a record copies bytes into the
+/// shared log — that is the transport's business, as in the proofs
+/// above.) As in the runtime, the shards read the proxy topics the
+/// clients publish to, with no relay between. The query window is 60 s so
 /// each close's joiner sweep retires the previous epoch's quarantined
 /// MIDs, keeping the duplicate-defence map bounded.
 fn sharded_overlapped_window_cycle_allocates_nothing() {
@@ -337,11 +338,11 @@ fn sharded_overlapped_window_cycle_allocates_nothing() {
         .sign_and_build(KEY);
     let params = ExecutionParams::checked(1.0, 0.9, 0.6);
     let writers = inbound_writers(&broker);
-    let mut proxies: Vec<Proxy> = (0..2).map(|i| Proxy::new(ProxyId(i), &broker)).collect();
+    let topics: Vec<String> = (0..2).map(|i| inbound_topic(ProxyId(i))).collect();
     // Two shards in one consumer group: shard 0 owns partition 0,
-    // shard 1 owns partition 1, across both proxy-out topics.
+    // shard 1 owns partition 1, across both proxy topics.
     let mut shards: Vec<Aggregator> = (0..2)
-        .map(|s| Aggregator::for_shard(&broker, 2, 0.95, s, 2))
+        .map(|s| Aggregator::for_shard(&broker, &topics, 0.95, s, 2))
         .collect();
     for shard in &mut shards {
         shard.register_query(&query, params, 50);
@@ -392,9 +393,6 @@ fn sharded_overlapped_window_cycle_allocates_nothing() {
     feed_epoch(0, &mut clients, &mut scratch);
     for cycle in 0..cycles {
         feed_epoch(cycle + 1, &mut clients, &mut scratch);
-        for p in &mut proxies {
-            p.pump();
-        }
 
         // The measured span: drain + per-epoch accounting + close +
         // merge + finalize, with epoch `cycle + 1` interleaved in the

@@ -228,9 +228,9 @@ impl<'a> Reader<'a> {
         match width {
             2 => out.extend(chunks.map(|c| u16::from_le_bytes([c[0], c[1]]) as u64)),
             4 => out.extend(chunks.map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]) as u64)),
-            _ => out.extend(
-                chunks.map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
-            ),
+            _ => {
+                out.extend(chunks.map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
+            }
         }
         let max = out.iter().copied().max().unwrap_or(0);
         if count_width(max) != width {
@@ -246,7 +246,11 @@ impl<'a> Reader<'a> {
     pub fn count(&mut self, min_item_bytes: usize) -> Result<usize, StoreError> {
         let n = self.u64()?;
         let cap = self.buf.len() - self.pos;
-        let bound = if min_item_bytes == 0 { cap } else { cap / min_item_bytes };
+        let bound = if min_item_bytes == 0 {
+            cap
+        } else {
+            cap / min_item_bytes
+        };
         if n as usize > bound {
             return Err(self.invalid(format!("count {n} impossible for {cap} remaining bytes")));
         }
@@ -342,7 +346,10 @@ mod tests {
             let mut out = Vec::new();
             let mut r = Reader::new(bytes, "test");
             let res = r.counts(&mut out).and_then(|()| r.done());
-            assert!(matches!(res, Err(StoreError::BadRecord { .. })), "{bytes:?}");
+            assert!(
+                matches!(res, Err(StoreError::BadRecord { .. })),
+                "{bytes:?}"
+            );
             assert!(out.capacity() <= bytes.len(), "allocated past the payload");
         };
         // Unknown width bytes.

@@ -53,7 +53,10 @@ impl fmt::Display for CorruptKind {
             CorruptKind::BadVersion(v) => write!(f, "unsupported version {v}"),
             CorruptKind::BadLength(n) => write!(f, "impossible frame length {n}"),
             CorruptKind::CrcMismatch { stored, computed } => {
-                write!(f, "crc mismatch (stored {stored:#010x}, computed {computed:#010x})")
+                write!(
+                    f,
+                    "crc mismatch (stored {stored:#010x}, computed {computed:#010x})"
+                )
             }
             CorruptKind::Truncated { need, have } => {
                 write!(f, "truncated frame (need {need} bytes, have {have})")
@@ -144,16 +147,27 @@ impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::Io { op, path, source } => {
-                write!(f, "store io error during {op} on {}: {source}", path.display())
+                write!(
+                    f,
+                    "store io error during {op} on {}: {source}",
+                    path.display()
+                )
             }
             StoreError::Corrupt { path, offset, kind } => {
-                write!(f, "corrupt store file {} at offset {offset}: {kind}", path.display())
+                write!(
+                    f,
+                    "corrupt store file {} at offset {offset}: {kind}",
+                    path.display()
+                )
             }
             StoreError::BadRecord { what, detail } => {
                 write!(f, "malformed {what} record: {detail}")
             }
             StoreError::FrameTooLarge { kind, len } => {
-                write!(f, "frame of kind {kind} too large: {len} payload bytes exceed the frame cap")
+                write!(
+                    f,
+                    "frame of kind {kind} too large: {len} payload bytes exceed the frame cap"
+                )
             }
             StoreError::SegmentGap { after, found } => {
                 write!(f, "wal segment gap: segment {after} followed by {found}")

@@ -83,7 +83,10 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<DecodedFrame<'_>>, CorruptKind>
         return Ok(None);
     }
     if buf.len() < 4 {
-        return Err(CorruptKind::Truncated { need: 4, have: buf.len() });
+        return Err(CorruptKind::Truncated {
+            need: 4,
+            have: buf.len(),
+        });
     }
     let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
     if !(MIN_LEN..=MAX_FRAME).contains(&len) {
@@ -91,7 +94,10 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<DecodedFrame<'_>>, CorruptKind>
     }
     let total = 4 + len as usize;
     if buf.len() < total {
-        return Err(CorruptKind::Truncated { need: total, have: buf.len() });
+        return Err(CorruptKind::Truncated {
+            need: total,
+            have: buf.len(),
+        });
     }
     let body = &buf[4..total];
     let (head, crc_bytes) = body.split_at(body.len() - 4);
@@ -190,12 +196,18 @@ mod tests {
             Err(StoreError::FrameTooLarge { kind: 8, len }) => assert_eq!(len, over.len()),
             other => panic!("expected FrameTooLarge, got {other:?}"),
         }
-        assert_eq!(buf, b"kept", "a refused frame must leave the buffer untouched");
+        assert_eq!(
+            buf, b"kept",
+            "a refused frame must leave the buffer untouched"
+        );
         buf.clear();
         let largest = &over[..(MAX_FRAME - MIN_LEN) as usize];
         encode_frame_into(&mut buf, 8, largest).unwrap();
         let f = decode_frame(&buf).unwrap().unwrap();
-        assert_eq!((f.kind, f.payload.len(), f.consumed), (8, largest.len(), buf.len()));
+        assert_eq!(
+            (f.kind, f.payload.len(), f.consumed),
+            (8, largest.len(), buf.len())
+        );
     }
 
     #[test]

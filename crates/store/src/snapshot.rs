@@ -55,17 +55,15 @@ pub fn write_snapshot(
     header.u32(SNAPSHOT_MAGIC).u64(seq).u64(wal_floor);
     encode_frame_into(&mut buf, KIND_SNAPSHOT_HEADER, &header.finish())?;
     for (kind, payload) in sections {
-        assert!(
-            *kind != KIND_SNAPSHOT_HEADER,
-            "section kind 0 is reserved"
-        );
+        assert!(*kind != KIND_SNAPSHOT_HEADER, "section kind 0 is reserved");
         encode_frame_into(&mut buf, *kind, payload)?;
     }
     let tmp = dir.join(format!("snap-{seq:016x}.tmp"));
     let path = snap_path(dir, seq);
     {
         let mut f = File::create(&tmp).map_err(|e| StoreError::io("create", &tmp, e))?;
-        f.write_all(&buf).map_err(|e| StoreError::io("write", &tmp, e))?;
+        f.write_all(&buf)
+            .map_err(|e| StoreError::io("write", &tmp, e))?;
         f.sync_data().map_err(|e| StoreError::io("sync", &tmp, e))?;
     }
     fs::rename(&tmp, &path).map_err(|e| StoreError::io("rename", &path, e))?;
@@ -84,7 +82,10 @@ fn list_snapshots(dir: &Path) -> Result<Vec<u64>, StoreError> {
         let entry = entry.map_err(|e| StoreError::io("read-dir", dir, e))?;
         let name = entry.file_name();
         let name = name.to_string_lossy();
-        if let Some(hex) = name.strip_prefix("snap-").and_then(|s| s.strip_suffix(".snap")) {
+        if let Some(hex) = name
+            .strip_prefix("snap-")
+            .and_then(|s| s.strip_suffix(".snap"))
+        {
             if let Ok(seq) = u64::from_str_radix(hex, 16) {
                 seqs.push(seq);
             }
@@ -100,11 +101,13 @@ fn list_snapshots(dir: &Path) -> Result<Vec<u64>, StoreError> {
 /// be a crash artifact.
 pub fn load_latest(dir: &Path) -> Result<Option<Snapshot>, StoreError> {
     let seqs = list_snapshots(dir)?;
-    let Some(&seq) = seqs.last() else { return Ok(None) };
+    let Some(&seq) = seqs.last() else {
+        return Ok(None);
+    };
     let path = snap_path(dir, seq);
     let bytes = fs::read(&path).map_err(|e| StoreError::io("read", &path, e))?;
-    let mut frames = decode_all(&bytes)
-        .map_err(|(offset, kind)| StoreError::corrupt(&path, offset, kind))?;
+    let mut frames =
+        decode_all(&bytes).map_err(|(offset, kind)| StoreError::corrupt(&path, offset, kind))?;
     if frames.is_empty() || frames[0].0 != KIND_SNAPSHOT_HEADER {
         return Err(StoreError::BadRecord {
             what: "snapshot header",
@@ -123,10 +126,17 @@ pub fn load_latest(dir: &Path) -> Result<Option<Snapshot>, StoreError> {
     if hseq != seq {
         return Err(StoreError::BadRecord {
             what: "snapshot header",
-            detail: format!("{}: header seq {hseq} != filename seq {seq}", path.display()),
+            detail: format!(
+                "{}: header seq {hseq} != filename seq {seq}",
+                path.display()
+            ),
         });
     }
-    Ok(Some(Snapshot { seq, wal_floor, sections: frames }))
+    Ok(Some(Snapshot {
+        seq,
+        wal_floor,
+        sections: frames,
+    }))
 }
 
 /// Number of `.snap` files currently on disk.
@@ -174,7 +184,10 @@ mod tests {
         let snap = load_latest(td.path()).unwrap().expect("snapshot present");
         assert_eq!(snap.seq, 2);
         assert_eq!(snap.wal_floor, 25);
-        assert_eq!(snap.sections, vec![(2u8, b"ledgers2".to_vec()), (3u8, vec![])]);
+        assert_eq!(
+            snap.sections,
+            vec![(2u8, b"ledgers2".to_vec()), (3u8, vec![])]
+        );
         assert_eq!(snapshot_count(td.path()).unwrap(), 2);
     }
 

@@ -16,10 +16,8 @@ impl TestDir {
     /// Creates `<tmp>/privapprox-<label>-<pid>-<n>`.
     pub fn new(label: &str) -> TestDir {
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let path = std::env::temp_dir().join(format!(
-            "privapprox-{label}-{}-{n}",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("privapprox-{label}-{}-{n}", std::process::id()));
         // A stale dir from a crashed previous run with the same pid is
         // possible; start clean either way.
         let _ = fs::remove_dir_all(&path);

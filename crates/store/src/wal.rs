@@ -33,9 +33,9 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use crate::codec::{Reader, Writer};
 use crate::error::{CorruptKind, StoreError};
 use crate::frame::{decode_frame, encode_frame_into};
-use crate::codec::{Reader, Writer};
 
 /// Magic stamped into every segment header payload.
 const SEGMENT_MAGIC: u32 = 0x4C57_4150; // "PAWL" little-endian
@@ -103,7 +103,9 @@ fn segment_path(dir: &Path, seq: u64) -> PathBuf {
 /// exercise, so failures surface.
 pub fn fsync_dir(dir: &Path) -> Result<(), StoreError> {
     let handle = File::open(dir).map_err(|e| StoreError::io("open-dir", dir, e))?;
-    handle.sync_all().map_err(|e| StoreError::io("sync-dir", dir, e))
+    handle
+        .sync_all()
+        .map_err(|e| StoreError::io("sync-dir", dir, e))
 }
 
 fn header_payload(seq: u64, base_index: u64) -> Vec<u8> {
@@ -135,7 +137,10 @@ impl Wal {
             let entry = entry.map_err(|e| StoreError::io("read-dir", dir, e))?;
             let name = entry.file_name();
             let name = name.to_string_lossy();
-            if let Some(hex) = name.strip_prefix("wal-").and_then(|s| s.strip_suffix(".log")) {
+            if let Some(hex) = name
+                .strip_prefix("wal-")
+                .and_then(|s| s.strip_suffix(".log"))
+            {
                 if let Ok(seq) = u64::from_str_radix(hex, 16) {
                     seqs.push(seq);
                 }
@@ -144,11 +149,17 @@ impl Wal {
         seqs.sort_unstable();
         for pair in seqs.windows(2) {
             if pair[1] != pair[0] + 1 {
-                return Err(StoreError::SegmentGap { after: pair[0], found: pair[1] });
+                return Err(StoreError::SegmentGap {
+                    after: pair[0],
+                    found: pair[1],
+                });
             }
         }
 
-        let mut recovery = WalRecovery { segments: seqs.len(), ..WalRecovery::default() };
+        let mut recovery = WalRecovery {
+            segments: seqs.len(),
+            ..WalRecovery::default()
+        };
         let mut segments = Vec::new();
         let mut next_index = 0u64;
         let mut tail_len = 0u64;
@@ -164,11 +175,7 @@ impl Wal {
                     Ok(Some(f)) => {
                         if off == 0 {
                             if f.kind != KIND_SEGMENT_HEADER {
-                                return Err(StoreError::corrupt(
-                                    &path,
-                                    0,
-                                    CorruptKind::BadMagic,
-                                ));
+                                return Err(StoreError::corrupt(&path, 0, CorruptKind::BadMagic));
                             }
                             let (hseq, base) = parse_header(f.payload)?;
                             if i == 0 {
@@ -400,7 +407,9 @@ pub fn dir_bytes(dir: &Path) -> Result<u64, StoreError> {
     let entries = fs::read_dir(dir).map_err(|e| StoreError::io("read-dir", dir, e))?;
     for entry in entries {
         let entry = entry.map_err(|e| StoreError::io("read-dir", dir, e))?;
-        let meta = entry.metadata().map_err(|e| StoreError::io("stat", &entry.path(), e))?;
+        let meta = entry
+            .metadata()
+            .map_err(|e| StoreError::io("stat", &entry.path(), e))?;
         if meta.is_file() {
             total += meta.len();
         }
@@ -467,7 +476,10 @@ mod tests {
         let (mut wal, rec) = open(td.path());
         assert_eq!(rec.records.len(), 1, "beta was torn, alpha survives");
         let torn = rec.torn_tail.expect("tear reported");
-        assert_eq!(torn.lost_bytes as usize, b"beta".len() + crate::frame::FRAME_OVERHEAD - 3);
+        assert_eq!(
+            torn.lost_bytes as usize,
+            b"beta".len() + crate::frame::FRAME_OVERHEAD - 3
+        );
         // The log keeps working after the repair.
         wal.append(1, b"gamma").unwrap();
         wal.sync().unwrap();
@@ -520,7 +532,10 @@ mod tests {
         let (_, rec) = Wal::open(td.path(), 256).unwrap();
         assert!(rec.records.iter().all(|r| r.payload == payload));
         let first = rec.records.first().expect("records survive").index;
-        assert!(first <= floor, "prune may keep extra records, never drop covered ones");
+        assert!(
+            first <= floor,
+            "prune may keep extra records, never drop covered ones"
+        );
         assert!(rec.records.last().unwrap().index == 39);
         // Pruning everything below the tail leaves O(1) segments.
         let (mut wal, _) = Wal::open(td.path(), 256).unwrap();
