@@ -8,26 +8,26 @@
 //! with the two-coin mechanism, and (iv) splits the encoded message
 //! into XOR shares, one per proxy.
 //!
-//! A query is long-lived while local rows churn, so the client
-//! prepares each `QueryId`'s SQL once ([`privapprox_sql::PlanCache`])
-//! and caches a compiled bucket indexer per query
-//! ([`privapprox_types::BucketIndexer`]); the per-epoch SQL stage is
-//! then a plan-cache hit plus the plan's fused scan, which allocates
-//! nothing. Re-registering a `QueryId` with different SQL, or
-//! re-creating a local table, transparently re-prepares.
+//! A client holds only its own data: its id, seed, key and table rows.
+//! What derives from the public query is shared by every client. The
+//! prepared plan lives once per (SQL text, schema), cached on the
+//! schema ([`privapprox_sql::Database::plan`]); a client keeps one
+//! pointer to it per query it has met. The bucket indexer lives on the
+//! query's [`privapprox_types::AnswerSpec`]. The per-epoch SQL stage is
+//! then a handle check — SQL text equal, the table's schema still the
+//! plan's — plus the plan's fused scan: no lock, no allocation.
+//! Re-registering a `QueryId` with different SQL, or re-creating a
+//! local table with another schema, fetches the right shared plan.
 
 use crate::error::CoreError;
 use privapprox_crypto::xor::{encode_answer_into, Share, SplitScratch, XorSplitter};
 use privapprox_rr::randomize::{RandomizeScratch, Randomizer};
 use privapprox_sampling::srs::ParticipationCoin;
-use privapprox_sql::{Database, EvalScratch, PlanCache, ValueRef};
-use privapprox_types::{
-    BitVec, BucketIndexer, ClientId, ExecutionParams, FastState, MessageId, Query, QueryId,
-    Timestamp,
-};
+use privapprox_sql::{Database, EvalScratch, PreparedSelect, ValueRef};
+use privapprox_types::{BitVec, ClientId, ExecutionParams, MessageId, Query, QueryId, Timestamp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One client's produced answer: `n` shares destined for `n` proxies.
 #[derive(Debug, Clone)]
@@ -73,19 +73,6 @@ impl ClientScratch {
     }
 }
 
-/// A cached [`BucketIndexer`] plus the fingerprint it was compiled
-/// under: the query's signature covers the SQL, id and answer width,
-/// so a re-registered query recompiles the indexer too. Stale
-/// indexers are merely slow, never wrong — every arithmetic
-/// candidate is verified against the live spec (see
-/// [`BucketIndexer::bucketize_num`]).
-#[derive(Debug, Clone, Copy)]
-struct CachedIndexer {
-    signature: u64,
-    answer_len: usize,
-    indexer: BucketIndexer,
-}
-
 /// A client device holding one user's private data.
 pub struct Client {
     id: ClientId,
@@ -107,13 +94,12 @@ pub struct Client {
     /// Analyst public keys this client trusts (keyed verification of
     /// query signatures, §3.1).
     analyst_key: u64,
-    /// Prepared plans keyed by `QueryId` (see the module docs).
-    plans: PlanCache,
+    /// One handle on a shared plan per query met (see the module
+    /// docs): a pointer each, scanned in order — a client answers a
+    /// handful of queries.
+    plans: Vec<(QueryId, Arc<PreparedSelect>)>,
     /// Where a plan the fused scan cannot serve parks its answer.
     sql_scratch: EvalScratch,
-    /// Compiled bucket indexers keyed by `QueryId`. `FastState`: hit
-    /// once per answered message, analyst-assigned keys.
-    indexers: HashMap<QueryId, CachedIndexer, FastState>,
 }
 
 impl Client {
@@ -125,9 +111,8 @@ impl Client {
             db: Database::new(),
             rng_seed: seed ^ id.0.rotate_left(32),
             analyst_key,
-            plans: PlanCache::new(),
+            plans: Vec::new(),
             sql_scratch: EvalScratch::new(),
-            indexers: HashMap::default(),
         }
     }
 
@@ -174,8 +159,8 @@ impl Client {
     /// truthfully "no").
     ///
     /// Allocating wrapper over [`Client::truthful_answer_into`];
-    /// both consult the client's plan cache, so repeated calls for
-    /// one `QueryId` compile the SQL exactly once.
+    /// both answer from the shared plan, so the SQL is compiled once
+    /// per (SQL text, schema), not per call or per client.
     pub fn truthful_answer(&mut self, query: &Query) -> Result<BitVec, CoreError> {
         let mut vec = BitVec::zeros(query.answer.len());
         self.truthful_answer_into(query, &mut vec)?;
@@ -183,28 +168,27 @@ impl Client {
     }
 
     /// [`Client::truthful_answer`] into a caller-owned vector:
-    /// plan-cache hit, prepared scan, arithmetic bucketization —
-    /// allocation-free once the plan and `out` are warm.
+    /// plan handle check, prepared scan, arithmetic bucketization —
+    /// allocation-free once the handle and `out` are warm.
     pub fn truthful_answer_into(
         &mut self,
         query: &Query,
         out: &mut BitVec,
     ) -> Result<(), CoreError> {
         out.reset(query.answer.len());
-        // The indexer cache is refreshed first so its borrow ends
-        // before the plan's scan borrows the database.
-        let indexer = self.indexer_for(query);
-        let plan = self.plans.get_or_prepare(query.id, &query.sql, &self.db)?;
+        let slot = self.plan_for(query)?;
+        let plan = &self.plans[slot].1;
         // The newest row is the client's current state (clients append
         // their stream in time order).
         let Some(value) = plan.last_single_value(&self.db, &mut self.sql_scratch)? else {
             return Ok(());
         };
+        let (spec, indexer) = (&query.answer, query.answer.index_plan());
         let bucket = match value {
             ValueRef::Null => None,
-            ValueRef::Text(s) => indexer.bucketize_text(&query.answer, s),
+            ValueRef::Text(s) => indexer.bucketize_text(spec, s),
             other => match other.as_f64() {
-                Some(v) => indexer.bucketize_num(&query.answer, v),
+                Some(v) => indexer.bucketize_num(spec, v),
                 None => None,
             },
         };
@@ -217,27 +201,34 @@ impl Client {
         }
     }
 
-    /// The cached bucket indexer for `query`, recompiled when the
-    /// query's signature or answer width changed.
-    fn indexer_for(&mut self, query: &Query) -> BucketIndexer {
-        let entry = self
-            .indexers
-            .entry(query.id)
-            .and_modify(|c| {
-                if c.signature != query.signature || c.answer_len != query.answer.len() {
-                    *c = CachedIndexer {
-                        signature: query.signature,
-                        answer_len: query.answer.len(),
-                        indexer: query.answer.index_plan(),
-                    };
-                }
-            })
-            .or_insert_with(|| CachedIndexer {
-                signature: query.signature,
-                answer_len: query.answer.len(),
-                indexer: query.answer.index_plan(),
-            });
-        entry.indexer
+    /// The slot in `plans` of the shared plan of `query` over this
+    /// client's catalog. The client's handle serves while it carries
+    /// the query's SQL and its table still has the schema the plan was
+    /// prepared against. Otherwise — a query met for the first time,
+    /// re-registered SQL, a table re-created with another schema — the
+    /// handle is fetched from the schema's cache, the only step that
+    /// takes a lock.
+    fn plan_for(&mut self, query: &Query) -> Result<usize, CoreError> {
+        let slot = self.plans.iter().position(|(id, _)| *id == query.id);
+        if let Some(i) = slot {
+            let plan = &self.plans[i].1;
+            if plan.sql() == query.sql && plan.is_current(&self.db) {
+                return Ok(i);
+            }
+        }
+        let plan = self.db.plan(&query.sql)?;
+        Ok(match slot {
+            Some(i) => {
+                self.plans[i].1 = plan;
+                i
+            }
+            None => {
+                // Exact: most clients only ever answer one query.
+                self.plans.reserve_exact(1);
+                self.plans.push((query.id, plan));
+                self.plans.len() - 1
+            }
+        })
     }
 
     /// Runs one full epoch of the query-answering pipeline.
@@ -625,9 +616,10 @@ mod tests {
         let mut c = client_with_speed(15.0);
         let q = speed_query();
         assert!(c.truthful_answer(&q).unwrap().get(1));
-        // Re-creating the table moves the catalog generation; the
-        // cached plan must be recompiled against the new schema, not
-        // read through stale column indices.
+        // Re-creating the table with another schema makes the
+        // client's plan handle stale; the answer must come from a plan
+        // prepared against the new schema, not read through stale
+        // column indices.
         c.db_mut().create_table(
             "vehicle",
             Schema::new(vec![
@@ -644,6 +636,91 @@ mod tests {
             .unwrap();
         let truth = c.truthful_answer(&q).unwrap();
         assert!(truth.get(9), "95 mph is in [90,100) under the new schema");
+    }
+
+    /// `SELECT d FROM rides`, bucketed like `speed_query`.
+    fn rides_query() -> Query {
+        QueryBuilder::new(QueryId::new(AnalystId(1), 3), "SELECT d FROM rides")
+            .answer(AnswerSpec::ranges_with_overflow(0.0, 110.0, 11))
+            .window(60_000, 60_000)
+            .sign_and_build(KEY)
+    }
+
+    /// A client whose `rides` table has `schema` and the one row
+    /// `row`.
+    fn rides_client(id: u64, schema: &Schema, row: Vec<Value>) -> Client {
+        let mut c = Client::new(ClientId(id), 9, KEY);
+        c.db_mut().create_table("rides", schema.clone());
+        c.db_mut().insert("rides", row).unwrap();
+        c
+    }
+
+    /// The bucket a client's unrandomized answer lands in, answered
+    /// through `scratch`.
+    fn answered_bucket(
+        c: &mut Client,
+        q: &Query,
+        epoch: u64,
+        scratch: &mut ClientScratch,
+    ) -> usize {
+        let exact = ExecutionParams::checked(1.0, 1.0, 0.5);
+        let shares = c
+            .answer_query_into(q, &exact, Timestamp(epoch), 2, scratch)
+            .unwrap()
+            .expect("s = 1 participates");
+        let (_, bits) = decode_answer(&combine(shares).unwrap()).unwrap();
+        (0..bits.len()).find(|&b| bits.get(b)).expect("one bucket")
+    }
+
+    /// Two clients on one worker — one query value, one scratch —
+    /// whose `rides` tables have different schemas: each answers from
+    /// a plan of its own schema, epoch after epoch, however their
+    /// answers interleave.
+    #[test]
+    fn clients_with_different_schemas_answer_from_their_own() {
+        let q = rides_query();
+        let ts_first = Schema::new(vec![("ts", ColumnType::Int), ("d", ColumnType::Float)]);
+        let d_first = Schema::new(vec![("d", ColumnType::Float), ("ts", ColumnType::Int)]);
+        let mut a = rides_client(1, &ts_first, vec![Value::Int(0), Value::Float(15.0)]);
+        let mut b = rides_client(2, &d_first, vec![Value::Float(95.0), Value::Int(0)]);
+        let mut scratch = ClientScratch::new();
+        for epoch in 0..4 {
+            assert_eq!(answered_bucket(&mut a, &q, epoch, &mut scratch), 1);
+            assert_eq!(answered_bucket(&mut b, &q, epoch, &mut scratch), 9);
+        }
+        let (pa, pb) = (a.db().plan(&q.sql).unwrap(), b.db().plan(&q.sql).unwrap());
+        assert!(!Arc::ptr_eq(&pa, &pb), "one plan per schema");
+    }
+
+    /// Two clients share one plan; then one re-creates its table with
+    /// a new schema. It answers from a plan prepared against the new
+    /// schema, the other keeps the shared one, and the shared plan
+    /// reports `StalePlan` against the re-created table.
+    #[test]
+    fn a_table_recreated_after_its_plan_was_shared_is_reprepared() {
+        let q = rides_query();
+        let shared = Schema::new(vec![("ts", ColumnType::Int), ("d", ColumnType::Float)]);
+        let mut a = rides_client(1, &shared, vec![Value::Int(0), Value::Float(15.0)]);
+        let mut b = rides_client(2, &shared, vec![Value::Int(0), Value::Float(25.0)]);
+        let mut scratch = ClientScratch::new();
+        assert_eq!(answered_bucket(&mut a, &q, 0, &mut scratch), 1);
+        assert_eq!(answered_bucket(&mut b, &q, 0, &mut scratch), 2);
+        let old = a.db().plan(&q.sql).unwrap();
+        assert!(Arc::ptr_eq(&old, &b.db().plan(&q.sql).unwrap()), "shared");
+
+        let moved = Schema::new(vec![("d", ColumnType::Float), ("ts", ColumnType::Int)]);
+        a.db_mut().create_table("rides", moved);
+        a.db_mut()
+            .insert("rides", vec![Value::Float(95.0), Value::Int(1)])
+            .unwrap();
+        assert_eq!(answered_bucket(&mut a, &q, 1, &mut scratch), 9);
+        assert_eq!(answered_bucket(&mut b, &q, 1, &mut scratch), 2);
+        assert!(!old.is_current(a.db()) && old.is_current(b.db()));
+        assert_eq!(
+            old.last_single_value(a.db(), &mut EvalScratch::new())
+                .unwrap_err(),
+            privapprox_sql::SqlError::StalePlan
+        );
     }
 
     #[test]

@@ -21,8 +21,7 @@ use privapprox_rr::estimate::BucketEstimator;
 use privapprox_store::codec::{Reader, Writer};
 use privapprox_store::StoreError;
 use privapprox_types::{
-    AnswerSpec, BitVec, BucketRule, ExecutionParams, Query, QueryId, Timestamp, Window,
-    WindowSpec,
+    AnswerSpec, BitVec, BucketRule, ExecutionParams, Query, QueryId, Timestamp, Window, WindowSpec,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,7 +53,10 @@ pub(crate) enum ShardCmd {
     Close(CloseCmd),
     /// Historical fetch: return the retained answers of `query`
     /// within `range`. In-process only.
-    Fetch { query: QueryId, range: Window },
+    Fetch {
+        query: QueryId,
+        range: Window,
+    },
     /// Health-counter snapshot (no watermark movement).
     Probe,
     /// Chaos hook: panic on receipt.
@@ -66,7 +68,9 @@ pub(crate) enum ShardReply {
     Registered,
     /// Retained `(timestamp, MID, randomized answer)` triples for a
     /// [`ShardCmd::Fetch`].
-    Stored { answers: Vec<(u64, u128, BitVec)> },
+    Stored {
+        answers: Vec<(u64, u128, BitVec)>,
+    },
     Closed {
         /// The epoch this close answers.
         epoch: Timestamp,
@@ -543,7 +547,10 @@ pub(crate) mod tests {
         for (is_cmd, bytes) in messages {
             assert_eq!(recode(is_cmd, &bytes).unwrap(), bytes);
             for cut in 0..bytes.len() {
-                assert!(recode(is_cmd, &bytes[..cut]).is_err(), "prefix of {cut} bytes");
+                assert!(
+                    recode(is_cmd, &bytes[..cut]).is_err(),
+                    "prefix of {cut} bytes"
+                );
             }
             let mut damaged = bytes.clone();
             for i in 0..bytes.len() {

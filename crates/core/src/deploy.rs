@@ -767,19 +767,13 @@ impl ShardedSystemBuilder {
 /// A replayable load: the worker respawn path re-runs the full load
 /// log on the replacement thread (creates replace tables, so replay
 /// in order is idempotent), rebuilding every owned client's local
-/// store.
+/// store. Every client's table gets a clone of the one `schema`, so
+/// the whole deployment shares one prepared plan per query.
 #[derive(Clone)]
-enum LoadCmd {
-    Numeric {
-        table: String,
-        column: String,
-        f: Arc<dyn Fn(usize) -> f64 + Send + Sync>,
-    },
-    Rows {
-        table: String,
-        schema: Schema,
-        f: Arc<dyn Fn(usize) -> Vec<Vec<Value>> + Send + Sync>,
-    },
+struct LoadCmd {
+    table: String,
+    schema: Schema,
+    f: Arc<dyn Fn(usize) -> Vec<Vec<Value>> + Send + Sync>,
 }
 
 enum WorkerCmd {
@@ -922,22 +916,7 @@ impl WorkerHandle {
                         Err(RecvTimeoutError::Disconnected) => break,
                     };
                     match cmd {
-                        WorkerCmd::Load(LoadCmd::Numeric { table, column, f }) => {
-                            for (i, client) in &mut owned {
-                                let db = client.db_mut();
-                                db.create_table(
-                                    &table,
-                                    Schema::new(vec![
-                                        ("ts", ColumnType::Int),
-                                        (column.as_str(), ColumnType::Float),
-                                    ]),
-                                );
-                                db.insert(&table, vec![Value::Int(0), Value::Float(f(*i))])
-                                    .expect("schema arity");
-                            }
-                            let _ = reply_tx.send(WorkerReply::Loaded);
-                        }
-                        WorkerCmd::Load(LoadCmd::Rows { table, schema, f }) => {
+                        WorkerCmd::Load(LoadCmd { table, schema, f }) => {
                             for (i, client) in &mut owned {
                                 let db = client.db_mut();
                                 db.create_table(&table, schema.clone());
@@ -1386,10 +1365,9 @@ impl ShardedSystem {
     where
         F: Fn(usize) -> f64 + Send + Sync + 'static,
     {
-        self.apply_load(LoadCmd::Numeric {
-            table: table.to_string(),
-            column: column.to_string(),
-            f: Arc::new(f),
+        let schema = Schema::new(vec![("ts", ColumnType::Int), (column, ColumnType::Float)]);
+        self.load_rows(table, schema, move |i| {
+            vec![vec![Value::Int(0), Value::Float(f(i))]]
         })
     }
 
@@ -1400,7 +1378,7 @@ impl ShardedSystem {
     where
         F: Fn(usize) -> Vec<Vec<Value>> + Send + Sync + 'static,
     {
-        self.apply_load(LoadCmd::Rows {
+        self.apply_load(LoadCmd {
             table: table.to_string(),
             schema,
             f: Arc::new(f),
@@ -3555,6 +3533,53 @@ mod tests {
         let result = system.run_epoch(&query).unwrap();
         assert_eq!((result.sample_size, result.buckets[2].estimate), (20, 20.0));
         assert_eq!((system.deploy_health().respawns, system.loads.len()), (1, 2));
+    }
+
+    /// A query id re-registered with new SQL — the path a feedback
+    /// retune re-registers through — is answered with the new SQL by
+    /// every client on every worker, although the clients share their
+    /// plans: a client's handle carries the SQL it was prepared from.
+    #[test]
+    fn a_reregistered_query_answers_its_new_sql_on_every_client() {
+        let mut system = ShardedSystem::builder()
+            .clients(40)
+            .workers(2)
+            .shards(2)
+            .seed(5)
+            .build();
+        let schema = Schema::new(vec![
+            ("ts", ColumnType::Int),
+            ("slow", ColumnType::Float),
+            ("fast", ColumnType::Float),
+        ]);
+        system
+            .load_rows("vehicle", schema, |_| {
+                vec![vec![Value::Int(0), Value::Float(15.0), Value::Float(95.0)]]
+            })
+            .unwrap();
+        let params = ExecutionParams::checked(1.0, 1.0, 0.5);
+        let query = system
+            .analyst()
+            .query("SELECT slow FROM vehicle")
+            .buckets(speed_spec())
+            .params(params)
+            .submit()
+            .unwrap();
+        let result = system.run_epoch(&query).unwrap();
+        assert_eq!((result.sample_size, result.buckets[1].estimate), (40, 40.0));
+        let retuned = QueryBuilder::new(query.id, "SELECT fast FROM vehicle")
+            .answer(speed_spec())
+            .window(query.window.size, query.window.slide)
+            .sign_and_build(system.host.config.analyst_key);
+        system.register(retuned.clone(), params).unwrap();
+        for _ in 0..2 {
+            let result = system.run_epoch(&retuned).unwrap();
+            assert_eq!(result.sample_size, 40);
+            assert_eq!(
+                result.buckets[9].estimate, 40.0,
+                "every client reads `fast`"
+            );
+        }
     }
 
     /// A snapshot section the frame cap cannot hold — here a retained

@@ -38,10 +38,11 @@
 //! * Client side: [`Client::answer_query_into`] drives the whole
 //!   epoch (prepared SQL → bucketize → randomize → encode → split)
 //!   through one [`ClientScratch`]; the returned shares borrow from
-//!   it. The SQL stage hits the client's internal plan cache
-//!   (`privapprox_sql::PlanCache`) — the plan is prepared on the
-//!   first epoch and reused until the SQL or the local catalog
-//!   changes.
+//!   it. The SQL stage runs the query's plan, shared by every client
+//!   whose table has the same schema (`privapprox_sql::Database::plan`):
+//!   it is prepared when the first client meets the query, and each
+//!   client keeps a handle until the SQL changes or its table is
+//!   re-created with another schema.
 //! * Aggregator side: `pump` decodes into an internal scratch
 //!   `BitVec` and folds it by reference;
 //!   [`Aggregator::advance_watermark_into`] appends closed windows

@@ -45,7 +45,7 @@ use privapprox_cluster::{FaultPlan, FrameKind, Heartbeat, LinkStats, RecordRef, 
 use privapprox_rr::estimate::BucketEstimator;
 use privapprox_stream::broker::{Broker, Consumer};
 use privapprox_stream::EventCount;
-use privapprox_types::{BitVec, MessageId, ProxyId, QueryId, Timestamp};
+use privapprox_types::{BitVec, FastState, MessageId, ProxyId, QueryId, Timestamp};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
@@ -336,8 +336,9 @@ pub(crate) struct LocalShard<In = Consumer> {
 struct Decodes {
     tally: EpochTally,
     /// The §3.3.1 at-rest store (randomized answers only) of queries
-    /// registered with `retain`.
-    retained: HashMap<QueryId, Vec<(u64, u128, BitVec)>>,
+    /// registered with `retain`. `FastState`: looked up on every
+    /// decoded answer, keyed by analyst-assigned ids.
+    retained: HashMap<QueryId, Vec<(u64, u128, BitVec)>, FastState>,
     /// Fault injection: panic on the `n`-th decode.
     fuse: Option<u64>,
 }

@@ -184,19 +184,16 @@ impl System {
     /// column: client `i` gets value `f(i)`. Creates the table as
     /// `(ts INT, <column> FLOAT)` with `ts = 0`.
     pub fn load_numeric_column<F: Fn(usize) -> f64>(&mut self, table: &str, column: &str, f: F) {
-        for (i, client) in self.clients.iter_mut().enumerate() {
-            let db = client.db_mut();
-            db.create_table(
-                table,
-                Schema::new(vec![("ts", ColumnType::Int), (column, ColumnType::Float)]),
-            );
-            db.insert(table, vec![Value::Int(0), Value::Float(f(i))])
-                .expect("schema arity");
-        }
+        let schema = Schema::new(vec![("ts", ColumnType::Int), (column, ColumnType::Float)]);
+        self.load_rows(table, schema, |i| {
+            vec![vec![Value::Int(0), Value::Float(f(i))]]
+        });
     }
 
     /// Populates every client with arbitrary rows: `f(i)` returns the
-    /// rows for client `i` under the given schema.
+    /// rows for client `i` under the given schema. Every client's table
+    /// gets a clone of `schema`, so the clients share one prepared
+    /// plan per query.
     pub fn load_rows<F: Fn(usize) -> Vec<Vec<Value>>>(
         &mut self,
         table: &str,

@@ -8,7 +8,11 @@
 //! * per randomize call — the `RandomizeScratch`/`WideRng` bulk-RNG
 //!   buffers materialize on first use only, and
 //! * per window close — `advance_watermark_into` with the estimator
-//!   pool and recycled result shells.
+//!   pool and recycled result shells,
+//!
+//! and that a simulated client holds only its own data: what derives
+//! from the public query (the prepared plan, the bucket indexer) is
+//! shared, not copied into every client.
 //!
 //! This file deliberately contains a single test: the counting
 //! allocator is process-global, and a sibling test allocating on
@@ -18,7 +22,9 @@ use privapprox_core::aggregator::{finalize_window_into, QueryResult, RawWindow};
 use privapprox_core::client::{Client, ClientScratch};
 use privapprox_core::proxy::{inbound_topic, Proxy};
 use privapprox_core::Aggregator;
-use privapprox_crypto::xor::{combine, decode_answer_into, encode_answer_into, wire_key, Share, SlotPool};
+use privapprox_crypto::xor::{
+    combine, decode_answer_into, encode_answer_into, wire_key, Share, SlotPool,
+};
 use privapprox_crypto::{SplitScratch, XorSplitter};
 use privapprox_rr::estimate::BucketEstimator;
 use privapprox_rr::randomize::{RandomizeScratch, Randomizer};
@@ -33,26 +39,31 @@ use privapprox_types::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Allocator wrapper counting every allocation and reallocation.
+/// Allocator wrapper counting every allocation and reallocation, and
+/// the bytes live on the heap.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -224,12 +235,20 @@ fn client_pipeline_allocates_nothing() {
 
 /// Writers onto the two proxies' inbound topics.
 fn inbound_writers(broker: &Broker) -> Vec<TopicWriter> {
-    (0..2).map(|i| broker.writer(&inbound_topic(ProxyId(i)))).collect()
+    (0..2)
+        .map(|i| broker.writer(&inbound_topic(ProxyId(i))))
+        .collect()
 }
 
 /// Appends one client's shares to its proxies' inbound topics on
 /// `partition` (unmeasured: the transport copies into the log).
-fn publish(writers: &[TopicWriter], partition: usize, query: QueryId, shares: &[Share], ts: Timestamp) {
+fn publish(
+    writers: &[TopicWriter],
+    partition: usize,
+    query: QueryId,
+    shares: &[Share],
+    ts: Timestamp,
+) {
     for (writer, share) in writers.iter().zip(shares) {
         let key = Arc::from(&wire_key(query, share.mid)[..]);
         (writer.try_append_quiet(partition, Some(key), &share.payload[..], ts)).unwrap();
@@ -400,10 +419,12 @@ fn sharded_overlapped_window_cycle_allocates_nothing() {
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         for (s, shard) in shards.iter_mut().enumerate() {
             let tags = &mut counts[s];
-            shard.pump_with(|_, ts, _, _| match tags.iter_mut().find(|(t, _)| *t == ts) {
-                Some((_, n)) => *n += 1,
-                None => tags.push((ts, 1)),
-            });
+            shard.pump_with(
+                |_, ts, _, _| match tags.iter_mut().find(|(t, _)| *t == ts) {
+                    Some((_, n)) => *n += 1,
+                    None => tags.push((ts, 1)),
+                },
+            );
             // The closing epoch's accounting must have settled (10
             // answers per shard per epoch: 20 clients split 2 ways).
             let tag = epoch_ts(cycle);
@@ -465,7 +486,9 @@ fn batched_worker_send_allocates_nothing() {
     for pi in 0..PROXIES {
         broker.create_topic_with_capacity(&inbound_topic(ProxyId(pi as u16)), 1, 64);
     }
-    let topics: Vec<String> = (0..PROXIES).map(|pi| inbound_topic(ProxyId(pi as u16))).collect();
+    let topics: Vec<String> = (0..PROXIES)
+        .map(|pi| inbound_topic(ProxyId(pi as u16)))
+        .collect();
     let writers: Vec<TopicWriter> = topics.iter().map(|t| broker.writer(t)).collect();
     let topic_refs: Vec<&str> = topics.iter().map(String::as_str).collect();
     let consumer = broker.consumer("drain", &topic_refs);
@@ -480,12 +503,12 @@ fn batched_worker_send_allocates_nothing() {
     let mut drained = 0u64;
 
     let send = |rng: &mut StdRng,
-                    split: &mut SplitScratch,
-                    key_pool: &mut SlotPool,
-                    batches: &mut Vec<Vec<BatchEntry>>,
-                    buf: &mut Vec<(u32, u32, privapprox_stream::Record)>,
-                    drained: &mut u64,
-                    i: u64| {
+                split: &mut SplitScratch,
+                key_pool: &mut SlotPool,
+                batches: &mut Vec<Vec<BatchEntry>>,
+                buf: &mut Vec<(u32, u32, privapprox_stream::Record)>,
+                drained: &mut u64,
+                i: u64| {
         let mid = MessageId(rng.gen());
         let shares = splitter.split_into(&message, mid, rng, split);
         let mut key = key_pool.acquire(24);
@@ -493,7 +516,11 @@ fn batched_worker_send_allocates_nothing() {
         slot[..8].copy_from_slice(&1u64.to_be_bytes());
         slot[8..].copy_from_slice(&mid.to_bytes());
         for (pi, share) in shares.iter().enumerate() {
-            batches[pi].push((Some(Arc::clone(&key)), Arc::clone(&share.payload), Timestamp(i)));
+            batches[pi].push((
+                Some(Arc::clone(&key)),
+                Arc::clone(&share.payload),
+                Timestamp(i),
+            ));
         }
         key_pool.release(key);
         if batches[0].len() >= FLUSH_RUN {
@@ -520,14 +547,30 @@ fn batched_worker_send_allocates_nothing() {
     // vectors to the flush run, the broker ring to capacity and the
     // poll buffer to the drain width.
     for i in 0..512u64 {
-        send(&mut rng, &mut split, &mut key_pool, &mut batches, &mut buf, &mut drained, i);
+        send(
+            &mut rng,
+            &mut split,
+            &mut key_pool,
+            &mut batches,
+            &mut buf,
+            &mut drained,
+            i,
+        );
     }
     let slots_warm = split.payload_slots();
     let keys_warm = key_pool.len();
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for i in 512..2_560u64 {
-        send(&mut rng, &mut split, &mut key_pool, &mut batches, &mut buf, &mut drained, i);
+        send(
+            &mut rng,
+            &mut split,
+            &mut key_pool,
+            &mut batches,
+            &mut buf,
+            &mut drained,
+            i,
+        );
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
 
@@ -539,7 +582,10 @@ fn batched_worker_send_allocates_nothing() {
     );
     assert_eq!(split.payload_slots(), slots_warm, "payload pool plateaued");
     assert_eq!(key_pool.len(), keys_warm, "key pool plateaued");
-    assert_eq!(drained, 2_560 / FLUSH_RUN as u64 * FLUSH_RUN as u64 * PROXIES as u64);
+    assert_eq!(
+        drained,
+        2_560 / FLUSH_RUN as u64 * FLUSH_RUN as u64 * PROXIES as u64
+    );
 }
 
 /// Invalidate-then-reuse safety: after a batch is published, the
@@ -615,6 +661,64 @@ fn invalidated_scratch_reuse_never_mutates_retained_payloads() {
     );
 }
 
+/// A simulated client's footprint, loaded as a worker loads it (one
+/// schema for the whole population, one row each) and answered once:
+/// at most 512 live heap bytes beyond its slot in the `Vec<Client>`,
+/// and at most one allocation for its first answer to a query that
+/// another client with the same schema already met (its handle on the
+/// shared plan). The plan and the bucket indexer are the population's,
+/// not the client's.
+fn a_client_holds_only_its_data() {
+    const CLIENTS: u64 = 1_000;
+    let query = QueryBuilder::new(QueryId::new(AnalystId(3), 1), "SELECT d FROM rides")
+        .answer(AnswerSpec::ranges_with_overflow(0.0, 110.0, 10))
+        .window(60_000, 60_000)
+        .sign_and_build(KEY);
+    let params = ExecutionParams::checked(1.0, 0.9, 0.6);
+    let schema = Schema::new(vec![("ts", ColumnType::Int), ("d", ColumnType::Float)]);
+    let load = |id: u64| {
+        let mut client = Client::new(ClientId(id), 5, KEY);
+        let db = client.db_mut();
+        db.create_table("rides", schema.clone());
+        db.insert(
+            "rides",
+            vec![Value::Int(0), Value::Float((id % 100) as f64)],
+        )
+        .unwrap();
+        client
+    };
+    let mut scratch = ClientScratch::new();
+    let mut answer = |client: &mut Client| {
+        client
+            .answer_query_into(&query, &params, Timestamp(1_000), 2, &mut scratch)
+            .unwrap()
+            .expect("s = 1 always participates");
+    };
+    // A first client meets the query: the plan is prepared and the
+    // scratch warmed.
+    answer(&mut load(0));
+
+    let mut clients = Vec::with_capacity(CLIENTS as usize);
+    let live_before = LIVE_BYTES.load(Ordering::Relaxed);
+    clients.extend((1..=CLIENTS).map(load));
+    let loaded = LIVE_BYTES.load(Ordering::Relaxed) - live_before;
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    clients.iter_mut().for_each(&mut answer);
+    let first_answers = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let held = (LIVE_BYTES.load(Ordering::Relaxed) - live_before) / CLIENTS as i64;
+    assert!(
+        held <= 512,
+        "a loaded and answered client holds {held} heap bytes \
+         ({} after loading)",
+        loaded / CLIENTS as i64
+    );
+    assert!(
+        first_answers <= CLIENTS,
+        "a client's first answer made {:.2} allocations",
+        first_answers as f64 / CLIENTS as f64
+    );
+}
+
 #[test]
 fn steady_state_pipeline_allocates_nothing() {
     raw_pipeline_allocates_nothing();
@@ -624,4 +728,5 @@ fn steady_state_pipeline_allocates_nothing() {
     sharded_overlapped_window_cycle_allocates_nothing();
     batched_worker_send_allocates_nothing();
     invalidated_scratch_reuse_never_mutates_retained_payloads();
+    a_client_holds_only_its_data();
 }

@@ -27,9 +27,9 @@ pub enum SqlError {
         /// Values the row supplied.
         got: usize,
     },
-    /// A prepared plan was executed against a database whose catalog
-    /// changed since the plan was compiled (see
-    /// `Database::generation`); the caller must re-prepare.
+    /// A prepared plan was executed against a database whose table
+    /// has another schema than the one the plan was prepared against
+    /// (the table was re-created); the caller must re-prepare.
     StalePlan,
 }
 
@@ -48,7 +48,7 @@ impl core::fmt::Display for SqlError {
             SqlError::StalePlan => {
                 write!(
                     f,
-                    "prepared plan is stale: the catalog changed since compilation"
+                    "prepared plan is stale: its table was re-created with another schema"
                 )
             }
         }

@@ -39,15 +39,26 @@
 //!   shape is handed to the interpreter. The property tests pin the
 //!   two paths to byte-identical results *and errors*.
 //!
-//! The prepared lifecycle is: `parse → prepare → execute × N →
-//! (invalidate on SQL or catalog change) → re-prepare`. Preparing
-//! looks up the table and resolves every column reference once, so
-//! unknown names fail there. Plans record the
-//! [`Database::generation`] they were prepared against and fail with
-//! [`SqlError::StalePlan`] if the catalog moved; [`PlanCache`]
-//! automates the validate-or-re-prepare step keyed by query id, which
-//! is how the PrivApprox client uses this crate (one long-lived query
-//! × millions of per-epoch executions).
+//! # Catalog, shared plans and staleness
+//!
+//! A [`Database`] is one client's catalog: a flat list of named
+//! [`Table`]s, since a client holds one table or a few. A [`Schema`]
+//! is shared, not copied — a clone is a reference-count bump — so a
+//! loader that creates every client's table from one schema gives all
+//! of them one schema.
+//!
+//! Preparing looks up the table and resolves every column reference
+//! once, so unknown names fail there. A plan depends only on its SQL
+//! text and its table's schema, so it is prepared once per (SQL text,
+//! schema): [`Database::plan`] caches it on the schema and hands out
+//! a shared handle. A client keeps that handle and checks it on every
+//! answer with [`PreparedSelect::is_current`] — one name lookup and
+//! one pointer compare, no lock. A plan is bound to its schema by
+//! identity: once the client's table is re-created with another
+//! schema, the handle is stale, executing it fails with
+//! [`SqlError::StalePlan`], and the client asks [`Database::plan`]
+//! again. Only that step, or a query the client has not met, takes
+//! the schema's lock.
 //!
 //! # Scratch-buffer conventions
 //!
@@ -72,6 +83,6 @@ pub use ast::{BinaryOp, Expr, SelectItem, SelectStmt, UnaryOp};
 pub use error::SqlError;
 pub use exec::{execute, ResultSet};
 pub use parser::parse_select;
-pub use plan::{EvalScratch, PlanCache, PreparedSelect, ValueRef};
+pub use plan::{EvalScratch, PreparedSelect, ValueRef};
 pub use table::{ColumnType, Database, Schema, Table};
 pub use value::Value;

@@ -25,22 +25,21 @@
 //!   tests in `tests/properties.rs` pin it to interpret → single
 //!   column → last, errors included.
 //!
-//! Plans are bound to the catalog generation they were prepared
-//! against ([`crate::Database::generation`]); executing a stale plan
-//! fails with [`SqlError::StalePlan`] instead of reading through
-//! remapped column indices. [`PlanCache`] wraps the
-//! prepare-validate-reprepare cycle keyed by [`QueryId`], which is
-//! what the client consults on every `truthful_answer`.
+//! A plan is bound to the [`Schema`] its table had when it was
+//! prepared — by identity, not by value: executing it against a
+//! catalog whose table of that name now has another schema fails with
+//! [`SqlError::StalePlan`] instead of reading through remapped column
+//! indices. Because a plan depends only on its SQL text and that
+//! schema, one plan serves every catalog built from clones of the
+//! schema: [`crate::Database::plan`] prepares it once and caches it on
+//! the schema, and a client keeps the returned handle.
 
 use crate::ast::{BinaryOp, Expr, SelectItem, SelectStmt};
 use crate::error::SqlError;
 use crate::exec::ResultSet;
-use crate::table::{Database, Schema, Table};
+use crate::table::{Database, Schema, SchemaInner, Table};
 use crate::value::Value;
-use privapprox_types::fasthash::FastState;
-use privapprox_types::ids::QueryId;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::sync::{Arc, Weak};
 
 /// A borrowed SQL value: what [`PreparedSelect::last_single_value`]
 /// returns. Text borrows from the row (or the caller's
@@ -136,12 +135,18 @@ impl FastScan {
     }
 }
 
-/// A SELECT prepared against one catalog generation. See the module
-/// docs for what preparation buys and which entry point to use.
+/// A SELECT prepared against one table schema. See the module docs
+/// for what preparation buys and which entry point to use.
 #[derive(Debug, Clone)]
 pub struct PreparedSelect {
+    /// The text the plan was parsed from.
+    sql: Box<str>,
     stmt: SelectStmt,
-    generation: u64,
+    /// The schema the column indices were resolved against, held for
+    /// its identity only. Weak, so a schema's cache of its own plans
+    /// forms no cycle; the allocation it pins cannot be reused by
+    /// another schema while the plan lives.
+    schema: Weak<SchemaInner>,
     /// Output column names, wildcards expanded.
     columns: Vec<String>,
     fast: Option<FastScan>,
@@ -163,24 +168,39 @@ impl EvalScratch {
 }
 
 impl PreparedSelect {
-    /// Prepares `stmt` against the catalog's current state.
+    /// Parses `sql` and prepares it against the catalog's current
+    /// state: a plan of its own, which [`Database::plan`] shares.
     ///
-    /// Unknown tables/columns error here, once, instead of on every
-    /// execution. The plan records [`Database::generation`] and
-    /// refuses to run once the catalog changes.
-    pub fn prepare(stmt: &SelectStmt, db: &Database) -> Result<PreparedSelect, SqlError> {
+    /// Syntax errors and unknown tables/columns error here, once,
+    /// instead of on every execution. The plan is bound to the
+    /// table's schema and refuses to run once the table has another.
+    pub fn prepare(sql: &str, db: &Database) -> Result<PreparedSelect, SqlError> {
+        let stmt = crate::parser::parse_select(sql)?;
         let schema = db.table(&stmt.table)?.schema();
         Ok(PreparedSelect {
-            columns: crate::exec::output_columns(stmt, schema)?,
+            sql: sql.into(),
+            columns: crate::exec::output_columns(&stmt, schema)?,
             fast: detect_fast(&stmt.items, stmt.where_clause.as_ref(), schema),
-            stmt: stmt.clone(),
-            generation: db.generation(),
+            schema: Arc::downgrade(schema.inner()),
+            stmt,
         })
     }
 
-    /// The catalog generation this plan was prepared against.
-    pub fn generation(&self) -> u64 {
-        self.generation
+    /// The SQL text the plan was prepared from.
+    pub fn sql(&self) -> &str {
+        &self.sql
+    }
+
+    /// The table the plan reads.
+    pub fn table(&self) -> &str {
+        &self.stmt.table
+    }
+
+    /// True while `db`'s table of this name still has the schema the
+    /// plan was prepared against: one name lookup and one pointer
+    /// compare, no lock.
+    pub fn is_current(&self, db: &Database) -> bool {
+        self.table_for(db).is_ok()
     }
 
     /// Output column names (wildcards expanded).
@@ -253,96 +273,14 @@ impl PreparedSelect {
         Ok(scratch.last.as_ref().map(ValueRef::from))
     }
 
-    /// Looks up the plan's table, checking staleness first.
+    /// Looks up the plan's table and checks that its schema is the
+    /// one the plan was prepared against.
     fn table_for<'a>(&self, db: &'a Database) -> Result<&'a Table, SqlError> {
-        if db.generation() != self.generation {
+        let table = db.table(&self.stmt.table)?;
+        if !std::ptr::eq(self.schema.as_ptr(), Arc::as_ptr(table.schema().inner())) {
             return Err(SqlError::StalePlan);
         }
-        db.table(&self.stmt.table)
-    }
-}
-
-/// A cache of prepared plans keyed by [`QueryId`] — what the client
-/// consults on every answer epoch.
-///
-/// An entry is reused only while both of these hold, otherwise it is
-/// transparently re-prepared:
-///
-/// * the SQL text is unchanged (a re-registered `QueryId` with
-///   different SQL invalidates the entry);
-/// * the catalog generation is unchanged (a re-created table
-///   invalidates every plan prepared before it).
-#[derive(Debug, Default)]
-pub struct PlanCache {
-    // `FastState`: looked up once per answered message; QueryIds are
-    // analyst-assigned, not attacker-chosen, so SipHash buys nothing.
-    plans: HashMap<QueryId, CachedPlan, FastState>,
-}
-
-#[derive(Debug)]
-struct CachedPlan {
-    sql: String,
-    plan: PreparedSelect,
-}
-
-impl PlanCache {
-    /// Creates an empty cache.
-    pub fn new() -> PlanCache {
-        PlanCache::default()
-    }
-
-    /// Number of cached plans.
-    pub fn len(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// True when no plans are cached.
-    pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
-    }
-
-    /// Returns the cached plan for `id`, (re)preparing `sql` against
-    /// `db` when the entry is missing, carries different SQL, or was
-    /// prepared against an older catalog generation. The hot-path
-    /// cost of a hit is one hash lookup plus one string compare.
-    pub fn get_or_prepare(
-        &mut self,
-        id: QueryId,
-        sql: &str,
-        db: &Database,
-    ) -> Result<&PreparedSelect, SqlError> {
-        match self.plans.entry(id) {
-            Entry::Occupied(entry) => {
-                let cached = entry.into_mut();
-                if cached.sql != sql || cached.plan.generation() != db.generation() {
-                    let stmt = crate::parser::parse_select(sql)?;
-                    cached.plan = PreparedSelect::prepare(&stmt, db)?;
-                    cached.sql.clear();
-                    cached.sql.push_str(sql);
-                }
-                Ok(&cached.plan)
-            }
-            Entry::Vacant(slot) => {
-                let stmt = crate::parser::parse_select(sql)?;
-                let plan = PreparedSelect::prepare(&stmt, db)?;
-                Ok(&slot
-                    .insert(CachedPlan {
-                        sql: sql.to_string(),
-                        plan,
-                    })
-                    .plan)
-            }
-        }
-    }
-
-    /// Drops the plan for `id` (if any).
-    pub fn invalidate(&mut self, id: QueryId) {
-        self.plans.remove(&id);
-    }
-
-    /// Drops every cached plan.
-    pub fn clear(&mut self) {
-        self.plans.clear();
+        Ok(table)
     }
 }
 
@@ -390,7 +328,6 @@ mod tests {
     use crate::exec::execute;
     use crate::parser::parse_select;
     use crate::table::ColumnType;
-    use privapprox_types::ids::AnalystId;
 
     fn vehicle_db() -> Database {
         let mut db = Database::new();
@@ -424,7 +361,7 @@ mod tests {
     fn assert_equivalent(db: &Database, sql: &str) {
         let stmt = parse_select(sql).expect("parses");
         let interpreted = execute(&stmt, db);
-        let prepared = PreparedSelect::prepare(&stmt, db).and_then(|p| p.execute(db));
+        let prepared = PreparedSelect::prepare(sql, db).and_then(|p| p.execute(db));
         assert_eq!(prepared, interpreted, "query: {sql}");
     }
 
@@ -469,19 +406,16 @@ mod tests {
     #[test]
     fn unknown_columns_error_at_prepare_time() {
         let db = vehicle_db();
-        let stmt = parse_select("SELECT nope FROM vehicle").unwrap();
         assert_eq!(
-            PreparedSelect::prepare(&stmt, &db).unwrap_err(),
+            PreparedSelect::prepare("SELECT nope FROM vehicle", &db).unwrap_err(),
             SqlError::UnknownColumn("nope".into())
         );
-        let stmt = parse_select("SELECT ts FROM vehicle WHERE ghost = 1").unwrap();
         assert_eq!(
-            PreparedSelect::prepare(&stmt, &db).unwrap_err(),
+            PreparedSelect::prepare("SELECT ts FROM vehicle WHERE ghost = 1", &db).unwrap_err(),
             SqlError::UnknownColumn("ghost".into())
         );
-        let stmt = parse_select("SELECT * FROM nix").unwrap();
         assert_eq!(
-            PreparedSelect::prepare(&stmt, &db).unwrap_err(),
+            PreparedSelect::prepare("SELECT * FROM nix", &db).unwrap_err(),
             SqlError::UnknownTable("nix".into())
         );
     }
@@ -492,15 +426,15 @@ mod tests {
         // interpreter returns an empty result, and so must we.
         let mut db = Database::new();
         db.create_table("empty", Schema::new(vec![("a", ColumnType::Int)]));
-        let stmt = parse_select("SELECT 7 / 0 FROM empty").unwrap();
-        let plan = PreparedSelect::prepare(&stmt, &db).expect("prepare must not evaluate 7 / 0");
+        let sql = "SELECT 7 / 0 FROM empty";
+        let plan = PreparedSelect::prepare(sql, &db).expect("prepare must not evaluate 7 / 0");
         assert_eq!(plan.execute(&db).unwrap().rows.len(), 0);
         // With one row, the error surfaces exactly like interpretation.
         db.table_mut("empty")
             .unwrap()
             .insert(vec![Value::Int(1)])
             .unwrap();
-        let plan = PreparedSelect::prepare(&stmt, &db).unwrap();
+        let plan = PreparedSelect::prepare(sql, &db).unwrap();
         assert_eq!(plan.execute(&db).unwrap_err(), SqlError::DivisionByZero);
     }
 
@@ -558,8 +492,7 @@ mod tests {
             // interpreter's.
             ("SELECT speed FROM vehicle WHERE ts >= 1 + 2", false),
         ] {
-            let stmt = parse_select(sql).unwrap();
-            let plan = PreparedSelect::prepare(&stmt, &db).unwrap();
+            let plan = PreparedSelect::prepare(sql, &db).unwrap();
             assert_eq!(plan.is_fast_scan(), fast, "{sql}");
         }
     }
@@ -602,9 +535,8 @@ mod tests {
             // Runtime errors.
             "SELECT ts / 0 FROM vehicle",
         ] {
-            let stmt = parse_select(sql).unwrap();
             let expect = last_via_interpreter(&db, sql);
-            let got = PreparedSelect::prepare(&stmt, &db).and_then(|p| {
+            let got = PreparedSelect::prepare(sql, &db).and_then(|p| {
                 Ok(p.last_single_value(&db, &mut scratch)?
                     .map(|v| v.to_value()))
             });
@@ -615,15 +547,19 @@ mod tests {
     #[test]
     fn stale_plans_are_rejected() {
         let mut db = vehicle_db();
-        let stmt = parse_select("SELECT speed FROM vehicle").unwrap();
-        let plan = PreparedSelect::prepare(&stmt, &db).unwrap();
+        let plan = PreparedSelect::prepare("SELECT speed FROM vehicle", &db).unwrap();
         assert!(plan.execute(&db).is_ok());
-        // Re-creating any table moves the catalog generation; the
-        // plan's column indices can no longer be trusted.
+        // A clone of the same schema keeps the plan's column indices.
+        let same = db.table("vehicle").unwrap().schema().clone();
+        db.create_table("vehicle", same);
+        assert!(plan.is_current(&db));
+        // A table re-created with another schema — even an equal one
+        // built anew — can no longer be trusted.
         db.create_table(
             "vehicle",
             Schema::new(vec![("speed", ColumnType::Float), ("ts", ColumnType::Int)]),
         );
+        assert!(!plan.is_current(&db));
         assert_eq!(plan.execute(&db).unwrap_err(), SqlError::StalePlan);
         let mut scratch = EvalScratch::new();
         assert_eq!(
@@ -635,47 +571,65 @@ mod tests {
     #[test]
     fn plan_cache_reuses_hits_and_recompiles_on_sql_change() {
         let db = vehicle_db();
-        let mut cache = PlanCache::new();
-        let id = QueryId::new(AnalystId(1), 7);
+        // A second catalog built from a clone of the same schema.
+        let mut twin = Database::new();
+        twin.create_table("vehicle", db.table("vehicle").unwrap().schema().clone());
         let sql_a = "SELECT speed FROM vehicle WHERE ts >= 3";
-        let a1 = cache.get_or_prepare(id, sql_a, &db).unwrap() as *const PreparedSelect;
-        let a2 = cache.get_or_prepare(id, sql_a, &db).unwrap() as *const PreparedSelect;
-        assert_eq!(a1, a2, "same SQL must hit the cached plan");
-        assert_eq!(cache.len(), 1);
-        // Same QueryId re-registered with different SQL: recompiled.
+        let a1 = db.plan(sql_a).unwrap();
+        let a2 = db.plan(sql_a).unwrap();
+        assert!(Arc::ptr_eq(&a1, &a2), "same SQL must hit the cached plan");
+        assert!(
+            Arc::ptr_eq(&a1, &twin.plan(sql_a).unwrap()),
+            "a catalog sharing the schema shares the plan"
+        );
+        assert!(a1.is_current(&twin));
+        // Other SQL over the same schema is another plan.
         let sql_b = "SELECT ts FROM vehicle WHERE speed > 10";
-        let b = cache.get_or_prepare(id, sql_b, &db).unwrap();
+        let b = db.plan(sql_b).unwrap();
         assert_eq!(b.columns(), ["ts"]);
-        assert_eq!(cache.len(), 1, "entry replaced, not duplicated");
-        // And the replacement is itself cached.
-        let b2 = cache.get_or_prepare(id, sql_b, &db).unwrap();
-        assert_eq!(b2.columns(), ["ts"]);
+        assert_eq!(b.sql(), sql_b);
+        assert!(Arc::ptr_eq(&b, &twin.plan(sql_b).unwrap()));
+        assert!(Arc::ptr_eq(&a1, &db.plan(sql_a).unwrap()));
+        // An equal schema built anew has a cache of its own.
+        let mut stranger = Database::new();
+        stranger.create_table(
+            "vehicle",
+            Schema::new(vec![
+                ("ts", ColumnType::Int),
+                ("speed", ColumnType::Float),
+                ("location", ColumnType::Text),
+            ]),
+        );
+        let c = stranger.plan(sql_a).unwrap();
+        assert!(!Arc::ptr_eq(&a1, &c));
+        assert!(!a1.is_current(&stranger) && !c.is_current(&db));
     }
 
     #[test]
     fn plan_cache_recompiles_after_catalog_changes() {
         let mut db = vehicle_db();
-        let mut cache = PlanCache::new();
-        let id = QueryId::new(AnalystId(1), 8);
         let sql = "SELECT speed FROM vehicle";
-        let g1 = cache.get_or_prepare(id, sql, &db).unwrap().generation();
-        // Same catalog: same plan generation.
-        assert_eq!(cache.get_or_prepare(id, sql, &db).unwrap().generation(), g1);
-        // Changed catalog: transparently recompiled and executable.
+        let before = db.plan(sql).unwrap();
+        // Changed catalog: the old handle is stale, a new one is
+        // prepared against the new schema and executable.
         db.create_table(
             "vehicle",
             Schema::new(vec![("x", ColumnType::Int), ("speed", ColumnType::Float)]),
         );
         db.insert("vehicle", vec![Value::Int(0), Value::Float(3.0)])
             .unwrap();
-        let plan = cache.get_or_prepare(id, sql, &db).unwrap();
-        assert_eq!(plan.generation(), db.generation());
+        assert!(!before.is_current(&db));
+        let plan = db.plan(sql).unwrap();
+        assert!(!Arc::ptr_eq(&before, &plan));
+        assert!(plan.is_current(&db));
         let rs = plan.execute(&db).unwrap();
         assert_eq!(rs.rows, vec![vec![Value::Float(3.0)]]);
-        // Bad SQL under a known id surfaces errors without caching.
-        assert!(cache.get_or_prepare(id, "SELECT FROM", &db).is_err());
-        cache.invalidate(id);
-        assert!(cache.is_empty());
+        // Bad SQL and unknown names surface errors without caching.
+        assert!(db.plan("SELECT FROM").is_err());
+        assert_eq!(
+            db.plan("SELECT speed FROM nope").unwrap_err(),
+            SqlError::UnknownTable("nope".into())
+        );
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! a cutoff on a designated timestamp column.
 
 use crate::error::SqlError;
+use crate::plan::PreparedSelect;
 use crate::value::Value;
-use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Column types (informational; storage is dynamically typed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,9 +24,20 @@ pub enum ColumnType {
 }
 
 /// A table schema: ordered `(name, type)` pairs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Schema {
+///
+/// A schema is shared, not copied: a clone is a reference-count bump,
+/// and every table created from clones of one schema shares its plan
+/// cache (see [`Database::plan`]). Two schemas built separately are
+/// equal when their columns are, but keep separate caches.
+#[derive(Clone)]
+pub struct Schema(Arc<SchemaInner>);
+
+pub(crate) struct SchemaInner {
     columns: Vec<(String, ColumnType)>,
+    /// Every plan prepared against this schema by [`Database::plan`],
+    /// one per SQL text. Locked only when a client first meets a
+    /// query, or after its table changed.
+    plans: Mutex<Vec<Arc<PreparedSelect>>>,
 }
 
 impl Schema {
@@ -44,32 +56,61 @@ impl Schema {
                 assert_ne!(columns[i].0, columns[j].0, "duplicate column name");
             }
         }
-        Schema { columns }
+        Schema(Arc::new(SchemaInner {
+            columns,
+            plans: Mutex::default(),
+        }))
     }
 
     /// Number of columns.
     pub fn len(&self) -> usize {
-        self.columns.len()
+        self.0.columns.len()
     }
 
     /// True for a zero-column schema.
     pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
+        self.0.columns.is_empty()
     }
 
     /// Index of a column by name.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|(n, _)| n == name)
+        self.0.columns.iter().position(|(n, _)| n == name)
     }
 
     /// Column names in order.
     pub fn names(&self) -> Vec<&str> {
-        self.columns.iter().map(|(n, _)| n.as_str()).collect()
+        self.0.columns.iter().map(|(n, _)| n.as_str()).collect()
     }
 
     /// The `(name, type)` pairs.
     pub fn columns(&self) -> &[(String, ColumnType)] {
-        &self.columns
+        &self.0.columns
+    }
+
+    /// The shared part: what a plan is bound to.
+    pub(crate) fn inner(&self) -> &Arc<SchemaInner> {
+        &self.0
+    }
+
+    /// The plans prepared against this schema. The cache's one update
+    /// is a push, so a panic elsewhere cannot leave it half-updated
+    /// and a poisoned lock is recovered.
+    fn plans(&self) -> MutexGuard<'_, Vec<Arc<PreparedSelect>>> {
+        self.0.plans.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl PartialEq for Schema {
+    fn eq(&self, other: &Schema) -> bool {
+        self.0.columns == other.0.columns
+    }
+}
+
+impl core::fmt::Debug for Schema {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("Schema")
+            .field("columns", &self.0.columns)
+            .finish()
     }
 }
 
@@ -147,13 +188,12 @@ impl Table {
 }
 
 /// A named collection of tables (one per client).
+///
+/// The catalog is a flat list: a client holds one table or a few, so
+/// a lookup is a short scan, and an empty catalog costs no heap.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    tables: BTreeMap<String, Table>,
-    /// Catalog version: bumped whenever a table is created or
-    /// replaced, so prepared plans can detect that their resolved
-    /// column indices may no longer describe this catalog.
-    generation: u64,
+    tables: Vec<(Box<str>, Table)>,
 }
 
 impl Database {
@@ -162,33 +202,40 @@ impl Database {
         Database::default()
     }
 
-    /// The catalog generation. Prepared plans record the generation
-    /// they were compiled against and refuse to run (or are
-    /// transparently recompiled by the plan cache) once it moves.
-    /// Row-level changes (insert/prune/clear) do not bump it — only
-    /// catalog changes do.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Creates (or replaces) a table.
+    /// Creates (or replaces) a table. Plans prepared against the
+    /// replaced table's schema go stale (see [`PreparedSelect`]);
+    /// re-creating a table from a clone of the same schema keeps them.
     pub fn create_table(&mut self, name: &str, schema: Schema) -> &mut Table {
-        self.generation += 1;
-        self.tables.insert(name.to_string(), Table::new(schema));
-        self.tables.get_mut(name).expect("just inserted")
+        let table = Table::new(schema);
+        let i = match self.tables.iter().position(|(n, _)| **n == *name) {
+            Some(i) => {
+                self.tables[i].1 = table;
+                i
+            }
+            None => {
+                self.tables.reserve_exact(1);
+                self.tables.push((name.into(), table));
+                self.tables.len() - 1
+            }
+        };
+        &mut self.tables[i].1
     }
 
     /// Looks up a table.
     pub fn table(&self, name: &str) -> Result<&Table, SqlError> {
         self.tables
-            .get(name)
+            .iter()
+            .find(|(n, _)| **n == *name)
+            .map(|(_, t)| t)
             .ok_or_else(|| SqlError::UnknownTable(name.to_string()))
     }
 
     /// Mutable lookup.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, SqlError> {
         self.tables
-            .get_mut(name)
+            .iter_mut()
+            .find(|(n, _)| **n == *name)
+            .map(|(_, t)| t)
             .ok_or_else(|| SqlError::UnknownTable(name.to_string()))
     }
 
@@ -199,7 +246,39 @@ impl Database {
 
     /// Table names in sorted order.
     pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(|s| s.as_str()).collect()
+        let mut names: Vec<&str> = self.tables.iter().map(|(n, _)| &**n).collect();
+        names.sort_unstable();
+        names
+    }
+
+    /// The plan of `sql` over this catalog, shared with every other
+    /// catalog whose table of that name has the same [`Schema`]: it is
+    /// parsed and prepared once per (SQL text, schema) and cached on
+    /// the schema. Parse and resolution errors are returned, not
+    /// cached.
+    ///
+    /// This takes the schema's lock, so callers keep the returned
+    /// handle and call this again only when the handle goes stale
+    /// ([`PreparedSelect::is_current`]) or the SQL changes.
+    pub fn plan(&self, sql: &str) -> Result<Arc<PreparedSelect>, SqlError> {
+        for (name, table) in &self.tables {
+            let plans = table.schema.plans();
+            let hit = plans
+                .iter()
+                .find(|p| p.sql() == sql && p.table() == &**name);
+            if let Some(p) = hit {
+                return Ok(Arc::clone(p));
+            }
+        }
+        let plan = PreparedSelect::prepare(sql, self)?;
+        let mut plans = self.table(plan.table())?.schema.plans();
+        // Another catalog of this schema may have prepared it since.
+        if let Some(p) = plans.iter().find(|p| p.sql() == sql) {
+            return Ok(Arc::clone(p));
+        }
+        let plan = Arc::new(plan);
+        plans.push(Arc::clone(&plan));
+        Ok(plan)
     }
 }
 

@@ -193,7 +193,7 @@ proptest! {
         };
         let stmt = parse_select(&sql).expect("corpus SQL parses");
         let interpreted = execute(&stmt, &db);
-        let prepared = PreparedSelect::prepare(&stmt, &db).and_then(|p| p.execute(&db));
+        let prepared = PreparedSelect::prepare(&sql, &db).and_then(|p| p.execute(&db));
         prop_assert_eq!(&prepared, &interpreted, "query: {}", &sql);
 
         // The client's "newest value" entry point agrees with the
@@ -202,7 +202,7 @@ proptest! {
             .and_then(|rs| rs.single_column())
             .map(|col| col.last().cloned());
         let mut scratch = EvalScratch::new();
-        let last = PreparedSelect::prepare(&stmt, &db).and_then(|p| {
+        let last = PreparedSelect::prepare(&sql, &db).and_then(|p| {
             Ok(p.last_single_value(&db, &mut scratch)?.map(|v| v.to_value()))
         });
         prop_assert_eq!(last, oracle, "last value of: {}", &sql);

@@ -1,9 +1,9 @@
 //! A deterministic multiply-mix hasher for small fixed-width keys.
 //!
 //! The hot paths key their maps by ids that are one or two machine
-//! words (`QueryId`, `MessageId`): the client's plan and indexer
-//! caches take a lookup per answered message, and the aggregator's
-//! MID joiner takes one per share. `std`'s default SipHash spends
+//! words (`QueryId`, `MessageId`): a shard's per-query maps take a
+//! lookup per decoded answer, and the aggregator's MID joiner takes
+//! one per share. `std`'s default SipHash spends
 //! more time absorbing a 16-byte key than those lookups spend on the
 //! rest of the probe, and its per-process random seed makes map
 //! behaviour vary run to run. This hasher folds each written word

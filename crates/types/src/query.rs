@@ -86,9 +86,21 @@ pub fn like_match(pattern: &str, text: &str) -> bool {
 ///
 /// A client's answer to a query is the n-bit vector whose i-th bit says
 /// whether the client's value matched bucket i (paper §2.2).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The spec carries its [`BucketIndexer`], compiled once when the spec
+/// is built — or decoded, which builds it through [`AnswerSpec::new`]
+/// — and never serialized: it is derived from the rules alone.
+#[derive(Debug, Clone)]
 pub struct AnswerSpec {
     buckets: Vec<BucketRule>,
+    indexer: BucketIndexer,
+}
+
+impl PartialEq for AnswerSpec {
+    /// Equal rules; the indexer is derived from them.
+    fn eq(&self, other: &AnswerSpec) -> bool {
+        self.buckets == other.buckets
+    }
 }
 
 impl AnswerSpec {
@@ -100,7 +112,8 @@ impl AnswerSpec {
     /// information and would break the wire format.
     pub fn new(buckets: Vec<BucketRule>) -> AnswerSpec {
         assert!(!buckets.is_empty(), "answer spec needs at least 1 bucket");
-        AnswerSpec { buckets }
+        let indexer = BucketIndexer::for_rules(&buckets);
+        AnswerSpec { buckets, indexer }
     }
 
     /// Convenience constructor: `count` equal-width numeric ranges
@@ -149,16 +162,16 @@ impl AnswerSpec {
         self.buckets.iter().position(|b| b.matches_text(s))
     }
 
-    /// Compiles a [`BucketIndexer`] for this spec: an O(1) arithmetic
-    /// lookup when the spec is a uniform range ladder (the common
+    /// The spec's [`BucketIndexer`]: an O(1) arithmetic lookup when
+    /// the spec is a uniform range ladder (the common
     /// [`AnswerSpec::ranges_with_overflow`] shape), falling back to
     /// the linear [`AnswerSpec::bucketize_num`] scan otherwise.
     ///
-    /// Clients cache the indexer alongside their prepared query plan
-    /// so a 10⁴-bucket answer format does not cost a 10⁴-entry scan
-    /// per epoch.
+    /// It is compiled once, when the spec is built, so a 10⁴-bucket
+    /// answer format costs no 10⁴-entry scan per epoch and no client
+    /// keeps a copy: every client answering the query reads this one.
     pub fn index_plan(&self) -> BucketIndexer {
-        BucketIndexer::for_spec(self)
+        self.indexer
     }
 }
 
@@ -186,11 +199,10 @@ struct UniformRanges {
 }
 
 impl BucketIndexer {
-    fn for_spec(spec: &AnswerSpec) -> BucketIndexer {
+    fn for_rules(rules: &[BucketRule]) -> BucketIndexer {
         // Detect a leading ladder of contiguous, equal-width numeric
         // ranges. A trailing unbounded/overflow bucket (or any other
         // tail) is handled by the verified-candidate probe below.
-        let rules = spec.buckets();
         let mut ladder: Option<UniformRanges> = None;
         for rule in rules {
             let BucketRule::Range { lo, hi } = rule else {
