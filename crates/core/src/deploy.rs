@@ -184,16 +184,14 @@ use crate::persist::{
 };
 use crate::proxy::inbound_topic;
 use crate::remote;
-use crate::stage::{
-    spawn_supervised, take_crash, CrashLog, Host, ProxyHandle, Role, ShardHandle,
-};
 pub use crate::stage::FaultInjector;
-use privapprox_store::wal::DEFAULT_SEGMENT_BYTES;
+use crate::stage::{spawn_supervised, take_crash, CrashLog, Host, ProxyHandle, Role, ShardHandle};
 use privapprox_cluster::{FaultPlan, HeartbeatStatus, LinkStats, Watchdog};
+use privapprox_crypto::xor::SlotPool;
 use privapprox_rr::estimate::BucketEstimator;
 use privapprox_rr::privacy::epsilon_zk;
 use privapprox_sql::{ColumnType, Schema, Value};
-use privapprox_crypto::xor::SlotPool;
+use privapprox_store::wal::DEFAULT_SEGMENT_BYTES;
 use privapprox_stream::broker::{BatchEntry, Broker, BrokerStats, TopicWriter};
 use privapprox_types::ids::AnalystId;
 use privapprox_types::{
@@ -843,226 +841,218 @@ impl WorkerHandle {
         let drop_hook = host.faults.drop_hook(c.shards);
         let heartbeat = host.watchdog.register(&format!("worker-{w}"));
         let forwarded = Arc::clone(&host.forwarded);
-        let thread =
-            spawn_supervised(Role::Worker, w, Arc::clone(&host.crashes), move || {
-                let mut owned: Vec<(usize, Client)> = (0..clients)
-                    .filter(|i| (*i as usize) % workers == w)
-                    .map(|i| (i as usize, Client::new(ClientId(i), seed, key)))
-                    .collect();
-                let mut scratch = ClientScratch::new();
-                // Cached per-topic writers: no topic-name hash per
-                // share, and one consumer wakeup per flushed run.
-                let writers: Vec<TopicWriter> = (0..n_proxies)
-                    .map(|pi| broker.writer(&inbound_topic(ProxyId(pi as u16))))
-                    .collect();
-                let mut per_partition = vec![0u64; partitions];
-                // Batched send state, reused across epochs so the
-                // steady state allocates nothing: one pending run
-                // per (proxy topic, partition) — all of a
-                // message's shares enter their runs together, and
-                // a run flushes as ONE all-or-nothing batch
-                // append (one partition lock, one capacity check)
-                // once it reaches the flush grain. Entries hold
-                // refcount clones of the split scratch's payload
-                // slots and a pooled 24-byte query-tagged key
-                // built once per message — no per-share
-                // allocation or copy.
-                let mut batches: Vec<Vec<Vec<BatchEntry>>> = (0..n_proxies)
-                    .map(|_| vec![Vec::new(); partitions])
-                    .collect();
-                let mut key_pool = SlotPool::new();
-                let flush_run = match writers.first().map(|w| w.capacity()) {
-                    Some(cap) if cap > 0 => WORKER_FLUSH_RUN.min(cap),
-                    _ => WORKER_FLUSH_RUN,
-                };
-                // Flushes one partition's pending runs across all
-                // proxy topics; returns the number of messages
-                // published. Each topic's run is all-or-nothing;
-                // if topic `j` hits its backpressure deadline,
-                // topics `< j` have already published this run
-                // (those share sets expire at the join, exactly
-                // like the pre-batching failure path) and the
-                // run's messages stay uncounted.
-                // A run's shares are counted as forwarded before
-                // they are published, so a shard never decodes an
-                // uncounted share; a run that stalls unpublished
-                // is taken back out.
-                // Every flushed run wakes its topic's consumer, so
-                // an epoch streams through the stages while it is
-                // still being answered. A consumer that is awake
-                // costs the notify two atomic operations; only
-                // one that caught up and parked is rung.
-                let flush_partition = |writers: &[TopicWriter],
-                                       batches: &mut [Vec<Vec<BatchEntry>>],
-                                       partition: usize|
-                 -> Result<u64, CoreError> {
-                    let n = batches[0][partition].len() as u64;
-                    for (pi, writer) in writers.iter().enumerate() {
-                        forwarded.fetch_add(n, Ordering::Relaxed);
-                        let run = &mut batches[pi][partition];
-                        if let Err(e) = writer.try_append_batch(partition, run) {
-                            forwarded.fetch_sub(n, Ordering::Relaxed);
-                            return Err(e.into());
-                        }
-                        writer.notify();
+        let thread = spawn_supervised(Role::Worker, w, Arc::clone(&host.crashes), move || {
+            let mut owned: Vec<(usize, Client)> = (0..clients)
+                .filter(|i| (*i as usize) % workers == w)
+                .map(|i| (i as usize, Client::new(ClientId(i), seed, key)))
+                .collect();
+            let mut scratch = ClientScratch::new();
+            // Cached per-topic writers: no topic-name hash per
+            // share, and one consumer wakeup per flushed run.
+            let writers: Vec<TopicWriter> = (0..n_proxies)
+                .map(|pi| broker.writer(&inbound_topic(ProxyId(pi as u16))))
+                .collect();
+            let mut per_partition = vec![0u64; partitions];
+            // Batched send state, reused across epochs so the
+            // steady state allocates nothing: one pending run
+            // per (proxy topic, partition) — all of a
+            // message's shares enter their runs together, and
+            // a run flushes as ONE all-or-nothing batch
+            // append (one partition lock, one capacity check)
+            // once it reaches the flush grain. Entries hold
+            // refcount clones of the split scratch's payload
+            // slots and a pooled 24-byte query-tagged key
+            // built once per message — no per-share
+            // allocation or copy.
+            let mut batches: Vec<Vec<Vec<BatchEntry>>> = (0..n_proxies)
+                .map(|_| vec![Vec::new(); partitions])
+                .collect();
+            let mut key_pool = SlotPool::new();
+            let flush_run = match writers.first().map(|w| w.capacity()) {
+                Some(cap) if cap > 0 => WORKER_FLUSH_RUN.min(cap),
+                _ => WORKER_FLUSH_RUN,
+            };
+            // Flushes one partition's pending runs across all
+            // proxy topics; returns the number of messages
+            // published. Each topic's run is all-or-nothing;
+            // if topic `j` hits its backpressure deadline,
+            // topics `< j` have already published this run
+            // (those share sets expire at the join, exactly
+            // like the pre-batching failure path) and the
+            // run's messages stay uncounted.
+            // A run's shares are counted as forwarded before
+            // they are published, so a shard never decodes an
+            // uncounted share; a run that stalls unpublished
+            // is taken back out.
+            // Every flushed run wakes its topic's consumer, so
+            // an epoch streams through the stages while it is
+            // still being answered. A consumer that is awake
+            // costs the notify two atomic operations; only
+            // one that caught up and parked is rung.
+            let flush_partition = |writers: &[TopicWriter],
+                                   batches: &mut [Vec<Vec<BatchEntry>>],
+                                   partition: usize|
+             -> Result<u64, CoreError> {
+                let n = batches[0][partition].len() as u64;
+                for (pi, writer) in writers.iter().enumerate() {
+                    forwarded.fetch_add(n, Ordering::Relaxed);
+                    let run = &mut batches[pi][partition];
+                    if let Err(e) = writer.try_append_batch(partition, run) {
+                        forwarded.fetch_sub(n, Ordering::Relaxed);
+                        return Err(e.into());
                     }
-                    Ok(n)
+                    writer.notify();
+                }
+                Ok(n)
+            };
+            loop {
+                heartbeat.beat();
+                let cmd = match cmd_rx.recv_timeout(WORKER_IDLE_BEAT) {
+                    Ok(cmd) => cmd,
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => break,
                 };
-                loop {
-                    heartbeat.beat();
-                    let cmd = match cmd_rx.recv_timeout(WORKER_IDLE_BEAT) {
-                        Ok(cmd) => cmd,
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    };
-                    match cmd {
-                        WorkerCmd::Load(LoadCmd { table, schema, f }) => {
-                            for (i, client) in &mut owned {
-                                let db = client.db_mut();
-                                db.create_table(&table, schema.clone());
-                                for row in f(*i) {
-                                    db.insert(&table, row).expect("schema arity");
-                                }
+                match cmd {
+                    WorkerCmd::Load(LoadCmd { table, schema, f }) => {
+                        for (i, client) in &mut owned {
+                            let db = client.db_mut();
+                            db.create_table(&table, schema.clone());
+                            for row in f(*i) {
+                                db.insert(&table, row).expect("schema arity");
                             }
-                            let _ = reply_tx.send(WorkerReply::Loaded);
                         }
-                        WorkerCmd::Answer { query, params, ts } => {
-                            let t0 = thread_busy_time();
-                            let qtag = query.id.to_u64().to_be_bytes();
-                            per_partition.iter_mut().for_each(|n| *n = 0);
-                            // One signature check for the whole
-                            // population: the query is a single
-                            // immutable value, so the per-client
-                            // verdicts cannot differ, and verify
-                            // consumes no RNG — answers stay
-                            // byte-identical to per-client
-                            // verification. A forgery surfaces
-                            // exactly like the first client
-                            // failing (zero sent, error reply).
-                            let mut failure = if query.verify(key) {
-                                None
-                            } else {
-                                Some(CoreError::BadSignature)
-                            };
-                            'clients: for (i, client) in &mut owned {
-                                if failure.is_some() {
-                                    break;
-                                }
-                                match client.answer_query_into_preverified(
-                                    &query,
-                                    &params,
-                                    ts,
-                                    n_proxies,
-                                    &mut scratch,
-                                ) {
-                                    Ok(None) => {}
-                                    Ok(Some(shares)) => {
-                                        let partition = *i % partitions;
-                                        let dropped = drop_hook
-                                            .is_some_and(|(s, m)| partition % m == s);
-                                        if dropped {
-                                            // Accounted but never sent —
-                                            // the drop-traffic fault.
-                                            per_partition[partition] += 1;
-                                        } else {
-                                            // One pooled 24-byte key per
-                                            // message — query tag (u64
-                                            // BE) ‖ MID — refcounted
-                                            // across its n shares;
-                                            // payloads ride by refcount
-                                            // from the split scratch's
-                                            // slots.
-                                            let mut key = key_pool.acquire(24);
-                                            let slot = Arc::get_mut(&mut key)
-                                                .expect("acquired key slot is unique");
-                                            slot[..8].copy_from_slice(&qtag);
-                                            slot[8..].copy_from_slice(
-                                                &shares[0].mid.to_bytes(),
-                                            );
-                                            for (pi, share) in shares.iter().enumerate()
+                        let _ = reply_tx.send(WorkerReply::Loaded);
+                    }
+                    WorkerCmd::Answer { query, params, ts } => {
+                        let t0 = thread_busy_time();
+                        let qtag = query.id.to_u64().to_be_bytes();
+                        per_partition.iter_mut().for_each(|n| *n = 0);
+                        // One signature check for the whole
+                        // population: the query is a single
+                        // immutable value, so the per-client
+                        // verdicts cannot differ, and verify
+                        // consumes no RNG — answers stay
+                        // byte-identical to per-client
+                        // verification. A forgery surfaces
+                        // exactly like the first client
+                        // failing (zero sent, error reply).
+                        let mut failure = if query.verify(key) {
+                            None
+                        } else {
+                            Some(CoreError::BadSignature)
+                        };
+                        'clients: for (i, client) in &mut owned {
+                            if failure.is_some() {
+                                break;
+                            }
+                            match client.answer_query_into_preverified(
+                                &query,
+                                &params,
+                                ts,
+                                n_proxies,
+                                &mut scratch,
+                            ) {
+                                Ok(None) => {}
+                                Ok(Some(shares)) => {
+                                    let partition = *i % partitions;
+                                    let dropped =
+                                        drop_hook.is_some_and(|(s, m)| partition % m == s);
+                                    if dropped {
+                                        // Accounted but never sent —
+                                        // the drop-traffic fault.
+                                        per_partition[partition] += 1;
+                                    } else {
+                                        // One pooled 24-byte key per
+                                        // message — query tag (u64
+                                        // BE) ‖ MID — refcounted
+                                        // across its n shares;
+                                        // payloads ride by refcount
+                                        // from the split scratch's
+                                        // slots.
+                                        let mut key = key_pool.acquire(24);
+                                        let slot = Arc::get_mut(&mut key)
+                                            .expect("acquired key slot is unique");
+                                        slot[..8].copy_from_slice(&qtag);
+                                        slot[8..].copy_from_slice(&shares[0].mid.to_bytes());
+                                        for (pi, share) in shares.iter().enumerate() {
+                                            batches[pi][partition].push((
+                                                Some(Arc::clone(&key)),
+                                                Arc::clone(&share.payload),
+                                                ts,
+                                            ));
+                                        }
+                                        key_pool.release(key);
+                                        if batches[0][partition].len() >= flush_run {
+                                            match flush_partition(&writers, &mut batches, partition)
                                             {
-                                                batches[pi][partition].push((
-                                                    Some(Arc::clone(&key)),
-                                                    Arc::clone(&share.payload),
-                                                    ts,
-                                                ));
-                                            }
-                                            key_pool.release(key);
-                                            if batches[0][partition].len() >= flush_run {
-                                                match flush_partition(
-                                                    &writers,
-                                                    &mut batches,
-                                                    partition,
-                                                ) {
-                                                    Ok(n) => per_partition[partition] += n,
-                                                    Err(e) => {
-                                                        // The run's messages stay
-                                                        // unaccounted; any topic
-                                                        // already flushed leaves
-                                                        // expired joins.
-                                                        failure = Some(e);
-                                                        break 'clients;
-                                                    }
+                                                Ok(n) => per_partition[partition] += n,
+                                                Err(e) => {
+                                                    // The run's messages stay
+                                                    // unaccounted; any topic
+                                                    // already flushed leaves
+                                                    // expired joins.
+                                                    failure = Some(e);
+                                                    break 'clients;
                                                 }
                                             }
                                         }
-                                        if let Some(n) = fuse.as_mut() {
-                                            if *n <= 1 {
-                                                panic!("injected worker fault");
-                                            }
-                                            *n -= 1;
-                                        }
                                     }
+                                    if let Some(n) = fuse.as_mut() {
+                                        if *n <= 1 {
+                                            panic!("injected worker fault");
+                                        }
+                                        *n -= 1;
+                                    }
+                                }
+                                Err(e) => {
+                                    failure = Some(e);
+                                    break;
+                                }
+                            }
+                        }
+                        if failure.is_none() {
+                            // Drain the partial runs; a failure here
+                            // surfaces like a mid-epoch one.
+                            for partition in 0..partitions {
+                                if batches[0][partition].is_empty() {
+                                    continue;
+                                }
+                                match flush_partition(&writers, &mut batches, partition) {
+                                    Ok(n) => per_partition[partition] += n,
                                     Err(e) => {
                                         failure = Some(e);
                                         break;
                                     }
                                 }
                             }
-                            if failure.is_none() {
-                                // Drain the partial runs; a failure here
-                                // surfaces like a mid-epoch one.
-                                for partition in 0..partitions {
-                                    if batches[0][partition].is_empty() {
-                                        continue;
-                                    }
-                                    match flush_partition(&writers, &mut batches, partition)
-                                    {
-                                        Ok(n) => per_partition[partition] += n,
-                                        Err(e) => {
-                                            failure = Some(e);
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                            // On failure, abandon whatever runs remain:
-                            // clearing drops the payload/key refcounts so
-                            // the scratch slots recycle, and the next
-                            // epoch starts from clean batches.
-                            for topic_batches in &mut batches {
-                                for b in topic_batches {
-                                    b.clear();
-                                }
-                            }
-                            let busy = thread_busy_time().saturating_sub(t0);
-                            // Counts always travel with the reply,
-                            // error or not: shares sent *before* a
-                            // failing client are already in the
-                            // broker, and the epoch-tagged close is
-                            // what lets a later epoch run from
-                            // consistent counts.
-                            let _ = reply_tx.send(WorkerReply::Answered {
-                                per_partition: per_partition.clone(),
-                                error: failure,
-                                busy,
-                            });
                         }
-                        WorkerCmd::Die => panic!("injected worker fault"),
-                        WorkerCmd::Shutdown => break,
+                        // On failure, abandon whatever runs remain:
+                        // clearing drops the payload/key refcounts so
+                        // the scratch slots recycle, and the next
+                        // epoch starts from clean batches.
+                        for topic_batches in &mut batches {
+                            for b in topic_batches {
+                                b.clear();
+                            }
+                        }
+                        let busy = thread_busy_time().saturating_sub(t0);
+                        // Counts always travel with the reply,
+                        // error or not: shares sent *before* a
+                        // failing client are already in the
+                        // broker, and the epoch-tagged close is
+                        // what lets a later epoch run from
+                        // consistent counts.
+                        let _ = reply_tx.send(WorkerReply::Answered {
+                            per_partition: per_partition.clone(),
+                            error: failure,
+                            busy,
+                        });
                     }
+                    WorkerCmd::Die => panic!("injected worker fault"),
+                    WorkerCmd::Shutdown => break,
                 }
-            });
+            }
+        });
         WorkerHandle {
             cmd: cmd_tx,
             reply: reply_rx,
@@ -1361,7 +1351,12 @@ impl ShardedSystem {
     /// Completes any in-flight epochs first: loads must not reorder
     /// around pending answer commands. The load is logged, so
     /// respawned workers rebuild it.
-    pub fn load_numeric_column<F>(&mut self, table: &str, column: &str, f: F) -> Result<(), CoreError>
+    pub fn load_numeric_column<F>(
+        &mut self,
+        table: &str,
+        column: &str,
+        f: F,
+    ) -> Result<(), CoreError>
     where
         F: Fn(usize) -> f64 + Send + Sync + 'static,
     {
@@ -1855,8 +1850,7 @@ impl ShardedSystem {
         let mut result = self.flush_epochs();
         let mut retunes = Vec::new();
         for qid in &self.admitted {
-            let (Some(ctrl), Some(err)) = (self.feedback.get(qid), self.last_error.get(qid))
-            else {
+            let (Some(ctrl), Some(err)) = (self.feedback.get(qid), self.last_error.get(qid)) else {
                 continue;
             };
             let params = self.queries[qid].1;
@@ -2012,8 +2006,13 @@ impl ShardedSystem {
             .batch_scratch
             .take()
             .unwrap_or_else(|| BucketEstimator::new(q.answer.len(), params.p.min(1.0), params.q));
-        let result =
-            warehouse.batch_query_with(&mut est, range, batch_budget, self.host.config.confidence, &mut rng);
+        let result = warehouse.batch_query_with(
+            &mut est,
+            range,
+            batch_budget,
+            self.host.config.confidence,
+            &mut rng,
+        );
         self.batch_scratch = Some(est);
         match first_error {
             Some(e) => Err(e),
@@ -2347,7 +2346,10 @@ impl ShardedSystem {
         let t = self.probe_shards();
         let stats = &self.host.link_stats;
         let links = |counter: fn(&LinkStats) -> &AtomicU64| -> u64 {
-            stats.iter().map(|l| counter(l).load(Ordering::Relaxed)).sum()
+            stats
+                .iter()
+                .map(|l| counter(l).load(Ordering::Relaxed))
+                .sum()
         };
         let mut health = DeployHealth {
             undecodable: t.0,
@@ -2749,7 +2751,8 @@ impl ShardedSystem {
             proxy.dead = true;
             let message = take_crash(&self.host.crashes, Role::Proxy, i)
                 .unwrap_or_else(|| "thread exited unexpectedly".to_string());
-            self.faults.push(DeployError::ProxyPanic { proxy: i, message });
+            self.faults
+                .push(DeployError::ProxyPanic { proxy: i, message });
             let _ = self.respawn_proxy(i);
         }
     }
@@ -2854,7 +2857,12 @@ impl ShardedSystem {
     /// carry over, so they stay cumulative.
     fn respawn_proxy(&mut self, i: usize) -> Result<(), DeployError> {
         let counters = Arc::clone(&self.proxies[i].counters);
-        match self.host.spawn_proxies(&[(i, counters)]).ok().and_then(|mut h| h.pop()) {
+        match self
+            .host
+            .spawn_proxies(&[(i, counters)])
+            .ok()
+            .and_then(|mut h| h.pop())
+        {
             Some(handle) => {
                 self.proxies[i] = handle;
                 self.respawns += 1;
@@ -2881,11 +2889,10 @@ impl ShardedSystem {
     /// so a child process counts as a pipeline stage exactly like a
     /// parent thread does under the dedicated-core convention.
     pub fn child_cpu(&self) -> Vec<(String, Duration)> {
-        self.host.children
+        self.host
+            .children
             .iter()
-            .filter_map(|(label, pid)| {
-                remote::process_cpu(*pid).map(|cpu| (label.clone(), cpu))
-            })
+            .filter_map(|(label, pid)| remote::process_cpu(*pid).map(|cpu| (label.clone(), cpu)))
             .collect()
     }
 
@@ -3018,7 +3025,9 @@ impl<'a> ShardedAnalystSession<'a> {
             .sign_and_build(sys.host.config.analyst_key);
         let params = match self.explicit_params {
             Some(p) => p,
-            None => sys.initializer.derive(&self.budget, sys.host.config.clients)?,
+            None => sys
+                .initializer
+                .derive(&self.budget, sys.host.config.clients)?,
         };
         sys.register(query.clone(), params)?;
         Ok(query)
@@ -3042,7 +3051,9 @@ mod tests {
             .workers(2)
             .seed(1)
             .build();
-        system.load_numeric_column("vehicle", "speed", |i| (i % 110) as f64).unwrap();
+        system
+            .load_numeric_column("vehicle", "speed", |i| (i % 110) as f64)
+            .unwrap();
         let query = system
             .analyst()
             .query("SELECT speed FROM vehicle")
@@ -3070,7 +3081,9 @@ mod tests {
             .workers(3)
             .seed(4)
             .build();
-        system.load_numeric_column("vehicle", "speed", |_| 15.0).unwrap();
+        system
+            .load_numeric_column("vehicle", "speed", |_| 15.0)
+            .unwrap();
         let query = system
             .analyst()
             .query("SELECT speed FROM vehicle")
@@ -3103,7 +3116,9 @@ mod tests {
             .pipeline_depth(3)
             .seed(6)
             .build();
-        system.load_numeric_column("vehicle", "speed", |_| 15.0).unwrap();
+        system
+            .load_numeric_column("vehicle", "speed", |_| 15.0)
+            .unwrap();
         let query = system
             .analyst()
             .query("SELECT speed FROM vehicle")
@@ -3138,7 +3153,9 @@ mod tests {
             .workers(1)
             .seed(9)
             .build();
-        system.load_numeric_column("vehicle", "speed", |_| 15.0).unwrap();
+        system
+            .load_numeric_column("vehicle", "speed", |_| 15.0)
+            .unwrap();
         let query = system
             .analyst()
             .query("SELECT speed FROM vehicle")
@@ -3207,7 +3224,10 @@ mod tests {
         });
         assert!(served, "the replacement never served an epoch in full");
         let (_, unroutable, _, _) = system.aggregator_health();
-        assert_eq!(unroutable, 0, "the replacement read a share before its queries");
+        assert_eq!(
+            unroutable, 0,
+            "the replacement read a share before its queries"
+        );
         // Each shard's undecodable count, probed one shard at a time.
         let undecodable = |system: &mut ShardedSystem| -> Vec<u64> {
             (0..3)
@@ -3226,8 +3246,13 @@ mod tests {
             // A key of the wrong width: whichever shard reads it
             // counts it as undecodable.
             let w = system.broker().writer("proxy-0-in");
-            (w.try_append_quiet(p, Some(Arc::from(&[9u8; 5][..])), vec![1, 2, 3], Timestamp(0)))
-                .unwrap();
+            (w.try_append_quiet(
+                p,
+                Some(Arc::from(&[9u8; 5][..])),
+                vec![1, 2, 3],
+                Timestamp(0),
+            ))
+            .unwrap();
             w.notify();
             system.run_epoch(&query).unwrap();
             let after = undecodable(&mut system);
@@ -3246,7 +3271,9 @@ mod tests {
             .seed(3)
             .build();
         // Client 25 holds an unbucketizable (negative) speed.
-        system.load_numeric_column("vehicle", "speed", |i| if i == 25 { -5.0 } else { 15.0 }).unwrap();
+        system
+            .load_numeric_column("vehicle", "speed", |i| if i == 25 { -5.0 } else { 15.0 })
+            .unwrap();
         let query = system
             .analyst()
             .query("SELECT speed FROM vehicle")
@@ -3264,7 +3291,9 @@ mod tests {
         assert_eq!(partial.len(), 1);
         assert!(partial[0].sample_size < 40);
         // Repair the data; the next epoch is exact and complete.
-        system.load_numeric_column("vehicle", "speed", |_| 15.0).unwrap();
+        system
+            .load_numeric_column("vehicle", "speed", |_| 15.0)
+            .unwrap();
         let result = system.run_epoch(&query).unwrap();
         assert_eq!(result.sample_size, 40);
         assert_eq!(result.buckets[1].estimate, 40.0);
@@ -3287,7 +3316,9 @@ mod tests {
             .build();
         // Client 25 fails every epoch — so both in-flight epochs
         // error, each mid-population.
-        system.load_numeric_column("vehicle", "speed", |i| if i == 25 { -5.0 } else { 15.0 }).unwrap();
+        system
+            .load_numeric_column("vehicle", "speed", |i| if i == 25 { -5.0 } else { 15.0 })
+            .unwrap();
         let query = system
             .analyst()
             .query("SELECT speed FROM vehicle")
@@ -3313,7 +3344,9 @@ mod tests {
         assert!(partials[0].sample_size < 40);
         assert!(partials[1].window.start > partials[0].window.start);
         // Repair and verify the pipeline is clean.
-        system.load_numeric_column("vehicle", "speed", |_| 15.0).unwrap();
+        system
+            .load_numeric_column("vehicle", "speed", |_| 15.0)
+            .unwrap();
         let result = system.run_epoch(&query).unwrap();
         assert_eq!(result.sample_size, 40);
         assert_eq!(system.aggregator_health(), (0, 0, 0, 0));
@@ -3333,7 +3366,9 @@ mod tests {
             .pipeline_depth(3)
             .seed(12)
             .build();
-        system.load_numeric_column("vehicle", "speed", |_| 15.0).unwrap();
+        system
+            .load_numeric_column("vehicle", "speed", |_| 15.0)
+            .unwrap();
         let query = system
             .analyst()
             .query("SELECT speed FROM vehicle")
@@ -3349,9 +3384,8 @@ mod tests {
 
     #[test]
     fn try_build_rejects_impossible_configs() {
-        let invalid = |b: ShardedSystemBuilder| {
-            matches!(b.try_build(), Err(DeployError::InvalidConfig(_)))
-        };
+        let invalid =
+            |b: ShardedSystemBuilder| matches!(b.try_build(), Err(DeployError::InvalidConfig(_)));
         assert!(invalid(ShardedSystem::builder().clients(0)));
         assert!(invalid(ShardedSystem::builder().clients(10).proxies(1)));
         assert!(invalid(ShardedSystem::builder().clients(10).shards(0)));
@@ -3497,8 +3531,13 @@ mod tests {
         // A key of the wrong width, injected straight onto a proxy
         // topic the shards read.
         let w = system.broker().writer("proxy-0-in");
-        (w.try_append_quiet(0, Some(Arc::from(&[9u8; 5][..])), vec![1, 2, 3], Timestamp(0)))
-            .unwrap();
+        (w.try_append_quiet(
+            0,
+            Some(Arc::from(&[9u8; 5][..])),
+            vec![1, 2, 3],
+            Timestamp(0),
+        ))
+        .unwrap();
         w.notify();
         let result = system.run_epoch(&query).unwrap();
         assert_eq!(result.sample_size, 20, "healthy stream unaffected");
@@ -3514,9 +3553,17 @@ mod tests {
     /// respawn costs the same after any number of them.
     #[test]
     fn sharded_respawn_state_is_the_loads_issued_at_any_epoch_count() {
-        let mut system = ShardedSystem::builder().clients(20).workers(2).seed(3).build();
-        system.load_numeric_column("vehicle", "speed", |_| 15.0).unwrap();
-        system.load_numeric_column("vehicle", "speed", |_| 25.0).unwrap();
+        let mut system = ShardedSystem::builder()
+            .clients(20)
+            .workers(2)
+            .seed(3)
+            .build();
+        system
+            .load_numeric_column("vehicle", "speed", |_| 15.0)
+            .unwrap();
+        system
+            .load_numeric_column("vehicle", "speed", |_| 25.0)
+            .unwrap();
         let query = system
             .analyst()
             .query("SELECT speed FROM vehicle")
@@ -3532,7 +3579,10 @@ mod tests {
         system.inject_worker_panic(1);
         let result = system.run_epoch(&query).unwrap();
         assert_eq!((result.sample_size, result.buckets[2].estimate), (20, 20.0));
-        assert_eq!((system.deploy_health().respawns, system.loads.len()), (1, 2));
+        assert_eq!(
+            (system.deploy_health().respawns, system.loads.len()),
+            (1, 2)
+        );
     }
 
     /// A query id re-registered with new SQL — the path a feedback
@@ -3596,7 +3646,9 @@ mod tests {
             .durable(&dir)
             .snapshot_every(2)
             .build();
-        system.load_numeric_column("vehicle", "speed", |_| 15.0).unwrap();
+        system
+            .load_numeric_column("vehicle", "speed", |_| 15.0)
+            .unwrap();
         let query = system
             .analyst()
             .query("SELECT speed FROM vehicle")
@@ -3629,7 +3681,10 @@ mod tests {
             }
             let closed = system.drain_results();
             assert_eq!(closed.len(), 1);
-            assert_eq!((closed[0].sample_size, closed[0].buckets[1].estimate), (20, 20.0));
+            assert_eq!(
+                (closed[0].sample_size, closed[0].buckets[1].estimate),
+                (20, 20.0)
+            );
             assert_eq!(files(&dir), before, "a refused snapshot must leave no file");
         }
         system.recovered_warehouses.clear();
@@ -3648,7 +3703,9 @@ mod tests {
             .durable(dir)
             .snapshot_every(1_000)
             .build();
-        system.load_numeric_column("vehicle", "speed", |i| (i % 110) as f64).unwrap();
+        system
+            .load_numeric_column("vehicle", "speed", |i| (i % 110) as f64)
+            .unwrap();
         system
     }
 
@@ -3663,11 +3720,18 @@ mod tests {
     }
 
     fn ledger_bits(ledger: &BudgetLedger) -> (u64, u64, u64) {
-        (ledger.allocated().to_bits(), ledger.spent().to_bits(), ledger.epochs())
+        (
+            ledger.allocated().to_bits(),
+            ledger.spent().to_bits(),
+            ledger.epochs(),
+        )
     }
 
     fn is_retired<T>(outcome: Result<T, CoreError>) -> bool {
-        matches!(outcome, Err(CoreError::Deploy(DeployError::InvalidConfig(_))))
+        matches!(
+            outcome,
+            Err(CoreError::Deploy(DeployError::InvalidConfig(_)))
+        )
     }
 
     /// Both entry points and a retune of `s` go through one budget
@@ -3701,7 +3765,11 @@ mod tests {
         let (_, journal) = privapprox_store::wal::Wal::open(&dir, DEFAULT_SEGMENT_BYTES).unwrap();
         for (qid, ledger) in [query.id, other.id].iter().zip(&live) {
             let mut debits = Vec::new();
-            for rec in journal.records.iter().filter(|r| r.kind == persist::K_SUBMITTED) {
+            for rec in journal
+                .records
+                .iter()
+                .filter(|r| r.kind == persist::K_SUBMITTED)
+            {
                 let mut r = privapprox_store::codec::Reader::new(&rec.payload, "submitted");
                 let (_ts, _watermark, n) = (r.u64().unwrap(), r.u64().unwrap(), r.u64().unwrap());
                 for _ in 0..n {
@@ -3712,7 +3780,11 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(ledger.epochs(), debits.len() as u64, "{qid:?}: one charge per entry");
+            assert_eq!(
+                ledger.epochs(),
+                debits.len() as u64,
+                "{qid:?}: one charge per entry"
+            );
             let spent = debits.iter().fold(0.0, |sum, eps| sum + eps);
             assert_eq!(ledger.spent().to_bits(), spent.to_bits(), "{qid:?}: Σ ε_zk");
         }
@@ -3721,7 +3793,11 @@ mod tests {
         system.resume().unwrap();
         for (qid, ledger) in [query.id, other.id].iter().zip(&live) {
             let recovered = system.budget_ledger(*qid).unwrap();
-            assert_eq!(ledger_bits(recovered), ledger_bits(ledger), "{qid:?} recovered");
+            assert_eq!(
+                ledger_bits(recovered),
+                ledger_bits(ledger),
+                "{qid:?} recovered"
+            );
         }
         drop(system);
         let _ = std::fs::remove_dir_all(&dir);
@@ -3740,10 +3816,16 @@ mod tests {
         let eps = epsilon_zk(params.s, params.p, params.q);
         system.run_epoch(&query).unwrap();
         system.run_epoch(&query).unwrap();
-        system.set_budget(query.id, PrivacyBudget::new(1.5 * eps).unwrap()).unwrap();
+        system
+            .set_budget(query.id, PrivacyBudget::new(1.5 * eps).unwrap())
+            .unwrap();
         let ledger = *system.budget_ledger(query.id).unwrap();
         assert_eq!(ledger.epochs(), 2, "the epochs carry over");
-        assert_eq!(ledger.remaining(), 0.0, "a budget below the spend leaves nothing");
+        assert_eq!(
+            ledger.remaining(),
+            0.0,
+            "a budget below the spend leaves nothing"
+        );
         assert!(is_retired(system.run_epoch(&query)));
         let retired = system.drain_retired();
         assert_eq!((retired.len(), retired[0].epochs), (1, 2));
@@ -3754,7 +3836,10 @@ mod tests {
         system.resume().unwrap();
         let recovered = system.budget_ledger(query.id).unwrap();
         assert_eq!(ledger_bits(recovered), ledger_bits(&live));
-        assert!(is_retired(system.submit_epoch(&query)), "still retired after the restart");
+        assert!(
+            is_retired(system.submit_epoch(&query)),
+            "still retired after the restart"
+        );
         drop(system);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -3762,7 +3847,9 @@ mod tests {
     #[test]
     fn sharded_unknown_query_is_rejected() {
         let mut system = ShardedSystem::builder().clients(10).build();
-        system.load_numeric_column("vehicle", "speed", |_| 15.0).unwrap();
+        system
+            .load_numeric_column("vehicle", "speed", |_| 15.0)
+            .unwrap();
         let foreign =
             QueryBuilder::new(QueryId::new(AnalystId(1), 999), "SELECT speed FROM vehicle")
                 .answer(speed_spec())

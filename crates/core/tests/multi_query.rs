@@ -71,7 +71,11 @@ fn assert_results_identical(a: &QueryResult, b: &QueryResult, context: &str) {
         );
         assert_eq!(bits(x.rr_error), bits(y.rr_error), "{c} rr_error");
     }
-    assert_eq!(bits(a.privacy.eps_zk), bits(b.privacy.eps_zk), "{context}: eps_zk");
+    assert_eq!(
+        bits(a.privacy.eps_zk),
+        bits(b.privacy.eps_zk),
+        "{context}: eps_zk"
+    );
 }
 
 /// Per-query execution parameters for tenant `j`: distinct sampling
@@ -269,8 +273,18 @@ fn worker_killed_early_or_late_equals_the_unfaulted_run() {
             fault: Some((after, 1)),
         };
         let (got, health) = run_schedule(&faulted, &[0, 1]);
-        assert_eq!((health.respawns, health.partial_closes), (1, 0), "kill after {after}");
-        let (want, _) = run_schedule(&Matrix { fault: None, ..faulted }, &[0, 1]);
+        assert_eq!(
+            (health.respawns, health.partial_closes),
+            (1, 0),
+            "kill after {after}"
+        );
+        let (want, _) = run_schedule(
+            &Matrix {
+                fault: None,
+                ..faulted
+            },
+            &[0, 1],
+        );
         assert_eq!(got.len(), want.len(), "kill after {after}: result count");
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_results_identical(g, w, &format!("kill after {after}, result {i}"));
@@ -451,7 +465,11 @@ fn a_retired_query_cannot_be_run_by_any_entry_point() {
     assert!(retired(sys.submit_epoch(q0)));
     assert!(retired(sys.run_epoch(q0).map(|_| ())));
     assert!(retired(sys.admit(q0.id)));
-    assert_eq!(sys.broker_stats().records_in, records_in, "no share of a retired query is sent");
+    assert_eq!(
+        sys.broker_stats().records_in,
+        records_in,
+        "no share of a retired query is sent"
+    );
     assert!(sys.drain_results().is_empty());
     assert_eq!(sys.budget_ledger(q0.id).unwrap().epochs(), 1);
 
@@ -464,7 +482,10 @@ fn a_retired_query_cannot_be_run_by_any_entry_point() {
         assert_eq!(sys.budget_ledger(q1.id).unwrap().epochs(), epoch + 1);
     }
     let records_in = sys.broker_stats().records_in;
-    assert!(retired(sys.run_epoch(q1).map(|_| ())), "the call that retires it says so");
+    assert!(
+        retired(sys.run_epoch(q1).map(|_| ())),
+        "the call that retires it says so"
+    );
     assert_eq!(sys.broker_stats().records_in, records_in);
     let terminal = sys.drain_retired();
     assert_eq!(terminal.len(), 1);
@@ -575,7 +596,11 @@ fn feedback_drives_sample_rate_from_observed_error() {
         .filter(|r| r.query == queries[1].id)
         .map(|r| r.privacy.eps_zk)
         .collect();
-    assert_eq!(eps1[0].to_bits(), eps1[1].to_bits(), "no controller: unchanged");
+    assert_eq!(
+        eps1[0].to_bits(),
+        eps1[1].to_bits(),
+        "no controller: unchanged"
+    );
 }
 
 // ---------------------------------------------------------------
