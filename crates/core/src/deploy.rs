@@ -186,6 +186,8 @@ use crate::proxy::inbound_topic;
 use crate::remote;
 pub use crate::stage::FaultInjector;
 use crate::stage::{spawn_supervised, take_crash, CrashLog, Host, ProxyHandle, Role, ShardHandle};
+use crate::system::AnalystSession;
+use crate::tenant::{self, Retained, Tenant, Tenants};
 use privapprox_cluster::{FaultPlan, HeartbeatStatus, LinkStats, Watchdog};
 use privapprox_crypto::xor::SlotPool;
 use privapprox_rr::estimate::BucketEstimator;
@@ -193,14 +195,13 @@ use privapprox_rr::privacy::epsilon_zk;
 use privapprox_sql::{ColumnType, Schema, Value};
 use privapprox_store::wal::DEFAULT_SEGMENT_BYTES;
 use privapprox_stream::broker::{BatchEntry, Broker, BrokerStats, TopicWriter};
-use privapprox_types::ids::AnalystId;
 use privapprox_types::{
-    AnswerSpec, BitVec, Budget, BudgetLedger, ClientId, ExecutionParams, MessageId, PrivacyBudget,
-    ProxyId, Query, QueryBuilder, QueryId, Timestamp, Window,
+    BitVec, BudgetLedger, ClientId, ExecutionParams, MessageId, PrivacyBudget, ProxyId, Query,
+    QueryId, Timestamp, Window,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -689,7 +690,7 @@ impl ShardedSystemBuilder {
             workers: Vec::new(),
             proxies: Vec::new(),
             shards: Vec::new(),
-            queries: HashMap::new(),
+            tenants: Tenants::default(),
             initializer: Initializer::new(),
             now_ms: 0,
             next_serial: 1,
@@ -704,17 +705,9 @@ impl ShardedSystemBuilder {
             lost_answers: 0,
             respawns: 0,
             worker_backpressure: 0,
-            admitted: Vec::new(),
-            ledgers: HashMap::new(),
-            retired: Vec::new(),
-            terminal: Vec::new(),
-            feedback: HashMap::new(),
-            last_error: HashMap::new(),
-            retain_set: Vec::new(),
             batch_scratch: None,
             durable: None,
             recovered: None,
-            recovered_warehouses: HashMap::new(),
             epochs_closed_total: 0,
             epochs_submitted_total: 0,
         };
@@ -1148,10 +1141,12 @@ pub struct ShardedSystem {
     workers: Vec<WorkerHandle>,
     proxies: Vec<ProxyHandle>,
     shards: Vec<ShardHandle>,
-    /// Registered queries. Shared, not cloned: every worker command
-    /// of an epoch points at the one registered definition (10⁴
-    /// bucket rules on a wide query).
-    queries: HashMap<QueryId, (Arc<Query>, ExecutionParams)>,
+    /// Every registered query with its parameters, retention flag,
+    /// budget ledger, feedback state and place in the schedule. A
+    /// definition is shared, not cloned: every worker command of an
+    /// epoch points at the one registered copy (10⁴ bucket rules on a
+    /// wide query).
+    tenants: Tenants,
     initializer: Initializer,
     /// The shared event clock, advanced exactly like `System`'s.
     now_ms: u64,
@@ -1185,25 +1180,6 @@ pub struct ShardedSystem {
     /// Worker batch flushes that hit the backpressure deadline
     /// (reported through epoch replies, tallied here).
     worker_backpressure: u64,
-    /// Multi-tenant schedule: queries admitted to
-    /// [`ShardedSystem::submit_epoch_all`], in admission order.
-    admitted: Vec<QueryId>,
-    /// Per-query privacy-budget spend ledgers (unbounded unless
-    /// [`ShardedSystem::set_budget`] assigned a cap).
-    ledgers: HashMap<QueryId, BudgetLedger>,
-    /// Typed terminal results of budget-retired queries, each
-    /// reported exactly once via [`ShardedSystem::drain_retired`].
-    retired: Vec<Retirement>,
-    /// Every query ever retired (permanent — draining the terminal
-    /// results must not let a spent query back into the schedule).
-    terminal: Vec<QueryId>,
-    /// Per-query feedback controllers (opt-in).
-    feedback: HashMap<QueryId, FeedbackController>,
-    /// Worst relative CI bound of each query's most recently
-    /// finalized window — the feedback signal.
-    last_error: HashMap<QueryId, f64>,
-    /// Queries whose shards retain decoded answers for batch queries.
-    retain_set: Vec<QueryId>,
     /// Recycled estimator for the batch-query path (the pooled
     /// estimator lifecycle the historical regression suite pins).
     batch_scratch: Option<BucketEstimator>,
@@ -1212,10 +1188,6 @@ pub struct ShardedSystem {
     /// State reconstructed from the store at build time, consumed by
     /// [`ShardedSystem::resume`].
     recovered: Option<Box<RecoveredState>>,
-    /// Retained-warehouse contents recovered from the last snapshot,
-    /// merged into [`ShardedSystem::batch_query`] answers (the shards'
-    /// in-memory stores die with the crash).
-    recovered_warehouses: HashMap<QueryId, persist::Retained>,
     /// Lifetime epoch closes (snapshot meta; survives restarts).
     epochs_closed_total: u64,
     /// Lifetime submitted epochs (drives the crash-injection hook).
@@ -1236,14 +1208,6 @@ pub struct Retirement {
     pub allocated: f64,
     /// Epochs the query answered before exhaustion.
     pub epochs: u64,
-}
-
-/// The typed refusal of a retired query, from `admit` and from every
-/// epoch entry point alike.
-fn retired(query: QueryId) -> CoreError {
-    CoreError::Deploy(DeployError::InvalidConfig(format!(
-        "query {query:?} was retired: its privacy budget is spent"
-    )))
 }
 
 /// A deployment-wide health snapshot: the aggregator quad plus the
@@ -1406,9 +1370,7 @@ impl ShardedSystem {
                 Ok(WorkerReply::Answered { .. }) => unreachable!("load expects Loaded"),
                 Err(err) => {
                     let fault = self.stage_down(Role::Worker, wi, err);
-                    if result.is_ok() {
-                        result = Err(fault.into());
-                    }
+                    result = result.and(Err(fault.into()));
                     // A successful respawn replayed the log (this
                     // load included), so the deployment is whole
                     // again even though the fault is reported.
@@ -1423,19 +1385,12 @@ impl ShardedSystem {
 
     /// Opens an analyst session for query submission.
     pub fn analyst(&mut self) -> ShardedAnalystSession<'_> {
-        ShardedAnalystSession {
-            system: self,
-            sql: String::new(),
-            buckets: None,
-            budget: Budget::default_accuracy(),
-            window: None,
-            explicit_params: None,
-        }
+        AnalystSession::new(self)
     }
 
     /// The execution parameters currently assigned to a query.
     pub fn params(&self, id: QueryId) -> Option<ExecutionParams> {
-        self.queries.get(&id).map(|(_, p)| *p)
+        self.tenants.get(id).map(|t| t.params)
     }
 
     /// Registers a signed query with explicit parameters on every
@@ -1445,33 +1400,31 @@ impl ShardedSystem {
     /// closes. A shard dying mid-registration is respawned
     /// pre-registered (respawns register every known query), so the
     /// deployment never runs with a query known to some shards only.
-    pub fn register(&mut self, query: Query, params: ExecutionParams) -> Result<(), CoreError> {
-        self.register_shared(Arc::new(query), params)
-    }
-
-    /// [`ShardedSystem::register`] for a definition that is already
-    /// shared (a retune or a retention switch re-registers the query
-    /// it holds).
-    fn register_shared(
+    /// Re-registering an admitted query with a window size other than
+    /// the rest of the schedule's is refused, like
+    /// [`ShardedSystem::admit`] refuses it. A retune or a retention
+    /// switch re-registers the definition the deployment already
+    /// shares.
+    pub fn register(
         &mut self,
-        query: Arc<Query>,
+        query: impl Into<Arc<Query>>,
         params: ExecutionParams,
     ) -> Result<(), CoreError> {
+        let query = query.into();
         let _ = self.flush_epochs();
         self.repair();
         // Record before sending: a respawn triggered below registers
-        // from this map, covering the in-flight registration.
-        self.queries.insert(query.id, (Arc::clone(&query), params));
+        // from the table, covering the in-flight registration.
+        let retain = self
+            .tenants
+            .register(Arc::clone(&query), params)?
+            .retain
+            .is_some();
         // Journal before the shard sends: a crash mid-registration
         // recovers the query (re-registration appends a fresh record;
         // the latest wins at replay).
         if self.durable.is_some() {
-            let rec = persist::rec_registered(
-                &query,
-                params,
-                self.retain_set.contains(&query.id),
-                self.next_serial as u64,
-            );
+            let rec = persist::rec_registered(&query, params, retain, self.next_serial as u64);
             self.journal(persist::K_REGISTERED, rec)?;
             self.journal_sync()?;
         }
@@ -1483,7 +1436,7 @@ impl ShardedSystem {
                 query: Arc::clone(&query),
                 params,
                 population: self.host.config.clients,
-                retain: self.retain_set.contains(&query.id),
+                retain,
             });
         }
         self.host.wake_shards();
@@ -1497,9 +1450,7 @@ impl ShardedSystem {
                 Ok(_) => unreachable!("register expects Registered"),
                 Err(err) => {
                     let fault = self.stage_down(Role::Shard, s, err);
-                    if result.is_ok() {
-                        result = Err(fault.into());
-                    }
+                    result = result.and(Err(fault.into()));
                     if self.respawn_shard(s).is_ok() {
                         result = Ok(());
                     }
@@ -1543,27 +1494,16 @@ impl ShardedSystem {
     fn submit_charged(&mut self, schedule: &[QueryId]) -> Result<(), CoreError> {
         let mut batch = Vec::with_capacity(schedule.len());
         for &qid in schedule {
-            if self.terminal.contains(&qid) {
-                return Err(retired(qid));
-            }
-            // The epoch runs the definition registered under this id —
-            // the one the shards aggregate with — shared, not cloned.
-            let (query, params) = self.queries.get(&qid).ok_or(CoreError::UnknownQuery)?;
-            let eps = epsilon_zk(params.s, params.p, params.q);
-            let unbounded = BudgetLedger::new(PrivacyBudget::unbounded());
-            match self.ledgers.entry(qid).or_insert(unbounded).try_charge(eps) {
-                Ok(()) => batch.push((Arc::clone(query), *params)),
-                Err(exhausted) => {
-                    let retirement = Retirement {
-                        query: qid,
-                        spent: exhausted.spent,
-                        allocated: exhausted.allocated,
-                        epochs: exhausted.epochs,
-                    };
-                    self.admitted.retain(|q| *q != qid);
-                    self.terminal.push(qid);
-                    self.retired.push(retirement);
+            match self.tenants.charge(qid)? {
+                Some(retirement) => {
                     self.journal(persist::K_RETIRED, persist::rec_retired(&retirement))?;
+                }
+                // The epoch runs the definition registered under this
+                // id — the one the shards aggregate with — shared, not
+                // cloned.
+                None => {
+                    let t = self.tenants.get(qid).expect("charged tenant");
+                    batch.push((Arc::clone(&t.query), t.params));
                 }
             }
         }
@@ -1602,10 +1542,7 @@ impl ShardedSystem {
             Some(recovered) => recovered,
             None => {
                 while self.in_flight.len() >= self.host.config.pipeline_depth.max(1) {
-                    let r = self.complete_oldest(false);
-                    if result.is_ok() {
-                        result = r;
-                    }
+                    result = result.and(self.complete_oldest(false));
                 }
                 let window_size = batch[0].0.window.size;
                 let epoch_start = self.now_ms.div_ceil(window_size) * window_size;
@@ -1620,7 +1557,9 @@ impl ShardedSystem {
         if self.durable.is_some() {
             let charged = if stamps.is_none() { batch } else { &[] };
             for (query, params) in charged {
-                let ledger = &self.ledgers[&query.id];
+                let ledger = (self.tenants.get(query.id))
+                    .and_then(|t| t.ledger)
+                    .expect("a charged tenant has a ledger");
                 let eps = epsilon_zk(params.s, params.p, params.q);
                 let rec = persist::rec_charge(query.id, ts, eps, ledger.spent(), ledger.epochs());
                 self.journal(persist::K_CHARGE, rec)?;
@@ -1658,9 +1597,7 @@ impl ShardedSystem {
                 // batch from the top — the dead channel swallowed the
                 // commands already sent.
                 let fault = self.stage_down(Role::Worker, wi, RecvTimeoutError::Disconnected);
-                if result.is_ok() {
-                    result = Err(fault.into());
-                }
+                result = result.and(Err(fault.into()));
                 if self.respawn_worker(wi).is_err() {
                     break;
                 }
@@ -1686,10 +1623,7 @@ impl ShardedSystem {
     pub fn flush_epochs(&mut self) -> Result<(), CoreError> {
         let mut result = Ok(());
         while !self.in_flight.is_empty() {
-            let r = self.complete_oldest(false);
-            if result.is_ok() {
-                result = r;
-            }
+            result = result.and(self.complete_oldest(false));
         }
         result
     }
@@ -1707,14 +1641,9 @@ impl ShardedSystem {
     /// [`ShardedSystem::submit_epoch`]) returns the typed error
     /// [`ShardedSystem::admit`] returns.
     pub fn run_epoch(&mut self, query: &Query) -> Result<QueryResult, CoreError> {
-        let mut outcome = self.submit_epoch(query);
-        let flushed = self.flush_epochs();
-        if outcome.is_ok() {
-            outcome = flushed;
-        }
-        outcome?;
-        if self.terminal.contains(&query.id) {
-            return Err(retired(query.id));
+        self.submit_epoch(query).and(self.flush_epochs())?;
+        if self.tenants.get(query.id).is_some_and(Tenant::is_retired) {
+            return Err(tenant::retired(query.id));
         }
         let idx = self
             .pending
@@ -1733,24 +1662,7 @@ impl ShardedSystem {
     /// tags each epoch). Re-admitting is a no-op; a budget-retired
     /// query cannot come back (its allowance is spent).
     pub fn admit(&mut self, query: QueryId) -> Result<(), CoreError> {
-        let (q, _) = self.queries.get(&query).ok_or(CoreError::UnknownQuery)?;
-        if self.terminal.contains(&query) {
-            return Err(retired(query));
-        }
-        if self.admitted.contains(&query) {
-            return Ok(());
-        }
-        if let Some(first) = self.admitted.first() {
-            let shared = self.queries[first].0.window.size;
-            if q.window.size != shared {
-                return Err(CoreError::Deploy(DeployError::InvalidConfig(format!(
-                    "scheduled queries must share a window size: {} != {}",
-                    q.window.size, shared
-                ))));
-            }
-        }
-        self.admitted.push(query);
-        if self.durable.is_some() {
+        if self.tenants.admit(query)? && self.durable.is_some() {
             self.journal(persist::K_ADMITTED, persist::rec_query_only(query))?;
             self.journal_sync()?;
         }
@@ -1759,8 +1671,8 @@ impl ShardedSystem {
 
     /// The queries currently admitted to the epoch schedule, in
     /// admission order.
-    pub fn admitted(&self) -> &[QueryId] {
-        &self.admitted
+    pub fn admitted(&self) -> Vec<QueryId> {
+        self.tenants.schedule()
     }
 
     /// Withdraws a query from the schedule without retiring it: the
@@ -1768,7 +1680,7 @@ impl ShardedSystem {
     /// epoch it runs through [`ShardedSystem::submit_epoch`] meanwhile
     /// is charged like any other.
     pub fn withdraw(&mut self, query: QueryId) {
-        self.admitted.retain(|q| *q != query);
+        self.tenants.withdraw(query);
         // Buffered append only: the withdrawal becomes durable with
         // the next epoch's sync. Losing it re-admits the query on
         // recovery — a scheduling hiccup, never a privacy leak (every
@@ -1794,12 +1706,8 @@ impl ShardedSystem {
     /// terminal [`Retirement`] surfaces via
     /// [`ShardedSystem::drain_retired`].
     pub fn set_budget(&mut self, query: QueryId, budget: PrivacyBudget) -> Result<(), CoreError> {
-        if !self.queries.contains_key(&query) {
-            return Err(CoreError::UnknownQuery);
-        }
         let allocated = budget.allocated();
-        let ledger = persist::rebudget(self.ledgers.get(&query), allocated);
-        self.ledgers.insert(query, ledger);
+        self.tenants.set_budget(query, allocated)?;
         self.journal(persist::K_BUDGET, persist::rec_budget(query, allocated))?;
         self.journal_sync()
     }
@@ -1809,36 +1717,38 @@ impl ShardedSystem {
     /// query's first epoch through either entry point — metered,
     /// never retired.
     pub fn budget_ledger(&self, query: QueryId) -> Option<&BudgetLedger> {
-        self.ledgers.get(&query)
+        self.tenants.get(query)?.ledger.as_ref()
     }
 
     /// Terminal results of queries retired by budget exhaustion since
     /// the last drain, in retirement order. Each retirement is
-    /// reported exactly once.
+    /// reported exactly once. A retirement not drained before a crash
+    /// is not reported after [`resume`](ShardedSystem::resume): the
+    /// journal restores the query as retired, and it stays refused.
     pub fn drain_retired(&mut self) -> Vec<Retirement> {
-        std::mem::take(&mut self.retired)
+        self.tenants.drain_retired()
     }
 
     /// Attaches a StreamApprox-style feedback controller: each
     /// [`ShardedSystem::apply_feedback`] re-tunes the query's
     /// execution parameters from the previous window's observed
-    /// error.
+    /// error. The controller and the observed error are not durable:
+    /// no journal record carries them, so re-attach the controller
+    /// after [`resume`](ShardedSystem::resume). The parameters it
+    /// set are durable.
     pub fn enable_feedback(
         &mut self,
         query: QueryId,
         controller: FeedbackController,
     ) -> Result<(), CoreError> {
-        if !self.queries.contains_key(&query) {
-            return Err(CoreError::UnknownQuery);
-        }
-        self.feedback.insert(query, controller);
+        self.tenants.known(query)?.feedback = Some(controller);
         Ok(())
     }
 
     /// The worst relative CI bound observed in the query's most
     /// recently finalized window — the feedback signal.
     pub fn last_observed_error(&self, query: QueryId) -> Option<f64> {
-        self.last_error.get(&query).copied()
+        self.tenants.get(query)?.last_error
     }
 
     /// Flushes the pipeline, then re-tunes every admitted query that
@@ -1849,22 +1759,18 @@ impl ShardedSystem {
     pub fn apply_feedback(&mut self) -> Result<(), CoreError> {
         let mut result = self.flush_epochs();
         let mut retunes = Vec::new();
-        for qid in &self.admitted {
-            let (Some(ctrl), Some(err)) = (self.feedback.get(qid), self.last_error.get(qid)) else {
+        for qid in self.tenants.schedule() {
+            let t = self.tenants.get(qid).expect("scheduled tenant");
+            let (Some(ctrl), Some(err)) = (&t.feedback, t.last_error) else {
                 continue;
             };
-            let params = self.queries[qid].1;
-            let (next, changed) = ctrl.retune(params, *err);
+            let (next, changed) = ctrl.retune(t.params, err);
             if changed {
-                retunes.push((*qid, next));
+                retunes.push((Arc::clone(&t.query), next));
             }
         }
-        for (qid, next) in retunes {
-            let query = Arc::clone(&self.queries[&qid].0);
-            let r = self.register_shared(query, next);
-            if result.is_ok() {
-                result = r;
-            }
+        for (query, next) in retunes {
+            result = result.and(self.register(query, next));
         }
         result
     }
@@ -1879,7 +1785,7 @@ impl ShardedSystem {
     /// [`Retirement`], zero shares this epoch) and the epoch proceeds
     /// with the survivors; with no survivors, nothing is submitted.
     pub fn submit_epoch_all(&mut self) -> Result<(), CoreError> {
-        let schedule = self.admitted.clone();
+        let schedule = self.tenants.schedule();
         self.submit_charged(&schedule)
     }
 
@@ -1889,12 +1795,7 @@ impl ShardedSystem {
     /// query id; retirements surface via
     /// [`ShardedSystem::drain_retired`].
     pub fn run_epoch_all(&mut self) -> Result<(), CoreError> {
-        let mut outcome = self.submit_epoch_all();
-        let flushed = self.flush_epochs();
-        if outcome.is_ok() {
-            outcome = flushed;
-        }
-        outcome
+        self.submit_epoch_all().and(self.flush_epochs())
     }
 
     /// Turns on historical retention for a registered query: every
@@ -1909,19 +1810,14 @@ impl ShardedSystem {
                 "historical retention requires in-process shards".into(),
             )));
         }
-        if self.retain_set.contains(&query) {
+        if !self.tenants.retain(query)? {
             return Ok(());
         }
-        let (q, params) = self
-            .queries
-            .get(&query)
-            .ok_or(CoreError::UnknownQuery)?
-            .clone();
-        self.retain_set.push(query);
         // Re-register with the retain flag; `register` flushes
         // in-flight epochs first, so retention starts at an epoch
         // boundary.
-        self.register_shared(q, params)
+        let t = self.tenants.get(query).expect("retained tenant");
+        self.register(Arc::clone(&t.query), t.params)
     }
 
     /// Answers a historical/batch query over the retained stream:
@@ -1937,18 +1833,14 @@ impl ShardedSystem {
         range: Window,
         batch_budget: usize,
     ) -> Result<QueryResult, CoreError> {
-        if !self.retain_set.contains(&query) {
+        let Some(t) = self.tenants.get(query).filter(|t| t.retain.is_some()) else {
             return Err(CoreError::Deploy(DeployError::InvalidConfig(
                 "historical retention is not enabled for this query".into(),
             )));
-        }
+        };
+        let (buckets, params) = (t.query.answer.len(), t.params);
         let mut first_error = self.flush_epochs().err();
         self.repair();
-        let (q, params) = self
-            .queries
-            .get(&query)
-            .ok_or(CoreError::UnknownQuery)?
-            .clone();
         for shard in &self.shards {
             if shard.dead {
                 continue;
@@ -1956,7 +1848,7 @@ impl ShardedSystem {
             let _ = shard.cmd.send(ShardCmd::Fetch { query, range });
         }
         self.host.wake_shards();
-        let mut warehouse = Warehouse::new(query, q.answer.len(), params, self.host.config.clients);
+        let mut warehouse = Warehouse::new(query, buckets, params, self.host.config.clients);
         let wait = self.control_wait();
         for s in 0..self.shards.len() {
             if self.shards[s].dead {
@@ -1983,8 +1875,8 @@ impl ShardedSystem {
         // snapshot, not in the restarted shards' stores; the
         // warehouse's `(timestamp, MID)` keying dedups any overlap
         // with post-restart retention.
-        if let Some(prev) = self.recovered_warehouses.get(&query) {
-            for (ts, mid, answer) in prev {
+        if let Some(t) = self.tenants.get(query) {
+            for (ts, mid, answer) in &t.recovered {
                 if range.contains(Timestamp(*ts)) {
                     warehouse.append(Timestamp(*ts), MessageId(*mid), answer.clone());
                 }
@@ -2005,7 +1897,7 @@ impl ShardedSystem {
         let mut est = self
             .batch_scratch
             .take()
-            .unwrap_or_else(|| BucketEstimator::new(q.answer.len(), params.p.min(1.0), params.q));
+            .unwrap_or_else(|| BucketEstimator::new(buckets, params.p.min(1.0), params.q));
         let result = warehouse.batch_query_with(
             &mut est,
             range,
@@ -2200,9 +2092,9 @@ impl ShardedSystem {
         // record: recovery recomputes the results from these.
         let mut closed_params: Vec<ExecutionParams> = Vec::new();
         for (qid, window, mut est, src) in merged {
-            let (_, qparams) = self.queries.get(&qid).expect("registered query");
+            let tenant = self.tenants.get_mut(qid).expect("registered query");
             if self.durable.is_some() {
-                closed_params.push(*qparams);
+                closed_params.push(tenant.params);
             }
             let mut shell = self.spare_shells.pop().unwrap_or_else(QueryResult::shell);
             finalize_window_into(
@@ -2210,14 +2102,14 @@ impl ShardedSystem {
                 qid,
                 window,
                 &mut est,
-                *qparams,
+                tenant.params,
                 self.host.config.clients,
                 self.host.config.confidence,
             );
             // Feedback signal: the most recent window's worst relative
             // CI bound (windows are sorted by start, so the newest
             // observation wins).
-            self.last_error.insert(qid, shell.worst_relative_bound());
+            tenant.last_error = Some(shell.worst_relative_bound());
             self.pending.push(shell);
             self.pending_recycle[src].push(est);
         }
@@ -2459,21 +2351,35 @@ impl ShardedSystem {
         self.recovered.is_some()
     }
 
-    /// Adopts the state recovered from the durable store: queries are
-    /// re-registered on every shard, budget ledgers restored to their
-    /// journaled spend, the schedule and retirement set rebuilt,
-    /// pending results and retained warehouses restored, and every
-    /// submitted-but-unclosed epoch re-run **without re-charging**
-    /// (its debits are already in the restored ledgers). Closed epochs
-    /// are not revisited: nothing a client does later depends on them.
-    /// Returns the recovered queries, oldest first.
+    /// Adopts the state recovered from the durable store: the
+    /// recovered tenant table replaces the live one and each of its
+    /// queries is re-registered on every shard, pending results are
+    /// restored, and every submitted-but-unclosed epoch is re-run
+    /// **without re-charging** (its debits are already in the restored
+    /// ledgers). Closed epochs are not revisited: nothing a client
+    /// does later depends on them. Returns the recovered queries in
+    /// registration order.
+    ///
+    /// What a query keeps across a crash: its definition, parameters
+    /// and retention flag (with the answers the last snapshot
+    /// retained), its budget ledger, and whether it was admitted — in
+    /// admission order — or retired. What it does not keep: its
+    /// feedback controller and last observed error, which no journal
+    /// record carries — re-attach controllers with
+    /// [`enable_feedback`](ShardedSystem::enable_feedback) after
+    /// `resume`. A retirement not drained before the crash is not
+    /// reported again by
+    /// [`drain_retired`](ShardedSystem::drain_retired), though the
+    /// query stays refused.
     ///
     /// Call order matters: loads hold closures the store cannot
     /// serialize, so the caller re-issues
     /// [`load_numeric_column`](ShardedSystem::load_numeric_column) /
     /// [`load_rows`](ShardedSystem::load_rows) *before* `resume` —
-    /// the re-run epochs need the tables in place. With nothing to
-    /// recover this is a no-op returning an empty list.
+    /// the re-run epochs need the tables in place — and registers no
+    /// query before it, as the recovered table replaces the live one.
+    /// With nothing to recover this is a no-op returning an empty
+    /// list.
     pub fn resume(&mut self) -> Result<Vec<Query>, CoreError> {
         let Some(rec) = self.recovered.take() else {
             return Ok(Vec::new());
@@ -2490,37 +2396,16 @@ impl ShardedSystem {
         self.partial_closes = rec.partial_closes;
         self.lost_answers = rec.lost_answers;
         self.epochs_closed_total = rec.epochs_closed;
-        self.terminal = rec.terminal;
-        for (qid, entries) in rec.warehouses {
-            self.recovered_warehouses.insert(qid, entries);
-        }
         self.pending.extend(rec.pending);
-        // Retention flags first: `register` reads them to re-enable
-        // shard-side retention for recovered queries.
-        for rq in &rec.queries {
-            if rq.retain && !self.retain_set.contains(&rq.query.id) {
-                self.retain_set.push(rq.query.id);
-            }
-        }
+        // The table first: registering a recovered query reads its
+        // retention flag to re-enable shard-side retention.
+        self.tenants = rec.tenants;
+        let queries: Vec<(Arc<Query>, ExecutionParams)> = (self.tenants.iter())
+            .map(|t| (Arc::clone(&t.query), t.params))
+            .collect();
         let mut result = Ok(());
-        let mut queries = Vec::with_capacity(rec.queries.len());
-        for rq in rec.queries {
-            let r = self.register(rq.query.clone(), rq.params);
-            if result.is_ok() {
-                result = r;
-            }
-            if let Some(ledger) = rq.ledger {
-                self.ledgers.insert(rq.query.id, ledger);
-            }
-            queries.push(rq.query);
-        }
-        for qid in rec.admitted {
-            if self.queries.contains_key(&qid)
-                && !self.terminal.contains(&qid)
-                && !self.admitted.contains(&qid)
-            {
-                self.admitted.push(qid);
-            }
+        for (query, params) in &queries {
+            result = result.and(self.register(Arc::clone(query), *params));
         }
         if let Some(d) = self.durable.as_mut() {
             d.muted = false;
@@ -2530,17 +2415,11 @@ impl ShardedSystem {
         // epochs: their fresh `Submitted` records land *after* this
         // snapshot's floor, so a second crash — even mid-recovery —
         // reconstructs from here plus the journal suffix.
-        let snap = self.write_snapshot_now();
-        if result.is_ok() {
-            result = snap;
-        }
+        result = result.and(self.write_snapshot_now());
         for ep in rec.open_epochs {
-            let r = self.resubmit_open_epoch(ep);
-            if result.is_ok() {
-                result = r;
-            }
+            result = result.and(self.resubmit_open_epoch(ep));
         }
-        result.map(|()| queries)
+        result.map(|()| queries.into_iter().map(|(q, _)| Query::clone(&q)).collect())
     }
 
     /// Re-runs one submitted-but-unclosed epoch recovered from the
@@ -2553,10 +2432,9 @@ impl ShardedSystem {
     fn resubmit_open_epoch(&mut self, ep: OpenEpoch) -> Result<(), CoreError> {
         let mut batch: Vec<(Arc<Query>, ExecutionParams)> = Vec::with_capacity(ep.entries.len());
         for (qid, params) in &ep.entries {
-            let Some((query, _)) = self.queries.get(qid) else {
-                continue;
-            };
-            batch.push((Arc::clone(query), *params));
+            if let Some(t) = self.tenants.get(*qid) {
+                batch.push((Arc::clone(&t.query), *params));
+            }
         }
         if batch.is_empty() {
             return Ok(());
@@ -2568,13 +2446,13 @@ impl ShardedSystem {
     /// the shards' in-memory stores (in-process transport) merged
     /// with anything recovered from the previous snapshot, deduped by
     /// `(timestamp, MID)` in canonical order.
-    fn capture_warehouses(&mut self) -> Vec<(QueryId, persist::Retained)> {
-        let retained = self.retain_set.clone();
+    fn capture_warehouses(&mut self) -> Vec<(QueryId, Retained)> {
+        let retained = self.tenants.retained();
         let mut out = Vec::with_capacity(retained.len());
         for qid in retained {
             let mut merged: BTreeMap<(u64, u128), BitVec> = BTreeMap::new();
-            if let Some(prev) = self.recovered_warehouses.get(&qid) {
-                for (ts, mid, answer) in prev {
+            if let Some(t) = self.tenants.get(qid) {
+                for (ts, mid, answer) in &t.recovered {
                     merged.insert((*ts, *mid), answer.clone());
                 }
             }
@@ -2631,19 +2509,6 @@ impl ShardedSystem {
             return Ok(());
         }
         let warehouses = self.capture_warehouses();
-        let mut queries: Vec<(&Query, ExecutionParams, bool, Option<&BudgetLedger>)> = self
-            .queries
-            .values()
-            .map(|(q, p)| {
-                (
-                    &**q,
-                    *p,
-                    self.retain_set.contains(&q.id),
-                    self.ledgers.get(&q.id),
-                )
-            })
-            .collect();
-        queries.sort_unstable_by_key(|(q, _, _, _)| q.id.to_u64());
         let mut durable = self.durable.take().expect("durable checked above");
         let contents = SnapshotContents {
             now_ms: self.now_ms,
@@ -2652,9 +2517,7 @@ impl ShardedSystem {
             partial_closes: self.partial_closes,
             lost_answers: self.lost_answers,
             epochs_closed: self.epochs_closed_total,
-            queries,
-            admitted: &self.admitted,
-            terminal: &self.terminal,
+            tenants: &self.tenants,
             pending: &self.pending,
             warehouses: &warehouses,
         };
@@ -2823,16 +2686,16 @@ impl ShardedSystem {
         }
         let population = self.host.config.clients;
         let register = || {
-            (self.queries.values())
-                .map(|(query, params)| ShardCmd::Register {
-                    query: Arc::clone(query),
-                    params: *params,
+            (self.tenants.iter())
+                .map(|t| ShardCmd::Register {
+                    query: Arc::clone(&t.query),
+                    params: t.params,
                     population,
                     // The dead shard's retained store died with it;
                     // re-enabling retention lets later epochs
                     // accumulate again (the batch answer degrades,
                     // reported as the respawn fault).
-                    retain: self.retain_set.contains(&query.id),
+                    retain: t.retain.is_some(),
                 })
                 .collect()
         };
@@ -2841,7 +2704,7 @@ impl ShardedSystem {
             return Err(self.respawn_failed(Role::Shard, s));
         };
         let wait = self.control_wait();
-        for _ in 0..self.queries.len() {
+        for _ in self.tenants.iter() {
             if !matches!(handle.reply.recv_timeout(wait), Ok(ShardReply::Registered)) {
                 return Err(self.respawn_failed(Role::Shard, s));
             }
@@ -2963,72 +2826,17 @@ impl Drop for ShardedSystem {
     }
 }
 
-/// A fluent analyst session against a [`ShardedSystem`] — the same
-/// SQL → buckets → budget → submit surface as
-/// [`AnalystSession`](crate::system::AnalystSession), registering the
-/// query on every shard.
-pub struct ShardedAnalystSession<'a> {
-    system: &'a mut ShardedSystem,
-    sql: String,
-    buckets: Option<AnswerSpec>,
-    budget: Budget,
-    window: Option<(u64, u64)>,
-    explicit_params: Option<ExecutionParams>,
-}
+/// An [`AnalystSession`] on a [`ShardedSystem`].
+pub type ShardedAnalystSession<'a> = AnalystSession<'a, ShardedSystem>;
 
-impl<'a> ShardedAnalystSession<'a> {
-    /// Sets the SQL text.
-    pub fn query(mut self, sql: impl Into<String>) -> Self {
-        self.sql = sql.into();
-        self
-    }
-
-    /// Sets the answer format `A[n]`.
-    pub fn buckets(mut self, spec: AnswerSpec) -> Self {
-        self.buckets = Some(spec);
-        self
-    }
-
-    /// Sets the execution budget.
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Sets sliding-window parameters `(w, δ)` in milliseconds.
-    pub fn window(mut self, size: u64, slide: u64) -> Self {
-        self.window = Some((size, slide));
-        self
-    }
-
-    /// Bypasses the initializer with explicit `(s, p, q)`.
-    pub fn params(mut self, params: ExecutionParams) -> Self {
-        self.explicit_params = Some(params);
-        self
-    }
-
-    /// Signs, registers (on every shard) and distributes the query;
-    /// returns it. Serial assignment matches
-    /// [`System`](crate::System) so the same submission order yields
-    /// the same `QueryId`s.
+impl ShardedAnalystSession<'_> {
+    /// Signs the query and registers it on every shard (see
+    /// [`ShardedSystem::register`]); returns it.
     pub fn submit(self) -> Result<Query, CoreError> {
-        let spec = self.buckets.ok_or_else(|| {
-            CoreError::InfeasibleBudget("query needs an answer bucket spec".into())
+        let (sys, query, params) = self.sign(|s| {
+            let c = &s.host.config;
+            (&mut s.next_serial, c.analyst_key, &s.initializer, c.clients)
         })?;
-        let (w, d) = self.window.unwrap_or((60_000, 60_000));
-        let sys = self.system;
-        let id = QueryId::new(AnalystId(1), sys.next_serial);
-        sys.next_serial += 1;
-        let query = QueryBuilder::new(id, self.sql)
-            .answer(spec)
-            .window(w, d)
-            .sign_and_build(sys.host.config.analyst_key);
-        let params = match self.explicit_params {
-            Some(p) => p,
-            None => sys
-                .initializer
-                .derive(&self.budget, sys.host.config.clients)?,
-        };
         sys.register(query.clone(), params)?;
         Ok(query)
     }
@@ -3037,6 +2845,8 @@ impl<'a> ShardedAnalystSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use privapprox_types::ids::AnalystId;
+    use privapprox_types::{AnswerSpec, QueryBuilder};
 
     fn speed_spec() -> AnswerSpec {
         AnswerSpec::ranges_with_overflow(0.0, 110.0, 11)
@@ -3668,9 +3478,7 @@ mod tests {
         };
         let before = files(&dir);
         let cap = privapprox_store::MAX_FRAME as usize;
-        system
-            .recovered_warehouses
-            .insert(query.id, vec![(0, 0, BitVec::zeros(cap * 8))]);
+        system.tenants.get_mut(query.id).unwrap().recovered = vec![(0, 0, BitVec::zeros(cap * 8))];
         // Closes 2 and 3 both owe a snapshot; each attempt is refused.
         for _ in 0..2 {
             match system.run_epoch(&query) {
@@ -3687,7 +3495,7 @@ mod tests {
             );
             assert_eq!(files(&dir), before, "a refused snapshot must leave no file");
         }
-        system.recovered_warehouses.clear();
+        system.tenants.get_mut(query.id).unwrap().recovered.clear();
         system.run_epoch(&query).unwrap();
         assert_eq!(system.deploy_health().snapshot_count, 1);
         drop(system);

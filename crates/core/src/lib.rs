@@ -69,6 +69,7 @@ pub mod proxy;
 pub mod remote;
 mod stage;
 pub mod system;
+mod tenant;
 
 pub use aggregator::{Aggregator, BucketResult, QueryResult};
 pub use client::{Client, ClientAnswer, ClientScratch};

@@ -38,6 +38,7 @@
 use crate::aggregator::{finalize_window_into, BucketResult, QueryResult};
 use crate::control::{get_query, get_window, put_query, put_window, MIN_WINDOW_BYTES};
 use crate::error::{CoreError, DeployError};
+use crate::tenant::{Retained, Tenant, Tenants};
 use privapprox_rr::privacy::PrivacyReport;
 use privapprox_stats::estimate::ConfidenceInterval;
 use privapprox_store::codec::{Reader, Writer};
@@ -55,7 +56,7 @@ use std::sync::Arc;
 /// enable) appends a fresh record; the latest wins.
 pub(crate) const K_REGISTERED: u8 = 1;
 /// A lifetime privacy budget assigned; the query's ledger keeps its
-/// spend and epoch count ([`rebudget`]).
+/// spend and epoch count ([`Tenants::set_budget`]).
 pub(crate) const K_BUDGET: u8 = 2;
 /// A query admitted to the multi-tenant schedule.
 pub(crate) const K_ADMITTED: u8 = 3;
@@ -98,15 +99,6 @@ pub(crate) fn persist_err(e: StoreError) -> CoreError {
 
 fn bad(what: &'static str, detail: String) -> StoreError {
     StoreError::BadRecord { what, detail }
-}
-
-/// A query's ledger re-budgeted to `allocated`: the spend and epoch
-/// count of `old` carry over (the spend capped at the new allowance),
-/// so a re-budget never hands back ε already spent. `set_budget` and
-/// the replay of its `Budget` record both build the ledger here.
-pub(crate) fn rebudget(old: Option<&BudgetLedger>, allocated: f64) -> BudgetLedger {
-    let (spent, epochs) = old.map_or((0.0, 0), |l| (l.spent(), l.epochs()));
-    BudgetLedger::restore(allocated, spent, epochs)
 }
 
 /// Reads a ledger allowance: finite and positive, or +∞ (unbounded).
@@ -344,17 +336,6 @@ fn get_result(r: &mut Reader<'_>) -> Result<QueryResult, StoreError> {
 
 // ----- recovered state ---------------------------------------------
 
-/// One retained query's warehouse: `(ts, mid, answer)` entries.
-pub(crate) type Retained = Vec<(u64, u128, BitVec)>;
-
-/// A query reconstructed from the store, with its latest parameters.
-pub(crate) struct RecoveredQuery {
-    pub query: Query,
-    pub params: ExecutionParams,
-    pub retain: bool,
-    pub ledger: Option<BudgetLedger>,
-}
-
 /// An epoch that was durably submitted but never closed: its sends
 /// may or may not have escaped before the crash, so recovery re-runs
 /// it live — **without** re-charging (the charges are already in the
@@ -368,11 +349,10 @@ pub(crate) struct OpenEpoch {
 /// Supervisor state reconstructed from snapshot + journal suffix.
 #[derive(Default)]
 pub(crate) struct RecoveredState {
-    pub queries: Vec<RecoveredQuery>,
-    /// Multi-tenant schedule, in admission order.
-    pub admitted: Vec<QueryId>,
-    /// Budget-retired queries (terminal).
-    pub terminal: Vec<QueryId>,
+    /// The tenant table, rebuilt through the live transitions: every
+    /// query with its latest parameters, retention flag, ledger,
+    /// schedule state and the warehouse the last snapshot captured.
+    pub tenants: Tenants,
     pub now_ms: u64,
     pub next_serial: u64,
     pub recoveries: u64,
@@ -384,35 +364,8 @@ pub(crate) struct RecoveredState {
     /// Results closed but possibly not yet drained (at-least-once:
     /// a result drained after the last snapshot is re-emitted).
     pub pending: Vec<QueryResult>,
-    /// Retained warehouses captured by the last snapshot.
-    pub warehouses: Vec<(QueryId, Retained)>,
     /// Whether the journal ended in a torn (crash-truncated) frame.
     pub torn_tail: bool,
-}
-
-impl RecoveredState {
-    fn upsert_query(&mut self, q: Query, params: ExecutionParams, retain: bool) {
-        match self.queries.iter_mut().find(|rq| rq.query.id == q.id) {
-            Some(rq) => {
-                rq.query = q;
-                rq.params = params;
-                rq.retain = retain;
-            }
-            None => self.queries.push(RecoveredQuery {
-                query: q,
-                params,
-                retain,
-                ledger: None,
-            }),
-        }
-    }
-
-    fn ledger_mut(&mut self, qid: QueryId) -> Option<&mut Option<BudgetLedger>> {
-        self.queries
-            .iter_mut()
-            .find(|rq| rq.query.id == qid)
-            .map(|rq| &mut rq.ledger)
-    }
 }
 
 // ----- snapshot assembly -------------------------------------------
@@ -425,10 +378,7 @@ pub(crate) struct SnapshotContents<'a> {
     pub partial_closes: u64,
     pub lost_answers: u64,
     pub epochs_closed: u64,
-    /// `(query, params, retain, ledger)` for every registered query.
-    pub queries: Vec<(&'a Query, ExecutionParams, bool, Option<&'a BudgetLedger>)>,
-    pub admitted: &'a [QueryId],
-    pub terminal: &'a [QueryId],
+    pub tenants: &'a Tenants,
     pub pending: &'a [QueryResult],
     pub warehouses: &'a [(QueryId, Retained)],
 }
@@ -442,12 +392,16 @@ fn build_sections(c: &SnapshotContents<'_>) -> Vec<(u8, Vec<u8>)> {
         .u64(c.lost_answers)
         .u64(c.epochs_closed);
 
+    // Tenants by id, so the section does not depend on the order
+    // queries were registered in.
+    let mut tenants: Vec<&Tenant> = c.tenants.iter().collect();
+    tenants.sort_unstable_by_key(|t| t.query.id.to_u64());
     let mut queries = Writer::new();
-    queries.u64(c.queries.len() as u64);
-    for (q, params, retain, ledger) in &c.queries {
-        put_query(&mut queries, q, *params);
-        queries.u8(*retain as u8);
-        match ledger {
+    queries.u64(tenants.len() as u64);
+    for t in tenants {
+        put_query(&mut queries, &t.query, t.params);
+        queries.u8(t.retain.is_some() as u8);
+        match t.ledger {
             Some(l) => {
                 queries
                     .u8(1)
@@ -462,13 +416,11 @@ fn build_sections(c: &SnapshotContents<'_>) -> Vec<(u8, Vec<u8>)> {
     }
 
     let mut sched = Writer::new();
-    sched.u64(c.admitted.len() as u64);
-    for qid in c.admitted {
-        sched.u64(qid.to_u64());
-    }
-    sched.u64(c.terminal.len() as u64);
-    for qid in c.terminal {
-        sched.u64(qid.to_u64());
+    for ids in [c.tenants.schedule(), c.tenants.terminal()] {
+        sched.u64(ids.len() as u64);
+        for qid in ids {
+            sched.u64(qid.to_u64());
+        }
     }
 
     let mut pending = Writer::new();
@@ -525,11 +477,9 @@ fn apply_snapshot(
                     } else {
                         None
                     };
-                    state.upsert_query(q, params, retain);
-                    if ledger.is_some() {
-                        if let Some(slot) = state.ledger_mut(qid) {
-                            *slot = ledger;
-                        }
+                    register(&mut state.tenants, q, params, retain);
+                    if let Some(t) = state.tenants.get_mut(qid) {
+                        t.ledger = ledger;
                     }
                 }
                 r.done()?;
@@ -538,11 +488,11 @@ fn apply_snapshot(
                 let mut r = Reader::new(payload, "snapshot schedule");
                 let na = r.count(8)?;
                 for _ in 0..na {
-                    state.admitted.push(QueryId::from_u64(r.u64()?));
+                    let _ = state.tenants.admit(QueryId::from_u64(r.u64()?));
                 }
                 let nt = r.count(8)?;
                 for _ in 0..nt {
-                    state.terminal.push(QueryId::from_u64(r.u64()?));
+                    state.tenants.retire(QueryId::from_u64(r.u64()?), None);
                 }
                 r.done()?;
             }
@@ -577,7 +527,9 @@ fn apply_snapshot(
                         })?;
                         entries.push((ts, mid, answer));
                     }
-                    state.warehouses.push((qid, entries));
+                    if let Some(t) = state.tenants.get_mut(qid) {
+                        t.recovered = entries;
+                    }
                 }
                 r.done()?;
             }
@@ -590,6 +542,20 @@ fn apply_snapshot(
 }
 
 // ----- journal replay ----------------------------------------------
+//
+// Records are applied through the live transitions of
+// [`Tenants`]. A transition that refuses a record (an unknown query,
+// an admission the window rule forbids) refuses one the live path
+// never journaled: the record is skipped, as the refused call changed
+// nothing live.
+
+/// Replays a registration with its retention flag.
+fn register(tenants: &mut Tenants, q: Query, params: ExecutionParams, retain: bool) {
+    let qid = q.id;
+    if tenants.register(Arc::new(q), params).is_ok() && retain {
+        let _ = tenants.retain(qid);
+    }
+}
 
 fn apply_records(state: &mut RecoveredState, records: &[WalRecord]) -> Result<(), StoreError> {
     // Charges buffered until their epoch's `Submitted` proves the
@@ -604,7 +570,7 @@ fn apply_records(state: &mut RecoveredState, records: &[WalRecord]) -> Result<()
                 let retain = r.u8()? != 0;
                 let next_serial = r.u64()?;
                 r.done()?;
-                state.upsert_query(q, params, retain);
+                register(&mut state.tenants, q, params, retain);
                 state.next_serial = state.next_serial.max(next_serial);
             }
             K_BUDGET => {
@@ -612,23 +578,19 @@ fn apply_records(state: &mut RecoveredState, records: &[WalRecord]) -> Result<()
                 let qid = QueryId::from_u64(r.u64()?);
                 let allocated = get_allocation(&mut r)?;
                 r.done()?;
-                if let Some(slot) = state.ledger_mut(qid) {
-                    *slot = Some(rebudget(slot.as_ref(), allocated));
-                }
+                let _ = state.tenants.set_budget(qid, allocated);
             }
             K_ADMITTED => {
                 let mut r = Reader::new(&rec.payload, "admitted");
                 let qid = QueryId::from_u64(r.u64()?);
                 r.done()?;
-                if !state.admitted.contains(&qid) {
-                    state.admitted.push(qid);
-                }
+                let _ = state.tenants.admit(qid);
             }
             K_WITHDRAWN => {
                 let mut r = Reader::new(&rec.payload, "withdrawn");
                 let qid = QueryId::from_u64(r.u64()?);
                 r.done()?;
-                state.admitted.retain(|q| *q != qid);
+                state.tenants.withdraw(qid);
             }
             K_RETIRED => {
                 let mut r = Reader::new(&rec.payload, "retired");
@@ -637,10 +599,7 @@ fn apply_records(state: &mut RecoveredState, records: &[WalRecord]) -> Result<()
                 let _allocated = r.f64()?;
                 let _epochs = r.u64()?;
                 r.done()?;
-                state.admitted.retain(|q| *q != qid);
-                if !state.terminal.contains(&qid) {
-                    state.terminal.push(qid);
-                }
+                state.tenants.retire(qid, None);
             }
             K_CHARGE => {
                 let mut r = Reader::new(&rec.payload, "charge");
@@ -668,14 +627,8 @@ fn apply_records(state: &mut RecoveredState, records: &[WalRecord]) -> Result<()
                 // are live. Absolute values make re-application after
                 // a snapshot idempotent.
                 for (qid, epoch, spent_after, epochs_after) in pending_charges.drain(..) {
-                    if epoch != ts.0 {
-                        continue;
-                    }
-                    if let Some(slot) = state.ledger_mut(qid) {
-                        // A query's first charge creates its unbounded
-                        // ledger.
-                        let alloc = slot.map_or(f64::INFINITY, |l| l.allocated());
-                        *slot = Some(BudgetLedger::restore(alloc, spent_after, epochs_after));
+                    if epoch == ts.0 {
+                        state.tenants.settle(qid, spent_after, epochs_after);
                     }
                 }
                 state.now_ms = state.now_ms.max(watermark.0);
@@ -890,6 +843,24 @@ mod tests {
         }
     }
 
+    /// A table of one admitted tenant, built through the live
+    /// transitions.
+    fn one_tenant(
+        q: &Query,
+        params: ExecutionParams,
+        retain: bool,
+        ledger: Option<BudgetLedger>,
+    ) -> Tenants {
+        let mut tenants = Tenants::default();
+        tenants.register(Arc::new(q.clone()), params).unwrap();
+        if retain {
+            tenants.retain(q.id).unwrap();
+        }
+        tenants.admit(q.id).unwrap();
+        tenants.get_mut(q.id).unwrap().ledger = ledger;
+        tenants
+    }
+
     #[test]
     fn result_codec_is_bit_exact() {
         let q = mk_query(1);
@@ -946,7 +917,7 @@ mod tests {
         );
         let mut state = RecoveredState::default();
         apply_records(&mut state, &records).unwrap();
-        let ledger = state.queries[0].ledger.as_ref().unwrap();
+        let ledger = state.tenants.get(q.id).unwrap().ledger.unwrap();
         assert_eq!(ledger.spent(), 0.25, "orphan charge must not apply");
         assert_eq!(ledger.epochs(), 1);
         assert_eq!(
@@ -1263,7 +1234,7 @@ mod tests {
             apply_records(&mut state, &records).map(|()| state)
         };
         let legal = |state: &RecoveredState| {
-            state.queries.iter().filter_map(|rq| rq.ledger).all(|l| {
+            state.tenants.iter().filter_map(|t| t.ledger).all(|l| {
                 let a = l.allocated();
                 (a == f64::INFINITY || (a.is_finite() && a > 0.0))
                     && l.spent().is_finite()
@@ -1271,9 +1242,9 @@ mod tests {
             })
         };
         let state = replay(0, &journal[0].1).unwrap();
-        let l = state.queries[0].ledger.unwrap();
+        let l = state.tenants.get(q.id).unwrap().ledger.unwrap();
         assert_eq!((l.allocated(), l.spent(), l.epochs()), (1.0, 0.25, 1));
-        assert_eq!(state.terminal, vec![q.id]);
+        assert_eq!(state.tenants.terminal(), vec![q.id]);
 
         let patched = |at: usize, offset: usize, bytes: &[u8]| {
             let mut bad = journal[at].1.clone();
@@ -1308,7 +1279,10 @@ mod tests {
             );
         }
         let unbounded = replay(1, &patched(1, 8, &f(f64::INFINITY))).unwrap();
-        assert!(unbounded.queries[0]
+        assert!(unbounded
+            .tenants
+            .get(q.id)
+            .unwrap()
             .ledger
             .unwrap()
             .allocated()
@@ -1341,9 +1315,7 @@ mod tests {
             partial_closes: 0,
             lost_answers: 0,
             epochs_closed: 0,
-            queries: vec![(&q, params, false, Some(&nan))],
-            admitted: &[],
-            terminal: &[],
+            tenants: &one_tenant(&q, params, false, Some(nan)),
             pending: &[],
             warehouses: &[],
         });
@@ -1393,9 +1365,7 @@ mod tests {
             partial_closes: 4,
             lost_answers: 9,
             epochs_closed: 3,
-            queries: vec![(&q, params, true, Some(&ledger))],
-            admitted: &[q.id],
-            terminal: &[],
+            tenants: &one_tenant(&q, params, true, Some(ledger)),
             pending: &pending,
             warehouses: &warehouses,
         };
@@ -1408,13 +1378,13 @@ mod tests {
         assert_eq!(state.partial_closes, 4);
         assert_eq!(state.lost_answers, 9);
         assert_eq!(state.epochs_closed, 3);
-        assert_eq!(state.queries.len(), 1);
-        assert!(state.queries[0].retain);
-        let l = state.queries[0].ledger.as_ref().unwrap();
+        assert_eq!(state.tenants.iter().len(), 1);
+        let t = state.tenants.get(q.id).unwrap();
+        assert!(t.retain.is_some());
+        let l = t.ledger.unwrap();
         assert_eq!((l.allocated(), l.spent(), l.epochs()), (2.0, 0.75, 3));
-        assert_eq!(state.admitted, vec![q.id]);
+        assert_eq!(state.tenants.schedule(), vec![q.id]);
         assert_eq!(state.pending, pending);
-        assert_eq!(state.warehouses.len(), 1);
-        assert_eq!(state.warehouses[0].1[0].2, BitVec::one_hot(2, 1));
+        assert_eq!(t.recovered, warehouses[0].1);
     }
 }

@@ -211,14 +211,7 @@ impl System {
 
     /// Opens an analyst session for query submission.
     pub fn analyst(&mut self) -> AnalystSession<'_> {
-        AnalystSession {
-            system: self,
-            sql: String::new(),
-            buckets: None,
-            budget: Budget::default_accuracy(),
-            window: None,
-            explicit_params: None,
-        }
+        AnalystSession::new(self)
     }
 
     /// The execution parameters currently assigned to a query.
@@ -229,13 +222,10 @@ impl System {
     /// Overrides a query's execution parameters (used by the feedback
     /// loop and parameter-sweep benchmarks).
     pub fn set_params(&mut self, id: QueryId, params: ExecutionParams) -> Result<(), CoreError> {
-        let (query, slot) = match self.queries.get_mut(&id) {
-            Some((q, p)) => (q.clone(), p),
-            None => return Err(CoreError::UnknownQuery),
-        };
+        let (query, slot) = self.queries.get_mut(&id).ok_or(CoreError::UnknownQuery)?;
         *slot = params;
         self.aggregator
-            .register_query(&query, params, self.config.clients);
+            .register_query(query, params, self.config.clients);
         Ok(())
     }
 
@@ -245,11 +235,7 @@ impl System {
     ///
     /// Returns the epoch's windowed result.
     pub fn run_epoch(&mut self, query: &Query) -> Result<QueryResult, CoreError> {
-        let (_, params) = self
-            .queries
-            .get(&query.id)
-            .copied_params(query.id)
-            .ok_or(CoreError::UnknownQuery)?;
+        let params = self.params(query.id).ok_or(CoreError::UnknownQuery)?;
         let window_size = query.window.size;
         // Align the epoch to this query's window grid on the shared
         // event clock, so the emitted window is exactly one epoch.
@@ -325,21 +311,12 @@ impl System {
     }
 }
 
-/// Small helper trait so `run_epoch` can copy params out of the map
-/// without fighting the borrow checker.
-trait CopiedParams {
-    fn copied_params(&self, id: QueryId) -> Option<(QueryId, ExecutionParams)>;
-}
-
-impl CopiedParams for Option<&(Query, ExecutionParams)> {
-    fn copied_params(&self, id: QueryId) -> Option<(QueryId, ExecutionParams)> {
-        self.map(|(_, p)| (id, *p))
-    }
-}
-
-/// A fluent analyst session: SQL → buckets → budget → submit.
-pub struct AnalystSession<'a> {
-    system: &'a mut System,
+/// A fluent analyst session: SQL → buckets → budget → submit, on a
+/// [`System`] or a [`ShardedSystem`](crate::ShardedSystem). Both
+/// assign serials alike, so the same submission order yields the same
+/// `QueryId`s.
+pub struct AnalystSession<'a, S = System> {
+    system: &'a mut S,
     sql: String,
     buckets: Option<AnswerSpec>,
     budget: Budget,
@@ -347,7 +324,18 @@ pub struct AnalystSession<'a> {
     explicit_params: Option<ExecutionParams>,
 }
 
-impl<'a> AnalystSession<'a> {
+impl<'a, S> AnalystSession<'a, S> {
+    pub(crate) fn new(system: &'a mut S) -> Self {
+        AnalystSession {
+            system,
+            sql: String::new(),
+            buckets: None,
+            budget: Budget::default_accuracy(),
+            window: None,
+            explicit_params: None,
+        }
+    }
+
     /// Sets the SQL text.
     pub fn query(mut self, sql: impl Into<String>) -> Self {
         self.sql = sql.into();
@@ -379,23 +367,41 @@ impl<'a> AnalystSession<'a> {
         self
     }
 
-    /// Signs, registers and distributes the query; returns it.
-    pub fn submit(self) -> Result<Query, CoreError> {
+    /// Signs the query under the deployment's next serial and takes
+    /// its parameters: the explicit ones, or the initializer's for the
+    /// budget. `parts` names the deployment's serial counter, analyst
+    /// key, initializer and population.
+    pub(crate) fn sign(
+        self,
+        parts: impl FnOnce(&mut S) -> (&mut u32, u64, &Initializer, u64),
+    ) -> Result<(&'a mut S, Query, ExecutionParams), CoreError> {
         let spec = self.buckets.ok_or_else(|| {
             CoreError::InfeasibleBudget("query needs an answer bucket spec".into())
         })?;
         let (w, d) = self.window.unwrap_or((60_000, 60_000));
-        let sys = self.system;
-        let id = QueryId::new(AnalystId(1), sys.next_serial);
-        sys.next_serial += 1;
+        let (serial, key, initializer, clients) = parts(&mut *self.system);
+        let id = QueryId::new(AnalystId(1), *serial);
+        *serial += 1;
         let query = QueryBuilder::new(id, self.sql)
             .answer(spec)
             .window(w, d)
-            .sign_and_build(sys.config.analyst_key);
+            .sign_and_build(key);
         let params = match self.explicit_params {
             Some(p) => p,
-            None => sys.initializer.derive(&self.budget, sys.config.clients)?,
+            None => initializer.derive(&self.budget, clients)?,
         };
+        Ok((self.system, query, params))
+    }
+}
+
+impl AnalystSession<'_> {
+    /// Signs, registers and distributes the query; returns it.
+    pub fn submit(self) -> Result<Query, CoreError> {
+        let (sys, query, params) = self.sign(|s| {
+            let c = &s.config;
+            (&mut s.next_serial, c.analyst_key, &s.initializer, c.clients)
+        })?;
+        let id = query.id;
         sys.aggregator
             .register_query(&query, params, sys.config.clients);
         if sys.config.enable_warehouse {

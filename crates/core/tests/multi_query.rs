@@ -734,3 +734,54 @@ fn admit_rejects_mismatched_window_sizes() {
     sys.withdraw(queries[0].id);
     sys.admit(other.id).unwrap();
 }
+
+/// The window rule `admit` enforces holds for a re-registration too:
+/// re-registering an admitted query with another window size is
+/// refused with `admit`'s error, and the refused call changes nothing
+/// — the run that carries on is byte-identical to one that never made
+/// it (a wider window would count each client once per epoch it
+/// spans).
+#[test]
+fn reregistering_an_admitted_query_keeps_the_shared_window() {
+    let m = Matrix {
+        seed: 43,
+        k: 2,
+        shards: 2,
+        depth: 1,
+        buckets: 11,
+        epochs: 4,
+        fault: None,
+    };
+    let (reference, _) = run_schedule(&m, &[0, 1]);
+    let (mut sys, queries) = build(&m);
+    for q in &queries {
+        sys.admit(q.id).unwrap();
+    }
+    sys.run_epoch_all().unwrap();
+    let mut wider = queries[1].clone();
+    wider.window.size = 3 * WINDOW_MS;
+    wider.window.slide = 3 * WINDOW_MS;
+    match sys.register(wider, tenant_params(1)) {
+        Err(CoreError::Deploy(DeployError::InvalidConfig(msg))) => assert!(
+            msg.contains("scheduled queries must share a window size: 3000 != 1000"),
+            "{msg}"
+        ),
+        other => panic!("expected the shared-window refusal, got {other:?}"),
+    }
+    for _ in 1..m.epochs {
+        sys.run_epoch_all().unwrap();
+    }
+    let results = sys.drain_results();
+    assert_eq!(results.len(), reference.len());
+    for (i, (got, want)) in results.iter().zip(&reference).enumerate() {
+        assert_eq!(got.window.end.0 - got.window.start.0, WINDOW_MS);
+        assert_results_identical(got, want, &format!("result {i}"));
+    }
+    // Off the schedule, the query may take any window.
+    sys.withdraw(queries[1].id);
+    let mut wider = queries[1].clone();
+    wider.window.size = 3 * WINDOW_MS;
+    wider.window.slide = 3 * WINDOW_MS;
+    sys.register(wider, tenant_params(1)).unwrap();
+    assert!(sys.admit(queries[1].id).is_err(), "window sizes must agree");
+}
